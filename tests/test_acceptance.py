@@ -51,6 +51,7 @@ def test_c01_throughput_reproduction():
     tput = report.ledgers["zone:1"].tx_throughput
     assert 562 <= tput <= 688, tput  # 625 +/- 10%
     assert intra_wall < 60, intra_wall
+    assert report.event_log_digest == "8f9a9ccac70611a8bab4f7f5f0c636fa18c3ccbee26669330436bf84501dff2e"
 
     t0 = time.monotonic()
     inter = Scenario(
@@ -65,6 +66,7 @@ def test_c01_throughput_reproduction():
     itput = report.ledgers["inter"].tx_throughput
     assert 107 <= itput <= 145, itput  # 126 +/- 15%
     assert inter_wall < 60, inter_wall
+    assert report.event_log_digest == "db031436e333baf961463f8732e14d8db98999cca3c04a2fa34c83289b183d31"
     ok(f"1 throughput: intra {tput:.1f} tx/s in [562,688], "
        f"inter {itput:.1f} tx/s in [107,145], walls {intra_wall:.1f}s/{inter_wall:.1f}s")
 
