@@ -5,11 +5,8 @@ attacker forks the chain just below a depth-k confirmed transaction and
 mines privately, releasing only once strictly longer. Block production
 follows the same competing-exponentials model as virtual-time mining.
 
-Two analytic success probabilities are provided. The catch-up race
-(gambler's ruin, attacker starting z behind at confirmation time) is
-the oracle matching the experiment; the broadcast-time variant with the
-attacker's Poisson head start is included for reference and is the
-right comparison when the attack begins at transaction broadcast.
+The analytic oracle matching the experiment is the catch-up race
+(gambler's ruin, attacker starting z behind at confirmation time).
 """
 
 from __future__ import annotations
@@ -43,24 +40,6 @@ def overtake_probability(attacker_share: float, deficit: int) -> float:
     win beyond the tie: (q/p)^(deficit+1). This is the oracle for the
     simulated attack below."""
     return catchup_probability(attacker_share, deficit + 1)
-
-
-def broadcast_race_probability(attacker_share: float, confirmations: int) -> float:
-    """Success probability when the attack starts at tx broadcast time.
-
-    The attacker pre-mines while the honest chain accumulates z
-    confirmations; its head start is Poisson with mean z*q/p.
-    """
-    q = attacker_share
-    p = 1.0 - q
-    z = confirmations
-    if q >= p:
-        return 1.0
-    lam = z * q / p
-    s = 0.0
-    for m in range(z):
-        s += math.exp(-lam) * lam ** m / math.factorial(m) * (1.0 - (q / p) ** (z - m))
-    return 1.0 - s
 
 
 def ks_exponential(samples: list[float], mean: float) -> tuple[float, float]:

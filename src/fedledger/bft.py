@@ -8,10 +8,11 @@ PRECOMMITs the block is committed with the collected signatures as its
 quorum seal and a self-certifying DECISION carrying the sealed block is
 broadcast so lagging replicas and zone full nodes can adopt it.
 
-Quorum is 2f+1 with f = max(configured f, (n-1)//3); committees must
-satisfy n >= 3f+1 at construction. Equivocating messages (same sender,
-height, round, and step but a different digest) are recorded as
-byzantine evidence and the later one is ignored.
+A committee of n tolerates f = (n-1)//3 byzantine members, the largest
+f with n >= 3f+1, and its quorum is 2f+1 (``committee_bounds``).
+Equivocating messages (same sender, height, round, and step but a
+different digest) are recorded as byzantine evidence and the later one
+is ignored.
 
 Each phase of round r times out Delta_base*(r+1) after it starts; on
 timeout the validator emits the nil vote for the phase it is stuck in
@@ -107,30 +108,54 @@ class Evidence:
     digests: tuple
 
 
-class Validator:
+def committee_bounds(n: int) -> tuple[int, int]:
+    """Byzantine members f a committee of n tolerates (n >= 3f+1), and its 2f+1 quorum."""
+    f = (n - 1) // 3
+    return f, 2 * f + 1
+
+
+class CommitteeReplica:
+    """A replica of one zone ledger: accepts blocks sealed by a quorum of its committee."""
+
+    def __init__(self, committee: list[bytes], keyring: Keyring):
+        self.committee = list(committee)
+        self.keyring = keyring
+        _f, self.quorum = committee_bounds(len(self.committee))
+
+    def verify_sealed(self, block: Block) -> bool:
+        """Check a quorum seal: enough distinct committee precommit signatures."""
+        seal = block.seal
+        if not isinstance(seal, BftSeal):
+            return False
+        digest = block.digest()
+        seen = set()
+        good = 0
+        for addr, sig in seal.quorum_signatures:
+            if addr in seen or addr not in self.committee:
+                continue
+            seen.add(addr)
+            probe = ConsensusMsg(MsgKind.PRECOMMIT, block.height, seal.round, digest, addr)
+            if self.keyring.verify(addr, probe.signing_bytes(), sig):
+                good += 1
+        return good >= self.quorum
+
+
+class Validator(CommitteeReplica):
     def __init__(
         self,
         key: SigningKey,
         committee: list[bytes],
         zone_id: int,
         keyring: Keyring,
-        f: int | None = None,
         block_capacity: int = 1000,
         round_timeout_ms: float = 200.0,
         block_interval_ms: float = 1600.0,
         balances: dict[bytes, int] | None = None,
     ):
-        n = len(committee)
-        declared_f = (n - 1) // 3 if f is None else f
-        if n < 3 * declared_f + 1:
-            raise ValueError(f"committee of {n} cannot tolerate f={declared_f}: need n >= 3f+1")
+        super().__init__(committee, keyring)
         self.key = key
         self.validator_id = key.address
-        self.committee = list(committee)
         self.zone_id = zone_id
-        self.keyring = keyring
-        self.f = max(declared_f, (n - 1) // 3)
-        self.quorum = 2 * self.f + 1
         self.block_capacity = block_capacity
         self.round_timeout_ms = round_timeout_ms
         self.block_interval_ms = block_interval_ms
@@ -153,7 +178,6 @@ class Validator:
         self.precommitted: set[int] = set()
         self.future_decisions: dict[int, Block] = {}
         self.evidence: list[Evidence] = []
-        self.commit_times: dict[int, float] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -324,18 +348,6 @@ class Validator:
         else:
             self._maybe_progress(now, effects)
 
-    def _quorum_digest(self, votes: dict, digest_of) -> bytes | None | bool:
-        """Digest with a quorum among votes, None for a nil quorum, False if none."""
-        counts: dict = {}
-        for v in votes.values():
-            d = digest_of(v)
-            counts[d] = counts.get(d, 0) + 1
-            if counts[d] >= self.quorum:
-                return d if d is not None else None
-        if counts.get(None, 0) >= self.quorum:
-            return None
-        return False
-
     def _maybe_progress(self, now: float, effects: list) -> None:
         changed = True
         while changed:
@@ -421,7 +433,6 @@ class Validator:
     def _commit(self, sealed: Block, now: float, effects: list) -> None:
         self.ledger.append(sealed)
         self.book.apply_block(sealed)
-        self.commit_times[sealed.height] = now
         for tx in sealed.txs:
             self.mempool.pop(tx.digest(), None)
         decision = self._sign(
@@ -455,23 +466,6 @@ class Validator:
 
     # -- decision sync ------------------------------------------------------------
 
-    def verify_sealed(self, block: Block) -> bool:
-        """Check a quorum seal: enough distinct committee precommit signatures."""
-        seal = block.seal
-        if not isinstance(seal, BftSeal):
-            return False
-        digest = block.digest()
-        seen = set()
-        good = 0
-        for addr, sig in seal.quorum_signatures:
-            if addr in seen or addr not in self.committee:
-                continue
-            seen.add(addr)
-            probe = ConsensusMsg(MsgKind.PRECOMMIT, block.height, seal.round, digest, addr)
-            if self.keyring.verify(addr, probe.signing_bytes(), sig):
-                good += 1
-        return good >= self.quorum
-
     def _on_decision(self, now: float, msg: ConsensusMsg) -> list:
         block = msg.block
         if block is None or block.height < self.height or not self.verify_sealed(block):
@@ -488,7 +482,7 @@ class Validator:
         return effects
 
 
-class ZoneFollower:
+class ZoneFollower(CommitteeReplica):
     """Full-node replica of a zone ledger, fed by DECISION broadcasts.
 
     Delegates run one of these next to their inter-ledger node; it gives
@@ -496,33 +490,13 @@ class ZoneFollower:
     for the duplicate-payment guard.
     """
 
-    def __init__(self, zone_id: int, committee: list[bytes], keyring: Keyring, f: int | None = None,
+    def __init__(self, zone_id: int, committee: list[bytes], keyring: Keyring,
                  balances: dict[bytes, int] | None = None):
-        n = len(committee)
-        declared_f = (n - 1) // 3 if f is None else f
+        super().__init__(committee, keyring)
         self.zone_id = zone_id
-        self.committee = list(committee)
-        self.keyring = keyring
-        self.quorum = 2 * max(declared_f, (n - 1) // 3) + 1
         self.ledger = Ledger()
         self.book = BalanceBook(balances)
         self._buffer: dict[int, Block] = {}
-
-    def verify_sealed(self, block: Block) -> bool:
-        seal = block.seal
-        if not isinstance(seal, BftSeal):
-            return False
-        digest = block.digest()
-        seen = set()
-        good = 0
-        for addr, sig in seal.quorum_signatures:
-            if addr in seen or addr not in self.committee:
-                continue
-            seen.add(addr)
-            probe = ConsensusMsg(MsgKind.PRECOMMIT, block.height, seal.round, digest, addr)
-            if self.keyring.verify(addr, probe.signing_bytes(), sig):
-                good += 1
-        return good >= self.quorum
 
     def on_decision(self, block: Block) -> list[Block]:
         """Feed a sealed block; returns the blocks appended (in order)."""

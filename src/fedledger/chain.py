@@ -20,6 +20,7 @@ from .crypto import (
     ADDRESS_LEN,
     ZERO_ADDRESS,
     ZERO_DIGEST,
+    Keyring,
     Reader,
     enc_address,
     enc_blob,
@@ -71,6 +72,11 @@ class IntraTx:
             cached = sha256(self.serialize())
             object.__setattr__(self, "_digest", cached)
         return cached
+
+
+def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
+    unsigned = IntraTx(key.address, zone_id, payload, nonce)
+    return IntraTx(key.address, zone_id, payload, nonce, Keyring.sign(key, unsigned.signing_bytes()))
 
 
 # Typed payloads inside the opaque payload field. Tag 0x01 marks a value
@@ -247,10 +253,6 @@ class Ledger:
 
     def contains_tx(self, tx_digest: bytes) -> bool:
         return tx_digest in self.tx_index
-
-    def get_tx(self, tx_digest: bytes):
-        height, pos = self.tx_index[tx_digest]
-        return self.blocks[height].txs[pos]
 
 
 def make_checkpoint(tx: IntraTx, ledger: Ledger) -> Checkpoint:

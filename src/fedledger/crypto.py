@@ -46,10 +46,6 @@ def enc_u64(v: int) -> bytes:
     return v.to_bytes(8, "big")
 
 
-def enc_i64(v: int) -> bytes:
-    return v.to_bytes(8, "big", signed=True)
-
-
 def enc_u256(v: int) -> bytes:
     return v.to_bytes(32, "big")
 

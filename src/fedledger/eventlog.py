@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 from . import contract as sc
 from .contract import BrokerStatus
@@ -86,13 +87,33 @@ def _logged_checkpoint(tx: dict):
                       tx.get("cp_height", 0), bytes.fromhex(tx.get("cp_head", "00" * 32)))
 
 
-def _replay_inter(events: list[dict]):
-    """Re-execute the logged canonical chain; returns (balances, contracts, facts).
+@dataclass
+class Replay:
+    """Ledger state rebuilt from the event log alone, shared by the checkers.
 
     facts[cid] = {"settles": n, "paid": bool, "dual_commit_at_settle": bool,
                   "payout_to": hex, "payout_amount": int}
     """
+
+    initial_supply: int
+    inter_balances: dict[str, int]
+    contracts: dict[int, sc.BrokerInfo]
+    facts: dict[int, dict]
+    minted: int
+    intra_books: dict[str, dict[str, int]]
+    transfers: list[dict]  # applied zone transfers, in log order
+
+
+def replay_log(events: list[dict]) -> Replay:
+    """Replay the logged inter-ledger chain and zone transfers once."""
     genesis = next(e for e in events if e["kind"] == "genesis")
+    balances, contracts, facts, minted = _replay_inter(events, genesis)
+    books, transfers = _replay_intra(events, genesis)
+    return Replay(genesis["total_supply"], balances, contracts, facts, minted, books, transfers)
+
+
+def _replay_inter(events: list[dict], genesis: dict):
+    """Re-execute the logged canonical chain; returns (balances, contracts, facts, minted)."""
     balances: dict[str, int] = dict(genesis["inter_balances"])
     reward = genesis.get("block_reward", 0)
     minted = 0
@@ -173,9 +194,8 @@ def _replay_inter(events: list[dict]):
     return balances, contracts, facts, minted
 
 
-def _replay_intra(events: list[dict]):
+def _replay_intra(events: list[dict], genesis: dict):
     """Re-apply logged zone transfers; returns (books, applied transfers)."""
-    genesis = next(e for e in events if e["kind"] == "genesis")
     books = {zone: dict(b) for zone, b in genesis["intra_balances"].items()}
     applied: list[dict] = []
     seen_blocks = set()
@@ -197,46 +217,41 @@ def _replay_intra(events: list[dict]):
     return books, applied
 
 
-def check_conservation(events: list[dict]) -> tuple[int, list[str]]:
-    genesis = next(e for e in events if e["kind"] == "genesis")
-    initial = genesis["total_supply"]
-    balances, contracts, _, minted = _replay_inter(events)
-    books, _ = _replay_intra(events)
-    total = sum(balances.values())
-    total += sum(c.escrow for c in contracts.values())
-    for book in books.values():
+def check_conservation(rp: Replay) -> tuple[int, list[str]]:
+    initial = rp.initial_supply
+    total = sum(rp.inter_balances.values())
+    total += sum(c.escrow for c in rp.contracts.values())
+    for book in rp.intra_books.values():
         total += sum(book.values())
-    delta = total - initial - minted
+    delta = total - initial - rp.minted
     violations = []
     if delta != 0:
         violations.append(f"conservation delta {delta} (replayed {total} vs initial {initial})")
-    for a, v in balances.items():
+    for a, v in rp.inter_balances.items():
         if v < 0:
             violations.append(f"negative inter balance for {a}: {v}")
     return delta, violations
 
 
-def check_payment_safety(events: list[dict]) -> list[str]:
+def check_payment_safety(rp: Replay) -> list[str]:
     violations = []
-    _, contracts, facts, _minted = _replay_inter(events)
-    _, transfers = _replay_intra(events)
     # Seller payments are transfers tagged with the contract id (memo != 0).
     payments: dict[int, list[dict]] = {}
-    for t in transfers:
+    for t in rp.transfers:
         if t["memo"]:
             payments.setdefault(t["memo"], []).append(t)
     for cid, plist in sorted(payments.items()):
-        f = facts.get(cid, {})
+        f = rp.facts.get(cid, {})
         if not f.get("paid"):
             violations.append(f"payment for contract {cid} without a settled (PAID) contract")
         if len(plist) > 1:
             violations.append(f"double payout for contract {cid}: {len(plist)} payments")
         if not f.get("dual_commit_at_settle", True):
             violations.append(f"contract {cid} settled without dual commitment")
-    for cid, f in sorted(facts.items()):
+    for cid, f in sorted(rp.facts.items()):
         if f.get("settles", 0) > 1:
             violations.append(f"contract {cid} settled {f['settles']} times")
-    for cid, info in sorted(contracts.items()):
+    for cid, info in sorted(rp.contracts.items()):
         if info.broker_status == BrokerStatus.PAID and info.escrow != 0:
             violations.append(f"contract {cid} PAID with nonzero escrow {info.escrow}")
         if info.broker_status == BrokerStatus.COMMITTED and not (info.pub_committed and info.sub_committed):
@@ -287,8 +302,9 @@ def check_privacy(events: list[dict], width: int = 8) -> list[str]:
 
 def run_all_checkers(events: list[dict]) -> tuple[int, list[str]]:
     violations = list(check_safety(events))
-    delta, cons = check_conservation(events)
+    rp = replay_log(events)
+    delta, cons = check_conservation(rp)
     violations += cons
-    violations += check_payment_safety(events)
+    violations += check_payment_safety(rp)
     violations += check_privacy(events)
     return delta, violations

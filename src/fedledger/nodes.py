@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bft import Broadcast, Committed, ConsensusMsg, Deadline, MsgKind, ProposeAt, Validator
-from .chain import Block, IntraTx, parse_transfer
-from .crypto import Keyring, enc_u64
+from .chain import Block, IntraTx, parse_transfer, signed_intra_tx
+from .crypto import enc_u64
 from .powchain import M_NOOP, InterNode, signed_inter_tx
 from .sim import Node, Simulator
 
@@ -61,6 +61,17 @@ class InterSubmitAck:
 
     def wire_bytes(self) -> bytes:
         return b"interack" + self.tx_digest + (b"\x01" if self.accepted else b"\x00") + self.reason.encode()
+
+
+def submit_intra(sim: Simulator, node: Node, validators: list[str], payload: bytes,
+                 nonce: int) -> IntraTx:
+    """Sign an intra tx with ``node.key``, log it, and send it to every zone validator."""
+    tx = signed_intra_tx(node.key, node.zone_id, payload, nonce)
+    if node.collector is not None:
+        node.collector.intra_submit(node.zone_id, tx, sim.now)
+    for v in validators:
+        sim.send(node.node_id, v, TxSubmit(tx))
+    return tx
 
 
 class ValidatorNode(Node):
@@ -221,65 +232,24 @@ class MinerNode(Node):
             sim.send(self.node_id, src, InterSubmitAck(msg.tx.digest(), ok, reason))
 
 
-class IntraLoadNode(Node):
-    """Deterministic intra-ledger workload: evenly spaced signed submissions."""
+class ScheduledLoad(Node):
+    """Workload generator: ``submit(sim, i)`` at each of its scheduled times.
 
-    def __init__(self, node_id: str, zone_id: int, key, rng, validators: list[str],
-                 rate_per_s: float, offset_ms: float, until_ms: float,
-                 payload_bytes: int = 64, collector=None, times: list[float] | None = None):
+    Explicit times are sorted; otherwise times start at ``offset_ms`` and
+    are spaced 1000/rate ms apart while below ``until_ms``.
+    """
+
+    def __init__(self, node_id: str, zone_id: int | None, rate_per_s: float,
+                 offset_ms: float, until_ms: float, times: list[float] | None):
         super().__init__(node_id, zone_id)
-        self.key = key
-        self.rng = rng
-        self.validators = validators
-        self.payload_bytes = payload_bytes
-        self.collector = collector
-        if times is not None:
-            self.times = sorted(times)
-        elif rate_per_s > 0:
-            spacing = 1000.0 / rate_per_s
-            self.times = []
-            t = offset_ms
-            while t < until_ms:
-                self.times.append(t)
-                t += spacing
-        else:
-            self.times = []
-        self._i = 0
-
-    def start(self, sim: Simulator) -> None:
-        if self.times:
-            sim.set_timer(self.node_id, self.times[0], ("tx", 0))
-
-    def on_timer(self, sim: Simulator, key) -> None:
-        i = key[1]
-        payload = self.rng.randbytes(self.payload_bytes)
-        tx = IntraTx(self.key.address, self.zone_id, payload, i)
-        tx = replace(tx, signature=Keyring.sign(self.key, tx.signing_bytes()))
-        if self.collector is not None:
-            self.collector.intra_submit(self.zone_id, tx, sim.now)
-        for v in self.validators:
-            sim.send(self.node_id, v, TxSubmit(tx))
-        if i + 1 < len(self.times):
-            sim.set_timer(self.node_id, self.times[i + 1], ("tx", i + 1))
-
-
-class InterLoadNode(Node):
-    """Deterministic inter-ledger workload: salted no-op calls at a fixed rate."""
-
-    def __init__(self, node_id: str, key, miners: list[str], fee: int,
-                 rate_per_s: float, offset_ms: float, until_ms: float,
-                 collector=None, times: list[float] | None = None):
-        super().__init__(node_id, None)
-        self.key = key
-        self.miners = miners
-        self.fee = fee
-        self.collector = collector
         if times is not None:
             self.times = sorted(times)
         else:
             self.times = []
             if rate_per_s > 0:
                 spacing = 1000.0 / rate_per_s
+                # Accumulated, not offset + i*spacing: the float times (and
+                # so every event-log digest) depend on it.
                 t = offset_ms
                 while t < until_ms:
                     self.times.append(t)
@@ -291,10 +261,43 @@ class InterLoadNode(Node):
 
     def on_timer(self, sim: Simulator, key) -> None:
         i = key[1]
+        self.submit(sim, i)
+        if i + 1 < len(self.times):
+            sim.set_timer(self.node_id, self.times[i + 1], ("tx", i + 1))
+
+
+class IntraLoadNode(ScheduledLoad):
+    """Deterministic intra-ledger workload: evenly spaced signed submissions."""
+
+    def __init__(self, node_id: str, zone_id: int, key, rng, validators: list[str],
+                 rate_per_s: float, offset_ms: float, until_ms: float,
+                 payload_bytes: int = 64, collector=None, times: list[float] | None = None):
+        super().__init__(node_id, zone_id, rate_per_s, offset_ms, until_ms, times)
+        self.key = key
+        self.rng = rng
+        self.validators = validators
+        self.payload_bytes = payload_bytes
+        self.collector = collector
+
+    def submit(self, sim: Simulator, i: int) -> None:
+        submit_intra(sim, self, self.validators, self.rng.randbytes(self.payload_bytes), i)
+
+
+class InterLoadNode(ScheduledLoad):
+    """Deterministic inter-ledger workload: salted no-op calls at a fixed rate."""
+
+    def __init__(self, node_id: str, key, miners: list[str], fee: int,
+                 rate_per_s: float, offset_ms: float, until_ms: float,
+                 collector=None, times: list[float] | None = None):
+        super().__init__(node_id, None, rate_per_s, offset_ms, until_ms, times)
+        self.key = key
+        self.miners = miners
+        self.fee = fee
+        self.collector = collector
+
+    def submit(self, sim: Simulator, i: int) -> None:
         tx = signed_inter_tx(self.key, 0, M_NOOP, args=enc_u64(i), fee=self.fee)
         if self.collector is not None:
             self.collector.inter_submit(tx, sim.now)
         for m in self.miners:
             sim.send(self.node_id, m, InterSubmit(tx))
-        if i + 1 < len(self.times):
-            sim.set_timer(self.node_id, self.times[i + 1], ("tx", i + 1))

@@ -22,7 +22,7 @@ chain from genesis reproduces identical state digests by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import contract as sc
 from .chain import Block, Checkpoint, PowSeal, build_block, genesis_block
@@ -36,8 +36,6 @@ from .crypto import (
     sha256,
 )
 
-MILLITOKEN = 1
-TOKEN = 1000  # millitokens per token
 DEFAULT_FEE = 1  # 0.001 token
 INTER_BLOCK_CAPACITY = 571
 ORPHAN_CAP = 64
@@ -93,8 +91,9 @@ class InterTx:
 def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
                     attached: int = 0, fee: int = DEFAULT_FEE,
                     checkpoint: Checkpoint | None = None) -> InterTx:
-    tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint)
-    return replace(tx, signature=Keyring.sign(key, tx.signing_bytes()))
+    unsigned = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint)
+    return InterTx(key.address, contract_id, method, args, attached, fee, checkpoint,
+                   Keyring.sign(key, unsigned.signing_bytes()))
 
 
 class ChainState:
@@ -299,9 +298,6 @@ class InterNode:
         """State as of the deepest block with depth >= k (genesis if none)."""
         h = max(0, self.tip_height - self.k + 1)
         return self.states[self.canonical[h]]
-
-    def canonical_blocks(self):
-        return [self.blocks[d] for d in self.canonical]
 
     def find_checkpoint(self, cp: Checkpoint) -> bool:
         """True iff a confirmed canonical transaction carries exactly this checkpoint."""

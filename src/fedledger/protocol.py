@@ -22,13 +22,13 @@ only digests, checkpoints, and contract metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .bft import ConsensusMsg, MsgKind, ZoneFollower
+from .bft import ConsensusMsg, MsgKind, ZoneFollower, committee_bounds
 from .chain import Checkpoint, IntraTx, transfer_payload, verify_checkpoint
 from .contract import BrokerStatus
-from .crypto import Keyring, enc_address, enc_u32, enc_u64, sha256
-from .nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck, TxSubmit
+from .crypto import enc_address, enc_u32, enc_u64, sha256
+from .nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck, submit_intra
 from .powchain import (
     M_COMMIT,
     M_CONFIG_PUB,
@@ -52,6 +52,11 @@ SETTLED = "SETTLED"
 FAILED = "FAILED"
 
 PHASE_ORDER = {IDLE: 0, DELEGATED: 1, CONFIGURED: 2, COMMITTED: 3, SETTLED: 4}
+
+
+def bound_delegate(info, side: str) -> bytes:
+    """The delegate a contract record binds on one side."""
+    return info.publisher_id if side == PUB else info.subscriber_id
 
 
 # -- protocol messages -------------------------------------------------------
@@ -270,12 +275,11 @@ class DelegateNode(InterParticipant):
 
     def __init__(self, node_id: str, zone_id: int, key, follower: ZoneFollower,
                  inter: InterNode, miners: list[str], admin_node: str,
-                 registry: set, keyring: Keyring, collector=None):
+                 registry: set, collector=None):
         super().__init__(node_id, zone_id, key, inter, miners)
         self.follower = follower
         self.admin_node = admin_node
         self.registry = registry
-        self.keyring = keyring
         self.collector = collector
         self.sessions: dict[int, DelegateSession] = {}
         self.zone_validators: list[str] = []  # wired by the runner
@@ -408,9 +412,6 @@ class DelegateNode(InterParticipant):
             return info.pub_status == 1 and info.pub_service == s.service
         return info.sub_status == 1 and info.sub_service == s.service
 
-    def _bound_addr(self, info, s: DelegateSession) -> bytes:
-        return info.publisher_id if s.side == PUB else info.subscriber_id
-
     def _counterpart_match(self, state, s: DelegateSession) -> int | None:
         for cid in sorted(state.contracts):
             info = state.contracts[cid]
@@ -522,7 +523,7 @@ class DelegateNode(InterParticipant):
             self._finish_payment(sim, s, cid)
             return
 
-        bound = self._bound_addr(info_tip, s)
+        bound = bound_delegate(info_tip, s.side)
         if bound != self.key.address:
             if info_tip.broker_status == BrokerStatus.PAID:
                 return  # wait for the payout to confirm; payment path above
@@ -559,13 +560,8 @@ class DelegateNode(InterParticipant):
         if not s.payment_submitted:
             s.payment_submitted = True
             payload = transfer_payload(s.client_addr, s.deposit, memo=cid)
-            tx = IntraTx(self.key.address, self.zone_id, payload, self._intra_nonce)
+            submit_intra(sim, self, self.zone_validators, payload, self._intra_nonce)
             self._intra_nonce += 1
-            tx = replace(tx, signature=Keyring.sign(self.key, tx.signing_bytes()))
-            if self.collector is not None:
-                self.collector.intra_submit(self.zone_id, tx, sim.now)
-            for v in self.zone_validators:
-                sim.send(self.node_id, v, TxSubmit(tx))
 
     def _scan_payments(self) -> None:
         transfers = self.follower.book.transfers
@@ -592,9 +588,6 @@ class AdminNode(InterParticipant):
         self._step_sent: dict[tuple, tuple] = {}  # (cid, side) -> (frm, to) awaiting tip
         self._salt = 0
 
-    def _binding(self, info, side: str) -> bytes:
-        return info.publisher_id if side == PUB else info.subscriber_id
-
     def on_message(self, sim: Simulator, src: str, msg) -> None:
         if isinstance(msg, ReplaceReq):
             key = (msg.contract_id, msg.side, msg.new)
@@ -613,7 +606,7 @@ class AdminNode(InterParticipant):
         done = []
         for (cid, side, new), reply_tos in self._watches.items():
             info_conf = conf.contracts.get(cid)
-            if info_conf is not None and self._binding(info_conf, side) == new:
+            if info_conf is not None and bound_delegate(info_conf, side) == new:
                 for t in reply_tos:
                     sim.send(self.node_id, t, ReplaceDone(cid, bytes(20), new, True))
                 done.append((cid, side, new))
@@ -621,7 +614,7 @@ class AdminNode(InterParticipant):
             info = tip.contracts.get(cid)
             if info is None:
                 continue
-            cur = self._binding(info, side)
+            cur = bound_delegate(info, side)
             if cur == new:
                 self._step_sent.pop((cid, side), None)
                 continue  # at tip; wait for confirmation
@@ -671,13 +664,14 @@ class ClientNode(Node):
     """Seller or buyer: light client driving one exchange session."""
 
     def __init__(self, node_id: str, key, cfg: SessionConfig, validators: list[str],
-                 delegates: list[tuple[str, bytes]], quorum_f: int, collector=None):
+                 delegates: list[tuple[str, bytes]], collector=None):
         super().__init__(node_id, cfg.zone_id)
         self.key = key
         self.cfg = cfg
-        self.validators = validators
+        self.validators = validators  # the zone committee, in committee order
         self.delegates = delegates  # zone delegation list: (node id, address)
-        self.need = quorum_f + 1  # matching commit notices required
+        # Matching commit notices required: f+1 include at least one honest validator.
+        self.need = committee_bounds(len(validators))[0] + 1
         self.collector = collector
         self.phase = IDLE
         self.phase_times: dict[str, float] = {}
@@ -732,13 +726,8 @@ class ClientNode(Node):
         self._rearm(sim, "ping", self.cfg.ack_timeout_ms)
 
     def _submit_intra(self, sim: Simulator, payload: bytes) -> IntraTx:
-        tx = IntraTx(self.key.address, self.cfg.zone_id, payload, self._nonce)
+        tx = submit_intra(sim, self, self.validators, payload, self._nonce)
         self._nonce += 1
-        tx = replace(tx, signature=Keyring.sign(self.key, tx.signing_bytes()))
-        if self.collector is not None:
-            self.collector.intra_submit(self.cfg.zone_id, tx, sim.now)
-        for v in self.validators:
-            sim.send(self.node_id, v, TxSubmit(tx))
         return tx
 
     def _current_delegate(self) -> tuple[str, bytes]:

@@ -158,7 +158,6 @@ class RunHandles:
 def build(scn: Scenario) -> RunHandles:
     rng_keys = random.Random(scn.seed ^ 0x6B657973)
     rng_payload = random.Random(scn.seed ^ 0x70617973)
-    rng_load = random.Random(scn.seed ^ 0x6C6F6164)
     keyring = Keyring(rng_keys)
 
     link = LinkModel(
@@ -278,8 +277,7 @@ def build(scn: Scenario) -> RunHandles:
             follower = ZoneFollower(z, committee, keyring, balances=intra_books[z])
             inter = new_inter_node(dk.address)
             node = DelegateNode(f"dlg:{z}:{i}", z, dk, follower, inter,
-                                miner_node_ids, "admin", registry_by_zone[z], keyring,
-                                collector=collector)
+                                miner_node_ids, "admin", registry_by_zone[z], collector=collector)
             node.zone_validators = [f"val:{z}:{j}" for j in range(d.validators)]
             sim.add_node(node)
             dnodes.append(node)
@@ -306,7 +304,6 @@ def build(scn: Scenario) -> RunHandles:
                 validators=[f"val:{zone}:{j}" for j in range(dom.validators)],
                 delegates=[(f"dlg:{zone}:{j}", dlg_keys[zone][j].address)
                            for j in range(dom.delegates)],
-                quorum_f=(dom.validators - 1) // 3,
                 collector=collector,
             )
             sim.add_node(node)

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ParseError(Exception):
@@ -80,10 +80,6 @@ def _tokens_to_units(value, where: str) -> int:
     if abs(units - round(units)) > 1e-6:
         raise ValidationError(f"{where}: token amount {value} is not a multiple of 0.001")
     return int(round(units))
-
-
-def _take(d: dict, key: str, default, where: str):
-    return d[key] if key in d else default
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -131,7 +127,7 @@ class WorkloadSpec:
     session_start_ms: float = 0.0
     payload_bytes: int = 1024
     deliver_after_ms: float = 0.0
-    pairs: list = field(default_factory=list)
+    pairs: list[list] = field(default_factory=list)
     intra_rate_per_s: float = 0.0
     intra_offset_ms: float = 0.0
     intra_until_ms: float | None = None
@@ -212,112 +208,58 @@ class Scenario:
             if sz not in zones or bz not in zones:
                 raise ValidationError(f"workload pair ({sz},{bz}) names an unknown zone")
         if self.workload.sessions and len(self.domains) < 2 and not self.workload.pairs:
-            if len(self.domains) < 2:
-                raise ValidationError("cross-domain sessions need at least two domains")
+            raise ValidationError("cross-domain sessions need at least two domains")
 
 
-_DOMAIN_KEYS = {"zone_id", "validators", "byzantine", "block_capacity", "round_timeout_ms",
-                "block_interval_ms", "delegates", "delay_min_ms", "delay_max_ms"}
-_INTER_KEYS = {"miners", "mode", "mean_block_interval_ms", "block_capacity", "confirmation_depth",
-               "fee_tokens", "contracts", "target_bits", "median_delay_ms", "sigma",
-               "block_reward_tokens"}
-_WORKLOAD_KEYS = {"sessions", "deposit_tokens", "session_interval_ms", "session_start_ms",
-                  "payload_bytes", "deliver_after_ms", "pairs", "intra_rate_per_s",
-                  "intra_offset_ms", "intra_until_ms", "intra_payload_bytes",
-                  "intra_probe_times_ms", "inter_rate_per_s", "inter_offset_ms", "inter_until_ms",
-                  "inter_probe_times_ms"}
-_PROTOCOL_KEYS = {"ack_timeout_ms", "op_timeout_ms", "intra_timeout_ms"}
-_FUNDING_KEYS = {"member_tokens", "delegate_intra_tokens", "delegate_inter_tokens",
-                 "miner_tokens", "admin_tokens", "loadgen_tokens"}
 _FAULT_KEYS = {"at_ms", "fault", "node", "behavior", "groups"}
-_TOP_KEYS = {"name", "seed", "duration_ms", "safety_assertions", "log_payloads", "domains",
-             "inter", "workload", "protocol", "funding", "faults", "reference"}
+_SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolSpec,
+             "funding": FundingSpec}
+_NESTED = {"domains", "faults", *_SECTIONS}
+
+# Parsers by field annotation. A "*_units" field is read from the file key
+# "*_tokens" as a decimal token amount.
+_PARSE = {"int": int, "float": float, "float | None": float, "bool": bool, "str": lambda v: v,
+          "dict": dict, "list": list, "list[list]": lambda v: [list(p) for p in v]}
+
+
+def _file_key(name: str) -> str:
+    return name[:-len("_units")] + "_tokens" if name.endswith("_units") else name
+
+
+def _file_keys(cls) -> set:
+    return {_file_key(f.name) for f in fields(cls)}
+
+
+def _present_fields(cls, d: dict, where: str, skip=frozenset()) -> dict:
+    """Parsed values of the fields of ``cls`` that ``d`` sets; an absent key
+    keeps the field's dataclass default, the only copy of each default."""
+    out = {}
+    for f in fields(cls):
+        key = _file_key(f.name)
+        if f.name in skip or key not in d:
+            continue
+        if key != f.name:
+            out[f.name] = _tokens_to_units(d[key], f"{where}.{key}")
+        else:
+            out[f.name] = _PARSE[f.type](d[key])
+    return out
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    _check_keys(raw, _TOP_KEYS, "scenario")
-    sc = Scenario(
-        name=_take(raw, "name", "scenario", ""),
-        seed=int(_take(raw, "seed", 1, "")),
-        duration_ms=float(_take(raw, "duration_ms", 60_000, "")),
-        safety_assertions=bool(_take(raw, "safety_assertions", True, "")),
-        log_payloads=bool(_take(raw, "log_payloads", True, "")),
-        reference=dict(_take(raw, "reference", {}, "")),
-    )
+    _check_keys(raw, _file_keys(Scenario), "scenario")
+    sc = Scenario(**_present_fields(Scenario, raw, "scenario", skip=_NESTED))
     if "domains" in raw:
         sc.domains = []
         for i, d in enumerate(raw["domains"]):
-            _check_keys(d, _DOMAIN_KEYS, f"domains[{i}]")
+            where = f"domains[{i}]"
+            _check_keys(d, _file_keys(DomainSpec), where)
             if "zone_id" not in d:
-                raise ParseError(f"domains[{i}]: missing zone_id")
-            sc.domains.append(DomainSpec(
-                zone_id=int(d["zone_id"]),
-                validators=int(d.get("validators", 4)),
-                byzantine=int(d.get("byzantine", 0)),
-                block_capacity=int(d.get("block_capacity", 1000)),
-                round_timeout_ms=float(d.get("round_timeout_ms", 200)),
-                block_interval_ms=float(d.get("block_interval_ms", 1600)),
-                delegates=int(d.get("delegates", 2)),
-                delay_min_ms=float(d.get("delay_min_ms", 10)),
-                delay_max_ms=float(d.get("delay_max_ms", 200)),
-            ))
-    if "inter" in raw:
-        d = raw["inter"]
-        _check_keys(d, _INTER_KEYS, "inter")
-        sc.inter = InterSpec(
-            miners=int(d.get("miners", 3)),
-            mode=d.get("mode", "virtual"),
-            mean_block_interval_ms=float(d.get("mean_block_interval_ms", 4500)),
-            block_capacity=int(d.get("block_capacity", 571)),
-            confirmation_depth=int(d.get("confirmation_depth", 6)),
-            fee_units=_tokens_to_units(d.get("fee_tokens", 0.001), "inter.fee_tokens"),
-            contracts=int(d.get("contracts", 4)),
-            target_bits=int(d.get("target_bits", 236)),
-            median_delay_ms=float(d.get("median_delay_ms", 200)),
-            sigma=float(d.get("sigma", 1.0)),
-            block_reward_units=_tokens_to_units(d.get("block_reward_tokens", 0),
-                                                "inter.block_reward_tokens"),
-        )
-    if "workload" in raw:
-        d = raw["workload"]
-        _check_keys(d, _WORKLOAD_KEYS, "workload")
-        sc.workload = WorkloadSpec(
-            sessions=int(d.get("sessions", 0)),
-            deposit_units=_tokens_to_units(d.get("deposit_tokens", 10), "workload.deposit_tokens"),
-            session_interval_ms=float(d.get("session_interval_ms", 0)),
-            session_start_ms=float(d.get("session_start_ms", 0)),
-            payload_bytes=int(d.get("payload_bytes", 1024)),
-            deliver_after_ms=float(d.get("deliver_after_ms", 0)),
-            pairs=[list(p) for p in d.get("pairs", [])],
-            intra_rate_per_s=float(d.get("intra_rate_per_s", 0)),
-            intra_offset_ms=float(d.get("intra_offset_ms", 0)),
-            intra_until_ms=(float(d["intra_until_ms"]) if "intra_until_ms" in d else None),
-            intra_payload_bytes=int(d.get("intra_payload_bytes", 64)),
-            intra_probe_times_ms=list(d.get("intra_probe_times_ms", [])),
-            inter_rate_per_s=float(d.get("inter_rate_per_s", 0)),
-            inter_offset_ms=float(d.get("inter_offset_ms", 0)),
-            inter_until_ms=(float(d["inter_until_ms"]) if "inter_until_ms" in d else None),
-            inter_probe_times_ms=list(d.get("inter_probe_times_ms", [])),
-        )
-    if "protocol" in raw:
-        d = raw["protocol"]
-        _check_keys(d, _PROTOCOL_KEYS, "protocol")
-        sc.protocol = ProtocolSpec(
-            ack_timeout_ms=(float(d["ack_timeout_ms"]) if "ack_timeout_ms" in d else None),
-            op_timeout_ms=float(d.get("op_timeout_ms", 120_000)),
-            intra_timeout_ms=float(d.get("intra_timeout_ms", 20_000)),
-        )
-    if "funding" in raw:
-        d = raw["funding"]
-        _check_keys(d, _FUNDING_KEYS, "funding")
-        sc.funding = FundingSpec(
-            member_units=_tokens_to_units(d.get("member_tokens", 100), "funding.member_tokens"),
-            delegate_intra_units=_tokens_to_units(d.get("delegate_intra_tokens", 1000), "funding"),
-            delegate_inter_units=_tokens_to_units(d.get("delegate_inter_tokens", 2000), "funding"),
-            miner_units=_tokens_to_units(d.get("miner_tokens", 100), "funding.miner_tokens"),
-            admin_units=_tokens_to_units(d.get("admin_tokens", 100), "funding.admin_tokens"),
-            loadgen_units=_tokens_to_units(d.get("loadgen_tokens", 1000), "funding.loadgen_tokens"),
-        )
+                raise ParseError(f"{where}: missing zone_id")
+            sc.domains.append(DomainSpec(**_present_fields(DomainSpec, d, where)))
+    for name, cls in _SECTIONS.items():
+        if name in raw:
+            _check_keys(raw[name], _file_keys(cls), name)
+            setattr(sc, name, cls(**_present_fields(cls, raw[name], name)))
     for i, f in enumerate(raw.get("faults", [])):
         _check_keys(f, _FAULT_KEYS, f"faults[{i}]")
         if "fault" not in f or "at_ms" not in f:

@@ -39,9 +39,6 @@ class LinkModel:
     inter_drop: float = 0.0
     zone_ranges: dict = field(default_factory=dict)  # zone -> (min_ms, max_ms)
 
-    def inter_mean_ms(self) -> float:
-        return self.inter_median_ms * math.exp(self.inter_sigma ** 2 / 2.0)
-
     def sample(self, rng: random.Random, zone: int | None) -> float | None:
         """Sampled one-way delay (zone set for same-zone links), None on drop."""
         if zone is not None:
@@ -94,7 +91,6 @@ class Simulator:
         # scan: (src, dst, wire bytes). Only filled when enabled.
         self.record_transcript = transcript
         self.transcript: list[tuple[str, str, bytes]] = []
-        self.fault_log: list[tuple[float, FaultEntry]] = []
 
     # -- node registry ----------------------------------------------------
 
@@ -137,10 +133,6 @@ class Simulator:
                 self.transcript.append((src, dst, wire()))
         self._push(self.now + delay + extra, "msg", dst, (src, msg))
 
-    def send_local(self, node_id: str, msg) -> None:
-        """Zero-delay self delivery (keeps processing strictly serial)."""
-        self._push(self.now, "msg", node_id, (node_id, msg))
-
     # -- faults -------------------------------------------------------------
 
     def inject_fault(self, entry: FaultEntry) -> None:
@@ -150,7 +142,6 @@ class Simulator:
         self._push(entry.at_ms, "fault", "", entry)
 
     def _apply_fault(self, entry: FaultEntry) -> None:
-        self.fault_log.append((self.now, entry))
         if entry.fault == "crash":
             self.crashed.add(entry.node)
         elif entry.fault == "recover":

@@ -14,7 +14,7 @@ from fedledger.bft import (
     Validator,
     ZoneFollower,
 )
-from fedledger.chain import IntraTx
+from fedledger.chain import IntraTx, PowSeal, signed_intra_tx
 from fedledger.crypto import Keyring
 from fedledger.runner import run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec
@@ -42,8 +42,7 @@ def take(effects, kind):
 
 
 def signed_tx(keyring, key, payload, nonce):
-    tx = IntraTx(key.address, 1, payload, nonce)
-    return replace(tx, signature=Keyring.sign(key, tx.signing_bytes()))
+    return signed_intra_tx(key, 1, payload, nonce)
 
 
 class TestProposer:
@@ -54,11 +53,6 @@ class TestProposer:
         assert v.proposer(1, 1) == addrs[2]
         assert v.proposer(2, 0) == addrs[2]
         assert v.proposer(5, 3) == addrs[(5 + 3) % 4]
-
-    def test_construction_rejects_small_committee(self, keyring):
-        keys, addrs = committee_of(keyring)
-        with pytest.raises(ValueError):
-            Validator(keys[0], addrs, 1, keyring, f=2)  # 4 < 3*2+1
 
     def test_block_capacity_cap(self, keyring):
         keys, addrs = committee_of(keyring)
@@ -257,6 +251,29 @@ class TestDecisionSync:
         decision = replace(decision, block=weak)
         assert lag.on_msg(9.0, decision) == []
         assert lag.ledger.height == 0
+
+    @pytest.mark.parametrize("replica", ["validator", "follower"])
+    def test_seal_check(self, keyring, replica):
+        keys, addrs = committee_of(keyring)
+        _v, sealed = self.commit_one(keyring, keys, addrs)
+        if replica == "validator":
+            checker = make_validator(keyring, keys, addrs, 3)
+        else:
+            checker = ZoneFollower(1, addrs, keyring)
+        sigs = sealed.seal.quorum_signatures
+        assert len(sigs) == checker.quorum == 3
+
+        def with_sigs(quorum_signatures):
+            return sealed.with_seal(replace(sealed.seal, quorum_signatures=quorum_signatures))
+
+        stranger = keyring.new_account()
+        outsider_sig = vote(keyring, stranger, MsgKind.PRECOMMIT, sealed.height,
+                            sealed.seal.round, sealed.digest()).signature
+        assert checker.verify_sealed(sealed)
+        assert not checker.verify_sealed(with_sigs(sigs[:2]))  # below quorum
+        assert not checker.verify_sealed(with_sigs(sigs[:2] + sigs[:1]))  # repeat counted once
+        assert not checker.verify_sealed(with_sigs(sigs[:2] + ((stranger.address, outsider_sig),)))
+        assert not checker.verify_sealed(sealed.with_seal(PowSeal(addrs[0], 0, 2 ** 256 - 1)))
 
     def test_follower_buffers_out_of_order(self, keyring):
         keys, addrs = committee_of(keyring)

@@ -17,6 +17,7 @@ from fedledger.chain import (
     genesis_block,
     make_checkpoint,
     parse_transfer,
+    signed_intra_tx,
     transfer_payload,
     verify_checkpoint,
 )
@@ -24,8 +25,7 @@ from fedledger.crypto import ZERO_DIGEST, Keyring, Reader, sha256
 
 
 def signed_tx(keyring, key, zone=1, payload=b"hello", nonce=0):
-    tx = IntraTx(key.address, zone, payload, nonce)
-    return replace(tx, signature=Keyring.sign(key, tx.signing_bytes()))
+    return signed_intra_tx(key, zone, payload, nonce)
 
 
 class TestHash:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fedledger.eventlog import check_payment_safety, check_privacy, load_events
+from fedledger.eventlog import check_payment_safety, check_privacy, load_events, replay_log
 from fedledger.harness import batch, run_scenario, verify_log
 from fedledger.runner import run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec
@@ -130,7 +130,7 @@ class TestVerifyLog:
                 new_lines.append(forged)
             else:
                 new_lines.append(e)
-        violations = check_payment_safety(new_lines)
+        violations = check_payment_safety(replay_log(new_lines))
         assert any("without a settled" in v for v in violations)
 
     def test_privacy_checker_catches_planted_leak(self, tmp_path):
@@ -149,7 +149,7 @@ class TestVerifyLog:
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
         events, _ = load_events(lp)
-        assert check_payment_safety(events) == []
+        assert check_payment_safety(replay_log(events)) == []
         assert check_privacy(events) == []
 
 

@@ -210,8 +210,8 @@ class TestConservationOracle:
     def test_ledger_sum_matches_event_log_replay(self):
         scn = fast_session_scenario(seed=31, sessions=2, contracts=4)
         report, h = run(scn)
-        from fedledger.eventlog import check_conservation
-        delta, violations = check_conservation(h.log.events)
+        from fedledger.eventlog import check_conservation, replay_log
+        delta, violations = check_conservation(replay_log(h.log.events))
         assert delta == 0 and not violations
         assert report.conservation_delta == 0
 
