@@ -62,13 +62,17 @@ class ConsensusMsg:
     block: Block | None = None  # body, carried by PROPOSAL and DECISION
 
     def signing_bytes(self) -> bytes:
-        return (
-            enc_u8(self.kind.value)
-            + enc_u64(self.height)
-            + enc_u32(self.round)
-            + enc_digest(self.block_digest or ZERO_DIGEST)
-            + enc_address(self.sender)
-        )
+        cached = self.__dict__.get("_signing")
+        if cached is None:
+            cached = (
+                enc_u8(self.kind.value)
+                + enc_u64(self.height)
+                + enc_u32(self.round)
+                + enc_digest(self.block_digest or ZERO_DIGEST)
+                + enc_address(self.sender)
+            )
+            object.__setattr__(self, "_signing", cached)
+        return cached
 
     def wire_bytes(self) -> bytes:
         body = self.block.serialize() if self.block is not None else b""
@@ -174,6 +178,10 @@ class Validator(CommitteeReplica):
         self.proposals: dict[int, Block] = {}
         self.prevotes: dict[int, dict[bytes, bytes | None]] = {}
         self.precommits: dict[int, dict[bytes, tuple]] = {}  # round -> sender -> (digest, sig)
+        # Votes per round and digest (None: nil), kept by _record_vote in
+        # first-seen order: rounds as first voted in, digests as first voted for.
+        self.prevote_tally: dict[int, dict[bytes | None, int]] = {}
+        self.precommit_tally: dict[int, dict[bytes | None, int]] = {}
         self.prevoted: set[int] = set()
         self.precommitted: set[int] = set()
         self.future_decisions: dict[int, Block] = {}
@@ -197,10 +205,7 @@ class Validator(CommitteeReplica):
     def _vote(self, kind: MsgKind, digest: bytes | None) -> ConsensusMsg:
         # Own votes count toward quorums immediately.
         msg = self._sign(ConsensusMsg(kind, self.height, self.round, digest, self.validator_id))
-        if kind == MsgKind.PREVOTE:
-            self._record_vote(self.prevotes, msg, "prevote", msg.block_digest)
-        else:
-            self._record_vote(self.precommits, msg, "precommit", (msg.block_digest, msg.signature))
+        self._record_vote(msg)
         return msg
 
     def _bump(self, effects: list, now: float) -> None:
@@ -216,7 +221,7 @@ class Validator(CommitteeReplica):
         d = tx.digest()
         if d in self.mempool or self.ledger.contains_tx(d):
             return False
-        if not self.keyring.verify(tx.sender, tx.signing_bytes(), tx.signature):
+        if not self.keyring.verify_signed(tx):
             return False
         self.mempool[d] = tx
         return True
@@ -263,7 +268,7 @@ class Validator(CommitteeReplica):
         """Validate, record, and react to a consensus message."""
         if msg.sender not in self.committee:
             return []
-        if not self.keyring.verify(msg.sender, msg.signing_bytes(), msg.signature):
+        if not self.keyring.verify_signed(msg):
             return []
         if msg.kind == MsgKind.DECISION:
             return self._on_decision(now, msg)
@@ -272,10 +277,8 @@ class Validator(CommitteeReplica):
         effects: list = []
         if msg.kind == MsgKind.PROPOSAL:
             self._record_proposal(msg)
-        elif msg.kind == MsgKind.PREVOTE:
-            self._record_vote(self.prevotes, msg, "prevote", msg.block_digest)
-        elif msg.kind == MsgKind.PRECOMMIT:
-            self._record_vote(self.precommits, msg, "precommit", (msg.block_digest, msg.signature))
+        else:
+            self._record_vote(msg)
         self._maybe_progress(now, effects)
         return effects
 
@@ -298,10 +301,16 @@ class Validator(CommitteeReplica):
             return
         self.proposals[msg.round] = block
 
-    def _record_vote(self, table: dict, msg: ConsensusMsg, step: str, value) -> None:
+    def _record_vote(self, msg: ConsensusMsg) -> None:
+        """Enter a PREVOTE or PRECOMMIT into its table and tally, once per sender and round."""
+        if msg.kind == MsgKind.PREVOTE:
+            table, tally, step, value = self.prevotes, self.prevote_tally, "prevote", msg.block_digest
+        else:
+            table, tally, step = self.precommits, self.precommit_tally, "precommit"
+            value = (msg.block_digest, msg.signature)
         votes = table.setdefault(msg.round, {})
-        prior = votes.get(msg.sender)
-        if prior is not None:
+        if msg.sender in votes:
+            prior = votes[msg.sender]
             prior_digest = prior if step == "prevote" else prior[0]
             if prior_digest != msg.block_digest:
                 self.evidence.append(
@@ -309,6 +318,8 @@ class Validator(CommitteeReplica):
                 )
             return
         votes[msg.sender] = value
+        counts = tally.setdefault(msg.round, {})
+        counts[msg.block_digest] = counts.get(msg.block_digest, 0) + 1
 
     # -- state transitions ------------------------------------------------------
 
@@ -364,11 +375,9 @@ class Validator(CommitteeReplica):
                     self._bump(effects, now)
                     changed = True
             # Prevote quorums: lock and precommit, or unlock on a later polka.
-            for r, votes in list(self.prevotes.items()):
-                counts: dict = {}
-                for d in votes.values():
-                    counts[d] = counts.get(d, 0) + 1
-                for d, c in counts.items():
+            # Snapshots, as _enter_round and _commit can re-enter this method.
+            for r, counts in list(self.prevote_tally.items()):
+                for d, c in list(counts.items()):
                     if c < self.quorum:
                         continue
                     if d is None:
@@ -402,11 +411,10 @@ class Validator(CommitteeReplica):
                         self._bump(effects, now)
                         changed = True
             # Precommit quorums: commit (any round), or advance on a nil quorum.
-            for r, votes in list(self.precommits.items()):
-                counts = {}
-                for d, _sig in votes.values():
-                    counts[d] = counts.get(d, 0) + 1
-                for d, c in counts.items():
+            # The tables of this height: _enter_height replaces both maps.
+            precommits = self.precommits
+            for r, counts in list(self.precommit_tally.items()):
+                for d, c in list(counts.items()):
                     if c < self.quorum:
                         continue
                     if d is None:
@@ -419,7 +427,7 @@ class Validator(CommitteeReplica):
                         sigs = tuple(
                             sorted(
                                 (addr, sig)
-                                for addr, (vd, sig) in votes.items()
+                                for addr, (vd, sig) in precommits[r].items()
                                 if vd == d
                             )
                         )
@@ -452,6 +460,8 @@ class Validator(CommitteeReplica):
         self.proposals = {}
         self.prevotes = {}
         self.precommits = {}
+        self.prevote_tally = {}
+        self.precommit_tally = {}
         self.prevoted = set()
         self.precommitted = set()
         start = max(now, self._height_start(self.height))

@@ -146,3 +146,18 @@ class Keyring:
         if secret is None:
             return False
         return sig == sha256(secret + sha256(data))
+
+    def verify_signed(self, obj) -> bool:
+        """Check a frozen signed object (``sender``, ``signing_bytes()``, ``signature``).
+
+        A broadcast hands the same object to every receiver, so a success
+        is remembered on the object itself, for this keyring only; the
+        next call with the same keyring skips the hashing. A failure is
+        never remembered.
+        """
+        if obj.__dict__.get("_verified_by") is self:
+            return True
+        if not self.verify(obj.sender, obj.signing_bytes(), obj.signature):
+            return False
+        object.__setattr__(obj, "_verified_by", self)
+        return True

@@ -157,7 +157,7 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
     cannot cover fee + attached value has no effect at all.
     """
     d = tx.digest()
-    if not keyring.verify(tx.sender, tx.signing_bytes(), tx.signature):
+    if not keyring.verify_signed(tx):
         return Receipt(d, "BadSignature", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
     cost = tx.fee + tx.attached_value
     if state.balance(tx.sender) < cost:
@@ -314,7 +314,7 @@ class InterNode:
         d = tx.digest()
         if d in self.seen:
             return False, "Duplicate"
-        if not self.keyring.verify(tx.sender, tx.signing_bytes(), tx.signature):
+        if not self.keyring.verify_signed(tx):
             return False, "BadSignature"
         if tx.fee != self.fee:
             return False, "BadFee"

@@ -216,9 +216,16 @@ _SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolS
              "funding": FundingSpec}
 _NESTED = {"domains", "faults", *_SECTIONS}
 
+
+def _parse_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
+
+
 # Parsers by field annotation. A "*_units" field is read from the file key
 # "*_tokens" as a decimal token amount.
-_PARSE = {"int": int, "float": float, "float | None": float, "bool": bool, "str": lambda v: v,
+_PARSE = {"int": int, "float": float, "float | None": float, "bool": _parse_bool, "str": lambda v: v,
           "dict": dict, "list": list, "list[list]": lambda v: [list(p) for p in v]}
 
 
@@ -238,14 +245,25 @@ def _present_fields(cls, d: dict, where: str, skip=frozenset()) -> dict:
         key = _file_key(f.name)
         if f.name in skip or key not in d:
             continue
-        if key != f.name:
-            out[f.name] = _tokens_to_units(d[key], f"{where}.{key}")
-        else:
-            out[f.name] = _PARSE[f.type](d[key])
+        try:
+            if key != f.name:
+                out[f.name] = _tokens_to_units(d[key], f"{where}.{key}")
+            else:
+                out[f.name] = _PARSE[f.type](d[key])
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{where}.{key}: {e}") from None
     return out
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    """Parse and validate a scenario; a malformed value raises ParseError."""
+    try:
+        return _scenario_from_dict(raw)
+    except (TypeError, ValueError) as e:
+        raise ParseError(str(e)) from None
+
+
+def _scenario_from_dict(raw: dict) -> Scenario:
     _check_keys(raw, _file_keys(Scenario), "scenario")
     sc = Scenario(**_present_fields(Scenario, raw, "scenario", skip=_NESTED))
     if "domains" in raw:
@@ -280,7 +298,5 @@ def load_scenario(path: str) -> Scenario:
         raise ParseError(f"{path}: scenario must be a JSON object")
     try:
         return scenario_from_dict(raw)
-    except (ParseError, ValidationError):
-        raise
-    except (TypeError, ValueError) as e:
+    except ParseError as e:
         raise ParseError(f"{path}: {e}") from None

@@ -122,8 +122,9 @@ class Simulator:
         zone = a.zone_id if (a.zone_id is not None and a.zone_id == b.zone_id) else None
         extra = 0.0
         if a.behavior == "delay":
-            # Holds traffic to just under the synchrony bound.
-            extra = 0.9 * self.link.intra_max_ms
+            # Holds traffic to just under the synchrony bound of the sender's zone.
+            _lo, hi = self.link.zone_ranges.get(a.zone_id, (None, self.link.intra_max_ms))
+            extra = 0.9 * hi
         delay = self.link.sample(self.rng_net, zone)
         if delay is None:
             return

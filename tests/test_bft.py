@@ -1,13 +1,18 @@
 """Consensus state machine: proposer rotation, quorum rules, timeouts,
-equivocation evidence, decision sync, and randomized safety runs."""
+equivocation evidence, decision sync, vote tallies, the signature memo,
+and randomized safety runs."""
 
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedledger.bft import (
     Broadcast,
     Committed,
+    CommitteeReplica,
     ConsensusMsg,
     Deadline,
     MsgKind,
@@ -161,6 +166,16 @@ class TestQuorumPath:
                               keys[2].address, good.signature)
         v.on_msg(3.0, forged)
         assert len(v.prevotes.get(0, {})) == 2  # own + keys[1]; forgery dropped
+        # The memo of the verified genuine vote carries over to no other
+        # object: with one signature byte flipped, or another digest under
+        # the genuine signature (which would be equivocation evidence), it
+        # is dropped, like the forgery under another sender above.
+        flipped = replace(good, signature=bytes([good.signature[0] ^ 1]) + good.signature[1:])
+        assert not keyring.verify_signed(flipped)
+        v.on_msg(4.0, flipped)
+        v.on_msg(5.0, replace(good, block_digest=bytes(32)))
+        assert v.evidence == []
+        assert len(v.prevotes[0]) == 2
 
 
 class TestTimeouts:
@@ -217,6 +232,17 @@ class TestEquivocation:
         ev = v.evidence[0]
         assert ev.sender == addrs[2] and ev.step == "prevote"
         assert v.prevotes[0][addrs[2]] == d  # first vote kept
+
+    def test_nil_prevote_is_a_prior_vote(self, keyring):
+        keys, addrs = committee_of(keyring)
+        v = make_validator(keyring, keys, addrs, 0)
+        v.on_msg(1.0, vote(keyring, keys[2], MsgKind.PREVOTE, 1, 0, None))
+        v.on_msg(2.0, vote(keyring, keys[2], MsgKind.PREVOTE, 1, 0, None))
+        assert v.prevote_tally == {0: {None: 1}}  # a repeated nil vote counts once
+        d = bytes(32)
+        v.on_msg(3.0, vote(keyring, keys[2], MsgKind.PREVOTE, 1, 0, d))
+        assert v.prevotes[0] == {addrs[2]: None}  # first vote kept
+        assert [(e.step, e.digests) for e in v.evidence] == [("prevote", (None, d))]
 
 
 class TestDecisionSync:
@@ -281,6 +307,127 @@ class TestDecisionSync:
         follower = ZoneFollower(1, addrs, keyring)
         assert follower.on_decision(sealed1) == [sealed1]
         assert follower.ledger.height == 1
+
+
+def recount(table, step):
+    """Tallies rebuilt from a vote table, in first-seen order, as ordered lists."""
+    out = []
+    for r, votes in table.items():
+        counts: dict = {}
+        for value in votes.values():
+            d = value if step == "prevote" else value[0]
+            counts[d] = counts.get(d, 0) + 1
+        out.append((r, list(counts.items())))
+    return out
+
+
+def as_lists(tally):
+    return [(r, list(counts.items())) for r, counts in tally.items()]
+
+
+class TestVoteTallies:
+    @pytest.mark.parametrize("n", [4, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tallies_match_recount(self, n, data):
+        keyring = Keyring(random.Random(n))
+        keys, addrs = committee_of(keyring, n)
+        v = make_validator(keyring, keys, addrs, 0)
+        v.start(0.0)
+        digests = [None, b"\x01" * 32, b"\x02" * 32]
+        steps = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from([MsgKind.PREVOTE, MsgKind.PRECOMMIT]),
+                      st.integers(0, 3), st.sampled_from(digests)),
+            max_size=60))
+        for t, (idx, kind, round_, digest) in enumerate(steps):
+            v.on_msg(float(t), vote(keyring, keys[idx], kind, 1, round_, digest))
+            assert v.height == 1
+            assert as_lists(v.prevote_tally) == recount(v.prevotes, "prevote")
+            assert as_lists(v.precommit_tally) == recount(v.precommits, "precommit")
+
+    def test_tallies_cleared_on_commit(self, keyring):
+        keys, addrs = committee_of(keyring)
+        v, sealed = TestDecisionSync().commit_one(keyring, keys, addrs)
+        assert v.height == 2
+        assert v.prevotes == v.precommits == v.prevote_tally == v.precommit_tally == {}
+
+
+class TestSignatureMemo:
+    def test_other_keyring_checks_again(self, keyring):
+        keys, _addrs = committee_of(keyring)
+        msg = vote(keyring, keys[1], MsgKind.PREVOTE, 1, 0, bytes(32))
+        assert keyring.verify_signed(msg)
+        stranger_ring = Keyring(random.Random(7))  # does not know the signer
+        assert not stranger_ring.verify_signed(msg)
+        assert not stranger_ring.verify_signed(msg)
+        assert keyring.verify_signed(msg)
+
+    def test_other_keyring_validator_drops_verified_vote(self, keyring):
+        keys, addrs = committee_of(keyring)
+        msg = vote(keyring, keys[1], MsgKind.PREVOTE, 1, 0, bytes(32))
+        assert keyring.verify_signed(msg)
+        v = Validator(keys[0], addrs, 1, Keyring(random.Random(7)), block_interval_ms=0.0)
+        v.on_msg(1.0, msg)
+        assert v.prevotes == {}
+
+    def test_failure_not_remembered(self, keyring, monkeypatch):
+        keys, _addrs = committee_of(keyring)
+        good = vote(keyring, keys[1], MsgKind.PREVOTE, 1, 0, bytes(32))
+        bad = replace(good, signature=bytes(32))
+        calls = []
+        verify = Keyring.verify
+
+        def counting(self, *args):
+            calls.append(args)
+            return verify(self, *args)
+
+        monkeypatch.setattr(Keyring, "verify", counting)
+        assert not keyring.verify_signed(bad)
+        assert not keyring.verify_signed(bad)
+        assert len(calls) == 2  # each failed check hashes again
+        assert keyring.verify_signed(good) and keyring.verify_signed(good)
+        assert len(calls) == 3  # a success is hashed once
+
+    def test_verify_calls_once_per_signed_object(self, monkeypatch):
+        # Counts in a deterministic run, so they repeat exactly: every
+        # Keyring.verify call is either a seal probe or the first check of
+        # one signed object.
+        verified: dict = {}  # id -> object, kept alive so ids stay unique
+        counts = {"signed": 0, "verify": 0, "probe": 0}
+        in_seal = []
+        verify, verify_signed, verify_sealed = (
+            Keyring.verify, Keyring.verify_signed, CommitteeReplica.verify_sealed)
+
+        def counting_verify(self, *args):
+            counts["probe" if in_seal else "verify"] += 1
+            return verify(self, *args)
+
+        def counting_signed(self, obj):
+            counts["signed"] += 1
+            verified[id(obj)] = obj
+            return verify_signed(self, obj)
+
+        def counting_sealed(self, block):
+            in_seal.append(block)
+            try:
+                return verify_sealed(self, block)
+            finally:
+                in_seal.pop()
+
+        monkeypatch.setattr(Keyring, "verify", counting_verify)
+        monkeypatch.setattr(Keyring, "verify_signed", counting_signed)
+        monkeypatch.setattr(CommitteeReplica, "verify_sealed", counting_sealed)
+        scn = Scenario(
+            name="memo", seed=3, duration_ms=4_000,
+            domains=[DomainSpec(zone_id=1, validators=16, delegates=1)],
+            inter=InterSpec(miners=1, contracts=1),
+            workload=WorkloadSpec(intra_rate_per_s=20, intra_payload_bytes=16),
+            log_payloads=False,
+        )
+        _, h = run(scn)
+        assert h.validators[1][0].core.ledger.height >= 2
+        assert counts["verify"] == len(verified)
+        assert counts["signed"] >= 10 * counts["verify"]
 
 
 class TestRandomizedSafety:

@@ -86,3 +86,43 @@ class TestValidation:
                     {"at_ms": 0, "fault": "byzantine", "node": "val:1:3", "behavior": "equivocate"},
                 ],
             })
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("key", ["safety_assertions", "log_payloads"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_flags_must_be_json_booleans(self, key, value):
+        with pytest.raises(ParseError, match=key):
+            scenario_from_dict({key: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_booleans_accepted(self, value):
+        scn = scenario_from_dict({"safety_assertions": value, "log_payloads": value})
+        assert scn.safety_assertions is value and scn.log_payloads is value
+
+    def test_string_false_in_file_rejected(self, tmp_path):
+        path = write(tmp_path, '{"log_payloads": "false"}')
+        with pytest.raises(ParseError, match=r"scn\.json: .*log_payloads"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"seed": "x"}, r"scenario\.seed"),
+        ({"duration_ms": [1]}, r"scenario\.duration_ms"),
+        ({"domains": [{"zone_id": 1, "validators": "many"}]}, r"domains\[0\]\.validators"),
+        ({"inter": {"fee_tokens": "one"}}, r"inter\.fee_tokens"),
+        ({"workload": {"pairs": 5}}, r"workload\.pairs"),
+    ])
+    def test_bad_value_names_key(self, raw, key):
+        with pytest.raises(ParseError, match=key):
+            scenario_from_dict(raw)
+
+    def test_other_malformed_input_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            scenario_from_dict({"domains": 5})
+        with pytest.raises(ParseError):
+            scenario_from_dict({"faults": [{"at_ms": 0, "fault": "byzantine", "node": "val:x:0"}]})
+
+    def test_load_scenario_prefixes_path(self, tmp_path):
+        path = write(tmp_path, {"seed": "x"})
+        with pytest.raises(ParseError, match=r"scn\.json: scenario\.seed"):
+            load_scenario(path)

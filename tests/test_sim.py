@@ -151,6 +151,22 @@ class TestFaults:
         assert all(t >= 0.9 * sim.link.intra_max_ms + sim.link.intra_min_ms
                    for t, _, _ in b.seen)
 
+    def test_delay_behavior_uses_sender_zone_bound(self):
+        link = LinkModel(intra_min_ms=10, intra_max_ms=200,
+                         zone_ranges={1: (10, 200), 2: (10, 1_000)})
+        sim = Simulator(1, link)
+        for node_id, zone in (("a1", 1), ("b1", 1), ("a2", 2), ("b2", 2)):
+            sim.add_node(Recorder(node_id, zone)).behavior = "delay" if node_id[0] == "a" else ""
+        for i in range(50):
+            sim.send("a1", "b1", i)
+            sim.send("a2", "b2", i)
+        sim.run_until(5_000)
+        times1 = [t for t, _, _ in sim.nodes["b1"].seen]
+        times2 = [t for t, _, _ in sim.nodes["b2"].seen]
+        assert len(times1) == len(times2) == 50
+        assert all(180 + 10 <= t <= 180 + 200 for t in times1)
+        assert all(900 + 10 <= t <= 900 + 1_000 for t in times2)
+
     def test_unknown_node_rejected(self):
         sim, _, _ = two_node_sim()
         with pytest.raises(ConfigError):
