@@ -138,7 +138,7 @@ def double_spend_experiment(
         if len(attacker_chain) > honest_len:
             for b in attacker_chain:
                 victim.on_block(b, now)
-            if tx.digest() not in victim.canonical_txs:
+            if tx.digest() not in victim.canonical_receipts:
                 successes += 1
     return DoubleSpendResult(attempts, successes, give_ups,
                              overtake_probability(q, confirmations))

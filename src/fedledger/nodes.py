@@ -164,20 +164,22 @@ class ValidatorNode(Node):
         return self.core._sign(alt)
 
 
+# Puzzle mode: nonces ground per timer tick, and the virtual time between ticks.
+PUZZLE_BATCH = 512
+PUZZLE_POLL_MS = 50.0
+
+
 class MinerNode(Node):
     """Inter-ledger participant; mines when it holds hash power."""
 
     def __init__(self, node_id: str, inter: InterNode, rng, mode: str = "virtual",
-                 mean_interval_ms: float = 4500.0, share: float = 0.0,
-                 puzzle_batch: int = 512, puzzle_poll_ms: float = 50.0, collector=None):
+                 mean_interval_ms: float = 4500.0, share: float = 0.0, collector=None):
         super().__init__(node_id, None)
         self.inter = inter
         self.rng = rng
         self.mode = mode
         self.mean_interval_ms = mean_interval_ms
         self.share = share
-        self.puzzle_batch = puzzle_batch
-        self.puzzle_poll_ms = puzzle_poll_ms
         self.peers: list[str] = []  # every other inter-ledger node
         self.collector = collector
         self._epoch = 0
@@ -189,7 +191,7 @@ class MinerNode(Node):
         if self.mode == "virtual":
             self._reschedule(sim)
         else:
-            sim.set_timer(self.node_id, sim.now + self.puzzle_poll_ms, ("batch",))
+            sim.set_timer(self.node_id, sim.now + PUZZLE_POLL_MS, ("batch",))
 
     def _reschedule(self, sim: Simulator) -> None:
         self._epoch += 1
@@ -205,11 +207,11 @@ class MinerNode(Node):
             self._publish(sim, block)
             self._reschedule(sim)
         elif key[0] == "batch":
-            block = self.inter.mine_step(sim.now, start_nonce=self._nonce, batch=self.puzzle_batch)
-            self._nonce += self.puzzle_batch
+            block = self.inter.mine_step(sim.now, start_nonce=self._nonce, batch=PUZZLE_BATCH)
+            self._nonce += PUZZLE_BATCH
             if block is not None:
                 self._publish(sim, block)
-            sim.set_timer(self.node_id, sim.now + self.puzzle_poll_ms, ("batch",))
+            sim.set_timer(self.node_id, sim.now + PUZZLE_POLL_MS, ("batch",))
 
     def _publish(self, sim: Simulator, block: Block) -> None:
         res = self.inter.on_block(block, sim.now)

@@ -14,6 +14,11 @@ power; in virtual-time mode the next win is sampled from an exponential
 with mean interval/share, in puzzle mode nonces are ground until the
 header digest falls below the target.
 
+A receipt is the status a transaction ended with: ``"ok"`` or the error
+code of a failed call. Each node keeps the receipts of every stored
+block in tx order and one ``(height, status)`` entry per canonical
+transaction.
+
 Reorganizations re-execute nothing: the state of every stored block is
 computed exactly once when the block arrives, so switching branches is a
 pointer move plus pending-pool reconciliation, and replaying the winning
@@ -137,31 +142,18 @@ class ChainState:
         return sha256(bytes(out))
 
 
-@dataclass(frozen=True)
-class Receipt:
-    tx_digest: bytes
-    status: str  # "ok" | error code
-    method: str
-    sender: bytes
-    contract_id: int
-    attached_value: int
-    fee: int
-    payout_to: bytes | None = None
-    payout_amount: int = 0
-
-
-def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -> Receipt:
-    """Apply one transaction to ``state`` in place; returns its receipt.
+def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -> str:
+    """Apply one transaction to ``state`` in place; returns its receipt, the
+    status ``"ok"`` or an error code.
 
     Failed calls keep the fee and refund the attached value; a sender who
     cannot cover fee + attached value has no effect at all.
     """
-    d = tx.digest()
     if not keyring.verify_signed(tx):
-        return Receipt(d, "BadSignature", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
+        return "BadSignature"
     cost = tx.fee + tx.attached_value
     if state.balance(tx.sender) < cost:
-        return Receipt(d, "InsufficientFunds", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
+        return "InsufficientFunds"
     state.balances[tx.sender] = state.balance(tx.sender) - cost
     state.balances[miner] = state.balance(miner) + tx.fee
     state.fees_total += tx.fee
@@ -180,7 +172,7 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
             info = state.contracts.get(tx.contract_id)
             if info is None:
                 refund()
-                return Receipt(d, "UnknownContract", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
+                return "UnknownContract"
             if tx.method == M_CONFIG_PUB:
                 if tx.checkpoint is None:
                     raise sc.InvalidState("configuration requires a checkpoint")
@@ -200,8 +192,6 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
                 state.contracts[tx.contract_id] = new
                 state.balances[payee] = state.balance(payee) + amount
                 refund()
-                return Receipt(d, "ok", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee,
-                               payout_to=payee, payout_amount=amount)
             else:  # M_REPLACE
                 r = Reader(tx.args)
                 old, new_addr = r.address(), r.address()
@@ -209,11 +199,11 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
                 refund()
         else:
             refund()
-            return Receipt(d, "UnknownMethod", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
+            return "UnknownMethod"
     except sc.ContractError as e:
         refund()
-        return Receipt(d, e.code, tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
-    return Receipt(d, "ok", tx.method, tx.sender, tx.contract_id, tx.attached_value, tx.fee)
+        return e.code
+    return "ok"
 
 
 def execute_block(parent_state: ChainState, block: Block, keyring: Keyring,
@@ -234,7 +224,6 @@ class AdoptResult:
     reason: str = ""
     reorged: bool = False
     reorg_depth: int = 0
-    newly_confirmed: tuple = ()
     reverted_confirmed: tuple = ()
     tip_changed: bool = False
     adopted_blocks: tuple = ()  # every block stored by this call (incl. reattached orphans)
@@ -266,19 +255,16 @@ class InterNode:
         self.genesis_digest = gd
         self.blocks: dict[bytes, Block] = {gd: g}
         self.states: dict[bytes, ChainState] = {gd: genesis_state.copy()}
-        self.block_receipts: dict[bytes, tuple] = {gd: ()}
+        self.block_receipts: dict[bytes, tuple] = {gd: ()}  # block -> statuses in tx order
         self.canonical: list[bytes] = [gd]
-        self.pending: dict[bytes, InterTx] = {}
-        self._arrival: dict[bytes, int] = {}
-        self._arrival_seq = 0
+        self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
         self._fee_values: set[int] = set()
         self.seen: set[bytes] = set()
         self.orphans: dict[bytes, Block] = {}
         self.confirm_times: dict[bytes, float] = {}
         self.confirmed: set[bytes] = set()
-        self.canonical_txs: set[bytes] = set()
-        self.canonical_receipts: dict[bytes, Receipt] = {}
-        self.tx_heights: dict[bytes, int] = {}
+        # Every canonical tx: digest -> (height, status).
+        self.canonical_receipts: dict[bytes, tuple[int, str]] = {}
         self._confirm_frontier = 0  # highest canonical height already scanned
 
     # -- views -------------------------------------------------------------
@@ -327,17 +313,15 @@ class InterNode:
                 return False, "Unauthorized"
         self.seen.add(d)
         self.pending[d] = tx
-        self._arrival_seq += 1
-        self._arrival[d] = self._arrival_seq
         self._fee_values.add(tx.fee)
         return True, ""
 
     def _select_txs(self) -> list[InterTx]:
-        # Highest fee first, arrival order breaking ties. Admission pins
-        # fees to one value, so the common case is plain insertion order.
+        # Highest fee first, arrival order breaking ties (the sort is stable
+        # and the pool iterates in arrival order). Admission pins fees to one
+        # value, so the common case is plain insertion order.
         if len(self._fee_values) > 1:
-            order = sorted(self.pending, key=lambda d: (-self.pending[d].fee, self._arrival[d]))
-            return [self.pending[d] for d in order[: self.block_capacity]]
+            return sorted(self.pending.values(), key=lambda tx: -tx.fee)[: self.block_capacity]
         out = []
         for tx in self.pending.values():
             out.append(tx)
@@ -410,9 +394,7 @@ class InterNode:
             else:
                 result.reorged = True
                 result.reorg_depth = self._reorg(d, block, displaced_txs)
-            confirmed, reverted = self._update_confirmations(now, displaced_txs)
-            result.newly_confirmed = tuple(confirmed)
-            result.reverted_confirmed = tuple(reverted)
+            result.reverted_confirmed = tuple(self._update_confirmations(now, displaced_txs))
 
         # Re-attach any orphans waiting on this block.
         waiting = [o for o in self.orphans.values() if o.parent == d]
@@ -424,19 +406,15 @@ class InterNode:
                 result.tip_changed = True
                 result.reorged = result.reorged or sub.reorged
                 result.reorg_depth = max(result.reorg_depth, sub.reorg_depth)
-                result.newly_confirmed += sub.newly_confirmed
                 result.reverted_confirmed += sub.reverted_confirmed
         return result
 
     def _extend(self, d: bytes, block: Block) -> None:
         self.canonical.append(d)
-        for pos, tx in enumerate(block.txs):
+        for tx, status in zip(block.txs, self.block_receipts[d]):
             td = tx.digest()
             self.pending.pop(td, None)
-            self.canonical_txs.add(td)
-            self.tx_heights[td] = block.height
-        for r in self.block_receipts[d]:
-            self.canonical_receipts[r.tx_digest] = r
+            self.canonical_receipts[td] = (block.height, status)
 
     def _reorg(self, new_tip: bytes, block: Block, displaced_txs: list) -> int:
         # Walk the new branch back to the first block already canonical.
@@ -454,13 +432,9 @@ class InterNode:
             for tx in self.blocks[bd].txs:
                 td = tx.digest()
                 displaced_txs.append(td)
-                self.canonical_txs.discard(td)
                 self.canonical_receipts.pop(td, None)
-                self.tx_heights.pop(td, None)
                 if td not in self.pending:
                     self.pending[td] = tx
-                    self._arrival_seq += 1
-                    self._arrival[td] = self._arrival_seq
                     self._fee_values.add(tx.fee)
         self.canonical = self.canonical[: fork_height + 1]
         self._confirm_frontier = min(self._confirm_frontier, fork_height)
@@ -468,12 +442,14 @@ class InterNode:
             self._extend(bd, self.blocks[bd])
         return depth
 
-    def _update_confirmations(self, now: float, displaced_txs: list):
-        newly, reverted = [], []
+    def _update_confirmations(self, now: float, displaced_txs: list) -> list:
+        """Confirm txs that reached depth k; returns the confirmed txs that a
+        reorg dropped from the canonical chain."""
+        reverted = []
         # Only a reorg can drop a confirmed tx out of the canonical chain;
         # displaced txs may have been re-included by the new branch.
         for td in displaced_txs:
-            if td in self.confirmed and td not in self.canonical_txs:
+            if td in self.confirmed and td not in self.canonical_receipts:
                 reverted.append(td)
                 self.confirmed.discard(td)
         limit = self.tip_height - self.k + 1
@@ -485,7 +461,6 @@ class InterNode:
                     self.confirmed.add(td)
                     if td not in self.confirm_times:
                         self.confirm_times[td] = now
-                    newly.append(td)
         if limit > self._confirm_frontier:
             self._confirm_frontier = limit
-        return newly, reverted
+        return reverted

@@ -446,15 +446,15 @@ class DelegateNode(InterParticipant):
         """True when the session has no unresolved submitted transaction."""
         if s.inflight is None:
             return True
-        h = self.inter.tx_heights.get(s.inflight)
-        if h is None:
+        receipt = self.inter.canonical_receipts.get(s.inflight)
+        if receipt is None:
             return False  # still pending somewhere, or racing a reorg
-        if h > self.inter.tip_height - self.inter.k + 1:
+        height, status = receipt
+        if height > self.inter.tip_height - self.inter.k + 1:
             return False  # included but not yet confirmed
-        r = self.inter.canonical_receipts.get(s.inflight)
         self._watch_to_session.pop(s.inflight, None)
         s.inflight = None
-        if r is not None and r.status != "ok" and s.inflight_kind == "configure":
+        if status != "ok" and s.inflight_kind == "configure":
             s.config_retries += 1
         return True
 
@@ -631,7 +631,7 @@ class AdminNode(InterParticipant):
                 # resolved as failed while the binding still lags, e.g.
                 # after an unlucky reorg replay.
                 receipt = self.inter.canonical_receipts.get(sent[1])
-                if receipt is None or receipt.status == "ok":
+                if receipt is None or receipt[1] == "ok":
                     continue
             self._salt += 1
             tx = signed_inter_tx(self.key, cid, M_REPLACE,

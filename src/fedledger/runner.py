@@ -43,7 +43,6 @@ class Collector:
         self.intra_commits: dict[bytes, float] = {}
         self.intra_first_commit: dict[tuple, float] = {}  # (zone, height) -> at
         self.inter_submits: dict[bytes, float] = {}
-        self.session_info: dict[tuple, dict] = {}
 
     # -- intra ---------------------------------------------------------------
 
@@ -117,12 +116,6 @@ class Collector:
 
     def session_phase(self, sid: int, side: str, phase: str, at: float,
                       cid: int | None, reason: str | None) -> None:
-        info = self.session_info.setdefault((sid, side), {"phases": {}})
-        info["phases"][phase] = round(at / 1000.0, 6)
-        if cid is not None:
-            info["cid"] = cid
-        if reason is not None:
-            info["reason"] = reason
         rec = {"sid": sid, "side": side, "event": "phase", "phase": phase, "at": round(at, 3)}
         if cid is not None:
             rec["cid"] = cid
@@ -131,8 +124,6 @@ class Collector:
         self.log.emit("session", **rec)
 
     def session_failover(self, sid: int, side: str, idx: int, at: float) -> None:
-        info = self.session_info.setdefault((sid, side), {"phases": {}})
-        info["failovers"] = info.get("failovers", 0) + 1
         self.log.emit("session", sid=sid, side=side, event="failover",
                       delegate_index=idx, at=round(at, 3))
 
@@ -165,9 +156,6 @@ def build(scn: Scenario) -> RunHandles:
         inter_sigma=scn.inter.sigma,
         zone_ranges={d.zone_id: (d.delay_min_ms, d.delay_max_ms) for d in scn.domains},
     )
-    if scn.domains:
-        link.intra_min_ms = scn.domains[0].delay_min_ms
-        link.intra_max_ms = scn.domains[0].delay_max_ms
     sim = Simulator(scn.seed, link, transcript=scn.log_payloads)
 
     log = EventLog()
@@ -452,7 +440,7 @@ def finalize(h: RunHandles) -> MetricsReport:
             committed=committed,
         )
     if observer is not None:
-        committed = len(observer.canonical_txs)
+        committed = len(observer.canonical_receipts)
         report.ledgers["inter"] = LedgerMetrics(
             tx_throughput=committed / duration_s if duration_s else 0.0,
             commit_latency=LatencyStats.from_values(lats.get("inter", [])),
@@ -464,13 +452,12 @@ def finalize(h: RunHandles) -> MetricsReport:
     # Sessions.
     for (sid, side) in sorted(h.clients):
         client = h.clients[(sid, side)]
-        info = h.collector.session_info.get((sid, side), {"phases": {}})
         outcome = client.phase
         if client.phase == "FAILED" and client.fail_reason:
             outcome = f"FAILED:{client.fail_reason}"
         report.sessions.append({
             "sid": sid, "side": side, "outcome": outcome,
-            "phases": info.get("phases", {}),
+            "phases": {p: round(t / 1000.0, 6) for p, t in client.phase_times.items()},
             "failovers": client.failovers,
             "cid": client.contract_id or 0,
         })

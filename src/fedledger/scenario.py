@@ -76,7 +76,7 @@ class ValidationError(Exception):
 
 
 def _tokens_to_units(value, where: str) -> int:
-    units = value * 1000
+    units = _parse_number(value) * 1000
     if abs(units - round(units)) > 1e-6:
         raise ValidationError(f"{where}: token amount {value} is not a multiple of 0.001")
     return int(round(units))
@@ -223,9 +223,27 @@ def _parse_bool(v) -> bool:
     return v
 
 
+# JSON true/false load as Python bools, a subclass of int; numbers refuse them.
+def _parse_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _parse_number(v) -> int | float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return v
+
+
+def _parse_float(v) -> float:
+    return float(_parse_number(v))
+
+
 # Parsers by field annotation. A "*_units" field is read from the file key
 # "*_tokens" as a decimal token amount.
-_PARSE = {"int": int, "float": float, "float | None": float, "bool": _parse_bool, "str": lambda v: v,
+_PARSE = {"int": _parse_int, "float": _parse_float, "float | None": _parse_float,
+          "bool": _parse_bool, "str": lambda v: v,
           "dict": dict, "list": list, "list[list]": lambda v: [list(p) for p in v]}
 
 

@@ -5,11 +5,13 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedledger.analysis import ks_exponential
-from fedledger.chain import MAX_TARGET, Checkpoint
+from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, build_block
 from fedledger.contract import BrokerInfo
-from fedledger.crypto import sha256
+from fedledger.crypto import Keyring, sha256
 from fedledger.powchain import (
     M_COMMIT,
     M_CONFIG_PUB,
@@ -210,6 +212,33 @@ class TestForkChoice:
         assert tx.digest() in node.pending  # displaced tx back in the pool
         assert node.tip == b2.digest()
 
+    def test_displaced_txs_queue_behind_earlier_arrivals(self, keyring):
+        sender = keyring.new_account()
+        _, node = make_node(keyring, balances={sender.address: 1000})
+
+        def submit(salt, fee):
+            node.fee = fee
+            tx = noop(keyring, sender, salt, fee=fee)
+            assert node.submit_tx(tx)[0]
+            return tx
+
+        a, a5 = submit(1, 1), submit(2, 5)
+        mine = node.build_block(1.0, nonce=1)
+        assert [t.digest() for t in mine.txs] == [a5.digest(), a.digest()]
+        node.on_block(mine, 1.0)
+        b, c5, d = submit(3, 1), submit(4, 5), submit(5, 1)
+        # An empty two-block branch from genesis displaces a5 and a.
+        other = InterNode(keyring.new_account().address, keyring,
+                          ChainState({sender.address: 1000}), MAX_TARGET, 2)
+        for i in range(2):
+            blk = other.build_block(2.0 + i, nonce=10 + i)
+            other.on_block(blk, 2.0 + i)
+            res = node.on_block(blk, 2.0 + i)
+        assert res.reorged and res.reorg_depth == 1
+        order = [t.digest() for t in node.build_block(5.0).txs]
+        # Fee descending; within a fee, the re-pooled txs arrive last.
+        assert order == [t.digest() for t in (c5, a5, b, d, a)]
+
     def test_orphan_buffered_until_parent(self, keyring):
         _, node = make_node(keyring)
         _, other = make_node(keyring)
@@ -229,7 +258,6 @@ class TestForkChoice:
         fake_parent = sha256(b"nowhere")
         orphans = []
         for i in range(70):
-            from fedledger.chain import PowSeal, build_block
             b = build_block(fake_parent, 5, [], i, PowSeal(other.address, i, MAX_TARGET))
             orphans.append(b)
             node.on_block(b, float(i))
@@ -246,7 +274,6 @@ class TestForkChoice:
         # Block claims MAX_TARGET seal; digest will almost surely exceed
         # this node's own target but seal verification is against the
         # block's declared target, so check an actually-invalid seal:
-        from fedledger.chain import PowSeal
         forged = bad.with_seal(PowSeal(loose.address, 0, 1))  # target 1: impossible
         assert not node.on_block(forged, 1.0).adopted
 
@@ -258,10 +285,44 @@ class TestForkChoice:
         confirmed_at = None
         for i in range(4):
             block = node.build_block(float(i), nonce=i)
-            res = node.on_block(block, float(i))
-            if tx.digest() in res.newly_confirmed and confirmed_at is None:
+            node.on_block(block, float(i))
+            if tx.digest() in node.confirmed and confirmed_at is None:
                 confirmed_at = node.tip_height
         assert confirmed_at == 3  # depth k=3: tx in block 1, confirmed at tip 3
+
+
+class TestCanonicalReceipts:
+    """The canonical-tx index against a from-scratch walk of the chain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_index_matches_canonical_chain(self, data):
+        keyring = Keyring(random.Random(data.draw(st.integers(0, 2**16), label="keys")))
+        sender, miner = keyring.new_account(), keyring.new_account()
+        # Three fees' worth of funds: a branch's fourth noop fails, so a
+        # tx's status depends on the branch it lands in.
+        pool = [noop(keyring, sender, i) for i in range(5)]
+        pool.append(signed_inter_tx(sender, 9, M_SETTLE, fee=1))  # UnknownContract
+        _, node = make_node(keyring, balances={sender.address: 3}, k=2)
+        blocks, paths = [], [frozenset()]  # paths[i]: txs on the path to block i (0 = genesis)
+        for i in range(data.draw(st.integers(1, 8), label="blocks")):
+            p = data.draw(st.integers(0, i), label="parent")
+            parent = blocks[p - 1] if p else None
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), unique=True, max_size=4),
+                              label="txs")
+            txs = [pool[j] for j in picks if j not in paths[p]]  # a tx once per branch
+            blocks.append(build_block(parent.digest() if parent else node.genesis_digest,
+                                      parent.height + 1 if parent else 1, txs, i,
+                                      PowSeal(miner.address, i, MAX_TARGET)))
+            paths.append(paths[p] | {pool.index(tx) for tx in txs})
+        for j in data.draw(st.permutations(range(len(blocks))), label="order"):
+            node.on_block(blocks[j], float(j))
+            expect = {}
+            for h, bd in enumerate(node.canonical[1:], start=1):
+                for pos, tx in enumerate(node.blocks[bd].txs):
+                    expect[tx.digest()] = (h, node.block_receipts[bd][pos])
+            assert node.canonical_receipts == expect
+            assert node.confirmed <= node.canonical_receipts.keys()
 
 
 class TestConvergence:
@@ -384,8 +445,8 @@ class TestExecution:
         tx = signed_inter_tx(dp, 1, M_SETTLE, fee=1)
         node.submit_tx(tx)
         node.on_block(node.build_block(0.0), 0.0)
-        r = node.canonical_receipts[tx.digest()]
-        assert r.status == "Unauthorized"  # nothing bound yet
+        # Included at height 1; nothing is bound yet.
+        assert node.canonical_receipts[tx.digest()] == (1, "Unauthorized")
         st = node.tip_state()
         assert st.balance(dp.address) == 999
         assert st.total_supply() == 1_000

@@ -60,6 +60,19 @@ class TestHappyPath:
             assert ranks == sorted(ranks), key
             assert "FAILED" not in phases
 
+    def test_report_phases_are_the_client_phase_times(self):
+        report, h = run(fast_session_scenario())
+        logged: dict = {}
+        for e in h.log.events:
+            if e["kind"] == "session" and e.get("event") == "phase":
+                logged.setdefault((e["sid"], e["side"]), {})[e["phase"]] = e["at"]
+        assert len(report.sessions) == 2
+        for s in report.sessions:
+            client = h.clients[(s["sid"], s["side"])]
+            assert s["phases"] == {p: round(t / 1000.0, 6) for p, t in client.phase_times.items()}
+            assert list(s["phases"]) == list(logged[(s["sid"], s["side"])])
+            assert "SETTLED" in s["phases"]
+
     def test_seller_paid_on_intra_ledger(self):
         report, h = run(fast_session_scenario())
         seller = h.clients[(1, "pub")]
@@ -76,8 +89,10 @@ class TestHappyPath:
         cid = h.clients[(1, "pub")].contract_id
         info = st.contracts[cid]
         assert info.broker_status.name == "PAID" and info.escrow == 0
-        settles = [r for r in h.miners[0].inter.canonical_receipts.values()
-                   if r.method == "settle_payment" and r.status == "ok"]
+        inter = h.miners[0].inter
+        settles = {tx.digest() for bd in inter.canonical[1:] for tx in inter.blocks[bd].txs
+                   if tx.method == "settle_payment"
+                   and inter.canonical_receipts[tx.digest()][1] == "ok"}
         assert len(settles) == 1
 
 

@@ -111,10 +111,31 @@ class TestMalformedValues:
         ({"domains": [{"zone_id": 1, "validators": "many"}]}, r"domains\[0\]\.validators"),
         ({"inter": {"fee_tokens": "one"}}, r"inter\.fee_tokens"),
         ({"workload": {"pairs": 5}}, r"workload\.pairs"),
+        # Numbers must be JSON numbers of the field's type; true/false are not.
+        ({"seed": True}, r"scenario\.seed"),
+        ({"seed": 1.0}, r"scenario\.seed"),
+        ({"domains": [{"zone_id": 1, "validators": 4.7}]}, r"domains\[0\]\.validators"),
+        ({"domains": [{"zone_id": 1, "delegates": "2"}]}, r"domains\[0\]\.delegates"),
+        ({"domains": [{"zone_id": True}]}, r"domains\[0\]\.zone_id"),
+        ({"inter": {"confirmation_depth": False}}, r"inter\.confirmation_depth"),
+        ({"duration_ms": True}, r"scenario\.duration_ms"),
+        ({"duration_ms": "60000"}, r"scenario\.duration_ms"),
+        ({"workload": {"intra_until_ms": None}}, r"workload\.intra_until_ms"),
+        ({"funding": {"member_tokens": True}}, r"funding\.member_tokens"),
+        ({"funding": {"miner_tokens": "100"}}, r"funding\.miner_tokens"),
+        ({"workload": {"deposit_tokens": False}}, r"workload\.deposit_tokens"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):
             scenario_from_dict(raw)
+
+    def test_json_numbers_accepted(self):
+        scn = scenario_from_dict({"seed": 3, "duration_ms": 5, "inter": {"sigma": 0.5},
+                                  "funding": {"member_tokens": 2, "miner_tokens": 0.5}})
+        assert scn.seed == 3
+        assert scn.duration_ms == 5.0 and isinstance(scn.duration_ms, float)
+        assert scn.inter.sigma == 0.5
+        assert scn.funding.member_units == 2000 and scn.funding.miner_units == 500
 
     def test_other_malformed_input_is_a_parse_error(self):
         with pytest.raises(ParseError):
