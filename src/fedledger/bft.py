@@ -27,12 +27,18 @@ The class is a pure state machine: ``on_msg``, ``on_deadline``,
 ``on_propose_timer``, and ``submit_tx`` are the only mutators and every
 entry point returns the effects (broadcasts, timer requests, committed
 block) for the event loop to act on.
+
+``CommitteeReplica``, the base of the validator and of the zone full node
+(``ZoneFollower``), owns the committed state: ledger, balance book, and
+sealed blocks that came early. Its ``on_decision`` is the one way into
+the ledger, for a block sealed in the validator's own round or received.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .chain import BalanceBook, BftSeal, Block, IntraTx, Ledger, build_block
 from .crypto import ZERO_DIGEST, Keyring, SigningKey, enc_address, enc_blob, enc_digest, enc_u32, enc_u64, enc_u8
@@ -119,12 +125,16 @@ def committee_bounds(n: int) -> tuple[int, int]:
 
 
 class CommitteeReplica:
-    """A replica of one zone ledger: accepts blocks sealed by a quorum of its committee."""
+    """A replica of one zone ledger: adopts blocks sealed by a quorum of its committee."""
 
-    def __init__(self, committee: list[bytes], keyring: Keyring):
+    def __init__(self, committee: list[bytes], keyring: Keyring,
+                 balances: dict[bytes, int] | None = None):
         self.committee = list(committee)
         self.keyring = keyring
         _f, self.quorum = committee_bounds(len(self.committee))
+        self.ledger = Ledger()
+        self.book = BalanceBook(balances)
+        self._buffer: dict[int, Block] = {}  # sealed blocks above the head, by height
 
     def verify_sealed(self, block: Block) -> bool:
         """Check a quorum seal: enough distinct committee precommit signatures."""
@@ -143,6 +153,26 @@ class CommitteeReplica:
                 good += 1
         return good >= self.quorum
 
+    def on_decision(self, block: Block, seal_checked: bool = False) -> list[Block]:
+        """Adopt a sealed block: check its seal (unless the caller sealed it
+        from checked precommits), buffer it, then append and apply every
+        buffered block that extends the head. Returns those, in height order."""
+        if block.height <= self.ledger.height:
+            return []
+        if not seal_checked and not self.verify_sealed(block):
+            return []
+        self._buffer[block.height] = block
+        appended = []
+        while True:
+            nxt = self._buffer.get(self.ledger.height + 1)
+            if nxt is None or nxt.parent != self.ledger.head_digest():
+                break
+            del self._buffer[nxt.height]
+            self.ledger.append(nxt)
+            self.book.apply_block(nxt)
+            appended.append(nxt)
+        return appended
+
 
 class Validator(CommitteeReplica):
     def __init__(
@@ -156,7 +186,7 @@ class Validator(CommitteeReplica):
         block_interval_ms: float = 1600.0,
         balances: dict[bytes, int] | None = None,
     ):
-        super().__init__(committee, keyring)
+        super().__init__(committee, keyring, balances)
         self.key = key
         self.validator_id = key.address
         self.zone_id = zone_id
@@ -164,17 +194,20 @@ class Validator(CommitteeReplica):
         self.round_timeout_ms = round_timeout_ms
         self.block_interval_ms = block_interval_ms
 
-        self.ledger = Ledger()
-        self.book = BalanceBook(balances)
         self.mempool: dict[bytes, IntraTx] = {}
-        self.height = 1
+        self.deadline_epoch = 0
+        self.evidence: list[Evidence] = []
+        self._new_height()
+
+    def _new_height(self) -> None:
+        """Fresh state for the height above the ledger head, round 0."""
+        self.height = self.ledger.height + 1
         self.round = 0
         self.step = Step.PROPOSE
-        self.deadline_epoch = 0
-        self.locked_digest: bytes | None = None
         self.locked_block: Block | None = None
         self.locked_round = -1
-        # Per-height vote state, cleared on commit.
+        # Vote state of this height. Own votes are entered too, so the
+        # tables say whether this validator voted (_voted).
         self.proposals: dict[int, Block] = {}
         self.prevotes: dict[int, dict[bytes, bytes | None]] = {}
         self.precommits: dict[int, dict[bytes, tuple]] = {}  # round -> sender -> (digest, sig)
@@ -182,10 +215,6 @@ class Validator(CommitteeReplica):
         # first-seen order: rounds as first voted in, digests as first voted for.
         self.prevote_tally: dict[int, dict[bytes | None, int]] = {}
         self.precommit_tally: dict[int, dict[bytes | None, int]] = {}
-        self.prevoted: set[int] = set()
-        self.precommitted: set[int] = set()
-        self.future_decisions: dict[int, Block] = {}
-        self.evidence: list[Evidence] = []
 
     # -- helpers ---------------------------------------------------------
 
@@ -201,6 +230,9 @@ class Validator(CommitteeReplica):
     def _sign(self, msg: ConsensusMsg) -> ConsensusMsg:
         sig = Keyring.sign(self.key, msg.signing_bytes())
         return ConsensusMsg(msg.kind, msg.height, msg.round, msg.block_digest, msg.sender, sig, msg.block)
+
+    def _voted(self, table: dict, round_: int) -> bool:
+        return self.validator_id in table.get(round_, ())
 
     def _vote(self, kind: MsgKind, digest: bytes | None) -> ConsensusMsg:
         # Own votes count toward quorums immediately.
@@ -230,11 +262,7 @@ class Validator(CommitteeReplica):
 
     def start(self, now: float) -> list:
         effects: list = []
-        start = max(now, self._height_start(self.height))
-        if self.proposer(self.height, 0) == self.validator_id:
-            effects.append(ProposeAt(start, self.height))
-        self.deadline_epoch += 1
-        effects.append(Deadline(start + self._delta(0), self.deadline_epoch))
+        self._schedule_height(self.height, now, effects)
         return effects
 
     def on_propose_timer(self, now: float, height: int) -> list:
@@ -249,14 +277,12 @@ class Validator(CommitteeReplica):
             return []  # stale: state advanced since this was scheduled
         effects: list = []
         if self.step == Step.PROPOSE:
-            if self.round not in self.prevoted:
-                self.prevoted.add(self.round)
+            if not self._voted(self.prevotes, self.round):
                 effects.append(Broadcast(self._vote(MsgKind.PREVOTE, None)))
             self.step = Step.PREVOTE
             self._bump(effects, now)
         elif self.step == Step.PREVOTE:
-            if self.round not in self.precommitted:
-                self.precommitted.add(self.round)
+            if not self._voted(self.precommits, self.round):
                 effects.append(Broadcast(self._vote(MsgKind.PRECOMMIT, None)))
             self.step = Step.PRECOMMIT
             self._bump(effects, now)
@@ -270,11 +296,14 @@ class Validator(CommitteeReplica):
             return []
         if not self.keyring.verify_signed(msg):
             return []
+        effects: list = []
         if msg.kind == MsgKind.DECISION:
-            return self._on_decision(now, msg)
+            if msg.block is not None:
+                # Adopted, not announced: the sender has broadcast it already.
+                self._commit(self.on_decision(msg.block), now, effects, announce=False)
+            return effects
         if msg.height != self.height:
             return []  # stale or future height; DECISION sync covers gaps
-        effects: list = []
         if msg.kind == MsgKind.PROPOSAL:
             self._record_proposal(msg)
         else:
@@ -327,18 +356,9 @@ class Validator(CommitteeReplica):
         if self.locked_block is not None:
             block = self.locked_block
         else:
-            txs = []
-            for d, tx in self.mempool.items():
-                txs.append(tx)
-                if len(txs) >= self.block_capacity:
-                    break
-            block = build_block(
-                self.ledger.head_digest(),
-                self.height,
-                txs,
-                int(now),
-                BftSeal(proposer=self.validator_id, round=self.round),
-            )
+            txs = list(islice(self.mempool.values(), self.block_capacity))
+            block = build_block(self.ledger.head_digest(), self.height, txs, int(now),
+                                BftSeal(proposer=self.validator_id, round=self.round))
         msg = self._sign(
             ConsensusMsg(MsgKind.PROPOSAL, self.height, self.round, block.digest(), self.validator_id, block=block)
         )
@@ -364,12 +384,11 @@ class Validator(CommitteeReplica):
         while changed:
             changed = False
             # Prevote on the current round's proposal.
-            if self.step == Step.PROPOSE and self.round not in self.prevoted:
+            if self.step == Step.PROPOSE and not self._voted(self.prevotes, self.round):
                 block = self.proposals.get(self.round)
                 if block is not None:
                     d = block.digest()
-                    vote = d if (self.locked_digest is None or self.locked_digest == d) else None
-                    self.prevoted.add(self.round)
+                    vote = d if (self.locked_block is None or self.locked_block.digest() == d) else None
                     effects.append(Broadcast(self._vote(MsgKind.PREVOTE, vote)))
                     self.step = Step.PREVOTE
                     self._bump(effects, now)
@@ -381,37 +400,32 @@ class Validator(CommitteeReplica):
                     if c < self.quorum:
                         continue
                     if d is None:
-                        if r == self.round and self.step == Step.PREVOTE and r not in self.precommitted:
-                            self.precommitted.add(r)
+                        if r == self.round and self.step == Step.PREVOTE and not self._voted(self.precommits, r):
                             effects.append(Broadcast(self._vote(MsgKind.PRECOMMIT, None)))
                             self.step = Step.PRECOMMIT
                             self._bump(effects, now)
                             changed = True
                         continue
-                    if self.locked_digest is not None and d != self.locked_digest and r > self.locked_round:
-                        self.locked_digest = None
+                    if self.locked_block is not None and d != self.locked_block.digest() and r > self.locked_round:
                         self.locked_block = None
                         self.locked_round = -1
                         changed = True
                     block = self.proposals.get(r)
                     if (
                         r == self.round
-                        and self.round not in self.precommitted
+                        and not self._voted(self.precommits, r)
                         and block is not None
                         and block.digest() == d
                         and self.step in (Step.PROPOSE, Step.PREVOTE)
                     ):
-                        self.locked_digest = d
                         self.locked_block = block
                         self.locked_round = r
-                        self.precommitted.add(r)
-                        self.prevoted.add(r)
                         effects.append(Broadcast(self._vote(MsgKind.PRECOMMIT, d)))
                         self.step = Step.PRECOMMIT
                         self._bump(effects, now)
                         changed = True
             # Precommit quorums: commit (any round), or advance on a nil quorum.
-            # The tables of this height: _enter_height replaces both maps.
+            # The tables of this height: _new_height replaces both maps.
             precommits = self.precommits
             for r, counts in list(self.precommit_tally.items()):
                 for d, c in list(counts.items()):
@@ -432,64 +446,37 @@ class Validator(CommitteeReplica):
                             )
                         )
                         sealed = block.with_seal(BftSeal(block.seal.proposer, r, sigs))
-                        self._commit(sealed, now, effects)
+                        self._commit(self.on_decision(sealed, seal_checked=True), now, effects,
+                                     announce=True)
                         changed = True
                         break
                 if changed:
                     break
 
-    def _commit(self, sealed: Block, now: float, effects: list) -> None:
-        self.ledger.append(sealed)
-        self.book.apply_block(sealed)
-        for tx in sealed.txs:
-            self.mempool.pop(tx.digest(), None)
-        decision = self._sign(
-            ConsensusMsg(MsgKind.DECISION, sealed.height, sealed.seal.round, sealed.digest(), self.validator_id, block=sealed)
-        )
-        effects.append(Broadcast(decision))
-        effects.append(Committed(sealed))
-        self._enter_height(now, effects)
+    def _commit(self, blocks: list[Block], now: float, effects: list, announce: bool) -> None:
+        """Effects of blocks just appended, each with the timers of the height
+        it opens, then fresh state above the last. ``announce`` broadcasts a
+        DECISION per block: a commit of the validator's own round announces
+        (drained buffered blocks too), adopting a received DECISION does not."""
+        if not blocks:
+            return
+        for block in blocks:
+            for tx in block.txs:
+                self.mempool.pop(tx.digest(), None)
+            if announce:
+                decision = ConsensusMsg(MsgKind.DECISION, block.height, block.seal.round, block.digest(),
+                                        self.validator_id, block=block)
+                effects.append(Broadcast(self._sign(decision)))
+            effects.append(Committed(block))
+            self._schedule_height(block.height + 1, now, effects)
+        self._new_height()
 
-    def _enter_height(self, now: float, effects: list) -> None:
-        self.height = self.ledger.height + 1
-        self.round = 0
-        self.step = Step.PROPOSE
-        self.locked_digest = None
-        self.locked_block = None
-        self.locked_round = -1
-        self.proposals = {}
-        self.prevotes = {}
-        self.precommits = {}
-        self.prevote_tally = {}
-        self.precommit_tally = {}
-        self.prevoted = set()
-        self.precommitted = set()
-        start = max(now, self._height_start(self.height))
-        if self.proposer(self.height, 0) == self.validator_id:
-            effects.append(ProposeAt(start, self.height))
+    def _schedule_height(self, height: int, now: float, effects: list) -> None:
+        start = max(now, self._height_start(height))
+        if self.proposer(height, 0) == self.validator_id:
+            effects.append(ProposeAt(start, height))
         self.deadline_epoch += 1
         effects.append(Deadline(start + self._delta(0), self.deadline_epoch))
-        # Apply any buffered decision for the new height.
-        buffered = self.future_decisions.pop(self.height, None)
-        if buffered is not None and buffered.parent == self.ledger.head_digest():
-            self._commit(buffered, now, effects)
-
-    # -- decision sync ------------------------------------------------------------
-
-    def _on_decision(self, now: float, msg: ConsensusMsg) -> list:
-        block = msg.block
-        if block is None or block.height < self.height or not self.verify_sealed(block):
-            return []
-        if block.height > self.height:
-            self.future_decisions[block.height] = block
-            return []
-        if block.parent != self.ledger.head_digest():
-            return []
-        effects: list = []
-        self._commit(block, now, effects)
-        # Committing via a received decision: drop the redundant rebroadcast.
-        effects = [e for e in effects if not (isinstance(e, Broadcast) and e.msg.kind == MsgKind.DECISION)]
-        return effects
 
 
 class ZoneFollower(CommitteeReplica):
@@ -499,27 +486,3 @@ class ZoneFollower(CommitteeReplica):
     them the local intra-ledger view used for checkpoint verification and
     for the duplicate-payment guard.
     """
-
-    def __init__(self, zone_id: int, committee: list[bytes], keyring: Keyring,
-                 balances: dict[bytes, int] | None = None):
-        super().__init__(committee, keyring)
-        self.zone_id = zone_id
-        self.ledger = Ledger()
-        self.book = BalanceBook(balances)
-        self._buffer: dict[int, Block] = {}
-
-    def on_decision(self, block: Block) -> list[Block]:
-        """Feed a sealed block; returns the blocks appended (in order)."""
-        if block.height <= self.ledger.height or not self.verify_sealed(block):
-            return []
-        self._buffer[block.height] = block
-        appended = []
-        while True:
-            nxt = self._buffer.get(self.ledger.height + 1)
-            if nxt is None or nxt.parent != self.ledger.head_digest():
-                break
-            del self._buffer[nxt.height]
-            self.ledger.append(nxt)
-            self.book.apply_block(nxt)
-            appended.append(nxt)
-        return appended

@@ -2,10 +2,12 @@
 
 Shared by both consensus tiers. A block's identity digest covers the
 header (parent, height, tx_root, timestamp) and the seal essence
-(proposer/round for the quorum-sealed variant, miner/nonce/target for
-the work-sealed variant) but never the quorum signature set, so all
+(proposer for the quorum-sealed variant, miner/nonce/target for the
+work-sealed variant) but never the quorum signature set, so all
 replicas of a committed chain agree on block digests regardless of
-which vote subset each one collected.
+which vote subset each one collected. The header's tx_root is computed
+from the block's transactions, never stored, so a block whose root
+disagrees with its transactions cannot be built.
 
 Checkpoints are the public proof of a private transaction: a digest
 reference plus zone id, block height, and the digest of the containing
@@ -163,7 +165,6 @@ class PowSeal:
 class Block:
     parent: bytes
     height: int
-    tx_root: bytes
     timestamp: int  # virtual-clock milliseconds
     seal: object  # BftSeal | PowSeal
     txs: tuple = ()
@@ -172,7 +173,7 @@ class Block:
         return (
             enc_digest(self.parent)
             + enc_u64(self.height)
-            + enc_digest(self.tx_root)
+            + enc_digest(tx_root(self.txs))
             + enc_u64(self.timestamp)
             + self.seal.essence()
         )
@@ -202,23 +203,16 @@ def tx_root(txs) -> bytes:
 
 
 def build_block(parent_digest: bytes, height: int, txs, timestamp: int, seal) -> Block:
-    return Block(
-        parent=parent_digest,
-        height=height,
-        tx_root=tx_root(txs),
-        timestamp=timestamp,
-        seal=seal,
-        txs=tuple(txs),
-    )
+    return Block(parent=parent_digest, height=height, timestamp=timestamp, seal=seal, txs=tuple(txs))
 
 
 def genesis_block(kind: str = "bft") -> Block:
-    """Genesis: all-zero parent, empty tx_root, timestamp 0."""
+    """Genesis: all-zero parent, no transactions, timestamp 0."""
     if kind == "bft":
         seal = BftSeal(proposer=ZERO_ADDRESS, round=0)
     else:
         seal = PowSeal(miner=ZERO_ADDRESS, nonce=0, target=MAX_TARGET)
-    return Block(parent=ZERO_DIGEST, height=0, tx_root=ZERO_DIGEST, timestamp=0, seal=seal)
+    return Block(parent=ZERO_DIGEST, height=0, timestamp=0, seal=seal)
 
 
 class Ledger:
@@ -226,7 +220,6 @@ class Ledger:
 
     def __init__(self, genesis: Block | None = None):
         self.blocks: list[Block] = [genesis or genesis_block()]
-        self._digests: list[bytes] = [self.blocks[0].digest()]
         self.tx_index: dict[bytes, tuple[int, int]] = {}
 
     @property
@@ -234,20 +227,14 @@ class Ledger:
         return len(self.blocks) - 1
 
     def head_digest(self) -> bytes:
-        return self._digests[-1]
-
-    def block_digest(self, height: int) -> bytes:
-        return self._digests[height]
+        return self.blocks[-1].digest()
 
     def append(self, block: Block) -> None:
         if block.height != len(self.blocks):
             raise ValueError(f"expected height {len(self.blocks)}, got {block.height}")
         if block.parent != self.head_digest():
             raise ValueError("block does not link to current head")
-        if block.tx_root != tx_root(block.txs):
-            raise ValueError("tx_root does not match block transactions")
         self.blocks.append(block)
-        self._digests.append(block.digest())
         for pos, tx in enumerate(block.txs):
             self.tx_index[tx.digest()] = (block.height, pos)
 
@@ -266,7 +253,7 @@ def make_checkpoint(tx: IntraTx, ledger: Ledger) -> Checkpoint:
         zone_id=tx.zone_id,
         tx_ref=ref,
         block_height=height,
-        ledger_head=ledger.block_digest(height),
+        ledger_head=ledger.blocks[height].digest(),
     )
 
 
@@ -277,7 +264,7 @@ def verify_checkpoint(cp: Checkpoint, ledger: Ledger) -> bool:
     entry = ledger.tx_index.get(cp.tx_ref)
     if entry is None or entry[0] != cp.block_height:
         return False
-    return ledger.block_digest(cp.block_height) == cp.ledger_head
+    return ledger.blocks[cp.block_height].digest() == cp.ledger_head
 
 
 class BalanceBook:

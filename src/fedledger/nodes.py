@@ -84,7 +84,7 @@ class ValidatorNode(Node):
         self.fullnode_targets: list[str] = []  # zone full nodes fed DECISIONs
         self.subscribers: dict[bytes, str] = {}  # address -> node id for commit notices
         self.collector = collector
-        self._alt_digests: dict[tuple, tuple] = {}  # equivocation bookkeeping
+        self._alternates: dict[tuple, tuple] = {}  # equivocation bookkeeping
 
     def start(self, sim: Simulator) -> None:
         self._apply(sim, self.core.start(sim.now))
@@ -154,11 +154,11 @@ class ValidatorNode(Node):
         key = (msg.height, msg.round)
         if msg.kind == MsgKind.PROPOSAL:
             alt_block = replace(msg.block, timestamp=msg.block.timestamp + 1)
-            self._alt_digests[key] = (msg.block_digest, alt_block.digest())
+            self._alternates[key] = (msg.block_digest, alt_block.digest())
             alt = ConsensusMsg(msg.kind, msg.height, msg.round, alt_block.digest(),
                                msg.sender, block=alt_block)
         else:
-            pair = self._alt_digests.get(key)
+            pair = self._alternates.get(key)
             alt_digest = pair[1] if pair and pair[0] == msg.block_digest else None
             alt = ConsensusMsg(msg.kind, msg.height, msg.round, alt_digest, msg.sender)
         return self.core._sign(alt)

@@ -8,11 +8,12 @@ Amounts are integers in millitokens (1 token = 1000 units) so the fixed
 Every inter-ledger participant runs an ``InterNode``: a block tree with
 per-block executed states (structurally shared immutable values), the
 canonical chain under the longest-chain rule (ties keep the incumbent),
-a pending pool ordered by (fee desc, arrival), an orphan buffer, and
-depth-k confirmation tracking. Mining nodes additionally hold hash
-power; in virtual-time mode the next win is sampled from an exponential
-with mean interval/share, in puzzle mode nonces are ground until the
-header digest falls below the target.
+a pending pool in arrival order (admission takes the one fee of the run,
+so fees never reorder it), an orphan buffer, and depth-k confirmation
+tracking. Mining nodes additionally hold hash power; in virtual-time
+mode the next win is sampled from an exponential with mean
+interval/share, in puzzle mode nonces are ground until the header
+digest falls below the target.
 
 A receipt is the status a transaction ended with: ``"ok"`` or the error
 code of a failed call. Each node keeps the receipts of every stored
@@ -28,6 +29,7 @@ chain from genesis reproduces identical state digests by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import contract as sc
 from .chain import Block, Checkpoint, PowSeal, build_block, genesis_block
@@ -258,7 +260,6 @@ class InterNode:
         self.block_receipts: dict[bytes, tuple] = {gd: ()}  # block -> statuses in tx order
         self.canonical: list[bytes] = [gd]
         self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
-        self._fee_values: set[int] = set()
         self.seen: set[bytes] = set()
         self.orphans: dict[bytes, Block] = {}
         self.confirm_times: dict[bytes, float] = {}
@@ -313,21 +314,12 @@ class InterNode:
                 return False, "Unauthorized"
         self.seen.add(d)
         self.pending[d] = tx
-        self._fee_values.add(tx.fee)
         return True, ""
 
     def _select_txs(self) -> list[InterTx]:
-        # Highest fee first, arrival order breaking ties (the sort is stable
-        # and the pool iterates in arrival order). Admission pins fees to one
-        # value, so the common case is plain insertion order.
-        if len(self._fee_values) > 1:
-            return sorted(self.pending.values(), key=lambda tx: -tx.fee)[: self.block_capacity]
-        out = []
-        for tx in self.pending.values():
-            out.append(tx)
-            if len(out) >= self.block_capacity:
-                break
-        return out
+        # Every pooled tx pays self.fee (admission refuses any other), so the
+        # oldest come first.
+        return list(islice(self.pending.values(), self.block_capacity))
 
     # -- mining ------------------------------------------------------------------
 
@@ -435,7 +427,6 @@ class InterNode:
                 self.canonical_receipts.pop(td, None)
                 if td not in self.pending:
                     self.pending[td] = tx
-                    self._fee_values.add(tx.fee)
         self.canonical = self.canonical[: fork_height + 1]
         self._confirm_frontier = min(self._confirm_frontier, fork_height)
         for bd in reversed(path):

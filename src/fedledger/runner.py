@@ -166,6 +166,8 @@ def build(scn: Scenario) -> RunHandles:
     # -- accounts -------------------------------------------------------------
     val_keys = {d.zone_id: [keyring.new_account() for _ in range(d.validators)] for d in scn.domains}
     dlg_keys = {d.zone_id: [keyring.new_account() for _ in range(d.delegates)] for d in scn.domains}
+    val_ids = {d.zone_id: [f"val:{d.zone_id}:{i}" for i in range(d.validators)] for d in scn.domains}
+    dlg_ids = {d.zone_id: [f"dlg:{d.zone_id}:{i}" for i in range(d.delegates)] for d in scn.domains}
     miner_keys = [keyring.new_account() for _ in range(scn.inter.miners)]
     admin_key = keyring.new_account()
     zone_load_keys = {d.zone_id: keyring.new_account() for d in scn.domains}
@@ -213,8 +215,7 @@ def build(scn: Scenario) -> RunHandles:
 
     # -- inter nodes -------------------------------------------------------------
     miner_node_ids = [f"miner:{i}" for i in range(scn.inter.miners)]
-    all_inter_ids = list(miner_node_ids) + ["admin"] + \
-        [f"dlg:{d.zone_id}:{i}" for d in scn.domains for i in range(d.delegates)]
+    all_inter_ids = miner_node_ids + ["admin"] + [n for d in scn.domains for n in dlg_ids[d.zone_id]]
 
     def new_inter_node(addr: bytes):
         return InterNode(addr, keyring, genesis_state, target,
@@ -247,32 +248,31 @@ def build(scn: Scenario) -> RunHandles:
         z = d.zone_id
         committee = [k.address for k in val_keys[z]]
         vnodes = []
-        for i, vk in enumerate(val_keys[z]):
+        for node_id, vk in zip(val_ids[z], val_keys[z]):
             core = Validator(vk, committee, z, keyring,
                              block_capacity=d.block_capacity,
                              round_timeout_ms=d.round_timeout_ms,
                              block_interval_ms=d.block_interval_ms,
                              balances=intra_books[z])
-            node = ValidatorNode(f"val:{z}:{i}", core, collector)
-            node.committee_nodes = [f"val:{z}:{j}" for j in range(d.validators)]
-            node.fullnode_targets = [f"dlg:{z}:{j}" for j in range(d.delegates)]
+            node = ValidatorNode(node_id, core, collector)
+            node.committee_nodes = val_ids[z]
+            node.fullnode_targets = dlg_ids[z]
             sim.add_node(node)
             vnodes.append(node)
         h.validators[z] = vnodes
 
         dnodes = []
-        for i, dk in enumerate(dlg_keys[z]):
-            follower = ZoneFollower(z, committee, keyring, balances=intra_books[z])
+        for node_id, dk in zip(dlg_ids[z], dlg_keys[z]):
+            follower = ZoneFollower(committee, keyring, balances=intra_books[z])
             inter = new_inter_node(dk.address)
-            node = DelegateNode(f"dlg:{z}:{i}", z, dk, follower, inter,
+            node = DelegateNode(node_id, z, dk, follower, inter,
                                 miner_node_ids, "admin", registry_by_zone[z], collector=collector)
-            node.zone_validators = [f"val:{z}:{j}" for j in range(d.validators)]
+            node.zone_validators = val_ids[z]
             sim.add_node(node)
             dnodes.append(node)
         h.delegates[z] = dnodes
 
     # -- session clients ---------------------------------------------------------------
-    domain_by_zone = {d.zone_id: d for d in scn.domains}
     for sid in range(1, scn.workload.sessions + 1):
         sz, bz = pairs[(sid - 1) % len(pairs)]
         start = scn.workload.session_start_ms + (sid - 1) * scn.workload.session_interval_ms
@@ -286,12 +286,9 @@ def build(scn: Scenario) -> RunHandles:
                 op_timeout_ms=scn.protocol.op_timeout_ms,
             )
             name = ("seller" if side == PUB else "buyer") + f":{sid}"
-            dom = domain_by_zone[zone]
             node = ClientNode(
-                name, session_keys[(sid, side)], cfg,
-                validators=[f"val:{zone}:{j}" for j in range(dom.validators)],
-                delegates=[(f"dlg:{zone}:{j}", dlg_keys[zone][j].address)
-                           for j in range(dom.delegates)],
+                name, session_keys[(sid, side)], cfg, validators=val_ids[zone],
+                delegates=list(zip(dlg_ids[zone], (k.address for k in dlg_keys[zone]))),
                 collector=collector,
             )
             sim.add_node(node)
@@ -306,8 +303,7 @@ def build(scn: Scenario) -> RunHandles:
         if scn.workload.intra_rate_per_s > 0 or scn.workload.intra_probe_times_ms:
             node = IntraLoadNode(
                 f"load:{z}", z, zone_load_keys[z], random.Random(scn.seed ^ (0x6C7A << 8) ^ z),
-                [f"val:{z}:{j}" for j in range(d.validators)],
-                scn.workload.intra_rate_per_s, scn.workload.intra_offset_ms, until,
+                val_ids[z], scn.workload.intra_rate_per_s, scn.workload.intra_offset_ms, until,
                 payload_bytes=scn.workload.intra_payload_bytes, collector=collector,
                 times=(scn.workload.intra_probe_times_ms or None),
             )

@@ -48,7 +48,7 @@ Schema (defaults in parentheses):
   },
   "faults": [
     {"at_ms": number, "fault": "crash"|"recover", "node": str} |
-    {"at_ms": number, "fault": "byzantine", "node": str,
+    {"at_ms": number, "fault": "byzantine", "node": "val:<zone>:<i>",
      "behavior": "equivocate"|"silent"|"delay"} |
     {"at_ms": number, "fault": "partition", "groups": [[node...], [node...]]} |
     {"at_ms": number, "fault": "heal"}
@@ -127,16 +127,16 @@ class WorkloadSpec:
     session_start_ms: float = 0.0
     payload_bytes: int = 1024
     deliver_after_ms: float = 0.0
-    pairs: list[list] = field(default_factory=list)
+    pairs: list[list[int]] = field(default_factory=list)
     intra_rate_per_s: float = 0.0
     intra_offset_ms: float = 0.0
     intra_until_ms: float | None = None
     intra_payload_bytes: int = 64
-    intra_probe_times_ms: list = field(default_factory=list)
+    intra_probe_times_ms: list[float] = field(default_factory=list)
     inter_rate_per_s: float = 0.0
     inter_offset_ms: float = 0.0
     inter_until_ms: float | None = None
-    inter_probe_times_ms: list = field(default_factory=list)
+    inter_probe_times_ms: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -178,17 +178,21 @@ class Scenario:
 
     def validate(self) -> None:
         zones = set()
-        byz_nodes: dict[int, set] = {}
-        for f in self.faults:
-            if f.get("fault") == "byzantine":
-                node = f.get("node", "")
-                if node.startswith("val:"):
-                    zone = int(node.split(":")[1])
-                    byz_nodes.setdefault(zone, set()).add(node)
         for d in self.domains:
             if d.zone_id in zones or d.zone_id < 1:
                 raise ValidationError(f"bad or duplicate zone_id {d.zone_id}")
             zones.add(d.zone_id)
+        # Only a validator has byzantine behaviours; on any other node they do nothing.
+        validators = {f"val:{d.zone_id}:{i}" for d in self.domains for i in range(d.validators)}
+        byz_nodes: dict[int, set] = {}
+        for i, f in enumerate(self.faults):
+            if f.get("fault") == "byzantine":
+                node = f.get("node")
+                if node not in validators:
+                    raise ValidationError(
+                        f"faults[{i}]: byzantine node {node!r} is not a validator of a declared zone")
+                byz_nodes.setdefault(int(node.split(":")[1]), set()).add(node)
+        for d in self.domains:
             if self.safety_assertions and d.validators < 3 * d.byzantine + 1:
                 raise ValidationError(
                     f"zone {d.zone_id}: {d.validators} validators cannot tolerate "
@@ -198,12 +202,12 @@ class Scenario:
                 raise ValidationError(
                     f"zone {d.zone_id}: fault schedule injects {injected} byzantine "
                     f"validators but the domain declares at most {d.byzantine}")
-            if d.delegates < 1:
-                raise ValidationError(f"zone {d.zone_id}: at least one delegate required")
+            if d.delegates < 1 or d.block_capacity < 1:
+                raise ValidationError(f"zone {d.zone_id}: needs a delegate and a block capacity of 1 or more")
         if self.inter.mode not in ("virtual", "puzzle"):
             raise ValidationError(f"unknown inter mode {self.inter.mode!r}")
-        if self.inter.confirmation_depth < 1:
-            raise ValidationError("confirmation_depth must be >= 1")
+        if self.inter.confirmation_depth < 1 or self.inter.block_capacity < 1:
+            raise ValidationError("confirmation_depth and block_capacity must be >= 1")
         for sz, bz in self.workload.pairs:
             if sz not in zones or bz not in zones:
                 raise ValidationError(f"workload pair ({sz},{bz}) names an unknown zone")
@@ -211,40 +215,78 @@ class Scenario:
             raise ValidationError("cross-domain sessions need at least two domains")
 
 
-_FAULT_KEYS = {"at_ms", "fault", "node", "behavior", "groups"}
 _SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolSpec,
              "funding": FundingSpec}
 _NESTED = {"domains", "faults", *_SECTIONS}
 
 
-def _parse_bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"expected true or false, got {v!r}")
-    return v
+def _expect(kinds: tuple, what: str):
+    """A parser that passes a value of one of ``kinds`` through unchanged.
+
+    JSON true/false load as Python bools, a subclass of int; only a bool
+    parser accepts them.
+    """
+    def parse(v):
+        if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return parse
 
 
-# JSON true/false load as Python bools, a subclass of int; numbers refuse them.
-def _parse_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
-
-def _parse_number(v) -> int | float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected a number, got {v!r}")
-    return v
+_parse_bool = _expect((bool,), "true or false")
+_parse_int = _expect((int,), "an integer")
+_parse_number = _expect((int, float), "a number")
+_parse_str = _expect((str,), "a string")
 
 
 def _parse_float(v) -> float:
     return float(_parse_number(v))
 
 
+def _parse_list(v, item) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list, got {v!r}")
+    out = []
+    for i, x in enumerate(v):
+        try:
+            out.append(item(x))
+        except ValueError as e:
+            raise ValueError(f"item {i}: {e}") from None
+    return out
+
+
+def _parse_pair(v) -> list:
+    if not isinstance(v, list) or len(v) != 2:
+        raise ValueError(f"expected a pair [seller_zone, buyer_zone], got {v!r}")
+    return [_parse_int(v[0]), _parse_int(v[1])]
+
+
+def _one_of(allowed: tuple):
+    def parse(v):
+        if v not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {v!r}")
+        return v
+    return parse
+
+
 # Parsers by field annotation. A "*_units" field is read from the file key
-# "*_tokens" as a decimal token amount.
+# "*_tokens" as a decimal token amount. Times in a list keep their JSON type:
+# an integer probe time stays an integer in the event log.
 _PARSE = {"int": _parse_int, "float": _parse_float, "float | None": _parse_float,
-          "bool": _parse_bool, "str": lambda v: v,
-          "dict": dict, "list": list, "list[list]": lambda v: [list(p) for p in v]}
+          "bool": _parse_bool, "str": _parse_str, "dict": dict,
+          "list[float]": lambda v: _parse_list(v, _parse_number),
+          "list[list[int]]": lambda v: _parse_list(v, _parse_pair)}
+
+# Parsers of the keys of one fault entry, and the keys each fault needs.
+_FAULT_PARSE = {
+    "at_ms": _parse_number,
+    "fault": _one_of(("crash", "recover", "byzantine", "partition", "heal")),
+    "node": _parse_str,
+    "behavior": _one_of(("equivocate", "silent", "delay")),
+    "groups": lambda v: _parse_list(v, lambda g: _parse_list(g, _parse_str)),
+}
+_FAULT_NEEDS = {"crash": ("node",), "recover": ("node",), "byzantine": ("node", "behavior"),
+                "partition": ("groups",), "heal": ()}
 
 
 def _file_key(name: str) -> str:
@@ -297,12 +339,26 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             _check_keys(raw[name], _file_keys(cls), name)
             setattr(sc, name, cls(**_present_fields(cls, raw[name], name)))
     for i, f in enumerate(raw.get("faults", [])):
-        _check_keys(f, _FAULT_KEYS, f"faults[{i}]")
-        if "fault" not in f or "at_ms" not in f:
-            raise ParseError(f"faults[{i}]: needs at_ms and fault")
-        sc.faults.append(dict(f))
+        sc.faults.append(_parse_fault(f, f"faults[{i}]"))
     sc.validate()
     return sc
+
+
+def _parse_fault(f, where: str) -> dict:
+    if not isinstance(f, dict):
+        raise ParseError(f"{where}: expected an object, got {f!r}")
+    _check_keys(f, _FAULT_PARSE.keys(), where)
+    if "fault" not in f or "at_ms" not in f:
+        raise ParseError(f"{where}: needs at_ms and fault")
+    for key, value in f.items():
+        try:
+            _FAULT_PARSE[key](value)
+        except ValueError as e:
+            raise ParseError(f"{where}.{key}: {e}") from None
+    for key in _FAULT_NEEDS[f["fault"]]:
+        if key not in f:
+            raise ParseError(f"{where}: a {f['fault']} fault needs {key}")
+    return dict(f)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -123,7 +123,7 @@ def test_c03_bft_safety_500_randomized_runs():
         honest = [n.core.ledger for i, n in enumerate(h.validators[1]) if i != 3]
         max_h = max(l.height for l in honest)
         for height in range(1, max_h + 1):
-            digests = {l.block_digest(height) for l in honest if l.height >= height}
+            digests = {l.blocks[height].digest() for l in honest if l.height >= height}
             if len(digests) > 1:
                 conflicts += 1
         if report.safety_violations:

@@ -4,6 +4,7 @@ and randomized safety runs."""
 
 import random
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,13 @@ from fedledger.bft import (
     ConsensusMsg,
     Deadline,
     MsgKind,
+    ProposeAt,
     Validator,
     ZoneFollower,
 )
-from fedledger.chain import IntraTx, PowSeal, signed_intra_tx
+from fedledger.chain import IntraTx, PowSeal, signed_intra_tx, transfer_payload
 from fedledger.crypto import Keyring
+from fedledger.nodes import ValidatorNode
 from fedledger.runner import run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec
 
@@ -116,7 +119,7 @@ class TestQuorumPath:
         out = v.on_msg(3.0, vote(keyring, keys[2], MsgKind.PREVOTE, 1, 0, d))
         precommits = [b.msg for b in take(out, Broadcast) if b.msg.kind == MsgKind.PRECOMMIT]
         assert precommits and precommits[0].block_digest == d
-        assert v.locked_digest == d
+        assert v.locked_block.digest() == d
         # Two more precommits commit the block.
         v.on_msg(4.0, vote(keyring, keys[1], MsgKind.PRECOMMIT, 1, 0, d))
         out = v.on_msg(5.0, vote(keyring, keys[2], MsgKind.PRECOMMIT, 1, 0, d))
@@ -142,7 +145,7 @@ class TestQuorumPath:
         out = v.on_deadline(300.0, v.deadline_epoch)
         assert v.round == 1
         assert v.ledger.height == 0
-        assert v.locked_digest == d  # stays locked across rounds
+        assert v.locked_block.digest() == d  # stays locked across rounds
 
     def test_messages_from_outsiders_dropped(self, keyring):
         keys, addrs = committee_of(keyring)
@@ -153,7 +156,8 @@ class TestQuorumPath:
         for k in (keys[1],):
             v.on_msg(2.0, vote(keyring, k, MsgKind.PREVOTE, 1, 0, d))
         out = v.on_msg(3.0, vote(keyring, stranger, MsgKind.PREVOTE, 1, 0, d))
-        assert v.round not in v.precommitted  # stranger vote cannot finish a quorum
+        assert v.validator_id not in v.precommits.get(v.round, {})  # stranger vote cannot finish a quorum
+        assert v.prevote_tally[0][d] == 2
 
     def test_tampered_signature_dropped(self, keyring):
         keys, addrs = committee_of(keyring)
@@ -285,7 +289,7 @@ class TestDecisionSync:
         if replica == "validator":
             checker = make_validator(keyring, keys, addrs, 3)
         else:
-            checker = ZoneFollower(1, addrs, keyring)
+            checker = ZoneFollower(addrs, keyring)
         sigs = sealed.seal.quorum_signatures
         assert len(sigs) == checker.quorum == 3
 
@@ -304,9 +308,156 @@ class TestDecisionSync:
     def test_follower_buffers_out_of_order(self, keyring):
         keys, addrs = committee_of(keyring)
         v, sealed1 = self.commit_one(keyring, keys, addrs)
-        follower = ZoneFollower(1, addrs, keyring)
+        follower = ZoneFollower(addrs, keyring)
         assert follower.on_decision(sealed1) == [sealed1]
         assert follower.ledger.height == 1
+
+
+CHAIN_HEIGHTS = 6
+CLIENT_FUNDS = 100
+
+
+@lru_cache(maxsize=None)
+def sealed_chain(n):
+    """Heights 1..CHAIN_HEIGHTS of a committee of n run in lockstep.
+
+    Every message is delivered in send order and no timer fires. Returns
+    the keyring, keys, addresses, client and, per height, each sealed
+    version of the block (validators that seal it themselves collect
+    different signature sets). Transfers spend the client's funds, and
+    the later ones fail, so the books differ from height to height.
+    """
+    keyring = Keyring(random.Random(n))
+    keys, addrs = committee_of(keyring, n)
+    client = keyring.new_account()
+    txs = [signed_intra_tx(client, 1, transfer_payload(addrs[i % n], 30), i) for i in range(8)]
+    vals = [make_validator(keyring, keys, addrs, i, block_capacity=2,
+                           balances={client.address: CLIENT_FUNDS}) for i in range(n)]
+    queue, versions = [], {}
+
+    def apply(i, effects):
+        for e in effects:
+            if isinstance(e, Broadcast):
+                queue.extend((j, e.msg) for j in range(n) if j != i)
+            elif isinstance(e, ProposeAt):
+                queue.append((i, e.height))
+            elif isinstance(e, Committed):
+                seen = versions.setdefault(e.block.height, [])
+                if all(b.seal != e.block.seal for b in seen):
+                    seen.append(e.block)
+
+    for i, v in enumerate(vals):
+        for tx in txs:
+            assert v.submit_tx(tx)
+        apply(i, v.start(0.0))
+    for step in range(100_000):
+        if min(v.ledger.height for v in vals) >= CHAIN_HEIGHTS:
+            break
+        i, item = queue.pop(0)
+        v = vals[i]
+        apply(i, v.on_propose_timer(float(step), item) if isinstance(item, int)
+              else v.on_msg(float(step), item))
+    chain = [versions[h] for h in range(1, CHAIN_HEIGHTS + 1)]
+    return keyring, keys, addrs, client, chain
+
+
+def replica_state(replica):
+    book = replica.book
+    return ([b.digest() for b in replica.ledger.blocks], book.balances, book.transfers, book.failed)
+
+
+class TestDecisionOrder:
+    @pytest.mark.parametrize("n", [4, 7])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_delivery_order_adopts_the_same_chain(self, n, data):
+        keyring, keys, addrs, client, chain = sealed_chain(n)
+        funds = {client.address: CLIENT_FUNDS}
+        heights = list(range(len(chain)))
+        repeats = data.draw(st.lists(st.sampled_from(heights), max_size=2 * len(chain)))
+        order = data.draw(st.permutations(heights + repeats))
+
+        def deliveries(order):
+            for h in order:
+                sealed = chain[h][data.draw(st.integers(0, len(chain[h]) - 1))]
+                sender = keys[data.draw(st.integers(0, n - 2))]
+                yield sealed, vote(keyring, sender, MsgKind.DECISION, sealed.height,
+                                   sealed.seal.round, sealed.digest())
+
+        def replay(order):
+            follower = ZoneFollower(addrs, keyring, balances=funds)
+            lag = make_validator(keyring, keys, addrs, n - 1, balances=funds)
+            lag.start(0.0)
+            appended = []
+            for t, (sealed, decision) in enumerate(deliveries(order)):
+                appended += follower.on_decision(sealed)
+                out = lag.on_msg(float(t), replace(decision, block=sealed))
+                assert not [e for e in out if isinstance(e, Broadcast)]  # adopted, not announced
+            assert [b.height for b in appended] == list(range(1, len(chain) + 1))
+            assert lag.height == lag.ledger.height + 1
+            return replica_state(follower), replica_state(lag)
+
+        in_order = replay(heights)
+        assert in_order[0] == in_order[1]
+        assert in_order[0][2] and in_order[0][3]  # some transfers applied, some failed
+        assert replay(order) == in_order
+
+
+class TestTamperedProposal:
+    def test_swapped_transactions_dropped(self, keyring):
+        keys, addrs = committee_of(keyring)
+        proposer = make_validator(keyring, keys, addrs, 1)
+        client = keyring.new_account()
+        for i in range(3):
+            proposer.submit_tx(signed_tx(keyring, client, b"p%d" % i, i))
+        proposal = take(proposer.on_propose_timer(0.0, 1), Broadcast)[0].msg
+        # The signature covers the digest, not the body: the relayed copy
+        # still verifies, but its block no longer hashes to that digest.
+        swapped = replace(proposal, block=replace(proposal.block, txs=proposal.block.txs[::-1]))
+        assert keyring.verify_signed(swapped)
+        assert swapped.block.digest() != proposal.block_digest
+        v = make_validator(keyring, keys, addrs, 0)
+        assert v.on_msg(1.0, swapped) == []
+        assert v.proposals == {}
+        out = v.on_msg(2.0, proposal)  # the genuine one still counts
+        assert [b.msg.block_digest for b in take(out, Broadcast)] == [proposal.block_digest]
+
+    def test_run_with_a_swapping_relay_completes(self, monkeypatch):
+        # val:1:1 sends its own proposals with their transactions reversed
+        # to two of its three peers. Those peers drop them; the run goes on
+        # and every replica commits the same blocks, none of them swapped.
+        swapped = []
+        fanout = ValidatorNode._fanout
+
+        def swapping(self, sim, msg):
+            if self.node_id == "val:1:1" and msg.kind == MsgKind.PROPOSAL and len(msg.block.txs) > 1:
+                bad = replace(msg, block=replace(msg.block, txs=msg.block.txs[::-1]))
+                swapped.append(bad)
+                for t in self.committee_nodes[2:]:
+                    sim.send(self.node_id, t, bad)
+                for t in self.committee_nodes[:1]:
+                    sim.send(self.node_id, t, msg)
+                return
+            fanout(self, sim, msg)
+
+        monkeypatch.setattr(ValidatorNode, "_fanout", swapping)
+        scn = Scenario(
+            name="swap", seed=11, duration_ms=12_000,
+            domains=[DomainSpec(zone_id=1, validators=4, delegates=1)],
+            inter=InterSpec(miners=1, contracts=1),
+            workload=WorkloadSpec(intra_rate_per_s=40, intra_payload_bytes=16),
+            log_payloads=False,
+        )
+        report, h = run(scn)
+        assert swapped
+        ledgers = [n.core.ledger for n in h.validators[1]]
+        low = min(l.height for l in ledgers)
+        assert low >= 3
+        for height in range(1, low + 1):
+            assert len({l.blocks[height].digest() for l in ledgers}) == 1
+        committed = {b.digest() for l in ledgers for b in l.blocks}
+        assert not committed & {s.block.digest() for s in swapped}
+        assert report.safety_violations == 0
 
 
 def recount(table, step):
@@ -450,7 +601,7 @@ class TestRandomizedSafety:
             honest = [n.core.ledger for i, n in enumerate(h.validators[1]) if i != 3]
             min_h = min(l.height for l in honest)
             for height in range(1, min_h + 1):
-                digests = {l.block_digest(height) for l in honest}
+                digests = {l.blocks[height].digest() for l in honest}
                 assert len(digests) == 1, f"seed {seed} height {height}"
             assert report.safety_violations == 0
 

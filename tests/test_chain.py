@@ -8,7 +8,6 @@ import pytest
 from fedledger.chain import (
     BalanceBook,
     BftSeal,
-    Block,
     Checkpoint,
     IntraTx,
     Ledger,
@@ -19,6 +18,7 @@ from fedledger.chain import (
     parse_transfer,
     signed_intra_tx,
     transfer_payload,
+    tx_root,
     verify_checkpoint,
 )
 from fedledger.crypto import ZERO_DIGEST, Keyring, Reader, sha256
@@ -127,7 +127,8 @@ class TestLedger:
     def test_genesis_shape(self):
         g = genesis_block()
         assert g.parent == ZERO_DIGEST and g.height == 0
-        assert g.tx_root == ZERO_DIGEST and g.timestamp == 0
+        assert g.txs == () and g.timestamp == 0
+        assert g.header_bytes()[40:72] == tx_root(()) == ZERO_DIGEST
 
     def test_hash_linking_and_index(self, keyring):
         ledger, txs = self.make_chain(keyring)
@@ -145,14 +146,25 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.append(build_block(ledger.head_digest(), ledger.height + 2, [], 0, BftSeal(k.address, 0)))
 
-    def test_append_rejects_wrong_tx_root(self, keyring):
+    def test_tx_root_follows_transactions(self, keyring):
+        # The header's tx_root is computed from the block's transactions, so
+        # no block carries a root that disagrees with them: replacing the
+        # transactions moves the root and with it the block digest.
         ledger, _ = self.make_chain(keyring)
         k = keyring.new_account()
-        tx = signed_tx(keyring, k)
-        bad = Block(ledger.head_digest(), ledger.height + 1, ZERO_DIGEST, 0,
-                    BftSeal(k.address, 0), (tx,))
-        with pytest.raises(ValueError):
-            ledger.append(bad)
+        tx, other = signed_tx(keyring, k), signed_tx(keyring, k, payload=b"other")
+        block = build_block(ledger.head_digest(), ledger.height + 1, [tx], 0, BftSeal(k.address, 0))
+        assert block.header_bytes()[40:72] == tx_root([tx])
+        digests = {block.digest()}
+        for txs in ((other,), (), (tx, other), (other, tx)):
+            swapped = replace(block, txs=txs)
+            assert swapped.header_bytes()[40:72] == tx_root(txs)
+            digests.add(swapped.digest())
+        assert len(digests) == 5
+        # The ledger checks links only; what it indexes is what the digest covers.
+        ledger.append(replace(block, txs=(other,)))
+        assert ledger.tx_index[other.digest()] == (ledger.height, 0)
+        assert not ledger.contains_tx(tx.digest())
 
 
 class TestCheckpoints:
@@ -162,7 +174,7 @@ class TestCheckpoints:
             cp = make_checkpoint(tx, ledger)
             assert cp.tx_ref == sha256(tx.serialize())
             assert cp.zone_id == tx.zone_id
-            assert cp.ledger_head == ledger.block_digest(cp.block_height)
+            assert cp.ledger_head == ledger.blocks[cp.block_height].digest()
             assert verify_checkpoint(cp, ledger)
 
     def test_not_committed(self, keyring):

@@ -63,21 +63,6 @@ class TestMining:
         block = node.build_block(0.0)
         assert len(block.txs) == 571
 
-    def test_fee_priority_with_mixed_fees(self, keyring):
-        sender = keyring.new_account()
-        _, node = make_node(keyring, balances={sender.address: 10_000}, capacity=2)
-        node.fee = 1
-        a = noop(keyring, sender, 1, fee=1)
-        node.submit_tx(a)
-        node.fee = 5
-        b = noop(keyring, sender, 2, fee=5)
-        node.submit_tx(b)
-        node.fee = 1
-        c = noop(keyring, sender, 3, fee=1)
-        node.submit_tx(c)
-        block = node.build_block(0.0)
-        assert [t.digest() for t in block.txs] == [b.digest(), a.digest()]
-
     def test_virtual_time_fair_share(self, keyring):
         # Six equal miners: per-block winner = argmin of six exponential
         # draws. Over 10^4 blocks each count stays within a 3-sigma
@@ -216,18 +201,17 @@ class TestForkChoice:
         sender = keyring.new_account()
         _, node = make_node(keyring, balances={sender.address: 1000})
 
-        def submit(salt, fee):
-            node.fee = fee
-            tx = noop(keyring, sender, salt, fee=fee)
+        def submit(salt):
+            tx = noop(keyring, sender, salt)
             assert node.submit_tx(tx)[0]
             return tx
 
-        a, a5 = submit(1, 1), submit(2, 5)
+        a, a2 = submit(1), submit(2)
         mine = node.build_block(1.0, nonce=1)
-        assert [t.digest() for t in mine.txs] == [a5.digest(), a.digest()]
+        assert [t.digest() for t in mine.txs] == [a.digest(), a2.digest()]
         node.on_block(mine, 1.0)
-        b, c5, d = submit(3, 1), submit(4, 5), submit(5, 1)
-        # An empty two-block branch from genesis displaces a5 and a.
+        b, c, d = submit(3), submit(4), submit(5)
+        # An empty two-block branch from genesis displaces a and a2.
         other = InterNode(keyring.new_account().address, keyring,
                           ChainState({sender.address: 1000}), MAX_TARGET, 2)
         for i in range(2):
@@ -236,8 +220,8 @@ class TestForkChoice:
             res = node.on_block(blk, 2.0 + i)
         assert res.reorged and res.reorg_depth == 1
         order = [t.digest() for t in node.build_block(5.0).txs]
-        # Fee descending; within a fee, the re-pooled txs arrive last.
-        assert order == [t.digest() for t in (c5, a5, b, d, a)]
+        # Arrival order; the re-pooled txs arrive last, in their block order.
+        assert order == [t.digest() for t in (b, c, d, a, a2)]
 
     def test_orphan_buffered_until_parent(self, keyring):
         _, node = make_node(keyring)

@@ -73,9 +73,46 @@ class TestValidation:
             scenario_from_dict({"domains": [{"zone_id": 1}, {"zone_id": 2}],
                                 "workload": {"sessions": 1, "pairs": [[1, 9]]}})
 
+    @pytest.mark.parametrize("raw", [
+        {"domains": [{"zone_id": 1, "delegates": 0}]},
+        {"domains": [{"zone_id": 1, "block_capacity": 0}]},
+        {"inter": {"block_capacity": 0}},
+        {"inter": {"confirmation_depth": 0}},
+    ])
+    def test_counts_of_at_least_one(self, raw):
+        with pytest.raises(ValidationError):
+            scenario_from_dict(raw)
+
     def test_unknown_fault_key(self):
         with pytest.raises(ParseError, match="when"):
             scenario_from_dict({"faults": [{"when": 5, "fault": "crash", "node": "x"}]})
+
+    @pytest.mark.parametrize("node", ["dlg:1:0", "miner:0", "admin", "val:9:0", "val:1:4",
+                                      "val:1:-1", "val:01:0", "val:1"])
+    def test_byzantine_fault_needs_a_declared_validator(self, node):
+        with pytest.raises(ValidationError, match=r"faults\[1\]: byzantine node"):
+            scenario_from_dict({
+                "domains": [{"zone_id": 1, "validators": 4, "byzantine": 1}],
+                "faults": [{"at_ms": 0, "fault": "crash", "node": "dlg:1:0"},
+                           {"at_ms": 0, "fault": "byzantine", "node": node, "behavior": "delay"}],
+            })
+
+    def test_byzantine_fault_on_a_validator_accepted(self):
+        scn = scenario_from_dict({
+            "domains": [{"zone_id": 1}, {"zone_id": 2, "validators": 7, "byzantine": 2}],
+            "faults": [{"at_ms": 0, "fault": "byzantine", "node": "val:2:6", "behavior": "silent"},
+                       {"at_ms": 0, "fault": "byzantine", "node": "val:2:0", "behavior": "delay"}],
+        })
+        assert [f["node"] for f in scn.faults] == ["val:2:6", "val:2:0"]
+
+    def test_byzantine_node_checked_without_safety_assertions(self):
+        # No behaviour applies to a non-validator, so the node is checked even
+        # when the committee gates are off; val:9:0 would otherwise reach the
+        # simulator's fault injection and fail there.
+        with pytest.raises(ValidationError, match="val:9:0"):
+            Scenario(safety_assertions=False,
+                     faults=[{"at_ms": 0, "fault": "byzantine", "node": "val:9:0",
+                              "behavior": "silent"}]).validate()
 
     def test_fault_schedule_cannot_exceed_declared_byzantine_budget(self):
         with pytest.raises(ValidationError, match="injects 2 byzantine"):
@@ -128,6 +165,47 @@ class TestMalformedValues:
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"workload": {"intra_probe_times_ms": "15"}}, r"workload\.intra_probe_times_ms: expected a list"),
+        ({"workload": {"intra_probe_times_ms": [5, "7"]}}, r"workload\.intra_probe_times_ms: item 1"),
+        ({"workload": {"inter_probe_times_ms": [True]}}, r"workload\.inter_probe_times_ms: item 0"),
+        ({"workload": {"pairs": [[1, 2, 3]]}}, r"workload\.pairs: item 0"),
+        ({"workload": {"pairs": [[1, "2"]]}}, r"workload\.pairs: item 0"),
+        ({"workload": {"pairs": ["12"]}}, r"workload\.pairs: item 0"),
+        ({"name": 5}, r"scenario\.name"),
+        ({"faults": [5]}, r"faults\[0\]: expected an object"),
+        ({"faults": [{"at_ms": "soon", "fault": "crash", "node": "val:1:0"}]}, r"faults\[0\]\.at_ms"),
+        ({"faults": [{"at_ms": True, "fault": "heal"}]}, r"faults\[0\]\.at_ms"),
+        ({"faults": [{"at_ms": 0, "fault": "reboot", "node": "val:1:0"}]}, r"faults\[0\]\.fault"),
+        ({"faults": [{"at_ms": 0, "fault": "crash", "node": 3}]}, r"faults\[0\]\.node"),
+        ({"faults": [{"at_ms": 0, "fault": "crash"}]}, r"faults\[0\]: a crash fault needs node"),
+        ({"faults": [{"at_ms": 0, "fault": "byzantine", "node": "val:1:0", "behavior": "lie"}]},
+         r"faults\[0\]\.behavior"),
+        ({"faults": [{"at_ms": 0, "fault": "byzantine", "node": "val:1:0"}]},
+         r"faults\[0\]: a byzantine fault needs behavior"),
+        ({"faults": [{"at_ms": 0, "fault": "heal"}, {"at_ms": 0, "fault": "partition",
+                                                   "groups": [["val:1:0"], "val:1:1"]}]},
+         r"faults\[1\]\.groups: item 1"),
+        ({"faults": [{"at_ms": 0, "fault": "partition", "groups": [["val:1:0", 2]]}]},
+         r"faults\[0\]\.groups: item 0: item 1"),
+        ({"faults": [{"at_ms": 0, "fault": "partition"}]}, r"faults\[0\]: a partition fault needs groups"),
+    ])
+    def test_bad_list_or_fault_value_names_key(self, raw, key):
+        with pytest.raises(ParseError, match=key):
+            scenario_from_dict(raw)
+
+    def test_list_values_kept_as_written(self):
+        scn = scenario_from_dict({
+            "domains": [{"zone_id": 1}, {"zone_id": 2}],
+            "workload": {"intra_probe_times_ms": [5, 7.5], "pairs": [[1, 2], [2, 1]]},
+            "faults": [{"at_ms": 10, "fault": "partition", "groups": [["val:1:0"], ["val:1:1"]]},
+                       {"at_ms": 20.5, "fault": "heal"}],
+        })
+        assert scn.workload.intra_probe_times_ms == [5, 7.5]
+        assert isinstance(scn.workload.intra_probe_times_ms[0], int)
+        assert scn.workload.pairs == [[1, 2], [2, 1]]
+        assert scn.faults[1] == {"at_ms": 20.5, "fault": "heal"}
 
     def test_json_numbers_accepted(self):
         scn = scenario_from_dict({"seed": 3, "duration_ms": 5, "inter": {"sigma": 0.5},
