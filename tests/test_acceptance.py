@@ -211,6 +211,21 @@ def test_c06_conservation_everywhere():
 
 # -- 7. payment safety over randomized sessions ------------------------------------------------
 
+# Event-log digests of the ten runs, in run order (seeds 7100-7109).
+C07_DIGESTS = [
+    "24d58e45a32311d70ca9d430d41d87c44f6cbcf23b7072e9f53dad5f4ed67968",
+    "63f0cc6dfbb2a6ee3db1007f6ec6565bec5e8c9bb42b99bea9805c2f18e7e0f4",
+    "4403f6978ac17dfb1b18111aefdb41398f074de50a97e900d063d26d59cc9a0b",
+    "e196fe693c9dd3814b4db3028278c1b0ac3455601910555d52932e15cd163ada",
+    "a959867efa483db3749a78fc8d29537bd6471c1f06b28b94907467d433b2e34e",
+    "71bc38707f9d413ac075680c4f00e80b3d612afc890705317985d88da9615f2c",
+    "4304ae39bee77f12169c31d7b55fe74f6637ff2c08952f283cbedd022c89e93e",
+    "5c34fce6fad818cd7226e19fa76865f5a9a5cb7ea589cc775cca02a92cd6103c",
+    "338526fb9e43fa3ca7f2508de9b635c56bbc539cf53ce7118b84be100e50775c",
+    "1319aebdf8f32b26de6357464186bf7f350d77ce78212257c588b59ebf11cbd6",
+]
+
+
 def test_c07_payment_safety_1000_sessions():
     import random as _random
     total_sessions = 0
@@ -235,6 +250,7 @@ def test_c07_payment_safety_1000_sessions():
             log_payloads=False,
         )
         report, h = run_tracked(scn)
+        assert report.event_log_digest == C07_DIGESTS[run_idx], run_idx
         assert report.conservation_delta == 0, run_idx
         assert report.safety_violations == 0, (run_idx, report.violations)
 

@@ -2,15 +2,25 @@
 contract races, cross-domain verification, and conservation."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 from fedledger.chain import Checkpoint
+from fedledger.contract import BrokerInfo
+from fedledger.crypto import sha256
+from fedledger.nodes import InterSubmit, InterSubmitAck
+from fedledger.powchain import M_CONFIG_PUB, M_CONFIG_SUB, ChainState, signed_inter_tx
 from fedledger.protocol import (
+    MAX_CONFIG_RETRIES,
     PHASE_ORDER,
     CrossVerifyReq,
     CrossVerifyResp,
+    DelegationAck,
+    DelegationDeny,
     DelegationReq,
+    PhaseDone,
+    SessionFail,
 )
-from fedledger.runner import run
+from fedledger.runner import build, finalize, run
 from fedledger.scenario import (
     DomainSpec,
     FundingSpec,
@@ -264,3 +274,253 @@ class TestCommitmentGate:
         assert info.escrow == 10_000  # deposit locked, never paid out
         book = h.validators[1][0].core.book
         assert not any(t[3] for t in book.transfers)  # no contract payment memo
+
+
+# -- broker paths the scenario suites do not reach ----------------------------------------
+#
+# Each test runs a real harness and intervenes from outside: it records
+# every message sent, injects messages from a probe node, or stands in for
+# one broker's view of the inter-ledger. Assertions are on messages sent
+# and on session outcomes.
+
+def started(scn, before_start=None):
+    """A built harness with every node started and every send recorded as
+    (time, src, dst, msg)."""
+    h = build(scn)
+    if before_start is not None:
+        before_start(h)
+    sent = []
+    send = h.sim.send
+
+    def recording_send(src, dst, msg):
+        sent.append((h.sim.now, src, dst, msg))
+        send(src, dst, msg)
+
+    h.sim.send = recording_send
+    for node in list(h.sim.nodes.values()):
+        start = getattr(node, "start", None)
+        if start is not None:
+            start(h.sim)
+    return h, sent
+
+
+def run_while(h, cond, step_ms=50.0):
+    t = h.sim.now
+    while cond():
+        assert t < h.scenario.duration_ms, "condition never changed"
+        t += step_ms
+        h.sim.run_until(t)
+
+
+def finish(h):
+    h.sim.run_until(h.scenario.duration_ms)
+    return outcomes(finalize(h))
+
+
+class Inbox(Node):
+    def __init__(self, node_id="probe", zone=1):
+        super().__init__(node_id, zone)
+        self.received = []
+
+    def on_message(self, sim, src, msg):
+        self.received.append((sim.now, src, msg))
+
+
+def submits_from(sent, node_id, method):
+    """Distinct inter-ledger txs ``node_id`` submitted with ``method``, in order."""
+    txs = {}
+    for _t, src, _dst, m in sent:
+        if src == node_id and isinstance(m, InterSubmit) and m.tx.method == method:
+            txs.setdefault(m.tx.digest(), m.tx)
+    return list(txs.values())
+
+
+class TestBrokerPaths:
+    def test_split_session_publisher_abandons_its_half_and_rejoins(self):
+        # The seller's broker binds the publisher side of one record; the
+        # buyer's side then appears on a later record. The publisher (which
+        # holds no escrow) abandons its half, skips it from then on, and
+        # both sides settle on the later record.
+        def late_buyer(h):
+            h.clients[(1, "sub")].cfg.start_ms = 30_000.0
+        h, sent = started(fast_session_scenario(seed=51, contracts=6), late_buyer)
+        probe = h.sim.add_node(Inbox())
+        seller = h.clients[(1, "pub")]
+        miner = h.miners[0].inter
+
+        def pub_record():
+            for cid, info in sorted(miner.tip_state().contracts.items()):
+                if info.pub_status == 1 and info.pub_service == seller.service:
+                    return cid
+            return None
+        run_while(h, lambda: pub_record() is None)
+        first = pub_record()
+        later = max(miner.tip_state().contracts)
+        assert first < later
+        dlg2 = h.delegates[2][0]
+        tx = signed_inter_tx(dlg2.key, later, M_CONFIG_SUB, args=seller.service,
+                             attached=10_000, fee=miner.fee,
+                             checkpoint=Checkpoint(2, b"\x11" * 32, 1, b"\x22" * 32))
+        for m in h.miners:
+            h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
+        out = finish(h)
+
+        configs = submits_from(sent, "dlg:1:0", M_CONFIG_PUB)
+        assert [t.contract_id for t in configs] == [first, later]
+        assert out == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
+        book = h.validators[1][0].core.book
+        paid = [t for t in book.transfers if t[1] == seller.key.address and t[3]]
+        assert [(t[2], t[3]) for t in paid] == [(10_000, later)]
+
+    def test_config_retries_exhausted_fails_with_no_contract(self):
+        # Every configure the seller's broker submits fails on chain and its
+        # record is taken meanwhile, so each retry picks a fresh record.
+        # After MAX_CONFIG_RETRIES failed configures it gives up, although
+        # unused records remain.
+        contracts = {cid: BrokerInfo(contract_id=cid, admin=bytes(20), delegation_list=())
+                     for cid in range(1, 41)}
+        h, sent = started(fast_session_scenario(seed=52))
+        dlg = h.delegates[1][0]
+        view = FailingInterView(dlg.inter, contracts)
+        dlg.inter = view
+        forward = h.sim.send
+
+        def intercept(src, dst, msg):
+            if src == dlg.node_id and isinstance(msg, InterSubmit):
+                sent.append((h.sim.now, src, dst, msg))
+                view.fail(msg.tx)
+                return
+            forward(src, dst, msg)
+        h.sim.send = intercept
+        out = finish(h)
+
+        configs = submits_from(sent, "dlg:1:0", M_CONFIG_PUB)
+        assert len(configs) == MAX_CONFIG_RETRIES + 1
+        assert len({t.contract_id for t in configs}) == len(configs)
+        assert any(info.is_unused() for info in view.state.contracts.values())
+        fails = [(dst, m.session_id, m.reason) for _t, src, dst, m in sent
+                 if src == "dlg:1:0" and isinstance(m, SessionFail)]
+        assert fails == [("seller:1", 1, "NoContract")]
+        assert out[(1, "pub")] == "FAILED:NoContract"
+
+    def test_tx_rejected_by_every_miner_fails_the_session_with_that_reason(self):
+        def wrong_fee(h):
+            h.delegates[1][0].inter.fee += 1  # every miner refuses it: BadFee
+        h, sent = started(fast_session_scenario(seed=53), wrong_fee)
+        out = finish(h)
+        refusals = [m.reason for _t, src, dst, m in sent
+                    if dst == "dlg:1:0" and isinstance(m, InterSubmitAck) and not m.accepted]
+        assert refusals == ["BadFee"] * 3
+        fails = [(dst, m.session_id, m.reason) for _t, src, dst, m in sent
+                 if isinstance(m, SessionFail)]
+        assert fails == [("seller:1", 1, "BadFee")]
+        assert out[(1, "pub")] == "FAILED:BadFee"
+
+    def test_tx_rejected_as_duplicate_does_not_fail_the_session(self):
+        # The probe submits the seller broker's first configure before the
+        # broker does, so every miner refuses the broker's copy as a
+        # duplicate; the tx still lands and the session settles.
+        h, sent = started(fast_session_scenario(seed=54, contracts=4))
+        probe = h.sim.add_node(Inbox())
+        seller = h.clients[(1, "pub")]
+        run_while(h, lambda: seller.checkpoint is None, step_ms=10.0)
+        dlg = h.delegates[1][0]
+        target = min(range(1, 5), key=lambda cid: sha256(seller.service + cid.to_bytes(8, "big")))
+        tx = signed_inter_tx(dlg.key, target, M_CONFIG_PUB, args=seller.service,
+                             fee=dlg.inter.fee, checkpoint=seller.checkpoint)
+        for m in h.miners:
+            h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
+        out = finish(h)
+        assert [t.digest() for t in submits_from(sent, "dlg:1:0", M_CONFIG_PUB)] == [tx.digest()]
+        acks = [m.reason for _t, src, dst, m in sent
+                if dst == "dlg:1:0" and isinstance(m, InterSubmitAck) and m.tx_digest == tx.digest()]
+        assert acks == ["Duplicate"] * 3
+        assert not any(isinstance(m, SessionFail) for _t, _s, _d, m in sent)
+        assert out == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
+
+    def test_delegation_deny_fails_the_client_with_its_reason(self):
+        def unregister_seller(h):
+            h.delegates[1][0].registry.discard(h.clients[(1, "pub")].key.address)
+        h, sent = started(fast_session_scenario(seed=55), unregister_seller)
+        out = finish(h)
+        denies = [(src, dst, m.reason) for _t, src, dst, m in sent if isinstance(m, DelegationDeny)]
+        assert denies == [("dlg:1:0", "seller:1", "UnknownIdentity")]
+        assert sum(1 for _t, src, _d, m in sent
+                   if src == "seller:1" and isinstance(m, DelegationReq)) == 1
+        assert out[(1, "pub")] == "FAILED:UnknownIdentity"
+
+    def test_redelegation_moves_the_session_reply_target(self):
+        # A second delegation for a session the broker already serves
+        # redirects every later report to the new requester node.
+        h, sent = started(fast_session_scenario(seed=56))
+        probe = h.sim.add_node(Inbox())
+        seller = h.clients[(1, "pub")]
+        run_while(h, lambda: seller.phase != "CONFIGURED")
+        moved_at = h.sim.now
+        h.sim.send(probe.node_id, "dlg:1:0", DelegationReq(
+            1, "pub", 1, seller.key.address, seller.checkpoint, seller.service, 10_000,
+            probe.node_id))
+        out = finish(h)
+        assert [type(m) for _t, _s, m in probe.received][:1] == [DelegationAck]
+        later = [dst for t, src, dst, m in sent
+                 if src == "dlg:1:0" and isinstance(m, PhaseDone) and t > moved_at]
+        assert later and set(later) == {probe.node_id}
+        assert out[(1, "pub")] == "CONFIGURED"
+        assert out[(1, "sub")] == "SETTLED"
+
+    def test_lagging_broker_holds_a_delegation_until_its_replica_catches_up(self):
+        # A delegation whose checkpoint is two heights above the broker's
+        # replica waits through the DECISION one height short, then is
+        # checked (and here denied: the checkpoint is forged).
+        h, sent = started(fast_session_scenario(seed=57))
+        probe = h.sim.add_node(Inbox())
+        dlg = h.delegates[1][0]
+        run_while(h, lambda: dlg.follower.ledger.height < 2)
+        target = dlg.follower.ledger.height + 2
+        seen = []  # (replica height, denied yet) after each message the broker handles
+        deliver = dlg.on_message
+
+        def watch(sim, src, msg):
+            deliver(sim, src, msg)
+            seen.append((dlg.follower.ledger.height,
+                         any(isinstance(m, DelegationDeny) for _t, _s, _d, m in sent)))
+        dlg.on_message = watch
+        seller = h.clients[(1, "pub")]
+        forged = Checkpoint(1, b"\x11" * 32, target, b"\x22" * 32)
+        h.sim.send(probe.node_id, dlg.node_id, DelegationReq(
+            7, "pub", 1, seller.key.address, forged, b"\x00" * 32, 0, probe.node_id))
+        run_while(h, lambda: not probe.received)
+        assert [(src, type(m), m.reason) for _t, src, m in probe.received] == [
+            (dlg.node_id, DelegationDeny, "BadCheckpoint")]
+        assert (target - 1, False) in seen  # held across the DECISION one short
+        assert next(height for height, denied in seen if denied) == target
+
+
+class FailingInterView:
+    """A broker's view of the inter-ledger in which every tx it submits
+    fails on chain, and the record the tx targeted is taken by another
+    subscriber meanwhile."""
+
+    def __init__(self, real, contracts):
+        self.fee = real.fee
+        self.k = real.k
+        self.tip_height = 100
+        self.state = ChainState(dict(real.tip_state().balances), contracts)
+        self.canonical_receipts = {}
+
+    def fail(self, tx):
+        if tx.digest() in self.canonical_receipts:
+            return
+        self.canonical_receipts[tx.digest()] = (1, "InvalidState")
+        info = self.state.contracts[tx.contract_id]
+        self.state.contracts[tx.contract_id] = replace(
+            info, subscriber_id=b"\x01" * 20, sub_status=1, sub_service=b"\x02" * 32)
+
+    def tip_state(self):
+        return self.state
+
+    def confirmed_state(self):
+        return self.state
+
+    def on_block(self, block, now):
+        return SimpleNamespace(tip_changed=True)
