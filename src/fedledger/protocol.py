@@ -1,20 +1,23 @@
 """Role actors and the four-round cross-domain exchange protocol.
 
-Sellers and buyers are light clients of their own zone. Each runs the
-same session state machine: record the service requirements on the
-private zone ledger, build a checkpoint once committed, delegate to the
-first broker in the zone's delegation list, then drive configuration,
-commitment, and payment through that broker, failing over to the next
-delegate whenever a request times out (crash-fault model).
+Both ends of a session climb one ladder, ``Phase``: IDLE < DELEGATED <
+CONFIGURED < COMMITTED < SETTLED, or end in FAILED. Sellers and buyers
+are light clients of their own zone: record the service requirements on
+the private zone ledger, build a checkpoint once committed, delegate to
+the first broker in the zone's delegation list, then ask that broker for
+each further rung (its ``goal``) and take the rung it reports as the
+``phase``, failing over to the next delegate whenever a request times
+out (crash-fault model).
 
 Brokers (publisher side for sellers, subscriber side for buyers) are
 zone full nodes with inter-ledger accounts. A broker serves sessions
 with a reconciliation loop: every chain update re-evaluates what the
-confirmed and tip states say about the session's contract and takes the
-single next action — pick/join a contract, ask the admin to rebind a
-crashed predecessor, submit the commit or settlement call, or forward
-the intra-ledger payment. The loop is idempotent, which is what makes
-takeover after a predecessor crash safe at any point in the protocol.
+confirmed and tip states say about the session's contract, reports each
+rung reached once, and takes the single next action — pick/join a
+contract, ask the admin to rebind a crashed predecessor, submit the
+commit or settlement call, or forward the intra-ledger payment. The loop
+is idempotent, which is what makes takeover after a predecessor crash
+safe at any point in the protocol.
 
 Privacy: nothing that crosses a zone boundary carries payload bytes —
 only digests, checkpoints, and contract metadata.
@@ -23,10 +26,12 @@ only digests, checkpoints, and contract metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import NamedTuple
 
 from .bft import ConsensusMsg, MsgKind, ZoneFollower, committee_bounds
 from .chain import Checkpoint, IntraTx, transfer_payload, verify_checkpoint
-from .contract import BrokerStatus
+from .contract import BrokerInfo, BrokerStatus
 from .crypto import enc_address, enc_u32, enc_u64, sha256
 from .nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck, submit_intra
 from .powchain import (
@@ -36,27 +41,53 @@ from .powchain import (
     M_REPLACE,
     M_SETTLE,
     InterNode,
+    InterTx,
     signed_inter_tx,
 )
 from .sim import Node, Simulator
 
 PUB = "pub"
 SUB = "sub"
-
-# Client phases.
-IDLE = "IDLE"
-DELEGATED = "DELEGATED"
-CONFIGURED = "CONFIGURED"
-COMMITTED = "COMMITTED"
-SETTLED = "SETTLED"
-FAILED = "FAILED"
-
-PHASE_ORDER = {IDLE: 0, DELEGATED: 1, CONFIGURED: 2, COMMITTED: 3, SETTLED: 4}
+OTHER_SIDE = {PUB: SUB, SUB: PUB}
 
 
-def bound_delegate(info, side: str) -> bytes:
-    """The delegate a contract record binds on one side."""
-    return info.publisher_id if side == PUB else info.subscriber_id
+class Phase(str, Enum):
+    """A session's progress. Members rank in definition order (terminal
+    FAILED last) and equal the name they are logged under; ``verb`` is
+    the word PhaseReq and PhaseDone put on the wire."""
+
+    IDLE = ("IDLE", "")
+    DELEGATED = ("DELEGATED", "")
+    CONFIGURED = ("CONFIGURED", "configure")
+    COMMITTED = ("COMMITTED", "commit")
+    SETTLED = ("SETTLED", "settle")
+    FAILED = ("FAILED", "")
+
+    def __new__(cls, name: str, verb: str):
+        phase = str.__new__(cls, name)
+        phase._value_ = name
+        phase.verb = verb
+        phase.rank = len(cls.__members__)
+        return phase
+
+    __str__ = str.__str__  # the bare name on every Python version
+
+
+IDLE, DELEGATED, CONFIGURED, COMMITTED, SETTLED, FAILED = Phase
+
+
+class SideView(NamedTuple):
+    """One side of a contract record."""
+    delegate: bytes  # the broker bound there
+    status: int  # 1 once configured
+    service: bytes
+    committed: bool
+
+
+def side_view(info: BrokerInfo, side: str) -> SideView:
+    if side == PUB:
+        return SideView(info.publisher_id, info.pub_status, info.pub_service, info.pub_committed)
+    return SideView(info.subscriber_id, info.sub_status, info.sub_service, info.sub_committed)
 
 
 # -- protocol messages -------------------------------------------------------
@@ -100,23 +131,23 @@ class DelegationDeny:
 
 @dataclass(frozen=True)
 class PhaseReq:
-    """Configure / commit / settle request from a client to its delegate."""
+    """A client asks its delegate to take the session to ``phase``."""
 
     session_id: int
-    goal: str  # "configure" | "commit" | "settle"
+    phase: Phase  # CONFIGURED | COMMITTED | SETTLED
 
     def wire_bytes(self) -> bytes:
-        return b"preq" + enc_u64(self.session_id) + self.goal.encode()
+        return b"preq" + enc_u64(self.session_id) + self.phase.verb.encode()
 
 
 @dataclass(frozen=True)
 class PhaseDone:
     session_id: int
-    goal: str
+    phase: Phase
     contract_id: int = 0
 
     def wire_bytes(self) -> bytes:
-        return b"pdon" + enc_u64(self.session_id) + self.goal.encode() + enc_u64(self.contract_id)
+        return b"pdon" + enc_u64(self.session_id) + self.phase.verb.encode() + enc_u64(self.contract_id)
 
 
 @dataclass(frozen=True)
@@ -205,12 +236,10 @@ class InterParticipant(Node):
         self.miners = miners
         self._rejections: dict[bytes, list[str]] = {}
 
-    def submit_inter(self, sim: Simulator, tx) -> bytes:
-        d = tx.digest()
-        self._rejections[d] = []
+    def submit_inter(self, sim: Simulator, tx) -> None:
+        self._rejections[tx.digest()] = []
         for m in self.miners:
             sim.send(self.node_id, m, InterSubmit(tx))
-        return d
 
     def _handle_ack(self, ack: InterSubmitAck) -> str | None:
         """Returns a rejection reason once every miner has rejected the tx."""
@@ -254,19 +283,16 @@ class DelegateSession:
     checkpoint: Checkpoint
     service: bytes
     deposit: int
-    goal: str = "delegate"  # delegate -> configure -> commit -> settle
+    goal: Phase = DELEGATED  # the highest rung the client asked for
+    reported: Phase = DELEGATED  # the highest rung reported to the client
     contract_id: int | None = None
-    inflight: bytes | None = None
-    inflight_kind: str = ""
+    inflight: InterTx | None = None  # submitted, not yet confirmed
     replacing: bool = False
     payment_submitted: bool = False
-    notified: set = field(default_factory=set)
-    failed: str | None = None
     config_retries: int = 0
     abandoned: set = field(default_factory=set)  # half-bindings left behind
 
 
-GOAL_ORDER = {"delegate": 0, "configure": 1, "commit": 2, "settle": 3}
 MAX_CONFIG_RETRIES = 25
 
 
@@ -287,7 +313,6 @@ class DelegateNode(InterParticipant):
         self._payments_seen: set = set()  # (to, memo) pairs from committed zone transfers
         self._book_idx = 0
         self._intra_nonce = 0
-        self._watch_to_session: dict[bytes, int] = {}
 
     # -- membership / checkpoint verification ------------------------------
 
@@ -313,14 +338,14 @@ class DelegateNode(InterParticipant):
             s = self.sessions.get(msg.session_id)
             if s is None:
                 return
-            if GOAL_ORDER[msg.goal] > GOAL_ORDER[s.goal]:
-                s.goal = msg.goal
+            if msg.phase.rank > s.goal.rank:
+                s.goal = msg.phase
             self._advance(sim, s)
             return
         if isinstance(msg, Ping):
             sim.send(self.node_id, msg.reply_to, Pong(msg.session_id, msg.seq))
             s = self.sessions.get(msg.session_id)
-            if s is not None and s.failed is None:
+            if s is not None:
                 self._advance(sim, s)
             return
         if isinstance(msg, ReplaceDone):
@@ -370,32 +395,30 @@ class DelegateNode(InterParticipant):
         self._advance_all(sim)
 
     def on_submit_failed(self, sim: Simulator, tx_digest: bytes, reason: str) -> None:
-        sid = self._watch_to_session.pop(tx_digest, None)
-        if sid is None:
-            return
-        s = self.sessions.get(sid)
-        if s is None or s.inflight != tx_digest:
-            return
-        s.inflight = None
-        if reason == "InsufficientFunds":
-            self._fail(sim, s, "InsufficientFunds")
-        elif reason == "Duplicate":
-            pass  # already known to the network; the chain watch will resolve it
-        else:
-            self._fail(sim, s, reason)
+        for s in self.sessions.values():
+            if s.inflight is not None and s.inflight.digest() == tx_digest:
+                s.inflight = None
+                if reason != "Duplicate":  # a duplicate is already known to the network
+                    self._report(sim, s, FAILED, reason=reason)
+                return
 
     def _advance_all(self, sim: Simulator) -> None:
         for s in self.sessions.values():
-            if s.failed is None:
-                self._advance(sim, s)
+            self._advance(sim, s)
 
-    def _fail(self, sim: Simulator, s: DelegateSession, reason: str) -> None:
-        s.failed = reason
-        sim.send(self.node_id, s.client_node, SessionFail(s.session_id, reason))
+    def _report(self, sim: Simulator, s: DelegateSession, phase: Phase,
+                cid: int = 0, reason: str = "") -> None:
+        """Tell the client the session reached ``phase``, once per rung:
+        PhaseDone, or SessionFail with ``reason`` for FAILED."""
+        if phase.rank <= s.reported.rank:
+            return
+        s.reported = phase
+        msg = SessionFail(s.session_id, reason) if phase == FAILED else PhaseDone(s.session_id, phase, cid)
+        sim.send(self.node_id, s.client_node, msg)
 
     def _find_bound(self, state, s: DelegateSession):
         """Contract whose our-side service digest matches this session."""
-        if s.contract_id is not None and s.contract_id not in s.abandoned:
+        if s.contract_id is not None:
             info = state.contracts.get(s.contract_id)
             if info is not None and self._side_bound(info, s):
                 return s.contract_id, info
@@ -408,19 +431,16 @@ class DelegateNode(InterParticipant):
         return None, None
 
     def _side_bound(self, info, s: DelegateSession) -> bool:
-        if s.side == PUB:
-            return info.pub_status == 1 and info.pub_service == s.service
-        return info.sub_status == 1 and info.sub_service == s.service
+        mine = side_view(info, s.side)
+        return mine.status == 1 and mine.service == s.service
 
     def _counterpart_match(self, state, s: DelegateSession) -> int | None:
+        other = OTHER_SIDE[s.side]
         for cid in sorted(state.contracts):
             info = state.contracts[cid]
-            if s.side == PUB:
-                if info.sub_status == 1 and info.sub_service == s.service and info.pub_status == 0:
-                    return cid
-            else:
-                if info.pub_status == 1 and info.pub_service == s.service and info.sub_status == 0:
-                    return cid
+            theirs = side_view(info, other)
+            if theirs.status == 1 and theirs.service == s.service and side_view(info, s.side).status == 0:
+                return cid
         return None
 
     def _pick_target(self, state, s: DelegateSession) -> int | None:
@@ -446,26 +466,23 @@ class DelegateNode(InterParticipant):
         """True when the session has no unresolved submitted transaction."""
         if s.inflight is None:
             return True
-        receipt = self.inter.canonical_receipts.get(s.inflight)
+        receipt = self.inter.canonical_receipts.get(s.inflight.digest())
         if receipt is None:
             return False  # still pending somewhere, or racing a reorg
         height, status = receipt
         if height > self.inter.tip_height - self.inter.k + 1:
             return False  # included but not yet confirmed
-        self._watch_to_session.pop(s.inflight, None)
-        s.inflight = None
-        if status != "ok" and s.inflight_kind == "configure":
+        if status != "ok" and s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):
             s.config_retries += 1
+        s.inflight = None
         return True
 
-    def _submit(self, sim: Simulator, s: DelegateSession, tx, kind: str) -> None:
-        d = self.submit_inter(sim, tx)
-        s.inflight = d
-        s.inflight_kind = kind
-        self._watch_to_session[d] = s.session_id
+    def _submit(self, sim: Simulator, s: DelegateSession, tx: InterTx) -> None:
+        self.submit_inter(sim, tx)
+        s.inflight = tx
 
     def _advance(self, sim: Simulator, s: DelegateSession) -> None:
-        if s.failed is not None or s.goal == "delegate":
+        if s.reported == FAILED or s.goal == DELEGATED:
             return
         if not self._resolve_inflight(s):
             return
@@ -473,7 +490,7 @@ class DelegateNode(InterParticipant):
         conf = self.inter.confirmed_state()
 
         cid, info_tip = self._find_bound(tip, s)
-        if cid is not None and s.side == PUB and info_tip.sub_status == 0:
+        if cid is not None and s.side == PUB and side_view(info_tip, SUB).status == 0:
             # Split session: our half landed on one record while the
             # counterparty visibly settled on another. The publisher side
             # (which holds no escrow) abandons its half and rejoins.
@@ -484,20 +501,14 @@ class DelegateNode(InterParticipant):
                 cid, info_tip = None, None
         if cid is None:
             # Nothing bound for this session yet: pick a contract and configure.
-            if s.config_retries > MAX_CONFIG_RETRIES:
-                self._fail(sim, s, "NoContract")
-                return
-            target = self._pick_target(tip, s)
+            target = None if s.config_retries > MAX_CONFIG_RETRIES else self._pick_target(tip, s)
             if target is None:
-                self._fail(sim, s, "NoContract")
+                self._report(sim, s, FAILED, reason="NoContract")
                 return
-            if s.side == PUB:
-                tx = signed_inter_tx(self.key, target, M_CONFIG_PUB, args=s.service,
-                                     fee=self.inter.fee, checkpoint=s.checkpoint)
-            else:
-                tx = signed_inter_tx(self.key, target, M_CONFIG_SUB, args=s.service,
-                                     attached=s.deposit, fee=self.inter.fee, checkpoint=s.checkpoint)
-            self._submit(sim, s, tx, "configure")
+            method, attached = (M_CONFIG_PUB, 0) if s.side == PUB else (M_CONFIG_SUB, s.deposit)
+            self._submit(sim, s, signed_inter_tx(self.key, target, method, args=s.service,
+                                                 attached=attached, fee=self.inter.fee,
+                                                 checkpoint=s.checkpoint))
             return
 
         s.contract_id = cid
@@ -507,55 +518,43 @@ class DelegateNode(InterParticipant):
         # progress still counts).
         info_conf = conf.contracts.get(cid)
         conf_side = info_conf is not None and self._side_bound(info_conf, s)
-        if conf_side and "configure" not in s.notified:
-            s.notified.add("configure")
-            sim.send(self.node_id, s.client_node, PhaseDone(s.session_id, "configure", cid))
-        if conf_side and GOAL_ORDER[s.goal] >= GOAL_ORDER["commit"] \
-                and info_conf.broker_status in (BrokerStatus.COMMITTED, BrokerStatus.PAID) \
-                and "commit" not in s.notified:
-            s.notified.add("commit")
-            sim.send(self.node_id, s.client_node, PhaseDone(s.session_id, "commit", cid))
-        if conf_side and GOAL_ORDER[s.goal] >= GOAL_ORDER["settle"] \
-                and info_conf.broker_status == BrokerStatus.PAID:
-            # Fully settled on chain: forwarding the payment needs no
-            # binding, so a successor can finish even when the sequential
-            # rebind chain is moot.
-            self._finish_payment(sim, s, cid)
-            return
+        if conf_side:
+            self._report(sim, s, CONFIGURED, cid)
+            if s.goal.rank >= COMMITTED.rank and info_conf.broker_status >= BrokerStatus.COMMITTED:
+                self._report(sim, s, COMMITTED, cid)
+            if s.goal == SETTLED and info_conf.broker_status == BrokerStatus.PAID:
+                # Fully settled on chain: forwarding the payment needs no
+                # binding, so a successor can finish even when the sequential
+                # rebind chain is moot.
+                self._finish_payment(sim, s, cid)
+                return
 
-        bound = bound_delegate(info_tip, s.side)
-        if bound != self.key.address:
+        mine = side_view(info_tip, s.side)
+        if mine.delegate != self.key.address:
             if info_tip.broker_status == BrokerStatus.PAID:
                 return  # wait for the payout to confirm; payment path above
             # A crashed predecessor holds the binding: ask the admin to rebind.
             if not s.replacing:
                 s.replacing = True
                 sim.send(self.node_id, self.admin_node,
-                         ReplaceReq(cid, s.side, bound, self.key.address, self.node_id))
+                         ReplaceReq(cid, s.side, mine.delegate, self.key.address, self.node_id))
             return
 
-        if GOAL_ORDER[s.goal] >= GOAL_ORDER["commit"] and conf_side:
-            my_flag = info_tip.pub_committed if s.side == PUB else info_tip.sub_committed
-            if not my_flag and info_tip.pub_status == 1 and info_tip.sub_status == 1:
-                self._submit(sim, s, signed_inter_tx(self.key, cid, M_COMMIT, fee=self.inter.fee), "commit")
-                return
-        if GOAL_ORDER[s.goal] >= GOAL_ORDER["settle"] and conf_side:
-            if info_tip.broker_status == BrokerStatus.COMMITTED:
-                self._submit(sim, s, signed_inter_tx(self.key, cid, M_SETTLE, fee=self.inter.fee), "settle")
+        if not conf_side:
+            return
+        if s.goal.rank >= COMMITTED.rank and not mine.committed \
+                and side_view(info_tip, OTHER_SIDE[s.side]).status == 1:
+            self._submit(sim, s, signed_inter_tx(self.key, cid, M_COMMIT, fee=self.inter.fee))
+            return
+        if s.goal == SETTLED and info_tip.broker_status == BrokerStatus.COMMITTED:
+            self._submit(sim, s, signed_inter_tx(self.key, cid, M_SETTLE, fee=self.inter.fee))
 
     def _finish_payment(self, sim: Simulator, s: DelegateSession, cid: int) -> None:
-        if s.side == SUB:
-            # Buyer side: the confirmed PAID status is the service receipt.
-            if "settle" not in s.notified:
-                s.notified.add("settle")
-                sim.send(self.node_id, s.client_node, PhaseDone(s.session_id, "settle", cid))
-            return
-        # Publisher side: forward the escrowed value to the seller in-zone,
-        # unless some delegate (a crashed predecessor) already did.
-        if (s.client_addr, cid) in self._payments_seen:
-            if "settle" not in s.notified:
-                s.notified.add("settle")
-                sim.send(self.node_id, s.client_node, PhaseDone(s.session_id, "settle", cid))
+        # Buyer side: the confirmed PAID status is the service receipt.
+        # Publisher side: the seller is paid once some delegate (maybe a
+        # crashed predecessor) has forwarded the escrowed value in-zone.
+        if s.side == SUB or (s.client_addr, cid) in self._payments_seen:
+            self._report(sim, s, SETTLED, cid)
             return
         if not s.payment_submitted:
             s.payment_submitted = True
@@ -606,7 +605,7 @@ class AdminNode(InterParticipant):
         done = []
         for (cid, side, new), reply_tos in self._watches.items():
             info_conf = conf.contracts.get(cid)
-            if info_conf is not None and bound_delegate(info_conf, side) == new:
+            if info_conf is not None and side_view(info_conf, side).delegate == new:
                 for t in reply_tos:
                     sim.send(self.node_id, t, ReplaceDone(cid, bytes(20), new, True))
                 done.append((cid, side, new))
@@ -614,7 +613,7 @@ class AdminNode(InterParticipant):
             info = tip.contracts.get(cid)
             if info is None:
                 continue
-            cur = bound_delegate(info, side)
+            cur = side_view(info, side).delegate
             if cur == new:
                 self._step_sent.pop((cid, side), None)
                 continue  # at tip; wait for confirmation
@@ -678,7 +677,7 @@ class ClientNode(Node):
         self.fail_reason: str | None = None
         self.delegate_idx = 0
         self.epoch = 0
-        self.goal: str | None = None
+        self.goal: Phase | None = None  # the rung last requested from the delegate
         self.contract_id: int | None = None
         self.checkpoint: Checkpoint | None = None
         self.funded = False
@@ -693,10 +692,8 @@ class ClientNode(Node):
 
     # -- helpers ----------------------------------------------------------
 
-    def _set_phase(self, sim: Simulator, phase: str) -> None:
-        if phase == self.phase:
-            return
-        if phase != FAILED and PHASE_ORDER.get(phase, -1) < PHASE_ORDER.get(self.phase, -1):
+    def _set_phase(self, sim: Simulator, phase: Phase) -> None:
+        if phase.rank <= self.phase.rank:
             return  # phases never regress
         self.phase = phase
         self.phase_times[phase] = sim.now
@@ -741,9 +738,8 @@ class ClientNode(Node):
         sim.send(self.node_id, node, req)
         self._arm(sim, "ack", self.cfg.ack_timeout_ms)
 
-    def _send_goal(self, sim: Simulator) -> None:
-        if self.goal is None:
-            return
+    def _request(self, sim: Simulator, phase: Phase) -> None:
+        self.goal = phase
         node, _ = self._current_delegate()
         sim.send(self.node_id, node, PhaseReq(self.cfg.session_id, self.goal))
         # Completion can legitimately take many block intervals (it may wait
@@ -777,8 +773,7 @@ class ClientNode(Node):
             return
         if kind == "deliver":
             # Scenario flag: data delivered / payment ready.
-            self.goal = "commit"
-            self._send_goal(sim)
+            self._request(sim, COMMITTED)
             return
         if epoch != self.epoch:
             return  # progress already happened
@@ -799,8 +794,7 @@ class ClientNode(Node):
             self._rearm(sim, "ping", self.cfg.ack_timeout_ms)
         elif kind == "op":
             node, _ = self._current_delegate()
-            if self.goal is not None:
-                sim.send(self.node_id, node, PhaseReq(self.cfg.session_id, self.goal))
+            sim.send(self.node_id, node, PhaseReq(self.cfg.session_id, self.goal))
             self._rearm(sim, "op", self.cfg.op_timeout_ms)
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
@@ -820,9 +814,7 @@ class ClientNode(Node):
                     sim, transfer_payload(addr, self.cfg.deposit, memo=0))
                 self._arm(sim, "intra", self.cfg.intra_timeout_ms)
                 return
-            if self.goal is None:
-                self.goal = "configure"
-            self._send_goal(sim)
+            self._request(sim, self.goal or CONFIGURED)
         elif isinstance(msg, Pong):
             if msg.session_id == self.cfg.session_id and src == self._current_delegate()[0]:
                 self._pong_pending = False
@@ -835,16 +827,15 @@ class ClientNode(Node):
         elif isinstance(msg, PhaseDone):
             if msg.session_id != self.cfg.session_id:
                 return
-            if msg.goal == "configure":
+            if msg.phase == CONFIGURED:
                 self.contract_id = msg.contract_id
                 self._set_phase(sim, CONFIGURED)
                 self.epoch += 1  # cancel the op watchdog
                 sim.set_timer(self.node_id, sim.now + self.cfg.deliver_after_ms, ("deliver", 0))
-            elif msg.goal == "commit":
+            elif msg.phase == COMMITTED:
                 self._set_phase(sim, COMMITTED)
-                self.goal = "settle"
-                self._send_goal(sim)
-            elif msg.goal == "settle":
+                self._request(sim, SETTLED)
+            elif msg.phase == SETTLED:
                 self.epoch += 1
                 self._set_phase(sim, SETTLED)
 
@@ -859,6 +850,4 @@ class ClientNode(Node):
             self._send_delegation(sim)
         elif self._fund_tx is not None and m.tx_digest == self._fund_tx.digest() and not self.funded:
             self.funded = True
-            if self.goal is None:
-                self.goal = "configure"
-            self._send_goal(sim)
+            self._request(sim, self.goal or CONFIGURED)

@@ -11,13 +11,14 @@ from fedledger.nodes import InterSubmit, InterSubmitAck
 from fedledger.powchain import M_CONFIG_PUB, M_CONFIG_SUB, ChainState, signed_inter_tx
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
-    PHASE_ORDER,
     CrossVerifyReq,
     CrossVerifyResp,
     DelegationAck,
     DelegationDeny,
     DelegationReq,
+    Phase,
     PhaseDone,
+    PhaseReq,
     SessionFail,
 )
 from fedledger.runner import build, finalize, run
@@ -66,7 +67,7 @@ class TestHappyPath:
                 seq.append((e["at"], e["phase"]))
         for key, seq in per_actor.items():
             phases = [p for _, p in seq]
-            ranks = [PHASE_ORDER[p] for p in phases if p in PHASE_ORDER]
+            ranks = [Phase(p).rank for p in phases]
             assert ranks == sorted(ranks), key
             assert "FAILED" not in phases
 
@@ -104,6 +105,20 @@ class TestHappyPath:
                    if tx.method == "settle_payment"
                    and inter.canonical_receipts[tx.digest()][1] == "ok"}
         assert len(settles) == 1
+
+
+class TestPhaseMessages:
+    def test_phase_messages_put_the_step_word_on_the_wire(self):
+        sid = (1).to_bytes(8, "big")
+        assert PhaseReq(1, Phase.CONFIGURED).wire_bytes() == b"preq" + sid + b"configure"
+        assert PhaseReq(1, Phase.COMMITTED).wire_bytes() == b"preq" + sid + b"commit"
+        assert PhaseDone(1, Phase.SETTLED, 5).wire_bytes() == (
+            b"pdon" + sid + b"settle" + (5).to_bytes(8, "big"))
+
+    def test_phases_rank_in_ladder_order_and_equal_their_logged_names(self):
+        ladder = ["IDLE", "DELEGATED", "CONFIGURED", "COMMITTED", "SETTLED", "FAILED"]
+        assert [p.rank for p in map(Phase, ladder)] == list(range(6))
+        assert all(Phase(name) == name and f"{Phase(name)}" == name for name in ladder)
 
 
 class TestDelegationChecks:
