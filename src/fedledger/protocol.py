@@ -290,6 +290,7 @@ class DelegateSession:
     replacing: bool = False
     payment_submitted: bool = False
     config_retries: int = 0
+    salt: int = 0  # failed commit/settle receipts; varies the bytes of the retry
     abandoned: set = field(default_factory=set)  # half-bindings left behind
 
 
@@ -472,14 +473,24 @@ class DelegateNode(InterParticipant):
         height, status = receipt
         if height > self.inter.tip_height - self.inter.k + 1:
             return False  # included but not yet confirmed
-        if status != "ok" and s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):
-            s.config_retries += 1
+        if status != "ok":
+            if s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):
+                s.config_retries += 1
+            else:
+                s.salt += 1
         s.inflight = None
         return True
 
     def _submit(self, sim: Simulator, s: DelegateSession, tx: InterTx) -> None:
         self.submit_inter(sim, tx)
         s.inflight = tx
+
+    def _call(self, sim: Simulator, s: DelegateSession, cid: int, method: str) -> None:
+        """Submit a commit or settle call. A retry after a failed receipt
+        carries a salt the contract ignores: the same bytes again would be
+        refused by every miner as a duplicate."""
+        args = enc_u64(s.salt) if s.salt else b""
+        self._submit(sim, s, signed_inter_tx(self.key, cid, method, args=args, fee=self.inter.fee))
 
     def _advance(self, sim: Simulator, s: DelegateSession) -> None:
         if s.reported == FAILED or s.goal == DELEGATED:
@@ -544,10 +555,10 @@ class DelegateNode(InterParticipant):
             return
         if s.goal.rank >= COMMITTED.rank and not mine.committed \
                 and side_view(info_tip, OTHER_SIDE[s.side]).status == 1:
-            self._submit(sim, s, signed_inter_tx(self.key, cid, M_COMMIT, fee=self.inter.fee))
+            self._call(sim, s, cid, M_COMMIT)
             return
         if s.goal == SETTLED and info_tip.broker_status == BrokerStatus.COMMITTED:
-            self._submit(sim, s, signed_inter_tx(self.key, cid, M_SETTLE, fee=self.inter.fee))
+            self._call(sim, s, cid, M_SETTLE)
 
     def _finish_payment(self, sim: Simulator, s: DelegateSession, cid: int) -> None:
         # Buyer side: the confirmed PAID status is the service receipt.

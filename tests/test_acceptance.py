@@ -226,29 +226,33 @@ C07_DIGESTS = [
 ]
 
 
-def test_c07_payment_safety_1000_sessions():
+def c07_scenario(name, seed):
     import random as _random
+    rnd = _random.Random(seed - 100)
+    faults = []
+    for zone in (1, 2):
+        # Crash up to 2 of 3 delegates per zone: at least one survives.
+        for i in range(rnd.randint(0, 2)):
+            faults.append({"at_ms": rnd.uniform(5_000, 90_000),
+                           "fault": "crash", "node": f"dlg:{zone}:{i}"})
+    return Scenario(
+        name=name, seed=seed, duration_ms=600_000,
+        domains=[DomainSpec(zone_id=1, validators=4, delegates=3),
+                 DomainSpec(zone_id=2, validators=4, delegates=3)],
+        inter=InterSpec(miners=3, mean_block_interval_ms=2500, confirmation_depth=4,
+                        contracts=110),
+        workload=WorkloadSpec(sessions=50, deposit_units=10_000, payload_bytes=64,
+                              session_interval_ms=300),
+        protocol=ProtocolSpec(op_timeout_ms=40_000),
+        faults=faults,
+        log_payloads=False,
+    )
+
+
+def test_c07_payment_safety_1000_sessions():
     total_sessions = 0
     for run_idx in range(10):
-        rnd = _random.Random(7000 + run_idx)
-        faults = []
-        for zone in (1, 2):
-            # Crash up to 2 of 3 delegates per zone: at least one survives.
-            for i in range(rnd.randint(0, 2)):
-                faults.append({"at_ms": rnd.uniform(5_000, 90_000),
-                               "fault": "crash", "node": f"dlg:{zone}:{i}"})
-        scn = Scenario(
-            name=f"c7-{run_idx}", seed=7100 + run_idx, duration_ms=600_000,
-            domains=[DomainSpec(zone_id=1, validators=4, delegates=3),
-                     DomainSpec(zone_id=2, validators=4, delegates=3)],
-            inter=InterSpec(miners=3, mean_block_interval_ms=2500, confirmation_depth=4,
-                            contracts=110),
-            workload=WorkloadSpec(sessions=50, deposit_units=10_000, payload_bytes=64,
-                                  session_interval_ms=300),
-            protocol=ProtocolSpec(op_timeout_ms=40_000),
-            faults=faults,
-            log_payloads=False,
-        )
+        scn = c07_scenario(f"c7-{run_idx}", 7100 + run_idx)
         report, h = run_tracked(scn)
         assert report.event_log_digest == C07_DIGESTS[run_idx], run_idx
         assert report.conservation_delta == 0, run_idx
@@ -278,6 +282,19 @@ def test_c07_payment_safety_1000_sessions():
     assert buyers_settled == 500
     ok("7 payment safety: 1000/1000 randomized-crash sessions settled; "
        "seller paid <=> PAID <=> dual commit; double payouts 0")
+
+
+@pytest.mark.parametrize("seed", [862410140, 1347302294])
+def test_c07_shape_settles_after_a_failed_commit(seed):
+    # At these seeds a buyer broker's commit_service fails on chain
+    # (InvalidState at 862410140, Unauthorized at 1347302294). An unsalted
+    # retry repeats its bytes, every miner refuses it as a duplicate, and
+    # the session used to sit in CONFIGURED for the rest of the run.
+    report, _ = run(c07_scenario("sessions-50", seed))
+    assert report.safety_violations == 0, report.violations
+    assert report.conservation_delta == 0
+    assert {s["outcome"] for s in report.sessions} == {"SETTLED"}
+    assert len(report.sessions) == 100
 
 
 # -- 8. failover availability and latency bound ------------------------------------------------
