@@ -380,8 +380,6 @@ class DelegateNode(InterParticipant):
         sim.send(self.node_id, src, DelegationAck(m.session_id, self.key.address))
 
     def _retry_pending_delegations(self, sim: Simulator) -> None:
-        if not self._pending_delegations:
-            return
         still = []
         for src, m in self._pending_delegations:
             if m.checkpoint.block_height > self.follower.ledger.height:
@@ -481,16 +479,15 @@ class DelegateNode(InterParticipant):
         s.inflight = None
         return True
 
-    def _submit(self, sim: Simulator, s: DelegateSession, tx: InterTx) -> None:
-        self.submit_inter(sim, tx)
-        s.inflight = tx
+    def _submit(self, sim: Simulator, s: DelegateSession, cid: int, method: str, **call) -> None:
+        s.inflight = signed_inter_tx(self.key, cid, method, fee=self.inter.fee, **call)
+        self.submit_inter(sim, s.inflight)
 
     def _call(self, sim: Simulator, s: DelegateSession, cid: int, method: str) -> None:
         """Submit a commit or settle call. A retry after a failed receipt
         carries a salt the contract ignores: the same bytes again would be
         refused by every miner as a duplicate."""
-        args = enc_u64(s.salt) if s.salt else b""
-        self._submit(sim, s, signed_inter_tx(self.key, cid, method, args=args, fee=self.inter.fee))
+        self._submit(sim, s, cid, method, args=enc_u64(s.salt) if s.salt else b"")
 
     def _advance(self, sim: Simulator, s: DelegateSession) -> None:
         if s.reported == FAILED or s.goal == DELEGATED:
@@ -517,9 +514,8 @@ class DelegateNode(InterParticipant):
                 self._report(sim, s, FAILED, reason="NoContract")
                 return
             method, attached = (M_CONFIG_PUB, 0) if s.side == PUB else (M_CONFIG_SUB, s.deposit)
-            self._submit(sim, s, signed_inter_tx(self.key, target, method, args=s.service,
-                                                 attached=attached, fee=self.inter.fee,
-                                                 checkpoint=s.checkpoint))
+            self._submit(sim, s, target, method, args=s.service, attached=attached,
+                         checkpoint=s.checkpoint)
             return
 
         s.contract_id = cid
