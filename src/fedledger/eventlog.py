@@ -91,8 +91,7 @@ def _logged_checkpoint(tx: dict):
 class Replay:
     """Ledger state rebuilt from the event log alone, shared by the checkers.
 
-    facts[cid] = {"settles": n, "paid": bool, "dual_commit_at_settle": bool,
-                  "payout_to": hex, "payout_amount": int}
+    facts[cid] = {"settles": n, "paid": bool, "dual_commit_at_settle": bool}
     """
 
     initial_supply: int
@@ -181,8 +180,6 @@ def _replay_inter(events: list[dict], genesis: dict):
                         f["settles"] += 1
                         f["paid"] = True
                         f["dual_commit_at_settle"] = dual
-                        f["payout_to"] = payee_hex
-                        f["payout_amount"] = amount
                     else:
                         args = bytes.fromhex(tx["args"])
                         contracts[cid] = sc.replace_delegate(info, caller, args[:20], args[20:40])

@@ -41,7 +41,7 @@ class Collector:
         self.observer_miner = observer_miner
         self.intra_submits: dict[bytes, tuple[int, float]] = {}
         self.intra_commits: dict[bytes, float] = {}
-        self.intra_first_commit: dict[tuple, float] = {}  # (zone, height) -> at
+        self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
         self.inter_submits: dict[bytes, float] = {}
 
     # -- intra ---------------------------------------------------------------
@@ -59,9 +59,9 @@ class Collector:
         self.log.emit("intra_commit", zone=zone, validator=validator.hex(),
                       height=block.height, block=bd, at=round(at, 3))
         key = (zone, block.height)
-        if key in self.intra_first_commit:
+        if key in self.intra_blocks_logged:
             return
-        self.intra_first_commit[key] = at
+        self.intra_blocks_logged.add(key)
         transfers = []
         txds = []
         for tx in block.txs:
