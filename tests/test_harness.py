@@ -1,8 +1,10 @@
 """Harness surface: reports, reproducibility, batches, log verification, CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,8 +157,12 @@ class TestVerifyLog:
 
 class TestCli:
     def run_cli(self, *args):
+        # pytest's pythonpath setting does not reach a subprocess.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-m", "fedledger.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     def test_validate_and_run_and_verify(self, tmp_path):
         scn_path = tmp_path / "s.json"
