@@ -12,7 +12,6 @@ from fedledger.powchain import M_CONFIG_PUB, M_CONFIG_SUB, ChainState, signed_in
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
     CrossVerifyReq,
-    CrossVerifyResp,
     DelegationAck,
     DelegationDeny,
     DelegationReq,
@@ -216,13 +215,14 @@ class TestContractRace:
 
 
 class Probe(Node):
+    """A zone-1 node that records every message it receives as (time, src, msg)."""
+
     def __init__(self):
         super().__init__("probe", 1)
-        self.responses = []
+        self.received = []
 
     def on_message(self, sim, src, msg):
-        if isinstance(msg, CrossVerifyResp):
-            self.responses.append(msg)
+        self.received.append((sim.now, src, msg))
 
 
 class TestCrossVerify:
@@ -242,7 +242,7 @@ class TestCrossVerify:
                           + recorded.ledger_head[1:])
         sim.send("probe", dlg.node_id, CrossVerifyReq(3, mutated, "probe"))
         sim.run_until(sim.now + 10_000)
-        got = {r.query_id: r.found for r in probe.responses}
+        got = {m.query_id: m.found for _t, _src, m in probe.received}
         assert got == {1: True, 2: False, 3: False}
 
 
@@ -332,15 +332,6 @@ def finish(h):
     return outcomes(finalize(h))
 
 
-class Inbox(Node):
-    def __init__(self, node_id="probe", zone=1):
-        super().__init__(node_id, zone)
-        self.received = []
-
-    def on_message(self, sim, src, msg):
-        self.received.append((sim.now, src, msg))
-
-
 def submits_from(sent, node_id, method):
     """Distinct inter-ledger txs ``node_id`` submitted with ``method``, in order."""
     txs = {}
@@ -359,7 +350,7 @@ class TestBrokerPaths:
         def late_buyer(h):
             h.clients[(1, "sub")].cfg.start_ms = 30_000.0
         h, sent = started(fast_session_scenario(seed=51, contracts=6), late_buyer)
-        probe = h.sim.add_node(Inbox())
+        probe = h.sim.add_node(Probe())
         seller = h.clients[(1, "pub")]
         miner = h.miners[0].inter
 
@@ -436,7 +427,7 @@ class TestBrokerPaths:
         # broker does, so every miner refuses the broker's copy as a
         # duplicate; the tx still lands and the session settles.
         h, sent = started(fast_session_scenario(seed=54, contracts=4))
-        probe = h.sim.add_node(Inbox())
+        probe = h.sim.add_node(Probe())
         seller = h.clients[(1, "pub")]
         run_while(h, lambda: seller.checkpoint is None, step_ms=10.0)
         dlg = h.delegates[1][0]
@@ -468,7 +459,7 @@ class TestBrokerPaths:
         # A second delegation for a session the broker already serves
         # redirects every later report to the new requester node.
         h, sent = started(fast_session_scenario(seed=56))
-        probe = h.sim.add_node(Inbox())
+        probe = h.sim.add_node(Probe())
         seller = h.clients[(1, "pub")]
         run_while(h, lambda: seller.phase != "CONFIGURED")
         moved_at = h.sim.now
@@ -488,7 +479,7 @@ class TestBrokerPaths:
         # replica waits through the DECISION one height short, then is
         # checked (and here denied: the checkpoint is forged).
         h, sent = started(fast_session_scenario(seed=57))
-        probe = h.sim.add_node(Inbox())
+        probe = h.sim.add_node(Probe())
         dlg = h.delegates[1][0]
         run_while(h, lambda: dlg.follower.ledger.height < 2)
         target = dlg.follower.ledger.height + 2
