@@ -341,6 +341,36 @@ def submits_from(sent, node_id, method):
     return list(txs.values())
 
 
+class FailingInterView:
+    """A broker's view of the inter-ledger in which every tx it submits
+    fails on chain, and the record the tx targeted is taken by another
+    subscriber meanwhile."""
+
+    def __init__(self, real, contracts):
+        self.fee = real.fee
+        self.k = real.k
+        self.tip_height = 100
+        self.state = ChainState(dict(real.tip_state().balances), contracts)
+        self.canonical_receipts = {}
+
+    def fail(self, tx):
+        if tx.digest() in self.canonical_receipts:
+            return
+        self.canonical_receipts[tx.digest()] = (1, "InvalidState")
+        info = self.state.contracts[tx.contract_id]
+        self.state.contracts[tx.contract_id] = replace(
+            info, subscriber_id=b"\x01" * 20, sub_status=1, sub_service=b"\x02" * 32)
+
+    def tip_state(self):
+        return self.state
+
+    def confirmed_state(self):
+        return self.state
+
+    def on_block(self, block, now):
+        return SimpleNamespace(tip_changed=True)
+
+
 class TestBrokerPaths:
     def test_split_session_publisher_abandons_its_half_and_rejoins(self):
         # The seller's broker binds the publisher side of one record; the
@@ -500,33 +530,3 @@ class TestBrokerPaths:
             (dlg.node_id, DelegationDeny, "BadCheckpoint")]
         assert (target - 1, False) in seen  # held across the DECISION one short
         assert next(height for height, denied in seen if denied) == target
-
-
-class FailingInterView:
-    """A broker's view of the inter-ledger in which every tx it submits
-    fails on chain, and the record the tx targeted is taken by another
-    subscriber meanwhile."""
-
-    def __init__(self, real, contracts):
-        self.fee = real.fee
-        self.k = real.k
-        self.tip_height = 100
-        self.state = ChainState(dict(real.tip_state().balances), contracts)
-        self.canonical_receipts = {}
-
-    def fail(self, tx):
-        if tx.digest() in self.canonical_receipts:
-            return
-        self.canonical_receipts[tx.digest()] = (1, "InvalidState")
-        info = self.state.contracts[tx.contract_id]
-        self.state.contracts[tx.contract_id] = replace(
-            info, subscriber_id=b"\x01" * 20, sub_status=1, sub_service=b"\x02" * 32)
-
-    def tip_state(self):
-        return self.state
-
-    def confirmed_state(self):
-        return self.state
-
-    def on_block(self, block, now):
-        return SimpleNamespace(tip_changed=True)
