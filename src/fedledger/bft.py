@@ -32,6 +32,8 @@ block) for the event loop to act on.
 (``ZoneFollower``), owns the committed state: ledger, balance book, and
 sealed blocks that came early. Its ``on_decision`` is the one way into
 the ledger, for a block sealed in the validator's own round or received.
+Every replica of a zone keeps its own block list over the zone's one
+committed-tx index (``chain.TxIndex``), passed in at construction.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
-from .chain import BalanceBook, BftSeal, Block, IntraTx, Ledger, build_block
+from .chain import BalanceBook, BftSeal, Block, IntraTx, Ledger, TxIndex, build_block
 from .crypto import ZERO_DIGEST, Keyring, SigningKey, enc_address, enc_blob, enc_digest, enc_u32, enc_u64, enc_u8
 
 
@@ -128,11 +130,11 @@ class CommitteeReplica:
     """A replica of one zone ledger: adopts blocks sealed by a quorum of its committee."""
 
     def __init__(self, committee: list[bytes], keyring: Keyring,
-                 balances: dict[bytes, int] | None = None):
+                 balances: dict[bytes, int] | None = None, tx_index: TxIndex | None = None):
         self.committee = list(committee)
         self.keyring = keyring
         _f, self.quorum = committee_bounds(len(self.committee))
-        self.ledger = Ledger()
+        self.ledger = Ledger(index=tx_index)
         self.book = BalanceBook(balances)
         self._buffer: dict[int, Block] = {}  # sealed blocks above the head, by height
 
@@ -185,8 +187,9 @@ class Validator(CommitteeReplica):
         round_timeout_ms: float = 200.0,
         block_interval_ms: float = 1600.0,
         balances: dict[bytes, int] | None = None,
+        tx_index: TxIndex | None = None,
     ):
-        super().__init__(committee, keyring, balances)
+        super().__init__(committee, keyring, balances, tx_index)
         self.key = key
         self.validator_id = key.address
         self.zone_id = zone_id

@@ -12,6 +12,12 @@ disagrees with its transactions cannot be built.
 Checkpoints are the public proof of a private transaction: a digest
 reference plus zone id, block height, and the digest of the containing
 block. They carry no payload bytes.
+
+The replicas of one zone share one committed-tx index (``TxIndex``):
+each distinct block is indexed once, keyed by its digest, and a replica
+counts an index entry only if the block at that height of its own chain
+has the entry's block digest. A divergent replica therefore answers
+from its own chain, as a private index would.
 """
 
 from __future__ import annotations
@@ -77,8 +83,12 @@ class IntraTx:
 
 
 def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
-    unsigned = IntraTx(key.address, zone_id, payload, nonce)
-    return IntraTx(key.address, zone_id, payload, nonce, Keyring.sign(key, unsigned.signing_bytes()))
+    signing = IntraTx(key.address, zone_id, payload, nonce).signing_bytes()
+    sig = Keyring.sign(key, signing)
+    tx = IntraTx(key.address, zone_id, payload, nonce, sig)
+    # The digest of serialize(), from the signing bytes already in hand.
+    object.__setattr__(tx, "_digest", sha256(signing + enc_blob(sig)))
+    return tx
 
 
 # Typed payloads inside the opaque payload field. Tag 0x01 marks a value
@@ -215,12 +225,33 @@ def genesis_block(kind: str = "bft") -> Block:
     return Block(parent=ZERO_DIGEST, height=0, timestamp=0, seal=seal)
 
 
-class Ledger:
-    """Append-only hash-linked block sequence with a transaction index."""
+class TxIndex:
+    """Committed-tx index of one zone, shared by the zone's replicas.
 
-    def __init__(self, genesis: Block | None = None):
+    ``txs`` maps a tx digest to ``(height, pos, block digest)``, or to a
+    list of those, in indexing order, when the tx occurs in more than one
+    distinct block (divergent replicas, or a tx committed twice).
+    ``fresh`` maps each indexed block digest to the number of its distinct
+    txs that no ancestor block commits. A block digest covers the parent
+    digest, so both are facts of the block digest alone.
+    """
+
+    def __init__(self):
+        self.txs: dict[bytes, tuple | list] = {}
+        self.fresh: dict[bytes, int] = {}
+
+
+class Ledger:
+    """Append-only hash-linked block sequence over a committed-tx index.
+
+    A bare ``Ledger()`` gets a private index; the replicas of a zone pass
+    in the zone's one ``TxIndex``.
+    """
+
+    def __init__(self, genesis: Block | None = None, index: TxIndex | None = None):
         self.blocks: list[Block] = [genesis or genesis_block()]
-        self.tx_index: dict[bytes, tuple[int, int]] = {}
+        self.index = index if index is not None else TxIndex()
+        self.tx_count = 0  # distinct txs committed in this chain
 
     @property
     def height(self) -> int:
@@ -235,17 +266,61 @@ class Ledger:
         if block.parent != self.head_digest():
             raise ValueError("block does not link to current head")
         self.blocks.append(block)
+        bd = block.digest()
+        fresh = self.index.fresh.get(bd)
+        if fresh is None:
+            fresh = self._index_block(block, bd)
+        self.tx_count += fresh
+
+    def _index_block(self, block: Block, bd: bytes) -> int:
+        """Enter the first replica's copy of a block; returns its fresh count."""
+        txs = self.index.txs
+        height = block.height
+        fresh = 0
         for pos, tx in enumerate(block.txs):
-            self.tx_index[tx.digest()] = (block.height, pos)
+            d = tx.digest()
+            entry = txs.get(d)
+            if entry is None:
+                fresh += 1
+                txs[d] = (height, pos, bd)
+                continue
+            # Seen before: fresh unless this chain holds an earlier occurrence
+            # (an ancestor, or a lower position of this block, indexed above).
+            if self.locate(d) is None:
+                fresh += 1
+            if type(entry) is tuple:
+                txs[d] = [entry, (height, pos, bd)]
+            else:
+                entry.append((height, pos, bd))
+        self.index.fresh[bd] = fresh
+        return fresh
+
+    def locate(self, tx_digest: bytes) -> tuple[int, int] | None:
+        """(height, pos) of the last occurrence of a tx in this chain, or None."""
+        entry = self.index.txs.get(tx_digest)
+        if entry is None:
+            return None
+        blocks = self.blocks
+        if type(entry) is tuple:
+            height, pos, bd = entry
+            if height < len(blocks) and blocks[height].digest() == bd:
+                return height, pos
+            return None
+        # A block is indexed before any descendant, so the occurrences on one
+        # chain are listed in (height, pos) order: the last match is the latest.
+        for height, pos, bd in reversed(entry):
+            if height < len(blocks) and blocks[height].digest() == bd:
+                return height, pos
+        return None
 
     def contains_tx(self, tx_digest: bytes) -> bool:
-        return tx_digest in self.tx_index
+        return self.locate(tx_digest) is not None
 
 
 def make_checkpoint(tx: IntraTx, ledger: Ledger) -> Checkpoint:
     """Checkpoint for a committed tx; raises NotCommitted otherwise."""
     ref = tx.digest()
-    entry = ledger.tx_index.get(ref)
+    entry = ledger.locate(ref)
     if entry is None:
         raise NotCommitted(ref.hex())
     height, _ = entry
@@ -261,7 +336,7 @@ def verify_checkpoint(cp: Checkpoint, ledger: Ledger) -> bool:
     """True iff the ledger commits cp.tx_ref at cp.block_height under cp.ledger_head."""
     if cp.block_height > ledger.height:
         return False
-    entry = ledger.tx_index.get(cp.tx_ref)
+    entry = ledger.locate(cp.tx_ref)
     if entry is None or entry[0] != cp.block_height:
         return False
     return ledger.blocks[cp.block_height].digest() == cp.ledger_head

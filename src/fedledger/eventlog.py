@@ -29,6 +29,9 @@ from . import contract as sc
 from .contract import BrokerStatus
 
 
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class EventLog:
     def __init__(self):
         self.events: list[dict] = []
@@ -39,8 +42,14 @@ class EventLog:
         self.events.append(rec)
 
     def serialize(self) -> bytes:
-        lines = [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events]
-        return ("\n".join(lines) + "\n").encode()
+        """One compact, key-sorted JSON line per event, each ending in a newline.
+
+        Each line is encoded as it is made, so only the encoded lines and
+        their join are alive at once, not a str copy of the log as well.
+        An empty log is one newline.
+        """
+        encode = _LINE_ENCODER.encode
+        return b"".join([(encode(e) + "\n").encode() for e in self.events]) or b"\n"
 
     def digest_hex(self) -> str:
         return hashlib.sha256(self.serialize()).hexdigest()

@@ -116,6 +116,8 @@ class ValidatorNode(Node):
     def _committed(self, sim: Simulator, block: Block) -> None:
         if self.collector is not None:
             self.collector.intra_commit(self.zone_id, self.core.validator_id, block, sim.now)
+        if not self.subscribers:
+            return
         for tx in block.txs:
             targets = set()
             sub = self.subscribers.get(tx.sender)

@@ -21,9 +21,12 @@ block in tx order and one ``(height, status)`` entry per canonical
 transaction.
 
 Reorganizations re-execute nothing: the state of every stored block is
-computed exactly once when the block arrives, so switching branches is a
-pointer move plus pending-pool reconciliation, and replaying the winning
-chain from genesis reproduces identical state digests by construction.
+computed exactly once per simulation, when the block first arrives at any
+node, so switching branches is a pointer move plus pending-pool
+reconciliation, and replaying the winning chain from genesis reproduces
+identical state digests by construction. The nodes of one simulation
+share an execution memo keyed by block digest, which covers the parent
+digest and so the whole branch; a stored state is never written to.
 """
 
 from __future__ import annotations
@@ -244,6 +247,7 @@ class InterNode:
         block_capacity: int = INTER_BLOCK_CAPACITY,
         fee: int = DEFAULT_FEE,
         block_reward: int = 0,
+        executions: dict | None = None,
     ):
         self.address = address
         self.keyring = keyring
@@ -258,6 +262,9 @@ class InterNode:
         self.blocks: dict[bytes, Block] = {gd: g}
         self.states: dict[bytes, ChainState] = {gd: genesis_state.copy()}
         self.block_receipts: dict[bytes, tuple] = {gd: ()}  # block -> statuses in tx order
+        # Block digest -> executed (state, receipts). Shared only among nodes
+        # with the same keyring, genesis state and block reward; private if None.
+        self.executions: dict[bytes, tuple] = executions if executions is not None else {}
         self.canonical: list[bytes] = [gd]
         self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
         self.seen: set[bytes] = set()
@@ -369,8 +376,11 @@ class InterNode:
         parent = self.blocks[block.parent]
         if block.height != parent.height + 1:
             return AdoptResult(False, "BadHeight")
-        state, receipts = execute_block(self.states[block.parent], block, self.keyring,
-                                        self.block_reward)
+        executed = self.executions.get(d)
+        if executed is None:
+            executed = self.executions[d] = execute_block(self.states[block.parent], block,
+                                                          self.keyring, self.block_reward)
+        state, receipts = executed
         self.blocks[d] = block
         self.states[d] = state
         self.block_receipts[d] = receipts

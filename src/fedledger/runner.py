@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bft import Validator, ZoneFollower
-from .chain import parse_transfer
+from .chain import TxIndex, parse_transfer
 from .crypto import Keyring
 from .eventlog import EventLog, run_all_checkers
 from .metrics import LatencyStats, LedgerMetrics, MetricsReport
@@ -216,12 +216,16 @@ def build(scn: Scenario) -> RunHandles:
     # -- inter nodes -------------------------------------------------------------
     miner_node_ids = [f"miner:{i}" for i in range(scn.inter.miners)]
     all_inter_ids = miner_node_ids + ["admin"] + [n for d in scn.domains for n in dlg_ids[d.zone_id]]
+    # One execution per block for the whole simulation: every inter node has
+    # the same keyring, genesis state and block reward.
+    executions: dict = {}
 
     def new_inter_node(addr: bytes):
         return InterNode(addr, keyring, genesis_state, target,
                          confirmation_depth=scn.inter.confirmation_depth,
                          block_capacity=scn.inter.block_capacity, fee=scn.inter.fee_units,
-                         block_reward=scn.inter.block_reward_units)
+                         block_reward=scn.inter.block_reward_units,
+                         executions=executions)
 
     for i, mk in enumerate(miner_keys):
         inter = new_inter_node(mk.address)
@@ -247,13 +251,15 @@ def build(scn: Scenario) -> RunHandles:
     for d in scn.domains:
         z = d.zone_id
         committee = [k.address for k in val_keys[z]]
+        # One committed-tx index per zone, shared by its validators and followers.
+        index = TxIndex()
         vnodes = []
         for node_id, vk in zip(val_ids[z], val_keys[z]):
             core = Validator(vk, committee, z, keyring,
                              block_capacity=d.block_capacity,
                              round_timeout_ms=d.round_timeout_ms,
                              block_interval_ms=d.block_interval_ms,
-                             balances=intra_books[z])
+                             balances=intra_books[z], tx_index=index)
             node = ValidatorNode(node_id, core, collector)
             node.committee_nodes = val_ids[z]
             node.fullnode_targets = dlg_ids[z]
@@ -263,7 +269,7 @@ def build(scn: Scenario) -> RunHandles:
 
         dnodes = []
         for node_id, dk in zip(dlg_ids[z], dlg_keys[z]):
-            follower = ZoneFollower(committee, keyring, balances=intra_books[z])
+            follower = ZoneFollower(committee, keyring, balances=intra_books[z], tx_index=index)
             inter = new_inter_node(dk.address)
             node = DelegateNode(node_id, z, dk, follower, inter,
                                 miner_node_ids, "admin", registry_by_zone[z], collector=collector)
@@ -426,7 +432,7 @@ def finalize(h: RunHandles) -> MetricsReport:
     for z in sorted(h.validators):
         node = _first_live_validator(h, z)
         ledger = node.core.ledger
-        committed = len(ledger.tx_index)
+        committed = ledger.tx_count
         submitted = sum(1 for (zz, _t) in h.collector.intra_submits.values() if zz == z)
         report.ledgers[f"zone:{z}"] = LedgerMetrics(
             tx_throughput=committed / duration_s if duration_s else 0.0,

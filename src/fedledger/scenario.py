@@ -27,10 +27,10 @@ Schema (defaults in parentheses):
     "median_delay_ms": number (200), "sigma": number (1.0)
   },
   "workload": {
-    "sessions": int (0), "deposit_tokens": number (10),
+    "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
     "session_interval_ms": number (0), "session_start_ms": number (0),
     "payload_bytes": int (1024), "deliver_after_ms": number (0),
-    "pairs": [[seller_zone, buyer_zone], ...] (round-robin over domains),
+    "pairs": [[seller_zone, buyer_zone], ...] (round-robin over domains; zones differ),
     "intra_rate_per_s": number (0), "intra_offset_ms": number (0),
     "intra_until_ms": number (duration), "intra_payload_bytes": int (64),
     "intra_probe_times_ms": [numbers] ([]),
@@ -211,8 +211,17 @@ class Scenario:
         for sz, bz in self.workload.pairs:
             if sz not in zones or bz not in zones:
                 raise ValidationError(f"workload pair ({sz},{bz}) names an unknown zone")
+            if sz == bz:
+                # A broker keys its sessions by id, so both sides of a
+                # same-zone session would share one broker session.
+                raise ValidationError(
+                    f"workload pair ({sz},{bz}): seller and buyer zones must differ "
+                    "(sessions are cross-domain)")
         if self.workload.sessions and len(self.domains) < 2 and not self.workload.pairs:
             raise ValidationError("cross-domain sessions need at least two domains")
+        if self.workload.sessions and self.workload.deposit_units < 1:
+            # configure_subscriber refuses an empty escrow, so no session could settle.
+            raise ValidationError("workload.deposit_tokens must be at least 0.001 with sessions")
 
 
 _SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolSpec,

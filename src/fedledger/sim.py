@@ -45,7 +45,9 @@ class LinkModel:
             if self.intra_drop and rng.random() < self.intra_drop:
                 return None
             lo, hi = self.zone_ranges.get(zone, (self.intra_min_ms, self.intra_max_ms))
-            return rng.uniform(lo, hi)
+            # The body of rng.uniform(lo, hi) on CPython 3.10-3.13
+            # (Lib/random.py, Random.uniform), inlined: same draw, same value.
+            return lo + (hi - lo) * rng.random()
         if self.inter_drop and rng.random() < self.inter_drop:
             return None
         return math.exp(rng.gauss(math.log(self.inter_median_ms), self.inter_sigma))
@@ -115,7 +117,7 @@ class Simulator:
         """Send msg from src to dst with a sampled link delay."""
         if src in self.crashed:
             return
-        if self._partitioned(src, dst):
+        if self._partition and self._partitioned(src, dst):
             return
         a = self.nodes[src]
         b = self.nodes[dst]
@@ -157,8 +159,6 @@ class Simulator:
             raise ConfigError(f"unknown fault {entry.fault!r}")
 
     def _partitioned(self, src: str, dst: str) -> bool:
-        if not self._partition:
-            return False
         ga = gb = None
         for i, g in enumerate(self._partition):
             if src in g:

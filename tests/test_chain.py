@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedledger.chain import (
     BalanceBook,
@@ -12,6 +14,7 @@ from fedledger.chain import (
     IntraTx,
     Ledger,
     NotCommitted,
+    TxIndex,
     build_block,
     genesis_block,
     make_checkpoint,
@@ -135,7 +138,7 @@ class TestLedger:
         for i in range(1, len(ledger.blocks)):
             assert ledger.blocks[i].parent == ledger.blocks[i - 1].digest()
         for tx in txs:
-            h, pos = ledger.tx_index[tx.digest()]
+            h, pos = ledger.locate(tx.digest())
             assert ledger.blocks[h].txs[pos] == tx
 
     def test_append_rejects_bad_links(self, keyring):
@@ -163,8 +166,77 @@ class TestLedger:
         assert len(digests) == 5
         # The ledger checks links only; what it indexes is what the digest covers.
         ledger.append(replace(block, txs=(other,)))
-        assert ledger.tx_index[other.digest()] == (ledger.height, 0)
+        assert ledger.locate(other.digest()) == (ledger.height, 0)
         assert not ledger.contains_tx(tx.digest())
+
+
+class TestSharedIndex:
+    """Ledgers over one TxIndex against a from-scratch index of each chain."""
+
+    @staticmethod
+    def private_index(ledger):
+        index = {}
+        for h, block in enumerate(ledger.blocks[1:], start=1):
+            for pos, tx in enumerate(block.txs):
+                index[tx.digest()] = (h, pos)  # a later occurrence wins
+        return index
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_locate_matches_a_private_index(self, data):
+        keyring = Keyring(random.Random(data.draw(st.integers(0, 2**16), label="keys")))
+        key = keyring.new_account()
+        pool = [signed_tx(keyring, key, payload=b"p%d" % i, nonce=i) for i in range(6)]
+        index = TxIndex()
+        ledgers = [Ledger(index=index) for _ in range(data.draw(st.integers(2, 4), label="replicas"))]
+        children: dict[bytes, list] = {}  # parent digest -> blocks made so far
+        for step in range(data.draw(st.integers(1, 14), label="steps")):
+            ledger = data.draw(st.sampled_from(ledgers), label="replica")
+            known = children.get(ledger.head_digest(), [])
+            if known and data.draw(st.booleans(), label="adopt"):
+                # Another replica's block: indexed already, counted from the index.
+                block = data.draw(st.sampled_from(known), label="block")
+            else:
+                # A new block diverges from every other child of this head;
+                # a tx may repeat within it and across its ancestors.
+                picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=4), label="txs")
+                block = build_block(ledger.head_digest(), ledger.height + 1,
+                                    [pool[i] for i in picks], step, BftSeal(key.address, 0))
+                known.append(block)
+                children[ledger.head_digest()] = known
+            ledger.append(block)
+            for replica in ledgers:
+                expect = self.private_index(replica)
+                assert replica.tx_count == len(expect)
+                for tx in pool:
+                    d = tx.digest()
+                    assert replica.locate(d) == expect.get(d)
+                    assert replica.contains_tx(d) == (d in expect)
+                    if d not in expect:
+                        continue
+                    cp = make_checkpoint(tx, replica)
+                    for other in ledgers:
+                        at = other.locate(d)
+                        same = (at is not None and at[0] == cp.block_height
+                                and other.blocks[at[0]].digest() == cp.ledger_head)
+                        assert verify_checkpoint(cp, other) == same
+        # Each distinct appended block is indexed once: one entry per occurrence.
+        appended = {b.digest(): b for ledger in ledgers for b in ledger.blocks[1:]}
+        assert index.fresh.keys() == appended.keys()
+        occurrences = sum(1 if type(e) is tuple else len(e) for e in index.txs.values())
+        assert occurrences == sum(len(b.txs) for b in appended.values())
+
+    def test_divergent_replica_does_not_see_the_other_branch(self, keyring):
+        key = keyring.new_account()
+        tx = signed_tx(keyring, key, payload=b"forked")
+        index = TxIndex()
+        branch_a, branch_b = Ledger(index=index), Ledger(index=index)
+        branch_a.append(build_block(branch_a.head_digest(), 1, [tx], 1000, BftSeal(key.address, 0)))
+        branch_b.append(build_block(branch_b.head_digest(), 1, [], 2000, BftSeal(key.address, 0)))
+        assert branch_a.locate(tx.digest()) == (1, 0)
+        assert branch_b.locate(tx.digest()) is None
+        assert not branch_b.contains_tx(tx.digest())
+        assert (branch_a.tx_count, branch_b.tx_count) == (1, 0)
 
 
 class TestCheckpoints:

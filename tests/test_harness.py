@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from fedledger.eventlog import check_payment_safety, check_privacy, load_events, replay_log
+from fedledger.eventlog import EventLog, check_payment_safety, check_privacy, load_events, replay_log
 from fedledger.harness import batch, run_scenario, verify_log
-from fedledger.runner import run
-from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec
+from fedledger.runner import build, run
+from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_scenario(seed=9, **workload):
@@ -45,6 +47,12 @@ class TestReports:
         assert r1.to_json() == r2.to_json()
         assert h1.log.serialize() == h2.log.serialize()
 
+    def test_serialized_log_equals_joined_json_lines(self):
+        _, h = run(load_scenario(str(ROOT / "scenarios" / "demo.json")))
+        lines = [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in h.log.events]
+        assert h.log.serialize() == ("\n".join(lines) + "\n").encode()
+        assert EventLog().serialize() == b"\n"
+
     def test_throughput_identity(self):
         scn = small_scenario()
         report, _ = run(scn)
@@ -66,6 +74,32 @@ class TestReports:
         assert lines[0].startswith("ledger,tx_throughput")
         assert any(line.startswith("zone:1,") for line in lines)
         assert any(line.startswith("inter,") for line in lines)
+
+
+class TestSharedReplicaFacts:
+    """What every replica derives is kept once: per zone, and per simulation."""
+
+    def test_one_index_per_zone_and_one_memo_per_simulation(self):
+        h = build(session_scenario())
+        indexes = {}
+        for z in h.validators:
+            replicas = [v.core for v in h.validators[z]] + [d.follower for d in h.delegates[z]]
+            assert len({id(r.ledger.index) for r in replicas}) == 1
+            indexes[z] = replicas[0].ledger.index
+        assert len({id(i) for i in indexes.values()}) == len(h.validators) == 2
+        inter = [m.inter for m in h.miners] + [h.admin.inter] + \
+            [d.inter for z in h.delegates for d in h.delegates[z]]
+        assert len({id(n.executions) for n in inter}) == 1
+
+    def test_every_replica_counts_its_own_chain(self):
+        _, h = run(small_scenario())
+        replicas = [v.core for v in h.validators[1]] + [d.follower for d in h.delegates[1]]
+        for r in replicas:
+            digests = [tx.digest() for b in r.ledger.blocks for tx in b.txs]
+            assert r.ledger.tx_count == len(set(digests)) > 0
+            assert all(r.ledger.contains_tx(d) for d in digests)
+        index = replicas[0].ledger.index
+        assert index.fresh.keys() == {b.digest() for r in replicas for b in r.ledger.blocks[1:]}
 
 
 class TestBatch:

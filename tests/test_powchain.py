@@ -3,13 +3,15 @@ execution determinism, conservation, and the statistical block model."""
 
 import random
 import statistics
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedledger import powchain
 from fedledger.analysis import ks_exponential
-from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, build_block
+from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, build_block, genesis_block
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import Keyring, sha256
 from fedledger.powchain import (
@@ -307,6 +309,63 @@ class TestCanonicalReceipts:
                     expect[tx.digest()] = (h, node.block_receipts[bd][pos])
             assert node.canonical_receipts == expect
             assert node.confirmed <= node.canonical_receipts.keys()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_shared_memo_matches_private_memos(self, data):
+        keyring = Keyring(random.Random(data.draw(st.integers(0, 2**16), label="keys")))
+        sender, miner = keyring.new_account(), keyring.new_account()
+        pool = [noop(keyring, sender, i) for i in range(5)]
+        pool.append(signed_inter_tx(sender, 9, M_SETTLE, fee=1))  # UnknownContract
+        genesis = ChainState({sender.address: 3})
+        blocks = []
+        for i in range(data.draw(st.integers(1, 8), label="blocks")):
+            p = data.draw(st.integers(0, i), label="parent")
+            parent = blocks[p - 1] if p else None
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), unique=True, max_size=4),
+                              label="txs")
+            blocks.append(build_block(parent.digest() if parent else genesis_block("pow").digest(),
+                                      parent.height + 1 if parent else 1,
+                                      [pool[j] for j in picks], i,
+                                      PowSeal(miner.address, i, MAX_TARGET)))
+        memo: dict = {}
+        executed = []
+
+        def counted(*args):
+            executed.append(args[1].digest())
+            return execute_block(*args)
+
+        pairs = []
+        with patch.object(powchain, "execute_block", counted):
+            for _ in range(data.draw(st.integers(1, 3), label="nodes")):
+                shared = InterNode(keyring.new_account().address, keyring, genesis, MAX_TARGET,
+                                   confirmation_depth=2, executions=memo)
+                private = InterNode(keyring.new_account().address, keyring, genesis, MAX_TARGET,
+                                    confirmation_depth=2)
+                # Random delivery order (children before parents wait as orphans),
+                # and a random subset: nodes see different parts of the tree.
+                order = data.draw(st.permutations(range(len(blocks))), label="order")
+                order = order[:data.draw(st.integers(0, len(order)), label="delivered")]
+                for j in order:
+                    shared.on_block(blocks[j], float(j))
+                    private.on_block(blocks[j], float(j))
+                pairs.append((shared, private))
+        for shared, private in pairs:
+            assert shared.blocks.keys() == private.blocks.keys()
+            assert {d: st_.digest() for d, st_ in shared.states.items()} == \
+                {d: st_.digest() for d, st_ in private.states.items()}
+            assert shared.block_receipts == private.block_receipts
+            assert shared.canonical == private.canonical
+            assert shared.canonical_receipts == private.canonical_receipts
+            assert shared.confirmed == private.confirmed
+            assert shared.orphans.keys() == private.orphans.keys()
+            for d, st_ in shared.states.items():
+                if d != shared.genesis_digest:
+                    assert st_ is memo[d][0]  # one shared object per block
+        # Private memos execute per node; the shared one once per distinct block.
+        stored = {d for shared, _ in pairs for d in shared.blocks if d != shared.genesis_digest}
+        assert memo.keys() == stored
+        assert len(executed) == len(stored) + sum(len(p.blocks) - 1 for _, p in pairs)
 
 
 class TestConvergence:

@@ -4,6 +4,8 @@ contract races, cross-domain verification, and conservation."""
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
 from fedledger.chain import Checkpoint
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import sha256
@@ -27,6 +29,7 @@ from fedledger.scenario import (
     InterSpec,
     ProtocolSpec,
     Scenario,
+    ValidationError,
     WorkloadSpec,
 )
 from fedledger.sim import Node
@@ -212,6 +215,20 @@ class TestContractRace:
         out = outcomes(report)
         assert out[(1, "sub")] == "FAILED:InsufficientFunds"
         assert report.conservation_delta == 0
+
+    def test_zero_deposit_rejected_before_the_run(self):
+        # Accepted, the buyer ended FAILED:NoContract (configure_subscriber
+        # refuses an empty escrow) and the seller sat in CONFIGURED.
+        scn = fast_session_scenario(seed=7)
+        scn.workload.deposit_units = 0
+        with pytest.raises(ValidationError, match=r"workload\.deposit_tokens"):
+            run(scn)
+
+    def test_same_zone_pair_rejected_before_the_run(self):
+        # Accepted, both sides shared one broker session (sessions are keyed
+        # by id) and hung in DELEGATED and CONFIGURED with no violation.
+        with pytest.raises(ValidationError, match=r"workload pair \(1,1\)"):
+            run(fast_session_scenario(seed=7, pairs=[[1, 1]]))
 
 
 class Probe(Node):

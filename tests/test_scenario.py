@@ -73,6 +73,19 @@ class TestValidation:
             scenario_from_dict({"domains": [{"zone_id": 1}, {"zone_id": 2}],
                                 "workload": {"sessions": 1, "pairs": [[1, 9]]}})
 
+    def test_same_zone_pair_rejected(self):
+        with pytest.raises(ValidationError, match=r"workload pair \(2,2\)"):
+            scenario_from_dict({"domains": [{"zone_id": 1}, {"zone_id": 2}],
+                                "workload": {"sessions": 2, "pairs": [[1, 2], [2, 2]]}})
+
+    @pytest.mark.parametrize("deposit", [0, -1])
+    def test_deposit_below_one_unit_rejected_with_sessions(self, deposit):
+        two = [{"zone_id": 1}, {"zone_id": 2}]
+        with pytest.raises(ValidationError, match=r"workload\.deposit_tokens"):
+            scenario_from_dict({"domains": two, "workload": {"sessions": 1, "deposit_tokens": deposit}})
+        # Without sessions no deposit is ever made.
+        scenario_from_dict({"domains": two, "workload": {"deposit_tokens": deposit}})
+
     @pytest.mark.parametrize("raw", [
         {"domains": [{"zone_id": 1, "delegates": 0}]},
         {"domains": [{"zone_id": 1, "block_capacity": 0}]},
