@@ -104,7 +104,7 @@ def double_spend_experiment(
             nonlocal now
             now += rng.expovariate(1.0 / mean_interval_ms)
             block = victim.build_block(now, nonce=victim.tip_height)
-            victim.on_block(block, now)
+            victim.on_block(block)
 
         # Victim tx included at height 1, then confirmed at depth k.
         mine_honest()
@@ -137,7 +137,7 @@ def double_spend_experiment(
                 honest_len = victim.tip_height - fork_parent_height
         if len(attacker_chain) > honest_len:
             for b in attacker_chain:
-                victim.on_block(b, now)
+                victim.on_block(b)
             if tx.digest() not in victim.canonical_receipts:
                 successes += 1
     return DoubleSpendResult(attempts, successes, give_ups,

@@ -216,7 +216,7 @@ class MinerNode(Node):
             sim.set_timer(self.node_id, sim.now + PUZZLE_POLL_MS, ("batch",))
 
     def _publish(self, sim: Simulator, block: Block) -> None:
-        res = self.inter.on_block(block, sim.now)
+        res = self.inter.on_block(block)
         if not res.adopted:
             return
         if self.collector is not None:
@@ -226,7 +226,7 @@ class MinerNode(Node):
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
         if isinstance(msg, BlockMsg):
-            res = self.inter.on_block(msg.block, sim.now)
+            res = self.inter.on_block(msg.block)
             if res.adopted and self.collector is not None:
                 self.collector.inter_block(self.node_id, msg.block, res, sim.now)
             if res.tip_changed and self.mode == "virtual" and self.share > 0:

@@ -10,7 +10,8 @@ per-block executed states (structurally shared immutable values), the
 canonical chain under the longest-chain rule (ties keep the incumbent),
 a pending pool in arrival order (admission takes the one fee of the run,
 so fees never reorder it), an orphan buffer, and depth-k confirmation
-tracking. Mining nodes additionally hold hash power; in virtual-time
+tracking (the rule is ``confirmed_height``; ``on_block`` returns the txs
+it confirmed). Mining nodes additionally hold hash power; in virtual-time
 mode the next win is sampled from an exponential with mean
 interval/share, in puzzle mode nonces are ground until the header
 digest falls below the target.
@@ -229,6 +230,7 @@ class AdoptResult:
     reason: str = ""
     reorged: bool = False
     reorg_depth: int = 0
+    confirmed: tuple = ()  # txs this call added to InterNode.confirmed
     reverted_confirmed: tuple = ()
     tip_changed: bool = False
     adopted_blocks: tuple = ()  # every block stored by this call (incl. reattached orphans)
@@ -269,7 +271,6 @@ class InterNode:
         self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
         self.seen: set[bytes] = set()
         self.orphans: dict[bytes, Block] = {}
-        self.confirm_times: dict[bytes, float] = {}
         self.confirmed: set[bytes] = set()
         # Every canonical tx: digest -> (height, status).
         self.canonical_receipts: dict[bytes, tuple[int, str]] = {}
@@ -285,18 +286,21 @@ class InterNode:
     def tip_height(self) -> int:
         return len(self.canonical) - 1
 
+    @property
+    def confirmed_height(self) -> int:
+        """Height of the deepest canonical block with depth >= k (< 1 if none)."""
+        return self.tip_height - self.k + 1
+
     def tip_state(self) -> ChainState:
         return self.states[self.tip]
 
     def confirmed_state(self) -> ChainState:
         """State as of the deepest block with depth >= k (genesis if none)."""
-        h = max(0, self.tip_height - self.k + 1)
-        return self.states[self.canonical[h]]
+        return self.states[self.canonical[max(0, self.confirmed_height)]]
 
     def find_checkpoint(self, cp: Checkpoint) -> bool:
         """True iff a confirmed canonical transaction carries exactly this checkpoint."""
-        limit = self.tip_height - self.k + 1
-        for h in range(1, limit + 1):
+        for h in range(1, self.confirmed_height + 1):
             for tx in self.blocks[self.canonical[h]].txs:
                 if tx.checkpoint == cp:
                     return True
@@ -359,7 +363,7 @@ class InterNode:
 
     # -- fork choice -----------------------------------------------------------------
 
-    def on_block(self, block: Block, now: float) -> AdoptResult:
+    def on_block(self, block: Block) -> AdoptResult:
         d = block.digest()
         if d in self.blocks:
             return AdoptResult(False, "known")
@@ -396,18 +400,19 @@ class InterNode:
             else:
                 result.reorged = True
                 result.reorg_depth = self._reorg(d, block, displaced_txs)
-            result.reverted_confirmed = tuple(self._update_confirmations(now, displaced_txs))
+            result.confirmed, result.reverted_confirmed = self._update_confirmations(displaced_txs)
 
         # Re-attach any orphans waiting on this block.
         waiting = [o for o in self.orphans.values() if o.parent == d]
         for o in waiting:
             self.orphans.pop(o.digest(), None)
-            sub = self.on_block(o, now)
+            sub = self.on_block(o)
             result.adopted_blocks += sub.adopted_blocks
             if sub.tip_changed:
                 result.tip_changed = True
                 result.reorged = result.reorged or sub.reorged
                 result.reorg_depth = max(result.reorg_depth, sub.reorg_depth)
+                result.confirmed += sub.confirmed
                 result.reverted_confirmed += sub.reverted_confirmed
         return result
 
@@ -443,25 +448,24 @@ class InterNode:
             self._extend(bd, self.blocks[bd])
         return depth
 
-    def _update_confirmations(self, now: float, displaced_txs: list) -> list:
-        """Confirm txs that reached depth k; returns the confirmed txs that a
-        reorg dropped from the canonical chain."""
-        reverted = []
+    def _update_confirmations(self, displaced_txs: list) -> tuple[tuple, tuple]:
+        """Confirm txs that reached depth k; returns them, and the confirmed
+        txs that a reorg dropped from the canonical chain."""
+        confirmed, reverted = [], []
         # Only a reorg can drop a confirmed tx out of the canonical chain;
         # displaced txs may have been re-included by the new branch.
         for td in displaced_txs:
             if td in self.confirmed and td not in self.canonical_receipts:
                 reverted.append(td)
                 self.confirmed.discard(td)
-        limit = self.tip_height - self.k + 1
+        limit = self.confirmed_height
         for h in range(self._confirm_frontier + 1, limit + 1):
             bd = self.canonical[h]
             for tx in self.blocks[bd].txs:
                 td = tx.digest()
                 if td not in self.confirmed:
                     self.confirmed.add(td)
-                    if td not in self.confirm_times:
-                        self.confirm_times[td] = now
+                    confirmed.append(td)
         if limit > self._confirm_frontier:
             self._confirm_frontier = limit
-        return reverted
+        return tuple(confirmed), tuple(reverted)

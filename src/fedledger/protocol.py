@@ -257,7 +257,7 @@ class InterParticipant(Node):
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
         if isinstance(msg, BlockMsg):
-            res = self.inter.on_block(msg.block, sim.now)
+            res = self.inter.on_block(msg.block)
             if res.tip_changed:
                 self.on_chain_update(sim)
         elif isinstance(msg, InterSubmitAck):
@@ -469,7 +469,7 @@ class DelegateNode(InterParticipant):
         if receipt is None:
             return False  # still pending somewhere, or racing a reorg
         height, status = receipt
-        if height > self.inter.tip_height - self.inter.k + 1:
+        if height > self.inter.confirmed_height:
             return False  # included but not yet confirmed
         if status != "ok":
             if s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):

@@ -33,22 +33,33 @@ from .sim import FaultEntry, LinkModel, Simulator
 
 
 class Collector:
-    """Receives node callbacks; feeds the event log and the metrics."""
+    """Receives node callbacks; feeds the event log and the metrics. A tx is
+    ``inflight`` from its submission to its first commit in a zone or first
+    depth-k confirmation on the observer miner, when its latency is kept."""
 
     def __init__(self, log: EventLog, log_payloads: bool, observer_miner: str):
         self.log = log
         self.log_payloads = log_payloads
         self.observer_miner = observer_miner
-        self.intra_submits: dict[bytes, tuple[int, float]] = {}
-        self.intra_commits: dict[bytes, float] = {}
+        self.inflight: dict[bytes, float] = {}  # tx digest -> submit time (ms)
+        self.submitted: dict[str, int] = {}  # ledger -> txs submitted
+        self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
         self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
-        self.inter_submits: dict[bytes, float] = {}
+
+    def _submitted(self, ledger: str, tx, at: float) -> None:
+        self.inflight[tx.digest()] = at
+        self.submitted[ledger] = self.submitted.get(ledger, 0) + 1
+
+    def _landed(self, ledger: str, d: bytes, at: float) -> None:
+        t_sub = self.inflight.pop(d, None)
+        if t_sub is not None:
+            self.latencies.setdefault(ledger, []).append((at - t_sub) / 1000.0)
 
     # -- intra ---------------------------------------------------------------
 
     def intra_submit(self, zone: int, tx, at: float) -> None:
+        self._submitted(f"zone:{zone}", tx, at)
         d = tx.digest()
-        self.intra_submits[d] = (zone, at)
         rec = {"zone": zone, "tx": d.hex(), "sender": tx.sender.hex(), "at": round(at, 3)}
         if self.log_payloads:
             rec["payload"] = tx.payload.hex()
@@ -62,13 +73,13 @@ class Collector:
         if key in self.intra_blocks_logged:
             return
         self.intra_blocks_logged.add(key)
+        ledger = f"zone:{zone}"
         transfers = []
         txds = []
         for tx in block.txs:
             d = tx.digest()
             txds.append(d.hex())
-            if d not in self.intra_commits:
-                self.intra_commits[d] = at
+            self._landed(ledger, d, at)
             parsed = parse_transfer(tx.payload)
             if parsed:
                 to, amount, memo = parsed
@@ -80,11 +91,13 @@ class Collector:
     # -- inter ----------------------------------------------------------------
 
     def inter_submit(self, tx, at: float) -> None:
-        self.inter_submits[tx.digest()] = at
+        self._submitted("inter", tx, at)
 
     def inter_block(self, node_id: str, block, res, at: float) -> None:
         if node_id != self.observer_miner:
             return
+        for d in res.confirmed:
+            self._landed("inter", d, at)
         for adopted in res.adopted_blocks:
             self._log_inter_block(adopted, at)
         if res.reorged:
@@ -358,25 +371,8 @@ def _first_live_validator(h: RunHandles, zone: int):
 
 def raw_latencies(h: RunHandles) -> dict[str, list[float]]:
     """Per-ledger commit/confirmation latencies in seconds, for aggregation."""
-    out: dict[str, list[float]] = {}
-    for z in sorted(h.validators):
-        vals = []
-        for d, (zone_of, t_sub) in h.collector.intra_submits.items():
-            if zone_of != z:
-                continue
-            t_commit = h.collector.intra_commits.get(d)
-            if t_commit is not None:
-                vals.append((t_commit - t_sub) / 1000.0)
-        out[f"zone:{z}"] = vals
-    if h.miners:
-        observer = h.miners[0].inter
-        vals = []
-        for d, t_sub in h.collector.inter_submits.items():
-            t_conf = observer.confirm_times.get(d)
-            if t_conf is not None:
-                vals.append((t_conf - t_sub) / 1000.0)
-        out["inter"] = vals
-    return out
+    ledgers = [f"zone:{z}" for z in sorted(h.validators)] + (["inter"] if h.miners else [])
+    return {name: h.collector.latencies.get(name, []) for name in ledgers}
 
 
 def finalize(h: RunHandles) -> MetricsReport:
@@ -433,21 +429,20 @@ def finalize(h: RunHandles) -> MetricsReport:
         node = _first_live_validator(h, z)
         ledger = node.core.ledger
         committed = ledger.tx_count
-        submitted = sum(1 for (zz, _t) in h.collector.intra_submits.values() if zz == z)
         report.ledgers[f"zone:{z}"] = LedgerMetrics(
             tx_throughput=committed / duration_s if duration_s else 0.0,
             commit_latency=LatencyStats.from_values(lats[f"zone:{z}"]),
             block_count=ledger.height,
-            submitted=submitted,
+            submitted=h.collector.submitted.get(f"zone:{z}", 0),
             committed=committed,
         )
     if observer is not None:
         committed = len(observer.canonical_receipts)
         report.ledgers["inter"] = LedgerMetrics(
             tx_throughput=committed / duration_s if duration_s else 0.0,
-            commit_latency=LatencyStats.from_values(lats.get("inter", [])),
+            commit_latency=LatencyStats.from_values(lats["inter"]),
             block_count=observer.tip_height,
-            submitted=len(h.collector.inter_submits),
+            submitted=h.collector.submitted.get("inter", 0),
             committed=committed,
         )
 

@@ -365,8 +365,7 @@ class FailingInterView:
 
     def __init__(self, real, contracts):
         self.fee = real.fee
-        self.k = real.k
-        self.tip_height = 100
+        self.confirmed_height = 100  # every receipt it hands out (height 1) is confirmed
         self.state = ChainState(dict(real.tip_state().balances), contracts)
         self.canonical_receipts = {}
 
@@ -384,7 +383,7 @@ class FailingInterView:
     def confirmed_state(self):
         return self.state
 
-    def on_block(self, block, now):
+    def on_block(self, block):
         return SimpleNamespace(tip_changed=True)
 
 
