@@ -130,8 +130,8 @@ class Keyring:
         self._rng = rng
         self._secrets: dict[bytes, bytes] = {}
 
-    def new_account(self, label: bytes = b"") -> SigningKey:
-        secret = self._rng.getrandbits(256).to_bytes(32, "big") + label
+    def new_account(self) -> SigningKey:
+        secret = self._rng.getrandbits(256).to_bytes(32, "big")
         pub = sha256(b"pub:" + secret)
         address = sha256(b"addr:" + pub)[:ADDRESS_LEN]
         self._secrets[address] = secret

@@ -61,17 +61,9 @@ class EventLog:
         return hashlib.sha256(data).hexdigest()
 
 
-def log_digest(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def load_events(path: str) -> tuple[list[dict], str]:
-    with open(path, "rb") as f:
-        data = f.read()
-    digest = hashlib.sha256(data).hexdigest()
-    events = [json.loads(line) for line in data.decode().splitlines() if line]
-    return events, digest
+def parse_events(data: bytes) -> list[dict]:
+    """The records of a serialized log, in order."""
+    return [json.loads(line) for line in data.decode().splitlines() if line]
 
 
 # -- checkers ----------------------------------------------------------------
@@ -265,8 +257,11 @@ def check_payment_safety(rp: Replay) -> list[str]:
     return violations
 
 
-def payload_windows(events: list[dict], width: int = 8) -> set:
-    """8-byte windows of every logged private payload.
+PRIVACY_WINDOW = 8  # bytes: a shared run this long counts as a leak
+
+
+def payload_windows(events: list[dict]) -> set:
+    """PRIVACY_WINDOW-byte windows of every logged private payload.
 
     Structured transfer payloads are excluded: they embed public account
     identifiers (which legitimately appear on the inter ledger), not
@@ -279,13 +274,13 @@ def payload_windows(events: list[dict], width: int = 8) -> set:
             p = bytes.fromhex(e["payload"])
             if parse_transfer(p) is not None:
                 continue
-            for i in range(len(p) - width + 1):
-                windows.add(p[i:i + width])
+            for i in range(len(p) - PRIVACY_WINDOW + 1):
+                windows.add(p[i:i + PRIVACY_WINDOW])
     return windows
 
 
-def check_privacy(events: list[dict], width: int = 8) -> list[str]:
-    windows = payload_windows(events, width)
+def check_privacy(events: list[dict]) -> list[str]:
+    windows = payload_windows(events)
     if not windows:
         return []
     violations = []
@@ -299,8 +294,8 @@ def check_privacy(events: list[dict], width: int = 8) -> list[str]:
         if blob_hex is None:
             continue
         blob = bytes.fromhex(blob_hex)
-        for i in range(len(blob) - width + 1):
-            if blob[i:i + width] in windows:
+        for i in range(len(blob) - PRIVACY_WINDOW + 1):
+            if blob[i:i + PRIVACY_WINDOW] in windows:
                 violations.append(f"private payload bytes leaked in {where} at offset {i}")
                 break
     return violations

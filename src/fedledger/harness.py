@@ -4,10 +4,11 @@ batches with cross-run aggregation, and offline log verification."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import statistics
 
-from .eventlog import load_events, log_digest, run_all_checkers
+from .eventlog import parse_events, run_all_checkers
 from .metrics import LatencyStats, MetricsReport, load_report
 from .runner import raw_latencies, run
 from .scenario import Scenario, load_scenario
@@ -102,9 +103,12 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
     the report's digest; returns (ok, failures)."""
     failures = []
     report = load_report(report_path)
-    if report.get("event_log_digest") != log_digest(log_path):
+    with open(log_path, "rb") as f:
+        data = f.read()
+    # Compare before parsing: an edit can also break the JSON.
+    if report.get("event_log_digest") != hashlib.sha256(data).hexdigest():
         return False, ["TamperedLog: event log digest does not match the report"]
-    events, _digest = load_events(log_path)
+    events = parse_events(data)
     delta, violations = run_all_checkers(events)
     failures.extend(violations)
     if delta != int(report.get("conservation_delta", 0)):

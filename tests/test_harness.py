@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fedledger.eventlog import EventLog, check_payment_safety, check_privacy, load_events, replay_log
+from fedledger.eventlog import EventLog, check_payment_safety, check_privacy, parse_events, replay_log
 from fedledger.harness import batch, run_scenario, verify_log
 from fedledger.runner import build, run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
@@ -150,7 +150,7 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events, _ = load_events(lp)
+        events = parse_events(Path(lp).read_bytes())
         forged = None
         for e in events:
             if e["kind"] == "intra_block" and e["zone"] == 1 and e["transfers"]:
@@ -173,7 +173,7 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events, _ = load_events(lp)
+        events = parse_events(Path(lp).read_bytes())
         payload = next(e["payload"] for e in events
                        if e["kind"] == "intra_submit" and "payload" in e)
         leak = {"kind": "xdom", "src": "x", "dst": "y", "bytes": payload[:32]}
@@ -184,7 +184,7 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events, _ = load_events(lp)
+        events = parse_events(Path(lp).read_bytes())
         assert check_payment_safety(replay_log(events)) == []
         assert check_privacy(events) == []
 
