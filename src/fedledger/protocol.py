@@ -746,7 +746,8 @@ class ClientNode(Node):
         self._arm(sim, "ack", self.cfg.ack_timeout_ms)
 
     def _request(self, sim: Simulator, phase: Phase) -> None:
-        self.goal = phase
+        if self.goal is None or phase.rank > self.goal.rank:
+            self.goal = phase  # a late timer never lowers it
         node, _ = self._current_delegate()
         sim.send(self.node_id, node, PhaseReq(self.cfg.session_id, self.goal))
         # Completion can legitimately take many block intervals (it may wait

@@ -221,7 +221,10 @@ C07_DIGESTS = [
     "71bc38707f9d413ac075680c4f00e80b3d612afc890705317985d88da9615f2c",
     "4304ae39bee77f12169c31d7b55fe74f6637ff2c08952f283cbedd022c89e93e",
     "5c34fce6fad818cd7226e19fa76865f5a9a5cb7ea589cc775cca02a92cd6103c",
-    "338526fb9e43fa3ca7f2508de9b635c56bbc539cf53ce7118b84be100e50775c",
+    # Seed 7108: a client's goal no longer falls back from SETTLED to
+    # COMMITTED on a late deliver timer, so its op watchdog re-requests
+    # SETTLED instead of the lower rung.
+    "ebee9c13b4a5176a4ee5a61e012fc66f687dc5b84944230ba1984627323b1ab0",
     "1319aebdf8f32b26de6357464186bf7f350d77ce78212257c588b59ebf11cbd6",
 ]
 

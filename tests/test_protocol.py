@@ -546,3 +546,15 @@ class TestBrokerPaths:
             (dlg.node_id, DelegationDeny, "BadCheckpoint")]
         assert (target - 1, False) in seen  # held across the DECISION one short
         assert next(height for height, denied in seen if denied) == target
+
+
+class TestClientGoal:
+    def test_late_deliver_timer_keeps_the_goal_at_settled(self):
+        # Each PhaseDone(CONFIGURED) arms a deliver timer, one per broker
+        # after a failover, so one may fire after SETTLED was requested.
+        h, _sent = started(fast_session_scenario())
+        seller = h.clients[(1, "pub")]
+        run_while(h, lambda: seller.goal != Phase.SETTLED)
+        seller.on_timer(h.sim, ("deliver", 0))
+        assert seller.goal == Phase.SETTLED
+        assert finish(h) == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
