@@ -46,8 +46,8 @@ class Collector:
         self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
         self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
 
-    def _submitted(self, ledger: str, tx, at: float) -> None:
-        self.inflight[tx.digest()] = at
+    def _submitted(self, ledger: str, d: bytes, at: float) -> None:
+        self.inflight[d] = at
         self.submitted[ledger] = self.submitted.get(ledger, 0) + 1
 
     def _landed(self, ledger: str, d: bytes, at: float) -> None:
@@ -58,8 +58,8 @@ class Collector:
     # -- intra ---------------------------------------------------------------
 
     def intra_submit(self, zone: int, tx, at: float) -> None:
-        self._submitted(f"zone:{zone}", tx, at)
         d = tx.digest()
+        self._submitted(f"zone:{zone}", d, at)
         rec = {"zone": zone, "tx": d.hex(), "sender": tx.sender.hex(), "at": round(at, 3)}
         if self.log_payloads:
             rec["payload"] = tx.payload.hex()
@@ -91,7 +91,7 @@ class Collector:
     # -- inter ----------------------------------------------------------------
 
     def inter_submit(self, tx, at: float) -> None:
-        self._submitted("inter", tx, at)
+        self._submitted("inter", tx.digest(), at)
 
     def inter_block(self, node_id: str, block, res, at: float) -> None:
         if node_id != self.observer_miner:
