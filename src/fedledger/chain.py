@@ -15,7 +15,7 @@ block. They carry no payload bytes.
 
 The replicas of one zone share one committed-tx index (``TxIndex``):
 each distinct block is indexed once, keyed by its digest, and a replica
-counts an index entry only if the block at that height of its own chain
+sees an index entry only if the block at that height of its own chain
 has the entry's block digest. A divergent replica therefore answers
 from its own chain, as a private index would.
 """
@@ -231,14 +231,12 @@ class TxIndex:
     ``txs`` maps a tx digest to ``(height, pos, block digest)``, or to a
     list of those, in indexing order, when the tx occurs in more than one
     distinct block (divergent replicas, or a tx committed twice).
-    ``fresh`` maps each indexed block digest to the number of its distinct
-    txs that no ancestor block commits. A block digest covers the parent
-    digest, so both are facts of the block digest alone.
+    ``blocks`` holds the digest of every block indexed so far.
     """
 
     def __init__(self):
         self.txs: dict[bytes, tuple | list] = {}
-        self.fresh: dict[bytes, int] = {}
+        self.blocks: set[bytes] = set()
 
 
 class Ledger:
@@ -248,10 +246,9 @@ class Ledger:
     in the zone's one ``TxIndex``.
     """
 
-    def __init__(self, genesis: Block | None = None, index: TxIndex | None = None):
-        self.blocks: list[Block] = [genesis or genesis_block()]
+    def __init__(self, index: TxIndex | None = None):
+        self.blocks: list[Block] = [genesis_block()]
         self.index = index if index is not None else TxIndex()
-        self.tx_count = 0  # distinct txs committed in this chain
 
     @property
     def height(self) -> int:
@@ -267,33 +264,23 @@ class Ledger:
             raise ValueError("block does not link to current head")
         self.blocks.append(block)
         bd = block.digest()
-        fresh = self.index.fresh.get(bd)
-        if fresh is None:
-            fresh = self._index_block(block, bd)
-        self.tx_count += fresh
+        if bd not in self.index.blocks:
+            self._index_block(block, bd)
 
-    def _index_block(self, block: Block, bd: bytes) -> int:
-        """Enter the first replica's copy of a block; returns its fresh count."""
+    def _index_block(self, block: Block, bd: bytes) -> None:
+        """Enter the first replica's copy of a block."""
+        self.index.blocks.add(bd)
         txs = self.index.txs
         height = block.height
-        fresh = 0
         for pos, tx in enumerate(block.txs):
             d = tx.digest()
             entry = txs.get(d)
             if entry is None:
-                fresh += 1
                 txs[d] = (height, pos, bd)
-                continue
-            # Seen before: fresh unless this chain holds an earlier occurrence
-            # (an ancestor, or a lower position of this block, indexed above).
-            if self.locate(d) is None:
-                fresh += 1
-            if type(entry) is tuple:
+            elif type(entry) is tuple:
                 txs[d] = [entry, (height, pos, bd)]
             else:
                 entry.append((height, pos, bd))
-        self.index.fresh[bd] = fresh
-        return fresh
 
     def locate(self, tx_digest: bytes) -> tuple[int, int] | None:
         """(height, pos) of the last occurrence of a tx in this chain, or None."""

@@ -1,7 +1,10 @@
 """Command-line surface: run, batch, verify-log, validate.
 
 Exit codes: 0 all checks pass, 1 violations or verification failure,
-2 usage / file errors. FEDLEDGER_VERBOSE=1 prints progress to stderr.
+2 usage / file errors, each an ``error:`` line on stderr (a bad option
+value, a scenario that does not parse or validate, an unreadable file,
+a report or log that is not one). FEDLEDGER_VERBOSE=1 prints progress
+to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ def _note(msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="fedledger",
                                  description="Two-tier federated ledger simulator")
@@ -38,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("batch", help="Monte-Carlo batch over consecutive seeds")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--runs", type=int, required=True)
+    p.add_argument("--runs", type=_positive_int, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify-log", help="replay a stored event log")

@@ -21,7 +21,6 @@ Checkers:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -50,15 +49,6 @@ class EventLog:
         """
         encode = _LINE_ENCODER.encode
         return b"".join([(encode(e) + "\n").encode() for e in self.events]) or b"\n"
-
-    def digest_hex(self) -> str:
-        return hashlib.sha256(self.serialize()).hexdigest()
-
-    def write(self, path: str) -> str:
-        data = self.serialize()
-        with open(path, "wb") as f:
-            f.write(data)
-        return hashlib.sha256(data).hexdigest()
 
 
 def parse_events(data: bytes) -> list[dict]:

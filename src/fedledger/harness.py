@@ -11,7 +11,7 @@ import statistics
 from .eventlog import parse_events, run_all_checkers
 from .metrics import LatencyStats, MetricsReport, load_report
 from .runner import raw_latencies, run
-from .scenario import Scenario, load_scenario
+from .scenario import ParseError, Scenario, load_scenario
 
 
 def run_scenario(scn: Scenario, seed: int | None = None,
@@ -20,9 +20,7 @@ def run_scenario(scn: Scenario, seed: int | None = None,
     scn = copy.deepcopy(scn)
     if seed is not None:
         scn.seed = seed
-    report, h = run(scn)
-    if log_path:
-        h.log.write(log_path)
+    report, _ = run(scn, log_path)
     if report_path:
         report.write(report_path)
     if csv_path:
@@ -100,15 +98,27 @@ def batch(scn: Scenario, runs: int, report_path: str | None = None) -> dict:
 
 def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
     """Replay a stored event log through the invariant checkers and pin
-    the report's digest; returns (ok, failures)."""
+    the report's digest; returns (ok, failures). A file that is not a
+    report or an event log raises ParseError."""
     failures = []
-    report = load_report(report_path)
+    try:
+        report = load_report(report_path)
+    except ValueError as e:
+        raise ParseError(f"{report_path}: not a JSON report: {e}") from None
+    if not isinstance(report, dict):
+        raise ParseError(f"{report_path}: a report must be a JSON object")
     with open(log_path, "rb") as f:
         data = f.read()
     # Compare before parsing: an edit can also break the JSON.
     if report.get("event_log_digest") != hashlib.sha256(data).hexdigest():
         return False, ["TamperedLog: event log digest does not match the report"]
-    events = parse_events(data)
+    try:
+        events = parse_events(data)
+    except ValueError as e:
+        raise ParseError(f"{log_path}: not a JSON-lines event log: {e}") from None
+    if not (events and all(isinstance(e, dict) for e in events)
+            and events[0].get("kind") == "genesis"):
+        raise ParseError(f"{log_path}: an event log is JSON objects, the first a genesis record")
     delta, violations = run_all_checkers(events)
     failures.extend(violations)
     if delta != int(report.get("conservation_delta", 0)):

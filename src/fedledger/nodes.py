@@ -67,8 +67,7 @@ def submit_intra(sim: Simulator, node: Node, validators: list[str], payload: byt
                  nonce: int) -> IntraTx:
     """Sign an intra tx with ``node.key``, log it, and send it to every zone validator."""
     tx = signed_intra_tx(node.key, node.zone_id, payload, nonce)
-    if node.collector is not None:
-        node.collector.intra_submit(node.zone_id, tx, sim.now)
+    node.collector.intra_submit(node.zone_id, tx, sim.now)
     for v in validators:
         sim.send(node.node_id, v, TxSubmit(tx))
     return tx
@@ -77,7 +76,7 @@ def submit_intra(sim: Simulator, node: Node, validators: list[str], payload: byt
 class ValidatorNode(Node):
     """Hosts one consensus validator and routes its effects."""
 
-    def __init__(self, node_id: str, core: Validator, collector=None):
+    def __init__(self, node_id: str, core: Validator, collector):
         super().__init__(node_id, core.zone_id)
         self.core = core
         self.committee_nodes: list[str] = []  # committee order, includes self
@@ -114,8 +113,7 @@ class ValidatorNode(Node):
                 self._committed(sim, e.block)
 
     def _committed(self, sim: Simulator, block: Block) -> None:
-        if self.collector is not None:
-            self.collector.intra_commit(self.zone_id, self.core.validator_id, block, sim.now)
+        self.collector.intra_commit(self.zone_id, self.core.validator_id, block, sim.now)
         if not self.subscribers:
             return
         for tx in block.txs:
@@ -183,7 +181,7 @@ class MinerNode(Node):
         self.mean_interval_ms = mean_interval_ms
         self.share = share
         self.peers: list[str] = []  # every other inter-ledger node
-        self.collector = collector
+        self.collector = collector  # set on the observer miner alone
         self._epoch = 0
         self._nonce = 0
 
@@ -220,7 +218,7 @@ class MinerNode(Node):
         if not res.adopted:
             return
         if self.collector is not None:
-            self.collector.inter_block(self.node_id, block, res, sim.now)
+            self.collector.inter_block(res, sim.now)
         for t in self.peers:
             sim.send(self.node_id, t, BlockMsg(block))
 
@@ -228,7 +226,7 @@ class MinerNode(Node):
         if isinstance(msg, BlockMsg):
             res = self.inter.on_block(msg.block)
             if res.adopted and self.collector is not None:
-                self.collector.inter_block(self.node_id, msg.block, res, sim.now)
+                self.collector.inter_block(res, sim.now)
             if res.tip_changed and self.mode == "virtual" and self.share > 0:
                 self._reschedule(sim)
         elif isinstance(msg, InterSubmit):
@@ -275,7 +273,7 @@ class IntraLoadNode(ScheduledLoad):
 
     def __init__(self, node_id: str, zone_id: int, key, rng, validators: list[str],
                  rate_per_s: float, offset_ms: float, until_ms: float,
-                 payload_bytes: int = 64, collector=None, times: list[float] | None = None):
+                 collector, payload_bytes: int = 64, times: list[float] | None = None):
         super().__init__(node_id, zone_id, rate_per_s, offset_ms, until_ms, times)
         self.key = key
         self.rng = rng
@@ -292,7 +290,7 @@ class InterLoadNode(ScheduledLoad):
 
     def __init__(self, node_id: str, key, miners: list[str], fee: int,
                  rate_per_s: float, offset_ms: float, until_ms: float,
-                 collector=None, times: list[float] | None = None):
+                 collector, times: list[float] | None = None):
         super().__init__(node_id, None, rate_per_s, offset_ms, until_ms, times)
         self.key = key
         self.miners = miners
@@ -301,7 +299,6 @@ class InterLoadNode(ScheduledLoad):
 
     def submit(self, sim: Simulator, i: int) -> None:
         tx = signed_inter_tx(self.key, 0, M_NOOP, args=enc_u64(i), fee=self.fee)
-        if self.collector is not None:
-            self.collector.inter_submit(tx, sim.now)
+        self.collector.inter_submit(tx, sim.now)
         for m in self.miners:
             sim.send(self.node_id, m, InterSubmit(tx))

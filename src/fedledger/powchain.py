@@ -110,18 +110,16 @@ def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
 class ChainState:
     """Executed ledger state: account balances and contract records."""
 
-    __slots__ = ("balances", "contracts", "fees_total", "minted_total")
+    __slots__ = ("balances", "contracts", "minted_total")
 
-    def __init__(self, balances=None, contracts=None, fees_total=0, minted_total=0):
+    def __init__(self, balances=None, contracts=None, minted_total=0):
         self.balances: dict[bytes, int] = balances if balances is not None else {}
         self.contracts: dict[int, sc.BrokerInfo] = contracts if contracts is not None else {}
-        self.fees_total = fees_total
         self.minted_total = minted_total  # cumulative block subsidies
 
     def copy(self) -> "ChainState":
         # Broker records are immutable, so shallow dict copies suffice.
-        return ChainState(dict(self.balances), dict(self.contracts),
-                          self.fees_total, self.minted_total)
+        return ChainState(dict(self.balances), dict(self.contracts), self.minted_total)
 
     def balance(self, addr: bytes) -> int:
         return self.balances.get(addr, 0)
@@ -162,7 +160,6 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
         return "InsufficientFunds"
     state.balances[tx.sender] = state.balance(tx.sender) - cost
     state.balances[miner] = state.balance(miner) + tx.fee
-    state.fees_total += tx.fee
 
     def refund():
         state.balances[tx.sender] = state.balance(tx.sender) + tx.attached_value

@@ -302,7 +302,7 @@ class DelegateNode(InterParticipant):
 
     def __init__(self, node_id: str, zone_id: int, key, follower: ZoneFollower,
                  inter: InterNode, miners: list[str], admin_node: str,
-                 registry: set, collector=None):
+                 registry: set, collector):
         super().__init__(node_id, zone_id, key, inter, miners)
         self.follower = follower
         self.admin_node = admin_node
@@ -670,7 +670,7 @@ class ClientNode(Node):
     """Seller or buyer: light client driving one exchange session."""
 
     def __init__(self, node_id: str, key, cfg: SessionConfig, validators: list[str],
-                 delegates: list[tuple[str, bytes]], collector=None):
+                 delegates: list[tuple[str, bytes]], collector):
         super().__init__(node_id, cfg.zone_id)
         self.key = key
         self.cfg = cfg
@@ -704,9 +704,8 @@ class ClientNode(Node):
             return  # phases never regress
         self.phase = phase
         self.phase_times[phase] = sim.now
-        if self.collector is not None:
-            self.collector.session_phase(self.cfg.session_id, self.cfg.side, phase, sim.now,
-                                         self.contract_id, self.fail_reason)
+        self.collector.session_phase(self.cfg.session_id, self.cfg.side, phase, sim.now,
+                                     self.contract_id, self.fail_reason)
 
     def _fail(self, sim: Simulator, reason: str) -> None:
         if self.phase in (SETTLED, FAILED):
@@ -763,9 +762,8 @@ class ClientNode(Node):
         if self.delegate_idx >= len(self.delegates):
             self._fail(sim, "NoDelegates")
             return
-        if self.collector is not None:
-            self.collector.session_failover(self.cfg.session_id, self.cfg.side,
-                                            self.delegate_idx, sim.now)
+        self.collector.session_failover(self.cfg.session_id, self.cfg.side,
+                                        self.delegate_idx, sim.now)
         self._send_delegation(sim)
 
     # -- event hooks -------------------------------------------------------------

@@ -9,6 +9,7 @@ across replicas is checked separately by the safety checker.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -35,12 +36,12 @@ from .sim import FaultEntry, LinkModel, Simulator
 class Collector:
     """Receives node callbacks; feeds the event log and the metrics. A tx is
     ``inflight`` from its submission to its first commit in a zone or first
-    depth-k confirmation on the observer miner, when its latency is kept."""
+    depth-k confirmation on the observer miner, when its latency is kept.
+    Only the observer miner reports inter blocks."""
 
-    def __init__(self, log: EventLog, log_payloads: bool, observer_miner: str):
+    def __init__(self, log: EventLog, log_payloads: bool):
         self.log = log
         self.log_payloads = log_payloads
-        self.observer_miner = observer_miner
         self.inflight: dict[bytes, float] = {}  # tx digest -> submit time (ms)
         self.submitted: dict[str, int] = {}  # ledger -> txs submitted
         self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
@@ -93,9 +94,7 @@ class Collector:
     def inter_submit(self, tx, at: float) -> None:
         self._submitted("inter", tx.digest(), at)
 
-    def inter_block(self, node_id: str, block, res, at: float) -> None:
-        if node_id != self.observer_miner:
-            return
+    def inter_block(self, res, at: float) -> None:
         for d in res.confirmed:
             self._landed("inter", d, at)
         for adopted in res.adopted_blocks:
@@ -156,7 +155,6 @@ class RunHandles:
     admin: AdminNode | None = None
     clients: dict = field(default_factory=dict)  # (sid, side) -> ClientNode
     initial_supply: int = 0
-    intra_books_initial: dict = field(default_factory=dict)
 
 
 def build(scn: Scenario) -> RunHandles:
@@ -172,8 +170,7 @@ def build(scn: Scenario) -> RunHandles:
     sim = Simulator(scn.seed, link, transcript=scn.log_payloads)
 
     log = EventLog()
-    observer_miner = "miner:0"
-    collector = Collector(log, scn.log_payloads, observer_miner)
+    collector = Collector(log, scn.log_payloads)
     h = RunHandles(sim=sim, scenario=scn, keyring=keyring, collector=collector, log=log)
 
     # -- accounts -------------------------------------------------------------
@@ -244,7 +241,7 @@ def build(scn: Scenario) -> RunHandles:
         inter = new_inter_node(mk.address)
         node = MinerNode(miner_node_ids[i], inter, random.Random(scn.seed ^ (0x6D696E65 + i)),
                          mode=scn.inter.mode, mean_interval_ms=scn.inter.mean_block_interval_ms,
-                         share=1.0 / scn.inter.miners, collector=collector)
+                         share=1.0 / scn.inter.miners, collector=collector if i == 0 else None)
         node.peers = [p for p in all_inter_ids if p != node.node_id]
         sim.add_node(node)
         h.miners.append(node)
@@ -343,7 +340,6 @@ def build(scn: Scenario) -> RunHandles:
         ))
 
     # -- genesis bookkeeping --------------------------------------------------------------
-    h.intra_books_initial = {z: dict(b) for z, b in intra_books.items()}
     h.initial_supply = sum(sum(b.values()) for b in intra_books.values()) + sum(inter_balances.values())
     log.emit(
         "genesis",
@@ -371,38 +367,37 @@ def _first_live_validator(h: RunHandles, zone: int):
 
 def raw_latencies(h: RunHandles) -> dict[str, list[float]]:
     """Per-ledger commit/confirmation latencies in seconds, for aggregation."""
-    ledgers = [f"zone:{z}" for z in sorted(h.validators)] + (["inter"] if h.miners else [])
+    ledgers = [f"zone:{z}" for z in sorted(h.validators)] + ["inter"]
     return {name: h.collector.latencies.get(name, []) for name in ledgers}
 
 
-def finalize(h: RunHandles) -> MetricsReport:
+def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
+    """Close the log, check it, and report; the log is serialized once, and
+    written to ``log_path`` when one is given."""
     scn = h.scenario
     sim = h.sim
     log = h.log
     duration_s = scn.duration_ms / 1000.0
 
-    observer = h.miners[0].inter if h.miners else None
+    observer = h.miners[0].inter
+    zone_observers = {z: _first_live_validator(h, z) for z in sorted(h.validators)}
 
     if scn.log_payloads:
         for src, dst, data in sim.transcript:
             log.emit("xdom", src=src, dst=dst, bytes=data.hex())
-    if observer is not None:
-        log.emit("inter_canonical", blocks=[d.hex() for d in observer.canonical])
+    log.emit("inter_canonical", blocks=[d.hex() for d in observer.canonical])
 
     # Conservation: observer tip state + one live validator book per zone.
     total = 0
     intra_totals = {}
-    for z in sorted(h.validators):
-        book = _first_live_validator(h, z).core.book
+    for z, node in zone_observers.items():
+        book = node.core.book
         intra_totals[str(z)] = book.total()
         total += book.total()
-    inter_total = 0
-    minted = 0
-    if observer is not None:
-        st = observer.tip_state()
-        inter_total = st.total_supply()
-        minted = st.minted_total
-        total += inter_total
+    st = observer.tip_state()
+    inter_total = st.total_supply()
+    minted = st.minted_total
+    total += inter_total
     delta = total - h.initial_supply - minted
     log.emit("final", at=round(sim.now, 3), conservation_delta=delta,
              intra_totals=intra_totals, inter_total=inter_total, minted=minted)
@@ -423,12 +418,11 @@ def finalize(h: RunHandles) -> MetricsReport:
     if delta != 0:
         violations.append(f"live conservation delta {delta}")
 
-    # Per-ledger metrics.
+    # Per-ledger metrics: committed counts the distinct txs of the observer's chain.
     lats = raw_latencies(h)
-    for z in sorted(h.validators):
-        node = _first_live_validator(h, z)
+    for z, node in zone_observers.items():
         ledger = node.core.ledger
-        committed = ledger.tx_count
+        committed = len({tx.digest() for b in ledger.blocks for tx in b.txs})
         report.ledgers[f"zone:{z}"] = LedgerMetrics(
             tx_throughput=committed / duration_s if duration_s else 0.0,
             commit_latency=LatencyStats.from_values(lats[f"zone:{z}"]),
@@ -436,15 +430,14 @@ def finalize(h: RunHandles) -> MetricsReport:
             submitted=h.collector.submitted.get(f"zone:{z}", 0),
             committed=committed,
         )
-    if observer is not None:
-        committed = len(observer.canonical_receipts)
-        report.ledgers["inter"] = LedgerMetrics(
-            tx_throughput=committed / duration_s if duration_s else 0.0,
-            commit_latency=LatencyStats.from_values(lats["inter"]),
-            block_count=observer.tip_height,
-            submitted=h.collector.submitted.get("inter", 0),
-            committed=committed,
-        )
+    committed = len(observer.canonical_receipts)
+    report.ledgers["inter"] = LedgerMetrics(
+        tx_throughput=committed / duration_s if duration_s else 0.0,
+        commit_latency=LatencyStats.from_values(lats["inter"]),
+        block_count=observer.tip_height,
+        submitted=h.collector.submitted.get("inter", 0),
+        committed=committed,
+    )
 
     # Sessions.
     for (sid, side) in sorted(h.clients):
@@ -461,12 +454,17 @@ def finalize(h: RunHandles) -> MetricsReport:
 
     report.violations = sorted(violations)
     report.safety_violations = len(report.violations)
-    report.event_log_digest = log.digest_hex()
+    data = log.serialize()
+    if log_path:
+        with open(log_path, "wb") as f:
+            f.write(data)
+    report.event_log_digest = hashlib.sha256(data).hexdigest()
     return report
 
 
-def run(scn: Scenario) -> tuple[MetricsReport, RunHandles]:
-    """Build and execute a scenario to its configured duration."""
+def run(scn: Scenario, log_path: str | None = None) -> tuple[MetricsReport, RunHandles]:
+    """Build and execute a scenario to its configured duration; the event
+    log goes to ``log_path`` when one is given."""
     scn.validate()
     h = build(scn)
     for node in list(h.sim.nodes.values()):
@@ -474,5 +472,5 @@ def run(scn: Scenario) -> tuple[MetricsReport, RunHandles]:
         if start is not None:
             start(h.sim)
     h.sim.run_until(scn.duration_ms)
-    report = finalize(h)
+    report = finalize(h, log_path)
     return report, h

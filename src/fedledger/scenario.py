@@ -2,7 +2,8 @@
 
 Scenarios are JSON. Unknown keys are rejected by name; committees must
 satisfy n >= 3f+1 for the declared byzantine count when safety
-assertions are enabled. Token amounts are decimal token values and must
+assertions are enabled. Values a run cannot survive are refused with
+their key named (the bounds below). Token amounts are decimal token values and must
 be exact multiples of 0.001 (one millitoken, the fee unit).
 
 Schema (defaults in parentheses):
@@ -10,36 +11,36 @@ Schema (defaults in parentheses):
 {
   "name": str ("scenario"),
   "seed": int (1),
-  "duration_ms": number (60000),
+  "duration_ms": number (60000, >= 0),
   "safety_assertions": bool (true),
   "log_payloads": bool (true),        # payload hex + block/message bytes in the log
   "domains": [
     {"zone_id": int, "validators": int (4), "byzantine": int (0),
-     "block_capacity": int (1000), "round_timeout_ms": number (200),
-     "block_interval_ms": number (1600), "delegates": int (2),
+     "block_capacity": int (1000, >= 1), "round_timeout_ms": number (200, > 0),
+     "block_interval_ms": number (1600), "delegates": int (2, >= 1),
      "delay_min_ms": number (10), "delay_max_ms": number (200)}
   ],
   "inter": {
-    "miners": int (3), "mode": "virtual"|"puzzle" ("virtual"),
-    "mean_block_interval_ms": number (4500), "block_capacity": int (571),
-    "confirmation_depth": int (6), "fee_tokens": number (0.001),
+    "miners": int (3, >= 1; miner 0 observes), "mode": "virtual"|"puzzle" ("virtual"),
+    "mean_block_interval_ms": number (4500, > 0), "block_capacity": int (571, >= 1),
+    "confirmation_depth": int (6, >= 1), "fee_tokens": number (0.001),
     "contracts": int (4), "target_bits": int (236, puzzle mode),
-    "median_delay_ms": number (200), "sigma": number (1.0)
+    "median_delay_ms": number (200, > 0), "sigma": number (1.0)
   },
   "workload": {
     "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
     "session_interval_ms": number (0), "session_start_ms": number (0),
-    "payload_bytes": int (1024), "deliver_after_ms": number (0),
+    "payload_bytes": int (1024, 0..1024), "deliver_after_ms": number (0),
     "pairs": [[seller_zone, buyer_zone], ...] (round-robin over domains; zones differ),
     "intra_rate_per_s": number (0), "intra_offset_ms": number (0),
-    "intra_until_ms": number (duration), "intra_payload_bytes": int (64),
+    "intra_until_ms": number (duration), "intra_payload_bytes": int (64, 0..1024),
     "intra_probe_times_ms": [numbers] ([]),
     "inter_rate_per_s": number (0), "inter_offset_ms": number (0),
     "inter_until_ms": number (duration)
   },
   "protocol": {
     "ack_timeout_ms": number (5x mean inter one-way delay),
-    "op_timeout_ms": number (120000), "intra_timeout_ms": number (20000)
+    "op_timeout_ms": number (120000, > 0), "intra_timeout_ms": number (20000)
   },
   "funding": {
     "member_tokens": number (100), "delegate_intra_tokens": number (1000),
@@ -65,6 +66,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+
+from .chain import MAX_INTRA_PAYLOAD
 
 
 class ParseError(Exception):
@@ -177,6 +180,26 @@ class Scenario:
         return 5.0 * self.inter.mean_delay_ms()
 
     def validate(self) -> None:
+        # Values the simulation cannot run: a zero or negative timer period
+        # re-arms at one virtual instant for ever; the others crash it.
+        positive = [(f"domains[{i}].round_timeout_ms", d.round_timeout_ms)
+                    for i, d in enumerate(self.domains)]
+        positive += [("protocol.op_timeout_ms", self.protocol.op_timeout_ms),
+                     ("inter.mean_block_interval_ms", self.inter.mean_block_interval_ms),
+                     ("inter.median_delay_ms", self.inter.median_delay_ms)]
+        for key, value in positive:
+            if value <= 0:
+                raise ValidationError(f"{key} must be positive, got {value}")
+        if self.duration_ms < 0:
+            raise ValidationError(f"duration_ms must not be negative, got {self.duration_ms}")
+        for key in ("payload_bytes", "intra_payload_bytes"):
+            value = getattr(self.workload, key)
+            if not 0 <= value <= MAX_INTRA_PAYLOAD:
+                raise ValidationError(
+                    f"workload.{key} must be between 0 and {MAX_INTRA_PAYLOAD}, got {value}")
+        if self.inter.miners < 1:
+            # Miner 0 observes the inter ledger for the report.
+            raise ValidationError(f"inter.miners must be at least 1, got {self.inter.miners}")
         zones = set()
         for d in self.domains:
             if d.zone_id in zones or d.zone_id < 1:

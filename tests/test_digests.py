@@ -30,7 +30,7 @@ PINS = {
 # The report's ledgers section of the same runs, one row per ledger:
 # (submitted, committed, block_count, tx_throughput), then the latency
 # stats in seconds (count, mean, std, median, min, max). Equal under
-# Python 3.10, 3.11 and 3.12.
+# Python 3.10, 3.11, 3.12 and 3.13.
 LEDGER_PINS = {
     "byzantine-safety": {
         "inter": ((0, 0, 7, 0.0),

@@ -1,5 +1,6 @@
 """Harness surface: reports, reproducibility, batches, log verification, CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -91,15 +92,28 @@ class TestSharedReplicaFacts:
             [d.inter for z in h.delegates for d in h.delegates[z]]
         assert len({id(n.executions) for n in inter}) == 1
 
-    def test_every_replica_counts_its_own_chain(self):
+    def test_every_replica_sees_its_own_chain(self):
         _, h = run(small_scenario())
         replicas = [v.core for v in h.validators[1]] + [d.follower for d in h.delegates[1]]
         for r in replicas:
             digests = [tx.digest() for b in r.ledger.blocks for tx in b.txs]
-            assert r.ledger.tx_count == len(set(digests)) > 0
+            assert digests
             assert all(r.ledger.contains_tx(d) for d in digests)
         index = replicas[0].ledger.index
-        assert index.fresh.keys() == {b.digest() for r in replicas for b in r.ledger.blocks[1:]}
+        assert index.blocks == {b.digest() for r in replicas for b in r.ledger.blocks[1:]}
+
+    def test_committed_is_counted_on_the_first_live_validator(self):
+        scn = small_scenario()
+        scn.faults = [{"at_ms": 2_000, "fault": "crash", "node": "val:1:0"}]
+        report, h = run(scn)
+
+        def distinct_txs(node):
+            return len({tx.digest() for b in node.core.ledger.blocks for tx in b.txs})
+
+        crashed, first_live = h.validators[1][:2]
+        assert crashed.node_id in h.sim.crashed and first_live.node_id not in h.sim.crashed
+        assert report.ledgers["zone:1"].committed == distinct_txs(first_live)
+        assert distinct_txs(crashed) < distinct_txs(first_live)
 
 
 class TestBatch:
@@ -130,6 +144,23 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
+        ok, failures = verify_log(rp, lp)
+        assert ok, failures
+
+    def test_log_serialized_once_and_written_as_hashed(self, tmp_path, monkeypatch):
+        calls = []
+        serialize = EventLog.serialize
+
+        def counted(log):
+            calls.append(log)
+            return serialize(log)
+
+        monkeypatch.setattr(EventLog, "serialize", counted)
+        rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
+        report = run_scenario(load_scenario(str(ROOT / "scenarios" / "demo.json")),
+                              report_path=rp, log_path=lp)
+        assert len(calls) == 1
+        assert hashlib.sha256(Path(lp).read_bytes()).hexdigest() == report.event_log_digest
         ok, failures = verify_log(rp, lp)
         assert ok, failures
 
@@ -214,6 +245,30 @@ class TestCli:
         assert report["safety_violations"] == 0
         res = self.run_cli("verify-log", "--report", rp, "--log", lp)
         assert res.returncode == 0 and "pass" in res.stdout
+
+    @pytest.mark.parametrize("report, log", [
+        (b"not json", b"\n"),
+        (None, b"not json lines\n"),
+        (None, b""),
+        (None, b'{"kind":"final"}\n'),
+    ], ids=["report-not-json", "log-not-json", "log-empty", "log-without-genesis"])
+    def test_verify_log_bad_input_exit_code(self, tmp_path, report, log):
+        # A report pinning the log's digest, so the log is parsed.
+        if report is None:
+            report = json.dumps({"event_log_digest": hashlib.sha256(log).hexdigest()}).encode()
+        rp, lp = tmp_path / "r.json", tmp_path / "e.log"
+        rp.write_bytes(report)
+        lp.write_bytes(log)
+        res = self.run_cli("verify-log", "--report", str(rp), "--log", str(lp))
+        assert res.returncode == 2, res.stderr
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+    def test_batch_needs_a_run(self, tmp_path):
+        scn_path = tmp_path / "s.json"
+        scn_path.write_text(json.dumps({"domains": [{"zone_id": 1}]}))
+        res = self.run_cli("batch", "--scenario", str(scn_path), "--runs", "0")
+        assert res.returncode == 2
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
 
     def test_invalid_scenario_exit_code(self, tmp_path):
         scn_path = tmp_path / "bad.json"

@@ -96,6 +96,34 @@ class TestValidation:
         with pytest.raises(ValidationError):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"domains": [{"zone_id": 1}, {"zone_id": 2, "round_timeout_ms": 0}]},
+         r"domains\[1\]\.round_timeout_ms"),
+        ({"domains": [{"zone_id": 1, "round_timeout_ms": -5}]}, r"domains\[0\]\.round_timeout_ms"),
+        ({"protocol": {"op_timeout_ms": 0}}, r"protocol\.op_timeout_ms"),
+        ({"protocol": {"op_timeout_ms": -1}}, r"protocol\.op_timeout_ms"),
+        ({"inter": {"mean_block_interval_ms": 0}}, r"inter\.mean_block_interval_ms"),
+        ({"inter": {"mean_block_interval_ms": -100}}, r"inter\.mean_block_interval_ms"),
+        ({"inter": {"median_delay_ms": 0}}, r"inter\.median_delay_ms"),
+        ({"inter": {"median_delay_ms": -1}}, r"inter\.median_delay_ms"),
+        ({"duration_ms": -1}, r"duration_ms"),
+        ({"workload": {"payload_bytes": 1025}}, r"workload\.payload_bytes"),
+        ({"workload": {"intra_payload_bytes": 1025}}, r"workload\.intra_payload_bytes"),
+        ({"workload": {"intra_payload_bytes": -1}}, r"workload\.intra_payload_bytes"),
+        ({"inter": {"miners": 0}}, r"inter\.miners"),
+    ])
+    def test_values_a_run_cannot_survive(self, raw, key):
+        # Each value hangs or crashes a run: a timer period of 0 re-arms at
+        # one virtual instant, an oversized payload breaks the first
+        # submission, and without a miner nothing observes the inter ledger.
+        with pytest.raises(ValidationError, match=key):
+            scenario_from_dict(raw)
+
+    def test_bounds_are_inclusive_where_a_run_works(self):
+        scn = scenario_from_dict({"duration_ms": 0, "inter": {"miners": 1},
+                                  "workload": {"payload_bytes": 1024, "intra_payload_bytes": 0}})
+        assert (scn.duration_ms, scn.inter.miners, scn.workload.payload_bytes) == (0, 1, 1024)
+
     def test_unknown_fault_key(self):
         with pytest.raises(ParseError, match="when"):
             scenario_from_dict({"faults": [{"when": 5, "fault": "crash", "node": "x"}]})
