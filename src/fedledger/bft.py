@@ -34,6 +34,18 @@ sealed blocks that came early. Its ``on_decision`` is the one way into
 the ledger, for a block sealed in the validator's own round or received.
 Every replica of a zone keeps its own block list over the zone's one
 committed-tx index (``chain.TxIndex``), passed in at construction.
+
+A seal is checked entry by entry: each distinct committee member's
+signature over PRECOMMIT(height, round, block digest) counts once, and
+2f+1 of them seal the block. A validator counts an entry without hashing
+it again when it equals the (digest, signature) it already verified and
+recorded as that sender's precommit for the same height and round; every
+other entry, and every entry a ``ZoneFollower`` checks, is verified.
+
+Per message, membership is a set test, a DECISION at or below the
+ledger head is dropped before its signature is checked, and each quorum
+scan of ``_maybe_progress`` runs only once some count of its tally has
+reached the quorum at the current height.
 """
 
 from __future__ import annotations
@@ -126,12 +138,27 @@ def committee_bounds(n: int) -> tuple[int, int]:
     return f, 2 * f + 1
 
 
+@dataclass(frozen=True)
+class Committee:
+    """A zone's validator addresses in proposer order, and as a set for
+    membership tests. Built once per zone and shared by its replicas."""
+
+    order: tuple
+    members: frozenset
+
+    @staticmethod
+    def of(addresses) -> "Committee":
+        order = tuple(addresses)
+        return Committee(order, frozenset(order))
+
+
 class CommitteeReplica:
     """A replica of one zone ledger: adopts blocks sealed by a quorum of its committee."""
 
-    def __init__(self, committee: list[bytes], keyring: Keyring,
+    def __init__(self, committee: Committee, keyring: Keyring,
                  balances: dict[bytes, int] | None = None, tx_index: TxIndex | None = None):
-        self.committee = list(committee)
+        self.committee = committee.order
+        self.members = committee.members
         self.keyring = keyring
         _f, self.quorum = committee_bounds(len(self.committee))
         self.ledger = Ledger(index=tx_index)
@@ -139,21 +166,34 @@ class CommitteeReplica:
         self._buffer: dict[int, Block] = {}  # sealed blocks above the head, by height
 
     def verify_sealed(self, block: Block) -> bool:
-        """Check a quorum seal: enough distinct committee precommit signatures."""
+        """Check a quorum seal: enough distinct committee precommit signatures.
+
+        An entry equal to a precommit this replica verified on arrival, for
+        the same sender, height and round, counts without hashing again;
+        every other entry is verified."""
         seal = block.seal
         if not isinstance(seal, BftSeal):
             return False
         digest = block.digest()
+        checked = self._checked_precommits(block.height, seal.round)
         seen = set()
         good = 0
         for addr, sig in seal.quorum_signatures:
-            if addr in seen or addr not in self.committee:
+            if addr in seen or addr not in self.members:
                 continue
             seen.add(addr)
+            if checked.get(addr) == (digest, sig):
+                good += 1
+                continue
             probe = ConsensusMsg(MsgKind.PRECOMMIT, block.height, seal.round, digest, addr)
             if self.keyring.verify(addr, probe.signing_bytes(), sig):
                 good += 1
         return good >= self.quorum
+
+    def _checked_precommits(self, height: int, round_: int) -> dict:
+        """Verified precommits of ``height`` and ``round_``, sender -> (digest, sig).
+        A replica that keeps no vote tables has none."""
+        return {}
 
     def on_decision(self, block: Block, seal_checked: bool = False) -> list[Block]:
         """Adopt a sealed block: check its seal (unless the caller sealed it
@@ -180,7 +220,7 @@ class Validator(CommitteeReplica):
     def __init__(
         self,
         key: SigningKey,
-        committee: list[bytes],
+        committee: Committee,
         zone_id: int,
         keyring: Keyring,
         block_capacity: int = 1000,
@@ -218,6 +258,11 @@ class Validator(CommitteeReplica):
         # first-seen order: rounds as first voted in, digests as first voted for.
         self.prevote_tally: dict[int, dict[bytes | None, int]] = {}
         self.precommit_tally: dict[int, dict[bytes | None, int]] = {}
+        # Whether some count of the tally has reached the quorum. Until
+        # then _maybe_progress skips the tally: a count below the quorum
+        # acts on nothing.
+        self.prevote_quorum = False
+        self.precommit_quorum = False
 
     # -- helpers ---------------------------------------------------------
 
@@ -233,6 +278,10 @@ class Validator(CommitteeReplica):
     def _sign(self, msg: ConsensusMsg) -> ConsensusMsg:
         sig = Keyring.sign(self.key, msg.signing_bytes())
         return ConsensusMsg(msg.kind, msg.height, msg.round, msg.block_digest, msg.sender, sig, msg.block)
+
+    def _checked_precommits(self, height: int, round_: int) -> dict:
+        # Every entry passed verify_signed in on_msg, or is this validator's own.
+        return self.precommits.get(round_, {}) if height == self.height else {}
 
     def _voted(self, table: dict, round_: int) -> bool:
         return self.validator_id in table.get(round_, ())
@@ -295,15 +344,17 @@ class Validator(CommitteeReplica):
 
     def on_msg(self, now: float, msg: ConsensusMsg) -> list:
         """Validate, record, and react to a consensus message."""
-        if msg.sender not in self.committee:
+        if msg.sender not in self.members:
             return []
+        is_decision = msg.kind == MsgKind.DECISION
+        if is_decision and (msg.block is None or msg.block.height <= self.ledger.height):
+            return []  # nothing to adopt, whatever the signature
         if not self.keyring.verify_signed(msg):
             return []
         effects: list = []
-        if msg.kind == MsgKind.DECISION:
-            if msg.block is not None:
-                # Adopted, not announced: the sender has broadcast it already.
-                self._commit(self.on_decision(msg.block), now, effects, announce=False)
+        if is_decision:
+            # Adopted, not announced: the sender has broadcast it already.
+            self._commit(self.on_decision(msg.block), now, effects, announce=False)
             return effects
         if msg.height != self.height:
             return []  # stale or future height; DECISION sync covers gaps
@@ -335,7 +386,8 @@ class Validator(CommitteeReplica):
 
     def _record_vote(self, msg: ConsensusMsg) -> None:
         """Enter a PREVOTE or PRECOMMIT into its table and tally, once per sender and round."""
-        if msg.kind == MsgKind.PREVOTE:
+        prevote = msg.kind == MsgKind.PREVOTE
+        if prevote:
             table, tally, step, value = self.prevotes, self.prevote_tally, "prevote", msg.block_digest
         else:
             table, tally, step = self.precommits, self.precommit_tally, "precommit"
@@ -343,7 +395,7 @@ class Validator(CommitteeReplica):
         votes = table.setdefault(msg.round, {})
         if msg.sender in votes:
             prior = votes[msg.sender]
-            prior_digest = prior if step == "prevote" else prior[0]
+            prior_digest = prior if prevote else prior[0]
             if prior_digest != msg.block_digest:
                 self.evidence.append(
                     Evidence(msg.sender, msg.height, msg.round, step, (prior_digest, msg.block_digest))
@@ -351,7 +403,12 @@ class Validator(CommitteeReplica):
             return
         votes[msg.sender] = value
         counts = tally.setdefault(msg.round, {})
-        counts[msg.block_digest] = counts.get(msg.block_digest, 0) + 1
+        c = counts[msg.block_digest] = counts.get(msg.block_digest, 0) + 1
+        if c >= self.quorum:
+            if prevote:
+                self.prevote_quorum = True
+            else:
+                self.precommit_quorum = True
 
     # -- state transitions ------------------------------------------------------
 
@@ -398,7 +455,7 @@ class Validator(CommitteeReplica):
                     changed = True
             # Prevote quorums: lock and precommit, or unlock on a later polka.
             # Snapshots, as _enter_round and _commit can re-enter this method.
-            for r, counts in list(self.prevote_tally.items()):
+            for r, counts in list(self.prevote_tally.items()) if self.prevote_quorum else ():
                 for d, c in list(counts.items()):
                     if c < self.quorum:
                         continue
@@ -430,7 +487,7 @@ class Validator(CommitteeReplica):
             # Precommit quorums: commit (any round), or advance on a nil quorum.
             # The tables of this height: _new_height replaces both maps.
             precommits = self.precommits
-            for r, counts in list(self.precommit_tally.items()):
+            for r, counts in list(self.precommit_tally.items()) if self.precommit_quorum else ():
                 for d, c in list(counts.items()):
                     if c < self.quorum:
                         continue

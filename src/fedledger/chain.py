@@ -64,12 +64,9 @@ class IntraTx:
             raise ValueError(f"payload exceeds {MAX_INTRA_PAYLOAD} bytes")
 
     def signing_bytes(self) -> bytes:
-        return (
-            enc_address(self.sender)
-            + enc_u32(self.zone_id)
-            + enc_blob(self.payload)
-            + enc_u64(self.nonce)
-        )
+        # Not cached: a tx is signature-checked once per keyring, and a cache
+        # would keep a second copy of the payload alive for every tx.
+        return _intra_signing_bytes(self.sender, self.zone_id, self.payload, self.nonce)
 
     def serialize(self) -> bytes:
         return self.signing_bytes() + enc_blob(self.signature)
@@ -82,8 +79,12 @@ class IntraTx:
         return cached
 
 
+def _intra_signing_bytes(sender: bytes, zone_id: int, payload: bytes, nonce: int) -> bytes:
+    return enc_address(sender) + enc_u32(zone_id) + enc_blob(payload) + enc_u64(nonce)
+
+
 def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
-    signing = IntraTx(key.address, zone_id, payload, nonce).signing_bytes()
+    signing = _intra_signing_bytes(key.address, zone_id, payload, nonce)
     sig = Keyring.sign(key, signing)
     tx = IntraTx(key.address, zone_id, payload, nonce, sig)
     # The digest of serialize(), from the signing bytes already in hand.

@@ -56,6 +56,27 @@ def parse_events(data: bytes) -> list[dict]:
     return [json.loads(line) for line in data.decode().splitlines() if line]
 
 
+# The top-level fields the checkers read, per record kind; every record
+# needs a "kind". A record of a kind not listed is read for its kind alone.
+CHECKED_FIELDS: dict[str, tuple[str, ...]] = {
+    "genesis": ("total_supply", "inter_balances", "intra_balances", "contracts"),
+    "intra_commit": ("zone", "height", "block"),
+    "intra_block": ("zone", "height", "block"),
+    "inter_block": ("block", "miner", "txs"),
+    "inter_canonical": ("blocks",),
+    "inter_revert_confirmed": ("at", "txs"),
+    "xdom": ("src", "dst", "bytes"),
+}
+
+
+def missing_field(record: dict) -> str | None:
+    """The first field of ``CHECKED_FIELDS`` that ``record`` lacks, or None."""
+    kind = record.get("kind")
+    if not isinstance(kind, str):
+        return "kind"
+    return next((f for f in CHECKED_FIELDS.get(kind, ()) if f not in record), None)
+
+
 # -- checkers ----------------------------------------------------------------
 
 def check_safety(events: list[dict]) -> list[str]:

@@ -8,7 +8,7 @@ import hashlib
 import json
 import statistics
 
-from .eventlog import parse_events, run_all_checkers
+from .eventlog import missing_field, parse_events, run_all_checkers
 from .metrics import LatencyStats, MetricsReport, load_report
 from .runner import raw_latencies, run
 from .scenario import ParseError, Scenario, load_scenario
@@ -119,6 +119,10 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
     if not (events and all(isinstance(e, dict) for e in events)
             and events[0].get("kind") == "genesis"):
         raise ParseError(f"{log_path}: an event log is JSON objects, the first a genesis record")
+    for i, e in enumerate(events, 1):
+        name = missing_field(e)
+        if name is not None:
+            raise ParseError(f"{log_path}: record {i} ({e.get('kind')}) has no field {name!r}")
     delta, violations = run_all_checkers(events)
     failures.extend(violations)
     if delta != int(report.get("conservation_delta", 0)):

@@ -76,11 +76,15 @@ def submit_intra(sim: Simulator, node: Node, validators: list[str], payload: byt
 class ValidatorNode(Node):
     """Hosts one consensus validator and routes its effects."""
 
-    def __init__(self, node_id: str, core: Validator, collector):
+    def __init__(self, node_id: str, core: Validator, collector,
+                 committee_nodes: list[str], fullnode_targets: list[str]):
         super().__init__(node_id, core.zone_id)
         self.core = core
-        self.committee_nodes: list[str] = []  # committee order, includes self
-        self.fullnode_targets: list[str] = []  # zone full nodes fed DECISIONs
+        # committee_nodes: the zone's validators in committee order, this one included.
+        i = committee_nodes.index(node_id)
+        self.peers = committee_nodes[:i] + committee_nodes[i + 1:]
+        # DECISIONs go to the peers and to the zone full nodes.
+        self.decision_targets = self.peers + fullnode_targets
         self.subscribers: dict[bytes, str] = {}  # address -> node id for commit notices
         self.collector = collector
         self._alternates: dict[tuple, tuple] = {}  # equivocation bookkeeping
@@ -133,11 +137,11 @@ class ValidatorNode(Node):
     def _fanout(self, sim: Simulator, msg: ConsensusMsg) -> None:
         if self.behavior == "silent":
             return
-        peers = [n for n in self.committee_nodes if n != self.node_id]
         if msg.kind == MsgKind.DECISION:
-            for t in peers + self.fullnode_targets:
+            for t in self.decision_targets:
                 sim.send(self.node_id, t, msg)
             return
+        peers = self.peers
         if self.behavior == "equivocate" and msg.block_digest is not None:
             alt = self._equivocate(msg)
             half = len(peers) // 2

@@ -13,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .bft import Validator, ZoneFollower
+from .bft import Committee, Validator, ZoneFollower
 from .chain import TxIndex, parse_transfer
 from .crypto import Keyring
 from .eventlog import EventLog, run_all_checkers
@@ -260,7 +260,7 @@ def build(scn: Scenario) -> RunHandles:
 
     for d in scn.domains:
         z = d.zone_id
-        committee = [k.address for k in val_keys[z]]
+        committee = Committee.of(k.address for k in val_keys[z])
         # One committed-tx index per zone, shared by its validators and followers.
         index = TxIndex()
         vnodes = []
@@ -270,9 +270,7 @@ def build(scn: Scenario) -> RunHandles:
                              round_timeout_ms=d.round_timeout_ms,
                              block_interval_ms=d.block_interval_ms,
                              balances=intra_books[z], tx_index=index)
-            node = ValidatorNode(node_id, core, collector)
-            node.committee_nodes = val_ids[z]
-            node.fullnode_targets = dlg_ids[z]
+            node = ValidatorNode(node_id, core, collector, val_ids[z], dlg_ids[z])
             sim.add_node(node)
             vnodes.append(node)
         h.validators[z] = vnodes

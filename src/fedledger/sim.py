@@ -179,16 +179,18 @@ class Simulator:
         if t < self.now:
             raise ValueError("cannot run backwards")
         count = 0
-        while self._queue and self._queue[0][0] <= t:
-            at, seq, kind, target, payload = heapq.heappop(self._queue)
+        # Bound once: handlers and faults change these in place, never rebind them.
+        queue, crashed, nodes, pop = self._queue, self.crashed, self.nodes, heapq.heappop
+        while queue and queue[0][0] <= t:
+            at, seq, kind, target, payload = pop(queue)
             self.now = at
             if kind == "fault":
                 self._apply_fault(payload)
                 count += 1
                 continue
-            if target in self.crashed:
+            if target in crashed:
                 continue  # crash semantics: silently dropped
-            node = self.nodes.get(target)
+            node = nodes.get(target)
             if node is None:
                 continue
             try:

@@ -1,6 +1,7 @@
 """Consensus state machine: proposer rotation, quorum rules, timeouts,
-equivocation evidence, decision sync, vote tallies, the signature memo,
-and randomized safety runs."""
+equivocation evidence, decision sync, seal checks that reuse verified
+precommits, vote tallies and their quorum flags, the signature memo, and
+randomized safety runs."""
 
 import random
 from dataclasses import replace
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from fedledger.bft import (
     Broadcast,
     Committed,
+    Committee,
     CommitteeReplica,
     ConsensusMsg,
     Deadline,
@@ -21,7 +23,7 @@ from fedledger.bft import (
     Validator,
     ZoneFollower,
 )
-from fedledger.chain import IntraTx, PowSeal, signed_intra_tx, transfer_payload
+from fedledger.chain import IntraTx, PowSeal, build_block, signed_intra_tx, transfer_payload
 from fedledger.crypto import Keyring
 from fedledger.nodes import ValidatorNode
 from fedledger.runner import run
@@ -36,7 +38,7 @@ def committee_of(keyring, n=4):
 
 def make_validator(keyring, keys, addrs, idx, **kw):
     kw.setdefault("block_interval_ms", 0.0)
-    return Validator(keys[idx], addrs, 1, keyring, **kw)
+    return Validator(keys[idx], Committee.of(addrs), 1, keyring, **kw)
 
 
 def vote(keyring, key, kind, height, round_, digest):
@@ -289,7 +291,7 @@ class TestDecisionSync:
         if replica == "validator":
             checker = make_validator(keyring, keys, addrs, 3)
         else:
-            checker = ZoneFollower(addrs, keyring)
+            checker = ZoneFollower(Committee.of(addrs), keyring)
         sigs = sealed.seal.quorum_signatures
         assert len(sigs) == checker.quorum == 3
 
@@ -308,9 +310,79 @@ class TestDecisionSync:
     def test_follower_buffers_out_of_order(self, keyring):
         keys, addrs = committee_of(keyring)
         v, sealed1 = self.commit_one(keyring, keys, addrs)
-        follower = ZoneFollower(addrs, keyring)
+        follower = ZoneFollower(Committee.of(addrs), keyring)
         assert follower.on_decision(sealed1) == [sealed1]
         assert follower.ledger.height == 1
+
+
+class TestSealReuse:
+    """A validator counts a seal entry without hashing only when it equals
+    the precommit it verified on arrival, for the same sender, height and
+    round; any other entry is hashed as by a follower."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        verify = Keyring.verify
+
+        def counting(self, *args):
+            calls.append(args)
+            return verify(self, *args)
+
+        monkeypatch.setattr(Keyring, "verify", counting)
+        return calls
+
+    def lagging(self, keyring, keys, addrs, height, round_, digest):
+        """Validator 3, at height 1 without the proposal, holding the
+        precommits of validators 0-2 for (height, round_, digest)."""
+        lag = make_validator(keyring, keys, addrs, 3)
+        for i in range(3):
+            lag.on_msg(float(i), vote(keyring, keys[i], MsgKind.PRECOMMIT, height, round_, digest))
+        assert lag.ledger.height == 0
+        return lag
+
+    def test_recorded_precommits_are_not_hashed_again(self, keyring, verify_calls):
+        keys, addrs = committee_of(keyring)
+        _v, sealed = TestDecisionSync().commit_one(keyring, keys, addrs)
+        lag = self.lagging(keyring, keys, addrs, 1, 0, sealed.digest())
+        verify_calls.clear()
+        assert lag.verify_sealed(sealed)
+        assert verify_calls == []
+        assert make_validator(keyring, keys, addrs, 3).verify_sealed(sealed)
+        assert ZoneFollower(Committee.of(addrs), keyring).verify_sealed(sealed)
+        assert len(verify_calls) == 2 * 3  # a fresh validator and a follower hash every entry
+
+    @pytest.mark.parametrize("other", ["round", "digest", "height"])
+    def test_precommit_of_another_vote_is_not_reused(self, keyring, verify_calls, other):
+        # The lagging validator holds genuine precommits for one vote. The
+        # seal carries the same signatures for a vote that differs in one
+        # of height, round and digest, so each entry is hashed and fails.
+        keys, addrs = committee_of(keyring)
+        _v, sealed = TestDecisionSync().commit_one(keyring, keys, addrs)
+        d = sealed.digest()
+        later = build_block(d, 2, (), 0, sealed.seal)
+        block, recorded = {
+            "round": (sealed, (1, 1, d)),
+            "digest": (replace(sealed, timestamp=sealed.timestamp + 1), (1, 0, d)),
+            "height": (later, (1, 0, later.digest())),
+        }[other]
+        signed = tuple((k.address, vote(keyring, k, MsgKind.PRECOMMIT, *recorded).signature)
+                       for k in keys[:3])
+        forged = block.with_seal(replace(sealed.seal, quorum_signatures=signed))
+        lag = self.lagging(keyring, keys, addrs, *recorded)
+        verify_calls.clear()
+        assert not lag.verify_sealed(forged)
+        assert len(verify_calls) == 3
+
+    def test_differing_signature_is_hashed(self, keyring, verify_calls):
+        keys, addrs = committee_of(keyring)
+        _v, sealed = TestDecisionSync().commit_one(keyring, keys, addrs)
+        lag = self.lagging(keyring, keys, addrs, 1, 0, sealed.digest())
+        (addr, _sig), *rest = sealed.seal.quorum_signatures
+        forged = sealed.with_seal(replace(sealed.seal, quorum_signatures=((addr, bytes(32)), *rest)))
+        verify_calls.clear()
+        assert not lag.verify_sealed(forged)
+        assert [args[0] for args in verify_calls] == [addr]
 
 
 CHAIN_HEIGHTS = 6
@@ -385,7 +457,7 @@ class TestDecisionOrder:
                                    sealed.seal.round, sealed.digest())
 
         def replay(order):
-            follower = ZoneFollower(addrs, keyring, balances=funds)
+            follower = ZoneFollower(Committee.of(addrs), keyring, balances=funds)
             lag = make_validator(keyring, keys, addrs, n - 1, balances=funds)
             lag.start(0.0)
             appended = []
@@ -433,9 +505,9 @@ class TestTamperedProposal:
             if self.node_id == "val:1:1" and msg.kind == MsgKind.PROPOSAL and len(msg.block.txs) > 1:
                 bad = replace(msg, block=replace(msg.block, txs=msg.block.txs[::-1]))
                 swapped.append(bad)
-                for t in self.committee_nodes[2:]:
+                for t in self.peers[1:]:
                     sim.send(self.node_id, t, bad)
-                for t in self.committee_nodes[:1]:
+                for t in self.peers[:1]:
                     sim.send(self.node_id, t, msg)
                 return
             fanout(self, sim, msg)
@@ -503,6 +575,47 @@ class TestVoteTallies:
         assert v.prevotes == v.precommits == v.prevote_tally == v.precommit_tally == {}
 
 
+class TestQuorumFlags:
+    """_maybe_progress skips a tally until some count reaches the quorum.
+    Under every fault kind a run's log equals that of the same run with
+    both flags always set, so that every scan runs."""
+
+    @staticmethod
+    def faults(kind, node):
+        if kind == "crash-recover":
+            return [{"at_ms": 1500, "fault": "crash", "node": node},
+                    {"at_ms": 4000, "fault": "recover", "node": node}]
+        return [{"at_ms": 0, "fault": "byzantine", "node": node, "behavior": kind}]
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("kind", ["equivocate", "silent", "delay", "crash-recover"])
+    def test_log_equals_a_run_that_always_scans(self, monkeypatch, n, kind):
+        new_height = Validator._new_height
+
+        def always_scanning(self):
+            new_height(self)
+            self.prevote_quorum = self.precommit_quorum = True
+
+        heights = []
+        for seed in (1, 2, 3):
+            scn = Scenario(
+                name="flags", seed=seed, duration_ms=8_000,
+                domains=[DomainSpec(zone_id=1, validators=n, byzantine=1, delegates=1)],
+                inter=InterSpec(miners=1, contracts=1),
+                workload=WorkloadSpec(intra_rate_per_s=30, intra_payload_bytes=16),
+                faults=self.faults(kind, f"val:1:{seed}"),
+                log_payloads=False,
+            )
+            report, h = run(scn)
+            heights.append(h.validators[1][0].core.ledger.height)
+            with monkeypatch.context() as m:
+                m.setattr(Validator, "_new_height", always_scanning)
+                always, _ = run(scn)
+            assert report.event_log_digest == always.event_log_digest, (kind, n, seed)
+        # Some runs stall (an equivocator can stop a 4-validator zone), not all.
+        assert max(heights) >= 3
+
+
 class TestSignatureMemo:
     def test_other_keyring_checks_again(self, keyring):
         keys, _addrs = committee_of(keyring)
@@ -517,7 +630,7 @@ class TestSignatureMemo:
         keys, addrs = committee_of(keyring)
         msg = vote(keyring, keys[1], MsgKind.PREVOTE, 1, 0, bytes(32))
         assert keyring.verify_signed(msg)
-        v = Validator(keys[0], addrs, 1, Keyring(random.Random(7)), block_interval_ms=0.0)
+        v = Validator(keys[0], Committee.of(addrs), 1, Keyring(random.Random(7)), block_interval_ms=0.0)
         v.on_msg(1.0, msg)
         assert v.prevotes == {}
 

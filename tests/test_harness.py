@@ -15,6 +15,8 @@ from fedledger.runner import build, run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+# A genesis record with every field the checkers read, and nothing to replay.
+GENESIS = b'{"contracts":[],"inter_balances":{},"intra_balances":{},"kind":"genesis","total_supply":0}\n'
 
 
 def small_scenario(seed=9, **workload):
@@ -246,13 +248,17 @@ class TestCli:
         res = self.run_cli("verify-log", "--report", rp, "--log", lp)
         assert res.returncode == 0 and "pass" in res.stdout
 
-    @pytest.mark.parametrize("report, log", [
-        (b"not json", b"\n"),
-        (None, b"not json lines\n"),
-        (None, b""),
-        (None, b'{"kind":"final"}\n'),
-    ], ids=["report-not-json", "log-not-json", "log-empty", "log-without-genesis"])
-    def test_verify_log_bad_input_exit_code(self, tmp_path, report, log):
+    @pytest.mark.parametrize("report, log, named", [
+        (b"not json", b"\n", ""),
+        (None, b"not json lines\n", ""),
+        (None, b"", ""),
+        (None, b'{"kind":"final"}\n', ""),
+        (None, b'{"kind":"genesis"}\n', "record 1 (genesis) has no field 'total_supply'"),
+        (None, GENESIS + b'{"block":"00","kind":"intra_commit","zone":1}\n',
+         "record 2 (intra_commit) has no field 'height'"),
+    ], ids=["report-not-json", "log-not-json", "log-empty", "log-without-genesis",
+            "genesis-without-fields", "commit-without-height"])
+    def test_verify_log_bad_input_exit_code(self, tmp_path, report, log, named):
         # A report pinning the log's digest, so the log is parsed.
         if report is None:
             report = json.dumps({"event_log_digest": hashlib.sha256(log).hexdigest()}).encode()
@@ -262,6 +268,7 @@ class TestCli:
         res = self.run_cli("verify-log", "--report", str(rp), "--log", str(lp))
         assert res.returncode == 2, res.stderr
         assert "error:" in res.stderr and "Traceback" not in res.stderr
+        assert named in res.stderr
 
     def test_batch_needs_a_run(self, tmp_path):
         scn_path = tmp_path / "s.json"
