@@ -92,7 +92,7 @@ def double_spend_experiment(
         payee = keyring.new_account()
         attacker = keyring.new_account()
         state = ChainState({victim_key.address: 10_000})
-        victim = InterNode(victim_key.address, keyring, state, MAX_TARGET,
+        victim = InterNode(victim_key.address, keyring, state,
                            confirmation_depth=confirmations, fee=1)
         tx = signed_inter_tx(victim_key, 0, M_TRANSFER,
                              args=payee.address + attempt.to_bytes(8, "big"),

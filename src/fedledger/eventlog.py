@@ -56,25 +56,69 @@ def parse_events(data: bytes) -> list[dict]:
     return [json.loads(line) for line in data.decode().splitlines() if line]
 
 
-# The top-level fields the checkers read, per record kind; every record
-# needs a "kind". A record of a kind not listed is read for its kind alone.
-CHECKED_FIELDS: dict[str, tuple[str, ...]] = {
-    "genesis": ("total_supply", "inter_balances", "intra_balances", "contracts"),
-    "intra_commit": ("zone", "height", "block"),
-    "intra_block": ("zone", "height", "block"),
-    "inter_block": ("block", "miner", "txs"),
-    "inter_canonical": ("blocks",),
-    "inter_revert_confirmed": ("at", "txs"),
-    "xdom": ("src", "dst", "bytes"),
+# The fields the checkers read, per record kind, and the shape of each
+# value; every record needs a string "kind", and other kinds are read for
+# it alone. A shape is a JSON type (int: never true/false; bytes: a hex
+# string; object: anything), [shape] for a list, {str: shape} for an
+# object of entries, or a dict of fields (a name ending in "?" may be absent).
+_INTER_TX = {"sender": bytes, "fee": int, "attached": int, "method": str, "cid": int,
+             "args": bytes, "cp_zone?": int, "cp_ref?": bytes, "cp_height?": int, "cp_head?": bytes}
+CHECKED_FIELDS: dict[str, dict] = {
+    "genesis": {"total_supply": int, "inter_balances": {str: int},
+                "intra_balances": {str: {str: int}}, "block_reward?": int,
+                "contracts": [{"cid": int, "admin": bytes, "delegation": [bytes]}]},
+    "intra_submit": {"payload?": bytes},
+    "intra_commit": {"zone": int, "height": int, "block": str},
+    "intra_block": {"zone": int, "height": int, "block": str,
+                    "transfers?": [{"frm": str, "to": str, "amount": int, "memo": int}]},
+    "inter_block": {"block": str, "miner": str, "txs": [_INTER_TX], "bytes?": bytes},
+    "inter_canonical": {"blocks": [str]},
+    "inter_revert_confirmed": {"at": object, "txs": object},
+    "xdom": {"src": object, "dst": object, "bytes": bytes},
 }
+_NAMES = {int: "an integer", str: "a string", bytes: "a hex string", list: "a list", dict: "an object"}
 
 
-def missing_field(record: dict) -> str | None:
-    """The first field of ``CHECKED_FIELDS`` that ``record`` lacks, or None."""
+def _mismatch(value, shape) -> tuple[str, str | None] | None:
+    """(path, the kind expected there, None if absent) at the first part of
+    ``value`` that breaks ``shape``, or None if it all conforms."""
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if kind is bytes:
+        try:
+            bytes.fromhex(value)
+            return None
+        except (TypeError, ValueError):
+            return "", _NAMES[bytes]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        return "", _NAMES[kind]
+    if isinstance(shape, list):
+        parts = [(f"[{i}]", v, shape[0]) for i, v in enumerate(value)]
+    elif isinstance(shape, dict) and str in shape:
+        parts = [(f"[{k}]", v, shape[str]) for k, v in value.items()]
+    elif isinstance(shape, dict):
+        missing = [name for name in shape if not name.endswith("?") and name not in value]
+        if missing:
+            return f".{missing[0]}", None
+        fields = ((name.rstrip("?"), sub) for name, sub in shape.items())
+        parts = [(f".{key}", value[key], sub) for key, sub in fields if key in value]
+    else:
+        return None
+    for path, v, sub in parts:
+        bad = _mismatch(v, sub)
+        if bad is not None:
+            return path + bad[0], bad[1]
+    return None
+
+
+def bad_field(record: dict) -> str | None:
+    """What is wrong with the first field of ``CHECKED_FIELDS`` that
+    ``record`` lacks or holds in the wrong shape, or None."""
     kind = record.get("kind")
-    if not isinstance(kind, str):
-        return "kind"
-    return next((f for f in CHECKED_FIELDS.get(kind, ()) if f not in record), None)
+    bad = _mismatch(record, CHECKED_FIELDS.get(kind, {}) if isinstance(kind, str) else {"kind": str})
+    if bad is None:
+        return None
+    path, expected = bad[0].lstrip("."), bad[1]
+    return f"has no field {path!r}" if expected is None else f"has field {path!r} that is not {expected}"
 
 
 # -- checkers ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import hashlib
 import json
 import statistics
 
-from .eventlog import missing_field, parse_events, run_all_checkers
+from .eventlog import bad_field, parse_events, run_all_checkers
 from .metrics import LatencyStats, MetricsReport, load_report
 from .runner import raw_latencies, run
 from .scenario import ParseError, Scenario, load_scenario
@@ -105,8 +105,8 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
         report = load_report(report_path)
     except ValueError as e:
         raise ParseError(f"{report_path}: not a JSON report: {e}") from None
-    if not isinstance(report, dict):
-        raise ParseError(f"{report_path}: a report must be a JSON object")
+    if not (isinstance(report, dict) and type(report.get("conservation_delta", 0)) is int):
+        raise ParseError(f"{report_path}: a report must be a JSON object with an integer conservation_delta")
     with open(log_path, "rb") as f:
         data = f.read()
     # Compare before parsing: an edit can also break the JSON.
@@ -120,12 +120,12 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
             and events[0].get("kind") == "genesis"):
         raise ParseError(f"{log_path}: an event log is JSON objects, the first a genesis record")
     for i, e in enumerate(events, 1):
-        name = missing_field(e)
-        if name is not None:
-            raise ParseError(f"{log_path}: record {i} ({e.get('kind')}) has no field {name!r}")
+        problem = bad_field(e)
+        if problem is not None:
+            raise ParseError(f"{log_path}: record {i} ({e.get('kind')}) {problem}")
     delta, violations = run_all_checkers(events)
     failures.extend(violations)
-    if delta != int(report.get("conservation_delta", 0)):
+    if delta != report.get("conservation_delta", 0):
         failures.append(
             f"Conservation: replayed delta {delta} != reported {report.get('conservation_delta')}")
     return not failures, failures

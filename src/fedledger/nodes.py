@@ -168,20 +168,14 @@ class ValidatorNode(Node):
         return self.core._sign(alt)
 
 
-# Puzzle mode: nonces ground per timer tick, and the virtual time between ticks.
-PUZZLE_BATCH = 512
-PUZZLE_POLL_MS = 50.0
-
-
 class MinerNode(Node):
-    """Inter-ledger participant; mines when it holds hash power."""
+    """Inter-ledger participant that mines with a share of the hash power."""
 
-    def __init__(self, node_id: str, inter: InterNode, rng, mode: str = "virtual",
-                 mean_interval_ms: float = 4500.0, share: float = 0.0, collector=None):
+    def __init__(self, node_id: str, inter: InterNode, rng,
+                 mean_interval_ms: float = 4500.0, share: float = 1.0, collector=None):
         super().__init__(node_id, None)
         self.inter = inter
         self.rng = rng
-        self.mode = mode
         self.mean_interval_ms = mean_interval_ms
         self.share = share
         self.peers: list[str] = []  # every other inter-ledger node
@@ -190,32 +184,20 @@ class MinerNode(Node):
         self._nonce = 0
 
     def start(self, sim: Simulator) -> None:
-        if self.share <= 0:
-            return
-        if self.mode == "virtual":
-            self._reschedule(sim)
-        else:
-            sim.set_timer(self.node_id, sim.now + PUZZLE_POLL_MS, ("batch",))
+        self._reschedule(sim)
 
     def _reschedule(self, sim: Simulator) -> None:
         self._epoch += 1
         delay = self.inter.sample_block_delay(self.rng, self.mean_interval_ms, self.share)
-        sim.set_timer(self.node_id, sim.now + delay, ("win", self._epoch))
+        sim.set_timer(self.node_id, sim.now + delay, self._epoch)
 
     def on_timer(self, sim: Simulator, key) -> None:
-        if key[0] == "win":
-            if key[1] != self._epoch:
-                return
-            block = self.inter.build_block(sim.now, nonce=self._nonce)
-            self._nonce += 1
-            self._publish(sim, block)
-            self._reschedule(sim)
-        elif key[0] == "batch":
-            block = self.inter.mine_step(sim.now, start_nonce=self._nonce, batch=PUZZLE_BATCH)
-            self._nonce += PUZZLE_BATCH
-            if block is not None:
-                self._publish(sim, block)
-            sim.set_timer(self.node_id, sim.now + PUZZLE_POLL_MS, ("batch",))
+        if key != self._epoch:
+            return  # a win scheduled before the tip last changed
+        block = self.inter.build_block(sim.now, nonce=self._nonce)
+        self._nonce += 1
+        self._publish(sim, block)
+        self._reschedule(sim)
 
     def _publish(self, sim: Simulator, block: Block) -> None:
         res = self.inter.on_block(block)
@@ -231,7 +213,7 @@ class MinerNode(Node):
             res = self.inter.on_block(msg.block)
             if res.adopted and self.collector is not None:
                 self.collector.inter_block(res, sim.now)
-            if res.tip_changed and self.mode == "virtual" and self.share > 0:
+            if res.tip_changed:
                 self._reschedule(sim)
         elif isinstance(msg, InterSubmit):
             ok, reason = self.inter.submit_tx(msg.tx)

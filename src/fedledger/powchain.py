@@ -11,10 +11,11 @@ canonical chain under the longest-chain rule (ties keep the incumbent),
 a pending pool in arrival order (admission takes the one fee of the run,
 so fees never reorder it), an orphan buffer, and depth-k confirmation
 tracking (the rule is ``confirmed_height``; ``on_block`` returns the txs
-it confirmed). Mining nodes additionally hold hash power; in virtual-time
-mode the next win is sampled from an exponential with mean
-interval/share, in puzzle mode nonces are ground until the header
-digest falls below the target.
+it confirmed). Mining nodes additionally hold hash power, and mining
+runs in virtual time: a miner's next win is sampled from an exponential
+with mean interval/share. Blocks are sealed with ``MAX_TARGET``, so any
+nonce wins; ``on_block`` still checks each digest against the target
+its seal declares.
 
 A receipt is the status a transaction ended with: ``"ok"`` or the error
 code of a failed call. Each node keeps the receipts of every stored
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import contract as sc
-from .chain import Block, Checkpoint, PowSeal, build_block, genesis_block
+from .chain import MAX_TARGET, Block, Checkpoint, PowSeal, build_block, genesis_block
 from .crypto import (
     Keyring,
     Reader,
@@ -75,16 +76,8 @@ class InterTx:
     def signing_bytes(self) -> bytes:
         cached = self.__dict__.get("_signing")
         if cached is None:
-            cp = b"\x01" + self.checkpoint.serialize() if self.checkpoint else b"\x00"
-            cached = (
-                enc_address(self.sender)
-                + enc_u64(self.contract_id)
-                + enc_blob(self.method.encode())
-                + enc_blob(self.args)
-                + enc_u64(self.attached_value)
-                + enc_u64(self.fee)
-                + cp
-            )
+            cached = _inter_signing_bytes(self.sender, self.contract_id, self.method, self.args,
+                                          self.attached_value, self.fee, self.checkpoint)
             object.__setattr__(self, "_signing", cached)
         return cached
 
@@ -99,12 +92,21 @@ class InterTx:
         return cached
 
 
+def _inter_signing_bytes(sender: bytes, contract_id: int, method: str, args: bytes,
+                         attached: int, fee: int, checkpoint: Checkpoint | None) -> bytes:
+    cp = b"\x01" + checkpoint.serialize() if checkpoint else b"\x00"
+    return (enc_address(sender) + enc_u64(contract_id) + enc_blob(method.encode())
+            + enc_blob(args) + enc_u64(attached) + enc_u64(fee) + cp)
+
+
 def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
                     attached: int = 0, fee: int = DEFAULT_FEE,
                     checkpoint: Checkpoint | None = None) -> InterTx:
-    unsigned = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint)
-    return InterTx(key.address, contract_id, method, args, attached, fee, checkpoint,
-                   Keyring.sign(key, unsigned.signing_bytes()))
+    signing = _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint)
+    tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint,
+                 Keyring.sign(key, signing))
+    object.__setattr__(tx, "_signing", signing)
+    return tx
 
 
 class ChainState:
@@ -241,7 +243,6 @@ class InterNode:
         address: bytes,
         keyring: Keyring,
         genesis_state: ChainState,
-        target: int,
         confirmation_depth: int = 6,
         block_capacity: int = INTER_BLOCK_CAPACITY,
         fee: int = DEFAULT_FEE,
@@ -250,7 +251,6 @@ class InterNode:
     ):
         self.address = address
         self.keyring = keyring
-        self.target = target
         self.k = confirmation_depth
         self.block_capacity = block_capacity
         self.fee = fee
@@ -338,24 +338,12 @@ class InterNode:
             self.tip_height + 1,
             txs,
             int(now),
-            PowSeal(miner=self.address, nonce=nonce, target=self.target),
+            PowSeal(miner=self.address, nonce=nonce, target=MAX_TARGET),
         )
-
-    def mine_step(self, now: float, start_nonce: int = 0, batch: int = 1024) -> Block | None:
-        """Puzzle mode: try a batch of nonces; a winning block if one qualifies."""
-        txs = self._select_txs()
-        for nonce in range(start_nonce, start_nonce + batch):
-            block = build_block(
-                self.tip, self.tip_height + 1, txs, int(now),
-                PowSeal(miner=self.address, nonce=nonce, target=self.target),
-            )
-            if int.from_bytes(block.digest(), "big") < self.target:
-                return block
-        return None
 
     @staticmethod
     def sample_block_delay(rng, mean_interval_ms: float, share: float) -> float:
-        """Virtual-time mode: exponential wait for this miner's next win."""
+        """Exponential wait for this miner's next win."""
         return rng.expovariate(share / mean_interval_ms)
 
     # -- fork choice -----------------------------------------------------------------

@@ -183,10 +183,8 @@ def build(scn: Scenario) -> RunHandles:
     zone_load_keys = {d.zone_id: keyring.new_account() for d in scn.domains}
     inter_load_key = keyring.new_account()
 
-    pairs = scn.workload.pairs
-    if not pairs and scn.workload.sessions:
-        zones = [d.zone_id for d in scn.domains]
-        pairs = [[zones[0], zones[1 % len(zones)]]]
+    zones = [d.zone_id for d in scn.domains]
+    pairs = scn.workload.pairs or [[a, b] for a, b in zip(zones, zones[1:])]
     session_keys = {}
     session_payloads = {}
     for sid in range(1, scn.workload.sessions + 1):
@@ -221,8 +219,6 @@ def build(scn: Scenario) -> RunHandles:
                  for cid in range(1, scn.inter.contracts + 1)}
     genesis_state = ChainState(dict(inter_balances), dict(contracts))
 
-    target = (1 << scn.inter.target_bits) - 1 if scn.inter.mode == "puzzle" else (1 << 256) - 1
-
     # -- inter nodes -------------------------------------------------------------
     miner_node_ids = [f"miner:{i}" for i in range(scn.inter.miners)]
     all_inter_ids = miner_node_ids + ["admin"] + [n for d in scn.domains for n in dlg_ids[d.zone_id]]
@@ -231,7 +227,7 @@ def build(scn: Scenario) -> RunHandles:
     executions: dict = {}
 
     def new_inter_node(addr: bytes):
-        return InterNode(addr, keyring, genesis_state, target,
+        return InterNode(addr, keyring, genesis_state,
                          confirmation_depth=scn.inter.confirmation_depth,
                          block_capacity=scn.inter.block_capacity, fee=scn.inter.fee_units,
                          block_reward=scn.inter.block_reward_units,
@@ -240,7 +236,7 @@ def build(scn: Scenario) -> RunHandles:
     for i, mk in enumerate(miner_keys):
         inter = new_inter_node(mk.address)
         node = MinerNode(miner_node_ids[i], inter, random.Random(scn.seed ^ (0x6D696E65 + i)),
-                         mode=scn.inter.mode, mean_interval_ms=scn.inter.mean_block_interval_ms,
+                         mean_interval_ms=scn.inter.mean_block_interval_ms,
                          share=1.0 / scn.inter.miners, collector=collector if i == 0 else None)
         node.peers = [p for p in all_inter_ids if p != node.node_id]
         sim.add_node(node)

@@ -21,17 +21,17 @@ Schema (defaults in parentheses):
      "delay_min_ms": number (10), "delay_max_ms": number (200)}
   ],
   "inter": {
-    "miners": int (3, >= 1; miner 0 observes), "mode": "virtual"|"puzzle" ("virtual"),
+    "miners": int (3, >= 1; miner 0 observes),
     "mean_block_interval_ms": number (4500, > 0), "block_capacity": int (571, >= 1),
     "confirmation_depth": int (6, >= 1), "fee_tokens": number (0.001),
-    "contracts": int (4), "target_bits": int (236, puzzle mode),
+    "contracts": int (4),
     "median_delay_ms": number (200, > 0), "sigma": number (1.0)
   },
   "workload": {
     "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
     "session_interval_ms": number (0), "session_start_ms": number (0),
     "payload_bytes": int (1024, 0..1024), "deliver_after_ms": number (0),
-    "pairs": [[seller_zone, buyer_zone], ...] (round-robin over domains; zones differ),
+    "pairs": [[seller_zone, buyer_zone], ...] ([[z1, z2], [z2, z3], ...]; round-robin; zones differ),
     "intra_rate_per_s": number (0), "intra_offset_ms": number (0),
     "intra_until_ms": number (duration), "intra_payload_bytes": int (64, 0..1024),
     "intra_probe_times_ms": [numbers] ([]),
@@ -107,13 +107,11 @@ class DomainSpec:
 @dataclass
 class InterSpec:
     miners: int = 3
-    mode: str = "virtual"
     mean_block_interval_ms: float = 4500.0
     block_capacity: int = 571
     confirmation_depth: int = 6
     fee_units: int = 1
     contracts: int = 4
-    target_bits: int = 236
     median_delay_ms: float = 200.0
     sigma: float = 1.0
     block_reward_units: int = 0  # subsidy minted per block; 0 keeps supply exact
@@ -227,8 +225,6 @@ class Scenario:
                     f"validators but the domain declares at most {d.byzantine}")
             if d.delegates < 1 or d.block_capacity < 1:
                 raise ValidationError(f"zone {d.zone_id}: needs a delegate and a block capacity of 1 or more")
-        if self.inter.mode not in ("virtual", "puzzle"):
-            raise ValidationError(f"unknown inter mode {self.inter.mode!r}")
         if self.inter.confirmation_depth < 1 or self.inter.block_capacity < 1:
             raise ValidationError("confirmation_depth and block_capacity must be >= 1")
         for sz, bz in self.workload.pairs:

@@ -35,21 +35,15 @@ class LinkModel:
     intra_max_ms: float = 200.0  # synchrony bound for same-zone links
     inter_median_ms: float = 200.0
     inter_sigma: float = 1.0
-    intra_drop: float = 0.0
-    inter_drop: float = 0.0
     zone_ranges: dict = field(default_factory=dict)  # zone -> (min_ms, max_ms)
 
-    def sample(self, rng: random.Random, zone: int | None) -> float | None:
-        """Sampled one-way delay (zone set for same-zone links), None on drop."""
+    def sample(self, rng: random.Random, zone: int | None) -> float:
+        """Sampled one-way delay (zone set for same-zone links)."""
         if zone is not None:
-            if self.intra_drop and rng.random() < self.intra_drop:
-                return None
             lo, hi = self.zone_ranges.get(zone, (self.intra_min_ms, self.intra_max_ms))
             # The body of rng.uniform(lo, hi) on CPython 3.10-3.13
             # (Lib/random.py, Random.uniform), inlined: same draw, same value.
             return lo + (hi - lo) * rng.random()
-        if self.inter_drop and rng.random() < self.inter_drop:
-            return None
         return math.exp(rng.gauss(math.log(self.inter_median_ms), self.inter_sigma))
 
 
@@ -128,8 +122,6 @@ class Simulator:
             _lo, hi = self.link.zone_ranges.get(a.zone_id, (None, self.link.intra_max_ms))
             extra = 0.9 * hi
         delay = self.link.sample(self.rng_net, zone)
-        if delay is None:
-            return
         if self.record_transcript and zone is None:
             wire = getattr(msg, "wire_bytes", None)
             if wire is not None:

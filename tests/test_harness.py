@@ -253,11 +253,24 @@ class TestCli:
         (None, b"not json lines\n", ""),
         (None, b"", ""),
         (None, b'{"kind":"final"}\n', ""),
+        (b'{"conservation_delta":"0"}', GENESIS, "integer conservation_delta"),
         (None, b'{"kind":"genesis"}\n', "record 1 (genesis) has no field 'total_supply'"),
         (None, GENESIS + b'{"block":"00","kind":"intra_commit","zone":1}\n',
          "record 2 (intra_commit) has no field 'height'"),
+        (None, GENESIS.replace(b'"inter_balances":{}', b'"inter_balances":5'),
+         "record 1 (genesis) has field 'inter_balances' that is not an object"),
+        (None, GENESIS + b'{"block":"aa","kind":"inter_block","miner":"bb","txs":[{}]}\n'
+         b'{"blocks":["aa"],"kind":"inter_canonical"}\n',
+         "record 2 (inter_block) has no field 'txs[0].sender'"),
+        (None, GENESIS.replace(b'"contracts":[]', b'"contracts":[{"admin":"zz","cid":1,"delegation":[]}]'),
+         "record 1 (genesis) has field 'contracts[0].admin' that is not a hex string"),
+        (None, GENESIS + b'{"block":"aa","height":1,"kind":"intra_block","zone":1,'
+         b'"transfers":[{"amount":"5","frm":"a","memo":0,"to":"b"}]}\n',
+         "record 2 (intra_block) has field 'transfers[0].amount' that is not an integer"),
     ], ids=["report-not-json", "log-not-json", "log-empty", "log-without-genesis",
-            "genesis-without-fields", "commit-without-height"])
+            "report-delta-not-an-integer", "genesis-without-fields", "commit-without-height",
+            "balances-not-an-object", "inter-tx-without-sender", "contract-admin-not-hex",
+            "transfer-amount-not-an-integer"])
     def test_verify_log_bad_input_exit_code(self, tmp_path, report, log, named):
         # A report pinning the log's digest, so the log is parsed.
         if report is None:

@@ -1,4 +1,4 @@
-"""Inter-ledger: mining modes, pool admission, fork choice, reorgs,
+"""Inter-ledger: mining, pool admission, fork choice, reorgs,
 execution determinism, conservation, and the statistical block model."""
 
 import random
@@ -29,10 +29,10 @@ from fedledger.powchain import (
 )
 
 
-def make_node(keyring, balances=None, contracts=None, target=MAX_TARGET, k=2, capacity=571):
+def make_node(keyring, balances=None, contracts=None, k=2, capacity=571):
     key = keyring.new_account()
     state = ChainState(dict(balances or {}), dict(contracts or {}))
-    node = InterNode(key.address, keyring, state, target, confirmation_depth=k,
+    node = InterNode(key.address, keyring, state, confirmation_depth=k,
                      block_capacity=capacity)
     return key, node
 
@@ -44,17 +44,21 @@ def noop(keyring, key, salt, fee=1):
 class TestMining:
     def test_degenerate_target_first_nonce_wins(self, keyring):
         _, node = make_node(keyring)
-        block = node.mine_step(0.0, batch=1)
-        assert block is not None
+        block = node.build_block(0.0, nonce=0)
+        assert block.seal.target == MAX_TARGET
         assert int.from_bytes(block.digest(), "big") < MAX_TARGET
-
-    def test_puzzle_target_requires_grinding(self, keyring):
-        target = 1 << 248  # ~1/256 per nonce
-        _, node = make_node(keyring, target=target)
-        block = node.mine_step(0.0, batch=4096)
-        assert block is not None
-        assert int.from_bytes(block.digest(), "big") < target
         assert node.on_block(block).adopted
+
+    def test_block_under_declared_target_accepted(self, keyring):
+        # A seal may declare a tighter target than the miners use; the
+        # digest is checked against the declared one.
+        target = 1 << 248  # ~1/256 per nonce
+        _, node = make_node(keyring)
+        blocks = [build_block(node.tip, 1, [], 0, PowSeal(node.address, nonce, target))
+                  for nonce in range(4096)]
+        under = [int.from_bytes(b.digest(), "big") < target for b in blocks]
+        assert node.on_block(blocks[under.index(False)]).reason == "BadSeal"
+        assert node.on_block(blocks[under.index(True)]).adopted
 
     def test_block_capacity_cap(self, keyring):
         sender = keyring.new_account()
@@ -189,7 +193,7 @@ class TestForkChoice:
         assert tx.digest() not in node.pending
         # A competing branch without the tx overtakes.
         other = InterNode(keyring.new_account().address, keyring,
-                          ChainState({sender.address: 1000}), MAX_TARGET, 2)
+                          ChainState({sender.address: 1000}), confirmation_depth=2)
         b1 = other.build_block(6.0, nonce=2)
         other.on_block(b1)
         b2 = other.build_block(7.0, nonce=3)
@@ -215,7 +219,7 @@ class TestForkChoice:
         b, c, d = submit(3), submit(4), submit(5)
         # An empty two-block branch from genesis displaces a and a2.
         other = InterNode(keyring.new_account().address, keyring,
-                          ChainState({sender.address: 1000}), MAX_TARGET, 2)
+                          ChainState({sender.address: 1000}), confirmation_depth=2)
         for i in range(2):
             blk = other.build_block(2.0 + i, nonce=10 + i)
             other.on_block(blk)
@@ -252,16 +256,12 @@ class TestForkChoice:
         assert orphans[-1].digest() in node.orphans
 
     def test_invalid_seal_rejected(self, keyring):
-        target = 1 << 200
-        _, node = make_node(keyring, target=target)
-        _, loose = make_node(keyring, target=MAX_TARGET)
-        bad = loose.build_block(0.0, nonce=0)  # wins trivially under MAX_TARGET
-        res = node.on_block(bad)
-        # Block claims MAX_TARGET seal; digest will almost surely exceed
-        # this node's own target but seal verification is against the
-        # block's declared target, so check an actually-invalid seal:
-        forged = bad.with_seal(PowSeal(loose.address, 0, 1))  # target 1: impossible
-        assert not node.on_block(forged).adopted
+        _, node = make_node(keyring)
+        _, other = make_node(keyring)
+        block = other.build_block(0.0, nonce=0)  # wins trivially under MAX_TARGET
+        # Seal verification is against the block's declared target:
+        forged = block.with_seal(PowSeal(other.address, 0, 1))  # target 1: impossible
+        assert node.on_block(forged).reason == "BadSeal"
 
     def test_confirmation_depth_reporting(self, keyring):
         sender = keyring.new_account()
@@ -343,9 +343,9 @@ class TestCanonicalReceipts:
         pairs = []
         with patch.object(powchain, "execute_block", counted):
             for _ in range(data.draw(st.integers(1, 3), label="nodes")):
-                shared = InterNode(keyring.new_account().address, keyring, genesis, MAX_TARGET,
+                shared = InterNode(keyring.new_account().address, keyring, genesis,
                                    confirmation_depth=2, executions=memo)
-                private = InterNode(keyring.new_account().address, keyring, genesis, MAX_TARGET,
+                private = InterNode(keyring.new_account().address, keyring, genesis,
                                     confirmation_depth=2)
                 # Random delivery order (children before parents wait as orphans),
                 # and a random subset: nodes see different parts of the tree.
@@ -397,26 +397,6 @@ class TestConvergence:
         # Identical prefix means identical executed state digest there.
         digests = {n.states[n.canonical[cut]].digest() for n in nodes}
         assert len(digests) == 1
-
-    def test_puzzle_mode_end_to_end(self):
-        # Real nonce grinding through the event loop: blocks land and the
-        # chain converges across miners.
-        from fedledger.runner import run as run_scn
-        from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec
-        scn = Scenario(
-            name="puzzle", seed=77, duration_ms=30_000, log_payloads=False,
-            domains=[DomainSpec(zone_id=1, validators=4, delegates=1)],
-            inter=InterSpec(miners=2, mode="puzzle", target_bits=244, contracts=1),
-            workload=WorkloadSpec(inter_rate_per_s=5, inter_until_ms=20_000),
-        )
-        report, h = run_scn(scn)
-        tips = {m.inter.tip for m in h.miners}
-        assert report.ledgers["inter"].block_count >= 3
-        assert len(tips) == 1
-        for m in h.miners:
-            for bd in m.inter.canonical[1:]:
-                block = m.inter.blocks[bd]
-                assert int.from_bytes(block.digest(), "big") < block.seal.target
 
 
 class TestExecution:
@@ -474,7 +454,7 @@ class TestExecution:
         sender = keyring.new_account()
         key = keyring.new_account()
         state = ChainState({sender.address: 1000})
-        node = InterNode(key.address, keyring, state, MAX_TARGET,
+        node = InterNode(key.address, keyring, state,
                          confirmation_depth=2, block_reward=50)
         node.submit_tx(noop(keyring, sender, 1))
         node.on_block(node.build_block(0.0))

@@ -231,6 +231,18 @@ class TestContractRace:
             run(fast_session_scenario(seed=7, pairs=[[1, 1]]))
 
 
+class TestSessionPairs:
+    def test_default_pairs_chain_the_domains(self):
+        # Without workload.pairs each domain pairs with the next, and
+        # sessions take the pairs round-robin.
+        scn = fast_session_scenario(sessions=3)
+        scn.domains.append(DomainSpec(zone_id=3, validators=4, delegates=2))
+        h = build(scn)
+        zones = [(h.clients[(sid, "pub")].cfg.zone_id, h.clients[(sid, "sub")].cfg.zone_id)
+                 for sid in (1, 2, 3)]
+        assert zones == [(1, 2), (2, 3), (1, 2)]
+
+
 class Probe(Node):
     """A zone-1 node that records every message it receives as (time, src, msg)."""
 

@@ -202,6 +202,9 @@ class TestMalformedValues:
         ({"funding": {"member_tokens": True}}, r"funding\.member_tokens"),
         ({"funding": {"miner_tokens": "100"}}, r"funding\.miner_tokens"),
         ({"workload": {"deposit_tokens": False}}, r"workload\.deposit_tokens"),
+        # Mining runs in virtual time only: no mode or target to choose.
+        ({"inter": {"mode": "virtual"}}, r"unknown key 'mode' in inter"),
+        ({"inter": {"target_bits": 236}}, r"unknown key 'target_bits' in inter"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):

@@ -89,10 +89,6 @@ class TestLinkModel:
         rnd = random.Random(7)
         assert all(500 <= link.sample(rnd, zone=2) <= 600 for _ in range(1000))
 
-    def test_drop_probability(self):
-        link = LinkModel(intra_drop=1.0)
-        assert link.sample(random.Random(1), zone=1) is None
-
 
 class TestFaults:
     def test_crash_silences_node_until_recover(self):
