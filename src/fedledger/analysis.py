@@ -19,6 +19,11 @@ from .chain import MAX_TARGET, PowSeal, build_block
 from .crypto import Keyring
 from .powchain import M_TRANSFER, ChainState, InterNode, signed_inter_tx
 
+# The double-spend race: the paper's mean block interval, and the deficit
+# at which the attacker abandons its private fork.
+MEAN_INTERVAL_MS = 4500.0
+GIVE_UP_DEFICIT = 40
+
 
 def catchup_probability(attacker_share: float, deficit: int) -> float:
     """P(private fork ever reaches a tie) from ``deficit`` blocks behind.
@@ -66,21 +71,15 @@ class DoubleSpendResult:
         return self.successes / self.attempts if self.attempts else 0.0
 
 
-def double_spend_experiment(
-    attempts: int,
-    attacker_share: float,
-    confirmations: int,
-    seed: int,
-    mean_interval_ms: float = 4500.0,
-    give_up_deficit: int = 40,
-) -> DoubleSpendResult:
+def double_spend_experiment(attempts: int, attacker_share: float, confirmations: int,
+                            seed: int) -> DoubleSpendResult:
     """Monte-Carlo private-fork attack against a depth-k confirmed payment.
 
     Per attempt: the victim tx lands in the first block; the honest chain
     grows to depth k (the victim pays out); the attacker, forked from the
     block below the tx, then races the honest majority. Success means the
     victim node reorganizes onto the attacker branch, dropping the
-    confirmed tx. The attacker abandons once ``give_up_deficit`` behind.
+    confirmed tx. The attacker abandons once ``GIVE_UP_DEFICIT`` behind.
     """
     q = attacker_share
     successes = 0
@@ -102,7 +101,7 @@ def double_spend_experiment(
 
         def mine_honest():
             nonlocal now
-            now += rng.expovariate(1.0 / mean_interval_ms)
+            now += rng.expovariate(1.0 / MEAN_INTERVAL_MS)
             block = victim.build_block(now, nonce=victim.tip_height)
             victim.on_block(block)
 
@@ -121,10 +120,10 @@ def double_spend_experiment(
         honest_len = victim.tip_height - fork_parent_height
         nonce = 0
         while len(attacker_chain) <= honest_len:
-            if honest_len - len(attacker_chain) >= give_up_deficit:
+            if honest_len - len(attacker_chain) >= GIVE_UP_DEFICIT:
                 give_ups += 1
                 break
-            now += rng.expovariate(1.0 / mean_interval_ms)
+            now += rng.expovariate(1.0 / MEAN_INTERVAL_MS)
             if rng.random() < q:
                 block = build_block(att_parent, att_height + 1, [], int(now),
                                     PowSeal(attacker.address, nonce, MAX_TARGET))

@@ -3,28 +3,17 @@
 Exit codes: 0 all checks pass, 1 violations or verification failure,
 2 usage / file errors, each an ``error:`` line on stderr (a bad option
 value, a scenario that does not parse or validate, an unreadable file,
-a report or log that is not one). FEDLEDGER_VERBOSE=1 prints progress
-to stderr.
+a report or log that is not one).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .harness import batch, run_scenario, verify_log
 from .scenario import ParseError, ValidationError, load_scenario
-
-
-def _verbose() -> bool:
-    return os.environ.get("FEDLEDGER_VERBOSE", "") not in ("", "0")
-
-
-def _note(msg: str) -> None:
-    if _verbose():
-        print(msg, file=sys.stderr)
 
 
 def _positive_int(text: str) -> int:
@@ -67,7 +56,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.cmd == "run":
             scn = load_scenario(args.scenario)
-            _note(f"running {scn.name} seed={args.seed if args.seed is not None else scn.seed}")
             report = run_scenario(scn, seed=args.seed, report_path=args.out,
                                   log_path=args.log, csv_path=args.csv)
             print(report.to_json(), end="")

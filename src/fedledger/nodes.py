@@ -223,12 +223,12 @@ class MinerNode(Node):
 class ScheduledLoad(Node):
     """Workload generator: ``submit(sim, i)`` at each of its scheduled times.
 
-    Explicit times are sorted; otherwise times start at ``offset_ms`` and
-    are spaced 1000/rate ms apart while below ``until_ms``.
+    Explicit times are sorted; otherwise times start at 0 ms and are
+    spaced 1000/rate ms apart while below ``until_ms``.
     """
 
     def __init__(self, node_id: str, zone_id: int | None, rate_per_s: float,
-                 offset_ms: float, until_ms: float, times: list[float] | None):
+                 until_ms: float, times: list[float] | None):
         super().__init__(node_id, zone_id)
         if times is not None:
             self.times = sorted(times)
@@ -236,9 +236,9 @@ class ScheduledLoad(Node):
             self.times = []
             if rate_per_s > 0:
                 spacing = 1000.0 / rate_per_s
-                # Accumulated, not offset + i*spacing: the float times (and
-                # so every event-log digest) depend on it.
-                t = offset_ms
+                # Accumulated, not i*spacing: the float times (and so every
+                # event-log digest) depend on it.
+                t = 0.0
                 while t < until_ms:
                     self.times.append(t)
                     t += spacing
@@ -258,9 +258,9 @@ class IntraLoadNode(ScheduledLoad):
     """Deterministic intra-ledger workload: evenly spaced signed submissions."""
 
     def __init__(self, node_id: str, zone_id: int, key, rng, validators: list[str],
-                 rate_per_s: float, offset_ms: float, until_ms: float,
+                 rate_per_s: float, until_ms: float,
                  collector, payload_bytes: int = 64, times: list[float] | None = None):
-        super().__init__(node_id, zone_id, rate_per_s, offset_ms, until_ms, times)
+        super().__init__(node_id, zone_id, rate_per_s, until_ms, times)
         self.key = key
         self.rng = rng
         self.validators = validators
@@ -275,9 +275,9 @@ class InterLoadNode(ScheduledLoad):
     """Deterministic inter-ledger workload: salted no-op calls at a fixed rate."""
 
     def __init__(self, node_id: str, key, miners: list[str], fee: int,
-                 rate_per_s: float, offset_ms: float, until_ms: float,
+                 rate_per_s: float, until_ms: float,
                  collector, times: list[float] | None = None):
-        super().__init__(node_id, None, rate_per_s, offset_ms, until_ms, times)
+        super().__init__(node_id, None, rate_per_s, until_ms, times)
         self.key = key
         self.miners = miners
         self.fee = fee

@@ -227,8 +227,7 @@ def execute_block(parent_state: ChainState, block: Block, keyring: Keyring,
 class AdoptResult:
     adopted: bool
     reason: str = ""
-    reorged: bool = False
-    reorg_depth: int = 0
+    reorg_depth: int = 0  # blocks displaced from the canonical chain; 0 if none
     confirmed: tuple = ()  # txs this call added to InterNode.confirmed
     reverted_confirmed: tuple = ()
     tip_changed: bool = False
@@ -383,7 +382,6 @@ class InterNode:
             if block.parent == self.tip:
                 self._extend(d, block)
             else:
-                result.reorged = True
                 result.reorg_depth = self._reorg(d, block, displaced_txs)
             result.confirmed, result.reverted_confirmed = self._update_confirmations(displaced_txs)
 
@@ -395,7 +393,6 @@ class InterNode:
             result.adopted_blocks += sub.adopted_blocks
             if sub.tip_changed:
                 result.tip_changed = True
-                result.reorged = result.reorged or sub.reorged
                 result.reorg_depth = max(result.reorg_depth, sub.reorg_depth)
                 result.confirmed += sub.confirmed
                 result.reverted_confirmed += sub.reverted_confirmed

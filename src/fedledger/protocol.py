@@ -652,6 +652,11 @@ class AdminNode(InterParticipant):
 
 # -- session clients ------------------------------------------------------------------
 
+# How long a client waits for its own intra tx to commit before it fails
+# the session with IntraTimeout.
+INTRA_TIMEOUT_MS = 20_000.0
+
+
 @dataclass
 class SessionConfig:
     session_id: int
@@ -661,7 +666,6 @@ class SessionConfig:
     payload: bytes  # shared requirements payload (rendezvous key = its digest)
     deposit: int
     deliver_after_ms: float = 0.0  # data delivery / payment readiness flag delay
-    intra_timeout_ms: float = 20_000.0
     ack_timeout_ms: float = 1_650.0
     op_timeout_ms: float = 120_000.0
 
@@ -775,7 +779,7 @@ class ClientNode(Node):
         kind, epoch = key
         if kind == "begin":
             self._req_tx = self._submit_intra(sim, self.cfg.payload)
-            self._arm(sim, "intra", self.cfg.intra_timeout_ms)
+            self._arm(sim, "intra", INTRA_TIMEOUT_MS)
             return
         if kind == "deliver":
             # Scenario flag: data delivered / payment ready.
@@ -818,7 +822,7 @@ class ClientNode(Node):
                 _node, addr = self._current_delegate()
                 self._fund_tx = self._submit_intra(
                     sim, transfer_payload(addr, self.cfg.deposit, memo=0))
-                self._arm(sim, "intra", self.cfg.intra_timeout_ms)
+                self._arm(sim, "intra", INTRA_TIMEOUT_MS)
                 return
             self._request(sim, self.goal or CONFIGURED)
         elif isinstance(msg, Pong):

@@ -99,7 +99,7 @@ class Collector:
             self._landed("inter", d, at)
         for adopted in res.adopted_blocks:
             self._log_inter_block(adopted, at)
-        if res.reorged:
+        if res.reorg_depth:
             self.log.emit("inter_reorg", at=round(at, 3), depth=res.reorg_depth)
         if res.reverted_confirmed:
             self.log.emit("inter_revert_confirmed", at=round(at, 3),
@@ -187,15 +187,16 @@ def build(scn: Scenario) -> RunHandles:
     pairs = scn.workload.pairs or [[a, b] for a, b in zip(zones, zones[1:])]
     session_keys = {}
     session_payloads = {}
+    session_zones = {}  # sid -> [seller zone, buyer zone]
     for sid in range(1, scn.workload.sessions + 1):
         session_keys[(sid, PUB)] = keyring.new_account()
         session_keys[(sid, SUB)] = keyring.new_account()
         session_payloads[sid] = rng_payload.randbytes(scn.workload.payload_bytes)
+        session_zones[sid] = pairs[(sid - 1) % len(pairs)]
 
     # -- intra initial balances -----------------------------------------------
     intra_books: dict[int, dict[bytes, int]] = {d.zone_id: {} for d in scn.domains}
-    for sid in range(1, scn.workload.sessions + 1):
-        sz, bz = pairs[(sid - 1) % len(pairs)]
+    for sid, (sz, bz) in session_zones.items():
         intra_books[sz][session_keys[(sid, PUB)].address] = scn.funding.member_units
         intra_books[bz][session_keys[(sid, SUB)].address] = scn.funding.member_units
     for d in scn.domains:
@@ -283,15 +284,14 @@ def build(scn: Scenario) -> RunHandles:
         h.delegates[z] = dnodes
 
     # -- session clients ---------------------------------------------------------------
-    for sid in range(1, scn.workload.sessions + 1):
-        sz, bz = pairs[(sid - 1) % len(pairs)]
-        start = scn.workload.session_start_ms + (sid - 1) * scn.workload.session_interval_ms
+    for sid, (sz, bz) in session_zones.items():
+        # A float even for an int interval: the first event of the session
+        # happens at this time, and the log records it.
+        start = float((sid - 1) * scn.workload.session_interval_ms)
         for side, zone in ((PUB, sz), (SUB, bz)):
             cfg = SessionConfig(
                 session_id=sid, side=side, zone_id=zone, start_ms=start,
                 payload=session_payloads[sid], deposit=scn.workload.deposit_units,
-                deliver_after_ms=scn.workload.deliver_after_ms,
-                intra_timeout_ms=scn.protocol.intra_timeout_ms,
                 ack_timeout_ms=scn.ack_timeout_ms(),
                 op_timeout_ms=scn.protocol.op_timeout_ms,
             )
@@ -313,16 +313,14 @@ def build(scn: Scenario) -> RunHandles:
         if scn.workload.intra_rate_per_s > 0 or scn.workload.intra_probe_times_ms:
             node = IntraLoadNode(
                 f"load:{z}", z, zone_load_keys[z], random.Random(scn.seed ^ (0x6C7A << 8) ^ z),
-                val_ids[z], scn.workload.intra_rate_per_s, scn.workload.intra_offset_ms, until,
+                val_ids[z], scn.workload.intra_rate_per_s, until,
                 payload_bytes=scn.workload.intra_payload_bytes, collector=collector,
                 times=(scn.workload.intra_probe_times_ms or None),
             )
             sim.add_node(node)
-    inter_until = scn.workload.inter_until_ms if scn.workload.inter_until_ms is not None else scn.duration_ms
     if scn.workload.inter_rate_per_s > 0 or scn.workload.inter_probe_times_ms:
         node = InterLoadNode("load:inter", inter_load_key, miner_node_ids, scn.inter.fee_units,
-                             scn.workload.inter_rate_per_s, scn.workload.inter_offset_ms,
-                             inter_until, collector=collector,
+                             scn.workload.inter_rate_per_s, scn.duration_ms, collector=collector,
                              times=(scn.workload.inter_probe_times_ms or None))
         sim.add_node(node)
 

@@ -1,10 +1,13 @@
 """Scenario files: schema, validation, and defaults.
 
 Scenarios are JSON. Unknown keys are rejected by name; committees must
-satisfy n >= 3f+1 for the declared byzantine count when safety
-assertions are enabled. Values a run cannot survive are refused with
-their key named (the bounds below). Token amounts are decimal token values and must
-be exact multiples of 0.001 (one millitoken, the fee unit).
+satisfy n >= 3f+1 for the declared byzantine count, and a fault schedule
+may make at most that many validators of a zone byzantine. Values a run
+cannot survive are refused with their key named (the bounds below).
+Token amounts are decimal token values and must be exact multiples of
+0.001 (one millitoken, the fee unit). Session s starts at
+(s - 1) x session_interval_ms; rate-driven load starts at 0 ms, and inter
+load runs to duration_ms.
 
 Schema (defaults in parentheses):
 
@@ -12,7 +15,6 @@ Schema (defaults in parentheses):
   "name": str ("scenario"),
   "seed": int (1),
   "duration_ms": number (60000, >= 0),
-  "safety_assertions": bool (true),
   "log_payloads": bool (true),        # payload hex + block/message bytes in the log
   "domains": [
     {"zone_id": int, "validators": int (4), "byzantine": int (0),
@@ -24,23 +26,20 @@ Schema (defaults in parentheses):
     "miners": int (3, >= 1; miner 0 observes),
     "mean_block_interval_ms": number (4500, > 0), "block_capacity": int (571, >= 1),
     "confirmation_depth": int (6, >= 1), "fee_tokens": number (0.001),
-    "contracts": int (4),
+    "contracts": int (4), "block_reward_tokens": number (0),
     "median_delay_ms": number (200, > 0), "sigma": number (1.0)
   },
   "workload": {
     "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
-    "session_interval_ms": number (0), "session_start_ms": number (0),
-    "payload_bytes": int (1024, 0..1024), "deliver_after_ms": number (0),
+    "session_interval_ms": number (0), "payload_bytes": int (1024, 0..1024),
     "pairs": [[seller_zone, buyer_zone], ...] ([[z1, z2], [z2, z3], ...]; round-robin; zones differ),
-    "intra_rate_per_s": number (0), "intra_offset_ms": number (0),
-    "intra_until_ms": number (duration), "intra_payload_bytes": int (64, 0..1024),
-    "intra_probe_times_ms": [numbers] ([]),
-    "inter_rate_per_s": number (0), "inter_offset_ms": number (0),
-    "inter_until_ms": number (duration)
+    "intra_rate_per_s": number (0), "intra_until_ms": number (duration),
+    "intra_payload_bytes": int (64, 0..1024), "intra_probe_times_ms": [numbers] ([]),
+    "inter_rate_per_s": number (0), "inter_probe_times_ms": [numbers] ([])
   },
   "protocol": {
     "ack_timeout_ms": number (5x mean inter one-way delay),
-    "op_timeout_ms": number (120000, > 0), "intra_timeout_ms": number (20000)
+    "op_timeout_ms": number (120000, > 0)
   },
   "funding": {
     "member_tokens": number (100), "delegate_intra_tokens": number (1000),
@@ -125,18 +124,13 @@ class WorkloadSpec:
     sessions: int = 0
     deposit_units: int = 10_000
     session_interval_ms: float = 0.0
-    session_start_ms: float = 0.0
     payload_bytes: int = 1024
-    deliver_after_ms: float = 0.0
     pairs: list[list[int]] = field(default_factory=list)
     intra_rate_per_s: float = 0.0
-    intra_offset_ms: float = 0.0
     intra_until_ms: float | None = None
     intra_payload_bytes: int = 64
     intra_probe_times_ms: list[float] = field(default_factory=list)
     inter_rate_per_s: float = 0.0
-    inter_offset_ms: float = 0.0
-    inter_until_ms: float | None = None
     inter_probe_times_ms: list[float] = field(default_factory=list)
 
 
@@ -144,7 +138,6 @@ class WorkloadSpec:
 class ProtocolSpec:
     ack_timeout_ms: float | None = None  # default derived from link model
     op_timeout_ms: float = 120_000.0
-    intra_timeout_ms: float = 20_000.0
 
 
 @dataclass
@@ -162,7 +155,6 @@ class Scenario:
     name: str = "scenario"
     seed: int = 1
     duration_ms: float = 60_000.0
-    safety_assertions: bool = True
     log_payloads: bool = True
     domains: list = field(default_factory=lambda: [DomainSpec(zone_id=1)])
     inter: InterSpec = field(default_factory=InterSpec)
@@ -214,12 +206,12 @@ class Scenario:
                         f"faults[{i}]: byzantine node {node!r} is not a validator of a declared zone")
                 byz_nodes.setdefault(int(node.split(":")[1]), set()).add(node)
         for d in self.domains:
-            if self.safety_assertions and d.validators < 3 * d.byzantine + 1:
+            if d.validators < 3 * d.byzantine + 1:
                 raise ValidationError(
                     f"zone {d.zone_id}: {d.validators} validators cannot tolerate "
                     f"{d.byzantine} byzantine (need n >= 3f+1)")
             injected = len(byz_nodes.get(d.zone_id, ()))
-            if self.safety_assertions and injected > d.byzantine:
+            if injected > d.byzantine:
                 raise ValidationError(
                     f"zone {d.zone_id}: fault schedule injects {injected} byzantine "
                     f"validators but the domain declares at most {d.byzantine}")

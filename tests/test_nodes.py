@@ -20,13 +20,13 @@ class SubmitLog:
         self.at.append(at)
 
 
-def intra_load(key, collector, rate, offset, until, times=None):
-    return IntraLoadNode("load:1", 1, key, random.Random(1), [], rate, offset, until,
+def intra_load(key, collector, rate, until, times=None):
+    return IntraLoadNode("load:1", 1, key, random.Random(1), [], rate, until,
                          collector=collector, times=times)
 
 
-def inter_load(key, collector, rate, offset, until, times=None):
-    return InterLoadNode("load:inter", key, [], 1, rate, offset, until,
+def inter_load(key, collector, rate, until, times=None):
+    return InterLoadNode("load:inter", key, [], 1, rate, until,
                          collector=collector, times=times)
 
 
@@ -44,22 +44,22 @@ def run_load(make, **kw):
 @pytest.mark.parametrize("make", [intra_load, inter_load], ids=["intra", "inter"])
 class TestLoadSchedule:
     def test_rate_times_accumulate(self, make):
-        node, submitted = run_load(make, rate=3, offset=100.0, until=5_000.0)
-        expected, t = [], 100.0
+        node, submitted = run_load(make, rate=3, until=5_000.0)
+        expected, t = [], 0.0
         while t < 5_000.0:
             expected.append(t)
             t += 1000.0 / 3
         assert node.times == expected
-        # offset + i*spacing rounds differently; the digests pin the sums.
-        assert expected != [100.0 + i * (1000.0 / 3) for i in range(len(expected))]
+        # i*spacing rounds differently; the digests pin the sums.
+        assert expected != [i * (1000.0 / 3) for i in range(len(expected))]
         assert submitted == expected
 
     def test_probe_times_sorted(self, make):
-        node, submitted = run_load(make, rate=0, offset=0.0, until=0.0,
+        node, submitted = run_load(make, rate=0, until=0.0,
                                    times=[900.0, 100.0, 500.0])
         assert node.times == [100.0, 500.0, 900.0]
         assert submitted == [100.0, 500.0, 900.0]
 
     def test_zero_rate_submits_nothing(self, make):
-        node, submitted = run_load(make, rate=0, offset=0.0, until=5_000.0)
+        node, submitted = run_load(make, rate=0, until=5_000.0)
         assert node.times == [] and submitted == []

@@ -14,6 +14,7 @@ from fedledger.analysis import ks_exponential
 from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, build_block, genesis_block
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import Keyring, sha256
+from fedledger.eventlog import EventLog, check_safety
 from fedledger.powchain import (
     M_COMMIT,
     M_CONFIG_PUB,
@@ -27,6 +28,7 @@ from fedledger.powchain import (
     execute_block,
     signed_inter_tx,
 )
+from fedledger.runner import Collector
 
 
 def make_node(keyring, balances=None, contracts=None, k=2, capacity=571):
@@ -199,7 +201,7 @@ class TestForkChoice:
         b2 = other.build_block(7.0, nonce=3)
         res1 = node.on_block(b1)
         res2 = node.on_block(b2)
-        assert res2.reorged and res2.reorg_depth == 1
+        assert res2.reorg_depth == 1
         assert tx.digest() in node.pending  # displaced tx back in the pool
         assert node.tip == b2.digest()
 
@@ -224,7 +226,7 @@ class TestForkChoice:
             blk = other.build_block(2.0 + i, nonce=10 + i)
             other.on_block(blk)
             res = node.on_block(blk)
-        assert res.reorged and res.reorg_depth == 1
+        assert res.reorg_depth == 1
         order = [t.digest() for t in node.build_block(5.0).txs]
         # Arrival order; the re-pooled txs arrive last, in their block order.
         assert order == [t.digest() for t in (b, c, d, a, a2)]
@@ -275,6 +277,71 @@ class TestForkChoice:
             if tx.digest() in node.confirmed and confirmed_at is None:
                 confirmed_at = node.tip_height
         assert confirmed_at == 3  # depth k=3: tx in block 1, confirmed at tip 3
+
+
+class TestRevertOracle:
+    """A confirmed inter tx that a reorg drops is reported, and the safety
+    checker flags the report; k = 2 throughout."""
+
+    @staticmethod
+    def confirmed_at_height_1(keyring):
+        """A node whose tx T sits in block 1 of a 3-block chain (confirmed)."""
+        sender = keyring.new_account()
+        _, node = make_node(keyring, balances={sender.address: 1000}, k=2)
+        tx = noop(keyring, sender, 1)
+        assert node.submit_tx(tx)[0]
+        for i in range(3):
+            node.on_block(node.build_block(float(i), nonce=i))
+        assert node.tip_height == 3 and tx.digest() in node.confirmed
+        return node, tx
+
+    @staticmethod
+    def branch(node, parent, height, count, txs_at=None):
+        """Feed ``count`` blocks of a new miner on ``parent`` (at ``height``);
+        ``txs_at`` maps a height to the txs its block carries. Returns the
+        last result."""
+        miner = node.keyring.new_account().address
+        for h in range(height + 1, height + count + 1):
+            txs = (txs_at or {}).get(h, [])
+            block = build_block(parent, h, txs, h, PowSeal(miner, h, MAX_TARGET))
+            res = node.on_block(block)
+            assert res.adopted
+            parent = block.digest()
+        return res
+
+    @staticmethod
+    def reported(res):
+        """Safety violations of the log a collector writes for ``res``."""
+        log = EventLog()
+        Collector(log, log_payloads=False).inter_block(res, 100.0)
+        return check_safety(log.events)
+
+    def test_reverted_confirmed_tx_reported(self, keyring):
+        node, tx = self.confirmed_at_height_1(keyring)
+        t = tx.digest()
+        res = self.branch(node, node.genesis_digest, 0, 4)
+        assert res.reorg_depth == 3
+        assert res.reverted_confirmed == (t,)
+        assert t not in node.confirmed
+        violations = self.reported(res)
+        assert len(violations) == 1
+        assert "confirmed inter tx reverted" in violations[0] and t.hex() in violations[0]
+
+    def test_reincluded_above_frontier_then_dropped_reported(self, keyring):
+        # A deep reorg that puts T back above the new confirmed height (3)
+        # reverts nothing, and node.confirmed still holds T; so a later
+        # shallow reorg that drops T is reported.
+        node, tx = self.confirmed_at_height_1(keyring)
+        t = tx.digest()
+        res = self.branch(node, node.genesis_digest, 0, 4, txs_at={4: [tx]})
+        assert res.reorg_depth == 3 and node.confirmed_height == 3
+        assert node.canonical_receipts[t][0] == 4
+        assert res.reverted_confirmed == () and self.reported(res) == []
+        assert t in node.confirmed
+        res = self.branch(node, node.canonical[3], 3, 2)
+        assert res.reorg_depth == 1
+        assert res.reverted_confirmed == (t,)
+        assert len(self.reported(res)) == 1
 
 
 class TestCanonicalReceipts:

@@ -1,9 +1,11 @@
 """Scenario loading: defaults, validation gates, parse errors."""
 
 import json
+import re
 
 import pytest
 
+from fedledger import scenario
 from fedledger.scenario import (
     ParseError,
     Scenario,
@@ -35,16 +37,23 @@ class TestDefaults:
         assert scn.ack_timeout_ms() == pytest.approx(5 * scn.inter.mean_delay_ms())
 
 
+class TestSchemaDoc:
+    def test_schema_lists_every_accepted_key(self):
+        # The module docstring is the schema users read; it must name each
+        # key the parser accepts, and no key the parser refuses.
+        schema = scenario.__doc__.split("Schema")[1].split("Node names")[0]
+        documented = set(re.findall(r'"(\w+)":', schema))
+        specs = (Scenario, scenario.DomainSpec, scenario.InterSpec, scenario.WorkloadSpec,
+                 scenario.ProtocolSpec, scenario.FundingSpec)
+        accepted = set().union(*map(scenario._file_keys, specs), scenario._FAULT_PARSE)
+        assert documented == accepted
+
+
 class TestValidation:
     def test_committee_gate(self, tmp_path):
         path = write(tmp_path, {"domains": [{"zone_id": 1, "validators": 4, "byzantine": 2}]})
         with pytest.raises(ValidationError):
             load_scenario(path)
-
-    def test_gate_skipped_without_safety_assertions(self, tmp_path):
-        path = write(tmp_path, {"safety_assertions": False,
-                                "domains": [{"zone_id": 1, "validators": 4, "byzantine": 2}]})
-        load_scenario(path)
 
     def test_unknown_key_named(self, tmp_path):
         path = write(tmp_path, {"domains": [{"zone_id": 1, "validator_count": 4}]})
@@ -147,12 +156,12 @@ class TestValidation:
         assert [f["node"] for f in scn.faults] == ["val:2:6", "val:2:0"]
 
     def test_byzantine_node_checked_without_safety_assertions(self):
-        # No behaviour applies to a non-validator, so the node is checked even
-        # when the committee gates are off; val:9:0 would otherwise reach the
-        # simulator's fault injection and fail there.
+        # No behaviour applies to a non-validator, so validate() checks the
+        # node of a scenario built in code, as well as of a parsed file;
+        # val:9:0 would otherwise reach the simulator's fault injection and
+        # fail there.
         with pytest.raises(ValidationError, match="val:9:0"):
-            Scenario(safety_assertions=False,
-                     faults=[{"at_ms": 0, "fault": "byzantine", "node": "val:9:0",
+            Scenario(faults=[{"at_ms": 0, "fault": "byzantine", "node": "val:9:0",
                               "behavior": "silent"}]).validate()
 
     def test_fault_schedule_cannot_exceed_declared_byzantine_budget(self):
@@ -167,7 +176,7 @@ class TestValidation:
 
 
 class TestMalformedValues:
-    @pytest.mark.parametrize("key", ["safety_assertions", "log_payloads"])
+    @pytest.mark.parametrize("key", ["log_payloads"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_flags_must_be_json_booleans(self, key, value):
         with pytest.raises(ParseError, match=key):
@@ -175,8 +184,8 @@ class TestMalformedValues:
 
     @pytest.mark.parametrize("value", [True, False])
     def test_json_booleans_accepted(self, value):
-        scn = scenario_from_dict({"safety_assertions": value, "log_payloads": value})
-        assert scn.safety_assertions is value and scn.log_payloads is value
+        scn = scenario_from_dict({"log_payloads": value})
+        assert scn.log_payloads is value
 
     def test_string_false_in_file_rejected(self, tmp_path):
         path = write(tmp_path, '{"log_payloads": "false"}')
@@ -205,6 +214,14 @@ class TestMalformedValues:
         # Mining runs in virtual time only: no mode or target to choose.
         ({"inter": {"mode": "virtual"}}, r"unknown key 'mode' in inter"),
         ({"inter": {"target_bits": 236}}, r"unknown key 'target_bits' in inter"),
+        # No run set these; each now has one fixed value.
+        ({"safety_assertions": False}, r"unknown key 'safety_assertions' in scenario"),
+        ({"workload": {"session_start_ms": 0}}, r"unknown key 'session_start_ms' in workload"),
+        ({"workload": {"deliver_after_ms": 0}}, r"unknown key 'deliver_after_ms' in workload"),
+        ({"workload": {"intra_offset_ms": 0}}, r"unknown key 'intra_offset_ms' in workload"),
+        ({"workload": {"inter_offset_ms": 0}}, r"unknown key 'inter_offset_ms' in workload"),
+        ({"workload": {"inter_until_ms": 0}}, r"unknown key 'inter_until_ms' in workload"),
+        ({"protocol": {"intra_timeout_ms": 0}}, r"unknown key 'intra_timeout_ms' in protocol"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):
