@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from .chain import MAX_TARGET, PowSeal, build_block
 from .crypto import Keyring
 from .powchain import M_TRANSFER, ChainState, InterNode, signed_inter_tx
+from .scenario import InterSpec
 
-# The double-spend race: the paper's mean block interval, and the deficit
-# at which the attacker abandons its private fork.
-MEAN_INTERVAL_MS = 4500.0
+# The double-spend race runs the default inter-ledger (the paper's mean
+# block interval, capacity, fee and reward); the attacker abandons its
+# private fork at this deficit.
+INTER = InterSpec()
 GIVE_UP_DEFICIT = 40
 
 
@@ -92,16 +94,17 @@ def double_spend_experiment(attempts: int, attacker_share: float, confirmations:
         attacker = keyring.new_account()
         state = ChainState({victim_key.address: 10_000})
         victim = InterNode(victim_key.address, keyring, state,
-                           confirmation_depth=confirmations, fee=1)
+                           confirmation_depth=confirmations, block_capacity=INTER.block_capacity,
+                           fee=INTER.fee_units, block_reward=INTER.block_reward_units)
         tx = signed_inter_tx(victim_key, 0, M_TRANSFER,
                              args=payee.address + attempt.to_bytes(8, "big"),
-                             attached=1000, fee=1)
+                             attached=1000, fee=INTER.fee_units)
         victim.submit_tx(tx)
         now = 0.0
 
         def mine_honest():
             nonlocal now
-            now += rng.expovariate(1.0 / MEAN_INTERVAL_MS)
+            now += InterNode.sample_block_delay(rng, INTER.mean_block_interval_ms, 1.0)
             block = victim.build_block(now, nonce=victim.tip_height)
             victim.on_block(block)
 
@@ -123,7 +126,7 @@ def double_spend_experiment(attempts: int, attacker_share: float, confirmations:
             if honest_len - len(attacker_chain) >= GIVE_UP_DEFICIT:
                 give_ups += 1
                 break
-            now += rng.expovariate(1.0 / MEAN_INTERVAL_MS)
+            now += InterNode.sample_block_delay(rng, INTER.mean_block_interval_ms, 1.0)
             if rng.random() < q:
                 block = build_block(att_parent, att_height + 1, [], int(now),
                                     PowSeal(attacker.address, nonce, MAX_TARGET))

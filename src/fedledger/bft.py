@@ -223,9 +223,9 @@ class Validator(CommitteeReplica):
         committee: Committee,
         zone_id: int,
         keyring: Keyring,
-        block_capacity: int = 1000,
-        round_timeout_ms: float = 200.0,
-        block_interval_ms: float = 1600.0,
+        block_capacity: int,
+        round_timeout_ms: float,
+        block_interval_ms: float,
         balances: dict[bytes, int] | None = None,
         tx_index: TxIndex | None = None,
     ):

@@ -335,11 +335,14 @@ class BalanceBook:
 
     Transfers with insufficient sender funds are recorded as failed and
     leave balances untouched; opaque payloads have no value effect.
+    ``paid`` holds the (to, memo) of every applied transfer: a broker asks
+    it whether a seller's payout for a contract is on the zone ledger.
     """
 
     def __init__(self, initial: dict[bytes, int] | None = None):
         self.balances: dict[bytes, int] = dict(initial or {})
         self.transfers: list[tuple[bytes, bytes, int, int, bytes]] = []  # (frm, to, amount, memo, tx digest)
+        self.paid: set[tuple[bytes, int]] = set()
         self.failed: list[bytes] = []
 
     def balance(self, addr: bytes) -> int:
@@ -360,3 +363,4 @@ class BalanceBook:
             self.balances[tx.sender] -= amount
             self.balances[to] = self.balances.get(to, 0) + amount
             self.transfers.append((tx.sender, to, amount, memo, tx.digest()))
+            self.paid.add((to, memo))

@@ -44,6 +44,10 @@ class InvalidDelegate(ContractError):
     code = "InvalidDelegate"
 
 
+class BadArgs(ContractError):
+    code = "BadArgs"
+
+
 class BrokerStatus(IntEnum):
     EMPTY = 0
     CONFIGURED = 1

@@ -206,6 +206,8 @@ def _replay_inter(events: list[dict], genesis: dict):
             try:
                 if method == "transfer":
                     to = tx["args"][:40]
+                    if len(to) < 40:  # args hold no address: BadArgs, refunded
+                        to = sender
                     balances[to] = bal(to) + attached
                 elif method == "noop":
                     balances[sender] = bal(sender) + attached

@@ -28,7 +28,6 @@ class TxSubmit:
 
 @dataclass(frozen=True)
 class CommitNotice:
-    zone_id: int
     height: int
     block_digest: bytes
     tx_digest: bytes
@@ -132,7 +131,7 @@ class ValidatorNode(Node):
                     targets.add(rcpt)
             for t in targets:
                 sim.send(self.node_id, t,
-                         CommitNotice(self.zone_id, block.height, block.digest(), tx.digest()))
+                         CommitNotice(block.height, block.digest(), tx.digest()))
 
     def _fanout(self, sim: Simulator, msg: ConsensusMsg) -> None:
         if self.behavior == "silent":
@@ -172,7 +171,7 @@ class MinerNode(Node):
     """Inter-ledger participant that mines with a share of the hash power."""
 
     def __init__(self, node_id: str, inter: InterNode, rng,
-                 mean_interval_ms: float = 4500.0, share: float = 1.0, collector=None):
+                 mean_interval_ms: float, share: float, collector=None):
         super().__init__(node_id, None)
         self.inter = inter
         self.rng = rng
@@ -201,7 +200,7 @@ class MinerNode(Node):
 
     def _publish(self, sim: Simulator, block: Block) -> None:
         res = self.inter.on_block(block)
-        if not res.adopted:
+        if not res.adopted_blocks:
             return
         if self.collector is not None:
             self.collector.inter_block(res, sim.now)
@@ -211,7 +210,7 @@ class MinerNode(Node):
     def on_message(self, sim: Simulator, src: str, msg) -> None:
         if isinstance(msg, BlockMsg):
             res = self.inter.on_block(msg.block)
-            if res.adopted and self.collector is not None:
+            if res.adopted_blocks and self.collector is not None:
                 self.collector.inter_block(res, sim.now)
             if res.tip_changed:
                 self._reschedule(sim)
@@ -259,7 +258,7 @@ class IntraLoadNode(ScheduledLoad):
 
     def __init__(self, node_id: str, zone_id: int, key, rng, validators: list[str],
                  rate_per_s: float, until_ms: float,
-                 collector, payload_bytes: int = 64, times: list[float] | None = None):
+                 collector, payload_bytes: int, times: list[float] | None):
         super().__init__(node_id, zone_id, rate_per_s, until_ms, times)
         self.key = key
         self.rng = rng
@@ -276,7 +275,7 @@ class InterLoadNode(ScheduledLoad):
 
     def __init__(self, node_id: str, key, miners: list[str], fee: int,
                  rate_per_s: float, until_ms: float,
-                 collector, times: list[float] | None = None):
+                 collector, times: list[float] | None):
         super().__init__(node_id, None, rate_per_s, until_ms, times)
         self.key = key
         self.miners = miners

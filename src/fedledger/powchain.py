@@ -48,8 +48,6 @@ from .crypto import (
     sha256,
 )
 
-DEFAULT_FEE = 1  # 0.001 token
-INTER_BLOCK_CAPACITY = 571
 ORPHAN_CAP = 64
 
 # Contract method names, used in InterTx.call.
@@ -100,7 +98,7 @@ def _inter_signing_bytes(sender: bytes, contract_id: int, method: str, args: byt
 
 
 def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
-                    attached: int = 0, fee: int = DEFAULT_FEE,
+                    attached: int = 0, *, fee: int,
                     checkpoint: Checkpoint | None = None) -> InterTx:
     signing = _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint)
     tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint,
@@ -153,7 +151,8 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
     status ``"ok"`` or an error code.
 
     Failed calls keep the fee and refund the attached value; a sender who
-    cannot cover fee + attached value has no effect at all.
+    cannot cover fee + attached value has no effect at all. A call whose
+    args do not decode fails with ``BadArgs``.
     """
     if not keyring.verify_signed(tx):
         return "BadSignature"
@@ -168,8 +167,7 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
 
     try:
         if tx.method == M_TRANSFER:
-            r = Reader(tx.args)
-            to = r.address()
+            (to,) = _addresses(tx.args, 1)
             state.balances[to] = state.balance(to) + tx.attached_value
         elif tx.method == M_NOOP:
             refund()
@@ -198,8 +196,7 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
                 state.balances[payee] = state.balance(payee) + amount
                 refund()
             else:  # M_REPLACE
-                r = Reader(tx.args)
-                old, new_addr = r.address(), r.address()
+                old, new_addr = _addresses(tx.args, 2)
                 state.contracts[tx.contract_id] = sc.replace_delegate(info, tx.sender, old, new_addr)
                 refund()
         else:
@@ -209,6 +206,15 @@ def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -
         refund()
         return e.code
     return "ok"
+
+
+def _addresses(args: bytes, n: int) -> list[bytes]:
+    """The first ``n`` addresses of a call's args; BadArgs if args are shorter."""
+    r = Reader(args)
+    try:
+        return [r.address() for _ in range(n)]
+    except ValueError:
+        raise sc.BadArgs("truncated call arguments") from None
 
 
 def execute_block(parent_state: ChainState, block: Block, keyring: Keyring,
@@ -225,8 +231,7 @@ def execute_block(parent_state: ChainState, block: Block, keyring: Keyring,
 
 @dataclass
 class AdoptResult:
-    adopted: bool
-    reason: str = ""
+    reason: str = ""  # why nothing was stored
     reorg_depth: int = 0  # blocks displaced from the canonical chain; 0 if none
     confirmed: tuple = ()  # txs this call added to InterNode.confirmed
     reverted_confirmed: tuple = ()
@@ -242,10 +247,10 @@ class InterNode:
         address: bytes,
         keyring: Keyring,
         genesis_state: ChainState,
-        confirmation_depth: int = 6,
-        block_capacity: int = INTER_BLOCK_CAPACITY,
-        fee: int = DEFAULT_FEE,
-        block_reward: int = 0,
+        confirmation_depth: int,
+        block_capacity: int,
+        fee: int,
+        block_reward: int,
         executions: dict | None = None,
     ):
         self.address = address
@@ -256,7 +261,6 @@ class InterNode:
         self.block_reward = block_reward
         g = genesis_block("pow")
         gd = g.digest()
-        self.genesis_digest = gd
         self.blocks: dict[bytes, Block] = {gd: g}
         self.states: dict[bytes, ChainState] = {gd: genesis_state.copy()}
         self.block_receipts: dict[bytes, tuple] = {gd: ()}  # block -> statuses in tx order
@@ -350,20 +354,20 @@ class InterNode:
     def on_block(self, block: Block) -> AdoptResult:
         d = block.digest()
         if d in self.blocks:
-            return AdoptResult(False, "known")
+            return AdoptResult("known")
         seal = block.seal
         if not isinstance(seal, PowSeal):
-            return AdoptResult(False, "BadSeal")
+            return AdoptResult("BadSeal")
         if int.from_bytes(d, "big") >= seal.target:
-            return AdoptResult(False, "BadSeal")
+            return AdoptResult("BadSeal")
         if block.parent not in self.blocks:
             if len(self.orphans) >= ORPHAN_CAP:
                 self.orphans.pop(next(iter(self.orphans)))
             self.orphans[d] = block
-            return AdoptResult(False, "orphan")
+            return AdoptResult("orphan")
         parent = self.blocks[block.parent]
         if block.height != parent.height + 1:
-            return AdoptResult(False, "BadHeight")
+            return AdoptResult("BadHeight")
         executed = self.executions.get(d)
         if executed is None:
             executed = self.executions[d] = execute_block(self.states[block.parent], block,
@@ -375,7 +379,7 @@ class InterNode:
         for tx in block.txs:
             self.seen.add(tx.digest())
 
-        result = AdoptResult(True, adopted_blocks=(block,))
+        result = AdoptResult(adopted_blocks=(block,))
         if block.height > self.tip_height:
             result.tip_changed = True
             displaced_txs: list[bytes] = []

@@ -101,7 +101,6 @@ class DelegationReq:
     checkpoint: Checkpoint
     service: bytes  # digest of the requirements payload
     deposit: int
-    reply_to: str
 
     def wire_bytes(self) -> bytes:
         return (
@@ -165,7 +164,6 @@ class ReplaceReq:
     side: str  # which binding to move
     old: bytes
     new: bytes
-    reply_to: str
 
     def wire_bytes(self) -> bytes:
         return (b"rreq" + enc_u64(self.contract_id) + self.side.encode()
@@ -190,7 +188,6 @@ class Ping:
 
     session_id: int
     seq: int
-    reply_to: str
 
     def wire_bytes(self) -> bytes:
         return b"ping" + enc_u64(self.session_id) + enc_u64(self.seq)
@@ -209,7 +206,6 @@ class Pong:
 class CrossVerifyReq:
     query_id: int
     checkpoint: Checkpoint
-    reply_to: str
 
     def wire_bytes(self) -> bytes:
         return b"xvq" + enc_u64(self.query_id) + self.checkpoint.serialize()
@@ -311,8 +307,6 @@ class DelegateNode(InterParticipant):
         self.sessions: dict[int, DelegateSession] = {}
         self.zone_validators: list[str] = []  # wired by the runner
         self._pending_delegations: list[tuple[str, DelegationReq]] = []
-        self._payments_seen: set = set()  # (to, memo) pairs from committed zone transfers
-        self._book_idx = 0
         self._intra_nonce = 0
 
     # -- membership / checkpoint verification ------------------------------
@@ -328,7 +322,6 @@ class DelegateNode(InterParticipant):
         if isinstance(msg, ConsensusMsg) and msg.kind == MsgKind.DECISION:
             appended = self.follower.on_decision(msg.block)
             if appended:
-                self._scan_payments()
                 self._retry_pending_delegations(sim)
                 self._advance_all(sim)
             return
@@ -344,7 +337,7 @@ class DelegateNode(InterParticipant):
             self._advance(sim, s)
             return
         if isinstance(msg, Ping):
-            sim.send(self.node_id, msg.reply_to, Pong(msg.session_id, msg.seq))
+            sim.send(self.node_id, src, Pong(msg.session_id, msg.seq))
             s = self.sessions.get(msg.session_id)
             if s is not None:
                 self._advance(sim, s)
@@ -357,7 +350,7 @@ class DelegateNode(InterParticipant):
             return
         if isinstance(msg, CrossVerifyReq):
             found = self.inter.find_checkpoint(msg.checkpoint)
-            sim.send(self.node_id, msg.reply_to, CrossVerifyResp(msg.query_id, found))
+            sim.send(self.node_id, src, CrossVerifyResp(msg.query_id, found))
             return
         super().on_message(sim, src, msg)
 
@@ -372,11 +365,11 @@ class DelegateNode(InterParticipant):
             return
         s = self.sessions.get(m.session_id)
         if s is None:
-            s = DelegateSession(m.session_id, m.side, m.reply_to, m.requester,
+            s = DelegateSession(m.session_id, m.side, src, m.requester,
                                 m.checkpoint, m.service, m.deposit)
             self.sessions[m.session_id] = s
         else:
-            s.client_node = m.reply_to
+            s.client_node = src
         sim.send(self.node_id, src, DelegationAck(m.session_id, self.key.address))
 
     def _retry_pending_delegations(self, sim: Simulator) -> None:
@@ -544,7 +537,7 @@ class DelegateNode(InterParticipant):
             if not s.replacing:
                 s.replacing = True
                 sim.send(self.node_id, self.admin_node,
-                         ReplaceReq(cid, s.side, mine.delegate, self.key.address, self.node_id))
+                         ReplaceReq(cid, s.side, mine.delegate, self.key.address))
             return
 
         if not conf_side:
@@ -560,7 +553,7 @@ class DelegateNode(InterParticipant):
         # Buyer side: the confirmed PAID status is the service receipt.
         # Publisher side: the seller is paid once some delegate (maybe a
         # crashed predecessor) has forwarded the escrowed value in-zone.
-        if s.side == SUB or (s.client_addr, cid) in self._payments_seen:
+        if s.side == SUB or (s.client_addr, cid) in self.follower.book.paid:
             self._report(sim, s, SETTLED, cid)
             return
         if not s.payment_submitted:
@@ -568,13 +561,6 @@ class DelegateNode(InterParticipant):
             payload = transfer_payload(s.client_addr, s.deposit, memo=cid)
             submit_intra(sim, self, self.zone_validators, payload, self._intra_nonce)
             self._intra_nonce += 1
-
-    def _scan_payments(self) -> None:
-        transfers = self.follower.book.transfers
-        while self._book_idx < len(transfers):
-            _frm, to, _amount, memo, _d = transfers[self._book_idx]
-            self._payments_seen.add((to, memo))
-            self._book_idx += 1
 
 
 # -- system admin -----------------------------------------------------------------
@@ -590,7 +576,7 @@ class AdminNode(InterParticipant):
 
     def __init__(self, node_id: str, key, inter: InterNode, miners: list[str]):
         super().__init__(node_id, None, key, inter, miners)
-        self._watches: dict[tuple, list[str]] = {}  # (cid, side, new) -> reply node ids
+        self._watches: dict[tuple, list[str]] = {}  # (cid, side, new) -> requesting node ids
         self._step_sent: dict[tuple, tuple] = {}  # (cid, side) -> (frm, to) awaiting tip
         self._salt = 0
 
@@ -610,10 +596,10 @@ class AdminNode(InterParticipant):
         conf = self.inter.confirmed_state()
         tip = self.inter.tip_state()
         done = []
-        for (cid, side, new), reply_tos in self._watches.items():
+        for (cid, side, new), requesters in self._watches.items():
             info_conf = conf.contracts.get(cid)
             if info_conf is not None and side_view(info_conf, side).delegate == new:
-                for t in reply_tos:
+                for t in requesters:
                     sim.send(self.node_id, t, ReplaceDone(cid, bytes(20), new, True))
                 done.append((cid, side, new))
                 continue
@@ -626,7 +612,7 @@ class AdminNode(InterParticipant):
                 continue  # at tip; wait for confirmation
             lst = info.delegation_list
             if cur not in lst or new not in lst or lst.index(new) <= lst.index(cur):
-                for t in reply_tos:
+                for t in requesters:
                     sim.send(self.node_id, t, ReplaceDone(cid, cur, new, False))
                 done.append((cid, side, new))
                 continue
@@ -665,9 +651,9 @@ class SessionConfig:
     start_ms: float
     payload: bytes  # shared requirements payload (rendezvous key = its digest)
     deposit: int
+    ack_timeout_ms: float
+    op_timeout_ms: float
     deliver_after_ms: float = 0.0  # data delivery / payment readiness flag delay
-    ack_timeout_ms: float = 1_650.0
-    op_timeout_ms: float = 120_000.0
 
 
 class ClientNode(Node):
@@ -686,13 +672,12 @@ class ClientNode(Node):
         self.phase = IDLE
         self.phase_times: dict[str, float] = {}
         self.fail_reason: str | None = None
-        self.delegate_idx = 0
         self.epoch = 0
         self.goal: Phase | None = None  # the rung last requested from the delegate
         self.contract_id: int | None = None
         self.checkpoint: Checkpoint | None = None
         self.funded = False
-        self.failovers = 0
+        self.failovers = 0  # also the index of the current delegate
         self._notice_tally: dict[bytes, dict[tuple, set]] = {}
         self._req_tx: IntraTx | None = None
         self._fund_tx: IntraTx | None = None
@@ -738,13 +723,13 @@ class ClientNode(Node):
         return tx
 
     def _current_delegate(self) -> tuple[str, bytes]:
-        return self.delegates[self.delegate_idx]
+        return self.delegates[self.failovers]
 
     def _send_delegation(self, sim: Simulator) -> None:
         node, _addr = self._current_delegate()
         req = DelegationReq(self.cfg.session_id, self.cfg.side, self.cfg.zone_id,
                             self.key.address, self.checkpoint, self.service,
-                            self.cfg.deposit, self.node_id)
+                            self.cfg.deposit)
         sim.send(self.node_id, node, req)
         self._arm(sim, "ack", self.cfg.ack_timeout_ms)
 
@@ -760,14 +745,13 @@ class ClientNode(Node):
         self._start_watch(sim)
 
     def _failover(self, sim: Simulator) -> None:
-        self.delegate_idx += 1
         self.failovers += 1
         self._pong_pending = False
-        if self.delegate_idx >= len(self.delegates):
+        if self.failovers >= len(self.delegates):
             self._fail(sim, "NoDelegates")
             return
         self.collector.session_failover(self.cfg.session_id, self.cfg.side,
-                                        self.delegate_idx, sim.now)
+                                        self.failovers, sim.now)
         self._send_delegation(sim)
 
     # -- event hooks -------------------------------------------------------------
@@ -799,7 +783,7 @@ class ClientNode(Node):
                 return
             node, _ = self._current_delegate()
             self._ping_seq += 1
-            sim.send(self.node_id, node, Ping(self.cfg.session_id, self._ping_seq, self.node_id))
+            sim.send(self.node_id, node, Ping(self.cfg.session_id, self._ping_seq))
             self._pong_pending = True
             self._rearm(sim, "ping", self.cfg.ack_timeout_ms)
         elif kind == "op":
@@ -850,6 +834,8 @@ class ClientNode(Node):
                 self._set_phase(sim, SETTLED)
 
     def _on_notice(self, sim: Simulator, src: str, m: CommitNotice) -> None:
+        if src not in self.validators:
+            return  # only the zone committee vouches for a commit
         tally = self._notice_tally.setdefault(m.tx_digest, {})
         voters = tally.setdefault((m.height, m.block_digest), set())
         voters.add(src)

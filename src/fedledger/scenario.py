@@ -38,7 +38,6 @@ Schema (defaults in parentheses):
     "inter_rate_per_s": number (0), "inter_probe_times_ms": [numbers] ([])
   },
   "protocol": {
-    "ack_timeout_ms": number (5x mean inter one-way delay),
     "op_timeout_ms": number (120000, > 0)
   },
   "funding": {
@@ -136,7 +135,6 @@ class WorkloadSpec:
 
 @dataclass
 class ProtocolSpec:
-    ack_timeout_ms: float | None = None  # default derived from link model
     op_timeout_ms: float = 120_000.0
 
 
@@ -165,8 +163,7 @@ class Scenario:
     reference: dict = field(default_factory=dict)
 
     def ack_timeout_ms(self) -> float:
-        if self.protocol.ack_timeout_ms is not None:
-            return self.protocol.ack_timeout_ms
+        """A client's ack and ping timeout: 5x the mean one-way inter-domain delay."""
         return 5.0 * self.inter.mean_delay_ms()
 
     def validate(self) -> None:

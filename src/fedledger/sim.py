@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConfigError(Exception):
@@ -31,16 +31,15 @@ class ConfigError(Exception):
 
 @dataclass
 class LinkModel:
-    intra_min_ms: float = 10.0
-    intra_max_ms: float = 200.0  # synchrony bound for same-zone links
-    inter_median_ms: float = 200.0
-    inter_sigma: float = 1.0
-    zone_ranges: dict = field(default_factory=dict)  # zone -> (min_ms, max_ms)
+    inter_median_ms: float
+    inter_sigma: float
+    # zone -> (min_ms, max_ms) for every zone; the max is the zone's synchrony bound
+    zone_ranges: dict
 
     def sample(self, rng: random.Random, zone: int | None) -> float:
         """Sampled one-way delay (zone set for same-zone links)."""
         if zone is not None:
-            lo, hi = self.zone_ranges.get(zone, (self.intra_min_ms, self.intra_max_ms))
+            lo, hi = self.zone_ranges[zone]
             # The body of rng.uniform(lo, hi) on CPython 3.10-3.13
             # (Lib/random.py, Random.uniform), inlined: same draw, same value.
             return lo + (hi - lo) * rng.random()
@@ -72,9 +71,8 @@ class Node:
 
 
 class Simulator:
-    def __init__(self, seed: int, link: LinkModel | None = None, transcript: bool = False):
-        self.seed = seed
-        self.link = link or LinkModel()
+    def __init__(self, seed: int, link: LinkModel, transcript: bool = False):
+        self.link = link
         self.now: float = 0.0
         self._seq = 0
         self._queue: list = []
@@ -84,9 +82,8 @@ class Simulator:
         self.rng_net = random.Random(seed ^ 0x6E65745F)
         self.processed = 0
         # Cross-domain / inter-ledger message transcript for the privacy
-        # scan: (src, dst, wire bytes). Only filled when enabled.
-        self.record_transcript = transcript
-        self.transcript: list[tuple[str, str, bytes]] = []
+        # scan: (src, dst, wire bytes); None when not enabled.
+        self.transcript: list[tuple[str, str, bytes]] | None = [] if transcript else None
 
     # -- node registry ----------------------------------------------------
 
@@ -119,10 +116,9 @@ class Simulator:
         extra = 0.0
         if a.behavior == "delay":
             # Holds traffic to just under the synchrony bound of the sender's zone.
-            _lo, hi = self.link.zone_ranges.get(a.zone_id, (None, self.link.intra_max_ms))
-            extra = 0.9 * hi
+            extra = 0.9 * self.link.zone_ranges[a.zone_id][1]
         delay = self.link.sample(self.rng_net, zone)
-        if self.record_transcript and zone is None:
+        if self.transcript is not None and zone is None:
             wire = getattr(msg, "wire_bytes", None)
             if wire is not None:
                 self.transcript.append((src, dst, wire()))

@@ -37,7 +37,11 @@ def committee_of(keyring, n=4):
 
 
 def make_validator(keyring, keys, addrs, idx, **kw):
-    kw.setdefault("block_interval_ms", 0.0)
+    """Validator ``idx`` of a zone-1 committee with the scenario's domain
+    defaults; proposals are due at once unless ``kw`` sets an interval."""
+    spec = DomainSpec(zone_id=1)
+    kw = {"block_capacity": spec.block_capacity, "round_timeout_ms": spec.round_timeout_ms,
+          "block_interval_ms": 0.0, **kw}
     return Validator(keys[idx], Committee.of(addrs), 1, keyring, **kw)
 
 
@@ -190,7 +194,7 @@ class TestTimeouts:
         v = make_validator(keyring, keys, addrs, 0)
         start = v.start(0.0)
         deadline = take(start, Deadline)[0]
-        assert deadline.at == pytest.approx(200.0)  # delta_base * (0+1)
+        assert deadline.at == pytest.approx(v.round_timeout_ms)  # delta_base * (0+1)
         out = v.on_deadline(deadline.at, deadline.epoch)
         nils = [b.msg for b in take(out, Broadcast) if b.msg.kind == MsgKind.PREVOTE]
         assert nils and nils[0].block_digest is None
@@ -630,7 +634,7 @@ class TestSignatureMemo:
         keys, addrs = committee_of(keyring)
         msg = vote(keyring, keys[1], MsgKind.PREVOTE, 1, 0, bytes(32))
         assert keyring.verify_signed(msg)
-        v = Validator(keys[0], Committee.of(addrs), 1, Keyring(random.Random(7)), block_interval_ms=0.0)
+        v = make_validator(Keyring(random.Random(7)), keys, addrs, 0)
         v.on_msg(1.0, msg)
         assert v.prevotes == {}
 

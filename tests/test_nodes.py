@@ -6,7 +6,8 @@ import pytest
 
 from fedledger.crypto import Keyring
 from fedledger.nodes import InterLoadNode, IntraLoadNode
-from fedledger.sim import Simulator
+from fedledger.scenario import InterSpec, WorkloadSpec
+from fedledger.sim import LinkModel, Simulator
 
 
 class SubmitLog:
@@ -22,7 +23,8 @@ class SubmitLog:
 
 def intra_load(key, collector, rate, until, times=None):
     return IntraLoadNode("load:1", 1, key, random.Random(1), [], rate, until,
-                         collector=collector, times=times)
+                         collector=collector, payload_bytes=WorkloadSpec().intra_payload_bytes,
+                         times=times)
 
 
 def inter_load(key, collector, rate, until, times=None):
@@ -34,7 +36,8 @@ def run_load(make, **kw):
     key = Keyring(random.Random(2)).new_account()
     collector = SubmitLog()
     node = make(key, collector, **kw)
-    sim = Simulator(0)
+    inter = InterSpec()  # the loads send to no one: the link is never sampled
+    sim = Simulator(0, LinkModel(inter.median_delay_ms, inter.sigma, zone_ranges={}))
     sim.add_node(node)
     node.start(sim)
     sim.run_until(10_000)

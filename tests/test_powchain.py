@@ -29,14 +29,21 @@ from fedledger.powchain import (
     signed_inter_tx,
 )
 from fedledger.runner import Collector
+from fedledger.scenario import InterSpec
 
 
-def make_node(keyring, balances=None, contracts=None, k=2, capacity=571):
+def inter_node(keyring, address, state, **kw):
+    """An InterNode with the scenario's inter-ledger defaults, ``kw`` overriding them."""
+    spec = InterSpec()
+    kw = {"confirmation_depth": spec.confirmation_depth, "block_capacity": spec.block_capacity,
+          "fee": spec.fee_units, "block_reward": spec.block_reward_units, **kw}
+    return InterNode(address, keyring, state, **kw)
+
+
+def make_node(keyring, balances=None, contracts=None, k=2):
     key = keyring.new_account()
     state = ChainState(dict(balances or {}), dict(contracts or {}))
-    node = InterNode(key.address, keyring, state, confirmation_depth=k,
-                     block_capacity=capacity)
-    return key, node
+    return key, inter_node(keyring, key.address, state, confirmation_depth=k)
 
 
 def noop(keyring, key, salt, fee=1):
@@ -49,7 +56,7 @@ class TestMining:
         block = node.build_block(0.0, nonce=0)
         assert block.seal.target == MAX_TARGET
         assert int.from_bytes(block.digest(), "big") < MAX_TARGET
-        assert node.on_block(block).adopted
+        assert node.on_block(block).adopted_blocks
 
     def test_block_under_declared_target_accepted(self, keyring):
         # A seal may declare a tighter target than the miners use; the
@@ -60,16 +67,16 @@ class TestMining:
                   for nonce in range(4096)]
         under = [int.from_bytes(b.digest(), "big") < target for b in blocks]
         assert node.on_block(blocks[under.index(False)]).reason == "BadSeal"
-        assert node.on_block(blocks[under.index(True)]).adopted
+        assert node.on_block(blocks[under.index(True)]).adopted_blocks
 
     def test_block_capacity_cap(self, keyring):
         sender = keyring.new_account()
         _, node = make_node(keyring, balances={sender.address: 10_000})
-        for i in range(600):
+        for i in range(node.block_capacity + 1):
             ok, reason = node.submit_tx(noop(keyring, sender, i))
             assert ok, reason
         block = node.build_block(0.0)
-        assert len(block.txs) == 571
+        assert len(block.txs) == node.block_capacity
 
     def test_virtual_time_fair_share(self, keyring):
         # Six equal miners: per-block winner = argmin of six exponential
@@ -194,8 +201,8 @@ class TestForkChoice:
         node.on_block(mine)
         assert tx.digest() not in node.pending
         # A competing branch without the tx overtakes.
-        other = InterNode(keyring.new_account().address, keyring,
-                          ChainState({sender.address: 1000}), confirmation_depth=2)
+        other = inter_node(keyring, keyring.new_account().address,
+                           ChainState({sender.address: 1000}), confirmation_depth=2)
         b1 = other.build_block(6.0, nonce=2)
         other.on_block(b1)
         b2 = other.build_block(7.0, nonce=3)
@@ -220,8 +227,8 @@ class TestForkChoice:
         node.on_block(mine)
         b, c, d = submit(3), submit(4), submit(5)
         # An empty two-block branch from genesis displaces a and a2.
-        other = InterNode(keyring.new_account().address, keyring,
-                          ChainState({sender.address: 1000}), confirmation_depth=2)
+        other = inter_node(keyring, keyring.new_account().address,
+                           ChainState({sender.address: 1000}), confirmation_depth=2)
         for i in range(2):
             blk = other.build_block(2.0 + i, nonce=10 + i)
             other.on_block(blk)
@@ -238,9 +245,9 @@ class TestForkChoice:
         other.on_block(b1)
         b2 = other.build_block(2.0, nonce=2)
         res = node.on_block(b2)  # child first
-        assert not res.adopted and res.reason == "orphan"
+        assert not res.adopted_blocks and res.reason == "orphan"
         res = node.on_block(b1)
-        assert res.adopted and node.tip == b2.digest()
+        assert res.adopted_blocks and node.tip == b2.digest()
         assert b2 in res.adopted_blocks  # reattached orphan reported to callers
 
     def test_orphan_buffer_evicts_oldest_at_cap(self, keyring):
@@ -305,7 +312,7 @@ class TestRevertOracle:
             txs = (txs_at or {}).get(h, [])
             block = build_block(parent, h, txs, h, PowSeal(miner, h, MAX_TARGET))
             res = node.on_block(block)
-            assert res.adopted
+            assert res.adopted_blocks
             parent = block.digest()
         return res
 
@@ -319,7 +326,7 @@ class TestRevertOracle:
     def test_reverted_confirmed_tx_reported(self, keyring):
         node, tx = self.confirmed_at_height_1(keyring)
         t = tx.digest()
-        res = self.branch(node, node.genesis_digest, 0, 4)
+        res = self.branch(node, node.canonical[0], 0, 4)
         assert res.reorg_depth == 3
         assert res.reverted_confirmed == (t,)
         assert t not in node.confirmed
@@ -333,7 +340,7 @@ class TestRevertOracle:
         # shallow reorg that drops T is reported.
         node, tx = self.confirmed_at_height_1(keyring)
         t = tx.digest()
-        res = self.branch(node, node.genesis_digest, 0, 4, txs_at={4: [tx]})
+        res = self.branch(node, node.canonical[0], 0, 4, txs_at={4: [tx]})
         assert res.reorg_depth == 3 and node.confirmed_height == 3
         assert node.canonical_receipts[t][0] == 4
         assert res.reverted_confirmed == () and self.reported(res) == []
@@ -364,7 +371,7 @@ class TestCanonicalReceipts:
             picks = data.draw(st.lists(st.integers(0, len(pool) - 1), unique=True, max_size=4),
                               label="txs")
             txs = [pool[j] for j in picks if j not in paths[p]]  # a tx once per branch
-            blocks.append(build_block(parent.digest() if parent else node.genesis_digest,
+            blocks.append(build_block(parent.digest() if parent else node.canonical[0],
                                       parent.height + 1 if parent else 1, txs, i,
                                       PowSeal(miner.address, i, MAX_TARGET)))
             paths.append(paths[p] | {pool.index(tx) for tx in txs})
@@ -410,10 +417,10 @@ class TestCanonicalReceipts:
         pairs = []
         with patch.object(powchain, "execute_block", counted):
             for _ in range(data.draw(st.integers(1, 3), label="nodes")):
-                shared = InterNode(keyring.new_account().address, keyring, genesis,
-                                   confirmation_depth=2, executions=memo)
-                private = InterNode(keyring.new_account().address, keyring, genesis,
-                                    confirmation_depth=2)
+                shared = inter_node(keyring, keyring.new_account().address, genesis,
+                                    confirmation_depth=2, executions=memo)
+                private = inter_node(keyring, keyring.new_account().address, genesis,
+                                     confirmation_depth=2)
                 # Random delivery order (children before parents wait as orphans),
                 # and a random subset: nodes see different parts of the tree.
                 order = data.draw(st.permutations(range(len(blocks))), label="order")
@@ -432,10 +439,10 @@ class TestCanonicalReceipts:
             assert shared.confirmed == private.confirmed
             assert shared.orphans.keys() == private.orphans.keys()
             for d, st_ in shared.states.items():
-                if d != shared.genesis_digest:
+                if d != shared.canonical[0]:
                     assert st_ is memo[d][0]  # one shared object per block
         # Private memos execute per node; the shared one once per distinct block.
-        stored = {d for shared, _ in pairs for d in shared.blocks if d != shared.genesis_digest}
+        stored = {d for shared, _ in pairs for d in shared.blocks if d != shared.canonical[0]}
         assert memo.keys() == stored
         assert len(executed) == len(stored) + sum(len(p.blocks) - 1 for _, p in pairs)
 
@@ -512,7 +519,7 @@ class TestExecution:
     def test_deterministic_reexecution(self, keyring):
         node, *_ = self.full_protocol_chain(keyring)
         # Replay the canonical chain from genesis; digests must match.
-        state = node.states[node.genesis_digest].copy()
+        state = node.states[node.canonical[0]].copy()
         for bd in node.canonical[1:]:
             state, _ = execute_block(state, node.blocks[bd], keyring)
         assert state.digest() == node.tip_state().digest()
@@ -521,8 +528,8 @@ class TestExecution:
         sender = keyring.new_account()
         key = keyring.new_account()
         state = ChainState({sender.address: 1000})
-        node = InterNode(key.address, keyring, state,
-                         confirmation_depth=2, block_reward=50)
+        node = inter_node(keyring, key.address, state,
+                          confirmation_depth=2, block_reward=50)
         node.submit_tx(noop(keyring, sender, 1))
         node.on_block(node.build_block(0.0))
         node.on_block(node.build_block(1.0))
@@ -544,4 +551,21 @@ class TestExecution:
         assert node.canonical_receipts[tx.digest()] == (1, "Unauthorized")
         st = node.tip_state()
         assert st.balance(dp.address) == 999
+        assert st.total_supply() == 1_000
+
+    @pytest.mark.parametrize("method, args", [(M_TRANSFER, b"\x01\x02"), (M_REPLACE, b"\x01" * 30)],
+                             ids=["transfer", "replace"])
+    def test_undecodable_args_fail_with_bad_args(self, keyring, method, args):
+        # A call whose args hold too few addresses fails like any failed
+        # call: the fee is kept and the attached value comes back.
+        admin = keyring.new_account()
+        info = BrokerInfo(contract_id=1, admin=admin.address, delegation_list=())
+        key, node = make_node(keyring, balances={admin.address: 1_000}, contracts={1: info})
+        tx = signed_inter_tx(admin, 1, method, args=args, attached=500, fee=node.fee)
+        assert node.submit_tx(tx) == (True, "")
+        node.on_block(node.build_block(0.0))
+        assert node.canonical_receipts[tx.digest()] == (1, "BadArgs")
+        st = node.tip_state()
+        assert st.balance(admin.address) == 1_000 - node.fee
+        assert st.balance(key.address) == node.fee
         assert st.total_supply() == 1_000

@@ -9,8 +9,9 @@ import pytest
 from fedledger.chain import Checkpoint
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import sha256
-from fedledger.nodes import InterSubmit, InterSubmitAck
-from fedledger.powchain import M_CONFIG_PUB, M_CONFIG_SUB, ChainState, signed_inter_tx
+from fedledger.eventlog import replay_log
+from fedledger.nodes import CommitNotice, InterSubmit, InterSubmitAck
+from fedledger.powchain import M_CONFIG_PUB, M_CONFIG_SUB, M_TRANSFER, ChainState, signed_inter_tx
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
     CrossVerifyReq,
@@ -20,6 +21,8 @@ from fedledger.protocol import (
     Phase,
     PhaseDone,
     PhaseReq,
+    Ping,
+    ReplaceReq,
     SessionFail,
 )
 from fedledger.runner import build, finalize, run
@@ -109,13 +112,31 @@ class TestHappyPath:
         assert len(settles) == 1
 
 
+SID = (1).to_bytes(8, "big")
+CP = Checkpoint(2, b"\x11" * 32, 3, b"\x22" * 32)
+CP_BYTES = (2).to_bytes(4, "big") + b"\x11" * 32 + (3).to_bytes(8, "big") + b"\x22" * 32
+
+# Messages and their exact wire bytes. A reply goes to the message's
+# sender, so no return address is on the wire.
+GOLDEN_WIRE = [
+    (PhaseReq(1, Phase.CONFIGURED), b"preq" + SID + b"configure"),
+    (PhaseReq(1, Phase.COMMITTED), b"preq" + SID + b"commit"),
+    (PhaseDone(1, Phase.SETTLED, 5), b"pdon" + SID + b"settle" + (5).to_bytes(8, "big")),
+    (DelegationReq(1, "pub", 1, b"\xaa" * 20, CP, b"\x33" * 32, 10_000),
+     b"dreq" + SID + b"pub" + (1).to_bytes(4, "big") + b"\xaa" * 20 + CP_BYTES
+     + b"\x33" * 32 + (10_000).to_bytes(8, "big")),
+    (ReplaceReq(4, "sub", b"\xaa" * 20, b"\xbb" * 20),
+     b"rreq" + (4).to_bytes(8, "big") + b"sub" + b"\xaa" * 20 + b"\xbb" * 20),
+    (Ping(1, 7), b"ping" + SID + (7).to_bytes(8, "big")),
+    (CrossVerifyReq(2, CP), b"xvq" + (2).to_bytes(8, "big") + CP_BYTES),
+    (CommitNotice(5, b"\x22" * 32, b"\x44" * 32), b"notice" + b"\x22" * 32 + b"\x44" * 32),
+]
+
+
 class TestPhaseMessages:
     def test_phase_messages_put_the_step_word_on_the_wire(self):
-        sid = (1).to_bytes(8, "big")
-        assert PhaseReq(1, Phase.CONFIGURED).wire_bytes() == b"preq" + sid + b"configure"
-        assert PhaseReq(1, Phase.COMMITTED).wire_bytes() == b"preq" + sid + b"commit"
-        assert PhaseDone(1, Phase.SETTLED, 5).wire_bytes() == (
-            b"pdon" + sid + b"settle" + (5).to_bytes(8, "big"))
+        for msg, wire in GOLDEN_WIRE:
+            assert msg.wire_bytes() == wire, msg
 
     def test_phases_rank_in_ladder_order_and_equal_their_logged_names(self):
         ladder = ["IDLE", "DELEGATED", "CONFIGURED", "COMMITTED", "SETTLED", "FAILED"]
@@ -135,8 +156,7 @@ class TestDelegationChecks:
         seller = h.clients[(1, "pub")]
         cp = seller.checkpoint
         forged = replace(cp, tx_ref=bytes([cp.tx_ref[0] ^ 1]) + cp.tx_ref[1:])
-        req = DelegationReq(99, "pub", 1, seller.key.address, forged,
-                            seller.service, 0, "seller:1")
+        req = DelegationReq(99, "pub", 1, seller.key.address, forged, seller.service, 0)
         assert dlg._verify_request(req) == "BadCheckpoint"
 
     def test_unknown_requester_denied(self):
@@ -144,15 +164,14 @@ class TestDelegationChecks:
         dlg = h.delegates[1][0]
         stranger = h.keyring.new_account()
         cp = h.clients[(1, "pub")].checkpoint
-        req = DelegationReq(99, "pub", 1, stranger.address, cp, b"\x00" * 32, 0, "x")
+        req = DelegationReq(99, "pub", 1, stranger.address, cp, b"\x00" * 32, 0)
         assert dlg._verify_request(req) == "UnknownIdentity"
 
     def test_cross_zone_requester_denied(self):
         h = self._handles_after_commit()
         dlg = h.delegates[1][0]
         buyer = h.clients[(1, "sub")]  # zone-2 member
-        req = DelegationReq(99, "sub", 2, buyer.key.address,
-                            buyer.checkpoint, buyer.service, 0, "buyer:1")
+        req = DelegationReq(99, "sub", 2, buyer.key.address, buyer.checkpoint, buyer.service, 0)
         assert dlg._verify_request(req) == "UnknownIdentity"
 
     def test_valid_request_acked(self):
@@ -160,7 +179,7 @@ class TestDelegationChecks:
         dlg = h.delegates[1][0]
         seller = h.clients[(1, "pub")]
         req = DelegationReq(99, "pub", 1, seller.key.address, seller.checkpoint,
-                            seller.service, 0, "seller:1")
+                            seller.service, 0)
         assert dlg._verify_request(req) is None
 
 
@@ -246,8 +265,8 @@ class TestSessionPairs:
 class Probe(Node):
     """A zone-1 node that records every message it receives as (time, src, msg)."""
 
-    def __init__(self):
-        super().__init__("probe", 1)
+    def __init__(self, node_id="probe"):
+        super().__init__(node_id, 1)
         self.received = []
 
     def on_message(self, sim, src, msg):
@@ -264,12 +283,12 @@ class TestCrossVerify:
         # queried from the seller's zone: cross-domain verification).
         recorded = h.clients[(1, "sub")].checkpoint
         dlg = h.delegates[1][0]
-        sim.send("probe", dlg.node_id, CrossVerifyReq(1, recorded, "probe"))
+        sim.send("probe", dlg.node_id, CrossVerifyReq(1, recorded))
         never = Checkpoint(2, b"\x11" * 32, 3, b"\x22" * 32)
-        sim.send("probe", dlg.node_id, CrossVerifyReq(2, never, "probe"))
+        sim.send("probe", dlg.node_id, CrossVerifyReq(2, never))
         mutated = replace(recorded, ledger_head=bytes([recorded.ledger_head[0] ^ 1])
                           + recorded.ledger_head[1:])
-        sim.send("probe", dlg.node_id, CrossVerifyReq(3, mutated, "probe"))
+        sim.send("probe", dlg.node_id, CrossVerifyReq(3, mutated))
         sim.run_until(sim.now + 10_000)
         got = {m.query_id: m.found for _t, _src, m in probe.received}
         assert got == {1: True, 2: False, 3: False}
@@ -522,8 +541,7 @@ class TestBrokerPaths:
         run_while(h, lambda: seller.phase != "CONFIGURED")
         moved_at = h.sim.now
         h.sim.send(probe.node_id, "dlg:1:0", DelegationReq(
-            1, "pub", 1, seller.key.address, seller.checkpoint, seller.service, 10_000,
-            probe.node_id))
+            1, "pub", 1, seller.key.address, seller.checkpoint, seller.service, 10_000))
         out = finish(h)
         assert [type(m) for _t, _s, m in probe.received][:1] == [DelegationAck]
         later = [dst for t, src, dst, m in sent
@@ -552,7 +570,7 @@ class TestBrokerPaths:
         seller = h.clients[(1, "pub")]
         forged = Checkpoint(1, b"\x11" * 32, target, b"\x22" * 32)
         h.sim.send(probe.node_id, dlg.node_id, DelegationReq(
-            7, "pub", 1, seller.key.address, forged, b"\x00" * 32, 0, probe.node_id))
+            7, "pub", 1, seller.key.address, forged, b"\x00" * 32, 0))
         run_while(h, lambda: not probe.received)
         assert [(src, type(m), m.reason) for _t, src, m in probe.received] == [
             (dlg.node_id, DelegationDeny, "BadCheckpoint")]
@@ -570,3 +588,41 @@ class TestClientGoal:
         seller.on_timer(h.sim, ("deliver", 0))
         assert seller.goal == Phase.SETTLED
         assert finish(h) == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
+
+
+class TestLightClient:
+    def test_commit_notices_count_only_from_the_committee(self):
+        # Two zone-1 nodes outside the committee, f+1 of them, report the
+        # seller's request tx committed at height 5 under a block of their
+        # own making. Counted, they had the seller delegate a checkpoint no
+        # broker could verify, and the seller ended FAILED:NoDelegates.
+        h, _sent = started(fast_session_scenario(seed=7))
+        seller = h.clients[(1, "pub")]
+        run_while(h, lambda: seller._req_tx is None, step_ms=1.0)
+        forged = CommitNotice(5, b"\x22" * 32, seller._req_tx.digest())
+        for name in ("probe:0", "probe:1"):
+            h.sim.send(h.sim.add_node(Probe(name)).node_id, seller.node_id, forged)
+        assert finish(h) == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
+        assert seller.checkpoint.ledger_head != b"\x22" * 32
+
+
+class TestUndecodableCall:
+    def test_transfer_without_an_address_fails_on_chain(self):
+        # A signed transfer whose 2-byte args hold no address. Decoding it
+        # aborted the run ("truncated encoding"); it fails on chain like
+        # any failed call instead, and the log replay refunds it too.
+        h, _sent = started(fast_session_scenario(seed=7))
+        probe = h.sim.add_node(Probe())
+        tx = signed_inter_tx(h.admin.key, 0, M_TRANSFER, args=b"\x01\x02", attached=500,
+                             fee=h.admin.inter.fee)
+        for m in h.miners:
+            h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
+        h.sim.run_until(h.scenario.duration_ms)
+        report = finalize(h)
+        assert outcomes(report) == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
+        assert report.safety_violations == 0 and report.conservation_delta == 0
+        observer = h.miners[0].inter
+        assert observer.canonical_receipts[tx.digest()][1] == "BadArgs"
+        replayed = replay_log(h.log.events).inter_balances
+        live = {a.hex(): v for a, v in observer.tip_state().balances.items()}
+        assert {a: v for a, v in replayed.items() if v} == {a: v for a, v in live.items() if v}

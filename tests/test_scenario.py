@@ -222,6 +222,7 @@ class TestMalformedValues:
         ({"workload": {"inter_offset_ms": 0}}, r"unknown key 'inter_offset_ms' in workload"),
         ({"workload": {"inter_until_ms": 0}}, r"unknown key 'inter_until_ms' in workload"),
         ({"protocol": {"intra_timeout_ms": 0}}, r"unknown key 'intra_timeout_ms' in protocol"),
+        ({"protocol": {"ack_timeout_ms": 1650}}, r"unknown key 'ack_timeout_ms' in protocol"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fedledger.scenario import Scenario
 from fedledger.sim import ConfigError, FaultEntry, LinkModel, Node, Simulator
 
 
@@ -19,8 +20,16 @@ class Recorder(Node):
         self.seen.append((round(sim.now, 6), "timer", key))
 
 
+def link(**kw):
+    """The link model of the default scenario (one zone, zone 1), ``kw`` replacing fields."""
+    scn = Scenario()
+    d = scn.domains[0]
+    return LinkModel(**{"inter_median_ms": scn.inter.median_delay_ms, "inter_sigma": scn.inter.sigma,
+                        "zone_ranges": {d.zone_id: (d.delay_min_ms, d.delay_max_ms)}, **kw})
+
+
 def two_node_sim(seed=1, zone_b=1):
-    sim = Simulator(seed)
+    sim = Simulator(seed, link())
     a = sim.add_node(Recorder("a"))
     b = sim.add_node(Recorder("b", zone_b))
     return sim, a, b
@@ -28,7 +37,7 @@ def two_node_sim(seed=1, zone_b=1):
 
 class TestLoop:
     def test_empty_queue(self):
-        sim = Simulator(0)
+        sim = Simulator(0, link())
         assert sim.run_until(1_000_000) == 0
         assert sim.now == 1_000_000
 
@@ -39,7 +48,7 @@ class TestLoop:
         sim.run_until(10_000)
         times = [t for t, _, _ in b.seen]
         assert times == sorted(times)
-        assert all(t >= sim.link.intra_min_ms for t in times)
+        assert all(t >= sim.link.zone_ranges[1][0] for t in times)
 
     def test_same_seed_identical_traces(self):
         def trace(seed):
@@ -54,7 +63,7 @@ class TestLoop:
         assert trace(42) != trace(43)
 
     def test_tie_break_by_schedule_order(self):
-        sim = Simulator(0)
+        sim = Simulator(0, link())
         r = sim.add_node(Recorder("r"))
         sim.set_timer("r", 10.0, "first")
         sim.set_timer("r", 10.0, "second")
@@ -62,7 +71,7 @@ class TestLoop:
         assert [k for _, _, k in r.seen] == ["first", "second"]
 
     def test_run_backwards_rejected(self):
-        sim = Simulator(0)
+        sim = Simulator(0, link())
         sim.run_until(100)
         with pytest.raises(ValueError):
             sim.run_until(50)
@@ -70,24 +79,25 @@ class TestLoop:
 
 class TestLinkModel:
     def test_intra_bounded_by_synchrony(self):
-        link = LinkModel(intra_min_ms=10, intra_max_ms=200)
+        model = link()
+        lo, hi = model.zone_ranges[1]
         rnd = random.Random(7)
         for _ in range(100_000):
-            d = link.sample(rnd, zone=1)
-            assert 10 <= d <= 200
+            d = model.sample(rnd, zone=1)
+            assert lo <= d <= hi
 
     def test_inter_unbounded_tail(self):
-        link = LinkModel(inter_median_ms=200, inter_sigma=1.0)
+        model = link(inter_median_ms=200, inter_sigma=1.0)
         rnd = random.Random(7)
-        samples = [link.sample(rnd, zone=None) for _ in range(20_000)]
+        samples = [model.sample(rnd, zone=None) for _ in range(20_000)]
         assert max(samples) > 200 * 5  # heavy tail reaches well past the median
         med = sorted(samples)[len(samples) // 2]
         assert 180 < med < 220
 
     def test_per_zone_ranges(self):
-        link = LinkModel(zone_ranges={2: (500, 600)})
+        model = link(zone_ranges={2: (500, 600)})
         rnd = random.Random(7)
-        assert all(500 <= link.sample(rnd, zone=2) <= 600 for _ in range(1000))
+        assert all(500 <= model.sample(rnd, zone=2) <= 600 for _ in range(1000))
 
 
 class TestFaults:
@@ -144,13 +154,11 @@ class TestFaults:
             sim.send("a", "b", i)
         sim.run_until(5_000)
         # 0.9x the synchrony bound on top of the sampled link delay.
-        assert all(t >= 0.9 * sim.link.intra_max_ms + sim.link.intra_min_ms
-                   for t, _, _ in b.seen)
+        lo, hi = sim.link.zone_ranges[1]
+        assert all(t >= 0.9 * hi + lo for t, _, _ in b.seen)
 
     def test_delay_behavior_uses_sender_zone_bound(self):
-        link = LinkModel(intra_min_ms=10, intra_max_ms=200,
-                         zone_ranges={1: (10, 200), 2: (10, 1_000)})
-        sim = Simulator(1, link)
+        sim = Simulator(1, link(zone_ranges={1: (10, 200), 2: (10, 1_000)}))
         for node_id, zone in (("a1", 1), ("b1", 1), ("a2", 2), ("b2", 2)):
             sim.add_node(Recorder(node_id, zone)).behavior = "delay" if node_id[0] == "a" else ""
         for i in range(50):
@@ -182,7 +190,7 @@ class TestAbortDiagnostics:
             def on_timer(self, sim, key):
                 raise KeyError("boom")
 
-        sim = Simulator(0)
+        sim = Simulator(0, link())
         sim.add_node(Broken("bad", 1))
         sim.set_timer("bad", 5.0, "x")
         with pytest.raises(RuntimeError, match=r"invariant breach at event #\d+.*bad"):
