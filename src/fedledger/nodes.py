@@ -67,8 +67,7 @@ def submit_intra(sim: Simulator, node: Node, validators: list[str], payload: byt
     """Sign an intra tx with ``node.key``, log it, and send it to every zone validator."""
     tx = signed_intra_tx(node.key, node.zone_id, payload, nonce)
     node.collector.intra_submit(node.zone_id, tx, sim.now)
-    for v in validators:
-        sim.send(node.node_id, v, TxSubmit(tx))
+    sim.multicast(node.node_id, validators, TxSubmit(tx))
     return tx
 
 
@@ -120,37 +119,34 @@ class ValidatorNode(Node):
         if not self.subscribers:
             return
         for tx in block.txs:
-            targets = set()
+            # The sender's subscriber first, then the recipient's, each once.
+            targets = []
             sub = self.subscribers.get(tx.sender)
             if sub:
-                targets.add(sub)
+                targets.append(sub)
             parsed = parse_transfer(tx.payload)
             if parsed:
                 rcpt = self.subscribers.get(parsed[0])
-                if rcpt:
-                    targets.add(rcpt)
-            for t in targets:
-                sim.send(self.node_id, t,
-                         CommitNotice(block.height, block.digest(), tx.digest()))
+                if rcpt and rcpt != sub:
+                    targets.append(rcpt)
+            if targets:
+                sim.multicast(self.node_id, targets,
+                              CommitNotice(block.height, block.digest(), tx.digest()))
 
     def _fanout(self, sim: Simulator, msg: ConsensusMsg) -> None:
         if self.behavior == "silent":
             return
         if msg.kind == MsgKind.DECISION:
-            for t in self.decision_targets:
-                sim.send(self.node_id, t, msg)
+            sim.multicast(self.node_id, self.decision_targets, msg)
             return
         peers = self.peers
         if self.behavior == "equivocate" and msg.block_digest is not None:
             alt = self._equivocate(msg)
             half = len(peers) // 2
-            for t in peers[:half]:
-                sim.send(self.node_id, t, msg)
-            for t in peers[half:]:
-                sim.send(self.node_id, t, alt)
+            sim.multicast(self.node_id, peers[:half], msg)
+            sim.multicast(self.node_id, peers[half:], alt)
             return
-        for t in peers:
-            sim.send(self.node_id, t, msg)
+        sim.multicast(self.node_id, peers, msg)
 
     def _equivocate(self, msg: ConsensusMsg) -> ConsensusMsg:
         """Conflicting variant of a proposal or vote for the other subset."""
@@ -204,8 +200,7 @@ class MinerNode(Node):
             return
         if self.collector is not None:
             self.collector.inter_block(res, sim.now)
-        for t in self.peers:
-            sim.send(self.node_id, t, BlockMsg(block))
+        sim.multicast(self.node_id, self.peers, BlockMsg(block))
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
         if isinstance(msg, BlockMsg):
@@ -285,5 +280,4 @@ class InterLoadNode(ScheduledLoad):
     def submit(self, sim: Simulator, i: int) -> None:
         tx = signed_inter_tx(self.key, 0, M_NOOP, args=enc_u64(i), fee=self.fee)
         self.collector.inter_submit(tx, sim.now)
-        for m in self.miners:
-            sim.send(self.node_id, m, InterSubmit(tx))
+        sim.multicast(self.node_id, self.miners, InterSubmit(tx))

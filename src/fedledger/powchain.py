@@ -218,11 +218,11 @@ def _addresses(args: bytes, n: int) -> list[bytes]:
 
 
 def execute_block(parent_state: ChainState, block: Block, keyring: Keyring,
-                  block_reward: int = 0) -> tuple[ChainState, tuple]:
+                  block_reward: int) -> tuple[ChainState, tuple]:
     state = parent_state.copy()
     miner = block.seal.miner
     if block_reward:
-        # Subsidy mints new supply; off by default so conservation is exact.
+        # Subsidy mints new supply; zero keeps conservation exact.
         state.balances[miner] = state.balance(miner) + block_reward
         state.minted_total += block_reward
     receipts = tuple(execute_tx(state, tx, miner, keyring) for tx in block.txs)

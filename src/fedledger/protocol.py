@@ -234,8 +234,7 @@ class InterParticipant(Node):
 
     def submit_inter(self, sim: Simulator, tx) -> None:
         self._rejections[tx.digest()] = []
-        for m in self.miners:
-            sim.send(self.node_id, m, InterSubmit(tx))
+        sim.multicast(self.node_id, self.miners, InterSubmit(tx))
 
     def _handle_ack(self, ack: InterSubmitAck) -> str | None:
         """Returns a rejection reason once every miner has rejected the tx."""
@@ -599,8 +598,7 @@ class AdminNode(InterParticipant):
         for (cid, side, new), requesters in self._watches.items():
             info_conf = conf.contracts.get(cid)
             if info_conf is not None and side_view(info_conf, side).delegate == new:
-                for t in requesters:
-                    sim.send(self.node_id, t, ReplaceDone(cid, bytes(20), new, True))
+                sim.multicast(self.node_id, requesters, ReplaceDone(cid, bytes(20), new, True))
                 done.append((cid, side, new))
                 continue
             info = tip.contracts.get(cid)
@@ -612,8 +610,7 @@ class AdminNode(InterParticipant):
                 continue  # at tip; wait for confirmation
             lst = info.delegation_list
             if cur not in lst or new not in lst or lst.index(new) <= lst.index(cur):
-                for t in requesters:
-                    sim.send(self.node_id, t, ReplaceDone(cid, cur, new, False))
+                sim.multicast(self.node_id, requesters, ReplaceDone(cid, cur, new, False))
                 done.append((cid, side, new))
                 continue
             step = (cur, lst[lst.index(cur) + 1])

@@ -36,6 +36,10 @@ class LinkModel:
     # zone -> (min_ms, max_ms) for every zone; the max is the zone's synchrony bound
     zone_ranges: dict
 
+    def __post_init__(self) -> None:
+        # The lognormal's mu, taken once rather than at every inter draw.
+        self._inter_mu = math.log(self.inter_median_ms)
+
     def sample(self, rng: random.Random, zone: int | None) -> float:
         """Sampled one-way delay (zone set for same-zone links)."""
         if zone is not None:
@@ -43,7 +47,7 @@ class LinkModel:
             # The body of rng.uniform(lo, hi) on CPython 3.10-3.13
             # (Lib/random.py, Random.uniform), inlined: same draw, same value.
             return lo + (hi - lo) * rng.random()
-        return math.exp(rng.gauss(math.log(self.inter_median_ms), self.inter_sigma))
+        return math.exp(rng.gauss(self._inter_mu, self.inter_sigma))
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,9 @@ class Simulator:
         self._queue: list = []
         self.nodes: dict[str, Node] = {}
         self.crashed: set[str] = set()
-        self._partition: list[frozenset] = []
+        # node id -> index of its partition group; a node named in several
+        # groups belongs to the last of them. Empty when healed.
+        self._group_of: dict[str, int] = {}
         self.rng_net = random.Random(seed ^ 0x6E65745F)
         self.processed = 0
         # Cross-domain / inter-ledger message transcript for the privacy
@@ -106,23 +112,44 @@ class Simulator:
 
     def send(self, src: str, dst: str, msg) -> None:
         """Send msg from src to dst with a sampled link delay."""
+        self.multicast(src, (dst,), msg)
+
+    def multicast(self, src: str, dsts, msg) -> None:
+        """Send one msg from src to each of dsts, in order, each with its own link delay.
+
+        The link rules live here alone. The sender's crash, behaviour and
+        partition group are looked up once per call; each destination gets
+        its own partition test, zone test, delay draw and queue entry, so
+        a fan-out draws, numbers and times its messages exactly as that
+        many single sends would.
+        """
         if src in self.crashed:
             return
-        if self._partition and self._partitioned(src, dst):
-            return
-        a = self.nodes[src]
-        b = self.nodes[dst]
-        zone = a.zone_id if (a.zone_id is not None and a.zone_id == b.zone_id) else None
-        extra = 0.0
-        if a.behavior == "delay":
-            # Holds traffic to just under the synchrony bound of the sender's zone.
-            extra = 0.9 * self.link.zone_ranges[a.zone_id][1]
-        delay = self.link.sample(self.rng_net, zone)
-        if self.transcript is not None and zone is None:
-            wire = getattr(msg, "wire_bytes", None)
-            if wire is not None:
-                self.transcript.append((src, dst, wire()))
-        self._push(self.now + delay + extra, "msg", dst, (src, msg))
+        nodes = self.nodes
+        a = nodes[src]
+        zone_id = a.zone_id
+        # Holds traffic to just under the synchrony bound of the sender's zone.
+        extra = 0.9 * self.link.zone_ranges[zone_id][1] if a.behavior == "delay" else 0.0
+        group_of = self._group_of
+        src_group = group_of.get(src) if group_of else None
+        transcript = self.transcript
+        if transcript is not None and getattr(msg, "wire_bytes", None) is None:
+            transcript = None  # a message without wire bytes is not recorded
+        wire = None  # encoded at the first inter link, then shared
+        payload = (src, msg)
+        for dst in dsts:
+            if src_group is not None:
+                dst_group = group_of.get(dst)
+                if dst_group is not None and dst_group != src_group:
+                    continue  # across the partition
+            # Same-zone links sample the zone's range; any other link is inter.
+            zone = zone_id if nodes[dst].zone_id == zone_id else None
+            delay = self.link.sample(self.rng_net, zone)
+            if transcript is not None and zone is None:
+                if wire is None:
+                    wire = msg.wire_bytes()
+                transcript.append((src, dst, wire))
+            self._push(self.now + delay + extra, "msg", dst, payload)
 
     # -- faults -------------------------------------------------------------
 
@@ -140,20 +167,11 @@ class Simulator:
         elif entry.fault == "byzantine":
             self.nodes[entry.node].behavior = entry.behavior
         elif entry.fault == "partition":
-            self._partition = [frozenset(g) for g in entry.groups]
+            self._group_of = {n: i for i, g in enumerate(entry.groups) for n in g}
         elif entry.fault == "heal":
-            self._partition = []
+            self._group_of = {}
         else:
             raise ConfigError(f"unknown fault {entry.fault!r}")
-
-    def _partitioned(self, src: str, dst: str) -> bool:
-        ga = gb = None
-        for i, g in enumerate(self._partition):
-            if src in g:
-                ga = i
-            if dst in g:
-                gb = i
-        return ga is not None and gb is not None and ga != gb
 
     # -- main loop -----------------------------------------------------------
 

@@ -1,13 +1,16 @@
-"""Workload generators: the shared submission schedule of both load nodes."""
+"""Workload generators: the shared submission schedule of both load nodes;
+validators: the commit notices of a committed block."""
 
 import random
 
 import pytest
 
+from fedledger.bft import Committee, Validator
+from fedledger.chain import BftSeal, build_block, signed_intra_tx, transfer_payload
 from fedledger.crypto import Keyring
-from fedledger.nodes import InterLoadNode, IntraLoadNode
-from fedledger.scenario import InterSpec, WorkloadSpec
-from fedledger.sim import LinkModel, Simulator
+from fedledger.nodes import CommitNotice, InterLoadNode, IntraLoadNode, ValidatorNode
+from fedledger.scenario import DomainSpec, InterSpec, WorkloadSpec
+from fedledger.sim import LinkModel, Node, Simulator
 
 
 class SubmitLog:
@@ -66,3 +69,40 @@ class TestLoadSchedule:
     def test_zero_rate_submits_nothing(self, make):
         node, submitted = run_load(make, rate=0, until=5_000.0)
         assert node.times == [] and submitted == []
+
+
+class CommitLog:
+    def intra_commit(self, zone, validator, block, at):
+        pass
+
+
+class TestCommitNotices:
+    def committed_transfer(self, sender_sub, recipient_sub):
+        """Queue the notices of one committed transfer; returns the notified node ids."""
+        keyring = Keyring(random.Random(3))
+        vkey, sender, recipient = (keyring.new_account() for _ in range(3))
+        spec = DomainSpec(zone_id=1)
+        core = Validator(vkey, Committee.of([vkey.address]), 1, keyring,
+                         block_capacity=spec.block_capacity, round_timeout_ms=spec.round_timeout_ms,
+                         block_interval_ms=spec.block_interval_ms)
+        sim = Simulator(0, LinkModel(100.0, 1.0, zone_ranges={1: (10, 200)}))
+        vnode = sim.add_node(ValidatorNode("val:1:0", core, CommitLog(), ["val:1:0"], []))
+        for name in {sender_sub, recipient_sub}:
+            sim.add_node(Node(name, 1))
+        vnode.subscribers[sender.address] = sender_sub
+        vnode.subscribers[recipient.address] = recipient_sub
+        tx = signed_intra_tx(sender, 1, transfer_payload(recipient.address, 5), 0)
+        block = build_block(core.ledger.head_digest(), 1, [tx], 0, BftSeal(vkey.address, 0))
+        vnode._committed(sim, block)
+        queued = sorted(sim._queue, key=lambda entry: entry[1])  # schedule order
+        expected = CommitNotice(1, block.digest(), tx.digest())
+        assert all(payload == ("val:1:0", expected) for *_, payload in queued)
+        return [target for _, _, _, target, _ in queued]
+
+    def test_sender_then_recipient(self):
+        # Named against their sorted order: the order is the roles', not the names'.
+        assert self.committed_transfer("z-seller", "a-buyer") == ["z-seller", "a-buyer"]
+        assert self.committed_transfer("a-seller", "z-buyer") == ["a-seller", "z-buyer"]
+
+    def test_shared_subscriber_notified_once(self):
+        assert self.committed_transfer("client", "client") == ["client"]

@@ -516,12 +516,28 @@ class TestExecution:
         totals = {d: s.total_supply() for d, s in node.states.items()}
         assert len(set(totals.values())) == 1  # constant across all blocks
 
-    def test_deterministic_reexecution(self, keyring):
-        node, *_ = self.full_protocol_chain(keyring)
-        # Replay the canonical chain from genesis; digests must match.
+    @staticmethod
+    def replay(node, keyring):
+        """The canonical chain re-executed from genesis with the node's own reward."""
         state = node.states[node.canonical[0]].copy()
         for bd in node.canonical[1:]:
-            state, _ = execute_block(state, node.blocks[bd], keyring)
+            state, _ = execute_block(state, node.blocks[bd], keyring, node.block_reward)
+        return state
+
+    def test_deterministic_reexecution(self, keyring):
+        node, *_ = self.full_protocol_chain(keyring)
+        assert self.replay(node, keyring).digest() == node.tip_state().digest()
+
+    def test_reexecution_with_block_reward(self, keyring):
+        sender = keyring.new_account()
+        key = keyring.new_account()
+        node = inter_node(keyring, key.address, ChainState({sender.address: 1000}),
+                          confirmation_depth=2, block_reward=50)
+        for i in range(3):
+            node.submit_tx(noop(keyring, sender, i))
+            node.on_block(node.build_block(float(i)))
+        state = self.replay(node, keyring)
+        assert state.minted_total == 150
         assert state.digest() == node.tip_state().digest()
 
     def test_block_reward_mints_subsidy(self, keyring):

@@ -347,19 +347,20 @@ class TestCommitmentGate:
 # and on session outcomes.
 
 def started(scn, before_start=None):
-    """A built harness with every node started and every send recorded as
-    (time, src, dst, msg)."""
+    """A built harness with every node started and every message sent
+    recorded as (time, src, dst, msg), one entry per destination. Every
+    send, unicast or fan-out, goes through ``Simulator.multicast``."""
     h = build(scn)
     if before_start is not None:
         before_start(h)
     sent = []
-    send = h.sim.send
+    multicast = h.sim.multicast
 
-    def recording_send(src, dst, msg):
-        sent.append((h.sim.now, src, dst, msg))
-        send(src, dst, msg)
+    def recording_multicast(src, dsts, msg):
+        sent.extend((h.sim.now, src, dst, msg) for dst in dsts)
+        multicast(src, dsts, msg)
 
-    h.sim.send = recording_send
+    h.sim.multicast = recording_multicast
     for node in list(h.sim.nodes.values()):
         start = getattr(node, "start", None)
         if start is not None:
@@ -466,15 +467,15 @@ class TestBrokerPaths:
         dlg = h.delegates[1][0]
         view = FailingInterView(dlg.inter, contracts)
         dlg.inter = view
-        forward = h.sim.send
+        forward = h.sim.multicast
 
-        def intercept(src, dst, msg):
+        def intercept(src, dsts, msg):
             if src == dlg.node_id and isinstance(msg, InterSubmit):
-                sent.append((h.sim.now, src, dst, msg))
+                sent.extend((h.sim.now, src, dst, msg) for dst in dsts)
                 view.fail(msg.tx)
                 return
-            forward(src, dst, msg)
-        h.sim.send = intercept
+            forward(src, dsts, msg)
+        h.sim.multicast = intercept
         out = finish(h)
 
         configs = submits_from(sent, "dlg:1:0", M_CONFIG_PUB)

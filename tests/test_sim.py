@@ -1,8 +1,10 @@
-"""Event loop: ordering, determinism, link models, faults."""
+"""Event loop: ordering, determinism, link models, faults, fan-outs."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedledger.scenario import Scenario
 from fedledger.sim import ConfigError, FaultEntry, LinkModel, Node, Simulator
@@ -195,3 +197,88 @@ class TestAbortDiagnostics:
         sim.set_timer("bad", 5.0, "x")
         with pytest.raises(RuntimeError, match=r"invariant breach at event #\d+.*bad"):
             sim.run_until(10)
+
+
+# -- one fan-out against the per-destination link formula -------------------------
+
+# Same-zone, cross-zone and zoneless links; zones 1 and 2 differ in their bound.
+ZONES = {"a1": 1, "b1": 1, "a2": 2, "b2": 2, "x": None, "y": None}
+IDS = sorted(ZONES)
+
+
+class Wired:
+    """A message that appears on the transcript."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __eq__(self, other):
+        return isinstance(other, Wired) and other.tag == self.tag
+
+    def wire_bytes(self):
+        return b"wired" + bytes([self.tag])
+
+
+def unicast_reference(sim, groups, src, dst, msg):
+    """The link rules of one unicast send under partition ``groups``, written out."""
+    if src in sim.crashed:
+        return
+    ga = gb = None
+    for i, g in enumerate(groups or ()):
+        if src in g:
+            ga = i
+        if dst in g:
+            gb = i
+    if ga is not None and gb is not None and ga != gb:
+        return
+    a, b = sim.nodes[src], sim.nodes[dst]
+    zone = a.zone_id if (a.zone_id is not None and a.zone_id == b.zone_id) else None
+    extra = 0.0
+    if a.behavior == "delay":
+        extra = 0.9 * sim.link.zone_ranges[a.zone_id][1]
+    delay = sim.link.sample(sim.rng_net, zone)
+    if sim.transcript is not None and zone is None:
+        wire = getattr(msg, "wire_bytes", None)
+        if wire is not None:
+            sim.transcript.append((src, dst, wire()))
+    sim._push(sim.now + delay + extra, "msg", dst, (src, msg))
+
+
+def faulted_sim(seed, now, transcript, delayer, crashed, groups):
+    sim = Simulator(seed, link(zone_ranges={1: (10, 200), 2: (10, 1_000)}), transcript=transcript)
+    for node_id in IDS:
+        sim.add_node(Recorder(node_id, ZONES[node_id]))
+    if delayer is not None:
+        sim.inject_fault(FaultEntry(0.0, delayer, "byzantine", behavior="delay"))
+    if crashed is not None:
+        sim.inject_fault(FaultEntry(0.0, crashed, "crash"))
+    if groups is not None:
+        sim.inject_fault(FaultEntry(0.0, "", "partition", groups=groups))
+    sim.run_until(now)
+    return sim
+
+
+class TestMulticast:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           now=st.floats(0.0, 1e6),
+           transcript=st.booleans(),
+           delayer=st.sampled_from([None, "a1", "b2"]),
+           crashed=st.sampled_from([None, *IDS]),
+           groups=st.none() | st.lists(st.lists(st.sampled_from(IDS), unique=True).map(tuple),
+                                       min_size=1, max_size=3).map(tuple),
+           fanouts=st.lists(st.tuples(st.sampled_from(IDS),
+                                      st.lists(st.sampled_from(IDS), max_size=8),
+                                      st.integers(0, 255) | st.integers(0, 255).map(Wired)),
+                            min_size=1, max_size=4))
+    def test_equals_one_send_per_destination(self, seed, now, transcript, delayer, crashed,
+                                             groups, fanouts):
+        sims = [faulted_sim(seed, now, transcript, delayer, crashed, groups) for _ in range(2)]
+        for src, dsts, msg in fanouts:
+            sims[0].multicast(src, dsts, msg)
+            for dst in dsts:
+                unicast_reference(sims[1], groups, src, dst, msg)
+        fan, ref = sims
+        assert fan._queue == ref._queue
+        assert fan.transcript == ref.transcript
+        assert fan.rng_net.getstate() == ref.rng_net.getstate()
