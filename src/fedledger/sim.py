@@ -10,7 +10,13 @@ Link classes:
   INTRA  same-zone traffic, uniform delay in [d_min, d_max]; the upper
          bound is the synchrony bound used by the consensus timeouts.
   INTER  cross-zone and inter-ledger traffic, lognormal delay with a
-         configured median and sigma (no upper bound).
+         configured median and sigma (no upper bound). The normal draw is
+         the body of random.gauss, inlined: same draws, same value.
+
+A node receives messages only if it has an on_message handler. A message
+to a node without one is still drawn and transcribed like any other, so
+every later delay and the privacy transcript are unchanged, but it is
+never queued: it costs no event.
 
 Faults: CRASH stops delivery to and from a node until RECOVER; BYZANTINE
 installs a behavior adapter on the node (equivocate / silent / delay);
@@ -20,9 +26,9 @@ PARTITION drops traffic between the named groups until HEAL.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass
+from math import cos as _cos, exp as _exp, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
 
 
 class ConfigError(Exception):
@@ -38,7 +44,7 @@ class LinkModel:
 
     def __post_init__(self) -> None:
         # The lognormal's mu, taken once rather than at every inter draw.
-        self._inter_mu = math.log(self.inter_median_ms)
+        self._inter_mu = _log(self.inter_median_ms)
 
     def sample(self, rng: random.Random, zone: int | None) -> float:
         """Sampled one-way delay (zone set for same-zone links)."""
@@ -47,7 +53,17 @@ class LinkModel:
             # The body of rng.uniform(lo, hi) on CPython 3.10-3.13
             # (Lib/random.py, Random.uniform), inlined: same draw, same value.
             return lo + (hi - lo) * rng.random()
-        return math.exp(rng.gauss(self._inter_mu, self.inter_sigma))
+        # The body of rng.gauss(mu, sigma) on CPython 3.10-3.13 (Lib/random.py,
+        # Random.gauss), inlined the same way: each call uses one of the pair
+        # of normals that two uniforms give, keeping the other in gauss_next.
+        z = rng.gauss_next
+        rng.gauss_next = None
+        if z is None:
+            x2pi = rng.random() * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+            z = _cos(x2pi) * g2rad
+            rng.gauss_next = _sin(x2pi) * g2rad
+        return _exp(self._inter_mu + z * self.inter_sigma)
 
 
 @dataclass(frozen=True)
@@ -60,15 +76,13 @@ class FaultEntry:
 
 
 class Node:
-    """Base class for simulated nodes. Subclasses override the hooks."""
+    """Base class for simulated nodes. Subclasses override on_timer and may
+    define on_message(sim, src, msg); a node without it receives no messages."""
 
     def __init__(self, node_id: str, zone_id: int | None):
         self.node_id = node_id
         self.zone_id = zone_id  # None for inter-ledger-only nodes
         self.behavior: str = ""  # byzantine behavior, "" when honest
-
-    def on_message(self, sim: "Simulator", src: str, msg) -> None:
-        pass
 
     def on_timer(self, sim: "Simulator", key) -> None:
         pass
@@ -81,6 +95,8 @@ class Simulator:
         self._seq = 0
         self._queue: list = []
         self.nodes: dict[str, Node] = {}
+        # Ids of the nodes without on_message: messages to them are not queued.
+        self._deaf: set[str] = set()
         self.crashed: set[str] = set()
         # node id -> index of its partition group; a node named in several
         # groups belongs to the last of them. Empty when healed.
@@ -97,6 +113,8 @@ class Simulator:
         if node.node_id in self.nodes:
             raise ConfigError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
+        if not hasattr(node, "on_message"):
+            self._deaf.add(node.node_id)
         return node
 
     # -- scheduling --------------------------------------------------------
@@ -121,7 +139,8 @@ class Simulator:
         partition group are looked up once per call; each destination gets
         its own partition test, zone test, delay draw and queue entry, so
         a fan-out draws, numbers and times its messages exactly as that
-        many single sends would.
+        many single sends would. A destination without on_message is drawn
+        and transcribed but gets no queue entry.
         """
         if src in self.crashed:
             return
@@ -131,6 +150,7 @@ class Simulator:
         # Holds traffic to just under the synchrony bound of the sender's zone.
         extra = 0.9 * self.link.zone_ranges[zone_id][1] if a.behavior == "delay" else 0.0
         group_of = self._group_of
+        deaf = self._deaf
         src_group = group_of.get(src) if group_of else None
         transcript = self.transcript
         if transcript is not None and getattr(msg, "wire_bytes", None) is None:
@@ -149,7 +169,8 @@ class Simulator:
                 if wire is None:
                     wire = msg.wire_bytes()
                 transcript.append((src, dst, wire))
-            self._push(self.now + delay + extra, "msg", dst, payload)
+            if dst not in deaf:
+                self._push(self.now + delay + extra, "msg", dst, payload)
 
     # -- faults -------------------------------------------------------------
 

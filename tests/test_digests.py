@@ -67,8 +67,15 @@ LEDGER_PINS = {
 }
 
 # Too large to run here at full length (about 34 s and 819 MB); the same
-# scenario with an integer duration is pinned by test_c01 as "c1-inter".
+# scenario with an integer duration is pinned by test_c01 as "c1-inter",
+# and its first 150 s by test_inter_throughput_cut_digest.
 NOT_RUN = {"inter-throughput"}
+
+# The benchmark's inter-throughput workload at its default seed (the file's
+# seed, 202): the scenario cut to 150 s of virtual time. Equal to its digest
+# in perfbench/pins.json.
+INTER_CUT_MS = 150_000
+INTER_CUT_PIN = "1f91b8f25335a142f7b2fbb826516538b65eaf15ac336de6f47a9d7c25d39dac"
 
 
 def test_every_scenario_file_is_pinned():
@@ -91,6 +98,13 @@ def ledger_row(m):
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_event_log_digest(name):
     assert report_of(name)["event_log_digest"] == PINS[name]
+
+
+def test_inter_throughput_cut_digest():
+    scn = load_scenario(str(SCENARIOS / "inter-throughput.json"))
+    scn.duration_ms = INTER_CUT_MS
+    report, _ = run(scn)
+    assert report.event_log_digest == INTER_CUT_PIN
 
 
 @pytest.mark.parametrize("name", sorted(PINS))

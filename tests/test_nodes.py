@@ -1,5 +1,6 @@
 """Workload generators: the shared submission schedule of both load nodes;
-validators: the commit notices of a committed block."""
+validators: the commit notices of a committed block; miners: the ack of a
+submission to a load node, which has no handler."""
 
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from fedledger.bft import Committee, Validator
 from fedledger.chain import BftSeal, build_block, signed_intra_tx, transfer_payload
 from fedledger.crypto import Keyring
-from fedledger.nodes import CommitNotice, InterLoadNode, IntraLoadNode, ValidatorNode
+from fedledger.nodes import CommitNotice, InterLoadNode, IntraLoadNode, MinerNode, ValidatorNode
+from fedledger.powchain import ChainState, InterNode
 from fedledger.scenario import DomainSpec, InterSpec, WorkloadSpec
 from fedledger.sim import LinkModel, Node, Simulator
 
@@ -76,6 +78,13 @@ class CommitLog:
         pass
 
 
+class Subscriber(Node):
+    """A notice recipient: a node without on_message would be sent nothing."""
+
+    def on_message(self, sim, src, msg):
+        pass
+
+
 class TestCommitNotices:
     def committed_transfer(self, sender_sub, recipient_sub):
         """Queue the notices of one committed transfer; returns the notified node ids."""
@@ -88,7 +97,7 @@ class TestCommitNotices:
         sim = Simulator(0, LinkModel(100.0, 1.0, zone_ranges={1: (10, 200)}))
         vnode = sim.add_node(ValidatorNode("val:1:0", core, CommitLog(), ["val:1:0"], []))
         for name in {sender_sub, recipient_sub}:
-            sim.add_node(Node(name, 1))
+            sim.add_node(Subscriber(name, 1))
         vnode.subscribers[sender.address] = sender_sub
         vnode.subscribers[recipient.address] = recipient_sub
         tx = signed_intra_tx(sender, 1, transfer_payload(recipient.address, 5), 0)
@@ -106,3 +115,58 @@ class TestCommitNotices:
 
     def test_shared_subscriber_notified_once(self):
         assert self.committed_transfer("client", "client") == ["client"]
+
+
+class TimedMiner(MinerNode):
+    """A miner that records when and from whom each message reaches it."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.arrivals = []
+
+    def on_message(self, sim, src, msg):
+        self.arrivals.append((sim.now, src))
+        super().on_message(sim, src, msg)
+
+
+class AckedLoad(InterLoadNode):
+    """The inter-ledger load with a handler that records each ack's arrival."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.acks = []
+
+    def on_message(self, sim, src, msg):
+        self.acks.append(sim.now)
+
+
+def ack_run(load_cls):
+    """One load submits at 0 and 5 s to one miner, which acks each; no block is mined."""
+    keyring = Keyring(random.Random(4))
+    mkey, lkey = keyring.new_account(), keyring.new_account()
+    spec = InterSpec()
+    inter = InterNode(mkey.address, keyring, ChainState({lkey.address: 10}),
+                      confirmation_depth=spec.confirmation_depth, block_capacity=spec.block_capacity,
+                      fee=spec.fee_units, block_reward=spec.block_reward_units)
+    sim = Simulator(0, LinkModel(spec.median_delay_ms, spec.sigma, zone_ranges={}))
+    miner = sim.add_node(TimedMiner("miner:0", inter, random.Random(5),
+                                    mean_interval_ms=spec.mean_block_interval_ms, share=1.0))
+    load = sim.add_node(load_cls("load:inter", lkey, ["miner:0"], spec.fee_units, 0, 0.0,
+                                 collector=SubmitLog(), times=[0.0, 5_000.0]))
+    load.start(sim)
+    sim.run_until(20_000)
+    return sim, miner, load
+
+
+class TestUnheardAck:
+    def test_ack_is_drawn_but_not_delivered(self):
+        sim, miner, _ = ack_run(InterLoadNode)
+        heard_sim, heard_miner, heard_load = ack_run(AckedLoad)
+        # With a handler, the first ack is drawn and lands before the second submission.
+        assert len(heard_load.acks) == 2 and heard_load.acks[0] < 5_000.0
+        # Two timers and two submissions; the acks are not events without a handler.
+        assert sim.processed == 4 and heard_sim.processed == 6
+        # The second submission's delay is drawn after the first ack's either way.
+        assert [src for _, src in miner.arrivals] == ["load:inter"] * 2
+        assert miner.arrivals == heard_miner.arrivals
+        assert sim.rng_net.getstate() == heard_sim.rng_net.getstate()

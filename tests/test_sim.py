@@ -1,5 +1,6 @@
 """Event loop: ordering, determinism, link models, faults, fan-outs."""
 
+import math
 import random
 
 import pytest
@@ -100,6 +101,29 @@ class TestLinkModel:
         model = link(zone_ranges={2: (500, 600)})
         rnd = random.Random(7)
         assert all(500 <= model.sample(rnd, zone=2) <= 600 for _ in range(1000))
+
+    # sample inlines the bodies of Random.gauss and Random.uniform; these
+    # compare it with the library calls on each Python the tests run on.
+    def test_inter_draw_equals_lognormal_of_gauss(self):
+        model = link()
+        mu = math.log(model.inter_median_ms)
+        rng, ref, stray = random.Random(11), random.Random(11), random.Random(12)
+        pending = []  # whether a second normal was kept before each draw
+        for _ in range(10_000):
+            pending.append(rng.gauss_next is not None)
+            assert model.sample(rng, None) == math.exp(ref.gauss(mu, model.inter_sigma))
+            if stray.random() < 0.3:
+                assert rng.random() == ref.random()
+        assert True in pending and False in pending
+        assert rng.getstate() == ref.getstate()
+
+    def test_zone_draw_equals_uniform(self):
+        model = link()
+        lo, hi = model.zone_ranges[1]
+        rng, ref = random.Random(13), random.Random(13)
+        for _ in range(10_000):
+            assert model.sample(rng, 1) == ref.uniform(lo, hi)
+        assert rng.getstate() == ref.getstate()
 
 
 class TestFaults:
@@ -202,7 +226,9 @@ class TestAbortDiagnostics:
 # -- one fan-out against the per-destination link formula -------------------------
 
 # Same-zone, cross-zone and zoneless links; zones 1 and 2 differ in their bound.
-ZONES = {"a1": 1, "b1": 1, "a2": 2, "b2": 2, "x": None, "y": None}
+# The MUTE nodes have no on_message: messages to them are drawn, not queued.
+ZONES = {"a1": 1, "b1": 1, "a2": 2, "b2": 2, "x": None, "y": None, "m1": 1, "m": None}
+MUTE = {"m1", "m"}
 IDS = sorted(ZONES)
 
 
@@ -241,13 +267,14 @@ def unicast_reference(sim, groups, src, dst, msg):
         wire = getattr(msg, "wire_bytes", None)
         if wire is not None:
             sim.transcript.append((src, dst, wire()))
-    sim._push(sim.now + delay + extra, "msg", dst, (src, msg))
+    if dst not in MUTE:
+        sim._push(sim.now + delay + extra, "msg", dst, (src, msg))
 
 
 def faulted_sim(seed, now, transcript, delayer, crashed, groups):
     sim = Simulator(seed, link(zone_ranges={1: (10, 200), 2: (10, 1_000)}), transcript=transcript)
     for node_id in IDS:
-        sim.add_node(Recorder(node_id, ZONES[node_id]))
+        sim.add_node((Node if node_id in MUTE else Recorder)(node_id, ZONES[node_id]))
     if delayer is not None:
         sim.inject_fault(FaultEntry(0.0, delayer, "byzantine", behavior="delay"))
     if crashed is not None:
