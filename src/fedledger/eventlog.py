@@ -21,7 +21,10 @@ Checkers:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import contract as sc
@@ -40,20 +43,41 @@ class EventLog:
         rec.update(fields)
         self.events.append(rec)
 
-    def serialize(self) -> bytes:
-        """One compact, key-sorted JSON line per event, each ending in a newline.
+    def lines(self) -> Iterator[bytes]:
+        """Each record as one compact, key-sorted JSON line ending in a
+        newline, encoded as it is reached; an empty log is one newline.
 
-        Each line is encoded as it is made, so only the encoded lines and
-        their join are alive at once, not a str copy of the log as well.
-        An empty log is one newline.
+        Streaming these into a hash or a file never holds more than one
+        encoded line on top of the records themselves.
         """
+        if not self.events:
+            yield b"\n"
+            return
         encode = _LINE_ENCODER.encode
-        return b"".join([(encode(e) + "\n").encode() for e in self.events]) or b"\n"
+        for e in self.events:
+            yield (encode(e) + "\n").encode()
+
+    def serialize(self) -> bytes:
+        """The whole log as bytes: the join of ``lines()``."""
+        return b"".join(self.lines())
+
+    def digest(self, path: str | None = None) -> str:
+        """The SHA-256 hex of ``serialize()``, hashed a line at a time; each
+        line is also written to ``path`` when one is given."""
+        sha = hashlib.sha256()
+        with (open(path, "wb") if path else contextlib.nullcontext()) as f:
+            for line in self.lines():
+                sha.update(line)
+                if f is not None:
+                    f.write(line)
+        return sha.hexdigest()
 
 
-def parse_events(data: bytes) -> list[dict]:
-    """The records of a serialized log, in order."""
-    return [json.loads(line) for line in data.decode().splitlines() if line]
+def parse_events(chunks: Iterable[bytes]) -> list[dict]:
+    """The records of a serialized log, in order, from byte chunks that
+    each end at a line break or at the end of the log: the lines of a file
+    opened "rb", or ``data.splitlines()``."""
+    return [json.loads(line) for chunk in chunks for line in chunk.decode().splitlines() if line]
 
 
 # The fields the checkers read, per record kind, and the shape of each

@@ -13,6 +13,8 @@ from .metrics import LatencyStats, MetricsReport, load_report
 from .runner import raw_latencies, run
 from .scenario import ParseError, Scenario, load_scenario
 
+LOG_CHUNK_BYTES = 1 << 16  # verify_log hashes a stored log in reads of this size
+
 
 def run_scenario(scn: Scenario, seed: int | None = None,
                  report_path: str | None = None, log_path: str | None = None,
@@ -52,12 +54,14 @@ def batch(scn: Scenario, runs: int, report_path: str | None = None) -> dict:
         s.seed = scn.seed + i
         seeds.append(s.seed)
         report, h = run(s)
+        latencies = raw_latencies(h)
+        del h  # the next run builds with this one's simulation freed
         violations_total += report.safety_violations
         for sess in report.sessions:
             sessions_total += 1
             if sess["outcome"].startswith("FAILED"):
                 sessions_failed += 1
-        for name, vals in raw_latencies(h).items():
+        for name, vals in latencies.items():
             pooled.setdefault(name, []).extend(vals)
             if vals:
                 run_means.setdefault(name, []).append(statistics.fmean(vals))
@@ -107,13 +111,16 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
         raise ParseError(f"{report_path}: not a JSON report: {e}") from None
     if not (isinstance(report, dict) and type(report.get("conservation_delta", 0)) is int):
         raise ParseError(f"{report_path}: a report must be a JSON object with an integer conservation_delta")
+    digest = hashlib.sha256()
     with open(log_path, "rb") as f:
-        data = f.read()
+        while chunk := f.read(LOG_CHUNK_BYTES):
+            digest.update(chunk)
     # Compare before parsing: an edit can also break the JSON.
-    if report.get("event_log_digest") != hashlib.sha256(data).hexdigest():
+    if report.get("event_log_digest") != digest.hexdigest():
         return False, ["TamperedLog: event log digest does not match the report"]
     try:
-        events = parse_events(data)
+        with open(log_path, "rb") as f:
+            events = parse_events(f)
     except ValueError as e:
         raise ParseError(f"{log_path}: not a JSON-lines event log: {e}") from None
     if not (events and all(isinstance(e, dict) for e in events)

@@ -9,6 +9,7 @@ link layer).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .bft import Broadcast, Committed, ConsensusMsg, Deadline, MsgKind, ProposeAt, Validator
@@ -214,38 +215,46 @@ class MinerNode(Node):
             sim.send(self.node_id, src, InterSubmitAck(msg.tx.digest(), ok, reason))
 
 
+def _spaced_times(spacing_ms: float, until_ms: float) -> Iterator[float]:
+    """0, spacing, 2*spacing, ... below ``until_ms``, each the running sum
+    of the one before and ``spacing_ms``: not i*spacing, which rounds
+    differently; the float times (and so every event-log digest) depend on it."""
+    t = 0.0
+    while t < until_ms:
+        yield t
+        t += spacing_ms
+
+
 class ScheduledLoad(Node):
     """Workload generator: ``submit(sim, i)`` at each of its scheduled times.
 
     Explicit times are sorted; otherwise times start at 0 ms and are
-    spaced 1000/rate ms apart while below ``until_ms``.
+    spaced 1000/rate ms apart while below ``until_ms``, each computed when
+    the one before it fires.
     """
 
     def __init__(self, node_id: str, zone_id: int | None, rate_per_s: float,
                  until_ms: float, times: list[float] | None):
         super().__init__(node_id, zone_id)
         if times is not None:
-            self.times = sorted(times)
+            self._times = iter(sorted(times))
+        elif rate_per_s > 0:
+            self._times = _spaced_times(1000.0 / rate_per_s, until_ms)
         else:
-            self.times = []
-            if rate_per_s > 0:
-                spacing = 1000.0 / rate_per_s
-                # Accumulated, not i*spacing: the float times (and so every
-                # event-log digest) depend on it.
-                t = 0.0
-                while t < until_ms:
-                    self.times.append(t)
-                    t += spacing
+            self._times = iter(())
 
     def start(self, sim: Simulator) -> None:
-        if self.times:
-            sim.set_timer(self.node_id, self.times[0], ("tx", 0))
+        self._schedule(sim, 0)
 
     def on_timer(self, sim: Simulator, key) -> None:
         i = key[1]
         self.submit(sim, i)
-        if i + 1 < len(self.times):
-            sim.set_timer(self.node_id, self.times[i + 1], ("tx", i + 1))
+        self._schedule(sim, i + 1)
+
+    def _schedule(self, sim: Simulator, i: int) -> None:
+        at = next(self._times, None)
+        if at is not None:
+            sim.set_timer(self.node_id, at, ("tx", i))
 
 
 class IntraLoadNode(ScheduledLoad):

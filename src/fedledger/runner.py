@@ -9,7 +9,6 @@ across replicas is checked separately by the safety checker.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -37,38 +36,54 @@ class Collector:
     """Receives node callbacks; feeds the event log and the metrics. A tx is
     ``inflight`` from its submission to its first commit in a zone or first
     depth-k confirmation on the observer miner, when its latency is kept.
-    Only the observer miner reports inter blocks."""
+    Only the observer miner reports inter blocks.
+
+    Each address is hex-encoded once, and a zone tx's digest hex is made at
+    submission and carried until the tx lands, so every record that names
+    them shares one string."""
 
     def __init__(self, log: EventLog, log_payloads: bool):
         self.log = log
         self.log_payloads = log_payloads
-        self.inflight: dict[bytes, float] = {}  # tx digest -> submit time (ms)
+        # tx digest -> (submit time (ms), its digest hex for a zone tx)
+        self.inflight: dict[bytes, tuple[float, str | None]] = {}
         self.submitted: dict[str, int] = {}  # ledger -> txs submitted
         self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
         self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
+        self._hex: dict[bytes, str] = {}  # address -> its hex
 
-    def _submitted(self, ledger: str, d: bytes, at: float) -> None:
-        self.inflight[d] = at
+    def _addr_hex(self, addr: bytes) -> str:
+        h = self._hex.get(addr)
+        if h is None:
+            h = self._hex[addr] = addr.hex()
+        return h
+
+    def _submitted(self, ledger: str, d: bytes, at: float, dhex: str | None = None) -> None:
+        self.inflight[d] = (at, dhex)
         self.submitted[ledger] = self.submitted.get(ledger, 0) + 1
 
-    def _landed(self, ledger: str, d: bytes, at: float) -> None:
-        t_sub = self.inflight.pop(d, None)
-        if t_sub is not None:
-            self.latencies.setdefault(ledger, []).append((at - t_sub) / 1000.0)
+    def _landed(self, ledger: str, d: bytes, at: float) -> str | None:
+        """Keep the latency of an inflight tx; returns its digest hex, if kept."""
+        entry = self.inflight.pop(d, None)
+        if entry is None:
+            return None
+        self.latencies.setdefault(ledger, []).append((at - entry[0]) / 1000.0)
+        return entry[1]
 
     # -- intra ---------------------------------------------------------------
 
     def intra_submit(self, zone: int, tx, at: float) -> None:
         d = tx.digest()
-        self._submitted(f"zone:{zone}", d, at)
-        rec = {"zone": zone, "tx": d.hex(), "sender": tx.sender.hex(), "at": round(at, 3)}
+        dhex = d.hex()
+        self._submitted(f"zone:{zone}", d, at, dhex)
+        rec = {"zone": zone, "tx": dhex, "sender": self._addr_hex(tx.sender), "at": round(at, 3)}
         if self.log_payloads:
             rec["payload"] = tx.payload.hex()
         self.log.emit("intra_submit", **rec)
 
     def intra_commit(self, zone: int, validator: bytes, block, at: float) -> None:
         bd = block.digest().hex()
-        self.log.emit("intra_commit", zone=zone, validator=validator.hex(),
+        self.log.emit("intra_commit", zone=zone, validator=self._addr_hex(validator),
                       height=block.height, block=bd, at=round(at, 3))
         key = (zone, block.height)
         if key in self.intra_blocks_logged:
@@ -79,13 +94,13 @@ class Collector:
         txds = []
         for tx in block.txs:
             d = tx.digest()
-            txds.append(d.hex())
-            self._landed(ledger, d, at)
+            dhex = self._landed(ledger, d, at) or d.hex()
+            txds.append(dhex)
             parsed = parse_transfer(tx.payload)
             if parsed:
                 to, amount, memo = parsed
-                transfers.append({"frm": tx.sender.hex(), "to": to.hex(),
-                                  "amount": amount, "memo": memo, "tx": d.hex()})
+                transfers.append({"frm": self._addr_hex(tx.sender), "to": self._addr_hex(to),
+                                  "amount": amount, "memo": memo, "tx": dhex})
         self.log.emit("intra_block", zone=zone, height=block.height, block=bd,
                       txs=txds, transfers=transfers, at=round(at, 3))
 
@@ -108,7 +123,7 @@ class Collector:
     def _log_inter_block(self, block, at: float) -> None:
         txs = []
         for tx in block.txs:
-            rec = {"digest": tx.digest().hex(), "sender": tx.sender.hex(),
+            rec = {"digest": tx.digest().hex(), "sender": self._addr_hex(tx.sender),
                    "method": tx.method, "cid": tx.contract_id,
                    "attached": tx.attached_value, "fee": tx.fee, "args": tx.args.hex()}
             if tx.checkpoint is not None:
@@ -118,7 +133,7 @@ class Collector:
                 rec["cp_head"] = tx.checkpoint.ledger_head.hex()
             txs.append(rec)
         rec = {"block": block.digest().hex(), "parent": block.parent.hex(),
-               "height": block.height, "miner": block.seal.miner.hex(),
+               "height": block.height, "miner": self._addr_hex(block.seal.miner),
                "at": round(at, 3), "txs": txs}
         if self.log_payloads:
             rec["bytes"] = block.serialize().hex()
@@ -364,8 +379,8 @@ def raw_latencies(h: RunHandles) -> dict[str, list[float]]:
 
 
 def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
-    """Close the log, check it, and report; the log is serialized once, and
-    written to ``log_path`` when one is given."""
+    """Close the log, check it, and report; the log is encoded once, a line
+    at a time, into its digest and into ``log_path`` when one is given."""
     scn = h.scenario
     sim = h.sim
     log = h.log
@@ -446,11 +461,7 @@ def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
 
     report.violations = sorted(violations)
     report.safety_violations = len(report.violations)
-    data = log.serialize()
-    if log_path:
-        with open(log_path, "wb") as f:
-            f.write(data)
-    report.event_log_digest = hashlib.sha256(data).hexdigest()
+    report.event_log_digest = log.digest(log_path)
     return report
 
 

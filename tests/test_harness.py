@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
+from fedledger import runner
 from fedledger.eventlog import EventLog, check_payment_safety, check_privacy, parse_events, replay_log
-from fedledger.harness import batch, run_scenario, verify_log
-from fedledger.runner import build, run
+from fedledger.harness import LOG_CHUNK_BYTES, batch, run_scenario, verify_log
+from fedledger.runner import build, finalize, run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +59,34 @@ class TestReports:
         assert h.log.serialize() == ("\n".join(lines) + "\n").encode()
         assert EventLog().serialize() == b"\n"
 
+    def test_digest_and_log_file_are_the_serialized_log(self, tmp_path):
+        lp = tmp_path / "e.log"
+        report, h = run(small_scenario(), str(lp))
+        data = h.log.serialize()
+        assert lp.read_bytes() == data
+        assert report.event_log_digest == hashlib.sha256(data).hexdigest() == h.log.digest()
+        # An empty log is one newline, streamed or joined.
+        empty = tmp_path / "empty.log"
+        assert EventLog().digest(str(empty)) == hashlib.sha256(b"\n").hexdigest()
+        assert empty.read_bytes() == EventLog().serialize() == b"\n"
+
+    def test_finalize_never_holds_the_whole_encoded_log(self):
+        scn = load_scenario(str(ROOT / "scenarios" / "intra-throughput.json"))
+        scn.duration_ms = 10_000
+        h = build(scn)
+        for node in list(h.sim.nodes.values()):
+            if hasattr(node, "start"):
+                node.start(h.sim)
+        h.sim.run_until(scn.duration_ms)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            finalize(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < len(h.log.serialize()) / 2
+
     def test_throughput_identity(self):
         scn = small_scenario()
         report, _ = run(scn)
@@ -93,6 +124,22 @@ class TestSharedReplicaFacts:
         inter = [m.inter for m in h.miners] + [h.admin.inter] + \
             [d.inter for z in h.delegates for d in h.delegates[z]]
         assert len({id(n.executions) for n in inter}) == 1
+
+    def test_log_records_share_one_string_per_address_and_tx(self):
+        _, h = run(session_scenario())
+        events = h.log.events
+        submitted = {e["tx"]: e for e in events if e["kind"] == "intra_submit"}
+        blocks = [e for e in events if e["kind"] == "intra_block"]
+        assert any(b["transfers"] for b in blocks)
+        for b in blocks:
+            assert all(d is submitted[d]["tx"] for d in b["txs"])
+            for t in b["transfers"]:
+                assert t["tx"] is submitted[t["tx"]]["tx"]
+                assert t["frm"] is submitted[t["tx"]]["sender"]
+        # Equal senders are one object: as many ids as distinct values.
+        senders = [e["sender"] for e in submitted.values()]
+        assert len(set(senders)) < len(senders)
+        assert len({id(s) for s in senders}) == len(set(senders))
 
     def test_every_replica_sees_its_own_chain(self):
         _, h = run(small_scenario())
@@ -134,6 +181,19 @@ class TestBatch:
         assert agg["seeds"] == [scn.seed + i for i in range(5)]
         assert agg["per_ledger"]["zone:1"]["pooled_latency"]["count"] == 5
 
+    def test_each_run_is_freed_before_the_next_builds(self, monkeypatch):
+        handles = []
+
+        def build_after_free(scn):
+            assert all(ref() is None for ref in handles)
+            h = build(scn)
+            handles.append(weakref.ref(h))
+            return h
+
+        monkeypatch.setattr(runner, "build", build_after_free)
+        batch(small_scenario(intra_rate_per_s=5), 3)
+        assert len(handles) == 3
+
     def test_reference_echoed(self):
         scn = small_scenario()
         scn.reference = {"intra_latency_mean_s": 1.6}
@@ -151,13 +211,13 @@ class TestVerifyLog:
 
     def test_log_serialized_once_and_written_as_hashed(self, tmp_path, monkeypatch):
         calls = []
-        serialize = EventLog.serialize
+        lines = EventLog.lines
 
         def counted(log):
             calls.append(log)
-            return serialize(log)
+            return lines(log)
 
-        monkeypatch.setattr(EventLog, "serialize", counted)
+        monkeypatch.setattr(EventLog, "lines", counted)
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         report = run_scenario(load_scenario(str(ROOT / "scenarios" / "demo.json")),
                               report_path=rp, log_path=lp)
@@ -165,6 +225,20 @@ class TestVerifyLog:
         assert hashlib.sha256(Path(lp).read_bytes()).hexdigest() == report.event_log_digest
         ok, failures = verify_log(rp, lp)
         assert ok, failures
+
+    def test_log_larger_than_one_chunk(self, tmp_path):
+        rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
+        run_scenario(small_scenario(), report_path=rp, log_path=lp)
+        data = Path(lp).read_bytes()
+        assert len(data) > LOG_CHUNK_BYTES + 1
+        ok, failures = verify_log(rp, lp)
+        assert ok, failures
+        # An edit past the first chunk is caught before the log is parsed.
+        edited = bytearray(data)
+        edited[LOG_CHUNK_BYTES + 1] ^= 1
+        Path(lp).write_bytes(bytes(edited))
+        ok, failures = verify_log(rp, lp)
+        assert not ok and failures == ["TamperedLog: event log digest does not match the report"]
 
     def test_one_byte_edit_detected(self, tmp_path):
         scn = small_scenario()
@@ -183,7 +257,7 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events = parse_events(Path(lp).read_bytes())
+        events = parse_events(Path(lp).read_bytes().splitlines())
         forged = None
         for e in events:
             if e["kind"] == "intra_block" and e["zone"] == 1 and e["transfers"]:
@@ -206,7 +280,7 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events = parse_events(Path(lp).read_bytes())
+        events = parse_events(Path(lp).read_bytes().splitlines())
         payload = next(e["payload"] for e in events
                        if e["kind"] == "intra_submit" and "payload" in e)
         leak = {"kind": "xdom", "src": "x", "dst": "y", "bytes": payload[:32]}
@@ -217,7 +291,7 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events = parse_events(Path(lp).read_bytes())
+        events = parse_events(Path(lp).read_bytes().splitlines())
         assert check_payment_safety(replay_log(events)) == []
         assert check_privacy(events) == []
 

@@ -9,7 +9,8 @@ import pytest
 from fedledger.bft import Committee, Validator
 from fedledger.chain import BftSeal, build_block, signed_intra_tx, transfer_payload
 from fedledger.crypto import Keyring
-from fedledger.nodes import CommitNotice, InterLoadNode, IntraLoadNode, MinerNode, ValidatorNode
+from fedledger.nodes import (CommitNotice, InterLoadNode, IntraLoadNode, MinerNode, ScheduledLoad,
+                             ValidatorNode)
 from fedledger.powchain import ChainState, InterNode
 from fedledger.scenario import DomainSpec, InterSpec, WorkloadSpec
 from fedledger.sim import LinkModel, Node, Simulator
@@ -38,6 +39,7 @@ def inter_load(key, collector, rate, until, times=None):
 
 
 def run_load(make, **kw):
+    """The times at which a load node submits over 10 s."""
     key = Keyring(random.Random(2)).new_account()
     collector = SubmitLog()
     node = make(key, collector, **kw)
@@ -46,31 +48,58 @@ def run_load(make, **kw):
     sim.add_node(node)
     node.start(sim)
     sim.run_until(10_000)
-    return node, collector.at
+    return collector.at
 
 
 @pytest.mark.parametrize("make", [intra_load, inter_load], ids=["intra", "inter"])
 class TestLoadSchedule:
     def test_rate_times_accumulate(self, make):
-        node, submitted = run_load(make, rate=3, until=5_000.0)
+        submitted = run_load(make, rate=3, until=5_000.0)
         expected, t = [], 0.0
         while t < 5_000.0:
             expected.append(t)
             t += 1000.0 / 3
-        assert node.times == expected
         # i*spacing rounds differently; the digests pin the sums.
         assert expected != [i * (1000.0 / 3) for i in range(len(expected))]
         assert submitted == expected
 
     def test_probe_times_sorted(self, make):
-        node, submitted = run_load(make, rate=0, until=0.0,
-                                   times=[900.0, 100.0, 500.0])
-        assert node.times == [100.0, 500.0, 900.0]
+        submitted = run_load(make, rate=0, until=0.0, times=[900.0, 100.0, 500.0])
         assert submitted == [100.0, 500.0, 900.0]
 
     def test_zero_rate_submits_nothing(self, make):
-        node, submitted = run_load(make, rate=0, until=5_000.0)
-        assert node.times == [] and submitted == []
+        assert run_load(make, rate=0, until=5_000.0) == []
+
+
+class FireLog(ScheduledLoad):
+    """A schedule whose submissions only record when they fire."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.fired = []
+
+    def submit(self, sim, i):
+        self.fired.append((i, sim.now))
+
+
+@pytest.mark.parametrize("rate, count, exact", [(800, 48_000, True), (700, 42_000, False)])
+def test_lazy_schedule_equals_the_precomputed_running_sum(rate, count, exact):
+    # The list the schedule was once built as, up front, over 60 s: at
+    # intra-throughput's 800 tx/s, and at a rate whose spacing is not exact
+    # in binary, so the running sum drifts from i*spacing.
+    spacing, until = 1000.0 / rate, 60_000.0
+    expected, t = [], 0.0
+    while t < until:
+        expected.append(t)
+        t += spacing
+    assert len(expected) == count
+    assert (expected == [i * spacing for i in range(count)]) is exact
+    node = FireLog("load:1", 1, rate, until, None)
+    sim = Simulator(0, LinkModel(100.0, 1.0, zone_ranges={}))
+    sim.add_node(node)
+    node.start(sim)
+    sim.run_until(until + 1_000.0)
+    assert node.fired == list(enumerate(expected))
 
 
 class CommitLog:
