@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 from .chain import MAX_TARGET, PowSeal, build_block
 from .crypto import Keyring
-from .powchain import M_TRANSFER, ChainState, InterNode, signed_inter_tx
+from .powchain import FEE, M_TRANSFER, ChainState, InterNode, signed_inter_tx
 from .scenario import InterSpec
 
 # The double-spend race runs the default inter-ledger (the paper's mean
-# block interval, capacity, fee and reward); the attacker abandons its
+# block interval and capacity); the attacker abandons its
 # private fork at this deficit.
 INTER = InterSpec()
 GIVE_UP_DEFICIT = 40
@@ -94,11 +94,10 @@ def double_spend_experiment(attempts: int, attacker_share: float, confirmations:
         attacker = keyring.new_account()
         state = ChainState({victim_key.address: 10_000})
         victim = InterNode(victim_key.address, keyring, state,
-                           confirmation_depth=confirmations, block_capacity=INTER.block_capacity,
-                           fee=INTER.fee_units, block_reward=INTER.block_reward_units)
+                           confirmation_depth=confirmations, block_capacity=INTER.block_capacity)
         tx = signed_inter_tx(victim_key, 0, M_TRANSFER,
                              args=payee.address + attempt.to_bytes(8, "big"),
-                             attached=1000, fee=INTER.fee_units)
+                             attached=1000, fee=FEE)
         victim.submit_tx(tx)
         now = 0.0
 

@@ -341,7 +341,6 @@ class BalanceBook:
 
     def __init__(self, initial: dict[bytes, int] | None = None):
         self.balances: dict[bytes, int] = dict(initial or {})
-        self.transfers: list[tuple[bytes, bytes, int, int, bytes]] = []  # (frm, to, amount, memo, tx digest)
         self.paid: set[tuple[bytes, int]] = set()
         self.failed: list[bytes] = []
 
@@ -362,5 +361,4 @@ class BalanceBook:
                 continue
             self.balances[tx.sender] -= amount
             self.balances[to] = self.balances.get(to, 0) + amount
-            self.transfers.append((tx.sender, to, amount, memo, tx.digest()))
             self.paid.add((to, memo))

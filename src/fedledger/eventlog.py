@@ -89,7 +89,7 @@ _INTER_TX = {"sender": bytes, "fee": int, "attached": int, "method": str, "cid":
              "args": bytes, "cp_zone?": int, "cp_ref?": bytes, "cp_height?": int, "cp_head?": bytes}
 CHECKED_FIELDS: dict[str, dict] = {
     "genesis": {"total_supply": int, "inter_balances": {str: int},
-                "intra_balances": {str: {str: int}}, "block_reward?": int,
+                "intra_balances": {str: {str: int}},
                 "contracts": [{"cid": int, "admin": bytes, "delegation": [bytes]}]},
     "intra_submit": {"payload?": bytes},
     "intra_commit": {"zone": int, "height": int, "block": str},
@@ -178,7 +178,6 @@ class Replay:
     inter_balances: dict[str, int]
     contracts: dict[int, sc.BrokerInfo]
     facts: dict[int, dict]
-    minted: int
     intra_books: dict[str, dict[str, int]]
     transfers: list[dict]  # applied zone transfers, in log order
 
@@ -186,16 +185,14 @@ class Replay:
 def replay_log(events: list[dict]) -> Replay:
     """Replay the logged inter-ledger chain and zone transfers once."""
     genesis = next(e for e in events if e["kind"] == "genesis")
-    balances, contracts, facts, minted = _replay_inter(events, genesis)
+    balances, contracts, facts = _replay_inter(events, genesis)
     books, transfers = _replay_intra(events, genesis)
-    return Replay(genesis["total_supply"], balances, contracts, facts, minted, books, transfers)
+    return Replay(genesis["total_supply"], balances, contracts, facts, books, transfers)
 
 
 def _replay_inter(events: list[dict], genesis: dict):
-    """Re-execute the logged canonical chain; returns (balances, contracts, facts, minted)."""
+    """Re-execute the logged canonical chain; returns (balances, contracts, facts)."""
     balances: dict[str, int] = dict(genesis["inter_balances"])
-    reward = genesis.get("block_reward", 0)
-    minted = 0
     contracts: dict[int, sc.BrokerInfo] = {}
     for c in genesis["contracts"]:
         contracts[c["cid"]] = sc.BrokerInfo(
@@ -216,9 +213,6 @@ def _replay_inter(events: list[dict], genesis: dict):
         if be is None:
             continue  # genesis
         miner = be["miner"]
-        if reward:
-            balances[miner] = bal(miner) + reward
-            minted += reward
         for tx in be["txs"]:
             sender, fee, attached = tx["sender"], tx["fee"], tx["attached"]
             if bal(sender) < fee + attached:
@@ -270,7 +264,7 @@ def _replay_inter(events: list[dict], genesis: dict):
                     balances[sender] = bal(sender) + attached
             except sc.ContractError:
                 balances[sender] = bal(sender) + attached
-    return balances, contracts, facts, minted
+    return balances, contracts, facts
 
 
 def _replay_intra(events: list[dict], genesis: dict):
@@ -302,7 +296,7 @@ def check_conservation(rp: Replay) -> tuple[int, list[str]]:
     total += sum(c.escrow for c in rp.contracts.values())
     for book in rp.intra_books.values():
         total += sum(book.values())
-    delta = total - initial - rp.minted
+    delta = total - initial
     violations = []
     if delta != 0:
         violations.append(f"conservation delta {delta} (replayed {total} vs initial {initial})")

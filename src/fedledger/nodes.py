@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .bft import Broadcast, Committed, ConsensusMsg, Deadline, MsgKind, ProposeAt, Validator
 from .chain import Block, IntraTx, parse_transfer, signed_intra_tx
 from .crypto import enc_u64
-from .powchain import M_NOOP, InterNode, signed_inter_tx
+from .powchain import FEE, M_NOOP, InterNode, signed_inter_tx
 from .sim import Node, Simulator
 
 
@@ -277,16 +277,15 @@ class IntraLoadNode(ScheduledLoad):
 class InterLoadNode(ScheduledLoad):
     """Deterministic inter-ledger workload: salted no-op calls at a fixed rate."""
 
-    def __init__(self, node_id: str, key, miners: list[str], fee: int,
+    def __init__(self, node_id: str, key, miners: list[str],
                  rate_per_s: float, until_ms: float,
                  collector, times: list[float] | None):
         super().__init__(node_id, None, rate_per_s, until_ms, times)
         self.key = key
         self.miners = miners
-        self.fee = fee
         self.collector = collector
 
     def submit(self, sim: Simulator, i: int) -> None:
-        tx = signed_inter_tx(self.key, 0, M_NOOP, args=enc_u64(i), fee=self.fee)
+        tx = signed_inter_tx(self.key, 0, M_NOOP, args=enc_u64(i), fee=FEE)
         self.collector.inter_submit(tx, sim.now)
         sim.multicast(self.node_id, self.miners, InterSubmit(tx))

@@ -3,13 +3,14 @@ probabilistic depth-k finality, a flat per-transaction fee, and
 deterministic contract execution.
 
 Amounts are integers in millitokens (1 token = 1000 units) so the fixed
-0.001-token fee is exactly 1 unit and conservation checks are exact.
+0.001-token fee is exactly 1 unit (``FEE``) and conservation checks are
+exact. No block mints new supply.
 
 Every inter-ledger participant runs an ``InterNode``: a block tree with
 per-block executed states (structurally shared immutable values), the
 canonical chain under the longest-chain rule (ties keep the incumbent),
-a pending pool in arrival order (admission takes the one fee of the run,
-so fees never reorder it), an orphan buffer, and depth-k confirmation
+a pending pool in arrival order (admission takes only ``FEE``, so fees
+never reorder it), an orphan buffer, and depth-k confirmation
 tracking (the rule is ``confirmed_height``; ``on_block`` returns the txs
 it confirmed). Mining nodes additionally hold hash power, and mining
 runs in virtual time: a miner's next win is sampled from an exponential
@@ -49,6 +50,7 @@ from .crypto import (
 )
 
 ORPHAN_CAP = 64
+FEE = 1  # the flat per-transaction fee, in millitokens
 
 # Contract method names, used in InterTx.call.
 M_TRANSFER = "transfer"
@@ -110,16 +112,15 @@ def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
 class ChainState:
     """Executed ledger state: account balances and contract records."""
 
-    __slots__ = ("balances", "contracts", "minted_total")
+    __slots__ = ("balances", "contracts")
 
-    def __init__(self, balances=None, contracts=None, minted_total=0):
+    def __init__(self, balances=None, contracts=None):
         self.balances: dict[bytes, int] = balances if balances is not None else {}
         self.contracts: dict[int, sc.BrokerInfo] = contracts if contracts is not None else {}
-        self.minted_total = minted_total  # cumulative block subsidies
 
     def copy(self) -> "ChainState":
         # Broker records are immutable, so shallow dict copies suffice.
-        return ChainState(dict(self.balances), dict(self.contracts), self.minted_total)
+        return ChainState(dict(self.balances), dict(self.contracts))
 
     def balance(self, addr: bytes) -> int:
         return self.balances.get(addr, 0)
@@ -129,7 +130,6 @@ class ChainState:
 
     def digest(self) -> bytes:
         out = bytearray()
-        out += enc_u64(self.minted_total)
         for addr in sorted(self.balances):
             out += addr + enc_u64(self.balances[addr])
         for cid in sorted(self.contracts):
@@ -217,14 +217,10 @@ def _addresses(args: bytes, n: int) -> list[bytes]:
         raise sc.BadArgs("truncated call arguments") from None
 
 
-def execute_block(parent_state: ChainState, block: Block, keyring: Keyring,
-                  block_reward: int) -> tuple[ChainState, tuple]:
+def execute_block(parent_state: ChainState, block: Block,
+                  keyring: Keyring) -> tuple[ChainState, tuple]:
     state = parent_state.copy()
     miner = block.seal.miner
-    if block_reward:
-        # Subsidy mints new supply; zero keeps conservation exact.
-        state.balances[miner] = state.balance(miner) + block_reward
-        state.minted_total += block_reward
     receipts = tuple(execute_tx(state, tx, miner, keyring) for tx in block.txs)
     return state, receipts
 
@@ -249,23 +245,19 @@ class InterNode:
         genesis_state: ChainState,
         confirmation_depth: int,
         block_capacity: int,
-        fee: int,
-        block_reward: int,
         executions: dict | None = None,
     ):
         self.address = address
         self.keyring = keyring
         self.k = confirmation_depth
         self.block_capacity = block_capacity
-        self.fee = fee
-        self.block_reward = block_reward
         g = genesis_block("pow")
         gd = g.digest()
         self.blocks: dict[bytes, Block] = {gd: g}
         self.states: dict[bytes, ChainState] = {gd: genesis_state.copy()}
         self.block_receipts: dict[bytes, tuple] = {gd: ()}  # block -> statuses in tx order
         # Block digest -> executed (state, receipts). Shared only among nodes
-        # with the same keyring, genesis state and block reward; private if None.
+        # with the same keyring and genesis state; private if None.
         self.executions: dict[bytes, tuple] = executions if executions is not None else {}
         self.canonical: list[bytes] = [gd]
         self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
@@ -314,7 +306,7 @@ class InterNode:
             return False, "Duplicate"
         if not self.keyring.verify_signed(tx):
             return False, "BadSignature"
-        if tx.fee != self.fee:
+        if tx.fee != FEE:
             return False, "BadFee"
         state = self.tip_state()
         if state.balance(tx.sender) < tx.attached_value + tx.fee:
@@ -328,7 +320,7 @@ class InterNode:
         return True, ""
 
     def _select_txs(self) -> list[InterTx]:
-        # Every pooled tx pays self.fee (admission refuses any other), so the
+        # Every pooled tx pays FEE (admission refuses any other), so the
         # oldest come first.
         return list(islice(self.pending.values(), self.block_capacity))
 
@@ -371,7 +363,7 @@ class InterNode:
         executed = self.executions.get(d)
         if executed is None:
             executed = self.executions[d] = execute_block(self.states[block.parent], block,
-                                                          self.keyring, self.block_reward)
+                                                          self.keyring)
         state, receipts = executed
         self.blocks[d] = block
         self.states[d] = state

@@ -25,6 +25,7 @@ only digests, checkpoints, and contract metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -35,6 +36,7 @@ from .contract import BrokerInfo, BrokerStatus
 from .crypto import enc_address, enc_u32, enc_u64, sha256
 from .nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck, submit_intra
 from .powchain import (
+    FEE,
     M_COMMIT,
     M_CONFIG_PUB,
     M_CONFIG_SUB,
@@ -44,7 +46,7 @@ from .powchain import (
     InterTx,
     signed_inter_tx,
 )
-from .sim import Node, Simulator
+from .sim import INTER_MEDIAN_MS, INTER_SIGMA, Node, Simulator
 
 PUB = "pub"
 SUB = "sub"
@@ -472,7 +474,7 @@ class DelegateNode(InterParticipant):
         return True
 
     def _submit(self, sim: Simulator, s: DelegateSession, cid: int, method: str, **call) -> None:
-        s.inflight = signed_inter_tx(self.key, cid, method, fee=self.inter.fee, **call)
+        s.inflight = signed_inter_tx(self.key, cid, method, fee=FEE, **call)
         self.submit_inter(sim, s.inflight)
 
     def _call(self, sim: Simulator, s: DelegateSession, cid: int, method: str) -> None:
@@ -625,7 +627,7 @@ class AdminNode(InterParticipant):
             self._salt += 1
             tx = signed_inter_tx(self.key, cid, M_REPLACE,
                                  args=step[0] + step[1] + self._salt.to_bytes(8, "big"),
-                                 fee=self.inter.fee)
+                                 fee=FEE)
             self._step_sent[(cid, side)] = (step, tx.digest())
             self.submit_inter(sim, tx)
         for key in done:
@@ -638,6 +640,9 @@ class AdminNode(InterParticipant):
 # How long a client waits for its own intra tx to commit before it fails
 # the session with IntraTimeout.
 INTRA_TIMEOUT_MS = 20_000.0
+# A client's ack and ping timeout: 5x the mean one-way inter-domain delay
+# (the mean of the lognormal link delay).
+ACK_TIMEOUT_MS = 5.0 * (INTER_MEDIAN_MS * math.exp(INTER_SIGMA ** 2 / 2.0))
 
 
 @dataclass
@@ -648,7 +653,6 @@ class SessionConfig:
     start_ms: float
     payload: bytes  # shared requirements payload (rendezvous key = its digest)
     deposit: int
-    ack_timeout_ms: float
     op_timeout_ms: float
     deliver_after_ms: float = 0.0  # data delivery / payment readiness flag delay
 
@@ -712,7 +716,7 @@ class ClientNode(Node):
         the detection timeout (the ack timeout: 5x mean one-way inter-domain
         delay) triggers failover. Progress resets the cycle via the epoch."""
         self._pong_pending = False
-        self._rearm(sim, "ping", self.cfg.ack_timeout_ms)
+        self._rearm(sim, "ping", ACK_TIMEOUT_MS)
 
     def _submit_intra(self, sim: Simulator, payload: bytes) -> IntraTx:
         tx = submit_intra(sim, self, self.validators, payload, self._nonce)
@@ -728,7 +732,7 @@ class ClientNode(Node):
                             self.key.address, self.checkpoint, self.service,
                             self.cfg.deposit)
         sim.send(self.node_id, node, req)
-        self._arm(sim, "ack", self.cfg.ack_timeout_ms)
+        self._arm(sim, "ack", ACK_TIMEOUT_MS)
 
     def _request(self, sim: Simulator, phase: Phase) -> None:
         if self.goal is None or phase.rank > self.goal.rank:
@@ -782,7 +786,7 @@ class ClientNode(Node):
             self._ping_seq += 1
             sim.send(self.node_id, node, Ping(self.cfg.session_id, self._ping_seq))
             self._pong_pending = True
-            self._rearm(sim, "ping", self.cfg.ack_timeout_ms)
+            self._rearm(sim, "ping", ACK_TIMEOUT_MS)
         elif kind == "op":
             node, _ = self._current_delegate()
             sim.send(self.node_id, node, PhaseReq(self.cfg.session_id, self.goal))

@@ -18,7 +18,7 @@ from .crypto import Keyring
 from .eventlog import EventLog, run_all_checkers
 from .metrics import LatencyStats, LedgerMetrics, MetricsReport
 from .nodes import IntraLoadNode, InterLoadNode, MinerNode, ValidatorNode
-from .powchain import ChainState, InterNode
+from .powchain import FEE, ChainState, InterNode
 from .protocol import (
     PUB,
     SUB,
@@ -29,7 +29,17 @@ from .protocol import (
 )
 from .contract import BrokerInfo
 from .scenario import Scenario
-from .sim import FaultEntry, LinkModel, Simulator
+from .sim import FaultEntry, Simulator
+
+# Genesis funding, in millitokens: each session member's zone account, each
+# delegate's zone and inter accounts, each miner, the contract admin, and
+# each load generator (a zone's and the inter one).
+MEMBER_UNITS = 100_000
+DELEGATE_INTRA_UNITS = 1_000_000
+DELEGATE_INTER_UNITS = 2_000_000
+MINER_UNITS = 100_000
+ADMIN_UNITS = 100_000
+LOADGEN_UNITS = 1_000_000
 
 
 class Collector:
@@ -177,12 +187,7 @@ def build(scn: Scenario) -> RunHandles:
     rng_payload = random.Random(scn.seed ^ 0x70617973)
     keyring = Keyring(rng_keys)
 
-    link = LinkModel(
-        inter_median_ms=scn.inter.median_delay_ms,
-        inter_sigma=scn.inter.sigma,
-        zone_ranges={d.zone_id: (d.delay_min_ms, d.delay_max_ms) for d in scn.domains},
-    )
-    sim = Simulator(scn.seed, link, transcript=scn.log_payloads)
+    sim = Simulator(scn.seed, transcript=scn.log_payloads)
 
     log = EventLog()
     collector = Collector(log, scn.log_payloads)
@@ -212,22 +217,22 @@ def build(scn: Scenario) -> RunHandles:
     # -- intra initial balances -----------------------------------------------
     intra_books: dict[int, dict[bytes, int]] = {d.zone_id: {} for d in scn.domains}
     for sid, (sz, bz) in session_zones.items():
-        intra_books[sz][session_keys[(sid, PUB)].address] = scn.funding.member_units
-        intra_books[bz][session_keys[(sid, SUB)].address] = scn.funding.member_units
+        intra_books[sz][session_keys[(sid, PUB)].address] = MEMBER_UNITS
+        intra_books[bz][session_keys[(sid, SUB)].address] = MEMBER_UNITS
     for d in scn.domains:
         for k in dlg_keys[d.zone_id]:
-            intra_books[d.zone_id][k.address] = scn.funding.delegate_intra_units
-        intra_books[d.zone_id][zone_load_keys[d.zone_id].address] = scn.funding.loadgen_units
+            intra_books[d.zone_id][k.address] = DELEGATE_INTRA_UNITS
+        intra_books[d.zone_id][zone_load_keys[d.zone_id].address] = LOADGEN_UNITS
 
     # -- inter genesis state -----------------------------------------------------
     inter_balances: dict[bytes, int] = {}
     for k in miner_keys:
-        inter_balances[k.address] = scn.funding.miner_units
+        inter_balances[k.address] = MINER_UNITS
     for d in scn.domains:
         for k in dlg_keys[d.zone_id]:
-            inter_balances[k.address] = scn.funding.delegate_inter_units
-    inter_balances[admin_key.address] = scn.funding.admin_units
-    inter_balances[inter_load_key.address] = scn.funding.loadgen_units
+            inter_balances[k.address] = DELEGATE_INTER_UNITS
+    inter_balances[admin_key.address] = ADMIN_UNITS
+    inter_balances[inter_load_key.address] = LOADGEN_UNITS
 
     delegation_all = tuple(k.address for d in scn.domains for k in dlg_keys[d.zone_id])
     contracts = {cid: BrokerInfo(contract_id=cid, admin=admin_key.address,
@@ -239,15 +244,13 @@ def build(scn: Scenario) -> RunHandles:
     miner_node_ids = [f"miner:{i}" for i in range(scn.inter.miners)]
     all_inter_ids = miner_node_ids + ["admin"] + [n for d in scn.domains for n in dlg_ids[d.zone_id]]
     # One execution per block for the whole simulation: every inter node has
-    # the same keyring, genesis state and block reward.
+    # the same keyring and genesis state.
     executions: dict = {}
 
     def new_inter_node(addr: bytes):
         return InterNode(addr, keyring, genesis_state,
                          confirmation_depth=scn.inter.confirmation_depth,
-                         block_capacity=scn.inter.block_capacity, fee=scn.inter.fee_units,
-                         block_reward=scn.inter.block_reward_units,
-                         executions=executions)
+                         block_capacity=scn.inter.block_capacity, executions=executions)
 
     for i, mk in enumerate(miner_keys):
         inter = new_inter_node(mk.address)
@@ -307,7 +310,6 @@ def build(scn: Scenario) -> RunHandles:
             cfg = SessionConfig(
                 session_id=sid, side=side, zone_id=zone, start_ms=start,
                 payload=session_payloads[sid], deposit=scn.workload.deposit_units,
-                ack_timeout_ms=scn.ack_timeout_ms(),
                 op_timeout_ms=scn.protocol.op_timeout_ms,
             )
             name = ("seller" if side == PUB else "buyer") + f":{sid}"
@@ -334,7 +336,7 @@ def build(scn: Scenario) -> RunHandles:
             )
             sim.add_node(node)
     if scn.workload.inter_rate_per_s > 0 or scn.workload.inter_probe_times_ms:
-        node = InterLoadNode("load:inter", inter_load_key, miner_node_ids, scn.inter.fee_units,
+        node = InterLoadNode("load:inter", inter_load_key, miner_node_ids,
                              scn.workload.inter_rate_per_s, scn.duration_ms, collector=collector,
                              times=(scn.workload.inter_probe_times_ms or None))
         sim.add_node(node)
@@ -352,8 +354,10 @@ def build(scn: Scenario) -> RunHandles:
         "genesis",
         seed=scn.seed,
         total_supply=h.initial_supply,
-        fee=scn.inter.fee_units,
-        block_reward=scn.inter.block_reward_units,
+        # The fee and the absent block subsidy are fixed, but stay in the
+        # log so its bytes, and every pinned digest, hold.
+        fee=FEE,
+        block_reward=0,
         k=scn.inter.confirmation_depth,
         intra_balances={str(z): {a.hex(): v for a, v in sorted(b.items())}
                         for z, b in intra_books.items()},
@@ -401,13 +405,12 @@ def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
         book = node.core.book
         intra_totals[str(z)] = book.total()
         total += book.total()
-    st = observer.tip_state()
-    inter_total = st.total_supply()
-    minted = st.minted_total
+    inter_total = observer.tip_state().total_supply()
     total += inter_total
-    delta = total - h.initial_supply - minted
+    delta = total - h.initial_supply
+    # Nothing is minted; "minted" stays in the log so its bytes hold.
     log.emit("final", at=round(sim.now, 3), conservation_delta=delta,
-             intra_totals=intra_totals, inter_total=inter_total, minted=minted)
+             intra_totals=intra_totals, inter_total=inter_total, minted=0)
 
     # Byzantine evidence is logged, never punished (no slashing).
     for z in sorted(h.validators):

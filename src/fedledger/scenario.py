@@ -2,10 +2,11 @@
 
 Scenarios are JSON. Unknown keys are rejected by name; committees must
 satisfy n >= 3f+1 for the declared byzantine count, and a fault schedule
-may make at most that many validators of a zone byzantine. Values a run
-cannot survive are refused with their key named (the bounds below).
-Token amounts are decimal token values and must be exact multiples of
-0.001 (one millitoken, the fee unit). Session s starts at
+may make at most that many validators of a zone byzantine. A crash or
+recover fault names a node the run builds, a byzantine one a validator.
+Values a run cannot survive are refused with their key named (the bounds
+below). Token amounts are decimal token values and must be exact
+multiples of 0.001 (one millitoken, the fee unit). Session s starts at
 (s - 1) x session_interval_ms; rate-driven load starts at 0 ms, and inter
 load runs to duration_ms.
 
@@ -19,15 +20,12 @@ Schema (defaults in parentheses):
   "domains": [
     {"zone_id": int, "validators": int (4), "byzantine": int (0),
      "block_capacity": int (1000, >= 1), "round_timeout_ms": number (200, > 0),
-     "block_interval_ms": number (1600), "delegates": int (2, >= 1),
-     "delay_min_ms": number (10), "delay_max_ms": number (200)}
+     "block_interval_ms": number (1600), "delegates": int (2, >= 1)}
   ],
   "inter": {
     "miners": int (3, >= 1; miner 0 observes),
     "mean_block_interval_ms": number (4500, > 0), "block_capacity": int (571, >= 1),
-    "confirmation_depth": int (6, >= 1), "fee_tokens": number (0.001),
-    "contracts": int (4), "block_reward_tokens": number (0),
-    "median_delay_ms": number (200, > 0), "sigma": number (1.0)
+    "confirmation_depth": int (6, >= 1), "contracts": int (4)
   },
   "workload": {
     "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
@@ -39,11 +37,6 @@ Schema (defaults in parentheses):
   },
   "protocol": {
     "op_timeout_ms": number (120000, > 0)
-  },
-  "funding": {
-    "member_tokens": number (100), "delegate_intra_tokens": number (1000),
-    "delegate_inter_tokens": number (2000), "miner_tokens": number (100),
-    "admin_tokens": number (100), "loadgen_tokens": number (1000)
   },
   "faults": [
     {"at_ms": number, "fault": "crash"|"recover", "node": str} |
@@ -62,7 +55,6 @@ Node names: "val:<zone>:<i>", "dlg:<zone>:<i>", "miner:<i>", "admin",
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 from .chain import MAX_INTRA_PAYLOAD
@@ -98,8 +90,6 @@ class DomainSpec:
     round_timeout_ms: float = 200.0
     block_interval_ms: float = 1600.0
     delegates: int = 2
-    delay_min_ms: float = 10.0
-    delay_max_ms: float = 200.0
 
 
 @dataclass
@@ -108,14 +98,7 @@ class InterSpec:
     mean_block_interval_ms: float = 4500.0
     block_capacity: int = 571
     confirmation_depth: int = 6
-    fee_units: int = 1
     contracts: int = 4
-    median_delay_ms: float = 200.0
-    sigma: float = 1.0
-    block_reward_units: int = 0  # subsidy minted per block; 0 keeps supply exact
-
-    def mean_delay_ms(self) -> float:
-        return self.median_delay_ms * math.exp(self.sigma ** 2 / 2.0)
 
 
 @dataclass
@@ -139,16 +122,6 @@ class ProtocolSpec:
 
 
 @dataclass
-class FundingSpec:
-    member_units: int = 100_000
-    delegate_intra_units: int = 1_000_000
-    delegate_inter_units: int = 2_000_000
-    miner_units: int = 100_000
-    admin_units: int = 100_000
-    loadgen_units: int = 1_000_000
-
-
-@dataclass
 class Scenario:
     name: str = "scenario"
     seed: int = 1
@@ -158,13 +131,23 @@ class Scenario:
     inter: InterSpec = field(default_factory=InterSpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     protocol: ProtocolSpec = field(default_factory=ProtocolSpec)
-    funding: FundingSpec = field(default_factory=FundingSpec)
     faults: list = field(default_factory=list)
     reference: dict = field(default_factory=dict)
 
-    def ack_timeout_ms(self) -> float:
-        """A client's ack and ping timeout: 5x the mean one-way inter-domain delay."""
-        return 5.0 * self.inter.mean_delay_ms()
+    def node_ids(self) -> set[str]:
+        """The id of every node a run of this scenario builds."""
+        w = self.workload
+        ids = {"admin", *(f"miner:{i}" for i in range(self.inter.miners))}
+        for d in self.domains:
+            ids.update(f"val:{d.zone_id}:{i}" for i in range(d.validators))
+            ids.update(f"dlg:{d.zone_id}:{i}" for i in range(d.delegates))
+            if w.intra_rate_per_s > 0 or w.intra_probe_times_ms:
+                ids.add(f"load:{d.zone_id}")
+        for sid in range(1, w.sessions + 1):
+            ids.update((f"seller:{sid}", f"buyer:{sid}"))
+        if w.inter_rate_per_s > 0 or w.inter_probe_times_ms:
+            ids.add("load:inter")
+        return ids
 
     def validate(self) -> None:
         # Values the simulation cannot run: a zero or negative timer period
@@ -172,8 +155,7 @@ class Scenario:
         positive = [(f"domains[{i}].round_timeout_ms", d.round_timeout_ms)
                     for i, d in enumerate(self.domains)]
         positive += [("protocol.op_timeout_ms", self.protocol.op_timeout_ms),
-                     ("inter.mean_block_interval_ms", self.inter.mean_block_interval_ms),
-                     ("inter.median_delay_ms", self.inter.median_delay_ms)]
+                     ("inter.mean_block_interval_ms", self.inter.mean_block_interval_ms)]
         for key, value in positive:
             if value <= 0:
                 raise ValidationError(f"{key} must be positive, got {value}")
@@ -192,13 +174,16 @@ class Scenario:
             if d.zone_id in zones or d.zone_id < 1:
                 raise ValidationError(f"bad or duplicate zone_id {d.zone_id}")
             zones.add(d.zone_id)
-        # Only a validator has byzantine behaviours; on any other node they do nothing.
-        validators = {f"val:{d.zone_id}:{i}" for d in self.domains for i in range(d.validators)}
+        # A crash or recover names a node the run builds. Only a validator
+        # has byzantine behaviours; on any other node they do nothing.
+        node_ids = self.node_ids()
         byz_nodes: dict[int, set] = {}
         for i, f in enumerate(self.faults):
-            if f.get("fault") == "byzantine":
-                node = f.get("node")
-                if node not in validators:
+            fault, node = f.get("fault"), f.get("node")
+            if fault in ("crash", "recover") and node not in node_ids:
+                raise ValidationError(f"faults[{i}]: {fault} node {node!r} is not a node of this run")
+            if fault == "byzantine":
+                if node not in node_ids or not node.startswith("val:"):
                     raise ValidationError(
                         f"faults[{i}]: byzantine node {node!r} is not a validator of a declared zone")
                 byz_nodes.setdefault(int(node.split(":")[1]), set()).add(node)
@@ -232,8 +217,7 @@ class Scenario:
             raise ValidationError("workload.deposit_tokens must be at least 0.001 with sessions")
 
 
-_SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolSpec,
-             "funding": FundingSpec}
+_SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolSpec}
 _NESTED = {"domains", "faults", *_SECTIONS}
 
 

@@ -6,12 +6,13 @@ sequence number is assigned at schedule time, which removes all
 nondeterminism from simultaneous events. A (seed, scenario) pair fully
 determines the event trace.
 
-Link classes:
-  INTRA  same-zone traffic, uniform delay in [d_min, d_max]; the upper
-         bound is the synchrony bound used by the consensus timeouts.
-  INTER  cross-zone and inter-ledger traffic, lognormal delay with a
-         configured median and sigma (no upper bound). The normal draw is
-         the body of random.gauss, inlined: same draws, same value.
+Link classes (the same in every run):
+  INTRA  same-zone traffic, uniform delay in [INTRA_MIN_MS, INTRA_MAX_MS];
+         the upper bound is the synchrony bound used by the consensus
+         timeouts.
+  INTER  cross-zone and inter-ledger traffic, lognormal delay with median
+         INTER_MEDIAN_MS and sigma INTER_SIGMA (no upper bound). The normal
+         draw is the body of random.gauss, inlined: same draws, same value.
 
 A node receives messages only if it has an on_message handler. A message
 to a node without one is still drawn and transcribed like any other, so
@@ -35,21 +36,20 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class LinkModel:
-    inter_median_ms: float
-    inter_sigma: float
-    # zone -> (min_ms, max_ms) for every zone; the max is the zone's synchrony bound
-    zone_ranges: dict
+INTRA_MIN_MS = 10.0
+INTRA_MAX_MS = 200.0  # the synchrony bound of every zone
+INTER_MEDIAN_MS = 200.0
+INTER_SIGMA = 1.0
 
-    def __post_init__(self) -> None:
-        # The lognormal's mu, taken once rather than at every inter draw.
-        self._inter_mu = _log(self.inter_median_ms)
+
+class LinkModel:
+    # The lognormal's mu, taken once rather than at every inter draw.
+    _inter_mu = _log(INTER_MEDIAN_MS)
 
     def sample(self, rng: random.Random, zone: int | None) -> float:
         """Sampled one-way delay (zone set for same-zone links)."""
         if zone is not None:
-            lo, hi = self.zone_ranges[zone]
+            lo, hi = INTRA_MIN_MS, INTRA_MAX_MS
             # The body of rng.uniform(lo, hi) on CPython 3.10-3.13
             # (Lib/random.py, Random.uniform), inlined: same draw, same value.
             return lo + (hi - lo) * rng.random()
@@ -63,7 +63,7 @@ class LinkModel:
             g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
             z = _cos(x2pi) * g2rad
             rng.gauss_next = _sin(x2pi) * g2rad
-        return _exp(self._inter_mu + z * self.inter_sigma)
+        return _exp(self._inter_mu + z * INTER_SIGMA)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class Node:
 
 
 class Simulator:
-    def __init__(self, seed: int, link: LinkModel, transcript: bool = False):
-        self.link = link
+    def __init__(self, seed: int, transcript: bool = False):
+        self.link = LinkModel()
         self.now: float = 0.0
         self._seq = 0
         self._queue: list = []
@@ -147,8 +147,8 @@ class Simulator:
         nodes = self.nodes
         a = nodes[src]
         zone_id = a.zone_id
-        # Holds traffic to just under the synchrony bound of the sender's zone.
-        extra = 0.9 * self.link.zone_ranges[zone_id][1] if a.behavior == "delay" else 0.0
+        # Holds traffic to just under the synchrony bound.
+        extra = 0.9 * INTRA_MAX_MS if a.behavior == "delay" else 0.0
         group_of = self._group_of
         deaf = self._deaf
         src_group = group_of.get(src) if group_of else None
@@ -162,7 +162,7 @@ class Simulator:
                 dst_group = group_of.get(dst)
                 if dst_group is not None and dst_group != src_group:
                     continue  # across the partition
-            # Same-zone links sample the zone's range; any other link is inter.
+            # Same-zone links are intra; any other link is inter.
             zone = zone_id if nodes[dst].zone_id == zone_id else None
             delay = self.link.sample(self.rng_net, zone)
             if transcript is not None and zone is None:

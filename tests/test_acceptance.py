@@ -10,7 +10,7 @@ import time
 import pytest
 
 from fedledger.analysis import double_spend_experiment
-from fedledger.eventlog import check_privacy, payload_windows
+from fedledger.eventlog import check_privacy, payload_windows, replay_log
 from fedledger.harness import batch
 from fedledger.runner import run
 from fedledger.scenario import (
@@ -263,11 +263,10 @@ def test_c07_payment_safety_1000_sessions():
 
         # The bidirectional implication, session by session.
         st = h.miners[0].inter.tip_state()
-        book = h.validators[1][0].core.book
         paid_by_contract = {}
-        for t in book.transfers:
-            if t[3]:  # memo = contract id
-                paid_by_contract[t[3]] = paid_by_contract.get(t[3], 0) + 1
+        for t in replay_log(h.log.events).transfers:
+            if t["zone"] == 1 and t["memo"]:  # memo = contract id
+                paid_by_contract[t["memo"]] = paid_by_contract.get(t["memo"], 0) + 1
         for sid in range(1, 51):
             total_sessions += 1
             seller = h.clients[(sid, "pub")]

@@ -439,7 +439,7 @@ def sealed_chain(n):
 
 def replica_state(replica):
     book = replica.book
-    return ([b.digest() for b in replica.ledger.blocks], book.balances, book.transfers, book.failed)
+    return ([b.digest() for b in replica.ledger.blocks], book.balances, book.paid, book.failed)
 
 
 class TestDecisionOrder:

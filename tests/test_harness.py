@@ -370,3 +370,29 @@ class TestCli:
         res = self.run_cli("validate", "--scenario", str(scn_path))
         assert res.returncode == 2
         assert "n >= 3f+1" in res.stderr
+
+    @pytest.mark.parametrize("cmd", ["validate", "run"])
+    def test_fault_on_an_unbuilt_node_exit_code(self, tmp_path, cmd):
+        scn_path = tmp_path / "bad.json"
+        scn_path.write_text(json.dumps({"duration_ms": 1_000, "domains": [{"zone_id": 1}],
+                                        "faults": [{"at_ms": 10, "fault": "crash", "node": "dlg:9:0"}]}))
+        res = self.run_cli(cmd, "--scenario", str(scn_path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "faults[0]: crash node 'dlg:9:0'" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"funding": {}}, "funding"),
+        ({"inter": {"fee_tokens": 0.001}}, "fee_tokens"),
+        ({"inter": {"block_reward_tokens": 0}}, "block_reward_tokens"),
+        ({"inter": {"median_delay_ms": 200}}, "median_delay_ms"),
+        ({"inter": {"sigma": 1.0}}, "sigma"),
+        ({"domains": [{"zone_id": 1, "delay_min_ms": 10}]}, "delay_min_ms"),
+        ({"domains": [{"zone_id": 1, "delay_max_ms": 200}]}, "delay_max_ms"),
+    ])
+    def test_removed_key_exit_code(self, tmp_path, raw, key):
+        scn_path = tmp_path / "old.json"
+        scn_path.write_text(json.dumps(raw))
+        res = self.run_cli("validate", "--scenario", str(scn_path))
+        assert res.returncode == 2
+        assert f"unknown key '{key}'" in res.stderr and "Traceback" not in res.stderr

@@ -13,7 +13,7 @@ from fedledger.nodes import (CommitNotice, InterLoadNode, IntraLoadNode, MinerNo
                              ValidatorNode)
 from fedledger.powchain import ChainState, InterNode
 from fedledger.scenario import DomainSpec, InterSpec, WorkloadSpec
-from fedledger.sim import LinkModel, Node, Simulator
+from fedledger.sim import Node, Simulator
 
 
 class SubmitLog:
@@ -34,7 +34,7 @@ def intra_load(key, collector, rate, until, times=None):
 
 
 def inter_load(key, collector, rate, until, times=None):
-    return InterLoadNode("load:inter", key, [], 1, rate, until,
+    return InterLoadNode("load:inter", key, [], rate, until,
                          collector=collector, times=times)
 
 
@@ -43,8 +43,7 @@ def run_load(make, **kw):
     key = Keyring(random.Random(2)).new_account()
     collector = SubmitLog()
     node = make(key, collector, **kw)
-    inter = InterSpec()  # the loads send to no one: the link is never sampled
-    sim = Simulator(0, LinkModel(inter.median_delay_ms, inter.sigma, zone_ranges={}))
+    sim = Simulator(0)  # the loads send to no one: the link is never sampled
     sim.add_node(node)
     node.start(sim)
     sim.run_until(10_000)
@@ -95,7 +94,7 @@ def test_lazy_schedule_equals_the_precomputed_running_sum(rate, count, exact):
     assert len(expected) == count
     assert (expected == [i * spacing for i in range(count)]) is exact
     node = FireLog("load:1", 1, rate, until, None)
-    sim = Simulator(0, LinkModel(100.0, 1.0, zone_ranges={}))
+    sim = Simulator(0)
     sim.add_node(node)
     node.start(sim)
     sim.run_until(until + 1_000.0)
@@ -123,7 +122,7 @@ class TestCommitNotices:
         core = Validator(vkey, Committee.of([vkey.address]), 1, keyring,
                          block_capacity=spec.block_capacity, round_timeout_ms=spec.round_timeout_ms,
                          block_interval_ms=spec.block_interval_ms)
-        sim = Simulator(0, LinkModel(100.0, 1.0, zone_ranges={1: (10, 200)}))
+        sim = Simulator(0)
         vnode = sim.add_node(ValidatorNode("val:1:0", core, CommitLog(), ["val:1:0"], []))
         for name in {sender_sub, recipient_sub}:
             sim.add_node(Subscriber(name, 1))
@@ -175,12 +174,11 @@ def ack_run(load_cls):
     mkey, lkey = keyring.new_account(), keyring.new_account()
     spec = InterSpec()
     inter = InterNode(mkey.address, keyring, ChainState({lkey.address: 10}),
-                      confirmation_depth=spec.confirmation_depth, block_capacity=spec.block_capacity,
-                      fee=spec.fee_units, block_reward=spec.block_reward_units)
-    sim = Simulator(0, LinkModel(spec.median_delay_ms, spec.sigma, zone_ranges={}))
+                      confirmation_depth=spec.confirmation_depth, block_capacity=spec.block_capacity)
+    sim = Simulator(0)
     miner = sim.add_node(TimedMiner("miner:0", inter, random.Random(5),
                                     mean_interval_ms=spec.mean_block_interval_ms, share=1.0))
-    load = sim.add_node(load_cls("load:inter", lkey, ["miner:0"], spec.fee_units, 0, 0.0,
+    load = sim.add_node(load_cls("load:inter", lkey, ["miner:0"], 0, 0.0,
                                  collector=SubmitLog(), times=[0.0, 5_000.0]))
     load.start(sim)
     sim.run_until(20_000)

@@ -23,6 +23,7 @@ from fedledger.powchain import (
     M_REPLACE,
     M_SETTLE,
     M_TRANSFER,
+    FEE,
     ChainState,
     InterNode,
     execute_block,
@@ -35,8 +36,7 @@ from fedledger.scenario import InterSpec
 def inter_node(keyring, address, state, **kw):
     """An InterNode with the scenario's inter-ledger defaults, ``kw`` overriding them."""
     spec = InterSpec()
-    kw = {"confirmation_depth": spec.confirmation_depth, "block_capacity": spec.block_capacity,
-          "fee": spec.fee_units, "block_reward": spec.block_reward_units, **kw}
+    kw = {"confirmation_depth": spec.confirmation_depth, "block_capacity": spec.block_capacity, **kw}
     return InterNode(address, keyring, state, **kw)
 
 
@@ -518,41 +518,15 @@ class TestExecution:
 
     @staticmethod
     def replay(node, keyring):
-        """The canonical chain re-executed from genesis with the node's own reward."""
+        """The canonical chain re-executed from genesis."""
         state = node.states[node.canonical[0]].copy()
         for bd in node.canonical[1:]:
-            state, _ = execute_block(state, node.blocks[bd], keyring, node.block_reward)
+            state, _ = execute_block(state, node.blocks[bd], keyring)
         return state
 
     def test_deterministic_reexecution(self, keyring):
         node, *_ = self.full_protocol_chain(keyring)
         assert self.replay(node, keyring).digest() == node.tip_state().digest()
-
-    def test_reexecution_with_block_reward(self, keyring):
-        sender = keyring.new_account()
-        key = keyring.new_account()
-        node = inter_node(keyring, key.address, ChainState({sender.address: 1000}),
-                          confirmation_depth=2, block_reward=50)
-        for i in range(3):
-            node.submit_tx(noop(keyring, sender, i))
-            node.on_block(node.build_block(float(i)))
-        state = self.replay(node, keyring)
-        assert state.minted_total == 150
-        assert state.digest() == node.tip_state().digest()
-
-    def test_block_reward_mints_subsidy(self, keyring):
-        sender = keyring.new_account()
-        key = keyring.new_account()
-        state = ChainState({sender.address: 1000})
-        node = inter_node(keyring, key.address, state,
-                          confirmation_depth=2, block_reward=50)
-        node.submit_tx(noop(keyring, sender, 1))
-        node.on_block(node.build_block(0.0))
-        node.on_block(node.build_block(1.0))
-        st = node.tip_state()
-        assert st.minted_total == 100
-        assert st.balance(node.address) == 100 + 1  # two subsidies plus the fee
-        assert st.total_supply() == 1000 + st.minted_total
 
     def test_failed_call_refunds_attached_keeps_fee(self, keyring):
         dp = keyring.new_account()
@@ -577,11 +551,11 @@ class TestExecution:
         admin = keyring.new_account()
         info = BrokerInfo(contract_id=1, admin=admin.address, delegation_list=())
         key, node = make_node(keyring, balances={admin.address: 1_000}, contracts={1: info})
-        tx = signed_inter_tx(admin, 1, method, args=args, attached=500, fee=node.fee)
+        tx = signed_inter_tx(admin, 1, method, args=args, attached=500, fee=FEE)
         assert node.submit_tx(tx) == (True, "")
         node.on_block(node.build_block(0.0))
         assert node.canonical_receipts[tx.digest()] == (1, "BadArgs")
         st = node.tip_state()
-        assert st.balance(admin.address) == 1_000 - node.fee
-        assert st.balance(key.address) == node.fee
+        assert st.balance(admin.address) == 1_000 - FEE
+        assert st.balance(key.address) == FEE
         assert st.total_supply() == 1_000

@@ -11,7 +11,8 @@ from fedledger.contract import BrokerInfo
 from fedledger.crypto import sha256
 from fedledger.eventlog import replay_log
 from fedledger.nodes import CommitNotice, InterSubmit, InterSubmitAck
-from fedledger.powchain import M_CONFIG_PUB, M_CONFIG_SUB, M_TRANSFER, ChainState, signed_inter_tx
+from fedledger import protocol, runner
+from fedledger.powchain import FEE, M_CONFIG_PUB, M_CONFIG_SUB, M_TRANSFER, ChainState, signed_inter_tx
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
     CrossVerifyReq,
@@ -28,7 +29,6 @@ from fedledger.protocol import (
 from fedledger.runner import build, finalize, run
 from fedledger.scenario import (
     DomainSpec,
-    FundingSpec,
     InterSpec,
     ProtocolSpec,
     Scenario,
@@ -94,9 +94,10 @@ class TestHappyPath:
         seller = h.clients[(1, "pub")]
         cid = seller.contract_id
         book = h.validators[1][0].core.book
-        payments = [t for t in book.transfers if t[1] == seller.key.address and t[3] == cid]
-        assert len(payments) == 1
-        assert payments[0][2] == 10_000
+        payments = [t for t in replay_log(h.log.events).transfers
+                    if t["to"] == seller.key.address.hex() and t["memo"] == cid]
+        assert [(t["zone"], t["amount"]) for t in payments] == [(1, 10_000)]
+        assert (seller.key.address, cid) in book.paid
         assert book.balance(seller.key.address) == 100_000 + 10_000
 
     def test_escrow_released_exactly_once(self):
@@ -227,9 +228,9 @@ class TestContractRace:
         assert "NoContract" in out[(failed[0], "pub")]
         assert report.conservation_delta == 0
 
-    def test_deposit_exceeding_delegate_funds_fails(self):
+    def test_deposit_exceeding_delegate_funds_fails(self, monkeypatch):
         scn = fast_session_scenario(seed=22)
-        scn.funding = FundingSpec(delegate_inter_units=5_000)  # below the 10k deposit
+        monkeypatch.setattr(runner, "DELEGATE_INTER_UNITS", 5_000)  # below the 10k deposit
         report, h = run(scn)
         out = outcomes(report)
         assert out[(1, "sub")] == "FAILED:InsufficientFunds"
@@ -303,14 +304,6 @@ class TestConservationOracle:
         assert delta == 0 and not violations
         assert report.conservation_delta == 0
 
-    def test_conservation_holds_with_block_rewards_enabled(self):
-        scn = fast_session_scenario(seed=32)
-        scn.inter.block_reward_units = 2_000  # 2-token subsidy per block
-        report, h = run(scn)
-        assert report.conservation_delta == 0
-        assert h.miners[0].inter.tip_state().minted_total > 0
-        assert report.safety_violations == 0
-
 
 class TestCommitmentGate:
     def test_unready_buyer_stalls_seller_at_configured(self):
@@ -336,7 +329,7 @@ class TestCommitmentGate:
         assert info.pub_committed and not info.sub_committed
         assert info.escrow == 10_000  # deposit locked, never paid out
         book = h.validators[1][0].core.book
-        assert not any(t[3] for t in book.transfers)  # no contract payment memo
+        assert not any(memo for _to, memo in book.paid)  # no contract payment memo
 
 
 # -- broker paths the scenario suites do not reach ----------------------------------------
@@ -396,7 +389,6 @@ class FailingInterView:
     subscriber meanwhile."""
 
     def __init__(self, real, contracts):
-        self.fee = real.fee
         self.confirmed_height = 100  # every receipt it hands out (height 1) is confirmed
         self.state = ChainState(dict(real.tip_state().balances), contracts)
         self.canonical_receipts = {}
@@ -443,7 +435,7 @@ class TestBrokerPaths:
         assert first < later
         dlg2 = h.delegates[2][0]
         tx = signed_inter_tx(dlg2.key, later, M_CONFIG_SUB, args=seller.service,
-                             attached=10_000, fee=miner.fee,
+                             attached=10_000, fee=FEE,
                              checkpoint=Checkpoint(2, b"\x11" * 32, 1, b"\x22" * 32))
         for m in h.miners:
             h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
@@ -452,9 +444,10 @@ class TestBrokerPaths:
         configs = submits_from(sent, "dlg:1:0", M_CONFIG_PUB)
         assert [t.contract_id for t in configs] == [first, later]
         assert out == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
-        book = h.validators[1][0].core.book
-        paid = [t for t in book.transfers if t[1] == seller.key.address and t[3]]
-        assert [(t[2], t[3]) for t in paid] == [(10_000, later)]
+        paid = [t for t in replay_log(h.log.events).transfers
+                if t["to"] == seller.key.address.hex() and t["memo"]]
+        assert [(t["amount"], t["memo"]) for t in paid] == [(10_000, later)]
+        assert (seller.key.address, later) in h.validators[1][0].core.book.paid
 
     def test_config_retries_exhausted_fails_with_no_contract(self):
         # Every configure the seller's broker submits fails on chain and its
@@ -487,9 +480,14 @@ class TestBrokerPaths:
         assert fails == [("seller:1", 1, "NoContract")]
         assert out[(1, "pub")] == "FAILED:NoContract"
 
-    def test_tx_rejected_by_every_miner_fails_the_session_with_that_reason(self):
+    def test_tx_rejected_by_every_miner_fails_the_session_with_that_reason(self, monkeypatch):
         def wrong_fee(h):
-            h.delegates[1][0].inter.fee += 1  # every miner refuses it: BadFee
+            # dlg:1:0 signs every tx with one unit too many: every miner refuses it, BadFee.
+            key = h.delegates[1][0].key
+
+            def sign(k, *args, fee, **kw):
+                return signed_inter_tx(k, *args, fee=fee + (k is key), **kw)
+            monkeypatch.setattr(protocol, "signed_inter_tx", sign)
         h, sent = started(fast_session_scenario(seed=53), wrong_fee)
         out = finish(h)
         refusals = [m.reason for _t, src, dst, m in sent
@@ -511,7 +509,7 @@ class TestBrokerPaths:
         dlg = h.delegates[1][0]
         target = min(range(1, 5), key=lambda cid: sha256(seller.service + cid.to_bytes(8, "big")))
         tx = signed_inter_tx(dlg.key, target, M_CONFIG_PUB, args=seller.service,
-                             fee=dlg.inter.fee, checkpoint=seller.checkpoint)
+                             fee=FEE, checkpoint=seller.checkpoint)
         for m in h.miners:
             h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
         out = finish(h)
@@ -615,7 +613,7 @@ class TestUndecodableCall:
         h, _sent = started(fast_session_scenario(seed=7))
         probe = h.sim.add_node(Probe())
         tx = signed_inter_tx(h.admin.key, 0, M_TRANSFER, args=b"\x01\x02", attached=500,
-                             fee=h.admin.inter.fee)
+                             fee=FEE)
         for m in h.miners:
             h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
         h.sim.run_until(h.scenario.duration_ms)

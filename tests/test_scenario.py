@@ -1,11 +1,13 @@
 """Scenario loading: defaults, validation gates, parse errors."""
 
 import json
+import math
 import re
 
 import pytest
 
-from fedledger import scenario
+from fedledger import powchain, protocol, scenario
+from fedledger.runner import build
 from fedledger.scenario import (
     ParseError,
     Scenario,
@@ -29,12 +31,11 @@ class TestDefaults:
         assert scn.inter.mean_block_interval_ms == 4500
         assert scn.inter.block_capacity == 571
         assert scn.inter.confirmation_depth == 6
-        assert scn.inter.fee_units == 1  # 0.001 token
+        assert powchain.FEE == 1  # 0.001 token, the same in every run
 
     def test_ack_timeout_default_tracks_inter_delay(self):
-        scn = Scenario()
-        # 5x the mean one-way inter-domain delay (lognormal mean).
-        assert scn.ack_timeout_ms() == pytest.approx(5 * scn.inter.mean_delay_ms())
+        # 5x the mean one-way inter-domain delay (lognormal mean, median 200 ms, sigma 1).
+        assert protocol.ACK_TIMEOUT_MS == 5.0 * (200.0 * math.exp(1.0 ** 2 / 2.0))
 
 
 class TestSchemaDoc:
@@ -44,7 +45,7 @@ class TestSchemaDoc:
         schema = scenario.__doc__.split("Schema")[1].split("Node names")[0]
         documented = set(re.findall(r'"(\w+)":', schema))
         specs = (Scenario, scenario.DomainSpec, scenario.InterSpec, scenario.WorkloadSpec,
-                 scenario.ProtocolSpec, scenario.FundingSpec)
+                 scenario.ProtocolSpec)
         accepted = set().union(*map(scenario._file_keys, specs), scenario._FAULT_PARSE)
         assert documented == accepted
 
@@ -67,7 +68,7 @@ class TestValidation:
 
     def test_token_amounts_must_be_millitoken_exact(self):
         with pytest.raises(ValidationError):
-            scenario_from_dict({"inter": {"fee_tokens": 0.0005}})
+            scenario_from_dict({"workload": {"deposit_tokens": 10.0005}})
 
     def test_duplicate_zone_rejected(self):
         with pytest.raises(ValidationError):
@@ -113,8 +114,11 @@ class TestValidation:
         ({"protocol": {"op_timeout_ms": -1}}, r"protocol\.op_timeout_ms"),
         ({"inter": {"mean_block_interval_ms": 0}}, r"inter\.mean_block_interval_ms"),
         ({"inter": {"mean_block_interval_ms": -100}}, r"inter\.mean_block_interval_ms"),
-        ({"inter": {"median_delay_ms": 0}}, r"inter\.median_delay_ms"),
-        ({"inter": {"median_delay_ms": -1}}, r"inter\.median_delay_ms"),
+        # A crash or recover of a node the run never builds.
+        ({"faults": [{"at_ms": 10, "fault": "crash", "node": "dlg:9:0"}]},
+         r"faults\[0\]: crash node 'dlg:9:0'"),
+        ({"faults": [{"at_ms": 10, "fault": "heal"}, {"at_ms": 20, "fault": "recover", "node": "load:1"}]},
+         r"faults\[1\]: recover node 'load:1'"),
         ({"duration_ms": -1}, r"duration_ms"),
         ({"workload": {"payload_bytes": 1025}}, r"workload\.payload_bytes"),
         ({"workload": {"intra_payload_bytes": 1025}}, r"workload\.intra_payload_bytes"),
@@ -164,6 +168,22 @@ class TestValidation:
             Scenario(faults=[{"at_ms": 0, "fault": "byzantine", "node": "val:9:0",
                               "behavior": "silent"}]).validate()
 
+    @pytest.mark.parametrize("raw", [
+        {},
+        {"domains": [{"zone_id": 1, "delegates": 3}, {"zone_id": 2, "validators": 7}],
+         "inter": {"miners": 2},
+         "workload": {"sessions": 2, "intra_probe_times_ms": [5], "inter_rate_per_s": 1}},
+    ])
+    def test_node_ids_are_the_nodes_a_run_builds(self, raw):
+        scn = scenario_from_dict(raw)
+        assert scn.node_ids() == set(build(scn).sim.nodes)
+
+    def test_crash_of_a_load_node_accepted_with_its_load(self):
+        # Refused without intra load: test_values_a_run_cannot_survive.
+        fault = {"at_ms": 10, "fault": "crash", "node": "load:1"}
+        scn = scenario_from_dict({"workload": {"intra_rate_per_s": 5}, "faults": [fault]})
+        assert scn.faults == [fault]
+
     def test_fault_schedule_cannot_exceed_declared_byzantine_budget(self):
         with pytest.raises(ValidationError, match="injects 2 byzantine"):
             scenario_from_dict({
@@ -196,7 +216,7 @@ class TestMalformedValues:
         ({"seed": "x"}, r"scenario\.seed"),
         ({"duration_ms": [1]}, r"scenario\.duration_ms"),
         ({"domains": [{"zone_id": 1, "validators": "many"}]}, r"domains\[0\]\.validators"),
-        ({"inter": {"fee_tokens": "one"}}, r"inter\.fee_tokens"),
+        ({"inter": {"fee_tokens": 0.001}}, r"unknown key 'fee_tokens' in inter"),
         ({"workload": {"pairs": 5}}, r"workload\.pairs"),
         # Numbers must be JSON numbers of the field's type; true/false are not.
         ({"seed": True}, r"scenario\.seed"),
@@ -208,8 +228,8 @@ class TestMalformedValues:
         ({"duration_ms": True}, r"scenario\.duration_ms"),
         ({"duration_ms": "60000"}, r"scenario\.duration_ms"),
         ({"workload": {"intra_until_ms": None}}, r"workload\.intra_until_ms"),
-        ({"funding": {"member_tokens": True}}, r"funding\.member_tokens"),
-        ({"funding": {"miner_tokens": "100"}}, r"funding\.miner_tokens"),
+        ({"funding": {"member_tokens": 100}}, r"unknown key 'funding' in scenario"),
+        ({"inter": {"block_reward_tokens": 0}}, r"unknown key 'block_reward_tokens' in inter"),
         ({"workload": {"deposit_tokens": False}}, r"workload\.deposit_tokens"),
         # Mining runs in virtual time only: no mode or target to choose.
         ({"inter": {"mode": "virtual"}}, r"unknown key 'mode' in inter"),
@@ -223,6 +243,10 @@ class TestMalformedValues:
         ({"workload": {"inter_until_ms": 0}}, r"unknown key 'inter_until_ms' in workload"),
         ({"protocol": {"intra_timeout_ms": 0}}, r"unknown key 'intra_timeout_ms' in protocol"),
         ({"protocol": {"ack_timeout_ms": 1650}}, r"unknown key 'ack_timeout_ms' in protocol"),
+        ({"inter": {"median_delay_ms": 200}}, r"unknown key 'median_delay_ms' in inter"),
+        ({"inter": {"sigma": 1.0}}, r"unknown key 'sigma' in inter"),
+        ({"domains": [{"zone_id": 1, "delay_min_ms": -500}]}, r"unknown key 'delay_min_ms' in domains\[0\]"),
+        ({"domains": [{"zone_id": 1, "delay_max_ms": 200}]}, r"unknown key 'delay_max_ms' in domains\[0\]"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):
@@ -270,12 +294,13 @@ class TestMalformedValues:
         assert scn.faults[1] == {"at_ms": 20.5, "fault": "heal"}
 
     def test_json_numbers_accepted(self):
-        scn = scenario_from_dict({"seed": 3, "duration_ms": 5, "inter": {"sigma": 0.5},
-                                  "funding": {"member_tokens": 2, "miner_tokens": 0.5}})
+        scn = scenario_from_dict({"seed": 3, "duration_ms": 5, "inter": {"mean_block_interval_ms": 4000},
+                                  "workload": {"deposit_tokens": 0.5}})
         assert scn.seed == 3
         assert scn.duration_ms == 5.0 and isinstance(scn.duration_ms, float)
-        assert scn.inter.sigma == 0.5
-        assert scn.funding.member_units == 2000 and scn.funding.miner_units == 500
+        assert scn.inter.mean_block_interval_ms == 4000.0
+        assert isinstance(scn.inter.mean_block_interval_ms, float)
+        assert scn.workload.deposit_units == 500
 
     def test_other_malformed_input_is_a_parse_error(self):
         with pytest.raises(ParseError):

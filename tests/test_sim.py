@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedledger.scenario import Scenario
-from fedledger.sim import ConfigError, FaultEntry, LinkModel, Node, Simulator
+from fedledger.sim import (INTER_MEDIAN_MS, INTER_SIGMA, INTRA_MAX_MS, INTRA_MIN_MS, ConfigError,
+                           FaultEntry, LinkModel, Node, Simulator)
 
 
 class Recorder(Node):
@@ -23,16 +23,8 @@ class Recorder(Node):
         self.seen.append((round(sim.now, 6), "timer", key))
 
 
-def link(**kw):
-    """The link model of the default scenario (one zone, zone 1), ``kw`` replacing fields."""
-    scn = Scenario()
-    d = scn.domains[0]
-    return LinkModel(**{"inter_median_ms": scn.inter.median_delay_ms, "inter_sigma": scn.inter.sigma,
-                        "zone_ranges": {d.zone_id: (d.delay_min_ms, d.delay_max_ms)}, **kw})
-
-
 def two_node_sim(seed=1, zone_b=1):
-    sim = Simulator(seed, link())
+    sim = Simulator(seed)
     a = sim.add_node(Recorder("a"))
     b = sim.add_node(Recorder("b", zone_b))
     return sim, a, b
@@ -40,7 +32,7 @@ def two_node_sim(seed=1, zone_b=1):
 
 class TestLoop:
     def test_empty_queue(self):
-        sim = Simulator(0, link())
+        sim = Simulator(0)
         assert sim.run_until(1_000_000) == 0
         assert sim.now == 1_000_000
 
@@ -51,7 +43,7 @@ class TestLoop:
         sim.run_until(10_000)
         times = [t for t, _, _ in b.seen]
         assert times == sorted(times)
-        assert all(t >= sim.link.zone_ranges[1][0] for t in times)
+        assert all(t >= INTRA_MIN_MS for t in times)
 
     def test_same_seed_identical_traces(self):
         def trace(seed):
@@ -66,7 +58,7 @@ class TestLoop:
         assert trace(42) != trace(43)
 
     def test_tie_break_by_schedule_order(self):
-        sim = Simulator(0, link())
+        sim = Simulator(0)
         r = sim.add_node(Recorder("r"))
         sim.set_timer("r", 10.0, "first")
         sim.set_timer("r", 10.0, "second")
@@ -74,7 +66,7 @@ class TestLoop:
         assert [k for _, _, k in r.seen] == ["first", "second"]
 
     def test_run_backwards_rejected(self):
-        sim = Simulator(0, link())
+        sim = Simulator(0)
         sim.run_until(100)
         with pytest.raises(ValueError):
             sim.run_until(50)
@@ -82,47 +74,42 @@ class TestLoop:
 
 class TestLinkModel:
     def test_intra_bounded_by_synchrony(self):
-        model = link()
-        lo, hi = model.zone_ranges[1]
+        model = LinkModel()
         rnd = random.Random(7)
-        for _ in range(100_000):
-            d = model.sample(rnd, zone=1)
-            assert lo <= d <= hi
+        for zone in (1, 2):
+            for _ in range(50_000):
+                d = model.sample(rnd, zone=zone)
+                assert 10 <= d <= 200
 
     def test_inter_unbounded_tail(self):
-        model = link(inter_median_ms=200, inter_sigma=1.0)
+        model = LinkModel()
         rnd = random.Random(7)
         samples = [model.sample(rnd, zone=None) for _ in range(20_000)]
         assert max(samples) > 200 * 5  # heavy tail reaches well past the median
         med = sorted(samples)[len(samples) // 2]
         assert 180 < med < 220
 
-    def test_per_zone_ranges(self):
-        model = link(zone_ranges={2: (500, 600)})
-        rnd = random.Random(7)
-        assert all(500 <= model.sample(rnd, zone=2) <= 600 for _ in range(1000))
-
     # sample inlines the bodies of Random.gauss and Random.uniform; these
     # compare it with the library calls on each Python the tests run on.
     def test_inter_draw_equals_lognormal_of_gauss(self):
-        model = link()
-        mu = math.log(model.inter_median_ms)
+        model = LinkModel()
+        assert (INTER_MEDIAN_MS, INTER_SIGMA) == (200, 1.0)
         rng, ref, stray = random.Random(11), random.Random(11), random.Random(12)
         pending = []  # whether a second normal was kept before each draw
         for _ in range(10_000):
             pending.append(rng.gauss_next is not None)
-            assert model.sample(rng, None) == math.exp(ref.gauss(mu, model.inter_sigma))
+            assert model.sample(rng, None) == math.exp(math.log(200) + ref.gauss() * 1.0)
             if stray.random() < 0.3:
                 assert rng.random() == ref.random()
         assert True in pending and False in pending
         assert rng.getstate() == ref.getstate()
 
     def test_zone_draw_equals_uniform(self):
-        model = link()
-        lo, hi = model.zone_ranges[1]
+        model = LinkModel()
+        assert (INTRA_MIN_MS, INTRA_MAX_MS) == (10, 200)
         rng, ref = random.Random(13), random.Random(13)
         for _ in range(10_000):
-            assert model.sample(rng, 1) == ref.uniform(lo, hi)
+            assert model.sample(rng, 1) == ref.uniform(10.0, 200.0)
         assert rng.getstate() == ref.getstate()
 
 
@@ -180,22 +167,8 @@ class TestFaults:
             sim.send("a", "b", i)
         sim.run_until(5_000)
         # 0.9x the synchrony bound on top of the sampled link delay.
-        lo, hi = sim.link.zone_ranges[1]
-        assert all(t >= 0.9 * hi + lo for t, _, _ in b.seen)
-
-    def test_delay_behavior_uses_sender_zone_bound(self):
-        sim = Simulator(1, link(zone_ranges={1: (10, 200), 2: (10, 1_000)}))
-        for node_id, zone in (("a1", 1), ("b1", 1), ("a2", 2), ("b2", 2)):
-            sim.add_node(Recorder(node_id, zone)).behavior = "delay" if node_id[0] == "a" else ""
-        for i in range(50):
-            sim.send("a1", "b1", i)
-            sim.send("a2", "b2", i)
-        sim.run_until(5_000)
-        times1 = [t for t, _, _ in sim.nodes["b1"].seen]
-        times2 = [t for t, _, _ in sim.nodes["b2"].seen]
-        assert len(times1) == len(times2) == 50
-        assert all(180 + 10 <= t <= 180 + 200 for t in times1)
-        assert all(900 + 10 <= t <= 900 + 1_000 for t in times2)
+        assert len(b.seen) == 50
+        assert all(180 + 10 <= t <= 180 + 200 for t, _, _ in b.seen)
 
     def test_unknown_node_rejected(self):
         sim, _, _ = two_node_sim()
@@ -216,7 +189,7 @@ class TestAbortDiagnostics:
             def on_timer(self, sim, key):
                 raise KeyError("boom")
 
-        sim = Simulator(0, link())
+        sim = Simulator(0)
         sim.add_node(Broken("bad", 1))
         sim.set_timer("bad", 5.0, "x")
         with pytest.raises(RuntimeError, match=r"invariant breach at event #\d+.*bad"):
@@ -225,7 +198,7 @@ class TestAbortDiagnostics:
 
 # -- one fan-out against the per-destination link formula -------------------------
 
-# Same-zone, cross-zone and zoneless links; zones 1 and 2 differ in their bound.
+# Same-zone, cross-zone and zoneless links.
 # The MUTE nodes have no on_message: messages to them are drawn, not queued.
 ZONES = {"a1": 1, "b1": 1, "a2": 2, "b2": 2, "x": None, "y": None, "m1": 1, "m": None}
 MUTE = {"m1", "m"}
@@ -261,7 +234,7 @@ def unicast_reference(sim, groups, src, dst, msg):
     zone = a.zone_id if (a.zone_id is not None and a.zone_id == b.zone_id) else None
     extra = 0.0
     if a.behavior == "delay":
-        extra = 0.9 * sim.link.zone_ranges[a.zone_id][1]
+        extra = 0.9 * INTRA_MAX_MS
     delay = sim.link.sample(sim.rng_net, zone)
     if sim.transcript is not None and zone is None:
         wire = getattr(msg, "wire_bytes", None)
@@ -272,7 +245,7 @@ def unicast_reference(sim, groups, src, dst, msg):
 
 
 def faulted_sim(seed, now, transcript, delayer, crashed, groups):
-    sim = Simulator(seed, link(zone_ranges={1: (10, 200), 2: (10, 1_000)}), transcript=transcript)
+    sim = Simulator(seed, transcript=transcript)
     for node_id in IDS:
         sim.add_node((Node if node_id in MUTE else Recorder)(node_id, ZONES[node_id]))
     if delayer is not None:
