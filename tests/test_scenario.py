@@ -115,8 +115,8 @@ class TestValidation:
         ({"inter": {"mean_block_interval_ms": 0}}, r"inter\.mean_block_interval_ms"),
         ({"inter": {"mean_block_interval_ms": -100}}, r"inter\.mean_block_interval_ms"),
         # A crash or recover of a node the run never builds.
-        ({"faults": [{"at_ms": 10, "fault": "crash", "node": "dlg:9:0"}]},
-         r"faults\[0\]: crash node 'dlg:9:0'"),
+        ({"faults": [{"at_ms": 10, "fault": "crash", "node": "miner:9"}]},
+         r"crash node 'miner:9'"),
         ({"faults": [{"at_ms": 10, "fault": "heal"}, {"at_ms": 20, "fault": "recover", "node": "load:1"}]},
          r"faults\[1\]: recover node 'load:1'"),
         ({"duration_ms": -1}, r"duration_ms"),
