@@ -17,7 +17,8 @@ The replicas of one zone share one committed-tx index (``TxIndex``):
 each distinct block is indexed once, keyed by its digest, and a replica
 sees an index entry only if the block at that height of its own chain
 has the entry's block digest. A divergent replica therefore answers
-from its own chain, as a private index would.
+from its own chain, as a private index would. The inter-ledger nodes of
+a simulation share one ``TxIndex`` in the same way.
 """
 
 from __future__ import annotations
@@ -227,17 +228,53 @@ def genesis_block(kind: str = "bft") -> Block:
 
 
 class TxIndex:
-    """Committed-tx index of one zone, shared by the zone's replicas.
+    """Tx index of one chain's blocks, shared by the replicas of that chain.
 
     ``txs`` maps a tx digest to ``(height, pos, block digest)``, or to a
     list of those, in indexing order, when the tx occurs in more than one
-    distinct block (divergent replicas, or a tx committed twice).
+    distinct block (divergent replicas, forks, or a tx included twice).
     ``blocks`` holds the digest of every block indexed so far.
+
+    A block is indexed before any descendant, so the occurrences on one
+    chain are listed in (height, pos) order.
     """
 
     def __init__(self):
         self.txs: dict[bytes, tuple | list] = {}
         self.blocks: set[bytes] = set()
+
+    def add(self, block: Block, bd: bytes) -> None:
+        """Enter the first replica's copy of a block; later copies are no-ops."""
+        if bd in self.blocks:
+            return
+        self.blocks.add(bd)
+        txs = self.txs
+        height = block.height
+        for pos, tx in enumerate(block.txs):
+            d = tx.digest()
+            entry = txs.get(d)
+            if entry is None:
+                txs[d] = (height, pos, bd)
+            elif type(entry) is tuple:
+                txs[d] = [entry, (height, pos, bd)]
+            else:
+                entry.append((height, pos, bd))
+
+    def occurrences(self, tx_digest: bytes) -> tuple | list:
+        """Every ``(height, pos, block digest)`` of a tx, in indexing order."""
+        entry = self.txs.get(tx_digest)
+        if entry is None:
+            return ()
+        return (entry,) if type(entry) is tuple else entry
+
+    def last(self, tx_digest: bytes, digest_at) -> tuple[int, int, bytes] | None:
+        """The latest occurrence of a tx on one chain: the last entry whose
+        block is ``digest_at(height)``, the chain's block digest at that
+        height (None above its tip). None if the chain lacks the tx."""
+        for entry in reversed(self.occurrences(tx_digest)):
+            if digest_at(entry[0]) == entry[2]:
+                return entry
+        return None
 
 
 class Ledger:
@@ -264,42 +301,17 @@ class Ledger:
         if block.parent != self.head_digest():
             raise ValueError("block does not link to current head")
         self.blocks.append(block)
-        bd = block.digest()
-        if bd not in self.index.blocks:
-            self._index_block(block, bd)
+        self.index.add(block, block.digest())
 
-    def _index_block(self, block: Block, bd: bytes) -> None:
-        """Enter the first replica's copy of a block."""
-        self.index.blocks.add(bd)
-        txs = self.index.txs
-        height = block.height
-        for pos, tx in enumerate(block.txs):
-            d = tx.digest()
-            entry = txs.get(d)
-            if entry is None:
-                txs[d] = (height, pos, bd)
-            elif type(entry) is tuple:
-                txs[d] = [entry, (height, pos, bd)]
-            else:
-                entry.append((height, pos, bd))
+    def _digest_at(self, height: int) -> bytes | None:
+        return self.blocks[height].digest() if height < len(self.blocks) else None
 
     def locate(self, tx_digest: bytes) -> tuple[int, int] | None:
         """(height, pos) of the last occurrence of a tx in this chain, or None."""
-        entry = self.index.txs.get(tx_digest)
-        if entry is None:
+        if tx_digest not in self.index.txs:  # the mempool's usual case, without a call
             return None
-        blocks = self.blocks
-        if type(entry) is tuple:
-            height, pos, bd = entry
-            if height < len(blocks) and blocks[height].digest() == bd:
-                return height, pos
-            return None
-        # A block is indexed before any descendant, so the occurrences on one
-        # chain are listed in (height, pos) order: the last match is the latest.
-        for height, pos, bd in reversed(entry):
-            if height < len(blocks) and blocks[height].digest() == bd:
-                return height, pos
-        return None
+        entry = self.index.last(tx_digest, self._digest_at)
+        return None if entry is None else entry[:2]
 
     def contains_tx(self, tx_digest: bytes) -> bool:
         return self.locate(tx_digest) is not None

@@ -20,8 +20,12 @@ its seal declares.
 
 A receipt is the status a transaction ended with: ``"ok"`` or the error
 code of a failed call. Each node keeps the receipts of every stored
-block in tx order and one ``(height, status)`` entry per canonical
-transaction.
+block in tx order. The nodes of one simulation share one tx index
+(``chain.TxIndex``) that lists every executed block holding each tx,
+side branches included; a node's ``canonical_receipts`` is a read-only
+view that maps a tx to ``(height, status)`` of its last occurrence on
+that node's canonical chain. The index also answers pool admission: a
+tx is a duplicate if it is pending or in a block the node stores.
 
 Reorganizations re-execute nothing: the state of every stored block is
 computed exactly once per simulation, when the block first arrives at any
@@ -34,11 +38,12 @@ digest and so the whole branch; a stored state is never written to.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 
 from . import contract as sc
-from .chain import MAX_TARGET, Block, Checkpoint, PowSeal, build_block, genesis_block
+from .chain import MAX_TARGET, Block, Checkpoint, PowSeal, TxIndex, build_block, genesis_block
 from .crypto import (
     Keyring,
     Reader,
@@ -225,6 +230,52 @@ def execute_block(parent_state: ChainState, block: Block,
     return state, receipts
 
 
+class CanonicalReceipts(Mapping):
+    """Read-only view of one node's canonical txs: digest -> (height, status).
+
+    Backed by the shared ``TxIndex``: a tx maps to its last occurrence on
+    the node's canonical chain. Iteration and ``len`` walk the canonical
+    blocks; nothing is stored per tx.
+    """
+
+    __slots__ = ("_node",)
+
+    def __init__(self, node: "InterNode"):
+        self._node = node
+
+    def _entry(self, tx_digest: bytes):
+        node = self._node
+        return node.index.last(tx_digest, node._canonical_at)
+
+    def get(self, tx_digest: bytes, default=None):
+        entry = self._entry(tx_digest)
+        if entry is None:
+            return default
+        height, pos, bd = entry
+        return height, self._node.block_receipts[bd][pos]
+
+    def __getitem__(self, tx_digest: bytes) -> tuple[int, str]:
+        receipt = self.get(tx_digest)
+        if receipt is None:
+            raise KeyError(tx_digest)
+        return receipt
+
+    def __contains__(self, tx_digest) -> bool:
+        return self._entry(tx_digest) is not None
+
+    def __iter__(self):
+        # A tx is yielded at its last canonical occurrence only.
+        node = self._node
+        for h, bd in enumerate(node.canonical[1:], start=1):
+            for pos, tx in enumerate(node.blocks[bd].txs):
+                d = tx.digest()
+                if self._entry(d) == (h, pos, bd):
+                    yield d
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 @dataclass
 class AdoptResult:
     reason: str = ""  # why nothing was stored
@@ -246,6 +297,7 @@ class InterNode:
         confirmation_depth: int,
         block_capacity: int,
         executions: dict | None = None,
+        index: TxIndex | None = None,
     ):
         self.address = address
         self.keyring = keyring
@@ -259,13 +311,12 @@ class InterNode:
         # Block digest -> executed (state, receipts). Shared only among nodes
         # with the same keyring and genesis state; private if None.
         self.executions: dict[bytes, tuple] = executions if executions is not None else {}
+        # Every stored block's txs, shared like the memo; private if None.
+        self.index = index if index is not None else TxIndex()
         self.canonical: list[bytes] = [gd]
         self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
-        self.seen: set[bytes] = set()
         self.orphans: dict[bytes, Block] = {}
         self.confirmed: set[bytes] = set()
-        # Every canonical tx: digest -> (height, status).
-        self.canonical_receipts: dict[bytes, tuple[int, str]] = {}
         self._confirm_frontier = 0  # highest canonical height already scanned
 
     # -- views -------------------------------------------------------------
@@ -277,6 +328,15 @@ class InterNode:
     @property
     def tip_height(self) -> int:
         return len(self.canonical) - 1
+
+    @property
+    def canonical_receipts(self) -> CanonicalReceipts:
+        """Every canonical tx: digest -> (height, status)."""
+        return CanonicalReceipts(self)
+
+    def _canonical_at(self, height: int) -> bytes | None:
+        canonical = self.canonical
+        return canonical[height] if height < len(canonical) else None
 
     @property
     def confirmed_height(self) -> int:
@@ -302,7 +362,7 @@ class InterNode:
 
     def submit_tx(self, tx: InterTx) -> tuple[bool, str]:
         d = tx.digest()
-        if d in self.seen:
+        if d in self.pending or any(bd in self.blocks for _, _, bd in self.index.occurrences(d)):
             return False, "Duplicate"
         if not self.keyring.verify_signed(tx):
             return False, "BadSignature"
@@ -315,7 +375,6 @@ class InterNode:
             info = state.contracts.get(tx.contract_id)
             if info is None or tx.sender != info.admin:
                 return False, "Unauthorized"
-        self.seen.add(d)
         self.pending[d] = tx
         return True, ""
 
@@ -368,8 +427,7 @@ class InterNode:
         self.blocks[d] = block
         self.states[d] = state
         self.block_receipts[d] = receipts
-        for tx in block.txs:
-            self.seen.add(tx.digest())
+        self.index.add(block, d)
 
         result = AdoptResult(adopted_blocks=(block,))
         if block.height > self.tip_height:
@@ -396,10 +454,8 @@ class InterNode:
 
     def _extend(self, d: bytes, block: Block) -> None:
         self.canonical.append(d)
-        for tx, status in zip(block.txs, self.block_receipts[d]):
-            td = tx.digest()
-            self.pending.pop(td, None)
-            self.canonical_receipts[td] = (block.height, status)
+        for tx in block.txs:
+            self.pending.pop(tx.digest(), None)
 
     def _reorg(self, new_tip: bytes, block: Block, displaced_txs: list) -> int:
         # Walk the new branch back to the first block already canonical.
@@ -417,7 +473,6 @@ class InterNode:
             for tx in self.blocks[bd].txs:
                 td = tx.digest()
                 displaced_txs.append(td)
-                self.canonical_receipts.pop(td, None)
                 if td not in self.pending:
                     self.pending[td] = tx
         self.canonical = self.canonical[: fork_height + 1]

@@ -243,14 +243,16 @@ def build(scn: Scenario) -> RunHandles:
     # -- inter nodes -------------------------------------------------------------
     miner_node_ids = [f"miner:{i}" for i in range(scn.inter.miners)]
     all_inter_ids = miner_node_ids + ["admin"] + [n for d in scn.domains for n in dlg_ids[d.zone_id]]
-    # One execution per block for the whole simulation: every inter node has
-    # the same keyring and genesis state.
+    # One execution and one tx index entry per block for the whole
+    # simulation: every inter node has the same keyring and genesis state.
     executions: dict = {}
+    inter_index = TxIndex()
 
     def new_inter_node(addr: bytes):
         return InterNode(addr, keyring, genesis_state,
                          confirmation_depth=scn.inter.confirmation_depth,
-                         block_capacity=scn.inter.block_capacity, executions=executions)
+                         block_capacity=scn.inter.block_capacity, executions=executions,
+                         index=inter_index)
 
     for i, mk in enumerate(miner_keys):
         inter = new_inter_node(mk.address)

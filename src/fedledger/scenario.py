@@ -174,14 +174,19 @@ class Scenario:
             if d.zone_id in zones or d.zone_id < 1:
                 raise ValidationError(f"bad or duplicate zone_id {d.zone_id}")
             zones.add(d.zone_id)
-        # A crash or recover names a node the run builds. Only a validator
-        # has byzantine behaviours; on any other node they do nothing.
+        # A crash, recover or partition names only nodes the run builds.
+        # Only a validator has byzantine behaviours; on any other node they
+        # do nothing.
         node_ids = self.node_ids()
         byz_nodes: dict[int, set] = {}
         for i, f in enumerate(self.faults):
             fault, node = f.get("fault"), f.get("node")
-            if fault in ("crash", "recover") and node not in node_ids:
-                raise ValidationError(f"faults[{i}]: {fault} node {node!r} is not a node of this run")
+            named = [node] if fault in ("crash", "recover") else []
+            if fault == "partition":
+                named = [n for group in f.get("groups", ()) for n in group]
+            for n in named:
+                if n not in node_ids:
+                    raise ValidationError(f"faults[{i}]: {fault} node {n!r} is not a node of this run")
             if fault == "byzantine":
                 if node not in node_ids or not node.startswith("val:"):
                     raise ValidationError(

@@ -124,6 +124,20 @@ class TestSharedReplicaFacts:
         inter = [m.inter for m in h.miners] + [h.admin.inter] + \
             [d.inter for z in h.delegates for d in h.delegates[z]]
         assert len({id(n.executions) for n in inter}) == 1
+        assert len({id(n.index) for n in inter}) == 1
+        assert all(inter[0].index is not i for i in indexes.values())
+
+    def test_inter_nodes_keep_per_tx_state_only_in_pending_and_confirmed(self):
+        _, h = run(session_scenario())
+        inter = [m.inter for m in h.miners] + [h.admin.inter] + \
+            [d.inter for z in h.delegates for d in h.delegates[z]]
+        txs = {tx.digest() for n in inter for b in n.blocks.values() for tx in b.txs}
+        assert txs and txs <= inter[0].index.txs.keys()
+        for n in inter:
+            assert txs & n.confirmed
+            for name, value in vars(n).items():
+                if name not in ("pending", "confirmed") and isinstance(value, (dict, set)):
+                    assert not txs & set(value), name
 
     def test_log_records_share_one_string_per_address_and_tx(self):
         _, h = run(session_scenario())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedledger import powchain
 from fedledger.analysis import ks_exponential
-from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, build_block, genesis_block
+from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, TxIndex, build_block, genesis_block
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import Keyring, sha256
 from fedledger.eventlog import EventLog, check_safety
@@ -133,6 +133,48 @@ class TestPoolAdmission:
         assert node.submit_tx(tx)[0]
         ok, reason = node.submit_tx(tx)
         assert not ok and reason == "Duplicate"
+
+    @staticmethod
+    def side_branch(keyring, node, tx):
+        """Store a height-1 block holding ``tx`` beside the canonical one."""
+        miner = keyring.new_account().address
+        g = node.canonical[0]
+        main = build_block(g, 1, [], 1, PowSeal(miner, 1, MAX_TARGET))
+        side = build_block(g, 1, [tx], 2, PowSeal(miner, 2, MAX_TARGET))
+        assert node.on_block(main).tip_changed and node.on_block(side).adopted_blocks
+        assert node.tip == main.digest()
+
+    def test_tx_of_a_stored_side_branch_block_is_a_duplicate(self, keyring):
+        # Never submitted here, not pending and not canonical: only the
+        # stored side-branch block holds it.
+        sender = keyring.new_account()
+        _, node = make_node(keyring, balances={sender.address: 1000})
+        tx = noop(keyring, sender, 1)
+        self.side_branch(keyring, node, tx)
+        assert tx.digest() not in node.pending and tx.digest() not in node.canonical_receipts
+        assert node.submit_tx(tx) == (False, "Duplicate")
+
+    def test_tx_of_a_buffered_orphan_is_accepted(self, keyring):
+        sender = keyring.new_account()
+        _, node = make_node(keyring, balances={sender.address: 1000})
+        tx = noop(keyring, sender, 1)
+        miner = keyring.new_account().address
+        parent = build_block(node.canonical[0], 1, [], 1, PowSeal(miner, 1, MAX_TARGET))
+        orphan = build_block(parent.digest(), 2, [tx], 2, PowSeal(miner, 2, MAX_TARGET))
+        assert node.on_block(orphan).reason == "orphan"
+        assert node.submit_tx(tx) == (True, "")
+
+    def test_tx_of_a_block_only_another_node_stores_is_accepted(self, keyring):
+        # The index is shared, but a node answers from its own blocks.
+        sender = keyring.new_account()
+        index = TxIndex()
+        state = ChainState({sender.address: 1000})
+        holder, fresh = (inter_node(keyring, keyring.new_account().address, state, index=index)
+                         for _ in range(2))
+        tx = noop(keyring, sender, 1)
+        self.side_branch(keyring, holder, tx)
+        assert fresh.submit_tx(tx) == (True, "")
+        assert holder.submit_tx(tx) == (False, "Duplicate")
 
     def test_wrong_fee_rejected(self, keyring):
         sender = keyring.new_account()
@@ -352,11 +394,14 @@ class TestRevertOracle:
 
 
 class TestCanonicalReceipts:
-    """The canonical-tx index against a from-scratch walk of the chain."""
+    """The canonical-tx view against a from-scratch walk of the chain."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_index_matches_canonical_chain(self, data):
+    @staticmethod
+    def check_random_tree(data, repeats):
+        """Deliver a random block tree in random order; after every block,
+        compare the view with a walk of the canonical chain in which the
+        last occurrence of a tx wins. ``repeats`` lets a branch hold a tx
+        more than once."""
         keyring = Keyring(random.Random(data.draw(st.integers(0, 2**16), label="keys")))
         sender, miner = keyring.new_account(), keyring.new_account()
         # Three fees' worth of funds: a branch's fourth noop fails, so a
@@ -365,12 +410,14 @@ class TestCanonicalReceipts:
         pool.append(signed_inter_tx(sender, 9, M_SETTLE, fee=1))  # UnknownContract
         _, node = make_node(keyring, balances={sender.address: 3}, k=2)
         blocks, paths = [], [frozenset()]  # paths[i]: txs on the path to block i (0 = genesis)
-        for i in range(data.draw(st.integers(1, 8), label="blocks")):
-            p = data.draw(st.integers(0, i), label="parent")
+        for i in range(data.draw(st.integers(4 if repeats else 1, 8), label="blocks")):
+            # Repeats fork near the tip, so displaced copies are common.
+            p = data.draw(st.integers(max(0, i - 2) if repeats else 0, i), label="parent")
             parent = blocks[p - 1] if p else None
-            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), unique=True, max_size=4),
-                              label="txs")
-            txs = [pool[j] for j in picks if j not in paths[p]]  # a tx once per branch
+            # Repeats draw from three txs, so a branch often holds one twice.
+            picks = data.draw(st.lists(st.integers(0, 2 if repeats else len(pool) - 1),
+                                       unique=not repeats, max_size=4), label="txs")
+            txs = [pool[j] for j in picks if repeats or j not in paths[p]]
             blocks.append(build_block(parent.digest() if parent else node.canonical[0],
                                       parent.height + 1 if parent else 1, txs, i,
                                       PowSeal(miner.address, i, MAX_TARGET)))
@@ -386,8 +433,41 @@ class TestCanonicalReceipts:
             for h, bd in enumerate(node.canonical[1:], start=1):
                 for pos, tx in enumerate(node.blocks[bd].txs):
                     expect[tx.digest()] = (h, node.block_receipts[bd][pos])
-            assert node.canonical_receipts == expect
-            assert node.confirmed <= node.canonical_receipts.keys()
+            view = node.canonical_receipts
+            assert view == expect
+            assert len(view) == len(expect) and sorted(view) == sorted(expect)
+            assert all(view.get(d) == v and d in view for d, v in expect.items())
+            assert view.get(b"\x00" * 32) is None and b"\x00" * 32 not in view
+            assert node.confirmed <= view.keys()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_index_matches_canonical_chain(self, data):
+        self.check_random_tree(data, repeats=False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_view_matches_canonical_chain_when_branches_repeat_txs(self, data):
+        self.check_random_tree(data, repeats=True)
+
+    def test_displaced_copy_leaves_the_lower_copy_canonical(self, keyring):
+        # One branch holds T at heights 1 and 2; a longer sibling of the
+        # height-2 block displaces it. T is still canonical at height 1.
+        sender = keyring.new_account()
+        _, node = make_node(keyring, balances={sender.address: 10})
+        tx = noop(keyring, sender, 1)
+        miner = keyring.new_account().address
+        b1 = build_block(node.canonical[0], 1, [tx], 1, PowSeal(miner, 1, MAX_TARGET))
+        b2 = build_block(b1.digest(), 2, [tx], 2, PowSeal(miner, 2, MAX_TARGET))
+        for b in (b1, b2):
+            node.on_block(b)
+        assert node.canonical_receipts[tx.digest()] == (2, "ok")
+        s2 = build_block(b1.digest(), 2, [], 3, PowSeal(miner, 3, MAX_TARGET))
+        s3 = build_block(s2.digest(), 3, [], 4, PowSeal(miner, 4, MAX_TARGET))
+        node.on_block(s2)
+        assert node.on_block(s3).reorg_depth == 1
+        assert node.canonical[1] == b1.digest()
+        assert node.canonical_receipts.get(tx.digest()) == (1, "ok")
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

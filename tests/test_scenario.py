@@ -124,6 +124,10 @@ class TestValidation:
         ({"workload": {"intra_payload_bytes": 1025}}, r"workload\.intra_payload_bytes"),
         ({"workload": {"intra_payload_bytes": -1}}, r"workload\.intra_payload_bytes"),
         ({"inter": {"miners": 0}}, r"inter\.miners"),
+        # A partition group naming a node the run never builds.
+        ({"faults": [{"at_ms": 0, "fault": "partition",
+                      "groups": [["val:1:0", "val:1:1"], ["vall:1:2", "val:1:3"]]}]},
+         r"^faults\[0\]: partition node 'vall:1:2' is not a node of this run"),
     ])
     def test_values_a_run_cannot_survive(self, raw, key):
         # Each value hangs or crashes a run: a timer period of 0 re-arms at
