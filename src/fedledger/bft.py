@@ -42,10 +42,19 @@ it again when it equals the (digest, signature) it already verified and
 recorded as that sender's precommit for the same height and round; every
 other entry, and every entry a ``ZoneFollower`` checks, is verified.
 
+A proposal counts only if its block passes Tendermint's valid(v)
+(arXiv:1807.04938, Alg. 1 l. 22), here the checks ``submit_tx`` makes:
+every tx is of this zone, signed, not on this ledger and not repeated in
+the block. A tx already in the mempool passed them on entry.
+
 Per message, membership is a set test, a DECISION at or below the
 ledger head is dropped before its signature is checked, and each quorum
 scan of ``_maybe_progress`` runs only once some count of its tally has
-reached the quorum at the current height.
+reached the quorum at the current height. A scan always ends at a fixed
+point, and a vote that takes no count to exactly the quorum changes
+nothing it acts on, so such a vote is not scanned unless something else
+changed since the last scan ended (a new height, a deadline); every
+proposal is scanned.
 """
 
 from __future__ import annotations
@@ -69,6 +78,12 @@ class Step(Enum):
     PROPOSE = 1
     PREVOTE = 2
     PRECOMMIT = 3
+
+
+# The members, bound once: the message path reads these module globals and
+# compares them with ``is``, which costs a fraction of an Enum attribute lookup.
+PROPOSAL, PREVOTE, PRECOMMIT, DECISION = MsgKind.PROPOSAL, MsgKind.PREVOTE, MsgKind.PRECOMMIT, MsgKind.DECISION
+PROPOSE_STEP, PREVOTE_STEP, PRECOMMIT_STEP = Step.PROPOSE, Step.PREVOTE, Step.PRECOMMIT
 
 
 @dataclass(frozen=True)
@@ -185,7 +200,7 @@ class CommitteeReplica:
             if checked.get(addr) == (digest, sig):
                 good += 1
                 continue
-            probe = ConsensusMsg(MsgKind.PRECOMMIT, block.height, seal.round, digest, addr)
+            probe = ConsensusMsg(PRECOMMIT, block.height, seal.round, digest, addr)
             if self.keyring.verify(addr, probe.signing_bytes(), sig):
                 good += 1
         return good >= self.quorum
@@ -246,7 +261,7 @@ class Validator(CommitteeReplica):
         """Fresh state for the height above the ledger head, round 0."""
         self.height = self.ledger.height + 1
         self.round = 0
-        self.step = Step.PROPOSE
+        self.step = PROPOSE_STEP
         self.locked_block: Block | None = None
         self.locked_round = -1
         # Vote state of this height. Own votes are entered too, so the
@@ -263,6 +278,11 @@ class Validator(CommitteeReplica):
         # acts on nothing.
         self.prevote_quorum = False
         self.precommit_quorum = False
+        # True while the state _maybe_progress reads is what its last scan
+        # left, a fixed point: then a vote that takes no count to the
+        # quorum cannot make it act, and on_msg skips the scan. Every
+        # change made outside a scan clears it.
+        self.settled = False
 
     # -- helpers ---------------------------------------------------------
 
@@ -298,14 +318,15 @@ class Validator(CommitteeReplica):
 
     # -- mempool ------------------------------------------------------------
 
+    def _admissible(self, tx: IntraTx, d: bytes) -> bool:
+        """Whether a tx with digest ``d`` may enter a block: of this zone,
+        not on this ledger, and signed."""
+        return tx.zone_id == self.zone_id and not self.ledger.contains_tx(d) and self.keyring.verify_signed(tx)
+
     def submit_tx(self, tx: IntraTx) -> bool:
         """Validate and pool a transaction; False when rejected."""
-        if tx.zone_id != self.zone_id:
-            return False
         d = tx.digest()
-        if d in self.mempool or self.ledger.contains_tx(d):
-            return False
-        if not self.keyring.verify_signed(tx):
+        if d in self.mempool or not self._admissible(tx, d):
             return False
         self.mempool[d] = tx
         return True
@@ -318,7 +339,7 @@ class Validator(CommitteeReplica):
         return effects
 
     def on_propose_timer(self, now: float, height: int) -> list:
-        if height != self.height or self.round != 0 or Step.PROPOSE != self.step:
+        if height != self.height or self.round != 0 or self.step is not PROPOSE_STEP:
             return []
         if self.proposer(self.height, self.round) != self.validator_id:
             return []
@@ -328,15 +349,16 @@ class Validator(CommitteeReplica):
         if epoch != self.deadline_epoch:
             return []  # stale: state advanced since this was scheduled
         effects: list = []
-        if self.step == Step.PROPOSE:
+        self.settled = False  # step, round and own nil votes change unscanned
+        if self.step is PROPOSE_STEP:
             if not self._voted(self.prevotes, self.round):
-                effects.append(Broadcast(self._vote(MsgKind.PREVOTE, None)))
-            self.step = Step.PREVOTE
+                effects.append(Broadcast(self._vote(PREVOTE, None)))
+            self.step = PREVOTE_STEP
             self._bump(effects, now)
-        elif self.step == Step.PREVOTE:
+        elif self.step is PREVOTE_STEP:
             if not self._voted(self.precommits, self.round):
-                effects.append(Broadcast(self._vote(MsgKind.PRECOMMIT, None)))
-            self.step = Step.PRECOMMIT
+                effects.append(Broadcast(self._vote(PRECOMMIT, None)))
+            self.step = PRECOMMIT_STEP
             self._bump(effects, now)
         else:
             self._enter_round(self.round + 1, now, effects)
@@ -346,7 +368,8 @@ class Validator(CommitteeReplica):
         """Validate, record, and react to a consensus message."""
         if msg.sender not in self.members:
             return []
-        is_decision = msg.kind == MsgKind.DECISION
+        kind = msg.kind
+        is_decision = kind is DECISION
         if is_decision and (msg.block is None or msg.block.height <= self.ledger.height):
             return []  # nothing to adopt, whatever the signature
         if not self.keyring.verify_signed(msg):
@@ -358,10 +381,10 @@ class Validator(CommitteeReplica):
             return effects
         if msg.height != self.height:
             return []  # stale or future height; DECISION sync covers gaps
-        if msg.kind == MsgKind.PROPOSAL:
+        if kind is PROPOSAL:
             self._record_proposal(msg)
-        else:
-            self._record_vote(msg)
+        elif not self._record_vote(msg) and self.settled:
+            return effects  # no count reached the quorum: the scan would act on nothing
         self._maybe_progress(now, effects)
         return effects
 
@@ -373,7 +396,7 @@ class Validator(CommitteeReplica):
         block = msg.block
         if block.height != self.height or block.parent != self.ledger.head_digest():
             return
-        if msg.block_digest != block.digest():
+        if msg.block_digest != block.digest() or not self._valid_txs(msg):
             return
         seen = self.proposals.get(msg.round)
         if seen is not None:
@@ -384,9 +407,31 @@ class Validator(CommitteeReplica):
             return
         self.proposals[msg.round] = block
 
-    def _record_vote(self, msg: ConsensusMsg) -> None:
-        """Enter a PREVOTE or PRECOMMIT into its table and tally, once per sender and round."""
-        prevote = msg.kind == MsgKind.PREVOTE
+    def _valid_txs(self, msg: ConsensusMsg) -> bool:
+        """Whether every tx of a proposed block is admissible and none is
+        repeated. A tx in the mempool was admitted on entry. The set of tx
+        digests is kept on the message, which every receiver shares."""
+        txs = msg.block.txs
+        digests = msg.__dict__.get("_tx_digests")
+        if digests is None:
+            digests = frozenset(tx.digest() for tx in txs)
+            object.__setattr__(msg, "_tx_digests", digests)
+        if len(digests) != len(txs):
+            return False
+        mempool = self.mempool
+        if mempool.keys() >= digests:
+            return True
+        for tx in txs:
+            d = tx.digest()
+            if d not in mempool and not self._admissible(tx, d):
+                return False
+        return True
+
+    def _record_vote(self, msg: ConsensusMsg) -> bool:
+        """Enter a PREVOTE or PRECOMMIT into its table and tally, once per
+        sender and round. True when it takes a count to exactly the quorum:
+        counts grow by one, so each count crosses once."""
+        prevote = msg.kind is PREVOTE
         if prevote:
             table, tally, step, value = self.prevotes, self.prevote_tally, "prevote", msg.block_digest
         else:
@@ -400,15 +445,17 @@ class Validator(CommitteeReplica):
                 self.evidence.append(
                     Evidence(msg.sender, msg.height, msg.round, step, (prior_digest, msg.block_digest))
                 )
-            return
+            return False
         votes[msg.sender] = value
         counts = tally.setdefault(msg.round, {})
         c = counts[msg.block_digest] = counts.get(msg.block_digest, 0) + 1
-        if c >= self.quorum:
-            if prevote:
-                self.prevote_quorum = True
-            else:
-                self.precommit_quorum = True
+        if c != self.quorum:
+            return False
+        if prevote:
+            self.prevote_quorum = True
+        else:
+            self.precommit_quorum = True
+        return True
 
     # -- state transitions ------------------------------------------------------
 
@@ -420,7 +467,7 @@ class Validator(CommitteeReplica):
             block = build_block(self.ledger.head_digest(), self.height, txs, int(now),
                                 BftSeal(proposer=self.validator_id, round=self.round))
         msg = self._sign(
-            ConsensusMsg(MsgKind.PROPOSAL, self.height, self.round, block.digest(), self.validator_id, block=block)
+            ConsensusMsg(PROPOSAL, self.height, self.round, block.digest(), self.validator_id, block=block)
         )
         effects = [Broadcast(msg)]
         # A proposal is also processed locally, which triggers our own prevote.
@@ -430,7 +477,7 @@ class Validator(CommitteeReplica):
 
     def _enter_round(self, round_: int, now: float, effects: list) -> None:
         self.round = round_
-        self.step = Step.PROPOSE
+        self.step = PROPOSE_STEP
         self._bump(effects, now)
         if self.proposer(self.height, round_) == self.validator_id:
             # Rounds after 0 propose immediately; pacing applies to round 0 only.
@@ -444,13 +491,13 @@ class Validator(CommitteeReplica):
         while changed:
             changed = False
             # Prevote on the current round's proposal.
-            if self.step == Step.PROPOSE and not self._voted(self.prevotes, self.round):
+            if self.step is PROPOSE_STEP and not self._voted(self.prevotes, self.round):
                 block = self.proposals.get(self.round)
                 if block is not None:
                     d = block.digest()
                     vote = d if (self.locked_block is None or self.locked_block.digest() == d) else None
-                    effects.append(Broadcast(self._vote(MsgKind.PREVOTE, vote)))
-                    self.step = Step.PREVOTE
+                    effects.append(Broadcast(self._vote(PREVOTE, vote)))
+                    self.step = PREVOTE_STEP
                     self._bump(effects, now)
                     changed = True
             # Prevote quorums: lock and precommit, or unlock on a later polka.
@@ -460,9 +507,9 @@ class Validator(CommitteeReplica):
                     if c < self.quorum:
                         continue
                     if d is None:
-                        if r == self.round and self.step == Step.PREVOTE and not self._voted(self.precommits, r):
-                            effects.append(Broadcast(self._vote(MsgKind.PRECOMMIT, None)))
-                            self.step = Step.PRECOMMIT
+                        if r == self.round and self.step is PREVOTE_STEP and not self._voted(self.precommits, r):
+                            effects.append(Broadcast(self._vote(PRECOMMIT, None)))
+                            self.step = PRECOMMIT_STEP
                             self._bump(effects, now)
                             changed = True
                         continue
@@ -476,12 +523,12 @@ class Validator(CommitteeReplica):
                         and not self._voted(self.precommits, r)
                         and block is not None
                         and block.digest() == d
-                        and self.step in (Step.PROPOSE, Step.PREVOTE)
+                        and self.step is not PRECOMMIT_STEP
                     ):
                         self.locked_block = block
                         self.locked_round = r
-                        effects.append(Broadcast(self._vote(MsgKind.PRECOMMIT, d)))
-                        self.step = Step.PRECOMMIT
+                        effects.append(Broadcast(self._vote(PRECOMMIT, d)))
+                        self.step = PRECOMMIT_STEP
                         self._bump(effects, now)
                         changed = True
             # Precommit quorums: commit (any round), or advance on a nil quorum.
@@ -512,6 +559,7 @@ class Validator(CommitteeReplica):
                         break
                 if changed:
                     break
+        self.settled = True
 
     def _commit(self, blocks: list[Block], now: float, effects: list, announce: bool) -> None:
         """Effects of blocks just appended, each with the timers of the height
@@ -524,7 +572,7 @@ class Validator(CommitteeReplica):
             for tx in block.txs:
                 self.mempool.pop(tx.digest(), None)
             if announce:
-                decision = ConsensusMsg(MsgKind.DECISION, block.height, block.seal.round, block.digest(),
+                decision = ConsensusMsg(DECISION, block.height, block.seal.round, block.digest(),
                                         self.validator_id, block=block)
                 effects.append(Broadcast(self._sign(decision)))
             effects.append(Committed(block))

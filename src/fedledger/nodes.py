@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .bft import Broadcast, Committed, ConsensusMsg, Deadline, MsgKind, ProposeAt, Validator
+from .bft import DECISION, PROPOSAL, Broadcast, Committed, ConsensusMsg, Deadline, ProposeAt, Validator
 from .chain import Block, IntraTx, parse_transfer, signed_intra_tx
 from .crypto import enc_u64
 from .powchain import FEE, M_NOOP, InterNode, signed_inter_tx
@@ -95,7 +95,9 @@ class ValidatorNode(Node):
         if isinstance(msg, TxSubmit):
             self.core.submit_tx(msg.tx)
         elif isinstance(msg, ConsensusMsg):
-            self._apply(sim, self.core.on_msg(sim.now, msg))
+            effects = self.core.on_msg(sim.now, msg)
+            if effects:  # most votes change nothing
+                self._apply(sim, effects)
 
     def on_timer(self, sim: Simulator, key) -> None:
         kind = key[0]
@@ -137,7 +139,7 @@ class ValidatorNode(Node):
     def _fanout(self, sim: Simulator, msg: ConsensusMsg) -> None:
         if self.behavior == "silent":
             return
-        if msg.kind == MsgKind.DECISION:
+        if msg.kind is DECISION:
             sim.multicast(self.node_id, self.decision_targets, msg)
             return
         peers = self.peers
@@ -152,7 +154,7 @@ class ValidatorNode(Node):
     def _equivocate(self, msg: ConsensusMsg) -> ConsensusMsg:
         """Conflicting variant of a proposal or vote for the other subset."""
         key = (msg.height, msg.round)
-        if msg.kind == MsgKind.PROPOSAL:
+        if msg.kind is PROPOSAL:
             alt_block = replace(msg.block, timestamp=msg.block.timestamp + 1)
             self._alternates[key] = (msg.block_digest, alt_block.digest())
             alt = ConsensusMsg(msg.kind, msg.height, msg.round, alt_block.digest(),
