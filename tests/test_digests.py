@@ -22,6 +22,7 @@ SCENARIOS = ROOT / "scenarios"
 PINS = {
     "byzantine-safety": "3ce81c27395be3945b7d3cddf028731618629f2e607640ca1a2497a1b0810a1b",
     "demo": "f2ea0a683ab1f6fe674ce323e64da6f90cc02212156b3c4a02420e9276bccbde",
+    "failover": "1e9164cb67aaccf6af2b8f16afee09513ae6f56e153f82060c27cb3e59cc57f7",
     "intra-throughput": "4e987afeca82e14d307170ccb4dd62ca06d0997459271f4675fa4b9c40492cef",
     "latency-inter": "1bb251fa30748dcf43349e5d9e0534d1ab5cac5557f671dd519086c68150c048",
     "latency-intra": "f28c67edaff5fc0b3b812116fac4d27dcece1cab8a63c7fdf4d5f2839124305b",
@@ -45,6 +46,14 @@ LEDGER_PINS = {
                    (4, 1.568821, 0.260706, 1.553427, 1.275875, 1.892557)),
         "zone:2": ((4, 4, 113, 0.022222),
                    (4, 1.470626, 0.223622, 1.427919, 1.203052, 1.823612)),
+    },
+    "failover": {
+        "inter": ((0, 14, 187, 0.093333),
+                  (0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        "zone:1": ((4, 4, 94, 0.026667),
+                   (4, 1.447417, 0.59321, 1.74372, 0.434922, 1.867306)),
+        "zone:2": ((4, 4, 94, 0.026667),
+                   (4, 1.516741, 0.292367, 1.582632, 1.107839, 1.793861)),
     },
     "intra-throughput": {
         "inter": ((0, 0, 6, 0.0),

@@ -6,13 +6,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from fedledger.chain import Checkpoint
+from fedledger.chain import Block, Checkpoint, PowSeal
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import sha256
 from fedledger.eventlog import replay_log
-from fedledger.nodes import CommitNotice, InterSubmit, InterSubmitAck
+from fedledger.nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck
 from fedledger import protocol, runner
-from fedledger.powchain import FEE, M_CONFIG_PUB, M_CONFIG_SUB, M_TRANSFER, ChainState, signed_inter_tx
+from fedledger.powchain import (FEE, M_COMMIT, M_CONFIG_PUB, M_CONFIG_SUB, M_TRANSFER, ChainState, InterTx,
+                               signed_inter_tx)
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
     CrossVerifyReq,
@@ -23,6 +24,7 @@ from fedledger.protocol import (
     PhaseDone,
     PhaseReq,
     Ping,
+    ReplaceDone,
     ReplaceReq,
     SessionFail,
 )
@@ -117,6 +119,13 @@ SID = (1).to_bytes(8, "big")
 CP = Checkpoint(2, b"\x11" * 32, 3, b"\x22" * 32)
 CP_BYTES = (2).to_bytes(4, "big") + b"\x11" * 32 + (3).to_bytes(8, "big") + b"\x22" * 32
 
+TX = InterTx(b"\xaa" * 20, 4, M_COMMIT, b"", 0, FEE, None, b"\x55" * 64)
+TX_BYTES = (b"\xaa" * 20 + (4).to_bytes(8, "big") + len(M_COMMIT).to_bytes(4, "big") + M_COMMIT.encode()
+            + (0).to_bytes(4, "big") + (0).to_bytes(8, "big") + FEE.to_bytes(8, "big") + b"\x00"
+            + (64).to_bytes(4, "big") + b"\x55" * 64)
+POW_ESSENCE = b"pow" + b"\xcc" * 20 + (9).to_bytes(8, "big") + b"\xff" * 32
+BLOCK = Block(b"\x22" * 32, 7, 1_500, PowSeal(b"\xcc" * 20, 9, 2 ** 256 - 1), (TX,))
+
 # Messages and their exact wire bytes. A reply goes to the message's
 # sender, so no return address is on the wire.
 GOLDEN_WIRE = [
@@ -131,6 +140,17 @@ GOLDEN_WIRE = [
     (Ping(1, 7), b"ping" + SID + (7).to_bytes(8, "big")),
     (CrossVerifyReq(2, CP), b"xvq" + (2).to_bytes(8, "big") + CP_BYTES),
     (CommitNotice(5, b"\x22" * 32, b"\x44" * 32), b"notice" + b"\x22" * 32 + b"\x44" * 32),
+    (ReplaceDone(4, b"\x00" * 20, b"\xbb" * 20, True),
+     b"rdon" + (4).to_bytes(8, "big") + b"\x00" * 20 + b"\xbb" * 20 + b"\x01"),
+    (ReplaceDone(4, b"\xaa" * 20, b"\xbb" * 20, False),
+     b"rdon" + (4).to_bytes(8, "big") + b"\xaa" * 20 + b"\xbb" * 20 + b"\x00"),
+    (InterSubmit(TX), b"intersub" + TX_BYTES),
+    (InterSubmitAck(b"\x44" * 32, True), b"interack" + b"\x44" * 32 + b"\x01"),
+    (InterSubmitAck(b"\x44" * 32, False, "Duplicate"), b"interack" + b"\x44" * 32 + b"\x00" + b"Duplicate"),
+    (BlockMsg(BLOCK),
+     b"\x22" * 32 + (7).to_bytes(8, "big") + sha256(sha256(TX_BYTES)) + (1_500).to_bytes(8, "big")
+     + POW_ESSENCE + POW_ESSENCE  # in the header, then again as the seal body
+     + (1).to_bytes(4, "big") + len(TX_BYTES).to_bytes(4, "big") + TX_BYTES),
 ]
 
 
