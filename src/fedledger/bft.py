@@ -47,14 +47,14 @@ A proposal counts only if its block passes Tendermint's valid(v)
 every tx is of this zone, signed, not on this ledger and not repeated in
 the block. A tx already in the mempool passed them on entry.
 
-Per message, membership is a set test, a DECISION at or below the
-ledger head is dropped before its signature is checked, and each quorum
-scan of ``_maybe_progress`` runs only once some count of its tally has
-reached the quorum at the current height. A scan always ends at a fixed
-point, and a vote that takes no count to exactly the quorum changes
-nothing it acts on, so such a vote is not scanned unless something else
-changed since the last scan ended (a new height, a deadline); every
-proposal is scanned.
+Per message, membership is a set test and a DECISION at or below the
+ledger head is dropped before its signature is checked. A scan of
+``_maybe_progress`` always ends at a fixed point, and a vote that takes
+no count to exactly the quorum changes nothing it acts on, so such a
+vote is not scanned unless something else changed since the last scan
+ended (a new height, a deadline); every proposal is scanned. A scan
+walks both tallies of the height whole, passing over the counts below
+the quorum.
 """
 
 from __future__ import annotations
@@ -273,11 +273,6 @@ class Validator(CommitteeReplica):
         # first-seen order: rounds as first voted in, digests as first voted for.
         self.prevote_tally: dict[int, dict[bytes | None, int]] = {}
         self.precommit_tally: dict[int, dict[bytes | None, int]] = {}
-        # Whether some count of the tally has reached the quorum. Until
-        # then _maybe_progress skips the tally: a count below the quorum
-        # acts on nothing.
-        self.prevote_quorum = False
-        self.precommit_quorum = False
         # True while the state _maybe_progress reads is what its last scan
         # left, a fixed point: then a vote that takes no count to the
         # quorum cannot make it act, and on_msg skips the scan. Every
@@ -449,13 +444,7 @@ class Validator(CommitteeReplica):
         votes[msg.sender] = value
         counts = tally.setdefault(msg.round, {})
         c = counts[msg.block_digest] = counts.get(msg.block_digest, 0) + 1
-        if c != self.quorum:
-            return False
-        if prevote:
-            self.prevote_quorum = True
-        else:
-            self.precommit_quorum = True
-        return True
+        return c == self.quorum
 
     # -- state transitions ------------------------------------------------------
 
@@ -502,7 +491,7 @@ class Validator(CommitteeReplica):
                     changed = True
             # Prevote quorums: lock and precommit, or unlock on a later polka.
             # Snapshots, as _enter_round and _commit can re-enter this method.
-            for r, counts in list(self.prevote_tally.items()) if self.prevote_quorum else ():
+            for r, counts in list(self.prevote_tally.items()):
                 for d, c in list(counts.items()):
                     if c < self.quorum:
                         continue
@@ -534,7 +523,7 @@ class Validator(CommitteeReplica):
             # Precommit quorums: commit (any round), or advance on a nil quorum.
             # The tables of this height: _new_height replaces both maps.
             precommits = self.precommits
-            for r, counts in list(self.precommit_tally.items()) if self.precommit_quorum else ():
+            for r, counts in list(self.precommit_tally.items()):
                 for d, c in list(counts.items()):
                     if c < self.quorum:
                         continue

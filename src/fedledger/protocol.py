@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .bft import ConsensusMsg, MsgKind, ZoneFollower, committee_bounds
 from .chain import Checkpoint, IntraTx, transfer_payload, verify_checkpoint
 from .contract import BrokerInfo, BrokerStatus
-from .crypto import enc_address, enc_u32, enc_u64, sha256
+from .crypto import enc_address, enc_u64, sha256
 from .nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck, submit_intra
 from .powchain import (
     FEE,
@@ -55,20 +55,18 @@ OTHER_SIDE = {PUB: SUB, SUB: PUB}
 
 class Phase(str, Enum):
     """A session's progress. Members rank in definition order (terminal
-    FAILED last) and equal the name they are logged under; ``verb`` is
-    the word PhaseReq and PhaseDone put on the wire."""
+    FAILED last) and equal the name they are logged under."""
 
-    IDLE = ("IDLE", "")
-    DELEGATED = ("DELEGATED", "")
-    CONFIGURED = ("CONFIGURED", "configure")
-    COMMITTED = ("COMMITTED", "commit")
-    SETTLED = ("SETTLED", "settle")
-    FAILED = ("FAILED", "")
+    IDLE = "IDLE"
+    DELEGATED = "DELEGATED"
+    CONFIGURED = "CONFIGURED"
+    COMMITTED = "COMMITTED"
+    SETTLED = "SETTLED"
+    FAILED = "FAILED"
 
-    def __new__(cls, name: str, verb: str):
+    def __new__(cls, name: str):
         phase = str.__new__(cls, name)
         phase._value_ = name
-        phase.verb = verb
         phase.rank = len(cls.__members__)
         return phase
 
@@ -93,6 +91,8 @@ def side_view(info: BrokerInfo, side: str) -> SideView:
 
 
 # -- protocol messages -------------------------------------------------------
+# A client talks only to brokers of its own zone: only the rebind messages
+# between a broker and the admin cross a zone, so only they have a wire form.
 
 @dataclass(frozen=True)
 class DelegationReq:
@@ -104,31 +104,6 @@ class DelegationReq:
     service: bytes  # digest of the requirements payload
     deposit: int
 
-    def wire_bytes(self) -> bytes:
-        return (
-            b"dreq" + enc_u64(self.session_id) + self.side.encode()
-            + enc_u32(self.zone_id) + enc_address(self.requester)
-            + self.checkpoint.serialize() + self.service + enc_u64(self.deposit)
-        )
-
-
-@dataclass(frozen=True)
-class DelegationAck:
-    session_id: int
-    delegate: bytes
-
-    def wire_bytes(self) -> bytes:
-        return b"dack" + enc_u64(self.session_id) + enc_address(self.delegate)
-
-
-@dataclass(frozen=True)
-class DelegationDeny:
-    session_id: int
-    reason: str
-
-    def wire_bytes(self) -> bytes:
-        return b"dnak" + enc_u64(self.session_id) + self.reason.encode()
-
 
 @dataclass(frozen=True)
 class PhaseReq:
@@ -137,27 +112,22 @@ class PhaseReq:
     session_id: int
     phase: Phase  # CONFIGURED | COMMITTED | SETTLED
 
-    def wire_bytes(self) -> bytes:
-        return b"preq" + enc_u64(self.session_id) + self.phase.verb.encode()
-
 
 @dataclass(frozen=True)
 class PhaseDone:
+    """The delegate reports a rung reached: DELEGATED acks a delegation."""
+
     session_id: int
     phase: Phase
     contract_id: int = 0
 
-    def wire_bytes(self) -> bytes:
-        return b"pdon" + enc_u64(self.session_id) + self.phase.verb.encode() + enc_u64(self.contract_id)
-
 
 @dataclass(frozen=True)
 class SessionFail:
+    """The delegate denies a delegation or fails the session."""
+
     session_id: int
     reason: str
-
-    def wire_bytes(self) -> bytes:
-        return b"sfail" + enc_u64(self.session_id) + self.reason.encode()
 
 
 @dataclass(frozen=True)
@@ -189,19 +159,11 @@ class Ping:
     """Delegate liveness probe; a missed reply triggers failover."""
 
     session_id: int
-    seq: int
-
-    def wire_bytes(self) -> bytes:
-        return b"ping" + enc_u64(self.session_id) + enc_u64(self.seq)
 
 
 @dataclass(frozen=True)
 class Pong:
     session_id: int
-    seq: int
-
-    def wire_bytes(self) -> bytes:
-        return b"pong" + enc_u64(self.session_id) + enc_u64(self.seq)
 
 
 @dataclass(frozen=True)
@@ -209,17 +171,11 @@ class CrossVerifyReq:
     query_id: int
     checkpoint: Checkpoint
 
-    def wire_bytes(self) -> bytes:
-        return b"xvq" + enc_u64(self.query_id) + self.checkpoint.serialize()
-
 
 @dataclass(frozen=True)
 class CrossVerifyResp:
     query_id: int
     found: bool
-
-    def wire_bytes(self) -> bytes:
-        return b"xvr" + enc_u64(self.query_id) + (b"\x01" if self.found else b"\x00")
 
 
 # -- inter-ledger participation shared by delegates and the admin ---------------
@@ -338,7 +294,7 @@ class DelegateNode(InterParticipant):
             self._advance(sim, s)
             return
         if isinstance(msg, Ping):
-            sim.send(self.node_id, src, Pong(msg.session_id, msg.seq))
+            sim.send(self.node_id, src, Pong(msg.session_id))
             s = self.sessions.get(msg.session_id)
             if s is not None:
                 self._advance(sim, s)
@@ -362,7 +318,7 @@ class DelegateNode(InterParticipant):
             return
         err = self._verify_request(m)
         if err is not None:
-            sim.send(self.node_id, src, DelegationDeny(m.session_id, err))
+            sim.send(self.node_id, src, SessionFail(m.session_id, err))
             return
         s = self.sessions.get(m.session_id)
         if s is None:
@@ -371,7 +327,8 @@ class DelegateNode(InterParticipant):
             self.sessions[m.session_id] = s
         else:
             s.client_node = src
-        sim.send(self.node_id, src, DelegationAck(m.session_id, self.key.address))
+        # Sent directly, not through _report: a repeated delegation is acked again.
+        sim.send(self.node_id, src, PhaseDone(m.session_id, DELEGATED))
 
     def _retry_pending_delegations(self, sim: Simulator) -> None:
         still = []
@@ -654,7 +611,6 @@ class SessionConfig:
     payload: bytes  # shared requirements payload (rendezvous key = its digest)
     deposit: int
     op_timeout_ms: float
-    deliver_after_ms: float = 0.0  # data delivery / payment readiness flag delay
 
 
 class ClientNode(Node):
@@ -683,7 +639,6 @@ class ClientNode(Node):
         self._req_tx: IntraTx | None = None
         self._fund_tx: IntraTx | None = None
         self._nonce = 0
-        self._ping_seq = 0
         self._pong_pending = False
         self.service = sha256(cfg.payload)
 
@@ -767,7 +722,7 @@ class ClientNode(Node):
             self._arm(sim, "intra", INTRA_TIMEOUT_MS)
             return
         if kind == "deliver":
-            # Scenario flag: data delivered / payment ready.
+            # Data delivered / payment ready: armed once CONFIGURED is reported.
             self._request(sim, COMMITTED)
             return
         if epoch != self.epoch:
@@ -783,8 +738,7 @@ class ClientNode(Node):
                 self._failover(sim)
                 return
             node, _ = self._current_delegate()
-            self._ping_seq += 1
-            sim.send(self.node_id, node, Ping(self.cfg.session_id, self._ping_seq))
+            sim.send(self.node_id, node, Ping(self.cfg.session_id))
             self._pong_pending = True
             self._rearm(sim, "ping", ACK_TIMEOUT_MS)
         elif kind == "op":
@@ -797,36 +751,31 @@ class ClientNode(Node):
             return
         if isinstance(msg, CommitNotice):
             self._on_notice(sim, src, msg)
-        elif isinstance(msg, DelegationAck):
-            if msg.session_id != self.cfg.session_id:
-                return
-            self._set_phase(sim, DELEGATED)
-            if self.cfg.side == SUB and not self.funded:
-                # Compensate the broker in-zone before it fronts the escrow.
-                # Memo 0: only seller payments carry a contract id memo.
-                _node, addr = self._current_delegate()
-                self._fund_tx = self._submit_intra(
-                    sim, transfer_payload(addr, self.cfg.deposit, memo=0))
-                self._arm(sim, "intra", INTRA_TIMEOUT_MS)
-                return
-            self._request(sim, self.goal or CONFIGURED)
         elif isinstance(msg, Pong):
             if msg.session_id == self.cfg.session_id and src == self._current_delegate()[0]:
                 self._pong_pending = False
-        elif isinstance(msg, DelegationDeny):
-            if msg.session_id == self.cfg.session_id:
-                self._fail(sim, msg.reason)
         elif isinstance(msg, SessionFail):
             if msg.session_id == self.cfg.session_id:
                 self._fail(sim, msg.reason)
         elif isinstance(msg, PhaseDone):
             if msg.session_id != self.cfg.session_id:
                 return
-            if msg.phase == CONFIGURED:
+            if msg.phase == DELEGATED:
+                self._set_phase(sim, DELEGATED)
+                if self.cfg.side == SUB and not self.funded:
+                    # Compensate the broker in-zone before it fronts the escrow.
+                    # Memo 0: only seller payments carry a contract id memo.
+                    _node, addr = self._current_delegate()
+                    self._fund_tx = self._submit_intra(
+                        sim, transfer_payload(addr, self.cfg.deposit, memo=0))
+                    self._arm(sim, "intra", INTRA_TIMEOUT_MS)
+                    return
+                self._request(sim, self.goal or CONFIGURED)
+            elif msg.phase == CONFIGURED:
                 self.contract_id = msg.contract_id
                 self._set_phase(sim, CONFIGURED)
                 self.epoch += 1  # cancel the op watchdog
-                sim.set_timer(self.node_id, sim.now + self.cfg.deliver_after_ms, ("deliver", 0))
+                sim.set_timer(self.node_id, sim.now, ("deliver", 0))
             elif msg.phase == COMMITTED:
                 self._set_phase(sim, COMMITTED)
                 self._request(sim, SETTLED)

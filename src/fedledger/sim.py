@@ -19,6 +19,11 @@ to a node without one is still drawn and transcribed like any other, so
 every later delay and the privacy transcript are unchanged, but it is
 never queued: it costs no event.
 
+Transcript: when enabled, every message sent on an inter link is recorded
+as (src, dst, msg.wire_bytes()) for the privacy scan. Only messages that
+cross a zone need a wire form; sending one without it across a zone
+raises, so no message type crosses unscanned.
+
 Faults: CRASH stops delivery to and from a node until RECOVER; BYZANTINE
 installs a behavior adapter on the node (equivocate / silent / delay);
 PARTITION drops traffic between the named groups until HEAL.
@@ -140,7 +145,9 @@ class Simulator:
         its own partition test, zone test, delay draw and queue entry, so
         a fan-out draws, numbers and times its messages exactly as that
         many single sends would. A destination without on_message is drawn
-        and transcribed but gets no queue entry.
+        and transcribed but gets no queue entry. With the transcript on,
+        a message sent on an inter link must have ``wire_bytes``: one
+        without fails the send rather than escape the privacy scan.
         """
         if src in self.crashed:
             return
@@ -153,8 +160,6 @@ class Simulator:
         deaf = self._deaf
         src_group = group_of.get(src) if group_of else None
         transcript = self.transcript
-        if transcript is not None and getattr(msg, "wire_bytes", None) is None:
-            transcript = None  # a message without wire bytes is not recorded
         wire = None  # encoded at the first inter link, then shared
         payload = (src, msg)
         for dst in dsts:

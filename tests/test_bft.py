@@ -651,13 +651,8 @@ class TestVoteTallies:
 
 
 class ScanningValidator(Validator):
-    """A validator that scans on every message: both tallies are scanned
-    from the start of each height, and every vote counts as one that took
-    a count to the quorum."""
-
-    def _new_height(self):
-        super()._new_height()
-        self.prevote_quorum = self.precommit_quorum = True
+    """A validator that scans on every message: every vote counts as one
+    that took a count to the quorum."""
 
     def _record_vote(self, msg):
         super()._record_vote(msg)
@@ -665,8 +660,7 @@ class ScanningValidator(Validator):
 
 
 class TestQuorumFlags:
-    """_maybe_progress skips a tally until some count reaches the quorum,
-    and on_msg skips the scan for a vote that takes no count to the quorum
+    """on_msg skips the scan for a vote that takes no count to the quorum
     while nothing else changed since the last scan. Under every fault kind
     a run's log equals that of the same run in which every validator scans
     on every message."""

