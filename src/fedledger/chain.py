@@ -95,9 +95,10 @@ def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
 
 # Typed payloads inside the opaque payload field. Tag 0x01 marks a value
 # transfer; anything else is an uninterpreted blob. A transfer encoding is
-# exactly 37 bytes, so requirement blobs (>= 64 bytes by convention) can
-# never collide with it.
+# exactly 37 bytes, so requirement blobs (at least MIN_REQUIREMENT_PAYLOAD
+# bytes, which Scenario.validate enforces) can never collide with it.
 TRANSFER_TAG = 0x01
+MIN_REQUIREMENT_PAYLOAD = 64
 _TRANSFER_LEN = 1 + ADDRESS_LEN + 8 + 8
 
 
@@ -355,9 +356,6 @@ class BalanceBook:
         self.balances: dict[bytes, int] = dict(initial or {})
         self.paid: set[tuple[bytes, int]] = set()
         self.failed: list[bytes] = []
-
-    def balance(self, addr: bytes) -> int:
-        return self.balances.get(addr, 0)
 
     def total(self) -> int:
         return sum(self.balances.values())

@@ -198,8 +198,6 @@ class MinerNode(Node):
 
     def _publish(self, sim: Simulator, block: Block) -> None:
         res = self.inter.on_block(block)
-        if not res.adopted_blocks:
-            return
         if self.collector is not None:
             self.collector.inter_block(res, sim.now)
         sim.multicast(self.node_id, self.peers, BlockMsg(block))

@@ -31,7 +31,7 @@ Reorganizations re-execute nothing: the state of every stored block is
 computed exactly once per simulation, when the block first arrives at any
 node, so switching branches is a pointer move plus pending-pool
 reconciliation, and replaying the winning chain from genesis reproduces
-identical state digests by construction. The nodes of one simulation
+identical states by construction. The nodes of one simulation
 share an execution memo keyed by block digest, which covers the parent
 digest and so the whole branch; a stored state is never written to.
 """
@@ -50,7 +50,6 @@ from .crypto import (
     enc_address,
     enc_blob,
     enc_u64,
-    enc_u8,
     sha256,
 )
 
@@ -132,23 +131,6 @@ class ChainState:
 
     def total_supply(self) -> int:
         return sum(self.balances.values()) + sum(c.escrow for c in self.contracts.values())
-
-    def digest(self) -> bytes:
-        out = bytearray()
-        for addr in sorted(self.balances):
-            out += addr + enc_u64(self.balances[addr])
-        for cid in sorted(self.contracts):
-            c = self.contracts[cid]
-            out += enc_u64(cid)
-            out += c.publisher_id + c.subscriber_id
-            out += enc_u64(c.pub_zid) + enc_u64(c.sub_zid)
-            out += enc_u8(c.pub_status) + enc_u8(c.sub_status)
-            out += c.pub_service + c.sub_service
-            out += enc_u8(int(c.pub_committed)) + enc_u8(int(c.sub_committed))
-            out += enc_u8(int(c.broker_status)) + enc_u64(c.escrow)
-            for cp in c.tx_refs:
-                out += cp.serialize()
-        return sha256(bytes(out))
 
 
 def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -> str:
@@ -349,14 +331,6 @@ class InterNode:
     def confirmed_state(self) -> ChainState:
         """State as of the deepest block with depth >= k (genesis if none)."""
         return self.states[self.canonical[max(0, self.confirmed_height)]]
-
-    def find_checkpoint(self, cp: Checkpoint) -> bool:
-        """True iff a confirmed canonical transaction carries exactly this checkpoint."""
-        for h in range(1, self.confirmed_height + 1):
-            for tx in self.blocks[self.canonical[h]].txs:
-                if tx.checkpoint == cp:
-                    return True
-        return False
 
     # -- pool -----------------------------------------------------------------
 

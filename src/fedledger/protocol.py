@@ -166,18 +166,6 @@ class Pong:
     session_id: int
 
 
-@dataclass(frozen=True)
-class CrossVerifyReq:
-    query_id: int
-    checkpoint: Checkpoint
-
-
-@dataclass(frozen=True)
-class CrossVerifyResp:
-    query_id: int
-    found: bool
-
-
 # -- inter-ledger participation shared by delegates and the admin ---------------
 
 class InterParticipant(Node):
@@ -304,10 +292,6 @@ class DelegateNode(InterParticipant):
                 if s.contract_id == msg.contract_id and s.replacing:
                     s.replacing = False
                     self._advance(sim, s)
-            return
-        if isinstance(msg, CrossVerifyReq):
-            found = self.inter.find_checkpoint(msg.checkpoint)
-            sim.send(self.node_id, src, CrossVerifyResp(msg.query_id, found))
             return
         super().on_message(sim, src, msg)
 

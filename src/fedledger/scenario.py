@@ -29,7 +29,7 @@ Schema (defaults in parentheses):
   },
   "workload": {
     "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
-    "session_interval_ms": number (0), "payload_bytes": int (1024, 0..1024),
+    "session_interval_ms": number (0), "payload_bytes": int (1024, 0..1024; 64..1024 with sessions),
     "pairs": [[seller_zone, buyer_zone], ...] ([[z1, z2], [z2, z3], ...]; round-robin; zones differ),
     "intra_rate_per_s": number (0), "intra_until_ms": number (duration),
     "intra_payload_bytes": int (64, 0..1024), "intra_probe_times_ms": [numbers] ([]),
@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .chain import MAX_INTRA_PAYLOAD
+from .chain import MAX_INTRA_PAYLOAD, MIN_REQUIREMENT_PAYLOAD
 
 
 class ParseError(Exception):
@@ -220,6 +220,13 @@ class Scenario:
         if self.workload.sessions and self.workload.deposit_units < 1:
             # configure_subscriber refuses an empty escrow, so no session could settle.
             raise ValidationError("workload.deposit_tokens must be at least 0.001 with sessions")
+        if self.workload.sessions and self.workload.payload_bytes < MIN_REQUIREMENT_PAYLOAD:
+            # Sessions meet on a contract keyed by the payload digest, so empty
+            # payloads put every session on one contract; and a requirement
+            # blob must never parse as a transfer (see chain.TRANSFER_TAG).
+            raise ValidationError(
+                f"workload.payload_bytes must be at least {MIN_REQUIREMENT_PAYLOAD} with sessions, "
+                f"got {self.workload.payload_bytes}")
 
 
 _SECTIONS = {"inter": InterSpec, "workload": WorkloadSpec, "protocol": ProtocolSpec}

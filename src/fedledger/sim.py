@@ -222,9 +222,7 @@ class Simulator:
                 continue
             if target in crashed:
                 continue  # crash semantics: silently dropped
-            node = nodes.get(target)
-            if node is None:
-                continue
+            node = nodes[target]
             try:
                 if kind == "msg":
                     src, msg = payload

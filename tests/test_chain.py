@@ -323,8 +323,7 @@ class TestBalanceBook:
         tx = signed_tx(keyring, a, payload=transfer_payload(b.address, 60, memo=4))
         block = build_block(ZERO_DIGEST, 1, [tx], 0, BftSeal(a.address, 0))
         book.apply_block(block)
-        assert book.balance(a.address) == 40
-        assert book.balance(b.address) == 60
+        assert book.balances == {a.address: 40, b.address: 60}
         assert book.total() == 100
         assert book.paid == {(b.address, 4)}
 
@@ -333,5 +332,5 @@ class TestBalanceBook:
         book = BalanceBook({a.address: 10})
         tx = signed_tx(keyring, a, payload=transfer_payload(b.address, 60))
         book.apply_block(build_block(ZERO_DIGEST, 1, [tx], 0, BftSeal(a.address, 0)))
-        assert book.balance(a.address) == 10
+        assert book.balances == {a.address: 10}
         assert book.failed == [tx.digest()]

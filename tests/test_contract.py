@@ -82,6 +82,14 @@ class TestConfigure:
             assert getattr(a, f) == getattr(b, f), f
         assert set(a.tx_refs) == set(b.tx_refs)
 
+    def test_publisher_with_another_service_rejected(self, parties):
+        # Joining a record whose subscriber asked for another service would
+        # pair two unrelated sessions on one contract.
+        _, dp0, _, ds0, _, info = parties
+        out = configure_subscriber(info, ds0, cp(2), SERVICE, 10_000)
+        with pytest.raises(InvalidState, match="service digest"):
+            configure_publisher(out, dp0, cp(1), sha256(b"another service"))
+
 
 def configured(parties, deposit=10_000):
     _, dp0, _, ds0, _, info = parties
@@ -162,6 +170,12 @@ class TestReplaceDelegate:
         out = configured(parties)
         with pytest.raises(InvalidDelegate):
             replace_delegate(out, admin, dp0, ds0)  # ds0 is two entries ahead
+
+    def test_old_delegate_outside_the_list_rejected(self, parties, keyring):
+        admin, dp0, _, _, _, _ = parties
+        out = configured(parties)
+        with pytest.raises(InvalidDelegate, match="not in the delegation list"):
+            replace_delegate(out, admin, keyring.new_account().address, dp0)
 
     def test_unbound_old_delegate_rejected(self, parties):
         admin, dp0, dp1, _, _, info = parties

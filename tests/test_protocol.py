@@ -1,5 +1,5 @@
 """End-to-end protocol sessions: happy path, delegation checks, failover,
-contract races, cross-domain verification, and conservation."""
+contract races, and conservation."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,11 +12,10 @@ from fedledger.crypto import sha256
 from fedledger.eventlog import replay_log
 from fedledger.nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck
 from fedledger import protocol, runner
-from fedledger.powchain import (FEE, M_COMMIT, M_CONFIG_PUB, M_CONFIG_SUB, M_TRANSFER, ChainState, InterTx,
-                               signed_inter_tx)
+from fedledger.powchain import (FEE, M_COMMIT, M_CONFIG_PUB, M_CONFIG_SUB, M_REPLACE, M_TRANSFER, ChainState,
+                               InterTx, signed_inter_tx)
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
-    CrossVerifyReq,
     DelegationReq,
     Phase,
     PhaseDone,
@@ -96,7 +95,7 @@ class TestHappyPath:
                     if t["to"] == seller.key.address.hex() and t["memo"] == cid]
         assert [(t["zone"], t["amount"]) for t in payments] == [(1, 10_000)]
         assert (seller.key.address, cid) in book.paid
-        assert book.balance(seller.key.address) == 100_000 + 10_000
+        assert book.balances[seller.key.address] == 100_000 + 10_000
 
     def test_escrow_released_exactly_once(self):
         report, h = run(fast_session_scenario())
@@ -275,27 +274,6 @@ class Probe(Node):
 
     def on_message(self, sim, src, msg):
         self.received.append((sim.now, src, msg))
-
-
-class TestCrossVerify:
-    def test_recorded_vs_unknown_vs_mutated(self):
-        scn = fast_session_scenario(seed=23)
-        report, h = run(scn)
-        sim = h.sim
-        probe = sim.add_node(Probe())
-        # A checkpoint actually recorded on the inter ledger (the buyer's,
-        # queried from the seller's zone: cross-domain verification).
-        recorded = h.clients[(1, "sub")].checkpoint
-        dlg = h.delegates[1][0]
-        sim.send("probe", dlg.node_id, CrossVerifyReq(1, recorded))
-        never = Checkpoint(2, b"\x11" * 32, 3, b"\x22" * 32)
-        sim.send("probe", dlg.node_id, CrossVerifyReq(2, never))
-        mutated = replace(recorded, ledger_head=bytes([recorded.ledger_head[0] ^ 1])
-                          + recorded.ledger_head[1:])
-        sim.send("probe", dlg.node_id, CrossVerifyReq(3, mutated))
-        sim.run_until(sim.now + 10_000)
-        got = {m.query_id: m.found for _t, _src, m in probe.received}
-        assert got == {1: True, 2: False, 3: False}
 
 
 class TestConservationOracle:
@@ -584,6 +562,25 @@ class TestBrokerPaths:
             (dlg.node_id, SessionFail, "BadCheckpoint")]
         assert (target - 1, False) in seen  # held across the DECISION one short
         assert next(height for height, denied in seen if denied) == target
+
+    def test_admin_refuses_a_rebind_that_is_not_a_forward_step(self):
+        # The contract rebinds only to the next entry of the delegation
+        # list, so a request to move the buyer's binding back to an earlier
+        # entry is answered at once with ok=False and nothing is submitted.
+        h, sent = started(fast_session_scenario(seed=58))
+        probe = h.sim.add_node(Probe())
+        buyer = h.clients[(1, "sub")]
+        run_while(h, lambda: buyer.phase != "CONFIGURED")
+        cid = buyer.contract_id
+        cur, back = h.delegates[2][0].key.address, h.delegates[1][0].key.address
+        lst = h.admin.inter.tip_state().contracts[cid].delegation_list
+        assert lst.index(back) < lst.index(cur)
+        h.sim.send(probe.node_id, h.admin.node_id, ReplaceReq(cid, "sub", cur, back))
+        out = finish(h)
+        assert [(src, m) for _t, src, m in probe.received] == [
+            (h.admin.node_id, ReplaceDone(cid, cur, back, False))]
+        assert submits_from(sent, h.admin.node_id, M_REPLACE) == []
+        assert out == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
 
 
 class TestClientGoal:

@@ -128,11 +128,17 @@ class TestValidation:
         ({"faults": [{"at_ms": 0, "fault": "partition",
                       "groups": [["val:1:0", "val:1:1"], ["vall:1:2", "val:1:3"]]}]},
          r"^faults\[0\]: partition node 'vall:1:2' is not a node of this run"),
+        # Session payloads under 64 bytes: empty ones put every session on one contract.
+        ({"domains": [{"zone_id": 1}, {"zone_id": 2}], "workload": {"sessions": 2, "payload_bytes": 0}},
+         r"workload\.payload_bytes must be at least 64 with sessions, got 0"),
+        ({"domains": [{"zone_id": 1}, {"zone_id": 2}], "workload": {"sessions": 2, "payload_bytes": 63}},
+         r"workload\.payload_bytes must be at least 64 with sessions, got 63"),
     ])
     def test_values_a_run_cannot_survive(self, raw, key):
         # Each value hangs or crashes a run: a timer period of 0 re-arms at
         # one virtual instant, an oversized payload breaks the first
-        # submission, and without a miner nothing observes the inter ledger.
+        # submission, empty session payloads put every session on one
+        # contract, and without a miner nothing observes the inter ledger.
         with pytest.raises(ValidationError, match=key):
             scenario_from_dict(raw)
 
