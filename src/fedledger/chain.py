@@ -350,6 +350,10 @@ class BalanceBook:
     leave balances untouched; opaque payloads have no value effect.
     ``paid`` holds the (to, memo) of every applied transfer: a broker asks
     it whether a seller's payout for a contract is on the zone ledger.
+    A payout (memo != 0, the contract id) whose (to, memo) is already
+    there is refused as failed too, so a broker that takes over a session
+    with its predecessor's payout still in flight cannot pay twice;
+    memo-0 funding transfers may repeat.
     """
 
     def __init__(self, initial: dict[bytes, int] | None = None):
@@ -366,7 +370,7 @@ class BalanceBook:
             if parsed is None:
                 continue
             to, amount, memo = parsed
-            if self.balances.get(tx.sender, 0) < amount:
+            if self.balances.get(tx.sender, 0) < amount or (memo and (to, memo) in self.paid):
                 self.failed.append(tx.digest())
                 continue
             self.balances[tx.sender] -= amount

@@ -55,21 +55,29 @@ class BrokerStatus(IntEnum):
     PAID = 3
 
 
+PUB = "pub"
+SUB = "sub"
+OTHER_SIDE = {PUB: SUB, SUB: PUB}
+_PARTY = {PUB: "publisher", SUB: "subscriber"}
+
+
+@dataclass(frozen=True)
+class Side:
+    """One party's binding on a contract record."""
+
+    delegate: bytes = ZERO_ADDRESS  # the broker bound there
+    status: int = 0  # 1 once configured
+    service: bytes = ZERO_DIGEST  # digest of the offered requirements payload
+    committed: bool = False
+
+
 @dataclass(frozen=True)
 class BrokerInfo:
     contract_id: int
     admin: bytes
     delegation_list: tuple  # ordered authorized miner addresses, zone-contiguous
-    publisher_id: bytes = ZERO_ADDRESS
-    subscriber_id: bytes = ZERO_ADDRESS
-    pub_zid: int = 0
-    sub_zid: int = 0
-    pub_status: int = 0
-    sub_status: int = 0
-    pub_service: bytes = ZERO_DIGEST  # digest of the offered requirements payload
-    sub_service: bytes = ZERO_DIGEST
-    pub_committed: bool = False
-    sub_committed: bool = False
+    pub: Side = Side()
+    sub: Side = Side()
     broker_status: BrokerStatus = BrokerStatus.EMPTY
     tx_refs: tuple = ()  # stored Checkpoints, audit data only
     escrow: int = 0
@@ -77,8 +85,8 @@ class BrokerInfo:
     def is_unused(self) -> bool:
         return (
             self.broker_status == BrokerStatus.EMPTY
-            and self.publisher_id == ZERO_ADDRESS
-            and self.subscriber_id == ZERO_ADDRESS
+            and self.pub.delegate == ZERO_ADDRESS
+            and self.sub.delegate == ZERO_ADDRESS
         )
 
 
@@ -87,77 +95,60 @@ def _require_delegate(info: BrokerInfo, caller: bytes) -> None:
         raise Unauthorized(f"caller not in delegation list of contract {info.contract_id}")
 
 
-def _configured_status(pub_status: int, sub_status: int) -> BrokerStatus:
-    if pub_status == 1 and sub_status == 1:
-        return BrokerStatus.CONFIGURED
-    return BrokerStatus.EMPTY
-
-
-def configure_publisher(info: BrokerInfo, caller: bytes, cp: Checkpoint, service: bytes) -> BrokerInfo:
+def _configure(info: BrokerInfo, side: str, caller: bytes, cp: Checkpoint, service: bytes,
+               deposit: int) -> BrokerInfo:
+    """Bind ``caller`` to ``side``; a record with both sides bound is CONFIGURED."""
     _require_delegate(info, caller)
     if info.broker_status not in (BrokerStatus.EMPTY, BrokerStatus.CONFIGURED):
-        raise InvalidState("publisher configuration after commitment")
-    if info.pub_status == 1:
-        raise InvalidState("publisher side already configured")
-    if info.sub_status == 1 and info.sub_service != service:
+        raise InvalidState(f"{_PARTY[side]} configuration after commitment")
+    mine, theirs = getattr(info, side), getattr(info, OTHER_SIDE[side])
+    if mine.status == 1:
+        raise InvalidState(f"{_PARTY[side]} side already configured")
+    if theirs.status == 1 and theirs.service != service:
         # Joining an occupied record requires the same service digest;
         # otherwise two unrelated sessions could cross-pair on one record.
-        raise InvalidState("service digest does not match the subscriber side")
-    return replace(
-        info,
-        publisher_id=caller,
-        pub_zid=cp.zone_id,
-        pub_status=1,
-        pub_service=service,
-        tx_refs=info.tx_refs + (cp,),
-        broker_status=_configured_status(1, info.sub_status),
-    )
-
-
-def configure_subscriber(info: BrokerInfo, caller: bytes, cp: Checkpoint, service: bytes, deposit: int) -> BrokerInfo:
-    _require_delegate(info, caller)
-    if info.broker_status not in (BrokerStatus.EMPTY, BrokerStatus.CONFIGURED):
-        raise InvalidState("subscriber configuration after commitment")
-    if info.sub_status == 1:
-        raise InvalidState("subscriber side already configured")
-    if info.pub_status == 1 and info.pub_service != service:
-        raise InvalidState("service digest does not match the publisher side")
-    if deposit <= 0:
+        raise InvalidState(f"service digest does not match the {_PARTY[OTHER_SIDE[side]]} side")
+    if side == SUB and deposit <= 0:
         raise InsufficientEscrow("subscriber must escrow a positive deposit")
     return replace(
         info,
-        subscriber_id=caller,
-        sub_zid=cp.zone_id,
-        sub_status=1,
-        sub_service=service,
+        **{side: replace(mine, delegate=caller, status=1, service=service)},
         tx_refs=info.tx_refs + (cp,),
         escrow=info.escrow + deposit,
-        broker_status=_configured_status(info.pub_status, 1),
+        broker_status=BrokerStatus.CONFIGURED if theirs.status == 1 else BrokerStatus.EMPTY,
     )
 
 
+def configure_publisher(info: BrokerInfo, caller: bytes, cp: Checkpoint, service: bytes) -> BrokerInfo:
+    return _configure(info, PUB, caller, cp, service, 0)
+
+
+def configure_subscriber(info: BrokerInfo, caller: bytes, cp: Checkpoint, service: bytes, deposit: int) -> BrokerInfo:
+    return _configure(info, SUB, caller, cp, service, deposit)
+
+
 def commit_service(info: BrokerInfo, caller: bytes) -> BrokerInfo:
-    if caller not in (info.publisher_id, info.subscriber_id):
+    if caller not in (info.pub.delegate, info.sub.delegate):
         raise Unauthorized("only bound publisher or subscriber may commit")
-    if info.pub_status != 1 or info.sub_status != 1:
+    if info.pub.status != 1 or info.sub.status != 1:
         raise InvalidState("both sides must be configured before commitment")
     if info.broker_status not in (BrokerStatus.CONFIGURED, BrokerStatus.COMMITTED):
         raise InvalidState(f"cannot commit in status {info.broker_status.name}")
-    pub_c = info.pub_committed or caller == info.publisher_id
-    sub_c = info.sub_committed or caller == info.subscriber_id
-    status = BrokerStatus.COMMITTED if (pub_c and sub_c) else info.broker_status
-    return replace(info, pub_committed=pub_c, sub_committed=sub_c, broker_status=status)
+    pub = replace(info.pub, committed=True) if caller == info.pub.delegate else info.pub
+    sub = replace(info.sub, committed=True) if caller == info.sub.delegate else info.sub
+    status = BrokerStatus.COMMITTED if (pub.committed and sub.committed) else info.broker_status
+    return replace(info, pub=pub, sub=sub, broker_status=status)
 
 
 def settle_payment(info: BrokerInfo, caller: bytes) -> tuple[BrokerInfo, bytes, int]:
     """Atomically release escrow to the publisher; returns (info', payee, amount)."""
-    if caller not in (info.publisher_id, info.subscriber_id):
+    if caller not in (info.pub.delegate, info.sub.delegate):
         raise Unauthorized("only bound publisher or subscriber may settle")
     if info.broker_status != BrokerStatus.COMMITTED:
         raise InvalidState(f"cannot settle in status {info.broker_status.name}")
     amount = info.escrow
     new = replace(info, escrow=0, broker_status=BrokerStatus.PAID)
-    return new, info.publisher_id, amount
+    return new, info.pub.delegate, amount
 
 
 def replace_delegate(info: BrokerInfo, caller: bytes, old: bytes, new: bytes) -> BrokerInfo:
@@ -169,8 +160,7 @@ def replace_delegate(info: BrokerInfo, caller: bytes, old: bytes, new: bytes) ->
         raise InvalidDelegate("old delegate is not in the delegation list") from None
     if idx + 1 >= len(info.delegation_list) or info.delegation_list[idx + 1] != new:
         raise InvalidDelegate("replacement must be the next entry in the delegation list")
-    if old == info.publisher_id:
-        return replace(info, publisher_id=new)
-    if old == info.subscriber_id:
-        return replace(info, subscriber_id=new)
+    for side in (PUB, SUB):
+        if getattr(info, side).delegate == old:
+            return replace(info, **{side: replace(getattr(info, side), delegate=new)})
     raise InvalidState("old delegate is not bound to this contract")

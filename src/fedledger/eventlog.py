@@ -246,7 +246,7 @@ def _replay_inter(events: list[dict], genesis: dict):
                         contracts[cid] = sc.commit_service(info, caller)
                         balances[sender] = bal(sender) + attached
                     elif method == "settle_payment":
-                        dual = info.pub_committed and info.sub_committed
+                        dual = info.pub.committed and info.sub.committed
                         new, payee, amount = sc.settle_payment(info, caller)
                         contracts[cid] = new
                         payee_hex = payee.hex()
@@ -268,9 +268,11 @@ def _replay_inter(events: list[dict], genesis: dict):
 
 
 def _replay_intra(events: list[dict], genesis: dict):
-    """Re-apply logged zone transfers; returns (books, applied transfers)."""
+    """Re-apply logged zone transfers under ``BalanceBook``'s rules;
+    returns (books, applied transfers)."""
     books = {zone: dict(b) for zone, b in genesis["intra_balances"].items()}
     applied: list[dict] = []
+    paid: set[tuple] = set()  # (zone, to, memo) of every applied payout
     seen_blocks = set()
     for e in events:
         if e["kind"] != "intra_block":
@@ -281,11 +283,13 @@ def _replay_intra(events: list[dict], genesis: dict):
         seen_blocks.add(key)
         book = books.setdefault(str(e["zone"]), {})
         for t in e.get("transfers", []):
-            frm, to, amount = t["frm"], t["to"], t["amount"]
-            if book.get(frm, 0) < amount:
+            frm, to, amount, memo = t["frm"], t["to"], t["amount"], t["memo"]
+            if book.get(frm, 0) < amount or (memo and (e["zone"], to, memo) in paid):
                 continue
             book[frm] = book.get(frm, 0) - amount
             book[to] = book.get(to, 0) + amount
+            if memo:
+                paid.add((e["zone"], to, memo))
             applied.append({"zone": e["zone"], **t})
     return books, applied
 
@@ -327,7 +331,7 @@ def check_payment_safety(rp: Replay) -> list[str]:
     for cid, info in sorted(rp.contracts.items()):
         if info.broker_status == BrokerStatus.PAID and info.escrow != 0:
             violations.append(f"contract {cid} PAID with nonzero escrow {info.escrow}")
-        if info.broker_status == BrokerStatus.COMMITTED and not (info.pub_committed and info.sub_committed):
+        if info.broker_status == BrokerStatus.COMMITTED and not (info.pub.committed and info.sub.committed):
             violations.append(f"contract {cid} COMMITTED without both commit flags")
     return violations
 

@@ -28,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .bft import ConsensusMsg, MsgKind, ZoneFollower, committee_bounds
 from .chain import Checkpoint, IntraTx, transfer_payload, verify_checkpoint
-from .contract import BrokerInfo, BrokerStatus
+from .contract import OTHER_SIDE, PUB, SUB, BrokerStatus
 from .crypto import enc_address, enc_u64, sha256
 from .nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck, submit_intra
 from .powchain import (
@@ -47,10 +46,6 @@ from .powchain import (
     signed_inter_tx,
 )
 from .sim import INTER_MEDIAN_MS, INTER_SIGMA, Node, Simulator
-
-PUB = "pub"
-SUB = "sub"
-OTHER_SIDE = {PUB: SUB, SUB: PUB}
 
 
 class Phase(str, Enum):
@@ -74,20 +69,6 @@ class Phase(str, Enum):
 
 
 IDLE, DELEGATED, CONFIGURED, COMMITTED, SETTLED, FAILED = Phase
-
-
-class SideView(NamedTuple):
-    """One side of a contract record."""
-    delegate: bytes  # the broker bound there
-    status: int  # 1 once configured
-    service: bytes
-    committed: bool
-
-
-def side_view(info: BrokerInfo, side: str) -> SideView:
-    if side == PUB:
-        return SideView(info.publisher_id, info.pub_status, info.pub_service, info.pub_committed)
-    return SideView(info.subscriber_id, info.sub_status, info.sub_service, info.sub_committed)
 
 
 # -- protocol messages -------------------------------------------------------
@@ -351,29 +332,29 @@ class DelegateNode(InterParticipant):
         sim.send(self.node_id, s.client_node, msg)
 
     def _find_bound(self, state, s: DelegateSession):
-        """Contract whose our-side service digest matches this session."""
+        """Contract whose our-side service digest matches this session.
+
+        Scans walk ``state.contracts`` as stored: its keys are fixed at
+        genesis in id order and execution only rewrites existing keys, so
+        the first match is the lowest id."""
         if s.contract_id is not None:
             info = state.contracts.get(s.contract_id)
             if info is not None and self._side_bound(info, s):
                 return s.contract_id, info
-        for cid in sorted(state.contracts):
-            if cid in s.abandoned:
-                continue
-            info = state.contracts[cid]
-            if self._side_bound(info, s):
+        for cid, info in state.contracts.items():
+            if cid not in s.abandoned and self._side_bound(info, s):
                 return cid, info
         return None, None
 
     def _side_bound(self, info, s: DelegateSession) -> bool:
-        mine = side_view(info, s.side)
+        mine = getattr(info, s.side)
         return mine.status == 1 and mine.service == s.service
 
     def _counterpart_match(self, state, s: DelegateSession) -> int | None:
         other = OTHER_SIDE[s.side]
-        for cid in sorted(state.contracts):
-            info = state.contracts[cid]
-            theirs = side_view(info, other)
-            if theirs.status == 1 and theirs.service == s.service and side_view(info, s.side).status == 0:
+        for cid, info in state.contracts.items():
+            theirs = getattr(info, other)
+            if theirs.status == 1 and theirs.service == s.service and getattr(info, s.side).status == 0:
                 return cid
         return None
 
@@ -433,7 +414,7 @@ class DelegateNode(InterParticipant):
         conf = self.inter.confirmed_state()
 
         cid, info_tip = self._find_bound(tip, s)
-        if cid is not None and s.side == PUB and side_view(info_tip, SUB).status == 0:
+        if cid is not None and s.side == PUB and info_tip.sub.status == 0:
             # Split session: our half landed on one record while the
             # counterparty visibly settled on another. The publisher side
             # (which holds no escrow) abandons its half and rejoins.
@@ -471,7 +452,7 @@ class DelegateNode(InterParticipant):
                 self._finish_payment(sim, s, cid)
                 return
 
-        mine = side_view(info_tip, s.side)
+        mine = getattr(info_tip, s.side)
         if mine.delegate != self.key.address:
             if info_tip.broker_status == BrokerStatus.PAID:
                 return  # wait for the payout to confirm; payment path above
@@ -485,7 +466,7 @@ class DelegateNode(InterParticipant):
         if not conf_side:
             return
         if s.goal.rank >= COMMITTED.rank and not mine.committed \
-                and side_view(info_tip, OTHER_SIDE[s.side]).status == 1:
+                and getattr(info_tip, OTHER_SIDE[s.side]).status == 1:
             self._call(sim, s, cid, M_COMMIT)
             return
         if s.goal == SETTLED and info_tip.broker_status == BrokerStatus.COMMITTED:
@@ -534,20 +515,29 @@ class AdminNode(InterParticipant):
         if self._watches:
             self._drive(sim)
 
+    def on_submit_failed(self, sim: Simulator, tx_digest: bytes, reason: str) -> None:
+        # A rebind step that every miner refused never gets a receipt:
+        # forget it, so _drive submits the step again with a fresh salt.
+        for key, (_step, digest) in self._step_sent.items():
+            if digest == tx_digest:
+                del self._step_sent[key]
+                self._drive(sim)
+                return
+
     def _drive(self, sim: Simulator) -> None:
         conf = self.inter.confirmed_state()
         tip = self.inter.tip_state()
         done = []
         for (cid, side, new), requesters in self._watches.items():
             info_conf = conf.contracts.get(cid)
-            if info_conf is not None and side_view(info_conf, side).delegate == new:
+            if info_conf is not None and getattr(info_conf, side).delegate == new:
                 sim.multicast(self.node_id, requesters, ReplaceDone(cid, bytes(20), new, True))
                 done.append((cid, side, new))
                 continue
             info = tip.contracts.get(cid)
             if info is None:
                 continue
-            cur = side_view(info, side).delegate
+            cur = getattr(info, side).delegate
             if cur == new:
                 self._step_sent.pop((cid, side), None)
                 continue  # at tip; wait for confirmation

@@ -274,7 +274,7 @@ def test_c07_payment_safety_1000_sessions():
             cid = seller.contract_id
             info = st.contracts[cid]
             paid = info.broker_status.name == "PAID"
-            dual = info.pub_committed and info.sub_committed
+            dual = info.pub.committed and info.sub.committed
             seller_paid = paid_by_contract.get(cid, 0)
             assert paid and dual and seller_paid == 1, (run_idx, sid, paid, dual, seller_paid)
         assert all(v == 1 for v in paid_by_contract.values())  # zero double payouts
@@ -297,6 +297,21 @@ def test_c07_shape_settles_after_a_failed_commit(seed):
     assert report.conservation_delta == 0
     assert {s["outcome"] for s in report.sessions} == {"SETTLED"}
     assert len(report.sessions) == 100
+
+
+def test_c07_shape_pays_each_seller_once_across_a_broker_takeover():
+    # At seed 7150 dlg:1:0 crashes with payouts in flight; they commit after
+    # its successor, whose replica did not hold them yet, submitted its own.
+    # The zone ledger refuses each second payout for (seller, contract 16,
+    # 21, 33, 40, 66): the log still records it, and its digest is unchanged.
+    report, h = run(c07_scenario("sessions-50", 7150))
+    assert report.event_log_digest == "f795363f079a91c8f31ef22829ce631988b6e7f45f6c7d81e705fad932c4b201"
+    assert report.violations == [], report.violations
+    assert report.conservation_delta == 0
+    assert {s["outcome"] for s in report.sessions} == {"SETTLED"}
+    assert len(report.sessions) == 100
+    refused = h.validators[1][0].core.book.failed
+    assert len(refused) == 5
 
 
 # -- 8. failover availability and latency bound ------------------------------------------------

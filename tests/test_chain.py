@@ -334,3 +334,22 @@ class TestBalanceBook:
         book.apply_block(build_block(ZERO_DIGEST, 1, [tx], 0, BftSeal(a.address, 0)))
         assert book.balances == {a.address: 10}
         assert book.failed == [tx.digest()]
+
+    def test_second_payout_for_a_contract_is_refused_and_funding_repeats(self, keyring):
+        # A payout carries its contract id as memo: a second one to the same
+        # seller for the same contract is refused, in the same block or a
+        # later one. Memo-0 funding transfers and another contract's payout
+        # to that seller still apply.
+        a, b = keyring.new_account(), keyring.new_account()
+        book = BalanceBook({a.address: 100})
+        fund = [signed_tx(keyring, a, payload=transfer_payload(b.address, 5), nonce=n)
+                for n in range(2)]
+        pay = [signed_tx(keyring, a, payload=transfer_payload(b.address, 10, memo=7), nonce=n)
+               for n in range(2, 5)]
+        other = signed_tx(keyring, a, payload=transfer_payload(b.address, 10, memo=8), nonce=5)
+        book.apply_block(build_block(ZERO_DIGEST, 1, [fund[0], pay[0], pay[1], fund[1]], 0,
+                                     BftSeal(a.address, 0)))
+        book.apply_block(build_block(ZERO_DIGEST, 2, [pay[2], other], 0, BftSeal(a.address, 0)))
+        assert book.balances == {a.address: 70, b.address: 30}
+        assert book.failed == [pay[1].digest(), pay[2].digest()]
+        assert book.paid == {(b.address, 0), (b.address, 7), (b.address, 8)}

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -41,8 +42,8 @@ class TestConfigure:
     def test_publisher_first_transition(self, parties):
         _, dp0, _, _, _, info = parties
         out = configure_publisher(info, dp0, cp(1), SERVICE)
-        assert out.pub_status == 1 and out.publisher_id == dp0
-        assert out.pub_zid == 1 and out.broker_status == BrokerStatus.EMPTY
+        assert out.pub.status == 1 and out.pub.delegate == dp0
+        assert out.broker_status == BrokerStatus.EMPTY
         assert out.tx_refs == (cp(1),)
 
     def test_unauthorized_caller_rejected(self, parties, keyring):
@@ -56,7 +57,7 @@ class TestConfigure:
         out = configure_publisher(info, dp0, cp(1), SERVICE)
         out = configure_subscriber(out, ds0, cp(2), SERVICE, 10_000)
         assert out.broker_status == BrokerStatus.CONFIGURED
-        assert out.escrow == 10_000 and out.sub_status == 1 and out.sub_zid == 2
+        assert out.escrow == 10_000 and out.sub.status == 1 and out.sub.delegate == ds0
 
     def test_zero_deposit_rejected(self, parties):
         _, _, _, ds0, _, info = parties
@@ -77,8 +78,7 @@ class TestConfigure:
         b = configure_publisher(configure_subscriber(info, ds0, cp(2), SERVICE, 500),
                                 dp0, cp(1), SERVICE)
         assert a == b or (a.tx_refs != b.tx_refs)  # tx_refs order differs
-        for f in ("publisher_id", "subscriber_id", "pub_zid", "sub_zid", "pub_status",
-                  "sub_status", "broker_status", "escrow", "pub_service", "sub_service"):
+        for f in ("pub", "sub", "broker_status", "escrow"):
             assert getattr(a, f) == getattr(b, f), f
         assert set(a.tx_refs) == set(b.tx_refs)
 
@@ -102,9 +102,9 @@ class TestCommit:
         _, dp0, _, ds0, _, _ = parties
         out = configured(parties)
         out = commit_service(out, dp0)
-        assert out.broker_status == BrokerStatus.CONFIGURED and out.pub_committed
+        assert out.broker_status == BrokerStatus.CONFIGURED and out.pub.committed
         out = commit_service(out, ds0)
-        assert out.broker_status == BrokerStatus.COMMITTED and out.sub_committed
+        assert out.broker_status == BrokerStatus.COMMITTED and out.sub.committed
 
     def test_single_call_stays_configured(self, parties):
         _, dp0, _, _, _, _ = parties
@@ -155,9 +155,8 @@ class TestReplaceDelegate:
         admin, dp0, dp1, ds0, _, _ = parties
         out = configured(parties)
         new = replace_delegate(out, admin, dp0, dp1)
-        assert new.publisher_id == dp1
-        for f in ("escrow", "pub_status", "sub_status", "broker_status", "tx_refs"):
-            assert getattr(new, f) == getattr(out, f)
+        assert new.pub.delegate == dp1
+        assert new == replace(out, pub=replace(out.pub, delegate=dp1))
 
     def test_non_admin_rejected(self, parties):
         _, dp0, dp1, _, _, _ = parties
@@ -246,4 +245,4 @@ class TestTotalityAndConservation:
             if info.broker_status == BrokerStatus.PAID:
                 assert info.escrow == 0
             if info.broker_status == BrokerStatus.COMMITTED:
-                assert info.pub_status == 1 and info.sub_status == 1
+                assert info.pub.status == 1 and info.sub.status == 1

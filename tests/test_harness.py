@@ -290,6 +290,28 @@ class TestVerifyLog:
         violations = check_payment_safety(replay_log(new_lines))
         assert any("without a settled" in v for v in violations)
 
+    def test_replay_refuses_a_second_payout_per_seller_and_contract(self):
+        # The replay applies BalanceBook's rules: of three logged payouts to
+        # one seller for contract 3, only the first moves value; memo-0
+        # funding repeats, and the same payout in another zone applies.
+        def transfer(memo, amount=10):
+            return {"frm": "aa", "to": "bb", "amount": amount, "memo": memo}
+        events = [
+            {"kind": "genesis", "total_supply": 200, "inter_balances": {}, "contracts": [],
+             "intra_balances": {"1": {"aa": 100}, "2": {"aa": 100}}},
+            {"kind": "intra_block", "zone": 1, "height": 1, "block": "b1",
+             "transfers": [transfer(0, 5), transfer(3), transfer(0, 5), transfer(3)]},
+            {"kind": "intra_block", "zone": 1, "height": 2, "block": "b2", "transfers": [transfer(3)]},
+            {"kind": "intra_block", "zone": 2, "height": 1, "block": "b3", "transfers": [transfer(3)]},
+        ]
+        rp = replay_log(events)
+        assert rp.intra_books == {"1": {"aa": 80, "bb": 20}, "2": {"aa": 90, "bb": 10}}
+        assert [(t["zone"], t["memo"]) for t in rp.transfers] == [(1, 0), (1, 3), (1, 0), (2, 3)]
+        assert check_payment_safety(rp) == [
+            "payment for contract 3 without a settled (PAID) contract",
+            "double payout for contract 3: 2 payments",
+        ]
+
     def test_privacy_checker_catches_planted_leak(self, tmp_path):
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")

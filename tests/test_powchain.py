@@ -624,6 +624,44 @@ class TestExecution:
         assert st.balance(dp.address) == 999
         assert st.total_supply() == 1_000
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_contract_records_stay_in_id_order(self, data):
+        # Broker scans walk state.contracts as stored and take the first
+        # match as the lowest id. No call, failed or not, on a known id or
+        # an unknown one, may add a record or move one.
+        keyring = Keyring(random.Random(data.draw(st.integers(0, 2**16), label="keys")))
+        admin, miner = keyring.new_account(), keyring.new_account()
+        delegates = [keyring.new_account() for _ in range(4)]
+        lst = tuple(k.address for k in delegates)
+        cids = [1, 2, 3, 4]
+        state = ChainState({k.address: 10_000 for k in (admin, *delegates)},
+                           {cid: BrokerInfo(cid, admin.address, lst) for cid in cids})
+        services = (sha256(b"a"), sha256(b"b"))
+        cp = Checkpoint(1, sha256(b"ref"), 1, sha256(b"head"))
+        call = st.tuples(st.sampled_from([M_CONFIG_PUB, M_CONFIG_SUB, M_COMMIT, M_SETTLE, M_REPLACE]),
+                         st.integers(0, 6), st.integers(0, 3), st.sampled_from(services))
+        salt = 0
+        for height in range(1, data.draw(st.integers(1, 6), label="blocks") + 1):
+            txs = []
+            for method, cid, who, service in data.draw(st.lists(call, max_size=8), label="calls"):
+                salt += 1
+                if method == M_REPLACE:
+                    args = lst[who] + lst[min(who + 1, 3)] + salt.to_bytes(8, "big")
+                    txs.append(signed_inter_tx(admin, cid, method, args=args, fee=FEE))
+                elif method in (M_CONFIG_PUB, M_CONFIG_SUB):
+                    txs.append(signed_inter_tx(delegates[who], cid, method, args=service,
+                                               attached=10 * (method == M_CONFIG_SUB),
+                                               checkpoint=cp, fee=FEE))
+                else:
+                    txs.append(signed_inter_tx(delegates[who], cid, method,
+                                               args=salt.to_bytes(8, "big"), fee=FEE))
+            block = build_block(sha256(b"parent"), height, txs, height,
+                                PowSeal(miner.address, height, MAX_TARGET))
+            state, _ = execute_block(state, block, keyring)
+            stored = list(state.contracts)
+            assert stored == sorted(stored) == cids
+
     @pytest.mark.parametrize("method, args", [(M_TRANSFER, b"\x01\x02"), (M_REPLACE, b"\x01" * 30)],
                              ids=["transfer", "replace"])
     def test_undecodable_args_fail_with_bad_args(self, keyring, method, args):

@@ -2,18 +2,19 @@
 contract races, and conservation."""
 
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from fedledger.chain import Block, Checkpoint, PowSeal
-from fedledger.contract import BrokerInfo
+from fedledger.contract import BrokerInfo, Side
 from fedledger.crypto import sha256
 from fedledger.eventlog import replay_log
 from fedledger.nodes import BlockMsg, CommitNotice, InterSubmit, InterSubmitAck
 from fedledger import protocol, runner
 from fedledger.powchain import (FEE, M_COMMIT, M_CONFIG_PUB, M_CONFIG_SUB, M_REPLACE, M_TRANSFER, ChainState,
-                               InterTx, signed_inter_tx)
+                               InterNode, InterTx, signed_inter_tx)
 from fedledger.protocol import (
     MAX_CONFIG_RETRIES,
     DelegationReq,
@@ -31,8 +32,11 @@ from fedledger.scenario import (
     Scenario,
     ValidationError,
     WorkloadSpec,
+    load_scenario,
 )
 from fedledger.sim import Node
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def fast_session_scenario(seed=7, sessions=1, contracts=3, delegates=2, faults=None, **kw):
@@ -312,7 +316,7 @@ class TestCommitmentGate:
         st = h.miners[0].inter.tip_state()
         info = st.contracts[seller.contract_id]
         assert info.broker_status.name == "CONFIGURED"
-        assert info.pub_committed and not info.sub_committed
+        assert info.pub.committed and not info.sub.committed
         assert info.escrow == 10_000  # deposit locked, never paid out
         book = h.validators[1][0].core.book
         assert not any(memo for _to, memo in book.paid)  # no contract payment memo
@@ -385,7 +389,7 @@ class FailingInterView:
         self.canonical_receipts[tx.digest()] = (1, "InvalidState")
         info = self.state.contracts[tx.contract_id]
         self.state.contracts[tx.contract_id] = replace(
-            info, subscriber_id=b"\x01" * 20, sub_status=1, sub_service=b"\x02" * 32)
+            info, sub=Side(delegate=b"\x01" * 20, status=1, service=b"\x02" * 32))
 
     def tip_state(self):
         return self.state
@@ -412,7 +416,7 @@ class TestBrokerPaths:
 
         def pub_record():
             for cid, info in sorted(miner.tip_state().contracts.items()):
-                if info.pub_status == 1 and info.pub_service == seller.service:
+                if info.pub.status == 1 and info.pub.service == seller.service:
                     return cid
             return None
         run_while(h, lambda: pub_record() is None)
@@ -581,6 +585,26 @@ class TestBrokerPaths:
             (h.admin.node_id, ReplaceDone(cid, cur, back, False))]
         assert submits_from(sent, h.admin.node_id, M_REPLACE) == []
         assert out == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
+
+    def test_admin_resubmits_a_rebind_that_every_miner_refused(self, monkeypatch):
+        # failover.json's broker crash makes a successor ask for a rebind.
+        # Every miner refuses the admin's first rebind tx, so it never gets
+        # a receipt; the admin submits the step again with a fresh salt.
+        refused = []
+        submit_tx = InterNode.submit_tx
+
+        def refuse_first_rebind(node, tx):
+            if tx.method == M_REPLACE and refused in ([], [tx.digest()]):
+                refused[:] = [tx.digest()]
+                return False, "BadFee"
+            return submit_tx(node, tx)
+        monkeypatch.setattr(InterNode, "submit_tx", refuse_first_rebind)
+        h, sent = started(load_scenario(str(SCENARIOS / "failover.json")))
+        out = finish(h)
+        rebinds = [t.digest() for t in submits_from(sent, h.admin.node_id, M_REPLACE)]
+        assert len(rebinds) >= 2 and rebinds[0] == refused[0]
+        assert set(out.values()) == {"SETTLED"} and len(out) == 4
+        assert not h.admin._watches and not h.admin._step_sent
 
 
 class TestClientGoal:
