@@ -23,7 +23,7 @@ a simulation share one ``TxIndex`` in the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .crypto import (
     ADDRESS_LEN,
@@ -50,30 +50,38 @@ class NotCommitted(Exception):
     """Raised when a checkpoint is requested for an uncommitted transaction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntraTx:
-    """Raw domain transaction carrying the private payload."""
+    """Raw domain transaction carrying the private payload.
+
+    ``_digest`` and ``_verified_by`` are caches, filled on first use: they
+    are not constructor arguments, take no part in ``==``, ``hash`` or
+    ``repr``, and a ``dataclasses.replace`` copy starts without them.
+    """
 
     sender: bytes
     zone_id: int
     payload: bytes
     nonce: int
     signature: bytes = b""
+    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _verified_by: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.payload) > MAX_INTRA_PAYLOAD:
             raise ValueError(f"payload exceeds {MAX_INTRA_PAYLOAD} bytes")
 
     def signing_bytes(self) -> bytes:
-        # Not cached: a tx is signature-checked once per keyring, and a cache
-        # would keep a second copy of the payload alive for every tx.
+        # Built on each call, never cached: a cached copy would hold the
+        # payload a second time for as long as the tx lives, and a tx needs
+        # these bytes once per keyring that checks its signature.
         return _intra_signing_bytes(self.sender, self.zone_id, self.payload, self.nonce)
 
     def serialize(self) -> bytes:
         return self.signing_bytes() + enc_blob(self.signature)
 
     def digest(self) -> bytes:
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             cached = sha256(self.serialize())
             object.__setattr__(self, "_digest", cached)
@@ -205,7 +213,14 @@ class Block:
         return out
 
     def with_seal(self, seal) -> "Block":
-        return replace(self, seal=seal)
+        """This block under another seal. A seal with the same essence (a
+        BFT seal with the same proposer) keeps the digest, so a cached
+        one is carried over instead of re-hashing the tx root."""
+        sealed = replace(self, seal=seal)
+        cached = self.__dict__.get("_digest")
+        if cached is not None and seal.essence() == self.seal.essence():
+            object.__setattr__(sealed, "_digest", cached)
+        return sealed
 
 
 def tx_root(txs) -> bytes:

@@ -153,9 +153,11 @@ class Keyring:
         A broadcast hands the same object to every receiver, so a success
         is remembered on the object itself, for this keyring only; the
         next call with the same keyring skips the hashing. A failure is
-        never remembered.
+        never remembered. The mark is the attribute ``_verified_by``: a
+        slotted object declares it as a field, any other gets it in its
+        instance dict.
         """
-        if obj.__dict__.get("_verified_by") is self:
+        if getattr(obj, "_verified_by", None) is self:
             return True
         if not self.verify(obj.sender, obj.signing_bytes(), obj.signature):
             return False

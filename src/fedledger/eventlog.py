@@ -31,7 +31,42 @@ from . import contract as sc
 from .contract import BrokerStatus
 
 
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+class InterTxRecords:
+    """The ``txs`` of an ``inter_block`` record: the block's own tuple of
+    ``InterTx``, whose per-tx records are built each time it is iterated
+    and never stored. Every part of a block is frozen, so each reading
+    gives equal records; encoding a line reads it through
+    ``encode_default``, and the inter-ledger replay iterates it as it
+    iterates the list a parsed log holds."""
+
+    __slots__ = ("txs",)
+
+    def __init__(self, txs: tuple):
+        self.txs = txs
+
+    def __iter__(self) -> Iterator[dict]:
+        for tx in self.txs:
+            rec = {"digest": tx.digest().hex(), "sender": tx.sender.hex(),
+                   "method": tx.method, "cid": tx.contract_id,
+                   "attached": tx.attached_value, "fee": tx.fee, "args": tx.args.hex()}
+            cp = tx.checkpoint
+            if cp is not None:
+                rec["cp_zone"] = cp.zone_id
+                rec["cp_ref"] = cp.tx_ref.hex()
+                rec["cp_height"] = cp.block_height
+                rec["cp_head"] = cp.ledger_head.hex()
+            yield rec
+
+
+def encode_default(o) -> list:
+    """The JSON value of a record value that is built when read: the list
+    of an ``InterTxRecords``."""
+    if type(o) is InterTxRecords:
+        return list(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=encode_default)
 
 
 class EventLog:
@@ -39,9 +74,10 @@ class EventLog:
         self.events: list[dict] = []
 
     def emit(self, kind: str, **fields) -> None:
-        rec = {"kind": kind}
-        rec.update(fields)
-        self.events.append(rec)
+        # The keyword dict is the caller's own, built for this call; lines
+        # are key-sorted, so adding "kind" last changes no byte.
+        fields["kind"] = kind
+        self.events.append(fields)
 
     def lines(self) -> Iterator[bytes]:
         """Each record as one compact, key-sorted JSON line ending in a

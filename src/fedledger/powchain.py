@@ -39,7 +39,7 @@ digest and so the whole branch; a stored state is never written to.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from . import contract as sc
@@ -66,8 +66,11 @@ M_SETTLE = "settle_payment"
 M_REPLACE = "replace_delegate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterTx:
+    """A signed contract call on the inter-ledger. ``_signing``, ``_digest``
+    and ``_verified_by`` are caches, as on ``chain.IntraTx``."""
+
     sender: bytes
     contract_id: int
     method: str
@@ -76,9 +79,12 @@ class InterTx:
     fee: int
     checkpoint: Checkpoint | None = None
     signature: bytes = b""
+    _signing: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _verified_by: object = field(default=None, init=False, compare=False, repr=False)
 
     def signing_bytes(self) -> bytes:
-        cached = self.__dict__.get("_signing")
+        cached = self._signing
         if cached is None:
             cached = _inter_signing_bytes(self.sender, self.contract_id, self.method, self.args,
                                           self.attached_value, self.fee, self.checkpoint)
@@ -89,7 +95,7 @@ class InterTx:
         return self.signing_bytes() + enc_blob(self.signature)
 
     def digest(self) -> bytes:
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             cached = sha256(self.serialize())
             object.__setattr__(self, "_digest", cached)

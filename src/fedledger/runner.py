@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .bft import Committee, Validator, ZoneFollower
 from .chain import TxIndex, parse_transfer
 from .crypto import Keyring
-from .eventlog import EventLog, run_all_checkers
+from .eventlog import EventLog, InterTxRecords, run_all_checkers
 from .metrics import LatencyStats, LedgerMetrics, MetricsReport
 from .nodes import IntraLoadNode, InterLoadNode, MinerNode, ValidatorNode
 from .powchain import FEE, ChainState, InterNode
@@ -131,20 +131,9 @@ class Collector:
                           txs=[t.hex() for t in res.reverted_confirmed])
 
     def _log_inter_block(self, block, at: float) -> None:
-        txs = []
-        for tx in block.txs:
-            rec = {"digest": tx.digest().hex(), "sender": self._addr_hex(tx.sender),
-                   "method": tx.method, "cid": tx.contract_id,
-                   "attached": tx.attached_value, "fee": tx.fee, "args": tx.args.hex()}
-            if tx.checkpoint is not None:
-                rec["cp_zone"] = tx.checkpoint.zone_id
-                rec["cp_ref"] = tx.checkpoint.tx_ref.hex()
-                rec["cp_height"] = tx.checkpoint.block_height
-                rec["cp_head"] = tx.checkpoint.ledger_head.hex()
-            txs.append(rec)
         rec = {"block": block.digest().hex(), "parent": block.parent.hex(),
                "height": block.height, "miner": self._addr_hex(block.seal.miner),
-               "at": round(at, 3), "txs": txs}
+               "at": round(at, 3), "txs": InterTxRecords(block.txs)}
         if self.log_payloads:
             rec["bytes"] = block.serialize().hex()
         self.log.emit("inter_block", **rec)

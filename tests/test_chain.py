@@ -25,6 +25,7 @@ from fedledger.chain import (
     verify_checkpoint,
 )
 from fedledger.crypto import ZERO_DIGEST, Keyring, Reader, sha256
+from fedledger.powchain import M_CONFIG_PUB, InterTx, signed_inter_tx
 
 
 def signed_tx(keyring, key, zone=1, payload=b"hello", nonce=0):
@@ -109,6 +110,60 @@ class TestSerialization:
         # ...but the round does not change identity either (locked re-proposals).
         b3 = b1.with_seal(BftSeal(k.address, 2))
         assert b1.digest() == b3.digest()
+
+    def test_reseal_keeps_a_cached_digest_only_for_the_same_essence(self, keyring):
+        k, other = keyring.new_account(), keyring.new_account()
+        txs = [signed_tx(keyring, k, nonce=i) for i in range(3)]
+        b1 = build_block(ZERO_DIGEST, 1, txs, 5, BftSeal(k.address, 0))
+        d = b1.digest()
+        sealed = b1.with_seal(BftSeal(k.address, 1, ((k.address, b"s" * 32),)))
+        assert sealed.__dict__["_digest"] is d
+        moved = b1.with_seal(BftSeal(other.address, 0))
+        assert "_digest" not in moved.__dict__
+        assert moved.digest() != d
+        assert moved.with_seal(BftSeal(k.address, 0)).digest() == d
+
+
+def _tx_pair(keyring, kind):
+    """A signed tx of ``kind`` and an equal one built field by field, so
+    with every cache empty; and the field a changed copy alters."""
+    k = keyring.new_account()
+    if kind == "intra":
+        tx = signed_intra_tx(k, 1, b"hello", 4)
+        return tx, IntraTx(tx.sender, tx.zone_id, tx.payload, tx.nonce, tx.signature), "nonce"
+    tx = signed_inter_tx(k, 3, M_CONFIG_PUB, b"args", 5, fee=1,
+                         checkpoint=Checkpoint(1, sha256(b"t"), 2, sha256(b"h")))
+    bare = InterTx(tx.sender, tx.contract_id, tx.method, tx.args, tx.attached_value, tx.fee,
+                   tx.checkpoint, tx.signature)
+    return tx, bare, "attached_value"
+
+
+@pytest.mark.parametrize("kind", ["intra", "inter"])
+class TestTxCaches:
+    def test_a_tx_has_no_instance_dict(self, keyring, kind):
+        tx, bare, _ = _tx_pair(keyring, kind)
+        assert keyring.verify_signed(tx) and tx.digest()
+        for t in (tx, bare):
+            assert not hasattr(t, "__dict__")
+
+    def test_equality_and_hash_ignore_the_caches(self, keyring, kind):
+        tx, bare, _ = _tx_pair(keyring, kind)
+        assert tx == bare and hash(tx) == hash(bare) and repr(tx) == repr(bare)
+        assert bare._digest is None and bare._verified_by is None
+        assert bare.digest() == tx.digest()
+        assert keyring.verify_signed(bare)
+        assert bare._verified_by is keyring and tx._verified_by is None
+        assert tx == bare and hash(tx) == hash(bare) and repr(tx) == repr(bare)
+
+    def test_a_changed_copy_starts_with_empty_caches(self, keyring, kind):
+        tx, _, name = _tx_pair(keyring, kind)
+        assert keyring.verify_signed(tx)
+        d = tx.digest()
+        copy = replace(tx, **{name: getattr(tx, name) + 1})
+        assert copy._digest is None and copy._verified_by is None
+        assert getattr(copy, "_signing", None) is None
+        assert not keyring.verify_signed(copy)
+        assert copy.digest() != d
 
 
 class TestLedger:

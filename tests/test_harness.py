@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 from fedledger import runner
-from fedledger.eventlog import EventLog, check_payment_safety, check_privacy, parse_events, replay_log
+from fedledger.eventlog import (
+    EventLog,
+    check_payment_safety,
+    check_privacy,
+    encode_default,
+    parse_events,
+    replay_log,
+)
 from fedledger.harness import LOG_CHUNK_BYTES, batch, run_scenario, verify_log
 from fedledger.runner import build, finalize, run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
@@ -55,9 +62,26 @@ class TestReports:
 
     def test_serialized_log_equals_joined_json_lines(self):
         _, h = run(load_scenario(str(ROOT / "scenarios" / "demo.json")))
-        lines = [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in h.log.events]
+        # A record value built when read (an inter block's txs) is encoded
+        # through the log's own default.
+        lines = [json.dumps(e, sort_keys=True, separators=(",", ":"), default=encode_default)
+                 for e in h.log.events]
         assert h.log.serialize() == ("\n".join(lines) + "\n").encode()
         assert EventLog().serialize() == b"\n"
+
+    def test_inter_block_txs_are_built_from_the_block_when_read(self, tmp_path):
+        lp = tmp_path / "e.log"
+        _, h = run(load_scenario(str(ROOT / "scenarios" / "demo.json")), str(lp))
+        held = [e for e in h.log.events if e["kind"] == "inter_block"]
+        with open(lp, "rb") as f:
+            parsed = [e for e in parse_events(f) if e["kind"] == "inter_block"]
+        assert len(held) == len(parsed)
+        # The demo's configure calls carry checkpoints: every optional field is read.
+        assert any("cp_ref" in tx for e in parsed for tx in e["txs"])
+        for e, p in zip(held, parsed):
+            assert not any(isinstance(v, list) for v in e.values())
+            first, second = list(e["txs"]), list(e["txs"])
+            assert first == second == p["txs"]
 
     def test_digest_and_log_file_are_the_serialized_log(self, tmp_path):
         lp = tmp_path / "e.log"
