@@ -13,9 +13,16 @@ import random
 from dataclasses import dataclass, field
 
 from .bft import Committee, Validator, ZoneFollower
-from .chain import TxIndex, parse_transfer
+from .chain import TxIndex
 from .crypto import Keyring
-from .eventlog import EventLog, InterTxRecords, run_all_checkers
+from .eventlog import (
+    EventLog,
+    InterTxRecords,
+    IntraBlock,
+    IntraSubmit,
+    IntraSubmitWithPayload,
+    run_all_checkers,
+)
 from .metrics import LatencyStats, LedgerMetrics, MetricsReport
 from .nodes import IntraLoadNode, InterLoadNode, MinerNode, ValidatorNode
 from .powchain import FEE, ChainState, InterNode
@@ -48,15 +55,16 @@ class Collector:
     depth-k confirmation on the observer miner, when its latency is kept.
     Only the observer miner reports inter blocks.
 
-    Each address is hex-encoded once, and a zone tx's digest hex is made at
-    submission and carried until the tx lands, so every record that names
-    them shares one string."""
+    Zone tx records hold the tx or the block itself and build their hex
+    fields when the log is encoded or checked (``eventlog.IntraSubmit``,
+    ``eventlog.IntraBlock``), so nothing per tx is kept beyond its submit
+    time. Each address another record names is hex-encoded once."""
 
     def __init__(self, log: EventLog, log_payloads: bool):
         self.log = log
+        self.intra_record = IntraSubmitWithPayload if log_payloads else IntraSubmit
         self.log_payloads = log_payloads
-        # tx digest -> (submit time (ms), its digest hex for a zone tx)
-        self.inflight: dict[bytes, tuple[float, str | None]] = {}
+        self.inflight: dict[bytes, float] = {}  # tx digest -> submit time (ms)
         self.submitted: dict[str, int] = {}  # ledger -> txs submitted
         self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
         self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
@@ -68,51 +76,33 @@ class Collector:
             h = self._hex[addr] = addr.hex()
         return h
 
-    def _submitted(self, ledger: str, d: bytes, at: float, dhex: str | None = None) -> None:
-        self.inflight[d] = (at, dhex)
+    def _submitted(self, ledger: str, d: bytes, at: float) -> None:
+        self.inflight[d] = at
         self.submitted[ledger] = self.submitted.get(ledger, 0) + 1
 
-    def _landed(self, ledger: str, d: bytes, at: float) -> str | None:
-        """Keep the latency of an inflight tx; returns its digest hex, if kept."""
-        entry = self.inflight.pop(d, None)
-        if entry is None:
-            return None
-        self.latencies.setdefault(ledger, []).append((at - entry[0]) / 1000.0)
-        return entry[1]
+    def _landed(self, ledger: str, d: bytes, at: float) -> None:
+        """Keep the latency of an inflight tx."""
+        submitted_at = self.inflight.pop(d, None)
+        if submitted_at is not None:
+            self.latencies.setdefault(ledger, []).append((at - submitted_at) / 1000.0)
 
     # -- intra ---------------------------------------------------------------
 
     def intra_submit(self, zone: int, tx, at: float) -> None:
-        d = tx.digest()
-        dhex = d.hex()
-        self._submitted(f"zone:{zone}", d, at, dhex)
-        rec = {"zone": zone, "tx": dhex, "sender": self._addr_hex(tx.sender), "at": round(at, 3)}
-        if self.log_payloads:
-            rec["payload"] = tx.payload.hex()
-        self.log.emit("intra_submit", **rec)
+        self._submitted(f"zone:{zone}", tx.digest(), at)
+        self.log.emit(self.intra_record(zone, tx, at))
 
     def intra_commit(self, zone: int, validator: bytes, block, at: float) -> None:
-        bd = block.digest().hex()
         self.log.emit("intra_commit", zone=zone, validator=self._addr_hex(validator),
-                      height=block.height, block=bd, at=round(at, 3))
+                      height=block.height, block=block.digest().hex(), at=round(at, 3))
         key = (zone, block.height)
         if key in self.intra_blocks_logged:
             return
         self.intra_blocks_logged.add(key)
         ledger = f"zone:{zone}"
-        transfers = []
-        txds = []
         for tx in block.txs:
-            d = tx.digest()
-            dhex = self._landed(ledger, d, at) or d.hex()
-            txds.append(dhex)
-            parsed = parse_transfer(tx.payload)
-            if parsed:
-                to, amount, memo = parsed
-                transfers.append({"frm": self._addr_hex(tx.sender), "to": self._addr_hex(to),
-                                  "amount": amount, "memo": memo, "tx": dhex})
-        self.log.emit("intra_block", zone=zone, height=block.height, block=bd,
-                      txs=txds, transfers=transfers, at=round(at, 3))
+            self._landed(ledger, tx.digest(), at)
+        self.log.emit(IntraBlock(zone, block, at))
 
     # -- inter ----------------------------------------------------------------
 

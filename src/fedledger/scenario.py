@@ -375,8 +375,11 @@ def _parse_fault(f, where: str) -> dict:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as f:
-        text = f.read()
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:

@@ -6,11 +6,12 @@ here reproducible bit for bit.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
 from fedledger.analysis import double_spend_experiment
-from fedledger.eventlog import check_privacy, payload_windows, replay_log
+from fedledger.eventlog import check_privacy, parse_events, payload_windows, replay_log, run_all_checkers
 from fedledger.harness import batch
 from fedledger.runner import run
 from fedledger.scenario import (
@@ -20,7 +21,10 @@ from fedledger.scenario import (
     Scenario,
     ValidationError,
     WorkloadSpec,
+    load_scenario,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _REPORTS = []  # every report produced here; criterion 6 sweeps them
 
@@ -312,6 +316,28 @@ def test_c07_shape_pays_each_seller_once_across_a_broker_takeover():
     assert len(report.sessions) == 100
     refused = h.validators[1][0].core.book.failed
     assert len(refused) == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_scenario(str(ROOT / "scenarios" / "failover.json")),
+    lambda: c07_scenario("sessions-50", 7150),
+], ids=["failover", "c07-takeover-7150"])
+def test_checkers_read_held_and_parsed_records_alike(tmp_path, make):
+    # The run checks the records it holds, some built when read; verify-log
+    # checks the lines parsed from the file. Both must give one verdict.
+    lp = tmp_path / "e.log"
+    _, h = run(make(), str(lp))
+    with open(lp, "rb") as f:
+        parsed = parse_events(f)
+    assert run_all_checkers(h.log.events) == run_all_checkers(parsed) == (0, [])
+    held, replayed = replay_log(h.log.events), replay_log(parsed)
+    assert held.transfers == replayed.transfers
+    assert held.intra_books == replayed.intra_books
+    # The replay refuses each payout the zone book refused: at 7150, the
+    # second payouts across the broker takeover.
+    logged = sum(len(e["transfers"]) for e in parsed if e["kind"] == "intra_block")
+    refused = sum(len(vals[0].core.book.failed) for vals in h.validators.values())
+    assert len(held.transfers) == logged - refused
 
 
 # -- 8. failover availability and latency bound ------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from fedledger import runner
 from fedledger.eventlog import (
+    BuiltRecord,
     EventLog,
     check_payment_safety,
     check_privacy,
@@ -163,21 +164,35 @@ class TestSharedReplicaFacts:
                 if name not in ("pending", "confirmed") and isinstance(value, (dict, set)):
                     assert not txs & set(value), name
 
-    def test_log_records_share_one_string_per_address_and_tx(self):
-        _, h = run(session_scenario())
-        events = h.log.events
-        submitted = {e["tx"]: e for e in events if e["kind"] == "intra_submit"}
-        blocks = [e for e in events if e["kind"] == "intra_block"]
-        assert any(b["transfers"] for b in blocks)
-        for b in blocks:
-            assert all(d is submitted[d]["tx"] for d in b["txs"])
-            for t in b["transfers"]:
-                assert t["tx"] is submitted[t["tx"]]["tx"]
-                assert t["frm"] is submitted[t["tx"]]["sender"]
-        # Equal senders are one object: as many ids as distinct values.
-        senders = [e["sender"] for e in submitted.values()]
-        assert len(set(senders)) < len(senders)
-        assert len({id(s) for s in senders}) == len(set(senders))
+    @pytest.mark.parametrize("make", [
+        lambda: load_scenario(str(ROOT / "scenarios" / "demo.json")),
+        session_scenario,
+    ], ids=["demo", "sessions"])
+    def test_intra_records_are_built_from_the_tx_and_block_when_read(self, tmp_path, make):
+        scn = make()
+        assert scn.log_payloads
+        lp = tmp_path / "e.log"
+        _, h = run(scn, str(lp))
+        with open(lp, "rb") as f:
+            parsed = parse_events(f)
+        assert len(parsed) == len(h.log.events)
+        read = {"intra_submit": 0, "intra_block": 0}
+        for e, p in zip(h.log.events, parsed):
+            if p["kind"] not in read:
+                continue
+            read[p["kind"]] += 1
+            assert isinstance(e, BuiltRecord) and not hasattr(e, "__dict__")
+            held = [getattr(e, name) for cls in type(e).__mro__
+                    for name in getattr(cls, "__slots__", ())]
+            assert not any(isinstance(v, (dict, list, str)) for v in held), held
+            first, second = e.record(), e.record()
+            assert first == second == p
+            assert {key: e[key] for key in p} == p
+            assert all(key in e for key in p) and ("payload" in e) == ("payload" in p)
+        assert read["intra_submit"] and read["intra_block"]
+        # Payloads and transfers are logged here, so both are read.
+        assert all("payload" in p for p in parsed if p["kind"] == "intra_submit")
+        assert any(p["transfers"] for p in parsed if p["kind"] == "intra_block")
 
     def test_every_replica_sees_its_own_chain(self):
         _, h = run(small_scenario())
@@ -440,6 +455,16 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert "faults[0]: crash node 'dlg:9:0'" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("cmd", [["validate"], ["run"], ["batch", "--runs", "1"]],
+                             ids=["validate", "run", "batch"])
+    def test_scenario_not_utf8_exit_code(self, tmp_path, cmd):
+        scn_path = tmp_path / "bad.json"
+        scn_path.write_bytes(b"\xff\xfe{}")
+        res = self.run_cli(cmd[0], "--scenario", str(scn_path), *cmd[1:])
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert f"{scn_path}: not UTF-8 text" in res.stderr and res.stdout == ""
 
     @pytest.mark.parametrize("raw, key", [
         ({"funding": {}}, "funding"),
