@@ -5,10 +5,11 @@ satisfy n >= 3f+1 for the declared byzantine count, and a fault schedule
 may make at most that many validators of a zone byzantine. A crash or
 recover fault names a node the run builds, a byzantine one a validator.
 Values a run cannot survive are refused with their key named (the bounds
-below). Token amounts are decimal token values and must be exact
-multiples of 0.001 (one millitoken, the fee unit). Session s starts at
-(s - 1) x session_interval_ms; rate-driven load starts at 0 ms, and inter
-load runs to duration_ms.
+below). A number is finite: JSON's NaN and Infinity are refused. Token
+amounts are decimal token values and must be exact multiples of 0.001
+(one millitoken, the fee unit). Session s starts at (s - 1) x
+session_interval_ms; rate-driven load starts at 0 ms, and inter load
+runs to duration_ms.
 
 Schema (defaults in parentheses):
 
@@ -55,6 +56,7 @@ Node names: "val:<zone>:<i>", "dlg:<zone>:<i>", "miner:<i>", "admin",
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .chain import MAX_INTRA_PAYLOAD, MIN_REQUIREMENT_PAYLOAD
@@ -70,6 +72,8 @@ class ValidationError(Exception):
 
 def _tokens_to_units(value, where: str) -> int:
     units = _parse_number(value) * 1000
+    if isinstance(units, float) and not math.isfinite(units):
+        raise ValueError(f"token amount {value} is too large")
     if abs(units - round(units)) > 1e-6:
         raise ValidationError(f"{where}: token amount {value} is not a multiple of 0.001")
     return int(round(units))
@@ -157,10 +161,11 @@ class Scenario:
         positive += [("protocol.op_timeout_ms", self.protocol.op_timeout_ms),
                      ("inter.mean_block_interval_ms", self.inter.mean_block_interval_ms)]
         for key, value in positive:
-            if value <= 0:
+            if not value > 0:  # NaN too: a NaN timer never fires
                 raise ValidationError(f"{key} must be positive, got {value}")
-        if self.duration_ms < 0:
-            raise ValidationError(f"duration_ms must not be negative, got {self.duration_ms}")
+        # An infinite run never ends; under NaN no event is ever due.
+        if not math.isfinite(self.duration_ms) or self.duration_ms < 0:
+            raise ValidationError(f"duration_ms must be finite and not negative, got {self.duration_ms}")
         for key in ("payload_bytes", "intra_payload_bytes"):
             value = getattr(self.workload, key)
             if not 0 <= value <= MAX_INTRA_PAYLOAD:
@@ -248,8 +253,17 @@ def _expect(kinds: tuple, what: str):
 
 _parse_bool = _expect((bool,), "true or false")
 _parse_int = _expect((int,), "an integer")
-_parse_number = _expect((int, float), "a number")
 _parse_str = _expect((str,), "a string")
+_int_or_float = _expect((int, float), "a number")
+
+
+def _parse_number(v):
+    """An int or a finite float, unchanged. JSON text may hold NaN and
+    Infinity, and no scenario number can be either."""
+    v = _int_or_float(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
 
 
 def _parse_float(v) -> float:

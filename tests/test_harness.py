@@ -10,16 +10,22 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedledger import runner
+from fedledger.chain import IntraTx
 from fedledger.eventlog import (
     BuiltRecord,
     EventLog,
+    IntraSubmit,
+    IntraSubmitWithPayload,
     check_payment_safety,
     check_privacy,
     encode_default,
     parse_events,
     replay_log,
+    run_all_checkers,
 )
 from fedledger.harness import LOG_CHUNK_BYTES, batch, run_scenario, verify_log
 from fedledger.runner import build, finalize, run
@@ -61,14 +67,37 @@ class TestReports:
         assert r1.to_json() == r2.to_json()
         assert h1.log.serialize() == h2.log.serialize()
 
-    def test_serialized_log_equals_joined_json_lines(self):
-        _, h = run(load_scenario(str(ROOT / "scenarios" / "demo.json")))
-        # A record value built when read (an inter block's txs) is encoded
-        # through the log's own default.
+    # demo logs payloads, latency-intra's probe time is an integer, and
+    # intra-throughput logs no payloads.
+    @pytest.mark.parametrize("name, duration_ms", [
+        ("demo", None), ("latency-intra", None), ("intra-throughput", 10_000)],
+        ids=["demo", "latency-intra", "intra-throughput-10s"])
+    def test_serialized_log_equals_joined_json_lines(self, name, duration_ms):
+        scn = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
+        if duration_ms is not None:
+            scn.duration_ms = duration_ms
+        _, h = run(scn)
+        # A record built when read (a zone tx or block, an inter block's
+        # txs) is encoded through the log's own default.
         lines = [json.dumps(e, sort_keys=True, separators=(",", ":"), default=encode_default)
                  for e in h.log.events]
         assert h.log.serialize() == ("\n".join(lines) + "\n").encode()
         assert EventLog().serialize() == b"\n"
+
+    @pytest.mark.parametrize("record", [IntraSubmit, IntraSubmitWithPayload])
+    @settings(max_examples=200, deadline=None)
+    @given(at=st.one_of(
+               st.integers(0, 10**16), st.just(0.0),
+               # 17 significant digits, the most a float's repr holds
+               st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(10**16, 10**17 - 1),
+                         st.integers(-19, 0)),
+               st.floats(0, 1e16)),
+           zone=st.integers(0, 2**32 - 1), sender=st.binary(min_size=20, max_size=20),
+           payload=st.binary(max_size=64), nonce=st.integers(0, 2**64 - 1))
+    def test_intra_submit_line_is_its_json_encoding(self, record, at, zone, sender, payload, nonce):
+        r = record(zone, IntraTx(sender, zone, payload, nonce, b"s" * 64), at)
+        expected = json.dumps(r.record(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert r.line() == expected.encode()
 
     def test_inter_block_txs_are_built_from_the_block_when_read(self, tmp_path):
         lp = tmp_path / "e.log"
@@ -362,6 +391,40 @@ class TestVerifyLog:
         violations = check_privacy(events + [leak])
         assert violations and "leaked" in violations[0]
 
+    def test_planted_violations_of_three_checkers_in_log_order(self):
+        # Conflicting commits (safety), a payout no PAID contract justifies
+        # (payment) and one payload leaked in a message and an inter block
+        # (privacy), interleaved with the records each checker skips.
+        payload = bytes(range(100, 116)).hex()
+        events = [
+            {"kind": "genesis", "total_supply": 150, "inter_balances": {"dd": 100},
+             "contracts": [], "intra_balances": {"1": {"aa": 50}}},
+            {"kind": "intra_submit", "zone": 1, "tx": "01", "sender": "aa", "at": 1, "payload": payload},
+            {"kind": "intra_commit", "zone": 1, "height": 1, "block": "b2"},
+            {"kind": "xdom", "src": "dlg:1:0", "dst": "dlg:2:0", "bytes": "0000" + payload[:16]},
+            {"kind": "intra_commit", "zone": 1, "height": 1, "block": "b1"},
+            {"kind": "intra_block", "zone": 1, "height": 1, "block": "b1",
+             "transfers": [{"frm": "aa", "to": "bb", "amount": 10, "memo": 5}]},
+            {"kind": "inter_block", "block": "c1", "miner": "dd", "txs": [],
+             "bytes": "ff" + payload[8:24]},
+            {"kind": "inter_revert_confirmed", "at": 7.5, "txs": ["0a"]},
+            {"kind": "xdom", "src": "dlg:2:0", "dst": "dlg:1:0", "bytes": "00" * 16},
+            {"kind": "inter_canonical", "blocks": ["c1"]},
+            {"kind": "xdom", "src": "dlg:2:1", "dst": "dlg:1:1", "bytes": payload},
+        ]
+        expected = (0, [
+            "confirmed inter tx reverted at 7.5: ['0a']",
+            "conflicting commits in zone 1 at height 1: ['b1', 'b2']",
+            "payment for contract 5 without a settled (PAID) contract",
+            "private payload bytes leaked in message dlg:1:0->dlg:2:0 at offset 2",
+            "private payload bytes leaked in inter block c1 at offset 1",
+            "private payload bytes leaked in message dlg:2:1->dlg:1:1 at offset 0",
+        ])
+        assert run_all_checkers(events) == expected
+        log = EventLog()
+        log.events = events
+        assert run_all_checkers(parse_events(log.lines())) == expected
+
     def test_clean_log_has_no_planted_violations(self, tmp_path):
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
@@ -372,13 +435,13 @@ class TestVerifyLog:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, timeout=None):
         # pytest's pythonpath setting does not reach a subprocess.
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-m", "fedledger.cli", *args],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=timeout)
 
     def test_validate_and_run_and_verify(self, tmp_path):
         scn_path = tmp_path / "s.json"
@@ -465,6 +528,22 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert f"{scn_path}: not UTF-8 text" in res.stderr and res.stdout == ""
+
+    # The cases seen to hang a run, end it with NaN in its report, or in a
+    # traceback; json.loads accepts each of these words.
+    @pytest.mark.parametrize("cmd", ["validate", "run"])
+    @pytest.mark.parametrize("text, key", [
+        ('{"duration_ms": Infinity}', "scenario.duration_ms"),
+        ('{"duration_ms": NaN}', "scenario.duration_ms"),
+        ('{"workload": {"deposit_tokens": Infinity}}', "workload.deposit_tokens"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, cmd, text, key):
+        scn_path = tmp_path / "bad.json"
+        scn_path.write_text(text)
+        res = self.run_cli(cmd, "--scenario", str(scn_path), timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert f"{key}: expected a finite number" in res.stderr and res.stdout == ""
 
     @pytest.mark.parametrize("raw, key", [
         ({"funding": {}}, "funding"),

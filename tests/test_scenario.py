@@ -88,6 +88,21 @@ class TestValidation:
             scenario_from_dict({"domains": [{"zone_id": 1}, {"zone_id": 2}],
                                 "workload": {"sessions": 2, "pairs": [[1, 2], [2, 2]]}})
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda s: setattr(s, "duration_ms", math.inf), "duration_ms must be finite and not negative"),
+        (lambda s: setattr(s, "duration_ms", math.nan), "duration_ms must be finite and not negative"),
+        (lambda s: setattr(s, "duration_ms", -1.0), "duration_ms must be finite and not negative"),
+        (lambda s: setattr(s.domains[0], "round_timeout_ms", math.nan),
+         r"domains\[0\]\.round_timeout_ms must be positive, got nan"),
+        (lambda s: setattr(s.protocol, "op_timeout_ms", math.nan), r"protocol\.op_timeout_ms must be positive"),
+    ])
+    def test_scenario_built_in_code_refuses_non_finite_values(self, edit, key):
+        # A scenario built in code skips parsing, which refuses NaN and Infinity.
+        scn = Scenario()
+        edit(scn)
+        with pytest.raises(ValidationError, match=key):
+            scn.validate()
+
     @pytest.mark.parametrize("deposit", [0, -1])
     def test_deposit_below_one_unit_rejected_with_sessions(self, deposit):
         two = [{"zone_id": 1}, {"zone_id": 2}]
@@ -257,6 +272,14 @@ class TestMalformedValues:
         ({"inter": {"sigma": 1.0}}, r"unknown key 'sigma' in inter"),
         ({"domains": [{"zone_id": 1, "delay_min_ms": -500}]}, r"unknown key 'delay_min_ms' in domains\[0\]"),
         ({"domains": [{"zone_id": 1, "delay_max_ms": 200}]}, r"unknown key 'delay_max_ms' in domains\[0\]"),
+        # JSON text may hold NaN and Infinity; no scenario number may.
+        ({"duration_ms": math.inf}, r"scenario\.duration_ms: expected a finite number"),
+        ({"duration_ms": math.nan}, r"scenario\.duration_ms: expected a finite number"),
+        ({"workload": {"deposit_tokens": math.inf}}, r"workload\.deposit_tokens: expected a finite number"),
+        ({"workload": {"deposit_tokens": 1e306}}, r"workload\.deposit_tokens: token amount 1e\+306 is too large"),
+        ({"faults": [{"at_ms": math.nan, "fault": "heal"}]}, r"faults\[0\]\.at_ms: expected a finite number"),
+        ({"workload": {"intra_probe_times_ms": [5, -math.inf]}},
+         r"workload\.intra_probe_times_ms: item 1: expected a finite number"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):
