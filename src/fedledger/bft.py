@@ -315,8 +315,11 @@ class Validator(CommitteeReplica):
 
     def _admissible(self, tx: IntraTx, d: bytes) -> bool:
         """Whether a tx with digest ``d`` may enter a block: of this zone,
-        not on this ledger, and signed."""
-        return tx.zone_id == self.zone_id and not self.ledger.contains_tx(d) and self.keyring.verify_signed(tx)
+        not on this ledger, and signed. The ledger is asked only about a
+        digest the zone's index holds: any other is on no replica's chain."""
+        return (tx.zone_id == self.zone_id
+                and (d not in self.ledger.index.txs or not self.ledger.contains_tx(d))
+                and self.keyring.verify_signed(tx))
 
     def submit_tx(self, tx: IntraTx) -> bool:
         """Validate and pool a transaction; False when rejected."""
@@ -369,9 +372,9 @@ class Validator(CommitteeReplica):
             return []  # nothing to adopt, whatever the signature
         if not self.keyring.verify_signed(msg):
             return []
-        effects: list = []
         if is_decision:
             # Adopted, not announced: the sender has broadcast it already.
+            effects: list = []
             self._commit(self.on_decision(msg.block), now, effects, announce=False)
             return effects
         if msg.height != self.height:
@@ -379,7 +382,8 @@ class Validator(CommitteeReplica):
         if kind is PROPOSAL:
             self._record_proposal(msg)
         elif not self._record_vote(msg) and self.settled:
-            return effects  # no count reached the quorum: the scan would act on nothing
+            return []  # no count reached the quorum: the scan would act on nothing
+        effects = []
         self._maybe_progress(now, effects)
         return effects
 
@@ -432,18 +436,24 @@ class Validator(CommitteeReplica):
         else:
             table, tally, step = self.precommits, self.precommit_tally, "precommit"
             value = (msg.block_digest, msg.signature)
-        votes = table.setdefault(msg.round, {})
-        if msg.sender in votes:
-            prior = votes[msg.sender]
+        r, sender, digest = msg.round, msg.sender, msg.block_digest
+        # get, not setdefault(r, {}): that builds a dict on every vote.
+        votes = table.get(r)
+        if votes is None:
+            votes = table[r] = {}
+        elif sender in votes:
+            prior = votes[sender]
             prior_digest = prior if prevote else prior[0]
-            if prior_digest != msg.block_digest:
+            if prior_digest != digest:
                 self.evidence.append(
-                    Evidence(msg.sender, msg.height, msg.round, step, (prior_digest, msg.block_digest))
+                    Evidence(sender, msg.height, r, step, (prior_digest, digest))
                 )
             return False
-        votes[msg.sender] = value
-        counts = tally.setdefault(msg.round, {})
-        c = counts[msg.block_digest] = counts.get(msg.block_digest, 0) + 1
+        votes[sender] = value
+        counts = tally.get(r)
+        if counts is None:
+            counts = tally[r] = {}
+        c = counts[digest] = counts.get(digest, 0) + 1
         return c == self.quorum
 
     # -- state transitions ------------------------------------------------------

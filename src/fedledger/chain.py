@@ -212,14 +212,28 @@ class Block:
             out += enc_blob(tx.serialize())
         return out
 
+    def transfers(self) -> tuple:
+        """``(tx, to, amount, memo)`` of each transfer tx, in block order.
+        Parsed on first use and kept on the block; ``with_seal`` carries
+        it to the sealed copy."""
+        cached = self.__dict__.get("_transfers")
+        if cached is None:
+            cached = tuple((tx, *parsed) for tx in self.txs
+                           if (parsed := parse_transfer(tx.payload)) is not None)
+            object.__setattr__(self, "_transfers", cached)
+        return cached
+
     def with_seal(self, seal) -> "Block":
         """This block under another seal. A seal with the same essence (a
         BFT seal with the same proposer) keeps the digest, so a cached
-        one is carried over instead of re-hashing the tx root."""
+        one is carried over instead of re-hashing the tx root. The
+        transfers are filled on this block and shared: every replica
+        seals its own copy of one proposal, which is parsed once."""
         sealed = replace(self, seal=seal)
         cached = self.__dict__.get("_digest")
         if cached is not None and seal.essence() == self.seal.essence():
             object.__setattr__(sealed, "_digest", cached)
+        object.__setattr__(sealed, "_transfers", self.transfers())
         return sealed
 
 
@@ -380,11 +394,7 @@ class BalanceBook:
         return sum(self.balances.values())
 
     def apply_block(self, block: Block) -> None:
-        for tx in block.txs:
-            parsed = parse_transfer(tx.payload)
-            if parsed is None:
-                continue
-            to, amount, memo = parsed
+        for tx, to, amount, memo in block.transfers():
             if self.balances.get(tx.sender, 0) < amount or (memo and (to, memo) in self.paid):
                 self.failed.append(tx.digest())
                 continue

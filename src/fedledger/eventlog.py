@@ -146,14 +146,8 @@ class IntraSubmitWithPayload(IntraSubmit):
 
 
 def _transfer_records(block) -> list[dict]:
-    transfers = []
-    for tx in block.txs:
-        parsed = parse_transfer(tx.payload)
-        if parsed:
-            to, amount, memo = parsed
-            transfers.append({"frm": tx.sender.hex(), "to": to.hex(), "amount": amount,
-                              "memo": memo, "tx": tx.digest().hex()})
-    return transfers
+    return [{"frm": tx.sender.hex(), "to": to.hex(), "amount": amount, "memo": memo,
+             "tx": tx.digest().hex()} for tx, to, amount, memo in block.transfers()]
 
 
 class IntraBlock(BuiltRecord):

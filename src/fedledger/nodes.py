@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .bft import DECISION, PROPOSAL, Broadcast, Committed, ConsensusMsg, Deadline, ProposeAt, Validator
-from .chain import Block, IntraTx, parse_transfer, signed_intra_tx
+from .chain import Block, IntraTx, signed_intra_tx
 from .crypto import enc_u64
 from .powchain import FEE, M_NOOP, InterNode, signed_inter_tx
 from .sim import Node, Simulator
@@ -91,9 +91,11 @@ class ValidatorNode(Node):
         self._apply(sim, self.core.start(sim.now))
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
-        if isinstance(msg, TxSubmit):
+        # Exact types, the commonest first: no message type is subclassed.
+        kind = type(msg)
+        if kind is TxSubmit:
             self.core.submit_tx(msg.tx)
-        elif isinstance(msg, ConsensusMsg):
+        elif kind is ConsensusMsg:
             effects = self.core.on_msg(sim.now, msg)
             if effects:  # most votes change nothing
                 self._apply(sim, effects)
@@ -118,19 +120,19 @@ class ValidatorNode(Node):
 
     def _committed(self, sim: Simulator, block: Block) -> None:
         self.collector.intra_commit(self.zone_id, self.core.validator_id, block, sim.now)
-        if not self.subscribers:
+        subscribers = self.subscribers
+        if not subscribers:
             return
+        recipients = {id(tx): to for tx, to, _amount, _memo in block.transfers()}
         for tx in block.txs:
             # The sender's subscriber first, then the recipient's, each once.
             targets = []
-            sub = self.subscribers.get(tx.sender)
+            sub = subscribers.get(tx.sender)
             if sub:
                 targets.append(sub)
-            parsed = parse_transfer(tx.payload)
-            if parsed:
-                rcpt = self.subscribers.get(parsed[0])
-                if rcpt and rcpt != sub:
-                    targets.append(rcpt)
+            rcpt = subscribers.get(recipients.get(id(tx)))
+            if rcpt and rcpt != sub:
+                targets.append(rcpt)
             if targets:
                 sim.multicast(self.node_id, targets,
                               CommitNotice(block.height, block.digest(), tx.digest()))
@@ -203,15 +205,17 @@ class MinerNode(Node):
         sim.multicast(self.node_id, self.peers, BlockMsg(block))
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
-        if isinstance(msg, BlockMsg):
+        # Exact types, the commonest first, as in ValidatorNode.on_message.
+        kind = type(msg)
+        if kind is InterSubmit:
+            ok, reason = self.inter.submit_tx(msg.tx)
+            sim.send(self.node_id, src, InterSubmitAck(msg.tx.digest(), ok, reason))
+        elif kind is BlockMsg:
             res = self.inter.on_block(msg.block)
             if res.adopted_blocks and self.collector is not None:
                 self.collector.inter_block(res, sim.now)
             if res.tip_changed:
                 self._reschedule(sim)
-        elif isinstance(msg, InterSubmit):
-            ok, reason = self.inter.submit_tx(msg.tx)
-            sim.send(self.node_id, src, InterSubmitAck(msg.tx.digest(), ok, reason))
 
 
 def _spaced_times(spacing_ms: float, until_ms: float) -> Iterator[float]:

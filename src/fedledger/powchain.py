@@ -342,7 +342,9 @@ class InterNode:
 
     def submit_tx(self, tx: InterTx) -> tuple[bool, str]:
         d = tx.digest()
-        if d in self.pending or any(bd in self.blocks for _, _, bd in self.index.occurrences(d)):
+        # The generator only for a digest the shared index holds: most are new.
+        if d in self.pending or (d in self.index.txs
+                                 and any(bd in self.blocks for _, _, bd in self.index.occurrences(d))):
             return False, "Duplicate"
         if not self.keyring.verify_signed(tx):
             return False, "BadSignature"

@@ -70,10 +70,14 @@ class ValidationError(Exception):
     pass
 
 
+# The wire encodes a token amount as a u64 count of units (0.001 token).
+MAX_UNITS = 2 ** 64 - 1
+
+
 def _tokens_to_units(value, where: str) -> int:
     units = _parse_number(value) * 1000
-    if isinstance(units, float) and not math.isfinite(units):
-        raise ValueError(f"token amount {value} is too large")
+    if not units <= MAX_UNITS:  # an infinite float product too
+        raise ValueError(f"token amount {value} is too large: at most {MAX_UNITS} units of 0.001 fit a u64")
     if abs(units - round(units)) > 1e-6:
         raise ValidationError(f"{where}: token amount {value} is not a multiple of 0.001")
     return int(round(units))

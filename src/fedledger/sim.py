@@ -144,10 +144,12 @@ class Simulator:
         partition group are looked up once per call; each destination gets
         its own partition test, zone test, delay draw and queue entry, so
         a fan-out draws, numbers and times its messages exactly as that
-        many single sends would. A destination without on_message is drawn
-        and transcribed but gets no queue entry. With the transcript on,
-        a message sent on an inter link must have ``wire_bytes``: one
-        without fails the send rather than escape the privacy scan.
+        many single sends would: each delay comes from ``LinkModel.sample``
+        and each entry is due at ``now + delay + extra``, summed in that
+        order. A destination without on_message is drawn and transcribed
+        but gets no queue entry. With the transcript on, a message sent on
+        an inter link must have ``wire_bytes``: one without fails the send
+        rather than escape the privacy scan.
         """
         if src in self.crashed:
             return
@@ -162,20 +164,33 @@ class Simulator:
         transcript = self.transcript
         wire = None  # encoded at the first inter link, then shared
         payload = (src, msg)
-        for dst in dsts:
-            if src_group is not None:
-                dst_group = group_of.get(dst)
-                if dst_group is not None and dst_group != src_group:
-                    continue  # across the partition
-            # Same-zone links are intra; any other link is inter.
-            zone = zone_id if nodes[dst].zone_id == zone_id else None
-            delay = self.link.sample(self.rng_net, zone)
-            if transcript is not None and zone is None:
-                if wire is None:
-                    wire = msg.wire_bytes()
-                transcript.append((src, dst, wire))
-            if dst not in deaf:
-                self._push(self.now + delay + extra, "msg", dst, payload)
+        # Bound once per call: what _push and the delay draw read per
+        # destination. The sequence counter is kept in a local.
+        queue = self._queue
+        push = heapq.heappush
+        now = self.now
+        rng = self.rng_net
+        sample = self.link.sample
+        seq = self._seq
+        try:
+            for dst in dsts:
+                if src_group is not None:
+                    dst_group = group_of.get(dst)
+                    if dst_group is not None and dst_group != src_group:
+                        continue  # across the partition
+                # Same-zone links are intra; any other link is inter.
+                zone = zone_id if nodes[dst].zone_id == zone_id else None
+                delay = sample(rng, zone)
+                if transcript is not None and zone is None:
+                    if wire is None:
+                        wire = msg.wire_bytes()
+                    transcript.append((src, dst, wire))
+                if dst not in deaf:
+                    seq += 1
+                    # In this order: (now + extra) + delay rounds differently.
+                    push(queue, (now + delay + extra, seq, "msg", dst, payload))
+        finally:
+            self._seq = seq  # also when a send without wire_bytes raises
 
     # -- faults -------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedledger import chain
 from fedledger.chain import (
     BalanceBook,
     BftSeal,
@@ -408,3 +409,48 @@ class TestBalanceBook:
         assert book.balances == {a.address: 70, b.address: 30}
         assert book.failed == [pay[1].digest(), pay[2].digest()]
         assert book.paid == {(b.address, 0), (b.address, 7), (b.address, 8)}
+
+
+def reference_apply(balances, block):
+    """BalanceBook's rules written out, parsing each tx's payload itself."""
+    balances, paid, failed = dict(balances), set(), []
+    for tx in block.txs:
+        parsed = parse_transfer(tx.payload)
+        if parsed is None:
+            continue
+        to, amount, memo = parsed
+        if balances.get(tx.sender, 0) < amount or (memo and (to, memo) in paid):
+            failed.append(tx.digest())
+            continue
+        balances[tx.sender] -= amount
+        balances[to] = balances.get(to, 0) + amount
+        paid.add((to, memo))
+    return balances, paid, failed
+
+
+class TestTransferMemo:
+    def test_replicas_sealing_one_proposal_parse_its_payloads_once(self, keyring, monkeypatch):
+        a, b, c = (keyring.new_account() for _ in range(3))
+        txs = [
+            signed_tx(keyring, a, payload=transfer_payload(b.address, 30), nonce=0),
+            signed_tx(keyring, a, payload=transfer_payload(c.address, 10, memo=7), nonce=1),
+            signed_tx(keyring, a, payload=transfer_payload(c.address, 10, memo=7), nonce=2),
+            signed_tx(keyring, b, payload=b"opaque service data", nonce=3),
+        ]
+        initial = {a.address: 100, b.address: 5}
+        expected = reference_apply(initial, build_block(ZERO_DIGEST, 1, txs, 0, BftSeal(a.address, 0)))
+        assert expected[2] == [txs[2].digest()]  # the repeated payout is refused
+
+        calls = []
+        parse = chain.parse_transfer
+        monkeypatch.setattr(chain, "parse_transfer", lambda p: calls.append(p) or parse(p))
+        proposal = build_block(ZERO_DIGEST, 1, txs, 0, BftSeal(a.address, 0))
+        # Each validator seals its own copy, with the precommits it collected.
+        sealed = [proposal.with_seal(BftSeal(a.address, 0, ((v.address, bytes([i]) * 32),)))
+                  for i, v in enumerate((a, b))]
+        books = [BalanceBook(initial) for _ in sealed]
+        for book, block in zip(books, sealed):
+            book.apply_block(block)
+            assert (book.balances, book.paid, book.failed) == expected
+        assert sorted(calls) == sorted(tx.payload for tx in txs)  # each payload once
+        assert [t[0] for t in sealed[0].transfers()] == txs[:3]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from fedledger.runner import run
-from fedledger.scenario import load_scenario
+from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -88,6 +88,40 @@ INTER_CUT_MS = 150_000
 INTER_CUT_PIN = "1f91b8f25335a142f7b2fbb826516538b65eaf15ac336de6f47a9d7c25d39dac"
 
 
+# Fault kinds no scenario file has: a `delay` or `silent` validator, and a
+# partition that heals. Each is a small one-zone run (4 validators, one
+# delegate, 30 tx/s of 16-byte payloads, 8 s, seed 1). The delay pin
+# guards the hold a delayed sender adds to each send (the order of that
+# float sum is checked in test_sim.py); the partition pin guards the drop
+# of traffic across the split.
+FAULT_RUNS = {
+    "delay": [{"at_ms": 0, "fault": "byzantine", "node": "val:1:1", "behavior": "delay"}],
+    "silent": [{"at_ms": 0, "fault": "byzantine", "node": "val:1:1", "behavior": "silent"}],
+    "partition-heal": [{"at_ms": 1500, "fault": "partition",
+                        "groups": [["val:1:1", "val:1:2"], ["val:1:0", "val:1:3"]]},
+                       {"at_ms": 4000, "fault": "heal"}],
+}
+FAULT_PINS = {
+    "delay": "30ec64ad8f21ff6d5a05b8f3094125e048c078d63a66718aa1059e92876b1762",
+    "silent": "289ab8f95eaa93bd1bf05350f3c1203c9902430b70c7376975a191c00f3d9d19",
+    "partition-heal": "67008da68a2f6278543a9674550e760776c3b2f9adf919ba9423a992f3fc76fd",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAULT_PINS))
+def test_fault_run_digest(kind):
+    scn = Scenario(
+        name=f"fault-{kind}", seed=1, duration_ms=8_000,
+        domains=[DomainSpec(zone_id=1, validators=4, byzantine=1, delegates=1)],
+        inter=InterSpec(miners=1, contracts=1),
+        workload=WorkloadSpec(intra_rate_per_s=30, intra_payload_bytes=16),
+        faults=FAULT_RUNS[kind],
+        log_payloads=False,
+    )
+    report, _ = run(scn)
+    assert report.event_log_digest == FAULT_PINS[kind]
+
+
 def test_every_scenario_file_is_pinned():
     stems = {p.stem for p in SCENARIOS.glob("*.json")}
     assert stems == set(PINS) | NOT_RUN
@@ -130,7 +164,7 @@ import json, sys
 sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
 from tracing import Tracer
 from fedledger.runner import run
-from fedledger.scenario import load_scenario
+from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
 tracer = Tracer()
 tracer.install()
 report, h = run(load_scenario(sys.argv[1] + "/scenarios/demo.json"))

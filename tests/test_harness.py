@@ -545,6 +545,19 @@ class TestCli:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert f"{key}: expected a finite number" in res.stderr and res.stdout == ""
 
+    @pytest.mark.parametrize("cmd", ["validate", "run"])
+    def test_token_amount_above_u64_exit_code(self, tmp_path, cmd):
+        # Above the u64 the wire holds: refused before any node runs.
+        raw = json.loads((ROOT / "scenarios" / "demo.json").read_text())
+        raw["duration_ms"] = 5_000
+        raw["workload"] |= {"sessions": 1, "deposit_tokens": 10 ** 29}
+        scn_path = tmp_path / "huge.json"
+        scn_path.write_text(json.dumps(raw))
+        res = self.run_cli(cmd, "--scenario", str(scn_path), timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "workload.deposit_tokens: token amount" in res.stderr and res.stdout == ""
+
     @pytest.mark.parametrize("raw, key", [
         ({"funding": {}}, "funding"),
         ({"inter": {"fee_tokens": 0.001}}, "fee_tokens"),

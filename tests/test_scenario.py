@@ -280,6 +280,11 @@ class TestMalformedValues:
         ({"faults": [{"at_ms": math.nan, "fault": "heal"}]}, r"faults\[0\]\.at_ms: expected a finite number"),
         ({"workload": {"intra_probe_times_ms": [5, -math.inf]}},
          r"workload\.intra_probe_times_ms: item 1: expected a finite number"),
+        # The wire holds a token amount as a u64 count of 0.001-token units.
+        ({"workload": {"deposit_tokens": 100000000000000000000000000000}},
+         r"workload\.deposit_tokens: token amount 100000000000000000000000000000 is too large"),
+        ({"workload": {"deposit_tokens": 18446744073709552}},
+         r"workload\.deposit_tokens: token amount 18446744073709552 is too large"),
     ])
     def test_bad_value_names_key(self, raw, key):
         with pytest.raises(ParseError, match=key):
@@ -334,6 +339,10 @@ class TestMalformedValues:
         assert scn.inter.mean_block_interval_ms == 4000.0
         assert isinstance(scn.inter.mean_block_interval_ms, float)
         assert scn.workload.deposit_units == 500
+
+    def test_largest_whole_token_amount_that_fits_a_u64_is_accepted(self):
+        scn = scenario_from_dict({"workload": {"deposit_tokens": 18446744073709551}})
+        assert scn.workload.deposit_units == 18446744073709551000 <= 2 ** 64 - 1
 
     def test_other_malformed_input_is_a_parse_error(self):
         with pytest.raises(ParseError):

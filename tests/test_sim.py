@@ -280,6 +280,25 @@ class TestMulticast:
         assert fan._queue == ref._queue
         assert fan.transcript == ref.transcript
         assert fan.rng_net.getstate() == ref.rng_net.getstate()
+        assert fan._seq == ref._seq  # multicast keeps the counter in a local
+
+    def test_a_delayed_send_is_held_after_its_delay_is_added(self):
+        # now + delay + extra, in that order: (now + extra) + delay rounds
+        # differently at some of these times.
+        sim = faulted_sim(1, 0.0, False, "a1", None, None)
+        extra = 0.9 * INTRA_MAX_MS
+        times = random.Random(0)
+        rounded_apart = 0
+        for _ in range(1000):
+            now = sim.now = times.uniform(0, 30_000)
+            probe = random.Random()
+            probe.setstate(sim.rng_net.getstate())
+            delay = sim.link.sample(probe, ZONES["a1"])
+            sim._queue.clear()
+            sim.multicast("a1", ("b1",), "m")
+            assert sim._queue[0][0] == now + delay + extra
+            rounded_apart += now + delay + extra != now + extra + delay
+        assert rounded_apart
 
 
 class TestStrictTranscript:
