@@ -114,26 +114,27 @@ class ConsensusMsg:
         return self.signing_bytes() + enc_blob(self.signature) + enc_blob(body)
 
 
-# Effects returned to the driving event loop.
+# Effects returned to the driving event loop. Slotted, not frozen: the loop
+# only reads them, and a frozen dataclass is slower to build.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Broadcast:
     msg: ConsensusMsg
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Deadline:
     at: float
     epoch: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProposeAt:
     at: float
     height: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Committed:
     block: Block
 

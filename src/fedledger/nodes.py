@@ -19,14 +19,17 @@ from .powchain import FEE, M_NOOP, InterNode, signed_inter_tx
 from .sim import Node, Simulator
 
 
+# Message envelopes are slotted but not frozen: no handler writes to one,
+# and a frozen dataclass pays an object.__setattr__ per field to build.
+
 # Zone traffic: a tx to the zone committee, and a commit notice back.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TxSubmit:
     tx: IntraTx
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitNotice:
     height: int
     block_digest: bytes
@@ -36,7 +39,7 @@ class CommitNotice:
 # Inter-ledger traffic, which crosses a zone: each message has its wire
 # form (docs/serialization.md), transcribed for the privacy scan.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockMsg:
     block: Block
 
@@ -44,7 +47,7 @@ class BlockMsg:
         return self.block.serialize()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InterSubmit:
     tx: object  # InterTx
 
@@ -52,7 +55,7 @@ class InterSubmit:
         return b"intersub" + self.tx.serialize()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InterSubmitAck:
     tx_digest: bytes
     accepted: bool

@@ -5,11 +5,13 @@ satisfy n >= 3f+1 for the declared byzantine count, and a fault schedule
 may make at most that many validators of a zone byzantine. A crash or
 recover fault names a node the run builds, a byzantine one a validator.
 Values a run cannot survive are refused with their key named (the bounds
-below). A number is finite: JSON's NaN and Infinity are refused. Token
-amounts are decimal token values and must be exact multiples of 0.001
-(one millitoken, the fee unit). Session s starts at (s - 1) x
-session_interval_ms; rate-driven load starts at 0 ms, and inter load
-runs to duration_ms.
+below). A timer period, and the spacing 1000 / rate of a positive load
+rate, is at least one ulp of duration_ms, written ">= ulp" below: a
+shorter one cannot move the clock. A number is finite: JSON's NaN and
+Infinity are refused. Token amounts are decimal token values and must
+be exact multiples of 0.001 (one millitoken, the fee unit). Session s
+starts at (s - 1) x session_interval_ms; rate-driven load starts at
+0 ms, and inter load runs to duration_ms.
 
 Schema (defaults in parentheses):
 
@@ -20,24 +22,24 @@ Schema (defaults in parentheses):
   "log_payloads": bool (true),        # payload hex + block/message bytes in the log
   "domains": [
     {"zone_id": int, "validators": int (4), "byzantine": int (0),
-     "block_capacity": int (1000, >= 1), "round_timeout_ms": number (200, > 0),
+     "block_capacity": int (1000, >= 1), "round_timeout_ms": number (200, >= ulp),
      "block_interval_ms": number (1600), "delegates": int (2, >= 1)}
   ],
   "inter": {
     "miners": int (3, >= 1; miner 0 observes),
-    "mean_block_interval_ms": number (4500, > 0), "block_capacity": int (571, >= 1),
+    "mean_block_interval_ms": number (4500, >= ulp), "block_capacity": int (571, >= 1),
     "confirmation_depth": int (6, >= 1), "contracts": int (4)
   },
   "workload": {
     "sessions": int (0), "deposit_tokens": number (10, >= 0.001 with sessions),
     "session_interval_ms": number (0), "payload_bytes": int (1024, 0..1024; 64..1024 with sessions),
     "pairs": [[seller_zone, buyer_zone], ...] ([[z1, z2], [z2, z3], ...]; round-robin; zones differ),
-    "intra_rate_per_s": number (0), "intra_until_ms": number (duration),
+    "intra_rate_per_s": number (0; 1000 / rate >= ulp), "intra_until_ms": number (duration),
     "intra_payload_bytes": int (64, 0..1024), "intra_probe_times_ms": [numbers] ([]),
-    "inter_rate_per_s": number (0), "inter_probe_times_ms": [numbers] ([])
+    "inter_rate_per_s": number (0; 1000 / rate >= ulp), "inter_probe_times_ms": [numbers] ([])
   },
   "protocol": {
-    "op_timeout_ms": number (120000, > 0)
+    "op_timeout_ms": number (120000, >= ulp)
   },
   "faults": [
     {"at_ms": number, "fault": "crash"|"recover", "node": str} |
@@ -158,18 +160,30 @@ class Scenario:
         return ids
 
     def validate(self) -> None:
-        # Values the simulation cannot run: a zero or negative timer period
-        # re-arms at one virtual instant for ever; the others crash it.
-        positive = [(f"domains[{i}].round_timeout_ms", d.round_timeout_ms)
-                    for i, d in enumerate(self.domains)]
-        positive += [("protocol.op_timeout_ms", self.protocol.op_timeout_ms),
-                     ("inter.mean_block_interval_ms", self.inter.mean_block_interval_ms)]
-        for key, value in positive:
-            if not value > 0:  # NaN too: a NaN timer never fires
-                raise ValidationError(f"{key} must be positive, got {value}")
-        # An infinite run never ends; under NaN no event is ever due.
+        # Values the simulation cannot run: some hang it, the others crash
+        # it. An infinite run never ends; under NaN no event is ever due.
         if not math.isfinite(self.duration_ms) or self.duration_ms < 0:
             raise ValidationError(f"duration_ms must be finite and not negative, got {self.duration_ms}")
+        # A timer period, or a load spacing, under one ulp of duration_ms
+        # cannot move the clock (now + period == now), so it re-arms at one
+        # virtual instant for ever, as a zero or negative one does.
+        step = math.ulp(self.duration_ms)
+        periods = [(f"domains[{i}].round_timeout_ms", d.round_timeout_ms)
+                   for i, d in enumerate(self.domains)]
+        periods += [("protocol.op_timeout_ms", self.protocol.op_timeout_ms),
+                    ("inter.mean_block_interval_ms", self.inter.mean_block_interval_ms)]
+        for key, value in periods:
+            if not value > 0:  # NaN too: a NaN timer never fires
+                raise ValidationError(f"{key} must be positive, got {value}")
+            if value < step:
+                raise ValidationError(
+                    f"{key} must be at least {step!r} ms (the clock's step at duration_ms), got {value}")
+        for key in ("intra_rate_per_s", "inter_rate_per_s"):
+            rate = getattr(self.workload, key)
+            if rate > 0 and not 1000.0 / rate >= step:
+                raise ValidationError(
+                    f"workload.{key} {rate} spaces loads {1000.0 / rate!r} ms apart, under the "
+                    f"clock's step at duration_ms ({step!r} ms)")
         for key in ("payload_bytes", "intra_payload_bytes"):
             value = getattr(self.workload, key)
             if not 0 <= value <= MAX_INTRA_PAYLOAD:

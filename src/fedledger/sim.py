@@ -134,22 +134,51 @@ class Simulator:
         self._push(at, "timer", node_id, key)
 
     def send(self, src: str, dst: str, msg) -> None:
-        """Send msg from src to dst with a sampled link delay."""
-        self.multicast(src, (dst,), msg)
+        """Send msg from src to dst with a sampled link delay.
+
+        The link rule of one destination, in this order: a crashed sender
+        sends nothing, a partition between the two drops the message, a
+        same-zone link is intra and any other is inter, ``LinkModel.sample``
+        draws the delay, and with the transcript on an inter-link message
+        is transcribed (it must have ``wire_bytes``). A destination without
+        on_message is drawn and transcribed but gets no queue entry; any
+        other gets one due at ``now + delay + extra``, summed in that order.
+        ``multicast`` applies the same rule to each of its destinations;
+        this straight-line body is the cheaper one for a single send, and
+        tests hold both to one written-out reference.
+        """
+        if src in self.crashed:
+            return
+        group_of = self._group_of
+        if group_of:
+            src_group = group_of.get(src)
+            if src_group is not None:
+                dst_group = group_of.get(dst)
+                if dst_group is not None and dst_group != src_group:
+                    return  # across the partition
+        a = self.nodes[src]
+        zone = a.zone_id if self.nodes[dst].zone_id == a.zone_id else None
+        delay = self.link.sample(self.rng_net, zone)
+        if zone is None and self.transcript is not None:
+            self.transcript.append((src, dst, msg.wire_bytes()))
+        if dst in self._deaf:
+            return
+        # Holds traffic to just under the synchrony bound.
+        extra = 0.9 * INTRA_MAX_MS if a.behavior == "delay" else 0.0
+        self._seq = seq = self._seq + 1
+        # In this order: (now + extra) + delay rounds differently.
+        heapq.heappush(self._queue, (self.now + delay + extra, seq, "msg", dst, (src, msg)))
 
     def multicast(self, src: str, dsts, msg) -> None:
         """Send one msg from src to each of dsts, in order, each with its own link delay.
 
-        The link rules live here alone. The sender's crash, behaviour and
-        partition group are looked up once per call; each destination gets
-        its own partition test, zone test, delay draw and queue entry, so
-        a fan-out draws, numbers and times its messages exactly as that
-        many single sends would: each delay comes from ``LinkModel.sample``
-        and each entry is due at ``now + delay + extra``, summed in that
-        order. A destination without on_message is drawn and transcribed
-        but gets no queue entry. With the transcript on, a message sent on
-        an inter link must have ``wire_bytes``: one without fails the send
-        rather than escape the privacy scan.
+        Applies ``send``'s link rule to each destination, with what does
+        not depend on the destination bound once per call: the sender's
+        crash, behaviour and partition group are looked up once, and each
+        destination gets its own partition test, zone test, delay draw and
+        queue entry, so a fan-out draws, numbers and times its messages
+        exactly as that many single sends would. The message's wire form
+        is encoded once, at the first inter link.
         """
         if src in self.crashed:
             return

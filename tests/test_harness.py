@@ -558,6 +558,33 @@ class TestCli:
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert "workload.deposit_tokens: token amount" in res.stderr and res.stdout == ""
 
+    @pytest.mark.parametrize("cmd", ["validate", "run"])
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("demo", "domains", "round_timeout_ms", 1e-300),
+        ("demo", "protocol", "op_timeout_ms", 1e-300),
+        ("demo", "inter", "mean_block_interval_ms", 1e-300),
+        ("intra-throughput", "workload", "intra_rate_per_s", 1e20),
+        ("inter-throughput", "workload", "inter_rate_per_s", 1e20),
+    ])
+    def test_period_under_the_clock_step_exit_code(self, tmp_path, cmd, name, section, key, value):
+        # Positive, but at 5 s now + period == now: the timer or the load
+        # would re-arm at one virtual instant for ever. Refused before any
+        # node runs.
+        raw = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+        raw["duration_ms"] = 5_000
+        if section == "domains":
+            raw["domains"][0][key] = value
+            section = "domains[0]"
+        else:
+            raw.setdefault(section, {})[key] = value
+        scn_path = tmp_path / "still.json"
+        scn_path.write_text(json.dumps(raw))
+        res = self.run_cli(cmd, "--scenario", str(scn_path), timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert f"{section}.{key}" in res.stderr and "the clock's step" in res.stderr
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("raw, key", [
         ({"funding": {}}, "funding"),
         ({"inter": {"fee_tokens": 0.001}}, "fee_tokens"),

@@ -331,19 +331,24 @@ class TestCommitmentGate:
 
 def started(scn, before_start=None):
     """A built harness with every node started and every message sent
-    recorded as (time, src, dst, msg), one entry per destination. Every
-    send, unicast or fan-out, goes through ``Simulator.multicast``."""
+    recorded as (time, src, dst, msg), one entry per destination. A
+    unicast goes through ``Simulator.send`` and a fan-out through
+    ``Simulator.multicast``; both are recorded."""
     h = build(scn)
     if before_start is not None:
         before_start(h)
     sent = []
-    multicast = h.sim.multicast
+    send, multicast = h.sim.send, h.sim.multicast
+
+    def recording_send(src, dst, msg):
+        sent.append((h.sim.now, src, dst, msg))
+        send(src, dst, msg)
 
     def recording_multicast(src, dsts, msg):
         sent.extend((h.sim.now, src, dst, msg) for dst in dsts)
         multicast(src, dsts, msg)
 
-    h.sim.multicast = recording_multicast
+    h.sim.send, h.sim.multicast = recording_send, recording_multicast
     for node in list(h.sim.nodes.values()):
         start = getattr(node, "start", None)
         if start is not None:
@@ -450,15 +455,24 @@ class TestBrokerPaths:
         dlg = h.delegates[1][0]
         view = FailingInterView(dlg.inter, contracts)
         dlg.inter = view
-        forward = h.sim.multicast
+        forward_send, forward_multicast = h.sim.send, h.sim.multicast
 
-        def intercept(src, dsts, msg):
+        def dropped(src, dsts, msg):
+            # Records and fails the broker's submissions instead of sending them.
             if src == dlg.node_id and isinstance(msg, InterSubmit):
                 sent.extend((h.sim.now, src, dst, msg) for dst in dsts)
                 view.fail(msg.tx)
-                return
-            forward(src, dsts, msg)
-        h.sim.multicast = intercept
+                return True
+            return False
+
+        def intercept_send(src, dst, msg):
+            if not dropped(src, (dst,), msg):
+                forward_send(src, dst, msg)
+
+        def intercept_multicast(src, dsts, msg):
+            if not dropped(src, dsts, msg):
+                forward_multicast(src, dsts, msg)
+        h.sim.send, h.sim.multicast = intercept_send, intercept_multicast
         out = finish(h)
 
         configs = submits_from(sent, "dlg:1:0", M_CONFIG_PUB)

@@ -148,12 +148,21 @@ class TestValidation:
          r"workload\.payload_bytes must be at least 64 with sessions, got 0"),
         ({"domains": [{"zone_id": 1}, {"zone_id": 2}], "workload": {"sessions": 2, "payload_bytes": 63}},
          r"workload\.payload_bytes must be at least 64 with sessions, got 63"),
+        # Positive, but under one ulp of duration_ms: now + period == now.
+        ({"duration_ms": 5000, "domains": [{"zone_id": 1, "round_timeout_ms": 1e-300}]},
+         r"domains\[0\]\.round_timeout_ms"),
+        ({"duration_ms": 5000, "protocol": {"op_timeout_ms": 1e-300}}, r"protocol\.op_timeout_ms"),
+        ({"duration_ms": 5000, "inter": {"mean_block_interval_ms": 1e-300}},
+         r"inter\.mean_block_interval_ms"),
+        ({"duration_ms": 5000, "workload": {"intra_rate_per_s": 1e20}}, r"workload\.intra_rate_per_s"),
+        ({"duration_ms": 5000, "workload": {"inter_rate_per_s": 1e20}}, r"workload\.inter_rate_per_s"),
     ])
     def test_values_a_run_cannot_survive(self, raw, key):
-        # Each value hangs or crashes a run: a timer period of 0 re-arms at
-        # one virtual instant, an oversized payload breaks the first
-        # submission, empty session payloads put every session on one
-        # contract, and without a miner nothing observes the inter ledger.
+        # Each value hangs or crashes a run: a timer period of 0, or one
+        # under the clock's step, re-arms at one virtual instant, an
+        # oversized payload breaks the first submission, empty session
+        # payloads put every session on one contract, and without a miner
+        # nothing observes the inter ledger.
         with pytest.raises(ValidationError, match=key):
             scenario_from_dict(raw)
 
@@ -161,6 +170,15 @@ class TestValidation:
         scn = scenario_from_dict({"duration_ms": 0, "inter": {"miners": 1},
                                   "workload": {"payload_bytes": 1024, "intra_payload_bytes": 0}})
         assert (scn.duration_ms, scn.inter.miners, scn.workload.payload_bytes) == (0, 1, 1024)
+        # One ulp of duration_ms moves the clock, as a period and as a spacing.
+        step = math.ulp(5000.0)
+        scn = scenario_from_dict({"duration_ms": 5000,
+                                  "domains": [{"zone_id": 1, "round_timeout_ms": step}],
+                                  "protocol": {"op_timeout_ms": step},
+                                  "inter": {"mean_block_interval_ms": step},
+                                  "workload": {"intra_rate_per_s": 1000 / step,
+                                               "inter_rate_per_s": 1000 / step}})
+        assert 1000.0 / scn.workload.intra_rate_per_s == step
 
     def test_unknown_fault_key(self):
         with pytest.raises(ParseError, match="when"):

@@ -257,6 +257,9 @@ def faulted_sim(seed, now, transcript, delayer, crashed, groups):
 
 
 class TestMulticast:
+    """``send`` and ``multicast`` are two bodies of one link rule: each is
+    held to ``unicast_reference``, a fan-out once per destination."""
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            now=st.floats(0.0, 1e6),
@@ -265,15 +268,20 @@ class TestMulticast:
            crashed=st.sampled_from([None, *IDS]),
            groups=st.none() | st.lists(st.lists(st.sampled_from(IDS), unique=True).map(tuple),
                                        min_size=1, max_size=3).map(tuple),
+           # A destination list is a multicast; a single id is a send.
            fanouts=st.lists(st.tuples(st.sampled_from(IDS),
-                                      st.lists(st.sampled_from(IDS), max_size=8),
+                                      st.lists(st.sampled_from(IDS), max_size=8) | st.sampled_from(IDS),
                                       st.integers(0, 255).map(Wired)),
-                            min_size=1, max_size=4))
+                            min_size=1, max_size=6))
     def test_equals_one_send_per_destination(self, seed, now, transcript, delayer, crashed,
                                              groups, fanouts):
         sims = [faulted_sim(seed, now, transcript, delayer, crashed, groups) for _ in range(2)]
         for src, dsts, msg in fanouts:
-            sims[0].multicast(src, dsts, msg)
+            if isinstance(dsts, str):
+                sims[0].send(src, dsts, msg)
+                dsts = (dsts,)
+            else:
+                sims[0].multicast(src, dsts, msg)
             for dst in dsts:
                 unicast_reference(sims[1], groups, src, dst, msg)
         fan, ref = sims
@@ -285,20 +293,24 @@ class TestMulticast:
     def test_a_delayed_send_is_held_after_its_delay_is_added(self):
         # now + delay + extra, in that order: (now + extra) + delay rounds
         # differently at some of these times.
-        sim = faulted_sim(1, 0.0, False, "a1", None, None)
         extra = 0.9 * INTRA_MAX_MS
-        times = random.Random(0)
-        rounded_apart = 0
-        for _ in range(1000):
-            now = sim.now = times.uniform(0, 30_000)
-            probe = random.Random()
-            probe.setstate(sim.rng_net.getstate())
-            delay = sim.link.sample(probe, ZONES["a1"])
-            sim._queue.clear()
-            sim.multicast("a1", ("b1",), "m")
-            assert sim._queue[0][0] == now + delay + extra
-            rounded_apart += now + delay + extra != now + extra + delay
-        assert rounded_apart
+        for via in ("send", "multicast"):
+            sim = faulted_sim(1, 0.0, False, "a1", None, None)
+            times = random.Random(0)
+            rounded_apart = 0
+            for _ in range(1000):
+                now = sim.now = times.uniform(0, 30_000)
+                probe = random.Random()
+                probe.setstate(sim.rng_net.getstate())
+                delay = sim.link.sample(probe, ZONES["a1"])
+                sim._queue.clear()
+                if via == "send":
+                    sim.send("a1", "b1", "m")
+                else:
+                    sim.multicast("a1", ("b1",), "m")
+                assert sim._queue[0][0] == now + delay + extra, via
+                rounded_apart += now + delay + extra != now + extra + delay
+            assert rounded_apart
 
 
 class TestStrictTranscript:
