@@ -375,14 +375,16 @@ def verify_checkpoint(cp: Checkpoint, ledger: Ledger) -> bool:
 class BalanceBook:
     """Per-zone account balances, updated by committed transfer payloads.
 
-    Transfers with insufficient sender funds are recorded as failed and
-    leave balances untouched; opaque payloads have no value effect.
-    ``paid`` holds the (to, memo) of every applied transfer: a broker asks
-    it whether a seller's payout for a contract is on the zone ledger.
-    A payout (memo != 0, the contract id) whose (to, memo) is already
-    there is refused as failed too, so a broker that takes over a session
-    with its predecessor's payout still in flight cannot pay twice;
-    memo-0 funding transfers may repeat.
+    ``transfer`` is the zone's one value rule: block application and the
+    event-log replay both call it. A transfer whose sender (a missing
+    account holds 0) cannot cover it is refused and leaves balances
+    untouched; ``apply_block`` records each refused tx as failed, and
+    opaque payloads have no value effect. ``paid`` holds the (to, memo)
+    of every applied transfer: a broker asks it whether a seller's payout
+    for a contract is on the zone ledger. A payout (memo != 0, the
+    contract id) whose (to, memo) is already there is refused too, so a
+    broker that takes over a session with its predecessor's payout still
+    in flight cannot pay twice; memo-0 funding transfers may repeat.
     """
 
     def __init__(self, initial: dict[bytes, int] | None = None):
@@ -393,11 +395,17 @@ class BalanceBook:
     def total(self) -> int:
         return sum(self.balances.values())
 
+    def transfer(self, frm, to, amount: int, memo: int) -> bool:
+        """Move ``amount`` from ``frm`` to ``to``; False if refused."""
+        held = self.balances.get(frm, 0)
+        if held < amount or (memo and (to, memo) in self.paid):
+            return False
+        self.balances[frm] = held - amount
+        self.balances[to] = self.balances.get(to, 0) + amount
+        self.paid.add((to, memo))
+        return True
+
     def apply_block(self, block: Block) -> None:
         for tx, to, amount, memo in block.transfers():
-            if self.balances.get(tx.sender, 0) < amount or (memo and (to, memo) in self.paid):
+            if not self.transfer(tx.sender, to, amount, memo):
                 self.failed.append(tx.digest())
-                continue
-            self.balances[tx.sender] -= amount
-            self.balances[to] = self.balances.get(to, 0) + amount
-            self.paid.add((to, memo))

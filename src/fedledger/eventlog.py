@@ -2,10 +2,11 @@
 
 Every run appends protocol messages and state transitions as JSON-line
 records (virtual timestamp, actor, event kind, digests). The log is the
-input to the checkers below, which reconstruct ledger and contract state
-from the logged transactions alone — independent of the runner's
-in-memory objects — and to the tamper check (the report pins the log's
-SHA-256).
+input to the checkers below, which rebuild ledger and contract state
+from the logged transactions alone under the ledgers' own rules
+(``powchain.apply_tx``, ``BalanceBook.transfer``), and to the tamper
+check (the report pins the log's SHA-256). The log holds no signatures,
+so the replay takes every logged tx as signed.
 
 Checkers:
   safety        no two validators commit different blocks at one height;
@@ -29,35 +30,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import contract as sc
-from .chain import Checkpoint, parse_transfer
+from .chain import BalanceBook, Checkpoint, parse_transfer
 from .contract import BrokerStatus
-
-
-class InterTxRecords:
-    """The ``txs`` of an ``inter_block`` record: the block's own tuple of
-    ``InterTx``, whose per-tx records are built each time it is iterated
-    and never stored. Every part of a block is frozen, so each reading
-    gives equal records; encoding a line reads it through
-    ``encode_default``, and the inter-ledger replay iterates it as it
-    iterates the list a parsed log holds."""
-
-    __slots__ = ("txs",)
-
-    def __init__(self, txs: tuple):
-        self.txs = txs
-
-    def __iter__(self) -> Iterator[dict]:
-        for tx in self.txs:
-            rec = {"digest": tx.digest().hex(), "sender": tx.sender.hex(),
-                   "method": tx.method, "cid": tx.contract_id,
-                   "attached": tx.attached_value, "fee": tx.fee, "args": tx.args.hex()}
-            cp = tx.checkpoint
-            if cp is not None:
-                rec["cp_zone"] = cp.zone_id
-                rec["cp_ref"] = cp.tx_ref.hex()
-                rec["cp_height"] = cp.block_height
-                rec["cp_head"] = cp.ledger_head.hex()
-            yield rec
+from .powchain import M_SETTLE, ChainState, InterTx, apply_tx
 
 
 class BuiltRecord:
@@ -173,12 +148,39 @@ class IntraBlock(BuiltRecord):
         self.at = at
 
 
+def _inter_tx_record(tx: InterTx) -> dict:
+    """The logged fields of an inter tx: all but its signature."""
+    rec = {"digest": tx.digest().hex(), "sender": tx.sender.hex(), "method": tx.method,
+           "cid": tx.contract_id, "attached": tx.attached_value, "fee": tx.fee,
+           "args": tx.args.hex()}
+    cp = tx.checkpoint
+    if cp is not None:
+        rec["cp_zone"] = cp.zone_id
+        rec["cp_ref"] = cp.tx_ref.hex()
+        rec["cp_height"] = cp.block_height
+        rec["cp_head"] = cp.ledger_head.hex()
+    return rec
+
+
+def _read_inter_tx(rec: dict) -> InterTx:
+    """The inter tx of a logged record, without a signature; the logged
+    digest fills its digest cache."""
+    cp = None
+    if "cp_zone" in rec:
+        cp = Checkpoint(rec["cp_zone"], bytes.fromhex(rec["cp_ref"]), rec["cp_height"],
+                        bytes.fromhex(rec["cp_head"]))
+    tx = InterTx(bytes.fromhex(rec["sender"]), rec["cid"], rec["method"], bytes.fromhex(rec["args"]),
+                 rec["attached"], rec["fee"], cp)
+    object.__setattr__(tx, "_digest", bytes.fromhex(rec["digest"]))
+    return tx
+
+
 def encode_default(o):
     """The JSON value of a record, or a record value, that is built when
-    read: the dict of a ``BuiltRecord``, or the list of an
-    ``InterTxRecords``."""
-    if type(o) is InterTxRecords:
-        return list(o)
+    read: the dict of a ``BuiltRecord``, or the logged fields of an
+    ``InterTx`` in an ``inter_block`` record's ``txs``."""
+    if type(o) is InterTx:
+        return _inter_tx_record(o)
     if isinstance(o, BuiltRecord):
         return o.record()
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -208,7 +210,7 @@ class EventLog:
 
         Streaming these into a hash or a file never holds more than one
         encoded line on top of the records themselves: a record built
-        when read (a ``BuiltRecord``, or an inter block's txs) is built
+        when read (a ``BuiltRecord``, or an inter block's tx fields) is built
         for its own line and dropped with it. A ``BuiltRecord`` writes its
         own line; the JSON encoder writes the dict records.
         """
@@ -238,20 +240,47 @@ class EventLog:
         return sha.hexdigest()
 
 
+class BadRecord(ValueError):
+    """A log record that the checkers cannot read."""
+
+
 def parse_events(chunks: Iterable[bytes]) -> list[dict]:
     """The records of a serialized log, in order, from byte chunks that
     each end at a line break or at the end of the log: the lines of a file
-    opened "rb", or ``data.splitlines()``."""
-    return [json.loads(line) for chunk in chunks for line in chunk.decode().splitlines() if line]
+    opened "rb", or ``data.splitlines()``. Each record is checked against
+    ``CHECKED_FIELDS`` (``BadRecord`` names the first bad field), and each
+    logged inter tx is read into an ``InterTx``, as a run's record holds."""
+    events = []
+    for chunk in chunks:
+        for line in chunk.decode().splitlines():
+            if not line:
+                continue
+            n = len(events) + 1
+            try:
+                e = json.loads(line)
+            except RecursionError:
+                raise ValueError(f"record {n} is nested too deeply to parse") from None
+            if not isinstance(e, dict):
+                raise BadRecord(f"record {n} is not a JSON object")
+            problem = bad_field(e)
+            if problem is not None:
+                raise BadRecord(f"record {n} ({e.get('kind')}) {problem}")
+            if e["kind"] == "inter_block":
+                e["txs"] = [_read_inter_tx(tx) for tx in e["txs"]]
+            events.append(e)
+    return events
 
 
 # The fields the checkers read, per record kind, and the shape of each
 # value; every record needs a string "kind", and other kinds are read for
 # it alone. A shape is a JSON type (int: never true/false; bytes: a hex
 # string; object: anything), [shape] for a list, {str: shape} for an
-# object of entries, or a dict of fields (a name ending in "?" may be absent).
+# object of entries, or a dict of fields. A field whose name ends in "?"
+# may be absent, but the "?" fields of one object are all present or all
+# absent: an inter tx's four checkpoint fields are one checkpoint.
 _INTER_TX = {"sender": bytes, "fee": int, "attached": int, "method": str, "cid": int,
-             "args": bytes, "cp_zone?": int, "cp_ref?": bytes, "cp_height?": int, "cp_head?": bytes}
+             "args": bytes, "digest": bytes,
+             "cp_zone?": int, "cp_ref?": bytes, "cp_height?": int, "cp_head?": bytes}
 CHECKED_FIELDS: dict[str, dict] = {
     "genesis": {"total_supply": int, "inter_balances": {str: int},
                 "intra_balances": {str: {str: int}},
@@ -285,11 +314,12 @@ def _mismatch(value, shape) -> tuple[str, str | None] | None:
     elif isinstance(shape, dict) and str in shape:
         parts = [(f"[{k}]", v, shape[str]) for k, v in value.items()]
     elif isinstance(shape, dict):
-        missing = [name for name in shape if not name.endswith("?") and name not in value]
+        fields = [(name.rstrip("?"), name.endswith("?"), sub) for name, sub in shape.items()]
+        some = any(optional and key in value for key, optional, _ in fields)
+        missing = [key for key, optional, _ in fields if key not in value and (some or not optional)]
         if missing:
             return f".{missing[0]}", None
-        fields = ((name.rstrip("?"), sub) for name, sub in shape.items())
-        parts = [(f".{key}", value[key], sub) for key, sub in fields if key in value]
+        parts = [(f".{key}", value[key], sub) for key, _, sub in fields if key in value]
     else:
         return None
     for path, v, sub in parts:
@@ -327,11 +357,6 @@ def check_safety(events: list[dict]) -> list[str]:
     return violations
 
 
-def _logged_checkpoint(tx: dict):
-    return Checkpoint(tx.get("cp_zone", 0), bytes.fromhex(tx.get("cp_ref", "00" * 32)),
-                      tx.get("cp_height", 0), bytes.fromhex(tx.get("cp_head", "00" * 32)))
-
-
 @dataclass
 class Replay:
     """Ledger state rebuilt from the event log alone, shared by the checkers.
@@ -356,15 +381,12 @@ def replay_log(events: list[dict]) -> Replay:
 
 
 def _replay_inter(events: list[dict], genesis: dict):
-    """Re-execute the logged canonical chain; returns (balances, contracts, facts)."""
-    balances: dict[str, int] = dict(genesis["inter_balances"])
-    contracts: dict[int, sc.BrokerInfo] = {}
-    for c in genesis["contracts"]:
-        contracts[c["cid"]] = sc.BrokerInfo(
-            contract_id=c["cid"],
-            admin=bytes.fromhex(c["admin"]),
-            delegation_list=tuple(bytes.fromhex(a) for a in c["delegation"]),
-        )
+    """Re-execute the logged canonical chain with ``apply_tx``, each tx taken
+    as signed; returns (balances, contracts, facts)."""
+    state = ChainState({bytes.fromhex(a): v for a, v in genesis["inter_balances"].items()},
+                       {c["cid"]: sc.BrokerInfo(contract_id=c["cid"], admin=bytes.fromhex(c["admin"]),
+                                                delegation_list=tuple(bytes.fromhex(a) for a in c["delegation"]))
+                        for c in genesis["contracts"]})
     blocks_by_digest = {}
     canonical = None
     for e in events:
@@ -373,77 +395,27 @@ def _replay_inter(events: list[dict], genesis: dict):
             blocks_by_digest[e["block"]] = e
         elif kind == "inter_canonical" and canonical is None:
             canonical = e
-    order = canonical["blocks"] if canonical else []
     facts: dict[int, dict] = {}
-
-    def bal(a: str) -> int:
-        return balances.get(a, 0)
-
-    for bd in order:
+    for bd in canonical["blocks"] if canonical else ():
         be = blocks_by_digest.get(bd)
         if be is None:
             continue  # genesis
-        miner = be["miner"]
+        miner = bytes.fromhex(be["miner"])
         for tx in be["txs"]:
-            sender, fee, attached = tx["sender"], tx["fee"], tx["attached"]
-            if bal(sender) < fee + attached:
-                continue
-            balances[sender] = bal(sender) - fee - attached
-            balances[miner] = bal(miner) + fee
-            method, cid = tx["method"], tx["cid"]
-            caller = bytes.fromhex(sender)
-            try:
-                if method == "transfer":
-                    to = tx["args"][:40]
-                    if len(to) < 40:  # args hold no address: BadArgs, refunded
-                        to = sender
-                    balances[to] = bal(to) + attached
-                elif method == "noop":
-                    balances[sender] = bal(sender) + attached
-                elif method in ("configure_publisher", "configure_subscriber",
-                                "commit_service", "settle_payment", "replace_delegate"):
-                    info = contracts.get(cid)
-                    if info is None:
-                        balances[sender] = bal(sender) + attached
-                        continue
-                    if method == "configure_publisher":
-                        cp = _logged_checkpoint(tx)
-                        contracts[cid] = sc.configure_publisher(info, caller, cp, bytes.fromhex(tx["args"]))
-                        balances[sender] = bal(sender) + attached
-                    elif method == "configure_subscriber":
-                        cp = _logged_checkpoint(tx)
-                        contracts[cid] = sc.configure_subscriber(info, caller, cp, bytes.fromhex(tx["args"]), attached)
-                    elif method == "commit_service":
-                        contracts[cid] = sc.commit_service(info, caller)
-                        balances[sender] = bal(sender) + attached
-                    elif method == "settle_payment":
-                        dual = info.pub.committed and info.sub.committed
-                        new, payee, amount = sc.settle_payment(info, caller)
-                        contracts[cid] = new
-                        payee_hex = payee.hex()
-                        balances[payee_hex] = bal(payee_hex) + amount
-                        balances[sender] = bal(sender) + attached
-                        f = facts.setdefault(cid, {"settles": 0})
-                        f["settles"] += 1
-                        f["paid"] = True
-                        f["dual_commit_at_settle"] = dual
-                    else:
-                        args = bytes.fromhex(tx["args"])
-                        contracts[cid] = sc.replace_delegate(info, caller, args[:20], args[20:40])
-                        balances[sender] = bal(sender) + attached
-                else:
-                    balances[sender] = bal(sender) + attached
-            except sc.ContractError:
-                balances[sender] = bal(sender) + attached
-    return balances, contracts, facts
+            info = state.contracts.get(tx.contract_id)
+            if apply_tx(state, tx, miner) == "ok" and tx.method == M_SETTLE:
+                f = facts.setdefault(tx.contract_id, {"settles": 0})
+                f["settles"] += 1
+                f["paid"] = True
+                f["dual_commit_at_settle"] = info.pub.committed and info.sub.committed
+    return {a.hex(): v for a, v in state.balances.items()}, state.contracts, facts
 
 
 def _replay_intra(events: list[dict], genesis: dict):
-    """Re-apply logged zone transfers under ``BalanceBook``'s rules;
-    returns (books, applied transfers)."""
-    books = {zone: dict(b) for zone, b in genesis["intra_balances"].items()}
+    """Re-apply logged zone transfers through one ``BalanceBook`` per zone;
+    returns (balances per zone, applied transfers)."""
+    books = {zone: BalanceBook(b) for zone, b in genesis["intra_balances"].items()}
     applied: list[dict] = []
-    paid: set[tuple] = set()  # (zone, to, memo) of every applied payout
     seen_blocks = set()
     for e in events:
         if e["kind"] != "intra_block":
@@ -452,17 +424,11 @@ def _replay_intra(events: list[dict], genesis: dict):
         if key in seen_blocks:
             continue
         seen_blocks.add(key)
-        book = books.setdefault(str(e["zone"]), {})
+        book = books.get(str(e["zone"])) or books.setdefault(str(e["zone"]), BalanceBook())
         for t in e.get("transfers", []):
-            frm, to, amount, memo = t["frm"], t["to"], t["amount"], t["memo"]
-            if book.get(frm, 0) < amount or (memo and (e["zone"], to, memo) in paid):
-                continue
-            book[frm] = book.get(frm, 0) - amount
-            book[to] = book.get(to, 0) + amount
-            if memo:
-                paid.add((e["zone"], to, memo))
-            applied.append({"zone": e["zone"], **t})
-    return books, applied
+            if book.transfer(t["frm"], t["to"], t["amount"], t["memo"]):
+                applied.append({"zone": e["zone"], **t})
+    return {zone: book.balances for zone, book in books.items()}, applied
 
 
 def check_conservation(rp: Replay) -> tuple[int, list[str]]:

@@ -8,7 +8,7 @@ import hashlib
 import json
 import statistics
 
-from .eventlog import bad_field, parse_events, run_all_checkers
+from .eventlog import BadRecord, parse_events, run_all_checkers
 from .metrics import LatencyStats, MetricsReport, load_report
 from .runner import raw_latencies, run
 from .scenario import ParseError, Scenario, load_scenario
@@ -121,15 +121,12 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
     try:
         with open(log_path, "rb") as f:
             events = parse_events(f)
+    except BadRecord as e:
+        raise ParseError(f"{log_path}: {e}") from None
     except ValueError as e:
         raise ParseError(f"{log_path}: not a JSON-lines event log: {e}") from None
-    if not (events and all(isinstance(e, dict) for e in events)
-            and events[0].get("kind") == "genesis"):
+    if not (events and events[0]["kind"] == "genesis"):
         raise ParseError(f"{log_path}: an event log is JSON objects, the first a genesis record")
-    for i, e in enumerate(events, 1):
-        problem = bad_field(e)
-        if problem is not None:
-            raise ParseError(f"{log_path}: record {i} ({e.get('kind')}) {problem}")
     delta, violations = run_all_checkers(events)
     failures.extend(violations)
     if delta != report.get("conservation_delta", 0):

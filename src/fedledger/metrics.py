@@ -101,4 +101,7 @@ class MetricsReport:
 
 def load_report(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError("nested too deeply to parse") from None

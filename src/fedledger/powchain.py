@@ -140,15 +140,21 @@ class ChainState:
 
 
 def execute_tx(state: ChainState, tx: InterTx, miner: bytes, keyring: Keyring) -> str:
-    """Apply one transaction to ``state`` in place; returns its receipt, the
-    status ``"ok"`` or an error code.
+    """``apply_tx`` for a tx whose signature verifies; otherwise no effect
+    and the receipt ``BadSignature``."""
+    if not keyring.verify_signed(tx):
+        return "BadSignature"
+    return apply_tx(state, tx, miner)
+
+
+def apply_tx(state: ChainState, tx: InterTx, miner: bytes) -> str:
+    """Apply one transaction, taken as signed, to ``state`` in place; returns
+    its receipt, the status ``"ok"`` or an error code.
 
     Failed calls keep the fee and refund the attached value; a sender who
     cannot cover fee + attached value has no effect at all. A call whose
     args do not decode fails with ``BadArgs``.
     """
-    if not keyring.verify_signed(tx):
-        return "BadSignature"
     cost = tx.fee + tx.attached_value
     if state.balance(tx.sender) < cost:
         return "InsufficientFunds"

@@ -17,7 +17,6 @@ from .chain import TxIndex
 from .crypto import Keyring
 from .eventlog import (
     EventLog,
-    InterTxRecords,
     IntraBlock,
     IntraSubmit,
     IntraSubmitWithPayload,
@@ -123,7 +122,7 @@ class Collector:
     def _log_inter_block(self, block, at: float) -> None:
         rec = {"block": block.digest().hex(), "parent": block.parent.hex(),
                "height": block.height, "miner": self._addr_hex(block.seal.miner),
-               "at": round(at, 3), "txs": InterTxRecords(block.txs)}
+               "at": round(at, 3), "txs": block.txs}
         if self.log_payloads:
             rec["bytes"] = block.serialize().hex()
         self.log.emit("inter_block", **rec)

@@ -416,6 +416,8 @@ def load_scenario(path: str) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: scenario must be a JSON object")
     try:

@@ -320,17 +320,24 @@ def test_c07_shape_pays_each_seller_once_across_a_broker_takeover():
 
 @pytest.mark.parametrize("make", [
     lambda: load_scenario(str(ROOT / "scenarios" / "failover.json")),
+    lambda: load_scenario(str(ROOT / "scenarios" / "demo.json")),
     lambda: c07_scenario("sessions-50", 7150),
-], ids=["failover", "c07-takeover-7150"])
+], ids=["failover", "demo", "c07-takeover-7150"])
 def test_checkers_read_held_and_parsed_records_alike(tmp_path, make):
     # The run checks the records it holds, some built when read; verify-log
-    # checks the lines parsed from the file. Both must give one verdict.
+    # checks the lines parsed from the file. Both must give one verdict and
+    # replay one state: inter balances, contracts (the demo's configure
+    # calls carry checkpoints, which the contracts keep), settlement facts,
+    # applied transfers and zone books.
     lp = tmp_path / "e.log"
     _, h = run(make(), str(lp))
     with open(lp, "rb") as f:
         parsed = parse_events(f)
     assert run_all_checkers(h.log.events) == run_all_checkers(parsed) == (0, [])
     held, replayed = replay_log(h.log.events), replay_log(parsed)
+    assert held.inter_balances == replayed.inter_balances
+    assert held.contracts == replayed.contracts
+    assert held.facts == replayed.facts
     assert held.transfers == replayed.transfers
     assert held.intra_books == replayed.intra_books
     # The replay refuses each payout the zone book refused: at 7150, the

@@ -391,6 +391,18 @@ class TestBalanceBook:
         assert book.balances == {a.address: 10}
         assert book.failed == [tx.digest()]
 
+    def test_an_account_the_book_lacks_holds_zero(self, keyring):
+        # The one transfer rule, which the log replay also calls: a
+        # zero-amount transfer from an account the book lacks applies, and
+        # any larger amount from it is refused.
+        a, b = keyring.new_account(), keyring.new_account()
+        book = BalanceBook()
+        zero, one = (signed_tx(keyring, a, payload=transfer_payload(b.address, n), nonce=n)
+                     for n in (0, 1))
+        book.apply_block(build_block(ZERO_DIGEST, 1, [zero, one], 0, BftSeal(a.address, 0)))
+        assert book.balances == {a.address: 0, b.address: 0}
+        assert book.failed == [one.digest()]
+
     def test_second_payout_for_a_contract_is_refused_and_funding_repeats(self, keyring):
         # A payout carries its contract id as memo: a second one to the same
         # seller for the same contract is refused, in the same block or a

@@ -34,6 +34,10 @@ from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, lo
 ROOT = Path(__file__).resolve().parent.parent
 # A genesis record with every field the checkers read, and nothing to replay.
 GENESIS = b'{"contracts":[],"inter_balances":{},"intra_balances":{},"kind":"genesis","total_supply":0}\n'
+# A logged inter tx without checkpoint fields or its closing brace.
+INTER_TX = b'{"args":"","attached":0,"cid":0,"digest":"cc","fee":1,"method":"noop","sender":"dd"'
+# Valid JSON nested 100,000 deep, past the parser's recursion limit.
+DEEP = b'{"a":' * 100_000 + b"0" + b"}" * 100_000
 
 
 def small_scenario(seed=9, **workload):
@@ -99,19 +103,23 @@ class TestReports:
         expected = json.dumps(r.record(), sort_keys=True, separators=(",", ":")) + "\n"
         assert r.line() == expected.encode()
 
-    def test_inter_block_txs_are_built_from_the_block_when_read(self, tmp_path):
+    def test_inter_block_records_hold_their_blocks_txs(self, tmp_path):
+        # A run's inter_block record holds its block's own tx tuple; the
+        # parsed record holds an InterTx per logged tx, with the logged
+        # digest and fields, so the replay reads alike objects from both.
         lp = tmp_path / "e.log"
         _, h = run(load_scenario(str(ROOT / "scenarios" / "demo.json")), str(lp))
         held = [e for e in h.log.events if e["kind"] == "inter_block"]
         with open(lp, "rb") as f:
             parsed = [e for e in parse_events(f) if e["kind"] == "inter_block"]
         assert len(held) == len(parsed)
+        blocks = {d.hex(): b for d, b in h.miners[0].inter.blocks.items()}
         # The demo's configure calls carry checkpoints: every optional field is read.
-        assert any("cp_ref" in tx for e in parsed for tx in e["txs"])
+        assert any(tx.checkpoint is not None for e in parsed for tx in e["txs"])
         for e, p in zip(held, parsed):
-            assert not any(isinstance(v, list) for v in e.values())
-            first, second = list(e["txs"]), list(e["txs"])
-            assert first == second == p["txs"]
+            assert e["txs"] is blocks[e["block"]].txs
+            assert [tx.digest() for tx in p["txs"]] == [tx.digest() for tx in e["txs"]]
+            assert [encode_default(tx) for tx in p["txs"]] == [encode_default(tx) for tx in e["txs"]]
 
     def test_digest_and_log_file_are_the_serialized_log(self, tmp_path):
         lp = tmp_path / "e.log"
@@ -479,10 +487,19 @@ class TestCli:
         (None, GENESIS + b'{"block":"aa","height":1,"kind":"intra_block","zone":1,'
          b'"transfers":[{"amount":"5","frm":"a","memo":0,"to":"b"}]}\n',
          "record 2 (intra_block) has field 'transfers[0].amount' that is not an integer"),
+        (None, GENESIS + b'{"block":"aa","kind":"inter_block","miner":"bb","txs":[' + INTER_TX
+         + b',"cp_zone":1}]}\n',
+         "record 2 (inter_block) has no field 'txs[0].cp_ref'"),
+        (None, GENESIS + b'{"block":"aa","kind":"inter_block","miner":"bb","txs":['
+         + INTER_TX.replace(b'"digest":"cc",', b"") + b"}]}\n",
+         "record 2 (inter_block) has no field 'txs[0].digest'"),
+        (DEEP, GENESIS, "r.json: not a JSON report"),
+        (None, GENESIS + DEEP + b"\n", "e.log: not a JSON-lines event log: record 2"),
     ], ids=["report-not-json", "log-not-json", "log-empty", "log-without-genesis",
             "report-delta-not-an-integer", "genesis-without-fields", "commit-without-height",
             "balances-not-an-object", "inter-tx-without-sender", "contract-admin-not-hex",
-            "transfer-amount-not-an-integer"])
+            "transfer-amount-not-an-integer", "inter-tx-with-part-of-a-checkpoint",
+            "inter-tx-without-digest", "report-nested-too-deeply", "log-nested-too-deeply"])
     def test_verify_log_bad_input_exit_code(self, tmp_path, report, log, named):
         # A report pinning the log's digest, so the log is parsed.
         if report is None:
@@ -528,6 +545,15 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert f"{scn_path}: not UTF-8 text" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("cmd", ["validate", "run"])
+    def test_scenario_nested_too_deeply_exit_code(self, tmp_path, cmd):
+        scn_path = tmp_path / "deep.json"
+        scn_path.write_bytes(DEEP)
+        res = self.run_cli(cmd, "--scenario", str(scn_path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert f"{scn_path}: nested too deeply to parse" in res.stderr and res.stdout == ""
 
     # The cases seen to hang a run, end it with NaN in its report, or in a
     # traceback; json.loads accepts each of these words.

@@ -669,3 +669,27 @@ class TestUndecodableCall:
         replayed = replay_log(h.log.events).inter_balances
         live = {a.hex(): v for a, v in observer.tip_state().balances.items()}
         assert {a: v for a, v in replayed.items() if v} == {a: v for a, v in live.items() if v}
+
+
+class TestCheckpointlessConfigure:
+    def test_replay_refunds_a_configure_call_the_ledger_refused(self):
+        # A delegate's configure_subscriber with 700 units attached and no
+        # checkpoint fails on chain with InvalidState and is refunded. The
+        # log replay must run the same rule: binding the delegate and
+        # escrowing the deposit would leave contract 3 and the delegate's
+        # balance differing from the chain's.
+        h, _sent = started(fast_session_scenario(seed=7))
+        probe = h.sim.add_node(Probe())
+        tx = signed_inter_tx(h.delegates[2][1].key, 3, M_CONFIG_SUB, args=b"\x05" * 32,
+                             attached=700, fee=FEE)
+        for m in h.miners:
+            h.sim.send(probe.node_id, m.node_id, InterSubmit(tx))
+        h.sim.run_until(h.scenario.duration_ms)
+        report = finalize(h)
+        assert report.safety_violations == 0 and report.conservation_delta == 0
+        observer = h.miners[0].inter
+        assert observer.canonical_receipts[tx.digest()][1] == "InvalidState"
+        replayed = replay_log(h.log.events)
+        state = observer.tip_state()
+        assert replayed.inter_balances == {a.hex(): v for a, v in state.balances.items()}
+        assert replayed.contracts[3] == state.contracts[3]
