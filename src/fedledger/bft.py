@@ -317,14 +317,18 @@ class Validator(CommitteeReplica):
     def _admissible(self, tx: IntraTx, d: bytes) -> bool:
         """Whether a tx with digest ``d`` may enter a block: of this zone,
         not on this ledger, and signed. The ledger is asked only about a
-        digest the zone's index holds: any other is on no replica's chain."""
+        digest the zone's index holds: any other is on no replica's chain.
+        A tx that carries this keyring's mark passed ``verify_signed``
+        already, at this or another replica; the mark is read without a call."""
         return (tx.zone_id == self.zone_id
                 and (d not in self.ledger.index.txs or not self.ledger.contains_tx(d))
-                and self.keyring.verify_signed(tx))
+                and (tx._verified_by is self.keyring or self.keyring.verify_signed(tx)))
 
     def submit_tx(self, tx: IntraTx) -> bool:
         """Validate and pool a transaction; False when rejected."""
-        d = tx.digest()
+        d = tx._digest  # filled by signed_intra_tx, so read without a call
+        if d is None:
+            d = tx.digest()
         if d in self.mempool or not self._admissible(tx, d):
             return False
         self.mempool[d] = tx

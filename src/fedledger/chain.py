@@ -50,13 +50,21 @@ class NotCommitted(Exception):
     """Raised when a checkpoint is requested for an uncommitted transaction."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntraTx:
     """Raw domain transaction carrying the private payload.
 
-    ``_digest`` and ``_verified_by`` are caches, filled on first use: they
+    ``_digest``, ``_verified_by`` and ``_signing_hash`` are caches: they
     are not constructor arguments, take no part in ``==``, ``hash`` or
     ``repr``, and a ``dataclasses.replace`` copy starts without them.
+    ``_digest`` and ``_verified_by`` are filled on first use.
+    ``_signing_hash``, the SHA-256 of the signing bytes, is filled only by
+    ``signed_intra_tx`` and dropped by the first successful
+    ``Keyring.verify_signed``.
+
+    The one constructor sets each slot, the caches too, through its
+    member descriptor: a frozen dataclass's generated ``__init__`` pays
+    an ``object.__setattr__`` per field.
     """
 
     sender: bytes
@@ -66,10 +74,20 @@ class IntraTx:
     signature: bytes = b""
     _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
     _verified_by: object = field(default=None, init=False, compare=False, repr=False)
+    _signing_hash: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.payload) > MAX_INTRA_PAYLOAD:
+    def __init__(self, sender: bytes, zone_id: int, payload: bytes, nonce: int,
+                 signature: bytes = b""):
+        if len(payload) > MAX_INTRA_PAYLOAD:
             raise ValueError(f"payload exceeds {MAX_INTRA_PAYLOAD} bytes")
+        _set_sender(self, sender)
+        _set_zone_id(self, zone_id)
+        _set_payload(self, payload)
+        _set_nonce(self, nonce)
+        _set_signature(self, signature)
+        _set_digest(self, None)
+        _set_verified_by(self, None)
+        _set_signing_hash(self, None)
 
     def signing_bytes(self) -> bytes:
         # Built on each call, never cached: a cached copy would hold the
@@ -84,8 +102,14 @@ class IntraTx:
         cached = self._digest
         if cached is None:
             cached = sha256(self.serialize())
-            object.__setattr__(self, "_digest", cached)
+            _set_digest(self, cached)
         return cached
+
+
+# The slot setters, bound once: the frozen class's own __setattr__ refuses.
+(_set_sender, _set_zone_id, _set_payload, _set_nonce, _set_signature,
+ _set_digest, _set_verified_by, _set_signing_hash) = (
+    IntraTx.__dict__[name].__set__ for name in IntraTx.__slots__)
 
 
 def _intra_signing_bytes(sender: bytes, zone_id: int, payload: bytes, nonce: int) -> bytes:
@@ -94,10 +118,12 @@ def _intra_signing_bytes(sender: bytes, zone_id: int, payload: bytes, nonce: int
 
 def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
     signing = _intra_signing_bytes(key.address, zone_id, payload, nonce)
-    sig = Keyring.sign(key, signing)
+    signing_hash = sha256(signing)
+    sig = Keyring.sign_hash(key, signing_hash)
     tx = IntraTx(key.address, zone_id, payload, nonce, sig)
     # The digest of serialize(), from the signing bytes already in hand.
-    object.__setattr__(tx, "_digest", sha256(signing + enc_blob(sig)))
+    _set_digest(tx, sha256(signing + enc_blob(sig)))
+    _set_signing_hash(tx, signing_hash)
     return tx
 
 

@@ -139,13 +139,23 @@ class Keyring:
 
     @staticmethod
     def sign(key: SigningKey, data: bytes) -> bytes:
-        return sha256(key.secret + sha256(data))
+        return Keyring.sign_hash(key, sha256(data))
+
+    @staticmethod
+    def sign_hash(key: SigningKey, data_hash: bytes) -> bytes:
+        """The signature over the data whose SHA-256 is ``data_hash``."""
+        return sha256(key.secret + data_hash)
 
     def verify(self, address: bytes, data: bytes, sig: bytes) -> bool:
+        return self.verify_hash(address, sha256(data), sig)
+
+    def verify_hash(self, address: bytes, data_hash: bytes, sig: bytes) -> bool:
+        """Whether ``sig`` is the signature of ``address`` over the data whose
+        SHA-256 is ``data_hash``: the one secret-hash comparison."""
         secret = self._secrets.get(address)
         if secret is None:
             return False
-        return sig == sha256(secret + sha256(data))
+        return sig == sha256(secret + data_hash)
 
     def verify_signed(self, obj) -> bool:
         """Check a frozen signed object (``sender``, ``signing_bytes()``, ``signature``).
@@ -156,10 +166,23 @@ class Keyring:
         never remembered. The mark is the attribute ``_verified_by``: a
         slotted object declares it as a field, any other gets it in its
         instance dict.
+
+        A tx that its signer built (``chain.signed_intra_tx``,
+        ``powchain.signed_inter_tx``) carries the SHA-256 of its signing
+        bytes in the cache ``_signing_hash``; the first check compares
+        against that instead of rebuilding and hashing the bytes, and a
+        success drops it, so a verified tx holds no extra bytes.
         """
         if getattr(obj, "_verified_by", None) is self:
             return True
-        if not self.verify(obj.sender, obj.signing_bytes(), obj.signature):
+        signing_hash = getattr(obj, "_signing_hash", None)
+        if signing_hash is None:
+            ok = self.verify(obj.sender, obj.signing_bytes(), obj.signature)
+        else:
+            ok = self.verify_hash(obj.sender, signing_hash, obj.signature)
+        if not ok:
             return False
+        if signing_hash is not None:
+            object.__setattr__(obj, "_signing_hash", None)
         object.__setattr__(obj, "_verified_by", self)
         return True

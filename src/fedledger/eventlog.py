@@ -295,45 +295,90 @@ CHECKED_FIELDS: dict[str, dict] = {
     "xdom": {"src": object, "dst": object, "bytes": bytes},
 }
 _NAMES = {int: "an integer", str: "a string", bytes: "a hex string", list: "a list", dict: "an object"}
+_LIST, _MAP, _FIELDS = "list", "map", "fields"
 
 
-def _mismatch(value, shape) -> tuple[str, str | None] | None:
-    """(path, the kind expected there, None if absent) at the first part of
-    ``value`` that breaks ``shape``, or None if it all conforms."""
-    kind = type(shape) if isinstance(shape, (list, dict)) else shape
-    if kind is bytes:
-        try:
-            bytes.fromhex(value)
-            return None
-        except (TypeError, ValueError):
-            return "", _NAMES[bytes]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        return "", _NAMES[kind]
+def _compile(shape):
+    """``shape`` as ``_mismatch`` walks it, built once per shape: a leaf
+    type as it is, [sub] as (_LIST, sub), {str: sub} as (_MAP, sub), and a
+    dict of fields as (_FIELDS, required, every, the optional keys), where
+    ``required`` and ``every`` each pair the (key, sub) list, in
+    declaration order, with its set of keys; each sub is compiled."""
     if isinstance(shape, list):
-        parts = [(f"[{i}]", v, shape[0]) for i, v in enumerate(value)]
-    elif isinstance(shape, dict) and str in shape:
-        parts = [(f"[{k}]", v, shape[str]) for k, v in value.items()]
-    elif isinstance(shape, dict):
-        fields = [(name.rstrip("?"), name.endswith("?"), sub) for name, sub in shape.items()]
-        some = any(optional and key in value for key, optional, _ in fields)
-        missing = [key for key, optional, _ in fields if key not in value and (some or not optional)]
-        if missing:
-            return f".{missing[0]}", None
-        parts = [(f".{key}", value[key], sub) for key, _, sub in fields if key in value]
-    else:
+        return _LIST, _compile(shape[0])
+    if isinstance(shape, dict):
+        if str in shape:
+            return _MAP, _compile(shape[str])
+        every = tuple((name.rstrip("?"), _compile(sub)) for name, sub in shape.items())
+        required = tuple(pair for pair, name in zip(every, shape) if not name.endswith("?"))
+        optional = frozenset(key for key, _ in every) - {key for key, _ in required}
+        return (_FIELDS, (required, frozenset(key for key, _ in required)),
+                (every, frozenset(key for key, _ in every)), optional)
+    return shape
+
+
+def _mismatch(value, node) -> tuple[str, str | None] | None:
+    """(path, the kind expected there, None if absent) at the first part of
+    ``value`` that breaks the compiled shape ``node``, or None if it all
+    conforms. An int or str of the exact type, an object leaf, and a
+    field's hex string pass without a call; a path is built only on the
+    way out of a mismatch."""
+    if type(node) is not tuple:  # a leaf
+        if node is bytes:
+            try:
+                bytes.fromhex(value)
+                return None
+            except (TypeError, ValueError):
+                return "", _NAMES[bytes]
+        if isinstance(value, node) and not (node is int and isinstance(value, bool)):
+            return None
+        return "", _NAMES[node]
+    tag = node[0]
+    if tag is _FIELDS:
+        if not isinstance(value, dict):
+            return "", _NAMES[dict]
+        # The optional fields are checked, all of them, if any is present.
+        fields, keys = node[1] if value.keys().isdisjoint(node[3]) else node[2]
+        if not value.keys() >= keys:
+            for key, _ in fields:
+                if key not in value:
+                    return f".{key}", None
+        for key, sub in fields:
+            v = value[key]
+            if type(v) is sub or sub is object:
+                continue
+            if sub is bytes:
+                try:
+                    bytes.fromhex(v)
+                    continue
+                except (TypeError, ValueError):
+                    return f".{key}", _NAMES[bytes]
+            bad = _mismatch(v, sub)
+            if bad is not None:
+                return f".{key}{bad[0]}", bad[1]
         return None
-    for path, v, sub in parts:
+    kind = list if tag is _LIST else dict
+    if not isinstance(value, kind):
+        return "", _NAMES[kind]
+    sub = node[1]
+    for k, v in (enumerate(value) if kind is list else value.items()):
+        if type(v) is sub or sub is object:
+            continue
         bad = _mismatch(v, sub)
         if bad is not None:
-            return path + bad[0], bad[1]
+            return f"[{k}]{bad[0]}", bad[1]
     return None
+
+
+_COMPILED = {kind: _compile(shape) for kind, shape in CHECKED_FIELDS.items()}
+_NO_FIELDS, _KIND_FIELD = _compile({}), _compile({"kind": str})
 
 
 def bad_field(record: dict) -> str | None:
     """What is wrong with the first field of ``CHECKED_FIELDS`` that
     ``record`` lacks or holds in the wrong shape, or None."""
     kind = record.get("kind")
-    bad = _mismatch(record, CHECKED_FIELDS.get(kind, {}) if isinstance(kind, str) else {"kind": str})
+    bad = _mismatch(record, _COMPILED.get(kind, _NO_FIELDS) if isinstance(kind, str) else _KIND_FIELD)
     if bad is None:
         return None
     path, expected = bad[0].lstrip("."), bad[1]

@@ -66,10 +66,14 @@ M_SETTLE = "settle_payment"
 M_REPLACE = "replace_delegate"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InterTx:
-    """A signed contract call on the inter-ledger. ``_signing``, ``_digest``
-    and ``_verified_by`` are caches, as on ``chain.IntraTx``."""
+    """A signed contract call on the inter-ledger. ``_signing``, ``_digest``,
+    ``_verified_by`` and ``_signing_hash`` are caches, as on
+    ``chain.IntraTx``: ``signed_inter_tx`` fills ``_signing`` and
+    ``_signing_hash``, and the first successful ``Keyring.verify_signed``
+    drops ``_signing_hash``. The one constructor sets every slot through
+    its member descriptor, as ``IntraTx``'s does."""
 
     sender: bytes
     contract_id: int
@@ -82,13 +86,30 @@ class InterTx:
     _signing: bytes | None = field(default=None, init=False, compare=False, repr=False)
     _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
     _verified_by: object = field(default=None, init=False, compare=False, repr=False)
+    _signing_hash: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __init__(self, sender: bytes, contract_id: int, method: str, args: bytes,
+                 attached_value: int, fee: int, checkpoint: Checkpoint | None = None,
+                 signature: bytes = b""):
+        _set_sender(self, sender)
+        _set_contract_id(self, contract_id)
+        _set_method(self, method)
+        _set_args(self, args)
+        _set_attached_value(self, attached_value)
+        _set_fee(self, fee)
+        _set_checkpoint(self, checkpoint)
+        _set_signature(self, signature)
+        _set_signing(self, None)
+        _set_digest(self, None)
+        _set_verified_by(self, None)
+        _set_signing_hash(self, None)
 
     def signing_bytes(self) -> bytes:
         cached = self._signing
         if cached is None:
             cached = _inter_signing_bytes(self.sender, self.contract_id, self.method, self.args,
                                           self.attached_value, self.fee, self.checkpoint)
-            object.__setattr__(self, "_signing", cached)
+            _set_signing(self, cached)
         return cached
 
     def serialize(self) -> bytes:
@@ -98,8 +119,14 @@ class InterTx:
         cached = self._digest
         if cached is None:
             cached = sha256(self.serialize())
-            object.__setattr__(self, "_digest", cached)
+            _set_digest(self, cached)
         return cached
+
+
+# The slot setters, bound once: the frozen class's own __setattr__ refuses.
+(_set_sender, _set_contract_id, _set_method, _set_args, _set_attached_value, _set_fee,
+ _set_checkpoint, _set_signature, _set_signing, _set_digest, _set_verified_by,
+ _set_signing_hash) = (InterTx.__dict__[name].__set__ for name in InterTx.__slots__)
 
 
 def _inter_signing_bytes(sender: bytes, contract_id: int, method: str, args: bytes,
@@ -113,9 +140,11 @@ def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
                     attached: int = 0, *, fee: int,
                     checkpoint: Checkpoint | None = None) -> InterTx:
     signing = _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint)
+    signing_hash = sha256(signing)
     tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint,
-                 Keyring.sign(key, signing))
-    object.__setattr__(tx, "_signing", signing)
+                 Keyring.sign_hash(key, signing_hash))
+    _set_signing(tx, signing)
+    _set_signing_hash(tx, signing_hash)
     return tx
 
 
@@ -347,12 +376,16 @@ class InterNode:
     # -- pool -----------------------------------------------------------------
 
     def submit_tx(self, tx: InterTx) -> tuple[bool, str]:
-        d = tx.digest()
+        # The digest cache and the keyring's mark are read without a call,
+        # as Validator.submit_tx reads them.
+        d = tx._digest
+        if d is None:
+            d = tx.digest()
         # The generator only for a digest the shared index holds: most are new.
         if d in self.pending or (d in self.index.txs
                                  and any(bd in self.blocks for _, _, bd in self.index.occurrences(d))):
             return False, "Duplicate"
-        if not self.keyring.verify_signed(tx):
+        if tx._verified_by is not self.keyring and not self.keyring.verify_signed(tx):
             return False, "BadSignature"
         if tx.fee != FEE:
             return False, "BadFee"

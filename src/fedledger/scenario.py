@@ -74,6 +74,8 @@ class ValidationError(Exception):
 
 # The wire encodes a token amount as a u64 count of units (0.001 token).
 MAX_UNITS = 2 ** 64 - 1
+# ... and a zone id as a u32 (an IntraTx's signing bytes, a Checkpoint).
+MAX_ZONE_ID = 2 ** 32 - 1
 
 
 def _tokens_to_units(value, where: str) -> int:
@@ -193,7 +195,10 @@ class Scenario:
             # Miner 0 observes the inter ledger for the report.
             raise ValidationError(f"inter.miners must be at least 1, got {self.inter.miners}")
         zones = set()
-        for d in self.domains:
+        for i, d in enumerate(self.domains):
+            if d.zone_id > MAX_ZONE_ID:
+                raise ValidationError(
+                    f"domains[{i}].zone_id {d.zone_id} is too large: at most {MAX_ZONE_ID} fits a u32")
             if d.zone_id in zones or d.zone_id < 1:
                 raise ValidationError(f"bad or duplicate zone_id {d.zone_id}")
             zones.add(d.zone_id)

@@ -31,6 +31,7 @@ from fedledger.bft import (
 from fedledger.chain import BftSeal, IntraTx, PowSeal, build_block, signed_intra_tx, transfer_payload
 from fedledger.crypto import Keyring
 from fedledger.nodes import ValidatorNode
+from fedledger.powchain import InterNode
 from fedledger.runner import run
 from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
 
@@ -856,13 +857,14 @@ class TestSignatureMemo:
 
     def test_verify_calls_once_per_signed_object(self, monkeypatch):
         # Counts in a deterministic run, so they repeat exactly: every
-        # Keyring.verify call is either a seal probe or the first check of
-        # one signed object.
+        # Keyring.verify_hash call, the one secret-hash comparison (which
+        # Keyring.verify makes too), is either a seal probe or the first
+        # check of one signed object.
         verified: dict = {}  # id -> object, kept alive so ids stay unique
         counts = {"signed": 0, "verify": 0, "probe": 0}
         in_seal = []
         verify, verify_signed, verify_sealed = (
-            Keyring.verify, Keyring.verify_signed, CommitteeReplica.verify_sealed)
+            Keyring.verify_hash, Keyring.verify_signed, CommitteeReplica.verify_sealed)
 
         def counting_verify(self, *args):
             counts["probe" if in_seal else "verify"] += 1
@@ -880,9 +882,21 @@ class TestSignatureMemo:
             finally:
                 in_seal.pop()
 
-        monkeypatch.setattr(Keyring, "verify", counting_verify)
+        def counting_mark_reads(method):
+            # Validator._admissible and InterNode.submit_tx answer a tx that
+            # carries their keyring's mark without a verify_signed call: a
+            # check the memo answered, counted as one.
+            def counting(self, tx, *args):
+                if tx._verified_by is self.keyring:
+                    counts["signed"] += 1
+                return method(self, tx, *args)
+            return counting
+
+        monkeypatch.setattr(Keyring, "verify_hash", counting_verify)
         monkeypatch.setattr(Keyring, "verify_signed", counting_signed)
         monkeypatch.setattr(CommitteeReplica, "verify_sealed", counting_sealed)
+        monkeypatch.setattr(Validator, "_admissible", counting_mark_reads(Validator._admissible))
+        monkeypatch.setattr(InterNode, "submit_tx", counting_mark_reads(InterNode.submit_tx))
         scn = Scenario(
             name="memo", seed=3, duration_ms=4_000,
             domains=[DomainSpec(zone_id=1, validators=16, delegates=1)],

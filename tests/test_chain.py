@@ -1,7 +1,8 @@
 """Hashing, signatures, serialization, checkpoints, and ledger storage."""
 
+import inspect
 import random
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fedledger import chain
 from fedledger.chain import (
+    MAX_INTRA_PAYLOAD,
     BalanceBook,
     BftSeal,
     Checkpoint,
@@ -165,6 +167,99 @@ class TestTxCaches:
         assert getattr(copy, "_signing", None) is None
         assert not keyring.verify_signed(copy)
         assert copy.digest() != d
+
+
+ADDRESSES = st.binary(min_size=20, max_size=20)
+CONSTRUCTOR_ARGS = {
+    IntraTx: st.fixed_dictionaries({
+        "sender": ADDRESSES, "zone_id": st.integers(0, 2 ** 32 - 1),
+        "payload": st.binary(max_size=MAX_INTRA_PAYLOAD), "nonce": st.integers(0, 2 ** 64 - 1),
+        "signature": st.binary(max_size=32)}),
+    InterTx: st.fixed_dictionaries({
+        "sender": ADDRESSES, "contract_id": st.integers(0, 2 ** 64 - 1), "method": st.text(max_size=8),
+        "args": st.binary(max_size=64), "attached_value": st.integers(0, 2 ** 64 - 1),
+        "fee": st.integers(0, 2 ** 64 - 1),
+        "checkpoint": st.none() | st.builds(Checkpoint, st.integers(0, 2 ** 32 - 1),
+                                            st.binary(min_size=32, max_size=32),
+                                            st.integers(0, 2 ** 64 - 1),
+                                            st.binary(min_size=32, max_size=32)),
+        "signature": st.binary(max_size=32)}),
+}
+
+
+@pytest.mark.parametrize("cls", [IntraTx, InterTx], ids=["intra", "inter"])
+class TestTxConstructor:
+    def test_parameters_are_the_init_fields(self, cls):
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        init = [f for f in fields(cls) if f.init]
+        assert [p.name for p in params] == [f.name for f in init]
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is MISSING else f.default for f in init]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fields_caches_and_frozen_semantics(self, cls, data):
+        args = data.draw(CONSTRUCTOR_ARGS[cls])
+        by_position = cls(*(args[f.name] for f in fields(cls) if f.init))
+        tx = cls(**args)
+        for t in (tx, by_position):
+            for f in fields(cls):
+                assert getattr(t, f.name) is (args[f.name] if f.init else None)
+        copy = replace(tx)
+        assert copy is not tx
+        assert tx == copy == by_position
+        assert hash(tx) == hash(copy) and repr(tx) == repr(copy)
+        assert not hasattr(tx, "__dict__")
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(tx, f.name, getattr(tx, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(tx, f.name)
+
+
+def test_intra_tx_payload_cap():
+    assert IntraTx(bytes(20), 1, bytes(MAX_INTRA_PAYLOAD), 0).payload == bytes(MAX_INTRA_PAYLOAD)
+    with pytest.raises(ValueError, match="payload exceeds"):
+        IntraTx(bytes(20), 1, bytes(MAX_INTRA_PAYLOAD + 1), 0)
+    with pytest.raises(ValueError, match="payload exceeds"):
+        replace(IntraTx(bytes(20), 1, b"", 0), payload=bytes(MAX_INTRA_PAYLOAD + 1))
+
+
+@pytest.mark.parametrize("kind", ["intra", "inter"])
+class TestSigningHash:
+    def test_dropped_by_a_successful_check(self, keyring, kind):
+        tx, _, _ = _tx_pair(keyring, kind)
+        assert tx._signing_hash == sha256(tx.signing_bytes())
+        assert keyring.verify_signed(tx)
+        assert tx._signing_hash is None and tx._verified_by is keyring
+        assert keyring.verify_signed(tx)
+
+    def test_kept_by_a_failed_check(self, keyring, kind):
+        tx, _, _ = _tx_pair(keyring, kind)
+        assert not Keyring(random.Random(7)).verify_signed(tx)  # does not know the signer
+        assert tx._signing_hash == sha256(tx.signing_bytes()) and tx._verified_by is None
+        assert keyring.verify_signed(tx) and tx._signing_hash is None
+
+    @pytest.mark.parametrize("original_verified", [False, True])
+    def test_a_changed_copy_fails(self, keyring, kind, original_verified):
+        tx, _, name = _tx_pair(keyring, kind)
+        if original_verified:
+            assert keyring.verify_signed(tx)
+        for copy in (replace(tx, **{name: getattr(tx, name) + 1}),
+                     replace(tx, signature=bytes(32))):
+            assert copy._signing_hash is None
+            assert not keyring.verify_signed(copy)
+            assert not keyring.verify_signed(copy)  # a failure is not remembered
+        assert keyring.verify_signed(tx)
+
+    def test_a_signature_over_other_bytes_fails(self, keyring, kind):
+        tx, _, name = _tx_pair(keyring, kind)
+        other = replace(tx, **{name: getattr(tx, name) + 1})
+        forged = replace(other, signature=tx.signature)  # built by the constructor: no signing hash
+        assert forged._signing_hash is None
+        assert not keyring.verify_signed(forged)
+        assert keyring.verify_signed(tx)
+        assert not keyring.verify_signed(forged)
 
 
 class TestLedger:

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from fedledger import runner
 from fedledger.chain import IntraTx
 from fedledger.eventlog import (
+    CHECKED_FIELDS,
     BuiltRecord,
     EventLog,
     IntraSubmit,
     IntraSubmitWithPayload,
+    bad_field,
     check_payment_safety,
     check_privacy,
     encode_default,
@@ -442,6 +444,111 @@ class TestVerifyLog:
         assert check_privacy(events) == []
 
 
+def mismatch_reference(value, shape):
+    """The field check of a log record, written out: (path, the kind
+    expected there, None if absent) at the first part of ``value`` that
+    breaks the declared ``shape``, or None."""
+    names = {int: "an integer", str: "a string", bytes: "a hex string", list: "a list",
+             dict: "an object"}
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if kind is bytes:
+        try:
+            bytes.fromhex(value)
+            return None
+        except (TypeError, ValueError):
+            return "", names[bytes]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        return "", names[kind]
+    if isinstance(shape, list):
+        parts = [(f"[{i}]", v, shape[0]) for i, v in enumerate(value)]
+    elif isinstance(shape, dict) and str in shape:
+        parts = [(f"[{k}]", v, shape[str]) for k, v in value.items()]
+    elif isinstance(shape, dict):
+        fields = [(name.rstrip("?"), name.endswith("?"), sub) for name, sub in shape.items()]
+        some = any(optional and key in value for key, optional, _ in fields)
+        missing = [key for key, optional, _ in fields if key not in value and (some or not optional)]
+        if missing:
+            return f".{missing[0]}", None
+        parts = [(f".{key}", value[key], sub) for key, _, sub in fields if key in value]
+    else:
+        return None
+    for path, v, sub in parts:
+        bad = mismatch_reference(v, sub)
+        if bad is not None:
+            return path + bad[0], bad[1]
+    return None
+
+
+def bad_field_reference(record):
+    kind = record.get("kind")
+    bad = mismatch_reference(record, CHECKED_FIELDS.get(kind, {}) if isinstance(kind, str) else {"kind": str})
+    if bad is None:
+        return None
+    path, expected = bad[0].lstrip("."), bad[1]
+    return f"has no field {path!r}" if expected is None else f"has field {path!r} that is not {expected}"
+
+
+# Any JSON value, with the strings a hex field reads as valid and invalid.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2 ** 70) | st.floats(allow_nan=False)
+               | st.sampled_from(["", "ab", "0F", " ab ", "a", "zz", "kind"]) | st.text(max_size=3))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+FIELD_NAMES = sorted({name.rstrip("?") for shape in CHECKED_FIELDS.values() for name in shape}
+                     | {name.rstrip("?") for name in CHECKED_FIELDS["inter_block"]["txs"][0]})
+
+
+def conforming(shape):
+    """Values that pass ``shape``, every "?" field present or none."""
+    if shape is int:
+        return st.integers(-2 ** 70, 2 ** 70)
+    if shape is str:
+        return st.text(max_size=3)
+    if shape is bytes:
+        return st.binary(max_size=3).map(bytes.hex)
+    if shape is object:
+        return JSON_VALUES
+    if isinstance(shape, list):
+        return st.lists(conforming(shape[0]), min_size=1, max_size=3)
+    if str in shape:
+        return st.dictionaries(st.text(max_size=3), conforming(shape[str]), min_size=1, max_size=3)
+    required = {n: conforming(sub) for n, sub in shape.items() if not n.endswith("?")}
+    every = {n.rstrip("?"): conforming(sub) for n, sub in shape.items()}
+    return st.fixed_dictionaries(required) | st.fixed_dictionaries(every)
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with one part, at any depth, replaced, dropped or added."""
+    action = draw(st.sampled_from(["replace", "descend", "descend", "descend", "drop", "add"]))
+    if action == "replace":
+        return draw(JSON_VALUES)
+    if isinstance(value, dict):
+        if action == "add":
+            return {**value, draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=3)): draw(JSON_VALUES)}
+        if value and action in ("descend", "drop"):
+            key = draw(st.sampled_from(sorted(value)))
+            if action == "drop":
+                return {k: v for k, v in value.items() if k != key}
+            return {**value, key: draw(mutated(value[key]))}
+    if isinstance(value, list) and value and action == "descend":
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [draw(mutated(value[i]))] + value[i + 1:]
+    return value
+
+
+class TestBadField:
+    @pytest.mark.parametrize("kind", sorted(CHECKED_FIELDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_names_what_the_written_out_check_names(self, kind, data):
+        record = {"kind": kind, **data.draw(conforming(CHECKED_FIELDS[kind]))}
+        assert bad_field(record) is None and bad_field_reference(record) is None
+        for _ in range(data.draw(st.integers(1, 3))):
+            record = data.draw(mutated(record))
+        if isinstance(record, dict):
+            assert bad_field(record) == bad_field_reference(record)
+
+
 class TestCli:
     def run_cli(self, *args, timeout=None):
         # pytest's pythonpath setting does not reach a subprocess.
@@ -583,6 +690,21 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
         assert "workload.deposit_tokens: token amount" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("cmd", ["validate", "run"])
+    def test_zone_id_above_u32_exit_code(self, tmp_path, cmd):
+        # An IntraTx's signing bytes and a Checkpoint hold the zone id in a
+        # u32: refused before any node runs, where it broke the run at the
+        # first intra tx.
+        raw = json.loads((ROOT / "scenarios" / "latency-intra.json").read_text())
+        raw["duration_ms"] = 2_000
+        raw["domains"][0]["zone_id"] = 2 ** 32
+        scn_path = tmp_path / "wide.json"
+        scn_path.write_text(json.dumps(raw))
+        res = self.run_cli(cmd, "--scenario", str(scn_path), timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "domains[0].zone_id 4294967296" in res.stderr and res.stdout == ""
 
     @pytest.mark.parametrize("cmd", ["validate", "run"])
     @pytest.mark.parametrize("name, section, key, value", [
