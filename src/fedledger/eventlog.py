@@ -262,11 +262,16 @@ def parse_events(chunks: Iterable[bytes]) -> list[dict]:
                 raise ValueError(f"record {n} is nested too deeply to parse") from None
             if not isinstance(e, dict):
                 raise BadRecord(f"record {n} is not a JSON object")
-            problem = bad_field(e)
-            if problem is not None:
-                raise BadRecord(f"record {n} ({e.get('kind')}) {problem}")
-            if e["kind"] == "inter_block":
-                e["txs"] = [_read_inter_tx(tx) for tx in e["txs"]]
+            if e.get("kind") == "inter_block" and _mismatch(e, _INTER_BLOCK_READ) is None:
+                # Each tx's hex fields are checked as they are decoded, once.
+                try:
+                    e["txs"] = [_read_inter_tx(tx) for tx in e["txs"]]
+                except ValueError:
+                    raise BadRecord(f"record {n} (inter_block) {bad_field(e)}") from None
+            else:
+                problem = bad_field(e)
+                if problem is not None:
+                    raise BadRecord(f"record {n} ({e.get('kind')}) {problem}")
             events.append(e)
     return events
 
@@ -371,6 +376,12 @@ def _mismatch(value, node) -> tuple[str, str | None] | None:
 
 
 _COMPILED = {kind: _compile(shape) for kind, shape in CHECKED_FIELDS.items()}
+# An inter_block record's shape with its txs' hex fields taken as strings:
+# a record that passes it and whose txs decode passes the full check, and
+# one that fails either is named by bad_field.
+_INTER_BLOCK_READ = _compile({**CHECKED_FIELDS["inter_block"],
+                              "txs": [{name: str if sub is bytes else sub
+                                       for name, sub in _INTER_TX.items()}]})
 _NO_FIELDS, _KIND_FIELD = _compile({}), _compile({"kind": str})
 
 

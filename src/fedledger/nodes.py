@@ -16,16 +16,17 @@ from .bft import DECISION, PROPOSAL, Broadcast, Committed, ConsensusMsg, Deadlin
 from .chain import Block, IntraTx, signed_intra_tx
 from .crypto import enc_u64
 from .powchain import FEE, M_NOOP, InterNode, signed_inter_tx
-from .sim import Node, Simulator
+from .sim import LocalMessage, Node, Simulator
 
 
 # Message envelopes are slotted but not frozen: no handler writes to one,
 # and a frozen dataclass pays an object.__setattr__ per field to build.
 
-# Zone traffic: a tx to the zone committee, and a commit notice back.
+# Zone traffic: a tx to the zone committee, and a commit notice back. A
+# TxSubmit only pools its tx at the receiver: it is a local message.
 
 @dataclass(slots=True)
-class TxSubmit:
+class TxSubmit(LocalMessage):
     tx: IntraTx
 
 
@@ -93,12 +94,11 @@ class ValidatorNode(Node):
     def start(self, sim: Simulator) -> None:
         self._apply(sim, self.core.start(sim.now))
 
+    def absorb(self, msg: TxSubmit) -> None:
+        self.core.submit_tx(msg.tx)
+
     def on_message(self, sim: Simulator, src: str, msg) -> None:
-        # Exact types, the commonest first: no message type is subclassed.
-        kind = type(msg)
-        if kind is TxSubmit:
-            self.core.submit_tx(msg.tx)
-        elif kind is ConsensusMsg:
+        if type(msg) is ConsensusMsg:  # no message type is subclassed
             effects = self.core.on_msg(sim.now, msg)
             if effects:  # most votes change nothing
                 self._apply(sim, effects)
@@ -208,7 +208,7 @@ class MinerNode(Node):
         sim.multicast(self.node_id, self.peers, BlockMsg(block))
 
     def on_message(self, sim: Simulator, src: str, msg) -> None:
-        # Exact types, the commonest first, as in ValidatorNode.on_message.
+        # Exact types, the commonest first: no message type is subclassed.
         kind = type(msg)
         if kind is InterSubmit:
             ok, reason = self.inter.submit_tx(msg.tx)

@@ -19,6 +19,20 @@ to a node without one is still drawn and transcribed like any other, so
 every later delay and the privacy transcript are unchanged, but it is
 never queued: it costs no event.
 
+Local deliveries: a message of a ``LocalMessage`` class (today only
+``nodes.TxSubmit``, which pools a tx) goes to a receiver's ``absorb(msg)``,
+which changes that node's own state alone: it gets no Simulator, so it
+cannot send, arm a timer, draw or read the clock, and a local message to a
+node without absorb raises ConfigError. Sending one runs the whole link
+rule and takes a sequence number from the same counter, but the entry
+(at, seq, msg) waits in the receiver's inbox heap instead of the global
+queue. An inbox is drained in (time, seq) order before any later event
+dispatched to its node, before a crash of that node applies, and at the
+end of each run_until for every live node, so each node sees what one
+global queue would show it. At a recover, what fell due while the node
+was down is dropped. An absorbed delivery counts in ``processed`` as an
+event; a dropped one does not.
+
 Transcript: when enabled, every message sent on an inter link is recorded
 as (src, dst, msg.wire_bytes()) for the privacy scan. Only messages that
 cross a zone need a wire form; sending one without it across a zone
@@ -34,7 +48,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from math import cos as _cos, exp as _exp, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
+from math import cos as _cos, exp as _exp, inf as _INF, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
 
 
 class ConfigError(Exception):
@@ -80,9 +94,18 @@ class FaultEntry:
     groups: tuple = ()  # ((node ids...), (node ids...)) for partition
 
 
+class LocalMessage:
+    """Base of the local message classes: a receiver takes one in with
+    ``absorb(msg)``, which only changes that node's own state (see the
+    module docstring)."""
+
+    __slots__ = ()
+
+
 class Node:
     """Base class for simulated nodes. Subclasses override on_timer and may
-    define on_message(sim, src, msg); a node without it receives no messages."""
+    define on_message(sim, src, msg); a node without it receives no messages.
+    A node that takes local messages defines absorb(msg)."""
 
     def __init__(self, node_id: str, zone_id: int | None):
         self.node_id = node_id
@@ -102,6 +125,10 @@ class Simulator:
         self.nodes: dict[str, Node] = {}
         # Ids of the nodes without on_message: messages to them are not queued.
         self._deaf: set[str] = set()
+        # node id -> heap of (at, seq, msg), the local deliveries not yet
+        # absorbed, for every node with absorb; in add_node order.
+        self._inbox: dict[str, list] = {}
+        self._held = 0  # how many local deliveries the inboxes hold
         self.crashed: set[str] = set()
         # node id -> index of its partition group; a node named in several
         # groups belongs to the last of them. Empty when healed.
@@ -120,6 +147,8 @@ class Simulator:
         self.nodes[node.node_id] = node
         if not hasattr(node, "on_message"):
             self._deaf.add(node.node_id)
+        if hasattr(node, "absorb"):
+            self._inbox[node.node_id] = []
         return node
 
     # -- scheduling --------------------------------------------------------
@@ -143,6 +172,8 @@ class Simulator:
         is transcribed (it must have ``wire_bytes``). A destination without
         on_message is drawn and transcribed but gets no queue entry; any
         other gets one due at ``now + delay + extra``, summed in that order.
+        A local message gets that entry in the destination's inbox instead,
+        and raises ``ConfigError`` at a destination without absorb.
         ``multicast`` applies the same rule to each of its destinations;
         this straight-line body is the cheaper one for a single send, and
         tests hold both to one written-out reference.
@@ -161,13 +192,23 @@ class Simulator:
         delay = self.link.sample(self.rng_net, zone)
         if zone is None and self.transcript is not None:
             self.transcript.append((src, dst, msg.wire_bytes()))
-        if dst in self._deaf:
+        if isinstance(msg, LocalMessage):
+            box = self._inbox.get(dst)
+            if box is None:
+                raise ConfigError(f"{dst!r} has no absorb for local {type(msg).__name__}")
+        elif dst in self._deaf:
             return
+        else:
+            box = None
         # Holds traffic to just under the synchrony bound.
         extra = 0.9 * INTRA_MAX_MS if a.behavior == "delay" else 0.0
         self._seq = seq = self._seq + 1
         # In this order: (now + extra) + delay rounds differently.
-        heapq.heappush(self._queue, (self.now + delay + extra, seq, "msg", dst, (src, msg)))
+        if box is None:
+            heapq.heappush(self._queue, (self.now + delay + extra, seq, "msg", dst, (src, msg)))
+        else:
+            heapq.heappush(box, (self.now + delay + extra, seq, msg))
+            self._held += 1
 
     def multicast(self, src: str, dsts, msg) -> None:
         """Send one msg from src to each of dsts, in order, each with its own link delay.
@@ -178,7 +219,8 @@ class Simulator:
         destination gets its own partition test, zone test, delay draw and
         queue entry, so a fan-out draws, numbers and times its messages
         exactly as that many single sends would. The message's wire form
-        is encoded once, at the first inter link.
+        is encoded once, at the first inter link. A local message goes to
+        each destination's inbox, as in ``send``.
         """
         if src in self.crashed:
             return
@@ -189,6 +231,7 @@ class Simulator:
         extra = 0.9 * INTRA_MAX_MS if a.behavior == "delay" else 0.0
         group_of = self._group_of
         deaf = self._deaf
+        inbox = self._inbox if isinstance(msg, LocalMessage) else None
         src_group = group_of.get(src) if group_of else None
         transcript = self.transcript
         wire = None  # encoded at the first inter link, then shared
@@ -214,11 +257,19 @@ class Simulator:
                     if wire is None:
                         wire = msg.wire_bytes()
                     transcript.append((src, dst, wire))
-                if dst not in deaf:
+                if inbox is not None:
+                    box = inbox.get(dst)
+                    if box is None:
+                        raise ConfigError(f"{dst!r} has no absorb for local {type(msg).__name__}")
+                    seq += 1
+                    push(box, (now + delay + extra, seq, msg))
+                elif dst not in deaf:
                     seq += 1
                     # In this order: (now + extra) + delay rounds differently.
                     push(queue, (now + delay + extra, seq, "msg", dst, payload))
         finally:
+            if inbox is not None:
+                self._held += seq - self._seq  # every number this call took went to an inbox
             self._seq = seq  # also when a send without wire_bytes raises
 
     # -- faults -------------------------------------------------------------
@@ -229,19 +280,54 @@ class Simulator:
             raise ConfigError(f"unknown node {entry.node!r}")
         self._push(entry.at_ms, "fault", "", entry)
 
-    def _apply_fault(self, entry: FaultEntry) -> None:
+    def _apply_fault(self, entry: FaultEntry, at: float, seq: int) -> int:
+        """Apply a fault due at ``(at, seq)``; returns the local deliveries
+        it had absorbed first (a crash takes in what fell due before it)."""
+        node = entry.node
         if entry.fault == "crash":
-            self.crashed.add(entry.node)
-        elif entry.fault == "recover":
-            self.crashed.discard(entry.node)
+            box = self._inbox.get(node)
+            absorbed = 0
+            if box and node not in self.crashed:
+                absorbed = self._absorb(node, box, at, seq)
+            self.crashed.add(node)
+            return absorbed
+        if entry.fault == "recover":
+            box = self._inbox.get(node)
+            if box and node in self.crashed:
+                # What fell due while the node was down is dropped, uncounted.
+                key = (at, seq)
+                while box and box[0] < key:
+                    heapq.heappop(box)
+                    self._held -= 1
+            self.crashed.discard(node)
         elif entry.fault == "byzantine":
-            self.nodes[entry.node].behavior = entry.behavior
+            self.nodes[node].behavior = entry.behavior
         elif entry.fault == "partition":
             self._group_of = {n: i for i, g in enumerate(entry.groups) for n in g}
         elif entry.fault == "heal":
             self._group_of = {}
         else:
             raise ConfigError(f"unknown fault {entry.fault!r}")
+        return 0
+
+    def _absorb(self, target: str, box: list, at: float, seq: int) -> int:
+        """Hand ``target`` every delivery of its inbox ``box`` due before
+        ``(at, seq)``, in (time, seq) order; returns how many."""
+        absorb = self.nodes[target].absorb
+        pop = heapq.heappop
+        key = (at, seq)  # an entry (at, seq, msg) is before it in tuple order
+        before = len(box)
+        try:
+            while box and box[0] < key:
+                entry = pop(box)
+                absorb(entry[2])
+        except Exception as e:
+            raise RuntimeError(
+                f"invariant breach at event #{entry[1]} (t={entry[0]:.3f} ms, "
+                f"msg -> {target}): {e}") from e
+        absorbed = before - len(box)
+        self._held -= absorbed
+        return absorbed
 
     # -- main loop -----------------------------------------------------------
 
@@ -250,22 +336,29 @@ class Simulator:
 
         An exception escaping a node handler is an internal invariant
         breach: it aborts the run with a diagnostic naming the offending
-        event index, virtual time, and target.
+        event index, virtual time, and target. Local deliveries are
+        absorbed when their node's next event is due and, at the end,
+        every live node's deliveries due by ``t``: they count as events.
         """
         if t < self.now:
             raise ValueError("cannot run backwards")
         count = 0
         # Bound once: handlers and faults change these in place, never rebind them.
         queue, crashed, nodes, pop = self._queue, self.crashed, self.nodes, heapq.heappop
+        inbox = self._inbox
         while queue and queue[0][0] <= t:
             at, seq, kind, target, payload = pop(queue)
             self.now = at
             if kind == "fault":
-                self._apply_fault(payload)
-                count += 1
+                count += 1 + self._apply_fault(payload, at, seq)
                 continue
             if target in crashed:
                 continue  # crash semantics: silently dropped
+            # A node with absorb first takes in what fell due before this event.
+            if self._held and target in inbox:
+                box = inbox[target]
+                if box and box[0][0] <= at:
+                    count += self._absorb(target, box, at, seq)
             node = nodes[target]
             try:
                 if kind == "msg":
@@ -279,5 +372,8 @@ class Simulator:
                     f"{kind} -> {target}): {e}") from e
             count += 1
         self.now = t
+        for target, box in inbox.items():
+            if box and box[0][0] <= t and target not in crashed:
+                count += self._absorb(target, box, t, _INF)
         self.processed += count
         return count

@@ -17,6 +17,7 @@ from fedledger import runner
 from fedledger.chain import IntraTx
 from fedledger.eventlog import (
     CHECKED_FIELDS,
+    BadRecord,
     BuiltRecord,
     EventLog,
     IntraSubmit,
@@ -31,7 +32,7 @@ from fedledger.eventlog import (
 )
 from fedledger.harness import LOG_CHUNK_BYTES, batch, run_scenario, verify_log
 from fedledger.runner import build, finalize, run
-from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec, load_scenario
+from fedledger.scenario import DomainSpec, InterSpec, ParseError, Scenario, WorkloadSpec, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 # A genesis record with every field the checkers read, and nothing to replay.
@@ -332,6 +333,27 @@ class TestVerifyLog:
         ok, failures = verify_log(rp, lp)
         assert not ok and failures == ["TamperedLog: event log digest does not match the report"]
 
+    @pytest.mark.parametrize("field", ["sender", "args", "digest", "cp_ref", "cp_head"])
+    def test_inter_tx_field_that_is_not_hex_is_named(self, tmp_path, field):
+        # Each hex field of a logged inter tx is decoded once, into the
+        # InterTx; one that is not hex is named as the field check names it,
+        # with or without a later bad "bytes" field in the record.
+        tx = {"args": "ab", "attached": 0, "cid": 0, "digest": "cc", "fee": 1, "method": "noop",
+              "sender": "dd", "cp_zone": 1, "cp_ref": "ee", "cp_height": 2, "cp_head": "ff"}
+        block = {"block": "aa", "kind": "inter_block", "miner": "bb", "txs": [tx]}
+        (read,) = parse_events([json.dumps(block).encode()])[0]["txs"]
+        assert (read.sender, read.args, read.digest(), read.checkpoint.tx_ref,
+                read.checkpoint.ledger_head) == tuple(map(bytes.fromhex, ("dd", "ab", "cc", "ee", "ff")))
+        block = {**block, "txs": [tx, {**tx, field: "zz"}]}
+        for later in ({}, {"bytes": "no"}):
+            log = GENESIS + json.dumps({**block, **later}).encode() + b"\n"
+            rp, lp = tmp_path / "r.json", tmp_path / "e.log"
+            rp.write_text(json.dumps({"event_log_digest": hashlib.sha256(log).hexdigest()}))
+            lp.write_bytes(log)
+            with pytest.raises(ParseError, match=rf"e\.log: record 2 \(inter_block\) has field "
+                                                 rf"'txs\[1\]\.{field}' that is not a hex string$"):
+                verify_log(str(rp), str(lp))
+
     def test_one_byte_edit_detected(self, tmp_path):
         scn = small_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
@@ -493,6 +515,8 @@ JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2 ** 70) | st.floats(
                | st.sampled_from(["", "ab", "0F", " ab ", "a", "zz", "kind"]) | st.text(max_size=3))
 JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
                            | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+HEX_TX_FIELDS = {name.rstrip("?") for name, sub in CHECKED_FIELDS["inter_block"]["txs"][0].items()
+                 if sub is bytes}
 FIELD_NAMES = sorted({name.rstrip("?") for shape in CHECKED_FIELDS.values() for name in shape}
                      | {name.rstrip("?") for name in CHECKED_FIELDS["inter_block"]["txs"][0]})
 
@@ -547,6 +571,27 @@ class TestBadField:
             record = data.draw(mutated(record))
         if isinstance(record, dict):
             assert bad_field(record) == bad_field_reference(record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parse_names_what_the_written_out_check_names(self, data):
+        # parse_events reads an inter block's txs without a second hex
+        # check; what it refuses, and the field it names, are the same.
+        record = {"kind": "inter_block", **data.draw(conforming(CHECKED_FIELDS["inter_block"]))}
+        if data.draw(st.booleans()):  # one tx hex field that is not hex
+            tx = data.draw(st.sampled_from(record["txs"]))
+            field = data.draw(st.sampled_from(sorted(k for k in tx if k in HEX_TX_FIELDS)))
+            tx[field] = data.draw(st.sampled_from(["a", "zz", "0g", "abc", 5, None, ["ab"]]))
+        for _ in range(data.draw(st.integers(0, 3))):
+            record = data.draw(mutated(record))
+        line = json.dumps(record).encode()
+        expected = bad_field_reference(record) if isinstance(record, dict) else "not a JSON object"
+        if expected is None:
+            assert len(parse_events([line])) == 1
+        else:
+            with pytest.raises(BadRecord) as caught:
+                parse_events([line])
+            assert str(caught.value).endswith(expected)
 
 
 class TestCli:

@@ -1,5 +1,7 @@
-"""Event loop: ordering, determinism, link models, faults, fan-outs."""
+"""Event loop: ordering, determinism, link models, faults, fan-outs,
+local deliveries."""
 
+import heapq
 import math
 import random
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedledger.sim import (INTER_MEDIAN_MS, INTER_SIGMA, INTRA_MAX_MS, INTRA_MIN_MS, ConfigError,
-                           FaultEntry, LinkModel, Node, Simulator)
+                           FaultEntry, LinkModel, LocalMessage, Node, Simulator)
 
 
 class Recorder(Node):
@@ -238,7 +240,8 @@ def unicast_reference(sim, groups, src, dst, msg):
     delay = sim.link.sample(sim.rng_net, zone)
     if sim.transcript is not None and zone is None:
         sim.transcript.append((src, dst, msg.wire_bytes()))
-    if dst not in MUTE:
+    # A node without on_message is sent only local messages.
+    if hasattr(b, "on_message") or isinstance(msg, LocalMessage):
         sim._push(sim.now + delay + extra, "msg", dst, (src, msg))
 
 
@@ -340,3 +343,256 @@ class TestStrictTranscript:
         untranscribed.run_until(1e4)
         assert [m for _t, _s, m in sim.nodes["b1"].seen] == [7]
         assert [m for _t, _s, m in untranscribed.nodes["a2"].seen] == [7]
+
+
+# -- local deliveries against one global queue --------------------------------------
+
+class Pooled(LocalMessage):
+    """A local message, with a wire form for the zones it crosses."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __eq__(self, other):
+        return isinstance(other, Pooled) and other.tag == self.tag
+
+    def wire_bytes(self):
+        return b"pooled" + bytes([self.tag])
+
+
+class Absorber(Recorder):
+    """Records its absorbs in the same sequence as its messages and timers."""
+
+    def absorb(self, msg):
+        self.seen.append(("absorb", msg))
+
+
+class Pool(Node):
+    """Absorbs local messages and keeps timers, but has no on_message."""
+
+    def __init__(self, node_id, zone_id):
+        super().__init__(node_id, zone_id)
+        self.seen = []
+
+    def absorb(self, msg):
+        self.seen.append(("absorb", msg))
+
+    def on_timer(self, sim, key):
+        self.seen.append((round(sim.now, 6), "timer", key))
+
+
+LOCAL_NODES = {"p1": (Absorber, 1), "p2": (Absorber, 1), "p3": (Absorber, 2), "q": (Pool, None),
+               "r1": (Recorder, 1), "m": (Node, None)}
+LOCAL_IDS = sorted(LOCAL_NODES)
+ABSORBERS = ["p1", "p2", "p3", "q"]
+TIMED = ["p1", "p2", "p3", "q", "r1"]
+
+
+def local_sim(seed, transcript, faults):
+    sim = Simulator(seed, transcript=transcript)
+    for node_id in LOCAL_IDS:
+        cls, zone = LOCAL_NODES[node_id]
+        sim.add_node(cls(node_id, zone))
+    for entry in faults:
+        sim.inject_fault(entry)
+    return sim
+
+
+class ReferenceLoop:
+    """The event loop with every message on the one global queue, written
+    out: a local message is handed to ``absorb`` at its own dispatch, and
+    one that falls due while its node is down is dropped like any other."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.groups = None  # the partition in force
+
+    def send(self, src, dsts, msg):
+        for dst in dsts:
+            unicast_reference(self.sim, self.groups, src, dst, msg)
+
+    def run_until(self, t):
+        sim = self.sim
+        while sim._queue and sim._queue[0][0] <= t:
+            at, _seq, kind, target, payload = heapq.heappop(sim._queue)
+            sim.now = at
+            if kind == "fault":
+                if payload.fault == "crash":
+                    sim.crashed.add(payload.node)
+                elif payload.fault == "recover":
+                    sim.crashed.discard(payload.node)
+                elif payload.fault == "byzantine":
+                    sim.nodes[payload.node].behavior = payload.behavior
+                elif payload.fault == "partition":
+                    self.groups = payload.groups
+                else:
+                    self.groups = None
+            elif target in sim.crashed:
+                continue
+            elif kind == "timer":
+                sim.nodes[target].on_timer(sim, payload)
+            elif isinstance(payload[1], LocalMessage):
+                sim.nodes[target].absorb(payload[1])
+            else:
+                sim.nodes[target].on_message(sim, *payload)
+            sim.processed += 1
+        sim.now = t
+
+    def next_local_due(self, k):
+        """The due time of the k-th (mod their number) local delivery still queued."""
+        due = sorted(e[0] for e in self.sim._queue
+                     if e[2] == "msg" and isinstance(e[4][1], LocalMessage))
+        return due[k % len(due)] if due else self.sim.now
+
+
+def _fault(at, kind, node, groups):
+    if kind == "partition":
+        return FaultEntry(at, "", "partition", groups=groups)
+    if kind == "heal":
+        return FaultEntry(at, "", "heal")
+    if kind == "delay":
+        return FaultEntry(at, node, "byzantine", behavior="delay")
+    return FaultEntry(at, node, kind)
+
+
+_groups = st.lists(st.lists(st.sampled_from(LOCAL_IDS), unique=True, min_size=1).map(tuple),
+                   min_size=2, max_size=3).map(tuple)
+_faults = st.lists(st.builds(_fault, st.floats(0.0, 3_000.0),
+                             st.sampled_from(["crash", "crash", "recover", "recover",
+                                              "partition", "heal", "delay"]),
+                             st.sampled_from(LOCAL_IDS), _groups), max_size=10)
+_tags = st.integers(0, 255)
+_steps = st.lists(st.one_of(
+    # A destination list is a multicast; a single id is a send. Local
+    # messages go to the absorbers, the others anywhere.
+    st.tuples(st.just("local"), st.sampled_from(LOCAL_IDS),
+              st.lists(st.sampled_from(ABSORBERS), max_size=5) | st.sampled_from(ABSORBERS),
+              _tags.map(Pooled)),
+    st.tuples(st.just("wired"), st.sampled_from(LOCAL_IDS),
+              st.lists(st.sampled_from(LOCAL_IDS), max_size=5) | st.sampled_from(LOCAL_IDS),
+              _tags.map(Wired)),
+    st.tuples(st.just("timer"), st.sampled_from(TIMED), st.floats(0.0, 400.0), _tags),
+    st.tuples(st.just("run"), st.floats(0.0, 600.0)),
+    # Exactly at a local delivery's due time.
+    st.tuples(st.just("due"), st.integers(0, 50)),
+), min_size=1, max_size=30)
+
+
+class TestLocalDelivery:
+    """A local message waits in its receiver's inbox, off the global queue,
+    and is absorbed before that node's next later event, before its crash,
+    and at the end of each ``run_until``: every node sees what it would
+    with every message on the one queue, and the loop counts, draws,
+    numbers and transcribes the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), transcript=st.booleans(), faults=_faults, steps=_steps)
+    def test_equals_one_global_queue(self, seed, transcript, faults, steps):
+        sim = local_sim(seed, transcript, faults)
+        ref = ReferenceLoop(local_sim(seed, transcript, faults))
+        for step in steps + [("run", 10_000.0)]:
+            if step[0] in ("local", "wired"):
+                _, src, dsts, msg = step
+                if isinstance(dsts, str):
+                    sim.send(src, dsts, msg)
+                    dsts = (dsts,)
+                else:
+                    sim.multicast(src, dsts, msg)
+                ref.send(src, dsts, msg)
+                continue
+            if step[0] == "timer":
+                _, node_id, dt, key = step
+                sim.set_timer(node_id, sim.now + dt, key)
+                ref.sim.set_timer(node_id, sim.now + dt, key)
+                continue
+            t = sim.now + step[1] if step[0] == "run" else ref.next_local_due(step[1])
+            sim.run_until(t)
+            ref.run_until(t)
+            r = ref.sim
+            for node_id in LOCAL_IDS:
+                assert getattr(sim.nodes[node_id], "seen", None) == getattr(r.nodes[node_id], "seen", None)
+            assert sim.processed == r.processed
+            assert sim.rng_net.getstate() == r.rng_net.getstate()
+            assert sim.transcript == r.transcript
+            assert sim._seq == r._seq
+            assert sim._held == sum(map(len, sim._inbox.values()))
+            # The global queue holds the same entries but the local ones.
+            assert sorted(sim._queue) == sorted(
+                e for e in r._queue if not (e[2] == "msg" and isinstance(e[4][1], LocalMessage)))
+
+    def test_double_crash_and_lone_recover(self):
+        # p1 is down from 100 ms to 1000 ms (crashed twice); p2 gets a
+        # recover that ends no crash. Deliveries to p1 due while it is down
+        # are dropped and not counted; p2 absorbs all of its own.
+        faults = [FaultEntry(100.0, "p1", "crash"), FaultEntry(300.0, "p1", "crash"),
+                  FaultEntry(1_000.0, "p1", "recover"), FaultEntry(150.0, "p2", "recover")]
+        sim = local_sim(5, False, faults)
+        ref = ReferenceLoop(local_sim(5, False, faults))
+        for i, now in enumerate((0.0, 50.0, 200.0, 900.0, 950.0)):
+            sim.run_until(now)
+            ref.run_until(now)
+            sim.multicast("r1", ["p1", "p2"], Pooled(i))
+            ref.send("r1", ["p1", "p2"], Pooled(i))
+        sim.run_until(5_000)
+        ref.run_until(5_000)
+        assert sim.nodes["p1"].seen == ref.sim.nodes["p1"].seen
+        assert sim.nodes["p2"].seen == ref.sim.nodes["p2"].seen
+        assert sorted(msg.tag for _kind, msg in sim.nodes["p2"].seen) == list(range(5))
+        assert sim.processed == ref.sim.processed
+        assert len(sim.nodes["p1"].seen) < 5
+
+    def test_delivery_due_at_the_bound_is_absorbed_by_it(self):
+        sim = local_sim(1, False, [])
+        sim.send("r1", "p1", Pooled(1))
+        (due, _seq, _msg), = sim._inbox["p1"]
+        assert sim.run_until(due) == 1
+        assert sim.nodes["p1"].seen == [("absorb", Pooled(1))]
+        assert sim._inbox["p1"] == [] and sim._queue == []
+
+    @pytest.mark.parametrize("first", ["timer", "crash"])
+    def test_a_delivery_tied_with_an_earlier_event_comes_after_it(self, first):
+        # A delivery due at the same time as an event scheduled before it
+        # comes after that event: after p1's timer, and dropped by its crash.
+        sims = [local_sim(3, False, []), local_sim(3, False, [])]
+        for sim in sims:
+            sim.run_until(100.0)
+            probe = random.Random()
+            probe.setstate(sim.rng_net.getstate())
+            due = sim.now + sim.link.sample(probe, 1)
+            if first == "timer":
+                sim.set_timer("p1", due, "tied")
+            else:
+                sim.inject_fault(FaultEntry(due, "p1", "crash"))
+        sim, ref = sims[0], ReferenceLoop(sims[1])
+        sim.send("r1", "p1", Pooled(7))
+        ref.send("r1", ["p1"], Pooled(7))
+        sim.run_until(1_000)
+        ref.run_until(1_000)
+        expected = [(round(due, 6), "timer", "tied"), ("absorb", Pooled(7))] if first == "timer" else []
+        assert sim.nodes["p1"].seen == ref.sim.nodes["p1"].seen == expected
+        assert sim.processed == ref.sim.processed
+
+    def test_local_message_to_a_node_without_absorb_raises(self):
+        for dst in ("r1", "m"):
+            sim = local_sim(1, False, [])
+            with pytest.raises(ConfigError, match="absorb"):
+                sim.send("p1", dst, Pooled(1))
+            with pytest.raises(ConfigError, match="absorb"):
+                sim.multicast("p1", ["p2", dst], Pooled(1))
+
+    def test_absorb_exception_names_the_delivery(self):
+        class Broken(Node):
+            def absorb(self, msg):
+                raise KeyError("boom")
+
+        sim = Simulator(0)
+        sim.add_node(Node("src", 1))
+        sim.add_node(Broken("bad", 1))
+        sim.set_timer("src", 1.0, "x")
+        sim.send("src", "bad", Pooled(1))
+        (due, seq, _msg), = sim._inbox["bad"]
+        with pytest.raises(RuntimeError, match=rf"invariant breach at event #{seq} "
+                                               rf"\(t={due:.3f} ms, msg -> bad\): 'boom'"):
+            sim.run_until(1_000)
