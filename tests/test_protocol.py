@@ -1,6 +1,8 @@
 """End-to-end protocol sessions: happy path, delegation checks, failover,
 contract races, and conservation."""
 
+import functools
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -693,3 +695,80 @@ class TestCheckpointlessConfigure:
         state = observer.tip_state()
         assert replayed.inter_balances == {a.hex(): v for a, v in state.balances.items()}
         assert replayed.contracts[3] == state.contracts[3]
+
+
+# -- ROADMAP item 1's repros: sessions that never end ------------------------------------
+#
+# Both runs leave sellers of zone 1 hanging, and the checkers report no
+# violation. The buyer side of one session fails with InsufficientFunds and
+# its seller stays CONFIGURED; 99 sellers stay COMMITTED because dlg:1:0's
+# zone account ran dry and the zone book refused their payouts. The
+# digest pins record this behaviour; item 1's fix moves them on purpose.
+
+def funding_repro():
+    return Scenario(
+        name="funding-repro", seed=7100, duration_ms=600_000,
+        domains=[DomainSpec(zone_id=1, validators=4, delegates=3),
+                 DomainSpec(zone_id=2, validators=4, delegates=3)],
+        inter=InterSpec(miners=3, mean_block_interval_ms=2500, confirmation_depth=4,
+                        contracts=440),
+        workload=WorkloadSpec(sessions=200, deposit_units=10_000, payload_bytes=64,
+                              session_interval_ms=300),
+        protocol=ProtocolSpec(op_timeout_ms=40_000),
+        log_payloads=False,
+    )
+
+
+def strand_repro():
+    return Scenario(
+        name="strand-repro", seed=11, duration_ms=600_000,
+        domains=[DomainSpec(zone_id=1, validators=4, delegates=2),
+                 DomainSpec(zone_id=2, validators=4, delegates=2)],
+        inter=InterSpec(contracts=210),
+        workload=WorkloadSpec(sessions=200, session_interval_ms=20),
+    )
+
+
+REPROS = {
+    "funding": (funding_repro, "1fd382a8cdaf44a9574186d95058d46ee8973071e622f9b4a32495bee0ee306a"),
+    "strand": (strand_repro, "3e196de2459fedbeaf95aa67cb65ab4cd676bc18112977ca1b6703fdeadfbcda"),
+}
+
+
+@functools.cache
+def repro_run(name):
+    return run(REPROS[name][0]())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sessions hang without a reason")
+@pytest.mark.parametrize("name", sorted(REPROS))
+def test_repro_every_side_terminates(name):
+    report, _h = repro_run(name)
+    hanging = [(s["sid"], s["side"], s["outcome"]) for s in report.sessions
+               if s["outcome"] != "SETTLED" and not s["outcome"].startswith("FAILED:")]
+    assert hanging == []
+
+
+@pytest.mark.parametrize("name", sorted(REPROS))
+def test_repro_digest_and_hanging_sessions(name):
+    report, h = repro_run(name)
+    assert report.event_log_digest == REPROS[name][1]
+    assert report.violations == []
+    ends = Counter((s["side"], s["outcome"]) for s in report.sessions)
+    assert ends == {("pub", "SETTLED"): 100, ("sub", "SETTLED"): 199,
+                    ("sub", "FAILED:InsufficientFunds"): 1,
+                    ("pub", "COMMITTED"): 99, ("pub", "CONFIGURED"): 1}
+    assert len(h.validators[1][0].core.book.failed) == 99  # refused payouts
+    open_sessions = {d.node_id: [s for s in d.sessions.values()
+                                 if s.reported not in (Phase.SETTLED, Phase.FAILED)]
+                     for dlgs in h.delegates.values() for d in dlgs}
+    assert {k: len(v) for k, v in open_sessions.items() if v} == {"dlg:1:0": 100}
+    dlg = h.delegates[1][0]
+    tip = dlg.inter.tip_state()
+    waits = Counter()
+    for s in open_sessions["dlg:1:0"]:
+        if s.payment_submitted and s.goal == Phase.SETTLED:
+            waits["payout"] += 1
+        elif s.reported == Phase.CONFIGURED and tip.contracts[s.contract_id].sub.status == 0:
+            waits["counterpart"] += 1
+    assert waits == {"payout": 99, "counterpart": 1}
