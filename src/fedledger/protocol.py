@@ -10,14 +10,25 @@ each further rung (its ``goal``) and take the rung it reports as the
 out (crash-fault model).
 
 Brokers (publisher side for sellers, subscriber side for buyers) are
-zone full nodes with inter-ledger accounts. A broker serves sessions
-with a reconciliation loop: every chain update re-evaluates what the
-confirmed and tip states say about the session's contract, reports each
-rung reached once, and takes the single next action — pick/join a
-contract, ask the admin to rebind a crashed predecessor, submit the
-commit or settlement call, or forward the intra-ledger payment. The loop
-is idempotent, which is what makes takeover after a predecessor crash
-safe at any point in the protocol.
+zone full nodes with inter-ledger accounts. A broker serves a session
+with one transition table, ``ROWS``. Each chain update, client request
+and rebind reply evaluates the session once: it reads a ``Facts``
+snapshot, reports each rung the confirmed record shows (once), then runs
+the action of the one row whose facts hold. The facts come in stages,
+each stage read only once a row needs it: the rungs ``reported`` and
+``goal``; the ``receipt`` of the tx in flight (none, pending, ok,
+failed); whether a record on the tip is ``bound`` to the session (none,
+split, tip); a ``target`` record to configure; the rung the
+``confirmed`` record backs; the record on the ``tip``, seen from our
+side (alone, joined, ours, committed, paid); whether a ``rebind`` is
+needed or asked; and the seller's ``payout`` (none, submitted, paid).
+``failed`` and ``settled`` are terminal. Every other row acts, or waits
+for its exit: a receipt or every miner's refusal, confirmation depth,
+the admin's ``ReplaceDone``, or a client request. ``await-payout`` and
+``await-counterpart`` wait for exits that may never come (ROADMAP item
+1): a payout the zone book refused, and a counterpart whose side
+failed. An evaluation is idempotent, which is what makes takeover after
+a predecessor crash safe at any point in the protocol.
 
 Privacy: nothing that crosses a zone boundary carries payload bytes —
 only digests, checkpoints, and contract metadata.
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .bft import ConsensusMsg, MsgKind, ZoneFollower, committee_bounds
 from .chain import Checkpoint, IntraTx, transfer_payload, verify_checkpoint
@@ -198,18 +210,13 @@ class InterParticipant(Node):
 
 @dataclass
 class DelegateSession:
-    session_id: int
-    side: str
-    client_node: str
-    client_addr: bytes
-    checkpoint: Checkpoint
-    service: bytes
-    deposit: int
+    req: DelegationReq  # the first delegation: client, checkpoint, service, deposit
+    client_node: str  # where reports go; a repeated delegation moves it
     goal: Phase = DELEGATED  # the highest rung the client asked for
     reported: Phase = DELEGATED  # the highest rung reported to the client
     contract_id: int | None = None
     inflight: InterTx | None = None  # submitted, not yet confirmed
-    replacing: bool = False
+    replacing: bool = False  # a ReplaceReq is unanswered
     payment_submitted: bool = False
     config_retries: int = 0
     salt: int = 0  # failed commit/settle receipts; varies the bytes of the retry
@@ -217,6 +224,211 @@ class DelegateSession:
 
 
 MAX_CONFIG_RETRIES = 25
+OPEN = (DELEGATED, CONFIGURED, COMMITTED)  # the rungs below SETTLED
+# The rung a record backs for the side bound there, indexed by its BrokerStatus.
+BACKED = (CONFIGURED, CONFIGURED, COMMITTED, SETTLED)
+
+
+def _serves(info, side: str, service: bytes) -> bool:
+    mine = getattr(info, side)
+    return mine.status == 1 and mine.service == service
+
+
+class Facts(dict):
+    """The facts one evaluation of a session reads (the module docstring
+    lists them). The session's ``reported``, ``goal`` and ``replacing``
+    are read as they stand; every other fact is computed on its first
+    read, by the method named after it. ``receipt`` and ``bound`` update
+    the session as every evaluation always has, and ``bound`` fills in the
+    chain facts; ``due``, ``owed`` and ``rebind`` derive from other facts."""
+
+    __slots__ = ("node", "s", "state", "info", "target_id")
+
+    def __init__(self, node: "DelegateNode | None" = None, s: DelegateSession | None = None,
+                 **known):
+        super().__init__(known if s is None else
+                         {"reported": s.reported, "goal": s.goal, "replacing": s.replacing})
+        self.node, self.s = node, s
+
+    def __missing__(self, name: str):
+        value = self[name] = getattr(self, "_" + name)()
+        return value
+
+    def _receipt(self) -> str:
+        s, inter = self.s, self.node.inter
+        if s.inflight is None:
+            return "none"
+        receipt = inter.canonical_receipts.get(s.inflight.digest())
+        if receipt is None or receipt[0] > inter.confirmed_height:
+            return "pending"  # in a pool, racing a reorg, or included but not yet confirmed
+        if receipt[1] != "ok":
+            if s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):
+                s.config_retries += 1
+            else:
+                s.salt += 1
+        s.inflight = None
+        return "ok" if receipt[1] == "ok" else "failed"
+
+    def _bound(self) -> str:
+        s, node, side = self.s, self.node, self.s.req.side
+        self.state = node.inter.tip_state()
+        cid, info = self._find()
+        bound = "none" if cid is None else "tip"
+        if bound == "tip" and side == PUB and info.sub.status == 0:
+            # Split session: our half landed on one record while the
+            # counterparty visibly settled on another. The publisher side
+            # (which holds no escrow) abandons its half and rejoins.
+            elsewhere = self._counterpart_match()
+            if elsewhere is not None and elsewhere != cid:
+                s.abandoned.add(cid)
+                s.contract_id, bound = None, "split"
+        if bound != "tip":
+            self.target_id = self._pick_target()
+            self["target"] = self.target_id is not None
+            return bound
+        s.contract_id, self.info = cid, info
+        # Milestones report on-chain facts from the confirmed state; they do
+        # not depend on who holds the binding (a crashed predecessor's
+        # progress still counts).
+        conf = node.inter.confirmed_state().contracts.get(cid)
+        served = conf is not None and _serves(conf, side, s.req.service)
+        self["confirmed"] = BACKED[conf.broker_status] if served else DELEGATED
+        mine, status = getattr(info, side), info.broker_status
+        if status >= BrokerStatus.COMMITTED:
+            self["tip"] = "paid" if status == BrokerStatus.PAID else "committed"
+        else:
+            self["tip"] = ("ours" if mine.committed else
+                           "joined" if getattr(info, OTHER_SIDE[side]).status == 1 else "alone")
+        self["holder"] = mine.delegate == node.key.address
+        # Buyer side: the confirmed PAID status is the service receipt.
+        # Publisher side: the seller is paid once some delegate (maybe a
+        # crashed predecessor) has forwarded the escrowed value in-zone.
+        paid = side == SUB or (s.req.requester, cid) in node.follower.book.paid
+        self["payout"] = "paid" if paid else "submitted" if s.payment_submitted else "none"
+        return "tip"
+
+    def _due(self) -> Phase:
+        """The rung the confirmed record backs, up to the client's goal."""
+        goal, backed = self["goal"], self["confirmed"]
+        return goal if goal.rank <= backed.rank else backed
+
+    def _owed(self) -> bool:
+        return self["due"] is not self["goal"]
+
+    def _rebind(self) -> str:
+        """Needed while a crashed predecessor holds our binding, unless the
+        record is PAID on the tip (paying out needs no binding)."""
+        if self["holder"] or self["tip"] == "paid":
+            return "none"
+        return "asked" if self["replacing"] else "needed"
+
+    # The scans walk ``state.contracts`` as stored: its keys are fixed at
+    # genesis in id order and execution only rewrites existing keys, so
+    # the first match is the lowest id.
+
+    def _find(self):
+        """The record whose our-side service digest matches the session's."""
+        s, contracts = self.s, self.state.contracts
+        info = contracts.get(s.contract_id)  # None while the session has no record
+        if info is not None and _serves(info, s.req.side, s.req.service):
+            return s.contract_id, info
+        for cid, info in contracts.items():
+            if cid not in s.abandoned and _serves(info, s.req.side, s.req.service):
+                return cid, info
+        return None, None
+
+    def _counterpart_match(self) -> int | None:
+        side, service = self.s.req.side, self.s.req.service
+        for cid, info in self.state.contracts.items():
+            if _serves(info, OTHER_SIDE[side], service) and getattr(info, side).status == 0:
+                return cid
+        return None
+
+    def _pick_target(self) -> int | None:
+        """Matching rule: counterpart with equal service digest, else an
+        unused record chosen by rendezvous hash; none once the config
+        retries are exhausted.
+
+        Hashing (service, contract id) spreads concurrent sessions across
+        the pool and makes both sides of one session prefer the same
+        record even while each other's configuration is still in flight.
+        """
+        if self.s.config_retries > MAX_CONFIG_RETRIES:
+            return None
+        match = self._counterpart_match()
+        if match is not None:
+            return match
+        best, best_rank = None, None
+        for cid, info in self.state.contracts.items():
+            if info.is_unused():
+                rank = sha256(self.s.req.service + cid.to_bytes(8, "big"))
+                if best_rank is None or rank < best_rank:
+                    best, best_rank = cid, rank
+        return best
+
+
+# Exits, the events that end a waiting row.
+CLIENT, RECEIPT, DEPTH = "a client request", "a receipt or every miner's refusal", "confirmation depth"
+REPLACED = "the admin's ReplaceDone"
+PAYOUT = "the payout in the zone book"  # never comes if the book refuses it
+COUNTERPART = "the counterpart's configure or commit"  # never comes if that side failed
+
+
+class Row(NamedTuple):
+    """A row of the broker's table: the values each fact it reads must
+    take, in the order it reads them; its action, a ``DelegateNode``
+    method and its arguments (none for a row that waits); and the event
+    that ends a waiting row."""
+
+    name: str
+    when: dict
+    action: tuple = ()
+    exit: str | None = None
+
+
+# Every row reads ``reported`` and ``goal`` before ``receipt``, and
+# ``receipt`` before ``bound`` and the chain facts, so a session that has
+# ended, is idle or waits on a receipt reads no chain state. Rows are
+# tried in table order, the commonest first.
+YES, NO, SHOWN = (True,), (False,), (CONFIGURED, COMMITTED)
+LIVE = {"reported": OPEN, "goal": (CONFIGURED, COMMITTED, SETTLED), "receipt": ("none", "ok", "failed")}
+BOUND = {**LIVE, "bound": ("tip",)}
+FREE = {**BOUND, "rebind": ("none",)}  # bound, and no other broker holds the binding we need
+
+ROWS = (
+    Row("await-receipt", {**LIVE, "receipt": ("pending",)}, exit=RECEIPT),
+    Row("failed", {"reported": (FAILED,)}),
+    Row("settled", {"reported": (SETTLED,)}),
+    Row("idle", {"reported": OPEN, "goal": (DELEGATED,)}, exit=CLIENT),
+    Row("configure", {**LIVE, "bound": ("none",), "target": YES}, ("_configure",)),
+    Row("abandon-split", {**LIVE, "bound": ("split",), "target": YES}, ("_configure",)),
+    Row("no-contract", {**LIVE, "bound": ("none", "split"), "target": NO}, ("_end", FAILED, "NoContract")),
+    Row("report-settled", {**BOUND, "due": (SETTLED,), "payout": ("paid",)}, ("_end", SETTLED)),
+    Row("pay", {**BOUND, "due": (SETTLED,), "payout": ("none",)}, ("_pay",)),
+    Row("await-payout", {**BOUND, "due": (SETTLED,), "payout": ("submitted",)}, exit=PAYOUT),
+    Row("rebind", {**BOUND, "due": OPEN, "rebind": ("needed",)}, ("_ask_rebind",)),
+    Row("await-rebind", {**BOUND, "due": OPEN, "rebind": ("asked",)}, exit=REPLACED),
+    Row("await-configure-confirm", {**FREE, "due": (DELEGATED,)}, exit=DEPTH),
+    Row("await-goal", {**FREE, "due": SHOWN, "owed": NO}, exit=CLIENT),
+    Row("commit", {**FREE, "due": SHOWN, "owed": YES, "tip": ("joined",)}, ("_call", M_COMMIT)),
+    Row("await-counterpart", {**FREE, "due": SHOWN, "owed": YES, "tip": ("alone", "ours")},
+        exit=COUNTERPART),
+    Row("settle", {**FREE, "goal": (SETTLED,), "due": SHOWN, "tip": ("committed",)}, ("_call", M_SETTLE)),
+    Row("await-paid-confirm", {**FREE, "goal": (SETTLED,), "due": SHOWN, "tip": ("paid",)}, exit=DEPTH),
+    Row("await-commit-confirm", {**FREE, "goal": (COMMITTED,), "due": (CONFIGURED,),
+                                 "tip": ("committed", "paid")}, exit=DEPTH),
+)
+
+
+def match(facts: Facts) -> Row:
+    """The one row whose facts hold: the table tests show that exactly one
+    does for every combination of facts."""
+    for row in ROWS:
+        for fact, allowed in row.when.items():
+            if facts[fact] not in allowed:
+                break
+        else:
+            return row
 
 
 class DelegateNode(InterParticipant):
@@ -224,14 +436,14 @@ class DelegateNode(InterParticipant):
 
     def __init__(self, node_id: str, zone_id: int, key, follower: ZoneFollower,
                  inter: InterNode, miners: list[str], admin_node: str,
-                 registry: set, collector):
+                 registry: set, zone_validators: list[str], collector):
         super().__init__(node_id, zone_id, key, inter, miners)
         self.follower = follower
         self.admin_node = admin_node
         self.registry = registry
-        self.collector = collector
+        self.zone_validators = zone_validators
+        self.collector = collector  # submit_intra logs each payout through it
         self.sessions: dict[int, DelegateSession] = {}
-        self.zone_validators: list[str] = []  # wired by the runner
         self._pending_delegations: list[tuple[str, DelegationReq]] = []
         self._intra_nonce = 0
 
@@ -254,23 +466,18 @@ class DelegateNode(InterParticipant):
         if isinstance(msg, DelegationReq):
             self._on_delegation(sim, src, msg)
             return
-        if isinstance(msg, PhaseReq):
+        if isinstance(msg, (PhaseReq, Ping)):
+            if isinstance(msg, Ping):
+                sim.send(self.node_id, src, Pong(msg.session_id))
             s = self.sessions.get(msg.session_id)
-            if s is None:
-                return
-            if msg.phase.rank > s.goal.rank:
-                s.goal = msg.phase
-            self._advance(sim, s)
-            return
-        if isinstance(msg, Ping):
-            sim.send(self.node_id, src, Pong(msg.session_id))
-            s = self.sessions.get(msg.session_id)
-            if s is not None:
+            if s is not None and s.reported in OPEN:
+                if isinstance(msg, PhaseReq) and msg.phase.rank > s.goal.rank:
+                    s.goal = msg.phase
                 self._advance(sim, s)
             return
         if isinstance(msg, ReplaceDone):
             for s in self.sessions.values():
-                if s.contract_id == msg.contract_id and s.replacing:
+                if s.contract_id == msg.contract_id and s.replacing and s.reported in OPEN:
                     s.replacing = False
                     self._advance(sim, s)
             return
@@ -287,22 +494,16 @@ class DelegateNode(InterParticipant):
             return
         s = self.sessions.get(m.session_id)
         if s is None:
-            s = DelegateSession(m.session_id, m.side, src, m.requester,
-                                m.checkpoint, m.service, m.deposit)
-            self.sessions[m.session_id] = s
+            self.sessions[m.session_id] = DelegateSession(m, src)
         else:
             s.client_node = src
         # Sent directly, not through _report: a repeated delegation is acked again.
         sim.send(self.node_id, src, PhaseDone(m.session_id, DELEGATED))
 
     def _retry_pending_delegations(self, sim: Simulator) -> None:
-        still = []
-        for src, m in self._pending_delegations:
-            if m.checkpoint.block_height > self.follower.ledger.height:
-                still.append((src, m))
-            else:
-                self._on_delegation(sim, src, m)
-        self._pending_delegations = still
+        pending, self._pending_delegations = self._pending_delegations, []
+        for src, m in pending:
+            self._on_delegation(sim, src, m)  # queued again while the replica still lags
 
     # -- chain-driven reconciliation ------------------------------------------
 
@@ -314,176 +515,72 @@ class DelegateNode(InterParticipant):
             if s.inflight is not None and s.inflight.digest() == tx_digest:
                 s.inflight = None
                 if reason != "Duplicate":  # a duplicate is already known to the network
-                    self._report(sim, s, FAILED, reason=reason)
+                    self._report(sim, s, FAILED, reason)
                 return
 
     def _advance_all(self, sim: Simulator) -> None:
         for s in self.sessions.values():
-            self._advance(sim, s)
+            if s.reported in OPEN:  # the failed and settled rows are terminal
+                self._advance(sim, s)
 
-    def _report(self, sim: Simulator, s: DelegateSession, phase: Phase,
-                cid: int = 0, reason: str = "") -> None:
+    def _advance(self, sim: Simulator, s: DelegateSession) -> None:
+        """Match the session's row over one facts snapshot, report each rung
+        its confirmed record shows, then run the row's action."""
+        facts = Facts(self, s)
+        row = match(facts)
+        if facts.get("bound") == "tip":
+            for rung in (CONFIGURED, COMMITTED):
+                if facts["due"].rank >= rung.rank:
+                    self._report(sim, s, rung)
+        if row.action:
+            getattr(self, row.action[0])(sim, s, facts, *row.action[1:])
+
+    def _report(self, sim: Simulator, s: DelegateSession, phase: Phase, reason: str = "") -> None:
         """Tell the client the session reached ``phase``, once per rung:
         PhaseDone, or SessionFail with ``reason`` for FAILED."""
         if phase.rank <= s.reported.rank:
             return
         s.reported = phase
-        msg = SessionFail(s.session_id, reason) if phase == FAILED else PhaseDone(s.session_id, phase, cid)
+        sid = s.req.session_id
+        msg = SessionFail(sid, reason) if phase == FAILED else PhaseDone(sid, phase, s.contract_id)
         sim.send(self.node_id, s.client_node, msg)
 
-    def _find_bound(self, state, s: DelegateSession):
-        """Contract whose our-side service digest matches this session.
-
-        Scans walk ``state.contracts`` as stored: its keys are fixed at
-        genesis in id order and execution only rewrites existing keys, so
-        the first match is the lowest id."""
-        if s.contract_id is not None:
-            info = state.contracts.get(s.contract_id)
-            if info is not None and self._side_bound(info, s):
-                return s.contract_id, info
-        for cid, info in state.contracts.items():
-            if cid not in s.abandoned and self._side_bound(info, s):
-                return cid, info
-        return None, None
-
-    def _side_bound(self, info, s: DelegateSession) -> bool:
-        mine = getattr(info, s.side)
-        return mine.status == 1 and mine.service == s.service
-
-    def _counterpart_match(self, state, s: DelegateSession) -> int | None:
-        other = OTHER_SIDE[s.side]
-        for cid, info in state.contracts.items():
-            theirs = getattr(info, other)
-            if theirs.status == 1 and theirs.service == s.service and getattr(info, s.side).status == 0:
-                return cid
-        return None
-
-    def _pick_target(self, state, s: DelegateSession) -> int | None:
-        """Matching rule: counterpart with equal service digest, else an
-        unused record chosen by rendezvous hash.
-
-        Hashing (service, contract id) spreads concurrent sessions across
-        the pool and makes both sides of one session prefer the same
-        record even while each other's configuration is still in flight.
-        """
-        match = self._counterpart_match(state, s)
-        if match is not None:
-            return match
-        best, best_rank = None, None
-        for cid, info in state.contracts.items():
-            if info.is_unused():
-                rank = sha256(s.service + cid.to_bytes(8, "big"))
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = cid, rank
-        return best
-
-    def _resolve_inflight(self, s: DelegateSession) -> bool:
-        """True when the session has no unresolved submitted transaction."""
-        if s.inflight is None:
-            return True
-        receipt = self.inter.canonical_receipts.get(s.inflight.digest())
-        if receipt is None:
-            return False  # still pending somewhere, or racing a reorg
-        height, status = receipt
-        if height > self.inter.confirmed_height:
-            return False  # included but not yet confirmed
-        if status != "ok":
-            if s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):
-                s.config_retries += 1
-            else:
-                s.salt += 1
-        s.inflight = None
-        return True
+    # -- row actions: each takes the session and its facts --------------------------
 
     def _submit(self, sim: Simulator, s: DelegateSession, cid: int, method: str, **call) -> None:
         s.inflight = signed_inter_tx(self.key, cid, method, fee=FEE, **call)
         self.submit_inter(sim, s.inflight)
 
-    def _call(self, sim: Simulator, s: DelegateSession, cid: int, method: str) -> None:
+    def _configure(self, sim: Simulator, s: DelegateSession, facts: Facts) -> None:
+        req = s.req
+        method, attached = (M_CONFIG_PUB, 0) if req.side == PUB else (M_CONFIG_SUB, req.deposit)
+        self._submit(sim, s, facts.target_id, method, args=req.service, attached=attached,
+                     checkpoint=req.checkpoint)
+
+    def _call(self, sim: Simulator, s: DelegateSession, facts: Facts, method: str) -> None:
         """Submit a commit or settle call. A retry after a failed receipt
         carries a salt the contract ignores: the same bytes again would be
         refused by every miner as a duplicate."""
-        self._submit(sim, s, cid, method, args=enc_u64(s.salt) if s.salt else b"")
+        self._submit(sim, s, s.contract_id, method, args=enc_u64(s.salt) if s.salt else b"")
 
-    def _advance(self, sim: Simulator, s: DelegateSession) -> None:
-        if s.reported == FAILED or s.goal == DELEGATED:
-            return
-        if not self._resolve_inflight(s):
-            return
-        tip = self.inter.tip_state()
-        conf = self.inter.confirmed_state()
+    def _ask_rebind(self, sim: Simulator, s: DelegateSession, facts: Facts) -> None:
+        # A crashed predecessor holds the binding: ask the admin to rebind.
+        s.replacing = True
+        holder = getattr(facts.info, s.req.side).delegate
+        sim.send(self.node_id, self.admin_node,
+                 ReplaceReq(s.contract_id, s.req.side, holder, self.key.address))
 
-        cid, info_tip = self._find_bound(tip, s)
-        if cid is not None and s.side == PUB and info_tip.sub.status == 0:
-            # Split session: our half landed on one record while the
-            # counterparty visibly settled on another. The publisher side
-            # (which holds no escrow) abandons its half and rejoins.
-            elsewhere = self._counterpart_match(tip, s)
-            if elsewhere is not None and elsewhere != cid:
-                s.abandoned.add(cid)
-                s.contract_id = None
-                cid, info_tip = None, None
-        if cid is None:
-            # Nothing bound for this session yet: pick a contract and configure.
-            target = None if s.config_retries > MAX_CONFIG_RETRIES else self._pick_target(tip, s)
-            if target is None:
-                self._report(sim, s, FAILED, reason="NoContract")
-                return
-            method, attached = (M_CONFIG_PUB, 0) if s.side == PUB else (M_CONFIG_SUB, s.deposit)
-            self._submit(sim, s, target, method, args=s.service, attached=attached,
-                         checkpoint=s.checkpoint)
-            return
+    def _pay(self, sim: Simulator, s: DelegateSession, facts: Facts) -> None:
+        # Fully settled on chain: forwarding the payment needs no binding,
+        # so a successor can finish even when the sequential rebind chain is moot.
+        s.payment_submitted = True
+        payload = transfer_payload(s.req.requester, s.req.deposit, memo=s.contract_id)
+        submit_intra(sim, self, self.zone_validators, payload, self._intra_nonce)
+        self._intra_nonce += 1
 
-        s.contract_id = cid
-
-        # Milestones report on-chain facts from the confirmed state; they do
-        # not depend on who holds the binding (a crashed predecessor's
-        # progress still counts).
-        info_conf = conf.contracts.get(cid)
-        conf_side = info_conf is not None and self._side_bound(info_conf, s)
-        if conf_side:
-            self._report(sim, s, CONFIGURED, cid)
-            if s.goal.rank >= COMMITTED.rank and info_conf.broker_status >= BrokerStatus.COMMITTED:
-                self._report(sim, s, COMMITTED, cid)
-            if s.goal == SETTLED and info_conf.broker_status == BrokerStatus.PAID:
-                # Fully settled on chain: forwarding the payment needs no
-                # binding, so a successor can finish even when the sequential
-                # rebind chain is moot.
-                self._finish_payment(sim, s, cid)
-                return
-
-        mine = getattr(info_tip, s.side)
-        if mine.delegate != self.key.address:
-            if info_tip.broker_status == BrokerStatus.PAID:
-                return  # wait for the payout to confirm; payment path above
-            # A crashed predecessor holds the binding: ask the admin to rebind.
-            if not s.replacing:
-                s.replacing = True
-                sim.send(self.node_id, self.admin_node,
-                         ReplaceReq(cid, s.side, mine.delegate, self.key.address))
-            return
-
-        if not conf_side:
-            return
-        if s.goal.rank >= COMMITTED.rank and not mine.committed \
-                and getattr(info_tip, OTHER_SIDE[s.side]).status == 1:
-            self._call(sim, s, cid, M_COMMIT)
-            return
-        if s.goal == SETTLED and info_tip.broker_status == BrokerStatus.COMMITTED:
-            self._call(sim, s, cid, M_SETTLE)
-
-    def _finish_payment(self, sim: Simulator, s: DelegateSession, cid: int) -> None:
-        # Buyer side: the confirmed PAID status is the service receipt.
-        # Publisher side: the seller is paid once some delegate (maybe a
-        # crashed predecessor) has forwarded the escrowed value in-zone.
-        if s.side == SUB or (s.client_addr, cid) in self.follower.book.paid:
-            self._report(sim, s, SETTLED, cid)
-            return
-        if not s.payment_submitted:
-            s.payment_submitted = True
-            payload = transfer_payload(s.client_addr, s.deposit, memo=cid)
-            submit_intra(sim, self, self.zone_validators, payload, self._intra_nonce)
-            self._intra_nonce += 1
+    def _end(self, sim: Simulator, s: DelegateSession, facts: Facts, phase: Phase,
+             reason: str = "") -> None:
+        self._report(sim, s, phase, reason)
 
 
 # -- system admin -----------------------------------------------------------------

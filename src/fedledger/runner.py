@@ -275,8 +275,7 @@ def build(scn: Scenario) -> RunHandles:
             follower = ZoneFollower(committee, keyring, balances=intra_books[z], tx_index=index)
             inter = new_inter_node(dk.address)
             node = DelegateNode(node_id, z, dk, follower, inter,
-                                miner_node_ids, "admin", registry_by_zone[z], collector=collector)
-            node.zone_validators = val_ids[z]
+                                miner_node_ids, "admin", registry_by_zone[z], val_ids[z], collector)
             sim.add_node(node)
             dnodes.append(node)
         h.delegates[z] = dnodes

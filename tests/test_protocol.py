@@ -2,6 +2,7 @@
 contract races, and conservation."""
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -764,11 +765,89 @@ def test_repro_digest_and_hanging_sessions(name):
                      for dlgs in h.delegates.values() for d in dlgs}
     assert {k: len(v) for k, v in open_sessions.items() if v} == {"dlg:1:0": 100}
     dlg = h.delegates[1][0]
-    tip = dlg.inter.tip_state()
-    waits = Counter()
-    for s in open_sessions["dlg:1:0"]:
-        if s.payment_submitted and s.goal == Phase.SETTLED:
-            waits["payout"] += 1
-        elif s.reported == Phase.CONFIGURED and tip.contracts[s.contract_id].sub.status == 0:
-            waits["counterpart"] += 1
-    assert waits == {"payout": 99, "counterpart": 1}
+    rows = Counter((protocol.match(protocol.Facts(dlg, s)).name, s.req.side, s.reported, s.goal)
+                   for s in open_sessions["dlg:1:0"])
+    assert rows == {("await-payout", "pub", Phase.COMMITTED, Phase.SETTLED): 99,
+                    ("await-counterpart", "pub", Phase.CONFIGURED, Phase.COMMITTED): 1}
+
+
+# -- the broker's table ------------------------------------------------------------------
+#
+# Every value each fact of protocol.Facts can take that a row reads; the
+# derived facts (due, owed, rebind) are computed from these by Facts itself.
+
+D, C, M, S, F = Phase.DELEGATED, Phase.CONFIGURED, Phase.COMMITTED, Phase.SETTLED, Phase.FAILED
+FACT_VALUES = {
+    "reported": (D, C, M, S, F),
+    "goal": (D, C, M, S),
+    "receipt": ("none", "pending", "ok", "failed"),
+    "bound": ("none", "split", "tip"),
+    "target": (False, True),
+    "confirmed": (D, C, M, S),
+    "tip": ("alone", "joined", "ours", "committed", "paid"),
+    "holder": (False, True),
+    "payout": ("none", "submitted", "paid"),
+    "replacing": (False, True),
+}
+# The highest rung each tip value backs. The confirmed state is an
+# ancestor of the tip, so it backs no more than the tip does. The ladders
+# themselves encode that PAID implies committed implies configured.
+TIP_BACKS = {"alone": C, "joined": C, "ours": C, "committed": M, "paid": S}
+# The exits the protocol bounds.
+BOUNDED_EXITS = {protocol.RECEIPT, protocol.DEPTH, protocol.REPLACED, protocol.CLIENT}
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+def fact_combinations():
+    for values in itertools.product(*FACT_VALUES.values()):
+        facts = dict(zip(FACT_VALUES, values))
+        if facts["confirmed"].rank <= TIP_BACKS[facts["tip"]].rank:
+            yield facts
+
+
+class TestBrokerTable:
+    def test_exactly_one_row_holds_for_every_combination_of_facts(self):
+        seen = 0
+        for known in fact_combinations():
+            facts = protocol.Facts(**known)
+            rows = [row.name for row in protocol.ROWS
+                    if all(facts[f] in allowed for f, allowed in row.when.items())]
+            assert len(rows) == 1, (known, rows)
+            assert protocol.match(facts).name == rows[0]
+            seen += 1
+        assert seen == 74_880
+        assert len({row.name for row in protocol.ROWS}) == len(protocol.ROWS)
+
+    @pytest.mark.parametrize("row", [
+        pytest.param(row, id=row.name,
+                     marks=ITEM_1 if row.name in ("await-payout", "await-counterpart") else ())
+        for row in protocol.ROWS])
+    def test_every_row_ends_acts_or_waits_for_a_bounded_exit(self, row):
+        if row.name in ("failed", "settled"):
+            assert row.action == () and row.exit is None  # terminal
+        elif row.action:
+            assert row.exit is None  # the action itself moves the session on
+        else:
+            assert row.exit in BOUNDED_EXITS
+
+    def test_a_settled_session_is_not_evaluated_again(self, monkeypatch):
+        # After both sides settle, the run goes on for 60 s of chain
+        # updates. The brokers send nothing more, and neither evaluates the
+        # settled session again.
+        evaluated = []
+        advance = protocol.DelegateNode._advance
+
+        def recording_advance(node, sim, s):
+            evaluated.append((sim.now, node.node_id, s.reported))
+            advance(node, sim, s)
+        monkeypatch.setattr(protocol.DelegateNode, "_advance", recording_advance)
+        h, sent = started(fast_session_scenario())
+        seller, buyer = h.clients[(1, "pub")], h.clients[(1, "sub")]
+        run_while(h, lambda: seller.phase != S or buyer.phase != S)
+        settled_at = h.sim.now
+        assert settled_at + 60_000 <= h.scenario.duration_ms
+        h.sim.run_until(settled_at + 60_000)
+        brokers = {d.node_id for dlgs in h.delegates.values() for d in dlgs}
+        assert [m for t, src, _d, m in sent if t > settled_at and src in brokers] == []
+        assert [e for e in evaluated if e[0] > settled_at] == []
+        assert {e[2] for e in evaluated} <= {D, C, M}
