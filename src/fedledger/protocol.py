@@ -240,7 +240,8 @@ class Facts(dict):
     are read as they stand; every other fact is computed on its first
     read, by the method named after it. ``receipt`` and ``bound`` update
     the session as every evaluation always has, and ``bound`` fills in the
-    chain facts; ``due``, ``owed`` and ``rebind`` derive from other facts."""
+    chain facts; ``due``, ``owed`` and ``rebind`` derive from other facts,
+    so ``Facts(**known)``, with no session, derives them from given ones."""
 
     __slots__ = ("node", "s", "state", "info", "target_id")
 
