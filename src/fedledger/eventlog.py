@@ -8,6 +8,10 @@ from the logged transactions alone under the ledgers' own rules
 check (the report pins the log's SHA-256). The log holds no signatures,
 so the replay takes every logged tx as signed.
 
+Each kind a checker reads is one slotted ``Record`` class: a run emits
+records that hold its own values, ``parse_events`` builds records of the
+same classes from a log's lines, and the checkers read attributes.
+
 Checkers:
   safety        no two validators commit different blocks at one height;
                 no depth-k-confirmed inter tx leaves the canonical chain.
@@ -25,204 +29,353 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from operator import attrgetter
 
 from . import contract as sc
 from .chain import BalanceBook, Checkpoint, parse_transfer
 from .contract import BrokerStatus
 from .powchain import M_SETTLE, ChainState, InterTx, apply_tx
 
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODE = json.JSONDecoder().raw_decode
+_NAMES = {int: "an integer", float: "a number", str: "a string", bytes: "a hex string",
+          list: "a list", dict: "an object"}
+RECORDS: dict[str, type] = {}  # kind -> the class of each kind a checker reads
 
-class BuiltRecord:
-    """A log record that holds the run's own (frozen) objects and builds
-    each field from them when it is read; no field value is stored.
 
-    It reads like the dict a parsed log line holds: ``r[key]``, ``key in
-    r`` and ``r.get(key)``. Each reading builds only the field it names,
-    and reading "kind", which the checkers do once for every record,
-    builds nothing. ``record()`` builds the whole record from ``FIELDS``,
-    the one definition of each value, and ``line()`` is its log line."""
+class _Bad(ValueError):
+    """A value that breaks its shape: (path to the bad part, kind expected there or None if absent)."""
+
+    def __str__(self) -> str:
+        path, expected = self.args[0].lstrip("."), self.args[1]
+        return f"has no field {path!r}" if expected is None else f"has field {path!r} that is not {expected}"
+
+
+def _slots(shape) -> tuple:
+    return tuple(name.rstrip("?") for name in shape)
+
+
+class Record:
+    """A log record, or an object in one. ``SHAPE`` declares each JSON field
+    once, as name -> shape, in the order parse checks them: a JSON type (int:
+    never true or false; float: a number, the time in ms, written rounded to
+    3 places; bytes: a hex string, held decoded), [shape] (held as a tuple),
+    {str or bytes: shape} for an object of entries, or a ``Record`` class. A
+    "?" field may be absent (held as None, not written); an object's "??"
+    fields are all present or none, as an inter tx's checkpoint. Each field
+    is the attribute of its name, in order, unless the class builds its own."""
 
     __slots__ = ()
-    kind: str
-    FIELDS: dict[str, Callable]  # field name -> builds its value from the record
+    kind: str | None = None  # None for an object inside a record
+    SHAPE: dict = {}
+    _attrs: tuple = ()  # the slots the constructor fills, in order: its bases' first
 
-    def __getitem__(self, key: str):
-        if key == "kind":
-            return self.kind
-        return self.FIELDS[key](self)
+    def __init_subclass__(cls, kind: str | None = None):
+        if kind is not None:
+            cls.kind, RECORDS[kind] = kind, cls
+        cls._attrs += cls.__dict__.get("__slots__", ())
+        names = cls.SHAPE
+        cls._fields = tuple(zip(_slots(names), names.values()))
+        cls._required = frozenset(_slots(n for n in names if not n.endswith("?")))
+        cls._group = frozenset(_slots(n for n in names if n.endswith("??")))
+        cls._bare = tuple(field for field in cls._fields if field[0] not in cls._group)
 
-    def __contains__(self, key) -> bool:
-        return key in self.FIELDS
+    def __init__(self, *values):
+        for name, value in zip(self._attrs, values):
+            setattr(self, name, value)
 
-    def get(self, key: str, default=None):
-        build = self.FIELDS.get(key)
-        return default if build is None else build(self)
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(getattr(self, n) == getattr(other, n) for n in self._attrs)
 
-    def record(self) -> dict:
-        return {key: build(self) for key, build in self.FIELDS.items()}
+    @classmethod
+    def build(cls, values: list):
+        """The object of a parsed object's field values; absent "??" fields are left out."""
+        return cls(*values)
+
+    @classmethod
+    def parse(cls, obj):
+        """The object of a parsed JSON object; ``_Bad`` at the first field, in
+        declaration order, that is missing or breaks its shape."""
+        if type(obj) is not dict:
+            raise _Bad("", _NAMES[dict])
+        grouped = cls._group and not obj.keys().isdisjoint(cls._group)
+        values = []
+        for key, shape in cls._fields if grouped else cls._bare:
+            value = obj.get(key)  # None if absent; no shape takes a JSON null
+            if type(value) is not shape:
+                if value is None and key not in obj:
+                    if key in cls._required or grouped and key in cls._group:
+                        raise _Bad("." + key, None)
+                else:
+                    try:
+                        value = bytes.fromhex(value) if shape is bytes else _read(value, shape)
+                    except (TypeError, ValueError) as bad:
+                        raise _under(f".{key}", bad) from None
+            values.append(value)
+        return cls.build(values)
+
+    def to_json(self) -> dict:
+        return {name: _to_json(value, shape) for name, shape in self._fields
+                if (value := getattr(self, name)) is not None}
 
     def line(self) -> bytes:
-        """The record as one compact, key-sorted JSON line ending in a
-        newline; a subclass may write it out, byte for byte the same."""
-        return (_LINE_ENCODER.encode(self.record()) + "\n").encode()
+        """The record as one compact, key-sorted JSON line ending in a newline."""
+        return (_LINE_ENCODER.encode({**self.to_json(), "kind": self.kind}) + "\n").encode()
 
 
-_kind = attrgetter("kind")
-_zone = attrgetter("zone")
+def _under(step: str, bad: Exception) -> _Bad:
+    """``bad``, raised at ``step`` in a value, as the value's; a hex decode's error means "not hex"."""
+    path, expected = bad.args if type(bad) is _Bad else ("", _NAMES[bytes])
+    return _Bad(step + path, expected)
 
 
-def _at(r) -> float:
-    return round(r.at, 3)
+def _read(value, shape):
+    """A parsed JSON value as ``shape`` holds it (see ``Record``), or ``_under``'s input."""
+    if shape is bytes:
+        return bytes.fromhex(value)
+    if type(shape) is list:
+        if type(value) is not list:
+            raise _Bad("", _NAMES[list])
+        sub = shape[0]
+        read = getattr(sub, "parse", None) or (bytes.fromhex if sub is bytes else lambda v: _read(v, sub))
+        try:
+            return tuple(map(read, value))
+        except (TypeError, ValueError):
+            for i, v in enumerate(value):  # the first item that fails
+                try:
+                    read(v)
+                except (TypeError, ValueError) as bad:
+                    raise _under(f"[{i}]", bad) from None
+            raise
+    if type(shape) is dict:
+        if type(value) is not dict:
+            raise _Bad("", _NAMES[dict])
+        ((key, sub),) = shape.items()
+        out = {}
+        for k, v in value.items():
+            try:
+                held = bytes.fromhex(k) if key is bytes else k  # the key before its value
+                out[held] = v if type(v) is sub else _read(v, sub)
+            except (TypeError, ValueError) as bad:
+                raise _under(f"[{k}]", bad) from None
+        return out
+    if type(value) is shape or (shape is float and type(value) is int):
+        return value
+    raise _Bad("", _NAMES[shape])
 
 
-class IntraSubmit(BuiltRecord):
-    """An ``intra_submit`` record: a zone tx, its zone and the virtual time
-    (ms) its client submitted it."""
+def _to_json(value, shape):
+    """A held value as its line writes it: the inverse of ``_read``."""
+    if shape is int or shape is str:
+        return value
+    if shape is bytes:
+        return value.hex()
+    if shape is float:
+        return round(value, 3)
+    if type(shape) is list:
+        sub = shape[0]
+        return [v.hex() for v in value] if sub is bytes else [_to_json(v, sub) for v in value]
+    if type(shape) is dict:
+        ((key, sub),) = shape.items()
+        return {k.hex() if key is bytes else k: _to_json(v, sub) for k, v in value.items()}
+    if isinstance(shape, type) and issubclass(shape, Record):
+        return shape.to_json(value)
+    return value
 
-    __slots__ = ("zone", "tx", "at")
-    kind = "intra_submit"
-    FIELDS = {
-        "kind": _kind,
-        "zone": _zone,
-        "tx": lambda r: r.tx.digest().hex(),
-        "sender": lambda r: r.tx.sender.hex(),
-        "at": _at,
-    }
 
-    def __init__(self, zone: int, tx, at: float):
+class IntraSubmit(Record, kind="intra_submit"):
+    """A zone tx's digest, sender and zone, and the virtual time (ms) its
+    client submitted it; ``IntraSubmitWithPayload`` holds its payload too."""
+
+    SHAPE = {"zone": int, "tx": bytes, "sender": bytes, "at": float, "payload?": bytes}
+    __slots__ = ("zone", "tx", "sender", "at")
+
+    def __init__(self, zone: int, tx: bytes, sender: bytes, at: float):
+        # Written out, as the generic one takes three times as long.
         self.zone = zone
         self.tx = tx
+        self.sender = sender
         self.at = at
 
+    @classmethod
+    def build(cls, values: list):
+        return IntraSubmit(*values[:4]) if values[4] is None else IntraSubmitWithPayload(*values)
+
     def line(self) -> bytes:
-        # Written out: the log holds one of these per zone tx, and this
-        # takes under half the time of the JSON encoder. Every value is an
-        # int, a hex string or the repr of a finite float, as JSON writes
-        # it; the time keeps its type, so an integer time stays an integer.
-        tx = self.tx
-        return ('{"at":%r,"kind":"intra_submit","sender":"%s","tx":"%s","zone":%d}\n'
-                % (round(self.at, 3), tx.sender.hex(), tx.digest().hex(), self.zone)).encode()
+        # Written out, in under half the JSON encoder's time. Each value is an
+        # int, a hex string or a finite float's repr, as JSON writes it.
+        payload = '"payload":"%s",' % self.payload.hex() if type(self) is IntraSubmitWithPayload else ""
+        return ('{"at":%r,"kind":"intra_submit",%s"sender":"%s","tx":"%s","zone":%d}\n'
+                % (round(self.at, 3), payload, self.sender.hex(), self.tx.hex(), self.zone)).encode()
 
 
 class IntraSubmitWithPayload(IntraSubmit):
     """An ``intra_submit`` record of a run that logs payloads."""
 
+    __slots__ = ("payload",)
+    __init__ = Record.__init__
+
+
+class IntraCommit(Record, kind="intra_commit"):
+    """One validator's commit of a zone block."""
+
+    SHAPE = {"zone": int, "height": int, "block": bytes, "validator?": bytes, "at?": float}
+    __slots__ = _slots(SHAPE)
+
+
+class Transfer(Record):
+    """A value transfer in a zone block: tx ``tx`` moves ``amount`` from ``frm`` to ``to``."""
+
+    SHAPE = {"amount": int, "frm": bytes, "memo": int, "to": bytes, "tx?": bytes}
+    __slots__ = _slots(SHAPE)
+
+
+class IntraBlock(Record, kind="intra_block"):
+    """A zone block at its first commit, and the virtual time (ms) of it."""
+
+    SHAPE = {"zone": int, "height": int, "block": bytes, "transfers?": [Transfer],
+             "txs?": [bytes], "at?": float}
+    __slots__ = _slots(SHAPE)
+
+    @classmethod
+    def of(cls, zone: int, block, at: float) -> IntraBlock:
+        return cls(zone, block.height, block.digest(),
+                   tuple(Transfer(amount, tx.sender, memo, to, tx.digest())
+                         for tx, to, amount, memo in block.transfers()),
+                   tuple(tx.digest() for tx in block.txs), at)
+
+
+class LoggedInterTx(Record):
+    """The logged fields of an inter tx, all but its signature: it parses into an
+    ``InterTx`` with the logged digest cached, so an inter block holds its txs."""
+
     __slots__ = ()
-    FIELDS = {**IntraSubmit.FIELDS, "payload": lambda r: r.tx.payload.hex()}
+    SHAPE = {"sender": bytes, "cid": int, "method": str, "args": bytes, "attached": int, "fee": int,
+             "digest": bytes, "cp_zone??": int, "cp_ref??": bytes, "cp_height??": int, "cp_head??": bytes}
+
+    @staticmethod
+    def build(values: list) -> InterTx:
+        # The first six fields are InterTx's own, in its order.
+        tx = InterTx(*values[:6], Checkpoint(*values[7:]) if len(values) > 7 else None)
+        object.__setattr__(tx, "_digest", values[6])
+        return tx
+
+    @staticmethod
+    def to_json(tx: InterTx) -> dict:
+        cp = tx.checkpoint
+        return {"digest": tx.digest().hex(), "sender": tx.sender.hex(), "method": tx.method,
+                "cid": tx.contract_id, "attached": tx.attached_value, "fee": tx.fee, "args": tx.args.hex(),
+                **({} if cp is None else {"cp_zone": cp.zone_id, "cp_ref": cp.tx_ref.hex(),
+                                          "cp_height": cp.block_height, "cp_head": cp.ledger_head.hex()})}
+
+
+class InterBlock(Record, kind="inter_block"):
+    """A block the observer miner adopted, and its bytes if payloads are logged."""
+
+    SHAPE = {"block": bytes, "miner": bytes, "txs": [LoggedInterTx], "bytes?": bytes,
+             "parent?": bytes, "height?": int, "at?": float}
+    __slots__ = _slots(SHAPE)
+
+    @classmethod
+    def of(cls, block, at: float, with_bytes: bool) -> InterBlock:
+        return cls(block.digest(), block.seal.miner, block.txs,
+                   block.serialize() if with_bytes else None, block.parent, block.height, at)
+
+
+class InterCanonical(Record, kind="inter_canonical"):
+    """The observer miner's canonical chain at the end of the run."""
+
+    SHAPE = {"blocks": [bytes]}
+    __slots__ = _slots(SHAPE)
+
+
+class InterRevertConfirmed(Record, kind="inter_revert_confirmed"):
+    """Depth-k-confirmed inter txs that a reorg took off the canonical chain."""
+
+    SHAPE = {"at": float, "txs": [bytes]}
+    __slots__ = _slots(SHAPE)
+
+
+class Xdom(Record, kind="xdom"):
+    """The wire bytes of one message sent on a link that crosses a zone."""
+
+    SHAPE = {"src": str, "dst": str, "bytes": bytes}
+    __slots__ = _slots(SHAPE)
+
+
+class Contract(Record):
+    """A broker contract at genesis: its id, admin and delegation list."""
+
+    SHAPE = {"cid": int, "admin": bytes, "delegation": [bytes]}
+    __slots__ = _slots(SHAPE)
+
+
+class Genesis(Record, kind="genesis"):
+    """Total supply, balances (a zone's under its id as a string) and contracts.
+    ``fee`` and ``block_reward`` (no subsidy) are fixed, but stay so every pinned digest holds."""
+
+    SHAPE = {"total_supply": int, "inter_balances": {bytes: int},
+             "intra_balances": {str: {bytes: int}}, "contracts": [Contract],
+             "seed?": int, "fee?": int, "block_reward?": int, "k?": int}
+    __slots__ = _slots(SHAPE)
+
+
+class Event:
+    """A record of a kind no checker reads (``session``, ``inter_reorg``,
+    ``final``, ``byz_evidence``): its JSON object, kind included."""
+
+    __slots__ = ("kind", "fields")
+
+    def __init__(self, fields: dict):
+        self.kind = fields["kind"]
+        self.fields = fields
 
     def line(self) -> bytes:
-        tx = self.tx
-        return ('{"at":%r,"kind":"intra_submit","payload":"%s","sender":"%s","tx":"%s","zone":%d}\n'
-                % (round(self.at, 3), tx.payload.hex(), tx.sender.hex(), tx.digest().hex(),
-                   self.zone)).encode()
+        return (_LINE_ENCODER.encode(self.fields) + "\n").encode()
 
 
-def _transfer_records(block) -> list[dict]:
-    return [{"frm": tx.sender.hex(), "to": to.hex(), "amount": amount, "memo": memo,
-             "tx": tx.digest().hex()} for tx, to, amount, memo in block.transfers()]
+def phase_event(sid: int, side: str, phase: str, at: float, cid: int | None, reason: str | None) -> Event:
+    return Event({"kind": "session", "sid": sid, "side": side, "event": "phase", "phase": phase,
+                  "at": round(at, 3), **{k: v for k, v in (("cid", cid), ("reason", reason)) if v is not None}})
 
 
-class IntraBlock(BuiltRecord):
-    """An ``intra_block`` record: a zone block at its first commit, and the
-    virtual time (ms) of that commit. ``txs`` and ``transfers`` are built
-    from the block's own tx tuple."""
-
-    __slots__ = ("zone", "block", "at")
-    kind = "intra_block"
-    FIELDS = {
-        "kind": _kind,
-        "zone": _zone,
-        "height": lambda r: r.block.height,
-        "block": lambda r: r.block.digest().hex(),
-        "txs": lambda r: [tx.digest().hex() for tx in r.block.txs],
-        "transfers": lambda r: _transfer_records(r.block),
-        "at": _at,
-    }
-
-    def __init__(self, zone: int, block, at: float):
-        self.zone = zone
-        self.block = block
-        self.at = at
+def failover_event(sid: int, side: str, delegate_index: int, at: float) -> Event:
+    return Event({"kind": "session", "sid": sid, "side": side, "event": "failover",
+                  "delegate_index": delegate_index, "at": round(at, 3)})
 
 
-def _inter_tx_record(tx: InterTx) -> dict:
-    """The logged fields of an inter tx: all but its signature."""
-    rec = {"digest": tx.digest().hex(), "sender": tx.sender.hex(), "method": tx.method,
-           "cid": tx.contract_id, "attached": tx.attached_value, "fee": tx.fee,
-           "args": tx.args.hex()}
-    cp = tx.checkpoint
-    if cp is not None:
-        rec["cp_zone"] = cp.zone_id
-        rec["cp_ref"] = cp.tx_ref.hex()
-        rec["cp_height"] = cp.block_height
-        rec["cp_head"] = cp.ledger_head.hex()
-    return rec
+def reorg_event(at: float, depth: int) -> Event:
+    return Event({"kind": "inter_reorg", "at": round(at, 3), "depth": depth})
 
 
-def _read_inter_tx(rec: dict) -> InterTx:
-    """The inter tx of a logged record, without a signature; the logged
-    digest fills its digest cache."""
-    cp = None
-    if "cp_zone" in rec:
-        cp = Checkpoint(rec["cp_zone"], bytes.fromhex(rec["cp_ref"]), rec["cp_height"],
-                        bytes.fromhex(rec["cp_head"]))
-    tx = InterTx(bytes.fromhex(rec["sender"]), rec["cid"], rec["method"], bytes.fromhex(rec["args"]),
-                 rec["attached"], rec["fee"], cp)
-    object.__setattr__(tx, "_digest", bytes.fromhex(rec["digest"]))
-    return tx
+def final_event(at: float, delta: int, intra_totals: dict, inter_total: int) -> Event:
+    # Nothing is minted; "minted" stays in the log so its bytes hold.
+    return Event({"kind": "final", "at": round(at, 3), "conservation_delta": delta,
+                  "intra_totals": intra_totals, "inter_total": inter_total, "minted": 0})
 
 
-def encode_default(o):
-    """The JSON value of a record, or a record value, that is built when
-    read: the dict of a ``BuiltRecord``, or the logged fields of an
-    ``InterTx`` in an ``inter_block`` record's ``txs``."""
-    if type(o) is InterTx:
-        return _inter_tx_record(o)
-    if isinstance(o, BuiltRecord):
-        return o.record()
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=encode_default)
+def evidence_event(zone: int, observer: bytes, ev) -> Event:
+    return Event({"kind": "byz_evidence", "zone": zone, "observer": observer.hex(),
+                  "sender": ev.sender.hex(), "height": ev.height, "round": ev.round, "step": ev.step})
 
 
 class EventLog:
     def __init__(self):
-        self.events: list[dict | BuiltRecord] = []
+        self.events: list[Record | Event] = []
 
-    def emit(self, kind: str | BuiltRecord, /, **fields) -> None:
-        """Append one record: ``fields`` under ``kind``, or, when ``kind``
-        is a ``BuiltRecord`` (which names its own kind), that record."""
-        if type(kind) is str:
-            # The keyword dict is the caller's own, built for this call;
-            # lines are key-sorted, so adding "kind" last changes no byte.
-            fields["kind"] = kind
-            self.events.append(fields)
-        else:
-            self.events.append(kind)
+    def emit(self, record: Record | Event) -> None:
+        """Append one record; it is encoded only when the log is."""
+        self.events.append(record)
 
     def lines(self) -> Iterator[bytes]:
-        """Each record as one compact, key-sorted JSON line ending in a
-        newline, encoded as it is reached; an empty log is one newline.
-
-        Streaming these into a hash or a file never holds more than one
-        encoded line on top of the records themselves: a record built
-        when read (a ``BuiltRecord``, or an inter block's tx fields) is built
-        for its own line and dropped with it. A ``BuiltRecord`` writes its
-        own line; the JSON encoder writes the dict records.
-        """
+        """Each record's ``line()``, written when reached, so a stream of them holds
+        one encoded line at a time; an empty log is one newline."""
         if not self.events:
             yield b"\n"
-            return
-        encode = _LINE_ENCODER.encode
         for e in self.events:
-            if type(e) is dict:
-                yield (encode(e) + "\n").encode()
-            else:
-                yield e.line()
+            yield e.line()
 
     def serialize(self) -> bytes:
         """The whole log as bytes: the join of ``lines()``."""
@@ -244,169 +397,46 @@ class BadRecord(ValueError):
     """A log record that the checkers cannot read."""
 
 
-def parse_events(chunks: Iterable[bytes]) -> list[dict]:
-    """The records of a serialized log, in order, from byte chunks that
-    each end at a line break or at the end of the log: the lines of a file
-    opened "rb", or ``data.splitlines()``. Each record is checked against
-    ``CHECKED_FIELDS`` (``BadRecord`` names the first bad field), and each
-    logged inter tx is read into an ``InterTx``, as a run's record holds."""
+def parse_events(chunks: Iterable[bytes]) -> list[Record | Event]:
+    """The records of a log, in order, from byte chunks that each end at a line break or the
+    log's end (a file opened "rb", or ``data.splitlines()``). A record ends at "\\n" alone, as
+    a JSON string may hold other line breaks. ``BadRecord`` names the first bad field."""
     events = []
     for chunk in chunks:
-        for line in chunk.decode().splitlines():
+        for line in chunk.decode().split("\n"):
             if not line:
                 continue
             n = len(events) + 1
             try:
-                e = json.loads(line)
+                line = line.strip(" \t\r")  # JSON's white space; "\n" ended the line
+                e, end = _DECODE(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except RecursionError:
                 raise ValueError(f"record {n} is nested too deeply to parse") from None
             if not isinstance(e, dict):
                 raise BadRecord(f"record {n} is not a JSON object")
-            if e.get("kind") == "inter_block" and _mismatch(e, _INTER_BLOCK_READ) is None:
-                # Each tx's hex fields are checked as they are decoded, once.
-                try:
-                    e["txs"] = [_read_inter_tx(tx) for tx in e["txs"]]
-                except ValueError:
-                    raise BadRecord(f"record {n} (inter_block) {bad_field(e)}") from None
-            else:
-                problem = bad_field(e)
-                if problem is not None:
-                    raise BadRecord(f"record {n} ({e.get('kind')}) {problem}")
-            events.append(e)
-    return events
-
-
-# The fields the checkers read, per record kind, and the shape of each
-# value; every record needs a string "kind", and other kinds are read for
-# it alone. A shape is a JSON type (int: never true/false; bytes: a hex
-# string; object: anything), [shape] for a list, {str: shape} for an
-# object of entries, or a dict of fields. A field whose name ends in "?"
-# may be absent, but the "?" fields of one object are all present or all
-# absent: an inter tx's four checkpoint fields are one checkpoint.
-_INTER_TX = {"sender": bytes, "fee": int, "attached": int, "method": str, "cid": int,
-             "args": bytes, "digest": bytes,
-             "cp_zone?": int, "cp_ref?": bytes, "cp_height?": int, "cp_head?": bytes}
-CHECKED_FIELDS: dict[str, dict] = {
-    "genesis": {"total_supply": int, "inter_balances": {str: int},
-                "intra_balances": {str: {str: int}},
-                "contracts": [{"cid": int, "admin": bytes, "delegation": [bytes]}]},
-    "intra_submit": {"payload?": bytes},
-    "intra_commit": {"zone": int, "height": int, "block": str},
-    "intra_block": {"zone": int, "height": int, "block": str,
-                    "transfers?": [{"frm": str, "to": str, "amount": int, "memo": int}]},
-    "inter_block": {"block": str, "miner": str, "txs": [_INTER_TX], "bytes?": bytes},
-    "inter_canonical": {"blocks": [str]},
-    "inter_revert_confirmed": {"at": object, "txs": object},
-    "xdom": {"src": object, "dst": object, "bytes": bytes},
-}
-_NAMES = {int: "an integer", str: "a string", bytes: "a hex string", list: "a list", dict: "an object"}
-_LIST, _MAP, _FIELDS = "list", "map", "fields"
-
-
-def _compile(shape):
-    """``shape`` as ``_mismatch`` walks it, built once per shape: a leaf
-    type as it is, [sub] as (_LIST, sub), {str: sub} as (_MAP, sub), and a
-    dict of fields as (_FIELDS, required, every, the optional keys), where
-    ``required`` and ``every`` each pair the (key, sub) list, in
-    declaration order, with its set of keys; each sub is compiled."""
-    if isinstance(shape, list):
-        return _LIST, _compile(shape[0])
-    if isinstance(shape, dict):
-        if str in shape:
-            return _MAP, _compile(shape[str])
-        every = tuple((name.rstrip("?"), _compile(sub)) for name, sub in shape.items())
-        required = tuple(pair for pair, name in zip(every, shape) if not name.endswith("?"))
-        optional = frozenset(key for key, _ in every) - {key for key, _ in required}
-        return (_FIELDS, (required, frozenset(key for key, _ in required)),
-                (every, frozenset(key for key, _ in every)), optional)
-    return shape
-
-
-def _mismatch(value, node) -> tuple[str, str | None] | None:
-    """(path, the kind expected there, None if absent) at the first part of
-    ``value`` that breaks the compiled shape ``node``, or None if it all
-    conforms. An int or str of the exact type, an object leaf, and a
-    field's hex string pass without a call; a path is built only on the
-    way out of a mismatch."""
-    if type(node) is not tuple:  # a leaf
-        if node is bytes:
+            kind = e.get("kind")
             try:
-                bytes.fromhex(value)
-                return None
-            except (TypeError, ValueError):
-                return "", _NAMES[bytes]
-        if isinstance(value, node) and not (node is int and isinstance(value, bool)):
-            return None
-        return "", _NAMES[node]
-    tag = node[0]
-    if tag is _FIELDS:
-        if not isinstance(value, dict):
-            return "", _NAMES[dict]
-        # The optional fields are checked, all of them, if any is present.
-        fields, keys = node[1] if value.keys().isdisjoint(node[3]) else node[2]
-        if not value.keys() >= keys:
-            for key, _ in fields:
-                if key not in value:
-                    return f".{key}", None
-        for key, sub in fields:
-            v = value[key]
-            if type(v) is sub or sub is object:
-                continue
-            if sub is bytes:
-                try:
-                    bytes.fromhex(v)
-                    continue
-                except (TypeError, ValueError):
-                    return f".{key}", _NAMES[bytes]
-            bad = _mismatch(v, sub)
-            if bad is not None:
-                return f".{key}{bad[0]}", bad[1]
-        return None
-    kind = list if tag is _LIST else dict
-    if not isinstance(value, kind):
-        return "", _NAMES[kind]
-    sub = node[1]
-    for k, v in (enumerate(value) if kind is list else value.items()):
-        if type(v) is sub or sub is object:
-            continue
-        bad = _mismatch(v, sub)
-        if bad is not None:
-            return f"[{k}]{bad[0]}", bad[1]
-    return None
-
-
-_COMPILED = {kind: _compile(shape) for kind, shape in CHECKED_FIELDS.items()}
-# An inter_block record's shape with its txs' hex fields taken as strings:
-# a record that passes it and whose txs decode passes the full check, and
-# one that fails either is named by bad_field.
-_INTER_BLOCK_READ = _compile({**CHECKED_FIELDS["inter_block"],
-                              "txs": [{name: str if sub is bytes else sub
-                                       for name, sub in _INTER_TX.items()}]})
-_NO_FIELDS, _KIND_FIELD = _compile({}), _compile({"kind": str})
-
-
-def bad_field(record: dict) -> str | None:
-    """What is wrong with the first field of ``CHECKED_FIELDS`` that
-    ``record`` lacks or holds in the wrong shape, or None."""
-    kind = record.get("kind")
-    bad = _mismatch(record, _COMPILED.get(kind, _NO_FIELDS) if isinstance(kind, str) else _KIND_FIELD)
-    if bad is None:
-        return None
-    path, expected = bad[0].lstrip("."), bad[1]
-    return f"has no field {path!r}" if expected is None else f"has field {path!r} that is not {expected}"
+                if type(kind) is not str:
+                    raise _Bad(".kind", None if "kind" not in e else _NAMES[str])
+                cls = RECORDS.get(kind)
+                events.append(Event(e) if cls is None else cls.parse(e))
+            except ValueError as bad:
+                raise BadRecord(f"record {n} ({kind}) {bad}") from None
+    return events
 
 
 # -- checkers ----------------------------------------------------------------
 
-def check_safety(events: list[dict]) -> list[str]:
+def check_safety(events: list) -> list[str]:
     violations = []
     commits: dict[tuple, set] = {}
     for e in events:
-        kind = e["kind"]
-        if kind == "intra_commit":
-            commits.setdefault((e["zone"], e["height"]), set()).add(e["block"])
-        elif kind == "inter_revert_confirmed":
-            violations.append(f"confirmed inter tx reverted at {e['at']}: {e['txs']}")
+        if e.kind == "intra_commit":
+            commits.setdefault((e.zone, e.height), set()).add(e.block.hex())
+        elif e.kind == "inter_revert_confirmed":
+            violations.append(f"confirmed inter tx reverted at {round(e.at, 3)}: {[t.hex() for t in e.txs]}")
     for (zone, height), blocks in sorted(commits.items()):
         if len(blocks) > 1:
             violations.append(f"conflicting commits in zone {zone} at height {height}: {sorted(blocks)}")
@@ -415,84 +445,59 @@ def check_safety(events: list[dict]) -> list[str]:
 
 @dataclass
 class Replay:
-    """Ledger state rebuilt from the event log alone, shared by the checkers.
-
-    facts[cid] = {"settles": n, "paid": bool, "dual_commit_at_settle": bool}
-    """
+    """Ledger state rebuilt from the log alone (balances by hex address, zone books by zone
+    id as a string), shared by the checkers; facts[cid] = {"settles", "paid", "dual_commit_at_settle"}."""
 
     initial_supply: int
     inter_balances: dict[str, int]
     contracts: dict[int, sc.BrokerInfo]
     facts: dict[int, dict]
     intra_books: dict[str, dict[str, int]]
-    transfers: list[dict]  # applied zone transfers, in log order
+    transfers: list[tuple[int, Transfer]]  # (zone, transfer) of each applied one, in log order
 
 
-def replay_log(events: list[dict]) -> Replay:
-    """Replay the logged inter-ledger chain and zone transfers once."""
-    genesis = next(e for e in events if e["kind"] == "genesis")
-    balances, contracts, facts = _replay_inter(events, genesis)
-    books, transfers = _replay_intra(events, genesis)
-    return Replay(genesis["total_supply"], balances, contracts, facts, books, transfers)
-
-
-def _replay_inter(events: list[dict], genesis: dict):
-    """Re-execute the logged canonical chain with ``apply_tx``, each tx taken
-    as signed; returns (balances, contracts, facts)."""
-    state = ChainState({bytes.fromhex(a): v for a, v in genesis["inter_balances"].items()},
-                       {c["cid"]: sc.BrokerInfo(contract_id=c["cid"], admin=bytes.fromhex(c["admin"]),
-                                                delegation_list=tuple(bytes.fromhex(a) for a in c["delegation"]))
-                        for c in genesis["contracts"]})
-    blocks_by_digest = {}
-    canonical = None
+def replay_log(events: list) -> Replay:
+    """Replay the log once: the logged canonical inter chain through
+    ``apply_tx``, each tx taken as signed, and each zone block's transfers,
+    once per block, through one ``BalanceBook`` per zone."""
+    genesis = next(e for e in events if e.kind == "genesis")
+    state = ChainState(dict(genesis.inter_balances),
+                       {c.cid: sc.BrokerInfo(contract_id=c.cid, admin=c.admin, delegation_list=c.delegation)
+                        for c in genesis.contracts})
+    books = {zone: BalanceBook(b) for zone, b in genesis.intra_balances.items()}
+    blocks_by_digest, canonical, applied, seen_blocks = {}, None, [], set()
     for e in events:
-        kind = e["kind"]
+        kind = e.kind
         if kind == "inter_block":
-            blocks_by_digest[e["block"]] = e
+            blocks_by_digest[e.block] = e
         elif kind == "inter_canonical" and canonical is None:
             canonical = e
+        elif kind == "intra_block" and (e.zone, e.height, e.block) not in seen_blocks:
+            seen_blocks.add((e.zone, e.height, e.block))
+            book = books.get(str(e.zone)) or books.setdefault(str(e.zone), BalanceBook())
+            for t in e.transfers or ():
+                if book.transfer(t.frm, t.to, t.amount, t.memo):
+                    applied.append((e.zone, t))
     facts: dict[int, dict] = {}
-    for bd in canonical["blocks"] if canonical else ():
+    for bd in canonical.blocks if canonical else ():
         be = blocks_by_digest.get(bd)
         if be is None:
             continue  # genesis
-        miner = bytes.fromhex(be["miner"])
-        for tx in be["txs"]:
+        for tx in be.txs:
             info = state.contracts.get(tx.contract_id)
-            if apply_tx(state, tx, miner) == "ok" and tx.method == M_SETTLE:
+            if apply_tx(state, tx, be.miner) == "ok" and tx.method == M_SETTLE:
                 f = facts.setdefault(tx.contract_id, {"settles": 0})
                 f["settles"] += 1
                 f["paid"] = True
                 f["dual_commit_at_settle"] = info.pub.committed and info.sub.committed
-    return {a.hex(): v for a, v in state.balances.items()}, state.contracts, facts
-
-
-def _replay_intra(events: list[dict], genesis: dict):
-    """Re-apply logged zone transfers through one ``BalanceBook`` per zone;
-    returns (balances per zone, applied transfers)."""
-    books = {zone: BalanceBook(b) for zone, b in genesis["intra_balances"].items()}
-    applied: list[dict] = []
-    seen_blocks = set()
-    for e in events:
-        if e["kind"] != "intra_block":
-            continue
-        key = (e["zone"], e["height"], e["block"])
-        if key in seen_blocks:
-            continue
-        seen_blocks.add(key)
-        book = books.get(str(e["zone"])) or books.setdefault(str(e["zone"]), BalanceBook())
-        for t in e.get("transfers", []):
-            if book.transfer(t["frm"], t["to"], t["amount"], t["memo"]):
-                applied.append({"zone": e["zone"], **t})
-    return {zone: book.balances for zone, book in books.items()}, applied
+    return Replay(genesis.total_supply, {a.hex(): v for a, v in state.balances.items()}, state.contracts,
+                  facts, {zone: {a.hex(): v for a, v in b.balances.items()} for zone, b in books.items()}, applied)
 
 
 def check_conservation(rp: Replay) -> tuple[int, list[str]]:
     initial = rp.initial_supply
-    total = sum(rp.inter_balances.values())
-    total += sum(c.escrow for c in rp.contracts.values())
-    for book in rp.intra_books.values():
-        total += sum(book.values())
+    total = (sum(rp.inter_balances.values()) + sum(c.escrow for c in rp.contracts.values())
+             + sum(sum(book.values()) for book in rp.intra_books.values()))
     delta = total - initial
     violations = []
     if delta != 0:
@@ -506,16 +511,13 @@ def check_conservation(rp: Replay) -> tuple[int, list[str]]:
 def check_payment_safety(rp: Replay) -> list[str]:
     violations = []
     # Seller payments are transfers tagged with the contract id (memo != 0).
-    payments: dict[int, list[dict]] = {}
-    for t in rp.transfers:
-        if t["memo"]:
-            payments.setdefault(t["memo"], []).append(t)
-    for cid, plist in sorted(payments.items()):
+    payments = Counter(t.memo for _zone, t in rp.transfers if t.memo)
+    for cid, count in sorted(payments.items()):
         f = rp.facts.get(cid, {})
         if not f.get("paid"):
             violations.append(f"payment for contract {cid} without a settled (PAID) contract")
-        if len(plist) > 1:
-            violations.append(f"double payout for contract {cid}: {len(plist)} payments")
+        if count > 1:
+            violations.append(f"double payout for contract {cid}: {count} payments")
         if not f.get("dual_commit_at_settle", True):
             violations.append(f"contract {cid} settled without dual commitment")
     for cid, f in sorted(rp.facts.items()):
@@ -532,41 +534,28 @@ def check_payment_safety(rp: Replay) -> list[str]:
 PRIVACY_WINDOW = 8  # bytes: a shared run this long counts as a leak
 
 
-def payload_windows(events: list[dict]) -> set:
-    """PRIVACY_WINDOW-byte windows of every logged private payload.
-
-    Structured transfer payloads are excluded: they embed public account
-    identifiers (which legitimately appear on the inter ledger), not
-    private service data.
-    """
+def payload_windows(events: list) -> set:
+    """PRIVACY_WINDOW-byte windows of every logged private payload but transfers, whose
+    public account identifiers legitimately appear on the inter ledger."""
     windows = set()
     for e in events:
-        # "payload" first: most records lack one, and on a held record
-        # each reading is a call.
-        if "payload" in e and e["kind"] == "intra_submit":
-            p = bytes.fromhex(e["payload"])
-            if parse_transfer(p) is not None:
-                continue
-            for i in range(len(p) - PRIVACY_WINDOW + 1):
-                windows.add(p[i:i + PRIVACY_WINDOW])
+        if type(e) is IntraSubmitWithPayload and parse_transfer(p := e.payload) is None:
+            windows.update(p[i:i + PRIVACY_WINDOW] for i in range(len(p) - PRIVACY_WINDOW + 1))
     return windows
 
 
-def check_privacy(events: list[dict]) -> list[str]:
+def check_privacy(events: list) -> list[str]:
     windows = payload_windows(events)
     if not windows:
         return []
     violations = []
     for e in events:
-        blob_hex = None
-        where = None
-        if e["kind"] == "inter_block" and "bytes" in e:
-            blob_hex, where = e["bytes"], f"inter block {e['block'][:16]}"
-        elif e["kind"] == "xdom":
-            blob_hex, where = e["bytes"], f"message {e['src']}->{e['dst']}"
-        if blob_hex is None:
+        if e.kind == "inter_block" and e.bytes is not None:
+            blob, where = e.bytes, f"inter block {e.block.hex()[:16]}"
+        elif e.kind == "xdom":
+            blob, where = e.bytes, f"message {e.src}->{e.dst}"
+        else:
             continue
-        blob = bytes.fromhex(blob_hex)
         for i in range(len(blob) - PRIVACY_WINDOW + 1):
             if blob[i:i + PRIVACY_WINDOW] in windows:
                 violations.append(f"private payload bytes leaked in {where} at offset {i}")
@@ -574,26 +563,20 @@ def check_privacy(events: list[dict]) -> list[str]:
     return violations
 
 
-# The record kinds that check_safety, replay_log and check_privacy read;
-# run_all_checkers hands each of them only the records of its kinds.
-_SAFETY_KINDS = ("intra_commit", "inter_revert_confirmed")
-_REPLAY_KINDS = ("genesis", "inter_block", "inter_canonical", "intra_block")
-_PRIVACY_KINDS = ("intra_submit", "inter_block", "xdom")
+# The inputs that each record kind goes to: 0 is check_safety's, 1
+# replay_log's and 2 check_privacy's.
+_ROUTES = {"intra_commit": (0,), "inter_revert_confirmed": (0,), "genesis": (1,), "intra_block": (1,),
+           "inter_canonical": (1,), "inter_block": (1, 2), "intra_submit": (2,), "xdom": (2,)}
 
 
-def run_all_checkers(events: list[dict]) -> tuple[int, list[str]]:
-    """Every checker over one log. One pass reads the kind of each record
-    once and hands the record to each checker that reads its kind, so each
-    checker sees the records of its kinds in log order."""
-    safety, replay, privacy = [], [], []
-    routes: dict[str, list[list]] = {}  # kind -> the inputs of the checkers that read it
-    for kinds, checked in ((_SAFETY_KINDS, safety), (_REPLAY_KINDS, replay), (_PRIVACY_KINDS, privacy)):
-        for kind in kinds:
-            routes.setdefault(kind, []).append(checked)
+def run_all_checkers(events: list) -> tuple[int, list[str]]:
+    """Every checker over one log. One pass hands each record to each checker
+    that reads its kind, so each checker sees its records in log order."""
+    safety, replay, privacy = inputs = ([], [], [])
     for e in events:
-        for checked in routes.get(e["kind"], ()):
-            checked.append(e)
-    violations = list(check_safety(safety))
+        for i in _ROUTES.get(e.kind, ()):
+            inputs[i].append(e)
+    violations = check_safety(safety)
     rp = replay_log(replay)
     delta, cons = check_conservation(rp)
     violations += cons

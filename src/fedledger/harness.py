@@ -125,7 +125,7 @@ def verify_log(report_path: str, log_path: str) -> tuple[bool, list[str]]:
         raise ParseError(f"{log_path}: {e}") from None
     except ValueError as e:
         raise ParseError(f"{log_path}: not a JSON-lines event log: {e}") from None
-    if not (events and events[0]["kind"] == "genesis"):
+    if not (events and events[0].kind == "genesis"):
         raise ParseError(f"{log_path}: an event log is JSON objects, the first a genesis record")
     delta, violations = run_all_checkers(events)
     failures.extend(violations)

@@ -16,10 +16,22 @@ from .bft import Committee, Validator, ZoneFollower
 from .chain import TxIndex
 from .crypto import Keyring
 from .eventlog import (
+    Contract,
     EventLog,
+    Genesis,
+    InterBlock,
+    InterCanonical,
+    InterRevertConfirmed,
     IntraBlock,
+    IntraCommit,
     IntraSubmit,
     IntraSubmitWithPayload,
+    Xdom,
+    evidence_event,
+    failover_event,
+    final_event,
+    phase_event,
+    reorg_event,
     run_all_checkers,
 )
 from .metrics import LatencyStats, LedgerMetrics, MetricsReport
@@ -54,26 +66,17 @@ class Collector:
     depth-k confirmation on the observer miner, when its latency is kept.
     Only the observer miner reports inter blocks.
 
-    Zone tx records hold the tx or the block itself and build their hex
-    fields when the log is encoded or checked (``eventlog.IntraSubmit``,
-    ``eventlog.IntraBlock``), so nothing per tx is kept beyond its submit
-    time. Each address another record names is hex-encoded once."""
+    Records hold the run's own values (``eventlog``) and are encoded only
+    when the log is, so nothing per tx is kept beyond its submit time and
+    its record."""
 
     def __init__(self, log: EventLog, log_payloads: bool):
         self.log = log
-        self.intra_record = IntraSubmitWithPayload if log_payloads else IntraSubmit
         self.log_payloads = log_payloads
         self.inflight: dict[bytes, float] = {}  # tx digest -> submit time (ms)
         self.submitted: dict[str, int] = {}  # ledger -> txs submitted
         self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
         self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
-        self._hex: dict[bytes, str] = {}  # address -> its hex
-
-    def _addr_hex(self, addr: bytes) -> str:
-        h = self._hex.get(addr)
-        if h is None:
-            h = self._hex[addr] = addr.hex()
-        return h
 
     def _submitted(self, ledger: str, d: bytes, at: float) -> None:
         self.inflight[d] = at
@@ -88,12 +91,15 @@ class Collector:
     # -- intra ---------------------------------------------------------------
 
     def intra_submit(self, zone: int, tx, at: float) -> None:
-        self._submitted(f"zone:{zone}", tx.digest(), at)
-        self.log.emit(self.intra_record(zone, tx, at))
+        d = tx.digest()
+        self._submitted(f"zone:{zone}", d, at)
+        if self.log_payloads:
+            self.log.emit(IntraSubmitWithPayload(zone, d, tx.sender, at, tx.payload))
+        else:
+            self.log.emit(IntraSubmit(zone, d, tx.sender, at))
 
     def intra_commit(self, zone: int, validator: bytes, block, at: float) -> None:
-        self.log.emit("intra_commit", zone=zone, validator=self._addr_hex(validator),
-                      height=block.height, block=block.digest().hex(), at=round(at, 3))
+        self.log.emit(IntraCommit(zone, block.height, block.digest(), validator, at))
         key = (zone, block.height)
         if key in self.intra_blocks_logged:
             return
@@ -101,7 +107,7 @@ class Collector:
         ledger = f"zone:{zone}"
         for tx in block.txs:
             self._landed(ledger, tx.digest(), at)
-        self.log.emit(IntraBlock(zone, block, at))
+        self.log.emit(IntraBlock.of(zone, block, at))
 
     # -- inter ----------------------------------------------------------------
 
@@ -112,35 +118,20 @@ class Collector:
         for d in res.confirmed:
             self._landed("inter", d, at)
         for adopted in res.adopted_blocks:
-            self._log_inter_block(adopted, at)
+            self.log.emit(InterBlock.of(adopted, at, self.log_payloads))
         if res.reorg_depth:
-            self.log.emit("inter_reorg", at=round(at, 3), depth=res.reorg_depth)
+            self.log.emit(reorg_event(at, res.reorg_depth))
         if res.reverted_confirmed:
-            self.log.emit("inter_revert_confirmed", at=round(at, 3),
-                          txs=[t.hex() for t in res.reverted_confirmed])
-
-    def _log_inter_block(self, block, at: float) -> None:
-        rec = {"block": block.digest().hex(), "parent": block.parent.hex(),
-               "height": block.height, "miner": self._addr_hex(block.seal.miner),
-               "at": round(at, 3), "txs": block.txs}
-        if self.log_payloads:
-            rec["bytes"] = block.serialize().hex()
-        self.log.emit("inter_block", **rec)
+            self.log.emit(InterRevertConfirmed(at, res.reverted_confirmed))
 
     # -- sessions ---------------------------------------------------------------
 
     def session_phase(self, sid: int, side: str, phase: str, at: float,
                       cid: int | None, reason: str | None) -> None:
-        rec = {"sid": sid, "side": side, "event": "phase", "phase": phase, "at": round(at, 3)}
-        if cid is not None:
-            rec["cid"] = cid
-        if reason is not None:
-            rec["reason"] = reason
-        self.log.emit("session", **rec)
+        self.log.emit(phase_event(sid, side, phase, at, cid, reason))
 
     def session_failover(self, sid: int, side: str, idx: int, at: float) -> None:
-        self.log.emit("session", sid=sid, side=side, event="failover",
-                      delegate_index=idx, at=round(at, 3))
+        self.log.emit(failover_event(sid, side, idx, at))
 
 
 @dataclass
@@ -329,22 +320,9 @@ def build(scn: Scenario) -> RunHandles:
 
     # -- genesis bookkeeping --------------------------------------------------------------
     h.initial_supply = sum(sum(b.values()) for b in intra_books.values()) + sum(inter_balances.values())
-    log.emit(
-        "genesis",
-        seed=scn.seed,
-        total_supply=h.initial_supply,
-        # The fee and the absent block subsidy are fixed, but stay in the
-        # log so its bytes, and every pinned digest, hold.
-        fee=FEE,
-        block_reward=0,
-        k=scn.inter.confirmation_depth,
-        intra_balances={str(z): {a.hex(): v for a, v in sorted(b.items())}
-                        for z, b in intra_books.items()},
-        inter_balances={a.hex(): v for a, v in sorted(inter_balances.items())},
-        contracts=[{"cid": cid, "admin": c.admin.hex(),
-                    "delegation": [a.hex() for a in c.delegation_list]}
-                   for cid, c in sorted(contracts.items())],
-    )
+    log.emit(Genesis(h.initial_supply, inter_balances, {str(z): b for z, b in intra_books.items()},
+                     tuple(Contract(cid, c.admin, c.delegation_list) for cid, c in sorted(contracts.items())),
+                     scn.seed, FEE, 0, scn.inter.confirmation_depth))
     return h
 
 
@@ -374,8 +352,8 @@ def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
 
     if scn.log_payloads:
         for src, dst, data in sim.transcript:
-            log.emit("xdom", src=src, dst=dst, bytes=data.hex())
-    log.emit("inter_canonical", blocks=[d.hex() for d in observer.canonical])
+            log.emit(Xdom(src, dst, data))
+    log.emit(InterCanonical(tuple(observer.canonical)))
 
     # Conservation: observer tip state + one live validator book per zone.
     total = 0
@@ -387,17 +365,13 @@ def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
     inter_total = observer.tip_state().total_supply()
     total += inter_total
     delta = total - h.initial_supply
-    # Nothing is minted; "minted" stays in the log so its bytes hold.
-    log.emit("final", at=round(sim.now, 3), conservation_delta=delta,
-             intra_totals=intra_totals, inter_total=inter_total, minted=0)
+    log.emit(final_event(sim.now, delta, intra_totals, inter_total))
 
     # Byzantine evidence is logged, never punished (no slashing).
     for z in sorted(h.validators):
         for node in h.validators[z]:
             for ev in node.core.evidence:
-                log.emit("byz_evidence", zone=z, observer=node.core.validator_id.hex(),
-                         sender=ev.sender.hex(), height=ev.height, round=ev.round,
-                         step=ev.step)
+                log.emit(evidence_event(z, node.core.validator_id, ev))
 
     # Independent checkers over the event log.
     _replay_delta, violations = run_all_checkers(log.events)

@@ -198,7 +198,7 @@ def test_c06_conservation_everywhere():
         faults=[{"at_ms": 10_000, "fault": "crash", "node": "dlg:1:0"}],
     )
     report, h = run_tracked(scn)
-    reorgs = sum(1 for e in h.log.events if e["kind"] == "inter_reorg")
+    reorgs = sum(1 for e in h.log.events if e.kind == "inter_reorg")
     assert reorgs > 0, "stress scenario must actually exercise reorgs"
     assert report.conservation_delta == 0
     assert report.safety_violations == 0
@@ -268,9 +268,9 @@ def test_c07_payment_safety_1000_sessions():
         # The bidirectional implication, session by session.
         st = h.miners[0].inter.tip_state()
         paid_by_contract = {}
-        for t in replay_log(h.log.events).transfers:
-            if t["zone"] == 1 and t["memo"]:  # memo = contract id
-                paid_by_contract[t["memo"]] = paid_by_contract.get(t["memo"], 0) + 1
+        for zone, t in replay_log(h.log.events).transfers:
+            if zone == 1 and t.memo:  # memo = contract id
+                paid_by_contract[t.memo] = paid_by_contract.get(t.memo, 0) + 1
         for sid in range(1, 51):
             total_sessions += 1
             seller = h.clients[(sid, "pub")]
@@ -342,7 +342,7 @@ def test_checkers_read_held_and_parsed_records_alike(tmp_path, make):
     assert held.intra_books == replayed.intra_books
     # The replay refuses each payout the zone book refused: at 7150, the
     # second payouts across the broker takeover.
-    logged = sum(len(e["transfers"]) for e in parsed if e["kind"] == "intra_block")
+    logged = sum(len(e.transfers) for e in parsed if e.kind == "intra_block")
     refused = sum(len(vals[0].core.book.failed) for vals in h.validators.values())
     assert len(held.transfers) == logged - refused
 
@@ -424,8 +424,8 @@ def test_c09_privacy_scan_100_sessions():
     events = h.log.events
     windows = payload_windows(events)
     assert len(windows) >= 100_000  # 100 x 1KB high-entropy payloads
-    block_bytes = sum(len(e["bytes"]) // 2 for e in events if e["kind"] == "inter_block")
-    msg_bytes = sum(len(e["bytes"]) // 2 for e in events if e["kind"] == "xdom")
+    block_bytes = sum(len(e.bytes) for e in events if e.kind == "inter_block")
+    msg_bytes = sum(len(e.bytes) for e in events if e.kind == "xdom")
     assert block_bytes > 50_000 and msg_bytes > 50_000  # scan is not vacuous
     violations = check_privacy(events)
     assert violations == []

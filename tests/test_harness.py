@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,18 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedledger import runner
+from fedledger.bft import Evidence
 from fedledger.chain import IntraTx
 from fedledger.eventlog import (
-    CHECKED_FIELDS,
+    RECORDS,
     BadRecord,
-    BuiltRecord,
     EventLog,
+    InterRevertConfirmed,
     IntraSubmit,
     IntraSubmitWithPayload,
-    bad_field,
+    LoggedInterTx,
     check_payment_safety,
     check_privacy,
-    encode_default,
+    evidence_event,
     parse_events,
     replay_log,
     run_all_checkers,
@@ -74,22 +76,40 @@ class TestReports:
         assert r1.to_json() == r2.to_json()
         assert h1.log.serialize() == h2.log.serialize()
 
-    # demo logs payloads, latency-intra's probe time is an integer, and
+    # Every committed scenario's log, intra-throughput cut to 10 s: demo
+    # logs payloads, latency-intra's probe time is an integer, and
     # intra-throughput logs no payloads.
-    @pytest.mark.parametrize("name, duration_ms", [
-        ("demo", None), ("latency-intra", None), ("intra-throughput", 10_000)],
-        ids=["demo", "latency-intra", "intra-throughput-10s"])
-    def test_serialized_log_equals_joined_json_lines(self, name, duration_ms):
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("*.json")))
+    def test_every_record_round_trips(self, tmp_path, name):
+        # Each record the run holds writes the file's line, and the record
+        # parsed from that line writes it again, byte for byte.
         scn = load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
-        if duration_ms is not None:
-            scn.duration_ms = duration_ms
-        _, h = run(scn)
-        # A record built when read (a zone tx or block, an inter block's
-        # txs) is encoded through the log's own default.
-        lines = [json.dumps(e, sort_keys=True, separators=(",", ":"), default=encode_default)
-                 for e in h.log.events]
-        assert h.log.serialize() == ("\n".join(lines) + "\n").encode()
+        if name == "intra-throughput":
+            scn.duration_ms = 10_000
+        lp = tmp_path / "e.log"
+        _, h = run(scn, str(lp))
+        data = lp.read_bytes()
+        assert h.log.serialize() == data
+        lines = data.splitlines(keepends=True)
+        with open(lp, "rb") as f:
+            parsed = parse_events(f)
+        assert len(h.log.events) == len(lines) == len(parsed)
+        for held, line, read in zip(h.log.events, lines, parsed):
+            assert held.line() == line == read.line()
         assert EventLog().serialize() == b"\n"
+
+    def test_kinds_no_scenario_writes_round_trip(self):
+        # No committed scenario reverts a confirmed inter tx or holds
+        # evidence of an equivocation; one record of each, built as the
+        # run builds it, parses back to its own line.
+        log = EventLog()
+        log.emit(InterRevertConfirmed(12.3456, (bytes(32), b"\x0a" * 32)))
+        log.emit(evidence_event(2, b"\xaa" * 20, Evidence(b"\xbb" * 20, 7, 1, "prevote",
+                                                         (bytes(32), b"\x01" * 32))))
+        for held, read in zip(log.events, parse_events(log.lines())):
+            assert type(read) is type(held) and read.line() == held.line()
+        assert log.events[0].line() == (b'{"at":12.346,"kind":"inter_revert_confirmed","txs":["'
+                                        + b"00" * 32 + b'","' + b"0a" * 32 + b'"]}\n')
 
     @pytest.mark.parametrize("record", [IntraSubmit, IntraSubmitWithPayload])
     @settings(max_examples=200, deadline=None)
@@ -102,9 +122,16 @@ class TestReports:
            zone=st.integers(0, 2**32 - 1), sender=st.binary(min_size=20, max_size=20),
            payload=st.binary(max_size=64), nonce=st.integers(0, 2**64 - 1))
     def test_intra_submit_line_is_its_json_encoding(self, record, at, zone, sender, payload, nonce):
-        r = record(zone, IntraTx(sender, zone, payload, nonce, b"s" * 64), at)
-        expected = json.dumps(r.record(), sort_keys=True, separators=(",", ":")) + "\n"
+        tx = IntraTx(sender, zone, payload, nonce, b"s" * 64)
+        r = record(zone, tx.digest(), sender, at, *[payload] * (record is IntraSubmitWithPayload))
+        fields = {"kind": "intra_submit", "zone": zone, "tx": tx.digest().hex(),
+                  "sender": sender.hex(), "at": round(at, 3)}
+        if record is IntraSubmitWithPayload:
+            fields["payload"] = payload.hex()
+        expected = json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n"
         assert r.line() == expected.encode()
+        (read,) = parse_events([r.line()])
+        assert type(read) is record and read.line() == r.line()
 
     def test_inter_block_records_hold_their_blocks_txs(self, tmp_path):
         # A run's inter_block record holds its block's own tx tuple; the
@@ -112,17 +139,18 @@ class TestReports:
         # digest and fields, so the replay reads alike objects from both.
         lp = tmp_path / "e.log"
         _, h = run(load_scenario(str(ROOT / "scenarios" / "demo.json")), str(lp))
-        held = [e for e in h.log.events if e["kind"] == "inter_block"]
+        held = [e for e in h.log.events if e.kind == "inter_block"]
         with open(lp, "rb") as f:
-            parsed = [e for e in parse_events(f) if e["kind"] == "inter_block"]
+            parsed = [e for e in parse_events(f) if e.kind == "inter_block"]
         assert len(held) == len(parsed)
-        blocks = {d.hex(): b for d, b in h.miners[0].inter.blocks.items()}
+        blocks = h.miners[0].inter.blocks
         # The demo's configure calls carry checkpoints: every optional field is read.
-        assert any(tx.checkpoint is not None for e in parsed for tx in e["txs"])
+        assert any(tx.checkpoint is not None for e in parsed for tx in e.txs)
         for e, p in zip(held, parsed):
-            assert e["txs"] is blocks[e["block"]].txs
-            assert [tx.digest() for tx in p["txs"]] == [tx.digest() for tx in e["txs"]]
-            assert [encode_default(tx) for tx in p["txs"]] == [encode_default(tx) for tx in e["txs"]]
+            assert e.txs is blocks[e.block].txs
+            assert [tx.digest() for tx in p.txs] == [tx.digest() for tx in e.txs]
+            # Every field but the signature, which the log does not hold.
+            assert list(p.txs) == [replace(tx, signature=b"") for tx in e.txs]
 
     def test_digest_and_log_file_are_the_serialized_log(self, tmp_path):
         lp = tmp_path / "e.log"
@@ -208,7 +236,10 @@ class TestSharedReplicaFacts:
         lambda: load_scenario(str(ROOT / "scenarios" / "demo.json")),
         session_scenario,
     ], ids=["demo", "sessions"])
-    def test_intra_records_are_built_from_the_tx_and_block_when_read(self, tmp_path, make):
+    def test_intra_records_hold_binary_values(self, tmp_path, make):
+        # A zone tx's and a zone block's record hold digests, addresses and
+        # payloads as bytes and the rest as ints, never a hex string; the
+        # record parsed from a line is of the same class.
         scn = make()
         assert scn.log_payloads
         lp = tmp_path / "e.log"
@@ -218,21 +249,18 @@ class TestSharedReplicaFacts:
         assert len(parsed) == len(h.log.events)
         read = {"intra_submit": 0, "intra_block": 0}
         for e, p in zip(h.log.events, parsed):
-            if p["kind"] not in read:
+            if p.kind not in read:
                 continue
-            read[p["kind"]] += 1
-            assert isinstance(e, BuiltRecord) and not hasattr(e, "__dict__")
+            read[p.kind] += 1
+            assert type(e) is type(p) and not hasattr(e, "__dict__")
             held = [getattr(e, name) for cls in type(e).__mro__
                     for name in getattr(cls, "__slots__", ())]
             assert not any(isinstance(v, (dict, list, str)) for v in held), held
-            first, second = e.record(), e.record()
-            assert first == second == p
-            assert {key: e[key] for key in p} == p
-            assert all(key in e for key in p) and ("payload" in e) == ("payload" in p)
+            assert e.line() == p.line()
         assert read["intra_submit"] and read["intra_block"]
         # Payloads and transfers are logged here, so both are read.
-        assert all("payload" in p for p in parsed if p["kind"] == "intra_submit")
-        assert any(p["transfers"] for p in parsed if p["kind"] == "intra_block")
+        assert all(type(p) is IntraSubmitWithPayload for p in parsed if p.kind == "intra_submit")
+        assert any(p.transfers for p in parsed if p.kind == "intra_block")
 
     def test_every_replica_sees_its_own_chain(self):
         _, h = run(small_scenario())
@@ -341,7 +369,7 @@ class TestVerifyLog:
         tx = {"args": "ab", "attached": 0, "cid": 0, "digest": "cc", "fee": 1, "method": "noop",
               "sender": "dd", "cp_zone": 1, "cp_ref": "ee", "cp_height": 2, "cp_head": "ff"}
         block = {"block": "aa", "kind": "inter_block", "miner": "bb", "txs": [tx]}
-        (read,) = parse_events([json.dumps(block).encode()])[0]["txs"]
+        (read,) = parse_events([json.dumps(block).encode()])[0].txs
         assert (read.sender, read.args, read.digest(), read.checkpoint.tx_ref,
                 read.checkpoint.ledger_head) == tuple(map(bytes.fromhex, ("dd", "ab", "cc", "ee", "ff")))
         block = {**block, "txs": [tx, {**tx, field: "zz"}]}
@@ -353,6 +381,21 @@ class TestVerifyLog:
             with pytest.raises(ParseError, match=rf"e\.log: record 2 \(inter_block\) has field "
                                                  rf"'txs\[1\]\.{field}' that is not a hex string$"):
                 verify_log(str(rp), str(lp))
+
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_line_break_inside_a_string_stays_in_its_record(self, tmp_path, brk):
+        # JSON lets these stand raw inside a string, and str.splitlines
+        # breaks at each; a log's records end at "\n" alone.
+        record = json.dumps({"kind": "session", "reason": f"a{brk}b"}, ensure_ascii=False).encode()
+        log = GENESIS + record + b"\n"
+        rp, lp = tmp_path / "r.json", tmp_path / "e.log"
+        rp.write_text(json.dumps({"event_log_digest": hashlib.sha256(log).hexdigest()}))
+        lp.write_bytes(log)
+        with open(lp, "rb") as f:
+            events = parse_events(f)
+        assert [e.kind for e in events] == ["genesis", "session"]
+        assert events[1].fields["reason"] == f"a{brk}b"
+        assert verify_log(str(rp), str(lp)) == (True, [])
 
     def test_one_byte_edit_detected(self, tmp_path):
         scn = small_scenario()
@@ -371,23 +414,17 @@ class TestVerifyLog:
         scn = session_scenario()
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
-        events = parse_events(Path(lp).read_bytes().splitlines())
-        forged = None
-        for e in events:
+        lines = Path(lp).read_bytes().splitlines()
+        for i, line in enumerate(lines):
+            e = json.loads(line)
             if e["kind"] == "intra_block" and e["zone"] == 1 and e["transfers"]:
-                t = dict(e["transfers"][0])
-                t["memo"] = 999  # contract 999 never existed, let alone PAID
-                forged = dict(e)
-                forged["transfers"] = e["transfers"] + [t]
+                # contract 999 never existed, let alone PAID
+                e["transfers"].append({**e["transfers"][0], "memo": 999})
+                lines[i] = json.dumps(e).encode()
                 break
-        assert forged is not None
-        new_lines = []
-        for e in events:
-            if e is not None and e.get("kind") == "intra_block" and e.get("block") == forged["block"]:
-                new_lines.append(forged)
-            else:
-                new_lines.append(e)
-        violations = check_payment_safety(replay_log(new_lines))
+        else:
+            pytest.fail("no zone-1 block with a transfer")
+        violations = check_payment_safety(replay_log(parse_events(lines)))
         assert any("without a settled" in v for v in violations)
 
     def test_replay_refuses_a_second_payout_per_seller_and_contract(self):
@@ -404,9 +441,9 @@ class TestVerifyLog:
             {"kind": "intra_block", "zone": 1, "height": 2, "block": "b2", "transfers": [transfer(3)]},
             {"kind": "intra_block", "zone": 2, "height": 1, "block": "b3", "transfers": [transfer(3)]},
         ]
-        rp = replay_log(events)
+        rp = replay_log(parse_events(json.dumps(e).encode() for e in events))
         assert rp.intra_books == {"1": {"aa": 80, "bb": 20}, "2": {"aa": 90, "bb": 10}}
-        assert [(t["zone"], t["memo"]) for t in rp.transfers] == [(1, 0), (1, 3), (1, 0), (2, 3)]
+        assert [(zone, t.memo) for zone, t in rp.transfers] == [(1, 0), (1, 3), (1, 0), (2, 3)]
         assert check_payment_safety(rp) == [
             "payment for contract 3 without a settled (PAID) contract",
             "double payout for contract 3: 2 payments",
@@ -417,10 +454,9 @@ class TestVerifyLog:
         rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
         run_scenario(scn, report_path=rp, log_path=lp)
         events = parse_events(Path(lp).read_bytes().splitlines())
-        payload = next(e["payload"] for e in events
-                       if e["kind"] == "intra_submit" and "payload" in e)
-        leak = {"kind": "xdom", "src": "x", "dst": "y", "bytes": payload[:32]}
-        violations = check_privacy(events + [leak])
+        payload = next(e.payload for e in events if type(e) is IntraSubmitWithPayload)
+        leak = {"kind": "xdom", "src": "x", "dst": "y", "bytes": payload[:16].hex()}
+        violations = check_privacy(events + parse_events([json.dumps(leak).encode()]))
         assert violations and "leaked" in violations[0]
 
     def test_planted_violations_of_three_checkers_in_log_order(self):
@@ -452,9 +488,10 @@ class TestVerifyLog:
             "private payload bytes leaked in inter block c1 at offset 1",
             "private payload bytes leaked in message dlg:2:1->dlg:1:1 at offset 0",
         ])
-        assert run_all_checkers(events) == expected
+        parsed = parse_events(json.dumps(e).encode() for e in events)
+        assert run_all_checkers(parsed) == expected
         log = EventLog()
-        log.events = events
+        log.events = parsed
         assert run_all_checkers(parse_events(log.lines())) == expected
 
     def test_clean_log_has_no_planted_violations(self, tmp_path):
@@ -470,8 +507,9 @@ def mismatch_reference(value, shape):
     """The field check of a log record, written out: (path, the kind
     expected there, None if absent) at the first part of ``value`` that
     breaks the declared ``shape``, or None."""
-    names = {int: "an integer", str: "a string", bytes: "a hex string", list: "a list",
-             dict: "an object"}
+    names = {int: "an integer", float: "a number", str: "a string", bytes: "a hex string",
+             list: "a list", dict: "an object"}
+    shape = getattr(shape, "SHAPE", shape)
     kind = type(shape) if isinstance(shape, (list, dict)) else shape
     if kind is bytes:
         try:
@@ -479,23 +517,33 @@ def mismatch_reference(value, shape):
             return None
         except (TypeError, ValueError):
             return "", names[bytes]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    number = kind is float and isinstance(value, int)
+    if not (isinstance(value, kind) or number) or (kind in (int, float) and isinstance(value, bool)):
         return "", names[kind]
     if isinstance(shape, list):
         parts = [(f"[{i}]", v, shape[0]) for i, v in enumerate(value)]
-    elif isinstance(shape, dict) and str in shape:
-        parts = [(f"[{k}]", v, shape[str]) for k, v in value.items()]
+    elif isinstance(shape, dict) and (str in shape or bytes in shape):
+        ((key, sub),) = shape.items()
+        # A hex key is checked before its value.
+        parts = [part for k, v in value.items()
+                 for part in ([(f"[{k}]", k, bytes)] if key is bytes else []) + [(f"[{k}]", v, sub)]]
     elif isinstance(shape, dict):
-        fields = [(name.rstrip("?"), name.endswith("?"), sub) for name, sub in shape.items()]
-        some = any(optional and key in value for key, optional, _ in fields)
-        missing = [key for key, optional, _ in fields if key not in value and (some or not optional)]
-        if missing:
-            return f".{missing[0]}", None
-        parts = [(f".{key}", value[key], sub) for key, _, sub in fields if key in value]
+        # "?": may be absent; "??": all of the object's "??" fields or none.
+        # The fields are checked in declaration order, each for presence
+        # and then for its shape.
+        fields = [(name.rstrip("?"), name.endswith("?"), name.endswith("??"), sub)
+                  for name, sub in shape.items()]
+        grouped = any(group and key in value for key, _, group, _ in fields)
+        parts = []
+        for key, optional, group, sub in fields:
+            if key in value:
+                parts.append((f".{key}", value[key], sub))
+            elif not optional or (group and grouped):
+                parts.append((f".{key}", None, None))
     else:
         return None
     for path, v, sub in parts:
-        bad = mismatch_reference(v, sub)
+        bad = ("", None) if sub is None else mismatch_reference(v, sub)
         if bad is not None:
             return path + bad[0], bad[1]
     return None
@@ -503,11 +551,34 @@ def mismatch_reference(value, shape):
 
 def bad_field_reference(record):
     kind = record.get("kind")
-    bad = mismatch_reference(record, CHECKED_FIELDS.get(kind, {}) if isinstance(kind, str) else {"kind": str})
+    shape = {"kind": str} if not isinstance(kind, str) else RECORDS[kind].SHAPE if kind in RECORDS else {}
+    bad = mismatch_reference(record, shape)
     if bad is None:
         return None
     path, expected = bad[0].lstrip("."), bad[1]
     return f"has no field {path!r}" if expected is None else f"has field {path!r} that is not {expected}"
+
+
+def parse_problem(record):
+    """What ``parse_events`` refuses ``record`` for, as one line; None if
+    it reads it."""
+    try:
+        assert len(parse_events([json.dumps(record).encode()])) == 1
+    except BadRecord as e:
+        return str(e)
+    return None
+
+
+def nested_shapes(shape):
+    """``shape`` and every shape of a field inside it."""
+    shape = getattr(shape, "SHAPE", shape)
+    if isinstance(shape, list):
+        return nested_shapes(shape[0])
+    if not isinstance(shape, dict):
+        return []
+    if str in shape or bytes in shape:
+        return nested_shapes(next(iter(shape.values())))
+    return [shape] + [s for sub in shape.values() for s in nested_shapes(sub)]
 
 
 # Any JSON value, with the strings a hex field reads as valid and invalid.
@@ -515,29 +586,35 @@ JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2 ** 70) | st.floats(
                | st.sampled_from(["", "ab", "0F", " ab ", "a", "zz", "kind"]) | st.text(max_size=3))
 JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
                            | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
-HEX_TX_FIELDS = {name.rstrip("?") for name, sub in CHECKED_FIELDS["inter_block"]["txs"][0].items()
-                 if sub is bytes}
-FIELD_NAMES = sorted({name.rstrip("?") for shape in CHECKED_FIELDS.values() for name in shape}
-                     | {name.rstrip("?") for name in CHECKED_FIELDS["inter_block"]["txs"][0]})
+HEX_TX_FIELDS = {name.rstrip("?") for name, sub in LoggedInterTx.SHAPE.items() if sub is bytes}
+FIELD_NAMES = sorted({name.rstrip("?") for cls in RECORDS.values() for shape in nested_shapes(cls)
+                      for name in shape})
 
 
 def conforming(shape):
-    """Values that pass ``shape``, every "?" field present or none."""
+    """Values that pass ``shape``: each "?" field present or not, and
+    every "??" field of an object present or none."""
+    shape = getattr(shape, "SHAPE", shape)
     if shape is int:
         return st.integers(-2 ** 70, 2 ** 70)
+    if shape is float:
+        return st.integers(-2 ** 70, 2 ** 70) | st.floats(allow_nan=False, allow_infinity=False)
     if shape is str:
         return st.text(max_size=3)
     if shape is bytes:
         return st.binary(max_size=3).map(bytes.hex)
-    if shape is object:
-        return JSON_VALUES
     if isinstance(shape, list):
         return st.lists(conforming(shape[0]), min_size=1, max_size=3)
-    if str in shape:
-        return st.dictionaries(st.text(max_size=3), conforming(shape[str]), min_size=1, max_size=3)
+    if str in shape or bytes in shape:
+        ((key, sub),) = shape.items()
+        return st.dictionaries(conforming(key), conforming(sub), min_size=1, max_size=3)
     required = {n: conforming(sub) for n, sub in shape.items() if not n.endswith("?")}
-    every = {n.rstrip("?"): conforming(sub) for n, sub in shape.items()}
-    return st.fixed_dictionaries(required) | st.fixed_dictionaries(every)
+    alone = {n.rstrip("?"): conforming(sub) for n, sub in shape.items()
+             if n.endswith("?") and not n.endswith("??")}
+    group = {n.rstrip("?"): conforming(sub) for n, sub in shape.items() if n.endswith("??")}
+    return st.builds(lambda fields, grouped: {**fields, **grouped},
+                     st.fixed_dictionaries(required, optional=alone),
+                     st.just({}) | st.fixed_dictionaries(group))
 
 
 @st.composite
@@ -561,23 +638,28 @@ def mutated(draw, value):
 
 
 class TestBadField:
-    @pytest.mark.parametrize("kind", sorted(CHECKED_FIELDS))
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_names_what_the_written_out_check_names(self, kind, data):
-        record = {"kind": kind, **data.draw(conforming(CHECKED_FIELDS[kind]))}
-        assert bad_field(record) is None and bad_field_reference(record) is None
+        # A record of the shape its class declares parses; one with parts
+        # replaced, dropped or added is refused for the field the
+        # written-out check names, or read if that check finds none.
+        record = {"kind": kind, **data.draw(conforming(RECORDS[kind]))}
+        assert parse_problem(record) is None and bad_field_reference(record) is None
         for _ in range(data.draw(st.integers(1, 3))):
             record = data.draw(mutated(record))
         if isinstance(record, dict):
-            assert bad_field(record) == bad_field_reference(record)
+            expected = bad_field_reference(record)
+            assert parse_problem(record) == (expected and f"record 1 ({record.get('kind')}) {expected}")
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_parse_names_what_the_written_out_check_names(self, data):
-        # parse_events reads an inter block's txs without a second hex
-        # check; what it refuses, and the field it names, are the same.
-        record = {"kind": "inter_block", **data.draw(conforming(CHECKED_FIELDS["inter_block"]))}
+        # parse_events reads each hex field of an inter block's txs once,
+        # into the InterTx; what it refuses, and the field it names, are
+        # what the written-out check names.
+        record = {"kind": "inter_block", **data.draw(conforming(RECORDS["inter_block"]))}
         if data.draw(st.booleans()):  # one tx hex field that is not hex
             tx = data.draw(st.sampled_from(record["txs"]))
             field = data.draw(st.sampled_from(sorted(k for k in tx if k in HEX_TX_FIELDS)))

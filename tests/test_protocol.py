@@ -71,9 +71,9 @@ class TestHappyPath:
         report, h = run(fast_session_scenario())
         per_actor: dict = {}
         for e in h.log.events:
-            if e["kind"] == "session" and e.get("event") == "phase":
-                seq = per_actor.setdefault((e["sid"], e["side"]), [])
-                seq.append((e["at"], e["phase"]))
+            if e.kind == "session" and e.fields["event"] == "phase":
+                seq = per_actor.setdefault((e.fields["sid"], e.fields["side"]), [])
+                seq.append((e.fields["at"], e.fields["phase"]))
         for key, seq in per_actor.items():
             phases = [p for _, p in seq]
             ranks = [Phase(p).rank for p in phases]
@@ -84,8 +84,8 @@ class TestHappyPath:
         report, h = run(fast_session_scenario())
         logged: dict = {}
         for e in h.log.events:
-            if e["kind"] == "session" and e.get("event") == "phase":
-                logged.setdefault((e["sid"], e["side"]), {})[e["phase"]] = e["at"]
+            if e.kind == "session" and e.fields["event"] == "phase":
+                logged.setdefault((e.fields["sid"], e.fields["side"]), {})[e.fields["phase"]] = e.fields["at"]
         assert len(report.sessions) == 2
         for s in report.sessions:
             client = h.clients[(s["sid"], s["side"])]
@@ -98,9 +98,9 @@ class TestHappyPath:
         seller = h.clients[(1, "pub")]
         cid = seller.contract_id
         book = h.validators[1][0].core.book
-        payments = [t for t in replay_log(h.log.events).transfers
-                    if t["to"] == seller.key.address.hex() and t["memo"] == cid]
-        assert [(t["zone"], t["amount"]) for t in payments] == [(1, 10_000)]
+        payments = [(zone, t) for zone, t in replay_log(h.log.events).transfers
+                    if t.to == seller.key.address and t.memo == cid]
+        assert [(zone, t.amount) for zone, t in payments] == [(1, 10_000)]
         assert (seller.key.address, cid) in book.paid
         assert book.balances[seller.key.address] == 100_000 + 10_000
 
@@ -442,9 +442,9 @@ class TestBrokerPaths:
         configs = submits_from(sent, "dlg:1:0", M_CONFIG_PUB)
         assert [t.contract_id for t in configs] == [first, later]
         assert out == {(1, "pub"): "SETTLED", (1, "sub"): "SETTLED"}
-        paid = [t for t in replay_log(h.log.events).transfers
-                if t["to"] == seller.key.address.hex() and t["memo"]]
-        assert [(t["amount"], t["memo"]) for t in paid] == [(10_000, later)]
+        paid = [t for _zone, t in replay_log(h.log.events).transfers
+                if t.to == seller.key.address and t.memo]
+        assert [(t.amount, t.memo) for t in paid] == [(10_000, later)]
         assert (seller.key.address, later) in h.validators[1][0].core.book.paid
 
     def test_config_retries_exhausted_fails_with_no_contract(self):
