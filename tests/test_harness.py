@@ -123,11 +123,13 @@ class TestReports:
            payload=st.binary(max_size=64), nonce=st.integers(0, 2**64 - 1))
     def test_intra_submit_line_is_its_json_encoding(self, record, at, zone, sender, payload, nonce):
         tx = IntraTx(sender, zone, payload, nonce, b"s" * 64)
-        r = record(zone, tx.digest(), sender, at, *[payload] * (record is IntraSubmitWithPayload))
         fields = {"kind": "intra_submit", "zone": zone, "tx": tx.digest().hex(),
                   "sender": sender.hex(), "at": round(at, 3)}
         if record is IntraSubmitWithPayload:
+            r = record(zone, tx.digest(), sender, at, payload)
             fields["payload"] = payload.hex()
+        else:
+            r = record(zone, tx.digest(), sender, at)
         expected = json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n"
         assert r.line() == expected.encode()
         (read,) = parse_events([r.line()])
