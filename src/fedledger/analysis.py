@@ -113,7 +113,7 @@ def double_spend_experiment(attempts: int, attacker_share: float, confirmations:
         fork_parent_height = 0
         while victim.tip_height < confirmations:
             mine_honest()
-        assert tx.digest() in victim.confirmed
+        assert victim.confirmed_receipt(tx.digest()) == "ok"
 
         # Private race from the fork parent (attacker starts k behind).
         attacker_chain: list = []

@@ -39,7 +39,6 @@ from .contract import BrokerStatus
 from .powchain import M_SETTLE, ChainState, InterTx, apply_tx
 
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_DECODE = json.JSONDecoder().raw_decode
 _NAMES = {int: "an integer", float: "a number", str: "a string", bytes: "a hex string",
           list: "a list", dict: "an object"}
 RECORDS: dict[str, type] = {}  # kind -> the class of each kind a checker reads
@@ -397,11 +396,16 @@ class BadRecord(ValueError):
     """A log record that the checkers cannot read."""
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not a JSON value")
+
+
 def parse_events(chunks: Iterable[bytes]) -> list[Record | Event]:
     """The records of a log, in order, from byte chunks that each end at a line break or the
     log's end (a file opened "rb", or ``data.splitlines()``). A record ends at "\\n" alone, as
     a JSON string may hold other line breaks. ``BadRecord`` names the first bad field."""
     events = []
+    decode = json.JSONDecoder(parse_constant=_not_json).raw_decode  # NaN and Infinity are not JSON
     for chunk in chunks:
         for line in chunk.decode().split("\n"):
             if not line:
@@ -409,11 +413,11 @@ def parse_events(chunks: Iterable[bytes]) -> list[Record | Event]:
             n = len(events) + 1
             try:
                 line = line.strip(" \t\r")  # JSON's white space; "\n" ended the line
-                e, end = _DECODE(line)
+                e, end = decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
-            except RecursionError:
-                raise ValueError(f"record {n} is nested too deeply to parse") from None
+            except (RecursionError, ValueError) as err:  # RecursionError: nested too deeply
+                raise ValueError(f"record {n}: {err}") from None
             if not isinstance(e, dict):
                 raise BadRecord(f"record {n} is not a JSON object")
             kind = e.get("kind")

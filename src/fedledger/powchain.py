@@ -10,13 +10,13 @@ Every inter-ledger participant runs an ``InterNode``: a block tree with
 per-block executed states (structurally shared immutable values), the
 canonical chain under the longest-chain rule (ties keep the incumbent),
 a pending pool in arrival order (admission takes only ``FEE``, so fees
-never reorder it), an orphan buffer, and depth-k confirmation
-tracking (the rule is ``confirmed_height``; ``on_block`` returns the txs
-it confirmed). Mining nodes additionally hold hash power, and mining
-runs in virtual time: a miner's next win is sampled from an exponential
-with mean interval/share. Blocks are sealed with ``MAX_TARGET``, so any
-nonce wins; ``on_block`` still checks each digest against the target
-its seal declares.
+never reorder it), an orphan buffer, and depth-k confirmation: one rule,
+``confirmed_receipt``, from which ``on_block`` derives the txs it
+confirmed and reverted; no set of confirmed txs. Mining nodes
+additionally hold hash power, and mining runs in virtual time: a miner's
+next win is sampled from an exponential with mean interval/share. Blocks
+are sealed with ``MAX_TARGET``, so any nonce wins; ``on_block`` still
+checks each digest against the target its seal declares.
 
 A receipt is the status a transaction ended with: ``"ok"`` or the error
 code of a failed call. Each node keeps the receipts of every stored
@@ -303,8 +303,8 @@ class CanonicalReceipts(Mapping):
 class AdoptResult:
     reason: str = ""  # why nothing was stored
     reorg_depth: int = 0  # blocks displaced from the canonical chain; 0 if none
-    confirmed: tuple = ()  # txs this call added to InterNode.confirmed
-    reverted_confirmed: tuple = ()
+    confirmed: tuple = ()  # txs of the blocks that reached depth k, in canonical order
+    reverted_confirmed: tuple = ()  # reported txs that confirmed_receipt stopped confirming
     tip_changed: bool = False
     adopted_blocks: tuple = ()  # every block stored by this call (incl. reattached orphans)
 
@@ -339,8 +339,6 @@ class InterNode:
         self.canonical: list[bytes] = [gd]
         self.pending: dict[bytes, InterTx] = {}  # insertion order is arrival order
         self.orphans: dict[bytes, Block] = {}
-        self.confirmed: set[bytes] = set()
-        self._confirm_frontier = 0  # highest canonical height already scanned
 
     # -- views -------------------------------------------------------------
 
@@ -365,6 +363,12 @@ class InterNode:
     def confirmed_height(self) -> int:
         """Height of the deepest canonical block with depth >= k (< 1 if none)."""
         return self.tip_height - self.k + 1
+
+    def confirmed_receipt(self, tx_digest: bytes) -> str | None:
+        """The status of a confirmed tx, None for any other tx: a tx is
+        confirmed iff its canonical receipt is at or below ``confirmed_height``."""
+        receipt = self.canonical_receipts.get(tx_digest)
+        return receipt[1] if receipt and receipt[0] <= self.confirmed_height else None
 
     def tip_state(self) -> ChainState:
         return self.states[self.tip]
@@ -453,12 +457,13 @@ class InterNode:
         result = AdoptResult(adopted_blocks=(block,))
         if block.height > self.tip_height:
             result.tip_changed = True
-            displaced_txs: list[bytes] = []
             if block.parent == self.tip:
+                fork, displaced = self.tip_height, []
                 self._extend(d, block)
             else:
-                result.reorg_depth = self._reorg(d, block, displaced_txs)
-            result.confirmed, result.reverted_confirmed = self._update_confirmations(displaced_txs)
+                fork, displaced = self._reorg(d, block)
+                result.reorg_depth = len(displaced)
+            result.confirmed, result.reverted_confirmed = self._update_confirmations(fork, displaced)
 
         # Re-attach any orphans waiting on this block.
         waiting = [o for o in self.orphans.values() if o.parent == d]
@@ -478,7 +483,7 @@ class InterNode:
         for tx in block.txs:
             self.pending.pop(tx.digest(), None)
 
-    def _reorg(self, new_tip: bytes, block: Block, displaced_txs: list) -> int:
+    def _reorg(self, new_tip: bytes, block: Block) -> tuple[int, list]:
         # Walk the new branch back to the first block already canonical.
         path = []
         cursor_d, cursor = new_tip, block
@@ -488,38 +493,29 @@ class InterNode:
             cursor = self.blocks[cursor_d]
         fork_height = cursor.height
         displaced = self.canonical[fork_height + 1:]
-        depth = len(displaced)
         # Displaced transactions go back to the pool.
         for bd in displaced:
             for tx in self.blocks[bd].txs:
-                td = tx.digest()
-                displaced_txs.append(td)
-                if td not in self.pending:
-                    self.pending[td] = tx
+                self.pending.setdefault(tx.digest(), tx)
         self.canonical = self.canonical[: fork_height + 1]
-        self._confirm_frontier = min(self._confirm_frontier, fork_height)
         for bd in reversed(path):
             self._extend(bd, self.blocks[bd])
-        return depth
+        return fork_height, displaced
 
-    def _update_confirmations(self, displaced_txs: list) -> tuple[tuple, tuple]:
-        """Confirm txs that reached depth k; returns them, and the confirmed
-        txs that a reorg dropped from the canonical chain."""
-        confirmed, reverted = [], []
-        # Only a reorg can drop a confirmed tx out of the canonical chain;
-        # displaced txs may have been re-included by the new branch.
-        for td in displaced_txs:
-            if td in self.confirmed and td not in self.canonical_receipts:
-                reverted.append(td)
-                self.confirmed.discard(td)
-        limit = self.confirmed_height
-        for h in range(self._confirm_frontier + 1, limit + 1):
-            bd = self.canonical[h]
-            for tx in self.blocks[bd].txs:
-                td = tx.digest()
-                if td not in self.confirmed:
-                    self.confirmed.add(td)
-                    confirmed.append(td)
-        if limit > self._confirm_frontier:
-            self._confirm_frontier = limit
-        return tuple(confirmed), tuple(reverted)
+    def _update_confirmations(self, fork: int, displaced: list) -> tuple[tuple, tuple]:
+        """What the rule of ``confirmed_receipt`` changed since the last report, made at
+        the old tip's confirmed height, now that the chain above ``fork`` lost ``displaced``."""
+        blocks, canonical, index, txs = self.blocks, self.canonical, self.index, self.index.txs
+        reported = max(0, fork + len(displaced) - self.k + 1)
+        kept = min(reported, fork)  # the reported blocks still canonical
+        limit = max(kept, self.confirmed_height)
+        confirmed = [tx.digest() for bd in canonical[kept + 1:limit + 1] for tx in blocks[bd].txs]
+        reverted = [tx.digest() for bd in displaced[:reported - kept] for tx in blocks[bd].txs]
+        # A receipt is a tx's last canonical copy, and only a tx the index lists twice has
+        # copies: a displaced copy can uncover a reported one, and a new copy can cover it.
+        confirmed += [td for bd in displaced[reported - kept:] for td in map(InterTx.digest, blocks[bd].txs)
+                      if type(txs[td]) is list and (e := index.last(td, self._canonical_at)) and e[0] <= kept]
+        reverted += [td for bd in canonical[max(fork, limit) + 1:] for td in map(InterTx.digest, blocks[bd].txs)
+                     if type(txs[td]) is list and any(h <= kept and canonical[h] == b for h, _, b in txs[td])]
+        return tuple(confirmed), tuple(td for td in dict.fromkeys(reverted)
+                                       if self.confirmed_receipt(td) is None)

@@ -256,19 +256,19 @@ class Facts(dict):
         return value
 
     def _receipt(self) -> str:
-        s, inter = self.s, self.node.inter
+        s = self.s
         if s.inflight is None:
             return "none"
-        receipt = inter.canonical_receipts.get(s.inflight.digest())
-        if receipt is None or receipt[0] > inter.confirmed_height:
+        status = self.node.inter.confirmed_receipt(s.inflight.digest())
+        if status is None:
             return "pending"  # in a pool, racing a reorg, or included but not yet confirmed
-        if receipt[1] != "ok":
+        if status != "ok":
             if s.inflight.method in (M_CONFIG_PUB, M_CONFIG_SUB):
                 s.config_retries += 1
             else:
                 s.salt += 1
         s.inflight = None
-        return "ok" if receipt[1] == "ok" else "failed"
+        return "ok" if status == "ok" else "failed"
 
     def _bound(self) -> str:
         s, node, side = self.s, self.node, self.s.req.side

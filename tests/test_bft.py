@@ -1012,3 +1012,26 @@ class TestZoneLiveness:
         scn.faults.append({"at_ms": 9000, "fault": "recover", "node": "dlg:1:0"})
         report, _ = run(scn)
         assert {s["outcome"] for s in report.sessions} == {"SETTLED"}, report.sessions
+
+
+class TestInterLiveness:
+    """The inter-ledger's repro of ROADMAP item 2's block sync: after a
+    partition of the miners heals, every miner ends on one chain."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="no inter block sync: miner:0 ends at height 18, the others at 19, "
+                              "each with the other side's 11 later blocks as orphans")
+    def test_miners_converge_after_a_partition_heals(self):
+        scn = Scenario(
+            name="inter-partition", seed=1, duration_ms=60_000,
+            inter=InterSpec(miners=3, mean_block_interval_ms=1500, confirmation_depth=1),
+            workload=WorkloadSpec(inter_rate_per_s=20),
+            faults=[{"at_ms": 5000, "fault": "partition", "groups": [["miner:0"], ["miner:1", "miner:2"]]},
+                    {"at_ms": 30_000, "fault": "heal"}],
+        )
+        _, h = run(scn)
+        chains = [m.inter.canonical for m in h.miners]
+        # A block still in flight at the end may leave one tip behind.
+        common = min(len(c) for c in chains) - 1
+        assert all(c[:common] == chains[0][:common] for c in chains), \
+            [(m.inter.tip_height, len(m.inter.orphans)) for m in h.miners]

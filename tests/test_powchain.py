@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedledger import powchain
+from fedledger import cli, powchain
 from fedledger.analysis import ks_exponential
 from fedledger.chain import MAX_TARGET, Checkpoint, PowSeal, TxIndex, build_block, genesis_block
 from fedledger.contract import BrokerInfo
 from fedledger.crypto import Keyring, sha256
-from fedledger.eventlog import EventLog, check_safety
+from fedledger.eventlog import EventLog, check_safety, parse_events
+from fedledger.harness import run_scenario
 from fedledger.powchain import (
     M_COMMIT,
     M_CONFIG_PUB,
@@ -30,7 +31,7 @@ from fedledger.powchain import (
     signed_inter_tx,
 )
 from fedledger.runner import Collector
-from fedledger.scenario import InterSpec
+from fedledger.scenario import DomainSpec, InterSpec, Scenario, WorkloadSpec
 
 
 def inter_node(keyring, address, state, **kw):
@@ -323,7 +324,7 @@ class TestForkChoice:
         for i in range(4):
             block = node.build_block(float(i), nonce=i)
             node.on_block(block)
-            if tx.digest() in node.confirmed and confirmed_at is None:
+            if node.confirmed_receipt(tx.digest()) == "ok" and confirmed_at is None:
                 confirmed_at = node.tip_height
         assert confirmed_at == 3  # depth k=3: tx in block 1, confirmed at tip 3
 
@@ -341,7 +342,7 @@ class TestRevertOracle:
         assert node.submit_tx(tx)[0]
         for i in range(3):
             node.on_block(node.build_block(float(i), nonce=i))
-        assert node.tip_height == 3 and tx.digest() in node.confirmed
+        assert node.tip_height == 3 and node.confirmed_receipt(tx.digest()) == "ok"
         return node, tx
 
     @staticmethod
@@ -371,26 +372,48 @@ class TestRevertOracle:
         res = self.branch(node, node.canonical[0], 0, 4)
         assert res.reorg_depth == 3
         assert res.reverted_confirmed == (t,)
-        assert t not in node.confirmed
+        assert node.confirmed_receipt(t) is None
         violations = self.reported(res)
         assert len(violations) == 1
         assert "confirmed inter tx reverted" in violations[0] and t.hex() in violations[0]
 
     def test_reincluded_above_frontier_then_dropped_reported(self, keyring):
         # A deep reorg that puts T back above the new confirmed height (3)
-        # reverts nothing, and node.confirmed still holds T; so a later
-        # shallow reorg that drops T is reported.
+        # reverts T at once: its receipt is now the new branch's, and not
+        # yet confirmed. A later shallow reorg that drops T's block, above
+        # the confirmed height, reports nothing more; when T is included
+        # again and confirmed, it is reported confirmed again.
         node, tx = self.confirmed_at_height_1(keyring)
         t = tx.digest()
         res = self.branch(node, node.canonical[0], 0, 4, txs_at={4: [tx]})
         assert res.reorg_depth == 3 and node.confirmed_height == 3
-        assert node.canonical_receipts[t][0] == 4
-        assert res.reverted_confirmed == () and self.reported(res) == []
-        assert t in node.confirmed
+        assert node.canonical_receipts[t][0] == 4 and node.confirmed_receipt(t) is None
+        assert res.reverted_confirmed == (t,) and len(self.reported(res)) == 1
         res = self.branch(node, node.canonical[3], 3, 2)
         assert res.reorg_depth == 1
-        assert res.reverted_confirmed == (t,)
-        assert len(self.reported(res)) == 1
+        assert res.reverted_confirmed == () and self.reported(res) == []
+        res = self.branch(node, node.tip, node.tip_height, 2, txs_at={6: [tx]})
+        assert res.confirmed == (t,) and node.confirmed_receipt(t) == "ok"
+
+
+    def test_natural_forks_at_depth_1_revert_confirmed_txs(self, tmp_path):
+        # Blocks every 300 ms and k = 1: the observer miner reports confirmed
+        # txs that natural forks take off its chain, the run counts each
+        # report as a safety violation, and verify-log refuses its log. The
+        # digest pins the order of the reverted txs.
+        scn = Scenario(name="revert", seed=1, duration_ms=20_000, log_payloads=False,
+                       domains=[DomainSpec(zone_id=1)],
+                       inter=InterSpec(miners=3, mean_block_interval_ms=300, confirmation_depth=1),
+                       workload=WorkloadSpec(inter_rate_per_s=50))
+        rp, lp = str(tmp_path / "r.json"), str(tmp_path / "e.log")
+        report = run_scenario(scn, report_path=rp, log_path=lp)
+        assert report.event_log_digest == \
+            "c1339062d315e44ce2cec0cf4d1e51bc7baaf36193a8cb82ae13a3dc39f8d485"
+        assert report.safety_violations == 4
+        with open(lp, "rb") as f:
+            reverts = [e for e in parse_events(f) if e.kind == "inter_revert_confirmed"]
+        assert [len(e.txs) for e in reverts] == [61, 1, 7, 11]
+        assert cli.main(["verify-log", "--report", rp, "--log", lp]) == 1
 
 
 class TestCanonicalReceipts:
@@ -408,7 +431,8 @@ class TestCanonicalReceipts:
         # tx's status depends on the branch it lands in.
         pool = [noop(keyring, sender, i) for i in range(5)]
         pool.append(signed_inter_tx(sender, 9, M_SETTLE, fee=1))  # UnknownContract
-        _, node = make_node(keyring, balances={sender.address: 3}, k=2)
+        k = data.draw(st.integers(1, 6), label="k")  # a deep k leaves a short chain unconfirmed
+        _, node = make_node(keyring, balances={sender.address: 3}, k=k)
         blocks, paths = [], [frozenset()]  # paths[i]: txs on the path to block i (0 = genesis)
         for i in range(data.draw(st.integers(4 if repeats else 1, 8), label="blocks")):
             # Repeats fork near the tip, so displaced copies are common.
@@ -422,13 +446,9 @@ class TestCanonicalReceipts:
                                       parent.height + 1 if parent else 1, txs, i,
                                       PowSeal(miner.address, i, MAX_TARGET)))
             paths.append(paths[p] | {pool.index(tx) for tx in txs})
+        confirmed = {}
         for j in data.draw(st.permutations(range(len(blocks))), label="order"):
-            before = set(node.confirmed)
             res = node.on_block(blocks[j])
-            # A tx is reported confirmed by the call that confirms it (and
-            # also reverted if a later orphan of the same call reorgs it out).
-            gained = node.confirmed - before
-            assert gained <= set(res.confirmed) <= gained | set(res.reverted_confirmed)
             expect = {}
             for h, bd in enumerate(node.canonical[1:], start=1):
                 for pos, tx in enumerate(node.blocks[bd].txs):
@@ -438,7 +458,22 @@ class TestCanonicalReceipts:
             assert len(view) == len(expect) and sorted(view) == sorted(expect)
             assert all(view.get(d) == v and d in view for d, v in expect.items())
             assert view.get(b"\x00" * 32) is None and b"\x00" * 32 not in view
-            assert node.confirmed <= view.keys()
+            # The rule, from the walk: a tx is confirmed iff its last canonical
+            # occurrence is at or below the confirmed height. The call reports
+            # every tx it newly confirms, and every tx it stops confirming.
+            before, confirmed = confirmed, {d: st_ for d, (h, st_) in expect.items()
+                                            if h <= node.confirmed_height}
+            assert {d: node.confirmed_receipt(d) for d in expect} == \
+                {d: confirmed.get(d) for d in expect}
+            assert confirmed.keys() - before.keys() <= set(res.confirmed)
+            assert before.keys() - confirmed.keys() <= set(res.reverted_confirmed)
+            # And no more: a tx reported confirmed has a copy at or below the
+            # confirmed height, one reported reverted is not confirmed, unless
+            # a later orphan of the same call undid that.
+            deep = {tx.digest() for bd in node.canonical[1:max(0, node.confirmed_height) + 1]
+                    for tx in node.blocks[bd].txs}
+            assert set(res.confirmed) <= deep | set(res.reverted_confirmed)
+            assert not (set(res.reverted_confirmed) - set(res.confirmed)) & confirmed.keys()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -506,8 +541,7 @@ class TestCanonicalReceipts:
                 order = data.draw(st.permutations(range(len(blocks))), label="order")
                 order = order[:data.draw(st.integers(0, len(order)), label="delivered")]
                 for j in order:
-                    shared.on_block(blocks[j])
-                    private.on_block(blocks[j])
+                    assert shared.on_block(blocks[j]) == private.on_block(blocks[j])
                 pairs.append((shared, private))
         for shared, private in pairs:
             assert shared.blocks.keys() == private.blocks.keys()
@@ -516,7 +550,6 @@ class TestCanonicalReceipts:
             assert shared.block_receipts == private.block_receipts
             assert shared.canonical == private.canonical
             assert shared.canonical_receipts == private.canonical_receipts
-            assert shared.confirmed == private.confirmed
             assert shared.orphans.keys() == private.orphans.keys()
             for d, st_ in shared.states.items():
                 if d != shared.canonical[0]:

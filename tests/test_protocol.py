@@ -387,17 +387,19 @@ class FailingInterView:
     subscriber meanwhile."""
 
     def __init__(self, real, contracts):
-        self.confirmed_height = 100  # every receipt it hands out (height 1) is confirmed
         self.state = ChainState(dict(real.tip_state().balances), contracts)
-        self.canonical_receipts = {}
+        self.receipts = {}  # every receipt it hands out is confirmed
 
     def fail(self, tx):
-        if tx.digest() in self.canonical_receipts:
+        if tx.digest() in self.receipts:
             return
-        self.canonical_receipts[tx.digest()] = (1, "InvalidState")
+        self.receipts[tx.digest()] = "InvalidState"
         info = self.state.contracts[tx.contract_id]
         self.state.contracts[tx.contract_id] = replace(
             info, sub=Side(delegate=b"\x01" * 20, status=1, service=b"\x02" * 32))
+
+    def confirmed_receipt(self, tx_digest):
+        return self.receipts.get(tx_digest)
 
     def tip_state(self):
         return self.state
