@@ -286,18 +286,23 @@ def genesis_block(kind: str = "bft") -> Block:
 class TxIndex:
     """Tx index of one chain's blocks, shared by the replicas of that chain.
 
-    ``txs`` maps a tx digest to ``(height, pos, block digest)``, or to a
-    list of those, in indexing order, when the tx occurs in more than one
-    distinct block (divergent replicas, forks, or a tx included twice).
-    ``blocks`` holds the digest of every block indexed so far.
+    ``txs`` maps a tx digest to its occurrences, in indexing order: one
+    int, or a list of them when the tx occurs more than once (divergent
+    replicas, forks, or a tx included twice). An occurrence is the int
+    ``serial << 32 | pos``, where ``serial`` numbers the indexed blocks
+    and ``_blocks[serial]`` is that block's ``(height, block digest)``,
+    so a tx costs one int, not a tuple of three. ``occurrences`` and
+    ``last`` decode them into ``(height, pos, block digest)``. ``blocks``
+    holds the digest of every block indexed so far.
 
     A block is indexed before any descendant, so the occurrences on one
     chain are listed in (height, pos) order.
     """
 
     def __init__(self):
-        self.txs: dict[bytes, tuple | list] = {}
+        self.txs: dict[bytes, int | list] = {}
         self.blocks: set[bytes] = set()
+        self._blocks: list[tuple[int, bytes]] = []  # serial -> (height, block digest)
 
     def add(self, block: Block, bd: bytes) -> None:
         """Enter the first replica's copy of a block; later copies are no-ops."""
@@ -305,23 +310,26 @@ class TxIndex:
             return
         self.blocks.add(bd)
         txs = self.txs
-        height = block.height
+        first = len(self._blocks) << 32
+        self._blocks.append((block.height, bd))
         for pos, tx in enumerate(block.txs):
             d = tx.digest()
             entry = txs.get(d)
             if entry is None:
-                txs[d] = (height, pos, bd)
-            elif type(entry) is tuple:
-                txs[d] = [entry, (height, pos, bd)]
+                txs[d] = first | pos
+            elif type(entry) is int:
+                txs[d] = [entry, first | pos]
             else:
-                entry.append((height, pos, bd))
+                entry.append(first | pos)
 
-    def occurrences(self, tx_digest: bytes) -> tuple | list:
+    def occurrences(self, tx_digest: bytes) -> list:
         """Every ``(height, pos, block digest)`` of a tx, in indexing order."""
         entry = self.txs.get(tx_digest)
         if entry is None:
-            return ()
-        return (entry,) if type(entry) is tuple else entry
+            return []
+        blocks = self._blocks
+        return [(height, e & 0xFFFFFFFF, bd) for e in (entry if type(entry) is list else (entry,))
+                for height, bd in (blocks[e >> 32],)]
 
     def last(self, tx_digest: bytes, digest_at) -> tuple[int, int, bytes] | None:
         """The latest occurrence of a tx on one chain: the last entry whose
@@ -331,6 +339,17 @@ class TxIndex:
             if digest_at(entry[0]) == entry[2]:
                 return entry
         return None
+
+    def count_distinct(self, tx_count: int, digest_at) -> int:
+        """The number of distinct txs on one chain (see ``last``) that holds
+        ``tx_count`` txs: only a tx listed more than once can repeat there,
+        so each such tx's extra copies on the chain are subtracted."""
+        blocks = self._blocks
+        for entry in self.txs.values():
+            if type(entry) is list:
+                copies = sum(digest_at(height) == bd for height, bd in (blocks[e >> 32] for e in entry))
+                tx_count -= max(0, copies - 1)
+        return tx_count
 
 
 class Ledger:
@@ -371,6 +390,10 @@ class Ledger:
 
     def contains_tx(self, tx_digest: bytes) -> bool:
         return self.locate(tx_digest) is not None
+
+    def distinct_txs(self) -> int:
+        """The number of distinct txs on this chain, counted without a set."""
+        return self.index.count_distinct(sum(len(b.txs) for b in self.blocks), self._digest_at)
 
 
 def make_checkpoint(tx: IntraTx, ledger: Ledger) -> Checkpoint:

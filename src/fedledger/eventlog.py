@@ -39,6 +39,7 @@ from .contract import BrokerStatus
 from .powchain import M_SETTLE, ChainState, InterTx, apply_tx
 
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_json_string = json.encoder.encode_basestring_ascii  # a str as _LINE_ENCODER writes it
 _NAMES = {int: "an integer", float: "a number", str: "a string", bytes: "a hex string",
           list: "a list", dict: "an object"}
 RECORDS: dict[str, type] = {}  # kind -> the class of each kind a checker reads
@@ -269,6 +270,16 @@ class LoggedInterTx(Record):
                 **({} if cp is None else {"cp_zone": cp.zone_id, "cp_ref": cp.tx_ref.hex(),
                                           "cp_height": cp.block_height, "cp_head": cp.ledger_head.hex()})}
 
+    @staticmethod
+    def json_text(tx: InterTx) -> str:
+        """``to_json(tx)`` as its line writes it, key-sorted, without building the object."""
+        cp = tx.checkpoint
+        return ('{"args":"%s","attached":%d,"cid":%d,%s"digest":"%s","fee":%d,"method":%s,"sender":"%s"}'
+                % (tx.args.hex(), tx.attached_value, tx.contract_id,
+                   "" if cp is None else '"cp_head":"%s","cp_height":%d,"cp_ref":"%s","cp_zone":%d,'
+                   % (cp.ledger_head.hex(), cp.block_height, cp.tx_ref.hex(), cp.zone_id),
+                   tx.digest().hex(), tx.fee, _json_string(tx.method), tx.sender.hex()))
+
 
 class InterBlock(Record, kind="inter_block"):
     """A block the observer miner adopted, and its bytes if payloads are logged."""
@@ -281,6 +292,17 @@ class InterBlock(Record, kind="inter_block"):
     def of(cls, block, at: float, with_bytes: bool) -> InterBlock:
         return cls(block.digest(), block.seal.miner, block.txs,
                    block.serialize() if with_bytes else None, block.parent, block.height, at)
+
+    def line(self) -> bytes:
+        # Written out, as ``IntraSubmit.line`` is, and a tx at a time: "txs" sorts
+        # last among the keys, so no tx's JSON object is built.
+        at, data, height, parent = self.at, self.bytes, self.height, self.parent
+        head = ('{%s"block":"%s",%s%s"kind":"inter_block","miner":"%s",%s"txs":['
+                % ("" if at is None else '"at":%r,' % round(at, 3), self.block.hex(),
+                   "" if data is None else '"bytes":"%s",' % data.hex(),
+                   "" if height is None else '"height":%d,' % height, self.miner.hex(),
+                   "" if parent is None else '"parent":"%s",' % parent.hex()))
+        return (head + ",".join(map(LoggedInterTx.json_text, self.txs)) + "]}\n").encode()
 
 
 class InterCanonical(Record, kind="inter_canonical"):

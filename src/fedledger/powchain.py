@@ -68,12 +68,13 @@ M_REPLACE = "replace_delegate"
 
 @dataclass(frozen=True, slots=True, init=False)
 class InterTx:
-    """A signed contract call on the inter-ledger. ``_signing``, ``_digest``,
+    """A signed contract call on the inter-ledger. ``_digest``,
     ``_verified_by`` and ``_signing_hash`` are caches, as on
-    ``chain.IntraTx``: ``signed_inter_tx`` fills ``_signing`` and
+    ``chain.IntraTx``: ``signed_inter_tx`` fills ``_digest`` and
     ``_signing_hash``, and the first successful ``Keyring.verify_signed``
-    drops ``_signing_hash``. The one constructor sets every slot through
-    its member descriptor, as ``IntraTx``'s does."""
+    drops ``_signing_hash``. No slot holds the signing bytes: they are
+    built on each call, as ``IntraTx``'s are. The one constructor sets
+    every slot through its member descriptor, as ``IntraTx``'s does."""
 
     sender: bytes
     contract_id: int
@@ -83,7 +84,6 @@ class InterTx:
     fee: int
     checkpoint: Checkpoint | None = None
     signature: bytes = b""
-    _signing: bytes | None = field(default=None, init=False, compare=False, repr=False)
     _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
     _verified_by: object = field(default=None, init=False, compare=False, repr=False)
     _signing_hash: bytes | None = field(default=None, init=False, compare=False, repr=False)
@@ -99,18 +99,16 @@ class InterTx:
         _set_fee(self, fee)
         _set_checkpoint(self, checkpoint)
         _set_signature(self, signature)
-        _set_signing(self, None)
         _set_digest(self, None)
         _set_verified_by(self, None)
         _set_signing_hash(self, None)
 
     def signing_bytes(self) -> bytes:
-        cached = self._signing
-        if cached is None:
-            cached = _inter_signing_bytes(self.sender, self.contract_id, self.method, self.args,
-                                          self.attached_value, self.fee, self.checkpoint)
-            _set_signing(self, cached)
-        return cached
+        # Built on each call, never cached, as IntraTx's: a signed tx carries its
+        # digest and signing hash, so a run rebuilds these bytes only to
+        # serialize a tx for the transcript or the logged payloads.
+        return _inter_signing_bytes(self.sender, self.contract_id, self.method, self.args,
+                                    self.attached_value, self.fee, self.checkpoint)
 
     def serialize(self) -> bytes:
         return self.signing_bytes() + enc_blob(self.signature)
@@ -125,8 +123,8 @@ class InterTx:
 
 # The slot setters, bound once: the frozen class's own __setattr__ refuses.
 (_set_sender, _set_contract_id, _set_method, _set_args, _set_attached_value, _set_fee,
- _set_checkpoint, _set_signature, _set_signing, _set_digest, _set_verified_by,
- _set_signing_hash) = (InterTx.__dict__[name].__set__ for name in InterTx.__slots__)
+ _set_checkpoint, _set_signature, _set_digest, _set_verified_by, _set_signing_hash) = (
+    InterTx.__dict__[name].__set__ for name in InterTx.__slots__)
 
 
 def _inter_signing_bytes(sender: bytes, contract_id: int, method: str, args: bytes,
@@ -141,9 +139,10 @@ def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
                     checkpoint: Checkpoint | None = None) -> InterTx:
     signing = _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint)
     signing_hash = sha256(signing)
-    tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint,
-                 Keyring.sign_hash(key, signing_hash))
-    _set_signing(tx, signing)
+    sig = Keyring.sign_hash(key, signing_hash)
+    tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint, sig)
+    # The digest of serialize(), from the signing bytes already in hand.
+    _set_digest(tx, sha256(signing + enc_blob(sig)))
     _set_signing_hash(tx, signing_hash)
     return tx
 
@@ -257,8 +256,9 @@ class CanonicalReceipts(Mapping):
     """Read-only view of one node's canonical txs: digest -> (height, status).
 
     Backed by the shared ``TxIndex``: a tx maps to its last occurrence on
-    the node's canonical chain. Iteration and ``len`` walk the canonical
-    blocks; nothing is stored per tx.
+    the node's canonical chain. Iteration walks the canonical blocks, and
+    ``len`` counts their txs less the index's repeats; nothing is stored
+    per tx.
     """
 
     __slots__ = ("_node",)
@@ -296,7 +296,9 @@ class CanonicalReceipts(Mapping):
                     yield d
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        node = self._node
+        return node.index.count_distinct(sum(len(node.blocks[bd].txs) for bd in node.canonical),
+                                         node._canonical_at)
 
 
 @dataclass
@@ -516,6 +518,7 @@ class InterNode:
         confirmed += [td for bd in displaced[reported - kept:] for td in map(InterTx.digest, blocks[bd].txs)
                       if type(txs[td]) is list and (e := index.last(td, self._canonical_at)) and e[0] <= kept]
         reverted += [td for bd in canonical[max(fork, limit) + 1:] for td in map(InterTx.digest, blocks[bd].txs)
-                     if type(txs[td]) is list and any(h <= kept and canonical[h] == b for h, _, b in txs[td])]
+                     if type(txs[td]) is list
+                     and any(h <= kept and canonical[h] == b for h, _, b in index.occurrences(td))]
         return tuple(confirmed), tuple(td for td in dict.fromkeys(reverted)
                                        if self.confirmed_receipt(td) is None)

@@ -385,7 +385,7 @@ def finalize(h: RunHandles, log_path: str | None = None) -> MetricsReport:
     lats = raw_latencies(h)
     for z, node in zone_observers.items():
         ledger = node.core.ledger
-        committed = len({tx.digest() for b in ledger.blocks for tx in b.txs})
+        committed = ledger.distinct_txs()
         report.ledgers[f"zone:{z}"] = LedgerMetrics(
             tx_throughput=committed / duration_s if duration_s else 0.0,
             commit_latency=LatencyStats.from_values(lats[f"zone:{z}"]),

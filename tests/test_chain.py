@@ -164,9 +164,18 @@ class TestTxCaches:
         d = tx.digest()
         copy = replace(tx, **{name: getattr(tx, name) + 1})
         assert copy._digest is None and copy._verified_by is None
-        assert getattr(copy, "_signing", None) is None
+        fresh = type(tx)(*(getattr(copy, f.name) for f in fields(copy) if f.init))
+        assert copy.signing_bytes() == fresh.signing_bytes() != tx.signing_bytes()
         assert not keyring.verify_signed(copy)
         assert copy.digest() != d
+
+    def test_a_signed_tx_caches_its_digest_and_no_signing_bytes(self, keyring, kind):
+        tx, _, _ = _tx_pair(keyring, kind)
+        assert tx._digest == sha256(tx.serialize())
+        signing = tx.signing_bytes()
+        assert all(getattr(tx, name) != signing for name in type(tx).__slots__)
+        assert keyring.verify_signed(tx)
+        assert all(getattr(tx, name) != signing for name in type(tx).__slots__)
 
 
 ADDRESSES = st.binary(min_size=20, max_size=20)
@@ -370,11 +379,29 @@ class TestSharedIndex:
                         same = (at is not None and at[0] == cp.block_height
                                 and other.blocks[at[0]].digest() == cp.ledger_head)
                         assert verify_checkpoint(cp, other) == same
+                assert replica.distinct_txs() == len(expect)
         # Each distinct appended block is indexed once: one entry per occurrence.
         appended = {b.digest(): b for ledger in ledgers for b in ledger.blocks[1:]}
         assert index.blocks == appended.keys()
-        occurrences = sum(1 if type(e) is tuple else len(e) for e in index.txs.values())
+        occurrences = sum(len(index.occurrences(d)) for d in index.txs)
         assert occurrences == sum(len(b.txs) for b in appended.values())
+
+    def test_distinct_count_subtracts_the_copies_on_its_own_chain(self, keyring):
+        # The leader's chain holds T at heights 1 and 2 (twice at 2); the
+        # lagging replica, over the same index, holds heights 0-1 only.
+        key = keyring.new_account()
+        t, u = (signed_tx(keyring, key, payload=b"p%d" % i, nonce=i) for i in range(2))
+        index = TxIndex()
+        leader, lagging, divergent = Ledger(index=index), Ledger(index=index), Ledger(index=index)
+        for txs in ([t, u], [t, t]):
+            leader.append(build_block(leader.head_digest(), leader.height + 1, txs, 0,
+                                      BftSeal(key.address, 0)))
+        lagging.append(leader.blocks[1])
+        divergent.append(build_block(divergent.head_digest(), 1, [u, u, u], 1, BftSeal(key.address, 0)))
+        for ledger, distinct in ((leader, 2), (lagging, 2), (divergent, 1), (Ledger(index=index), 0)):
+            assert ledger.distinct_txs() == distinct == len({tx.digest() for b in ledger.blocks
+                                                             for tx in b.txs})
+        assert len(index.occurrences(t.digest())) == 3 and len(index.occurrences(u.digest())) == 4
 
     def test_divergent_replica_does_not_see_the_other_branch(self, keyring):
         key = keyring.new_account()

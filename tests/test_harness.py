@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,11 +17,14 @@ from hypothesis import strategies as st
 
 from fedledger import runner
 from fedledger.bft import Evidence
-from fedledger.chain import IntraTx
+from fedledger.chain import MAX_TARGET, Checkpoint, IntraTx, PowSeal, build_block
+from fedledger.crypto import Keyring
 from fedledger.eventlog import (
+    _LINE_ENCODER,
     RECORDS,
     BadRecord,
     EventLog,
+    InterBlock,
     InterRevertConfirmed,
     IntraSubmit,
     IntraSubmitWithPayload,
@@ -33,6 +37,7 @@ from fedledger.eventlog import (
     run_all_checkers,
 )
 from fedledger.harness import LOG_CHUNK_BYTES, batch, run_scenario, verify_log
+from fedledger.powchain import signed_inter_tx
 from fedledger.runner import build, finalize, run
 from fedledger.scenario import DomainSpec, InterSpec, ParseError, Scenario, WorkloadSpec, load_scenario
 
@@ -134,6 +139,30 @@ class TestReports:
         assert r.line() == expected.encode()
         (read,) = parse_events([r.line()])
         assert type(read) is record and read.line() == r.line()
+
+    @settings(max_examples=150, deadline=None)
+    @given(txs=st.lists(st.tuples(
+               st.one_of(st.sampled_from(["noop", 'a"b\\c\n\u00e9\U0001f600\x7f']), st.text(max_size=8)),
+               st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.binary(max_size=40),
+               st.one_of(st.none(), st.builds(Checkpoint, st.integers(0, 2**32 - 1),
+                                              st.binary(min_size=32, max_size=32),
+                                              st.integers(0, 2**64 - 1),
+                                              st.binary(min_size=32, max_size=32)))),
+               max_size=4),
+           at=st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)), with_bytes=st.booleans())
+    def test_inter_block_line_is_its_json_encoding(self, txs, at, with_bytes):
+        # Held and parsed, with and without checkpoints and payload bytes, and
+        # empty: the written-out line is the generic encoder's.
+        key = Keyring(random.Random(0)).new_account()
+        block = build_block(bytes(32), 3, [signed_inter_tx(key, cid, method, args, value, fee=1, checkpoint=cp)
+                                           for method, cid, value, args, cp in txs],
+                            7, PowSeal(key.address, 1, MAX_TARGET))
+        bare = InterBlock(block.digest(), key.address, block.txs, None, None, None, None)
+        for held in (InterBlock.of(block, at, with_bytes), bare):
+            (parsed,) = parse_events([held.line()])
+            for rec in (held, parsed):
+                assert rec.line() == (_LINE_ENCODER.encode({**rec.to_json(), "kind": rec.kind}) + "\n").encode()
+            assert parsed.line() == held.line()
 
     def test_inter_block_records_hold_their_blocks_txs(self, tmp_path):
         # A run's inter_block record holds its block's own tx tuple; the
@@ -287,6 +316,8 @@ class TestSharedReplicaFacts:
         assert crashed.node_id in h.sim.crashed and first_live.node_id not in h.sim.crashed
         assert report.ledgers["zone:1"].committed == distinct_txs(first_live)
         assert distinct_txs(crashed) < distinct_txs(first_live)
+        # The set-free count, on the lagging replica too.
+        assert all(v.core.ledger.distinct_txs() == distinct_txs(v) for v in h.validators[1])
 
 
 class TestBatch:

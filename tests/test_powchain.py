@@ -420,11 +420,9 @@ class TestCanonicalReceipts:
     """The canonical-tx view against a from-scratch walk of the chain."""
 
     @staticmethod
-    def check_random_tree(data, repeats):
-        """Deliver a random block tree in random order; after every block,
-        compare the view with a walk of the canonical chain in which the
-        last occurrence of a tx wins. ``repeats`` lets a branch hold a tx
-        more than once."""
+    def random_tree(data, repeats):
+        """A node, a pool of txs and a random block tree over them, in a random
+        delivery order. ``repeats`` lets a branch hold a tx more than once."""
         keyring = Keyring(random.Random(data.draw(st.integers(0, 2**16), label="keys")))
         sender, miner = keyring.new_account(), keyring.new_account()
         # Three fees' worth of funds: a branch's fourth noop fails, so a
@@ -446,9 +444,18 @@ class TestCanonicalReceipts:
                                       parent.height + 1 if parent else 1, txs, i,
                                       PowSeal(miner.address, i, MAX_TARGET)))
             paths.append(paths[p] | {pool.index(tx) for tx in txs})
+        order = data.draw(st.permutations(range(len(blocks))), label="order")
+        return node, pool, [blocks[j] for j in order]
+
+    @classmethod
+    def check_random_tree(cls, data, repeats):
+        """Deliver a random block tree in random order; after every block,
+        compare the view with a walk of the canonical chain in which the
+        last occurrence of a tx wins."""
+        node, _, delivered = cls.random_tree(data, repeats)
         confirmed = {}
-        for j in data.draw(st.permutations(range(len(blocks))), label="order"):
-            res = node.on_block(blocks[j])
+        for block in delivered:
+            res = node.on_block(block)
             expect = {}
             for h, bd in enumerate(node.canonical[1:], start=1):
                 for pos, tx in enumerate(node.blocks[bd].txs):
@@ -474,6 +481,24 @@ class TestCanonicalReceipts:
                     for tx in node.blocks[bd].txs}
             assert set(res.confirmed) <= deep | set(res.reverted_confirmed)
             assert not (set(res.reverted_confirmed) - set(res.confirmed)) & confirmed.keys()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), repeats=st.booleans())
+    def test_index_matches_a_list_of_occurrences(self, data, repeats):
+        # Whatever the index's layout, it answers as a from-scratch list of
+        # every stored block's (height, pos, block digest), in storing order.
+        node, pool, delivered = self.random_tree(data, repeats)
+        stored = []
+        for block in delivered:
+            stored += node.on_block(block).adopted_blocks
+            for tx in pool:
+                d = tx.digest()
+                expect = [(b.height, pos, b.digest()) for b in stored
+                          for pos, t in enumerate(b.txs) if t.digest() == d]
+                assert list(node.index.occurrences(d)) == expect
+                on_chain = [e for e in expect if node._canonical_at(e[0]) == e[2]]
+                assert node.index.last(d, node._canonical_at) == (on_chain[-1] if on_chain else None)
+        assert node.index.blocks == {b.digest() for b in stored}
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
