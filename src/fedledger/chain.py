@@ -29,7 +29,6 @@ from .crypto import (
     ADDRESS_LEN,
     ZERO_ADDRESS,
     ZERO_DIGEST,
-    Keyring,
     Reader,
     enc_address,
     enc_blob,
@@ -39,6 +38,7 @@ from .crypto import (
     enc_u64,
     enc_u256,
     sha256,
+    sign_and_digest,
 )
 
 MAX_INTRA_PAYLOAD = 1024  # bytes per intra transaction
@@ -117,12 +117,10 @@ def _intra_signing_bytes(sender: bytes, zone_id: int, payload: bytes, nonce: int
 
 
 def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
-    signing = _intra_signing_bytes(key.address, zone_id, payload, nonce)
-    signing_hash = sha256(signing)
-    sig = Keyring.sign_hash(key, signing_hash)
+    sig, signing_hash, digest = sign_and_digest(
+        key, _intra_signing_bytes(key.address, zone_id, payload, nonce))
     tx = IntraTx(key.address, zone_id, payload, nonce, sig)
-    # The digest of serialize(), from the signing bytes already in hand.
-    _set_digest(tx, sha256(signing + enc_blob(sig)))
+    _set_digest(tx, digest)
     _set_signing_hash(tx, signing_hash)
     return tx
 

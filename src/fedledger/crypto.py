@@ -186,3 +186,15 @@ class Keyring:
             object.__setattr__(obj, "_signing_hash", None)
         object.__setattr__(obj, "_verified_by", self)
         return True
+
+
+def sign_and_digest(key: SigningKey, signing: bytes) -> tuple[bytes, bytes, bytes]:
+    """Sign the signing bytes of a signed object and digest its serialized
+    form, ``signing + enc_blob(signature)``, from one SHA-256 stream, so
+    the signing bytes are hashed once. Returns the signature, the SHA-256
+    of ``signing`` (the hash ``Keyring.sign_hash`` signs) and the digest."""
+    stream = hashlib.sha256(signing)
+    signing_hash = stream.digest()
+    sig = Keyring.sign_hash(key, signing_hash)
+    stream.update(enc_blob(sig))
+    return sig, signing_hash, stream.digest()

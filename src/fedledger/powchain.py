@@ -51,6 +51,7 @@ from .crypto import (
     enc_blob,
     enc_u64,
     sha256,
+    sign_and_digest,
 )
 
 ORPHAN_CAP = 64
@@ -137,12 +138,10 @@ def _inter_signing_bytes(sender: bytes, contract_id: int, method: str, args: byt
 def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
                     attached: int = 0, *, fee: int,
                     checkpoint: Checkpoint | None = None) -> InterTx:
-    signing = _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint)
-    signing_hash = sha256(signing)
-    sig = Keyring.sign_hash(key, signing_hash)
+    sig, signing_hash, digest = sign_and_digest(
+        key, _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint))
     tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint, sig)
-    # The digest of serialize(), from the signing bytes already in hand.
-    _set_digest(tx, sha256(signing + enc_blob(sig)))
+    _set_digest(tx, digest)
     _set_signing_hash(tx, signing_hash)
     return tx
 

@@ -60,6 +60,14 @@ ADMIN_UNITS = 100_000
 LOADGEN_UNITS = 1_000_000
 
 
+class _ZoneLedgers(dict):
+    """Zone id -> its ledger name ``"zone:<id>"``, built once per zone."""
+
+    def __missing__(self, zone: int) -> str:
+        name = self[zone] = f"zone:{zone}"
+        return name
+
+
 class Collector:
     """Receives node callbacks; feeds the event log and the metrics. A tx is
     ``inflight`` from its submission to its first commit in a zone or first
@@ -77,10 +85,7 @@ class Collector:
         self.submitted: dict[str, int] = {}  # ledger -> txs submitted
         self.latencies: dict[str, list[float]] = {}  # ledger -> latencies (s)
         self.intra_blocks_logged: set[tuple] = set()  # (zone, height)
-
-    def _submitted(self, ledger: str, d: bytes, at: float) -> None:
-        self.inflight[d] = at
-        self.submitted[ledger] = self.submitted.get(ledger, 0) + 1
+        self._zone_ledgers = _ZoneLedgers()
 
     def _landed(self, ledger: str, d: bytes, at: float) -> None:
         """Keep the latency of an inflight tx."""
@@ -92,7 +97,9 @@ class Collector:
 
     def intra_submit(self, zone: int, tx, at: float) -> None:
         d = tx.digest()
-        self._submitted(f"zone:{zone}", d, at)
+        self.inflight[d] = at
+        ledger = self._zone_ledgers[zone]
+        self.submitted[ledger] = self.submitted.get(ledger, 0) + 1
         if self.log_payloads:
             self.log.emit(IntraSubmitWithPayload(zone, d, tx.sender, at, tx.payload))
         else:
@@ -104,7 +111,7 @@ class Collector:
         if key in self.intra_blocks_logged:
             return
         self.intra_blocks_logged.add(key)
-        ledger = f"zone:{zone}"
+        ledger = self._zone_ledgers[zone]
         for tx in block.txs:
             self._landed(ledger, tx.digest(), at)
         self.log.emit(IntraBlock.of(zone, block, at))
@@ -112,7 +119,8 @@ class Collector:
     # -- inter ----------------------------------------------------------------
 
     def inter_submit(self, tx, at: float) -> None:
-        self._submitted("inter", tx.digest(), at)
+        self.inflight[tx.digest()] = at
+        self.submitted["inter"] = self.submitted.get("inter", 0) + 1
 
     def inter_block(self, res, at: float) -> None:
         for d in res.confirmed:

@@ -169,16 +169,39 @@ class TestTxCaches:
         assert not keyring.verify_signed(copy)
         assert copy.digest() != d
 
-    def test_a_signed_tx_caches_its_digest_and_no_signing_bytes(self, keyring, kind):
-        tx, _, _ = _tx_pair(keyring, kind)
-        assert tx._digest == sha256(tx.serialize())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_signed_tx_caches_its_digest_and_no_signing_bytes(self, kind, data):
+        keyring = Keyring(random.Random(0xFED))
+        key = keyring.new_account()
+        if kind == "intra":
+            tx = signed_intra_tx(key, *data.draw(SIGNED_INTRA_ARGS))
+        else:
+            *args, fee, checkpoint = data.draw(SIGNED_INTER_ARGS)
+            tx = signed_inter_tx(key, *args, fee=fee, checkpoint=checkpoint)
         signing = tx.signing_bytes()
+        assert tx._digest == sha256(tx.serialize())
+        assert tx._signing_hash == sha256(signing)
+        assert tx.signature == Keyring.sign(key, signing)
         assert all(getattr(tx, name) != signing for name in type(tx).__slots__)
         assert keyring.verify_signed(tx)
+        assert tx._signing_hash is None
         assert all(getattr(tx, name) != signing for name in type(tx).__slots__)
 
 
 ADDRESSES = st.binary(min_size=20, max_size=20)
+CHECKPOINTS = st.builds(Checkpoint, st.integers(0, 2 ** 32 - 1), st.binary(min_size=32, max_size=32),
+                        st.integers(0, 2 ** 64 - 1), st.binary(min_size=32, max_size=32))
+U64 = st.integers(0, 2 ** 64 - 1)
+# signed_intra_tx's (zone_id, payload, nonce), the empty and the largest payload among them.
+SIGNED_INTRA_ARGS = st.tuples(
+    st.integers(0, 2 ** 32 - 1),
+    st.just(b"") | st.binary(min_size=MAX_INTRA_PAYLOAD, max_size=MAX_INTRA_PAYLOAD)
+    | st.binary(max_size=MAX_INTRA_PAYLOAD),
+    U64)
+# signed_inter_tx's (contract_id, method, args, attached, fee, checkpoint).
+SIGNED_INTER_ARGS = st.tuples(U64, st.text(max_size=8), st.binary(max_size=64), U64, U64,
+                              st.none() | CHECKPOINTS)
 CONSTRUCTOR_ARGS = {
     IntraTx: st.fixed_dictionaries({
         "sender": ADDRESSES, "zone_id": st.integers(0, 2 ** 32 - 1),
@@ -188,10 +211,7 @@ CONSTRUCTOR_ARGS = {
         "sender": ADDRESSES, "contract_id": st.integers(0, 2 ** 64 - 1), "method": st.text(max_size=8),
         "args": st.binary(max_size=64), "attached_value": st.integers(0, 2 ** 64 - 1),
         "fee": st.integers(0, 2 ** 64 - 1),
-        "checkpoint": st.none() | st.builds(Checkpoint, st.integers(0, 2 ** 32 - 1),
-                                            st.binary(min_size=32, max_size=32),
-                                            st.integers(0, 2 ** 64 - 1),
-                                            st.binary(min_size=32, max_size=32)),
+        "checkpoint": st.none() | CHECKPOINTS,
         "signature": st.binary(max_size=32)}),
 }
 

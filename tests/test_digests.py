@@ -6,6 +6,7 @@ must update the pin and say why.
 """
 
 import functools
+import gc
 import json
 import subprocess
 import sys
@@ -97,8 +98,8 @@ EVENT_COUNTS = {
     "validator-crash": 8606,
 }
 
-# Not run here at full length (measured: 10-11 s in run_until plus 1-2 s to
-# finalize, 210 MB peak RSS, on a 2-CPU Xeon VM under Python 3.11); the same
+# Not run here at full length (measured: 5.3-5.5 s in run_until plus 0.5 s
+# to finalize, 136 MB peak RSS, on a 2-CPU Xeon VM under Python 3.11); the same
 # scenario with an integer duration is pinned by test_c01 as "c1-inter",
 # and its first 150 s by test_inter_throughput_cut_digest.
 NOT_RUN = {"inter-throughput"}
@@ -152,11 +153,27 @@ def test_every_scenario_file_is_pinned():
     assert stems == set(PINS) | NOT_RUN
 
 
+def run_without_collector(scn):
+    """``run(scn)`` with the cyclic collector off throughout, and the number
+    of unreachable objects a full collection then finds: 0 when the run
+    made no reference cycle. That is what lets ``Simulator.run_until``
+    pause the collector at no cost but time: a change that made a cycle
+    per event would raise peak RSS silently, and fails here instead."""
+    gc.collect()
+    gc.disable()
+    try:
+        report, h = run(scn)
+    finally:
+        gc.enable()
+    return report, h, gc.collect()
+
+
 @functools.cache
 def run_of(name):
-    """The report of a scenario file's run, as a dict, and its event count."""
-    report, h = run(load_scenario(str(SCENARIOS / f"{name}.json")))
-    return report.to_dict(), h.sim.processed
+    """The report of a scenario file's run, as a dict, its event count and
+    the unreachable objects it left (see ``run_without_collector``)."""
+    report, h, unreachable = run_without_collector(load_scenario(str(SCENARIOS / f"{name}.json")))
+    return report.to_dict(), h.sim.processed, unreachable
 
 
 def ledger_row(m):
@@ -167,17 +184,23 @@ def ledger_row(m):
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_event_log_digest(name):
-    report, processed = run_of(name)
+    report, processed, _ = run_of(name)
     assert report["event_log_digest"] == PINS[name]
     assert processed == EVENT_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_run_makes_no_reference_cycle(name):
+    assert run_of(name)[2] == 0
 
 
 def test_inter_throughput_cut_digest():
     scn = load_scenario(str(SCENARIOS / "inter-throughput.json"))
     scn.duration_ms = INTER_CUT_MS
-    report, h = run(scn)
+    report, h, unreachable = run_without_collector(scn)
     assert report.event_log_digest == INTER_CUT_PIN
     assert h.sim.processed == INTER_CUT_EVENTS
+    assert unreachable == 0
 
 
 @pytest.mark.parametrize("name", sorted(PINS))

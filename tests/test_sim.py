@@ -1,6 +1,7 @@
 """Event loop: ordering, determinism, link models, faults, fan-outs,
 local deliveries."""
 
+import gc
 import heapq
 import math
 import random
@@ -196,6 +197,82 @@ class TestAbortDiagnostics:
         sim.set_timer("bad", 5.0, "x")
         with pytest.raises(RuntimeError, match=r"invariant breach at event #\d+.*bad"):
             sim.run_until(10)
+
+
+class CollectorWatch(Node):
+    """A node whose handlers note whether the cyclic collector is on."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id, 1)
+        self.seen = []
+
+    def on_timer(self, sim, key):
+        self.seen.append(gc.isenabled())
+        if key == "raise":
+            raise KeyError("boom")
+
+
+class TestCollectorPause:
+    """run_until pauses the cyclic collector and gives the caller's setting back."""
+
+    @pytest.fixture
+    def passes(self):
+        """The generation of each collector pass while the test runs; the
+        caller's collector setting is restored after it."""
+        enabled = gc.isenabled()
+        seen = []
+
+        def watch(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        gc.callbacks.append(watch)
+        yield seen
+        gc.callbacks.remove(watch)
+        (gc.enable if enabled else gc.disable)()
+
+    def sim_with(self, *keys):
+        sim = Simulator(0)
+        node = sim.add_node(CollectorWatch("w"))
+        for i, key in enumerate(keys):
+            sim.set_timer("w", 5.0 * (i + 1), key)
+        return sim, node
+
+    def test_paused_in_the_loop_and_on_again_after_one_young_pass(self, passes):
+        gc.enable()
+        sim, node = self.sim_with("a", "b")
+        gc.collect()  # no automatic pass falls due before the call
+        passes.clear()
+        assert sim.run_until(100) == 2
+        assert node.seen == [False, False]
+        assert gc.isenabled()
+        assert passes == [0]
+
+    def test_on_again_after_an_invariant_breach(self, passes):
+        gc.enable()
+        sim, node = self.sim_with("raise")
+        with pytest.raises(RuntimeError, match="invariant breach"):
+            sim.run_until(100)
+        assert node.seen == [False]
+        assert gc.isenabled()
+
+    def test_on_again_after_running_backwards(self, passes):
+        gc.enable()
+        sim, _ = self.sim_with()
+        sim.run_until(100)
+        with pytest.raises(ValueError):
+            sim.run_until(50)
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_turned_off_stays_off_without_a_pass(self, passes):
+        gc.disable()
+        sim, node = self.sim_with("a", "raise")
+        sim.run_until(6)
+        with pytest.raises(RuntimeError, match="invariant breach"):
+            sim.run_until(100)
+        assert node.seen == [False, False]
+        assert not gc.isenabled()
+        assert passes == []
 
 
 # -- one fan-out against the per-destination link formula -------------------------
