@@ -97,17 +97,13 @@ class ConsensusMsg:
     block: Block | None = None  # body, carried by PROPOSAL and DECISION
 
     def signing_bytes(self) -> bytes:
-        cached = self.__dict__.get("_signing")
-        if cached is None:
-            cached = (
-                enc_u8(self.kind.value)
-                + enc_u64(self.height)
-                + enc_u32(self.round)
-                + enc_digest(self.block_digest or ZERO_DIGEST)
-                + enc_address(self.sender)
-            )
-            object.__setattr__(self, "_signing", cached)
-        return cached
+        return (
+            enc_u8(self.kind.value)
+            + enc_u64(self.height)
+            + enc_u32(self.round)
+            + enc_digest(self.block_digest or ZERO_DIGEST)
+            + enc_address(self.sender)
+        )
 
     def wire_bytes(self) -> bytes:
         body = self.block.serialize() if self.block is not None else b""

@@ -23,13 +23,14 @@ a simulation share one ``TxIndex`` in the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .crypto import (
     ADDRESS_LEN,
     ZERO_ADDRESS,
     ZERO_DIGEST,
     Reader,
+    SignedTx,
     enc_address,
     enc_blob,
     enc_digest,
@@ -37,8 +38,10 @@ from .crypto import (
     enc_u32,
     enc_u64,
     enc_u256,
+    set_digest,
+    set_signing_hash,
+    set_verified_by,
     sha256,
-    sign_and_digest,
 )
 
 MAX_INTRA_PAYLOAD = 1024  # bytes per intra transaction
@@ -51,30 +54,15 @@ class NotCommitted(Exception):
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class IntraTx:
-    """Raw domain transaction carrying the private payload.
-
-    ``_digest``, ``_verified_by`` and ``_signing_hash`` are caches: they
-    are not constructor arguments, take no part in ``==``, ``hash`` or
-    ``repr``, and a ``dataclasses.replace`` copy starts without them.
-    ``_digest`` and ``_verified_by`` are filled on first use.
-    ``_signing_hash``, the SHA-256 of the signing bytes, is filled only by
-    ``signed_intra_tx`` and dropped by the first successful
-    ``Keyring.verify_signed``.
-
-    The one constructor sets each slot, the caches too, through its
-    member descriptor: a frozen dataclass's generated ``__init__`` pays
-    an ``object.__setattr__`` per field.
-    """
+class IntraTx(SignedTx):
+    """Raw domain transaction carrying the private payload. Its caches, digest,
+    wire bytes and signing are ``crypto.SignedTx``'s."""
 
     sender: bytes
     zone_id: int
     payload: bytes
     nonce: int
     signature: bytes = b""
-    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
-    _verified_by: object = field(default=None, init=False, compare=False, repr=False)
-    _signing_hash: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, sender: bytes, zone_id: int, payload: bytes, nonce: int,
                  signature: bytes = b""):
@@ -85,44 +73,23 @@ class IntraTx:
         _set_payload(self, payload)
         _set_nonce(self, nonce)
         _set_signature(self, signature)
-        _set_digest(self, None)
-        _set_verified_by(self, None)
-        _set_signing_hash(self, None)
+        set_digest(self, None)
+        set_verified_by(self, None)
+        set_signing_hash(self, None)
 
     def signing_bytes(self) -> bytes:
-        # Built on each call, never cached: a cached copy would hold the
-        # payload a second time for as long as the tx lives, and a tx needs
-        # these bytes once per keyring that checks its signature.
-        return _intra_signing_bytes(self.sender, self.zone_id, self.payload, self.nonce)
-
-    def serialize(self) -> bytes:
-        return self.signing_bytes() + enc_blob(self.signature)
-
-    def digest(self) -> bytes:
-        cached = self._digest
-        if cached is None:
-            cached = sha256(self.serialize())
-            _set_digest(self, cached)
-        return cached
+        return (enc_address(self.sender) + enc_u32(self.zone_id) + enc_blob(self.payload)
+                + enc_u64(self.nonce))
 
 
 # The slot setters, bound once: the frozen class's own __setattr__ refuses.
-(_set_sender, _set_zone_id, _set_payload, _set_nonce, _set_signature,
- _set_digest, _set_verified_by, _set_signing_hash) = (
+_set_sender, _set_zone_id, _set_payload, _set_nonce, _set_signature = (
     IntraTx.__dict__[name].__set__ for name in IntraTx.__slots__)
-
-
-def _intra_signing_bytes(sender: bytes, zone_id: int, payload: bytes, nonce: int) -> bytes:
-    return enc_address(sender) + enc_u32(zone_id) + enc_blob(payload) + enc_u64(nonce)
+IntraTx._set_signature = _set_signature
 
 
 def signed_intra_tx(key, zone_id: int, payload: bytes, nonce: int) -> IntraTx:
-    sig, signing_hash, digest = sign_and_digest(
-        key, _intra_signing_bytes(key.address, zone_id, payload, nonce))
-    tx = IntraTx(key.address, zone_id, payload, nonce, sig)
-    _set_digest(tx, digest)
-    _set_signing_hash(tx, signing_hash)
-    return tx
+    return IntraTx(key.address, zone_id, payload, nonce)._sign(key)
 
 
 # Typed payloads inside the opaque payload field. Tag 0x01 marks a value

@@ -1,11 +1,11 @@
 """Hashing, account addresses, signatures, and canonical wire encoding.
 
 Digests are raw 32-byte SHA-256 values, addresses are 20-byte account
-identifiers derived from a public-key digest. The signature scheme is a
-pluggable abstraction; the default is a deterministic registry-backed
-scheme that satisfies the sign/verify contract (verification fails for
-any altered byte or wrong signer) without the cost of real asymmetric
-crypto. It is simulation-grade, not a real signature scheme.
+identifiers derived from a public-key digest. The one signature scheme,
+``Keyring``, is deterministic and registry-backed: it satisfies the
+sign/verify contract (verification fails for any altered byte or wrong
+signer) without the cost of real asymmetric crypto, so it is
+simulation-grade, not a real signature scheme.
 
 Canonical encoding rules, used everywhere a structure is hashed or
 signed: fields are concatenated in declaration order, integers are
@@ -164,14 +164,13 @@ class Keyring:
         is remembered on the object itself, for this keyring only; the
         next call with the same keyring skips the hashing. A failure is
         never remembered. The mark is the attribute ``_verified_by``: a
-        slotted object declares it as a field, any other gets it in its
-        instance dict.
+        ``SignedTx`` holds it in a cache slot, any other object (a
+        ``bft.ConsensusMsg``) in its instance dict.
 
-        A tx that its signer built (``chain.signed_intra_tx``,
-        ``powchain.signed_inter_tx``) carries the SHA-256 of its signing
-        bytes in the cache ``_signing_hash``; the first check compares
-        against that instead of rebuilding and hashing the bytes, and a
-        success drops it, so a verified tx holds no extra bytes.
+        A ``SignedTx`` that its signer built carries the hash of its signing
+        bytes in ``_signing_hash``; the first check compares against that
+        instead of rebuilding and hashing the bytes, and a success drops it
+        (see ``SignedTx`` for the cache contract).
         """
         if getattr(obj, "_verified_by", None) is self:
             return True
@@ -183,18 +182,64 @@ class Keyring:
         if not ok:
             return False
         if signing_hash is not None:
-            object.__setattr__(obj, "_signing_hash", None)
+            set_signing_hash(obj, None)
         object.__setattr__(obj, "_verified_by", self)
         return True
 
 
-def sign_and_digest(key: SigningKey, signing: bytes) -> tuple[bytes, bytes, bytes]:
-    """Sign the signing bytes of a signed object and digest its serialized
-    form, ``signing + enc_blob(signature)``, from one SHA-256 stream, so
-    the signing bytes are hashed once. Returns the signature, the SHA-256
-    of ``signing`` (the hash ``Keyring.sign_hash`` signs) and the digest."""
-    stream = hashlib.sha256(signing)
-    signing_hash = stream.digest()
-    sig = Keyring.sign_hash(key, signing_hash)
-    stream.update(enc_blob(sig))
-    return sig, signing_hash, stream.digest()
+class SignedTx:
+    """The base of ``chain.IntraTx`` and ``powchain.InterTx``: wire bytes,
+    digest, one-stream signing, and the three tx caches.
+
+    A subclass is a slotted frozen dataclass with ``sender`` and ``signature``
+    fields, a ``signing_bytes()`` built on each call, and a hand-written
+    ``__init__`` that sets every slot through its member descriptor, each
+    cache to None through the setters below. It binds its ``signature``
+    slot's setter to ``_set_signature``.
+
+    The caches are this class's slots, not fields: outside the constructor,
+    ``==``, ``hash`` and ``repr``, and empty in a copy (``dataclasses.replace``,
+    ``copy`` and ``pickle`` all rebuild through the constructor). A frozen
+    subclass refuses ``setattr``: the setters below write them (and
+    ``verify_signed``, for any signed object, ``object.__setattr__``).
+    ``_digest``, the SHA-256 of ``serialize()``, is filled by ``_sign`` or the
+    first ``digest()``; ``_verified_by`` is the keyring whose
+    ``Keyring.verify_signed`` accepted the tx; ``_signing_hash``, the SHA-256
+    of the signing bytes, is filled only by ``_sign`` and dropped by the first
+    successful ``verify_signed``. No cache holds the signing bytes, so a tx
+    holds its content once.
+    """
+
+    __slots__ = ("_digest", "_verified_by", "_signing_hash")
+
+    def __reduce__(self):
+        return type(self), tuple(self.__getstate__())  # the frozen dataclass's field values
+
+    def serialize(self) -> bytes:
+        return self.signing_bytes() + enc_blob(self.signature)
+
+    def digest(self) -> bytes:
+        cached = self._digest
+        if cached is None:
+            cached = sha256(self.serialize())
+            set_digest(self, cached)
+        return cached
+
+    def _sign(self, key: SigningKey):
+        """Sign this tx, built unsigned with ``key``'s address as its sender, in
+        place, and return it. One SHA-256 stream takes the signing bytes, gives
+        their hash for the signature and ``_signing_hash``, then takes
+        ``enc_blob(signature)`` and gives the digest: the bytes are hashed once."""
+        stream = hashlib.sha256(self.signing_bytes())
+        signing_hash = stream.digest()
+        sig = Keyring.sign_hash(key, signing_hash)
+        stream.update(enc_blob(sig))
+        self._set_signature(self, sig)
+        set_digest(self, stream.digest())
+        set_signing_hash(self, signing_hash)
+        return self
+
+
+# The cache setters, bound once.
+set_digest, set_verified_by, set_signing_hash = (
+    SignedTx.__dict__[name].__set__ for name in SignedTx.__slots__)

@@ -259,7 +259,7 @@ class LoggedInterTx(Record):
     def build(values: list) -> InterTx:
         # The first six fields are InterTx's own, in its order.
         tx = InterTx(*values[:6], Checkpoint(*values[7:]) if len(values) > 7 else None)
-        object.__setattr__(tx, "_digest", values[6])
+        InterTx._digest.__set__(tx, values[6])  # the crypto.SignedTx cache slot
         return tx
 
     @staticmethod

@@ -39,7 +39,7 @@ digest and so the whole branch; a stored state is never written to.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from . import contract as sc
@@ -47,11 +47,13 @@ from .chain import MAX_TARGET, Block, Checkpoint, PowSeal, TxIndex, build_block,
 from .crypto import (
     Keyring,
     Reader,
+    SignedTx,
     enc_address,
     enc_blob,
     enc_u64,
-    sha256,
-    sign_and_digest,
+    set_digest,
+    set_signing_hash,
+    set_verified_by,
 )
 
 ORPHAN_CAP = 64
@@ -68,14 +70,9 @@ M_REPLACE = "replace_delegate"
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class InterTx:
-    """A signed contract call on the inter-ledger. ``_digest``,
-    ``_verified_by`` and ``_signing_hash`` are caches, as on
-    ``chain.IntraTx``: ``signed_inter_tx`` fills ``_digest`` and
-    ``_signing_hash``, and the first successful ``Keyring.verify_signed``
-    drops ``_signing_hash``. No slot holds the signing bytes: they are
-    built on each call, as ``IntraTx``'s are. The one constructor sets
-    every slot through its member descriptor, as ``IntraTx``'s does."""
+class InterTx(SignedTx):
+    """A signed contract call on the inter-ledger. Its caches, digest, wire
+    bytes and signing are ``crypto.SignedTx``'s, as ``chain.IntraTx``'s are."""
 
     sender: bytes
     contract_id: int
@@ -85,9 +82,6 @@ class InterTx:
     fee: int
     checkpoint: Checkpoint | None = None
     signature: bytes = b""
-    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
-    _verified_by: object = field(default=None, init=False, compare=False, repr=False)
-    _signing_hash: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, sender: bytes, contract_id: int, method: str, args: bytes,
                  attached_value: int, fee: int, checkpoint: Checkpoint | None = None,
@@ -100,50 +94,27 @@ class InterTx:
         _set_fee(self, fee)
         _set_checkpoint(self, checkpoint)
         _set_signature(self, signature)
-        _set_digest(self, None)
-        _set_verified_by(self, None)
-        _set_signing_hash(self, None)
+        set_digest(self, None)
+        set_verified_by(self, None)
+        set_signing_hash(self, None)
 
     def signing_bytes(self) -> bytes:
-        # Built on each call, never cached, as IntraTx's: a signed tx carries its
-        # digest and signing hash, so a run rebuilds these bytes only to
-        # serialize a tx for the transcript or the logged payloads.
-        return _inter_signing_bytes(self.sender, self.contract_id, self.method, self.args,
-                                    self.attached_value, self.fee, self.checkpoint)
-
-    def serialize(self) -> bytes:
-        return self.signing_bytes() + enc_blob(self.signature)
-
-    def digest(self) -> bytes:
-        cached = self._digest
-        if cached is None:
-            cached = sha256(self.serialize())
-            _set_digest(self, cached)
-        return cached
+        cp = self.checkpoint
+        return (enc_address(self.sender) + enc_u64(self.contract_id) + enc_blob(self.method.encode())
+                + enc_blob(self.args) + enc_u64(self.attached_value) + enc_u64(self.fee)
+                + (b"\x01" + cp.serialize() if cp else b"\x00"))
 
 
 # The slot setters, bound once: the frozen class's own __setattr__ refuses.
 (_set_sender, _set_contract_id, _set_method, _set_args, _set_attached_value, _set_fee,
- _set_checkpoint, _set_signature, _set_digest, _set_verified_by, _set_signing_hash) = (
-    InterTx.__dict__[name].__set__ for name in InterTx.__slots__)
-
-
-def _inter_signing_bytes(sender: bytes, contract_id: int, method: str, args: bytes,
-                         attached: int, fee: int, checkpoint: Checkpoint | None) -> bytes:
-    cp = b"\x01" + checkpoint.serialize() if checkpoint else b"\x00"
-    return (enc_address(sender) + enc_u64(contract_id) + enc_blob(method.encode())
-            + enc_blob(args) + enc_u64(attached) + enc_u64(fee) + cp)
+ _set_checkpoint, _set_signature) = (InterTx.__dict__[name].__set__ for name in InterTx.__slots__)
+InterTx._set_signature = _set_signature
 
 
 def signed_inter_tx(key, contract_id: int, method: str, args: bytes = b"",
                     attached: int = 0, *, fee: int,
                     checkpoint: Checkpoint | None = None) -> InterTx:
-    sig, signing_hash, digest = sign_and_digest(
-        key, _inter_signing_bytes(key.address, contract_id, method, args, attached, fee, checkpoint))
-    tx = InterTx(key.address, contract_id, method, args, attached, fee, checkpoint, sig)
-    _set_digest(tx, digest)
-    _set_signing_hash(tx, signing_hash)
-    return tx
+    return InterTx(key.address, contract_id, method, args, attached, fee, checkpoint)._sign(key)
 
 
 class ChainState:

@@ -1,7 +1,9 @@
 """Hashing, signatures, serialization, checkpoints, and ledger storage."""
 
 import inspect
+import pickle
 import random
+from copy import copy as shallow_copy, deepcopy
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
@@ -27,7 +29,7 @@ from fedledger.chain import (
     tx_root,
     verify_checkpoint,
 )
-from fedledger.crypto import ZERO_DIGEST, Keyring, Reader, sha256
+from fedledger.crypto import ZERO_DIGEST, Keyring, Reader, SignedTx, sha256
 from fedledger.powchain import M_CONFIG_PUB, InterTx, signed_inter_tx
 
 
@@ -141,6 +143,14 @@ def _tx_pair(keyring, kind):
     return tx, bare, "attached_value"
 
 
+CACHES = ("_digest", "_verified_by", "_signing_hash")
+
+
+def _slots_along_mro(cls):
+    """(name, declaring class) of every slot of ``cls``, its bases' included."""
+    return [(name, klass) for klass in cls.__mro__ for name in klass.__dict__.get("__slots__", ())]
+
+
 @pytest.mark.parametrize("kind", ["intra", "inter"])
 class TestTxCaches:
     def test_a_tx_has_no_instance_dict(self, keyring, kind):
@@ -148,6 +158,22 @@ class TestTxCaches:
         assert keyring.verify_signed(tx) and tx.digest()
         for t in (tx, bare):
             assert not hasattr(t, "__dict__")
+        assert all("__slots__" in klass.__dict__ for klass in type(tx).__mro__[:-1])
+
+    def test_the_caches_are_the_slots_of_the_one_base(self, keyring, kind):
+        tx, _, _ = _tx_pair(keyring, kind)
+        slots = _slots_along_mro(type(tx))
+        assert [(name, klass) for name, klass in slots if klass is not type(tx)] == [
+            (name, SignedTx) for name in CACHES]
+        assert [name for name, klass in slots if klass is type(tx)] == [f.name for f in fields(tx)]
+
+    def test_a_copy_starts_with_empty_caches(self, keyring, kind):
+        tx, _, _ = _tx_pair(keyring, kind)
+        assert keyring.verify_signed(tx)
+        for copied in (shallow_copy(tx), deepcopy(tx), pickle.loads(pickle.dumps(tx))):
+            assert type(copied) is type(tx) and copied == tx and repr(copied) == repr(tx)
+            assert all(getattr(copied, name) is None for name in CACHES)
+            assert copied.digest() == tx.digest() and keyring.verify_signed(copied)
 
     def test_equality_and_hash_ignore_the_caches(self, keyring, kind):
         tx, bare, _ = _tx_pair(keyring, kind)
@@ -183,10 +209,11 @@ class TestTxCaches:
         assert tx._digest == sha256(tx.serialize())
         assert tx._signing_hash == sha256(signing)
         assert tx.signature == Keyring.sign(key, signing)
-        assert all(getattr(tx, name) != signing for name in type(tx).__slots__)
+        slots = [name for name, _ in _slots_along_mro(type(tx))]
+        assert all(getattr(tx, name) != signing for name in slots)
         assert keyring.verify_signed(tx)
         assert tx._signing_hash is None
-        assert all(getattr(tx, name) != signing for name in type(tx).__slots__)
+        assert all(getattr(tx, name) != signing for name in slots)
 
 
 ADDRESSES = st.binary(min_size=20, max_size=20)
@@ -233,7 +260,8 @@ class TestTxConstructor:
         tx = cls(**args)
         for t in (tx, by_position):
             for f in fields(cls):
-                assert getattr(t, f.name) is (args[f.name] if f.init else None)
+                assert getattr(t, f.name) is args[f.name]
+            assert all(getattr(t, name) is None for name in CACHES)
         copy = replace(tx)
         assert copy is not tx
         assert tx == copy == by_position
@@ -244,6 +272,14 @@ class TestTxConstructor:
                 setattr(tx, f.name, getattr(tx, f.name))
             with pytest.raises(FrozenInstanceError):
                 delattr(tx, f.name)
+        # The frozen guard refuses a cache too, with a TypeError: for a name
+        # that is not a field it calls super() on the class before slots.
+        for name in CACHES:
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                setattr(tx, name, None)
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                delattr(tx, name)
+            assert getattr(tx, name) is None
 
 
 def test_intra_tx_payload_cap():
