@@ -25,11 +25,14 @@ which changes that node's own state alone: it gets no Simulator, so it
 cannot send, arm a timer, draw or read the clock, and a local message to a
 node without absorb raises ConfigError. Sending one runs the whole link
 rule and takes a sequence number from the same counter, but the entry
-(at, seq, msg) waits in the receiver's inbox heap instead of the global
-queue. An inbox is drained in (time, seq) order before any later event
-dispatched to its node, before a crash of that node applies, and at the
-end of each run_until for every live node, so each node sees what one
-global queue would show it. At a recover, what fell due while the node
+(at, seq, msg) is appended to the receiver's inbox list, off the global
+queue. An inbox is drained in (time, seq) order, by one sort, before any
+later event dispatched to its node (its earliest due time, lowered at each
+append, says when), before a crash of that node applies, and at the end of
+each run_until for every live node, so each node sees what one global
+queue would show it. These are 79% of intra-throughput's events, about 98
+per drain: an append and a share of one sort cost less than a heap push
+and pop. At a recover, what fell due while the node
 was down is dropped. An absorbed delivery counts in ``processed`` as an
 event; a dropped one does not.
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 import gc
 import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import cos as _cos, exp as _exp, inf as _INF, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
 
@@ -126,9 +130,11 @@ class Simulator:
         self.nodes: dict[str, Node] = {}
         # Ids of the nodes without on_message: messages to them are not queued.
         self._deaf: set[str] = set()
-        # node id -> heap of (at, seq, msg), the local deliveries not yet
-        # absorbed, for every node with absorb; in add_node order.
+        # node id -> list of (at, seq, msg), the local deliveries not yet
+        # absorbed, in send order, for every node with absorb, in add_node
+        # order; and its earliest due time (inf when empty).
         self._inbox: dict[str, list] = {}
+        self._due: dict[str, float] = {}
         self._held = 0  # how many local deliveries the inboxes hold
         self.crashed: set[str] = set()
         # node id -> index of its partition group; a node named in several
@@ -150,6 +156,7 @@ class Simulator:
             self._deaf.add(node.node_id)
         if hasattr(node, "absorb"):
             self._inbox[node.node_id] = []
+            self._due[node.node_id] = _INF
         return node
 
     # -- scheduling --------------------------------------------------------
@@ -208,7 +215,9 @@ class Simulator:
         if box is None:
             heapq.heappush(self._queue, (self.now + delay + extra, seq, "msg", dst, (src, msg)))
         else:
-            heapq.heappush(box, (self.now + delay + extra, seq, msg))
+            box.append((at := self.now + delay + extra, seq, msg))
+            if at < self._due[dst]:
+                self._due[dst] = at
             self._held += 1
 
     def multicast(self, src: str, dsts, msg) -> None:
@@ -233,6 +242,7 @@ class Simulator:
         group_of = self._group_of
         deaf = self._deaf
         inbox = self._inbox if isinstance(msg, LocalMessage) else None
+        due = self._due
         src_group = group_of.get(src) if group_of else None
         transcript = self.transcript
         wire = None  # encoded at the first inter link, then shared
@@ -263,7 +273,9 @@ class Simulator:
                     if box is None:
                         raise ConfigError(f"{dst!r} has no absorb for local {type(msg).__name__}")
                     seq += 1
-                    push(box, (now + delay + extra, seq, msg))
+                    box.append((at := now + delay + extra, seq, msg))
+                    if at < due[dst]:
+                        due[dst] = at
                 elif dst not in deaf:
                     seq += 1
                     # In this order: (now + extra) + delay rounds differently.
@@ -296,10 +308,7 @@ class Simulator:
             box = self._inbox.get(node)
             if box and node in self.crashed:
                 # What fell due while the node was down is dropped, uncounted.
-                key = (at, seq)
-                while box and box[0] < key:
-                    heapq.heappop(box)
-                    self._held -= 1
+                self._take(node, box, at, seq)
             self.crashed.discard(node)
         elif entry.fault == "byzantine":
             self.nodes[node].behavior = entry.behavior
@@ -311,24 +320,32 @@ class Simulator:
             raise ConfigError(f"unknown fault {entry.fault!r}")
         return 0
 
+    def _take(self, target: str, box: list, at: float, seq: int) -> list:
+        """Remove and return the deliveries of ``target``'s inbox ``box`` due
+        before ``(at, seq)``, in (time, seq) order: seq is unique, so the sort
+        compares no message and gives a heap's pop order."""
+        box.sort()
+        n = bisect_left(box, (at, seq))
+        taken = box[:n]
+        del box[:n]
+        self._held -= n
+        self._due[target] = box[0][0] if box else _INF
+        return taken
+
     def _absorb(self, target: str, box: list, at: float, seq: int) -> int:
         """Hand ``target`` every delivery of its inbox ``box`` due before
-        ``(at, seq)``, in (time, seq) order; returns how many."""
+        ``(at, seq)``, in (time, seq) order; returns how many. absorb gets
+        no Simulator, so nothing appends to the inbox while it runs."""
         absorb = self.nodes[target].absorb
-        pop = heapq.heappop
-        key = (at, seq)  # an entry (at, seq, msg) is before it in tuple order
-        before = len(box)
+        taken = self._take(target, box, at, seq)
         try:
-            while box and box[0] < key:
-                entry = pop(box)
+            for entry in taken:
                 absorb(entry[2])
         except Exception as e:
             raise RuntimeError(
                 f"invariant breach at event #{entry[1]} (t={entry[0]:.3f} ms, "
                 f"msg -> {target}): {e}") from e
-        absorbed = before - len(box)
-        self._held -= absorbed
-        return absorbed
+        return len(taken)
 
     # -- main loop -----------------------------------------------------------
 
@@ -364,7 +381,7 @@ class Simulator:
         count = 0
         # Bound once: handlers and faults change these in place, never rebind them.
         queue, crashed, nodes, pop = self._queue, self.crashed, self.nodes, heapq.heappop
-        inbox = self._inbox
+        inbox, due = self._inbox, self._due
         while queue and queue[0][0] <= t:
             at, seq, kind, target, payload = pop(queue)
             self.now = at
@@ -374,10 +391,8 @@ class Simulator:
             if target in crashed:
                 continue  # crash semantics: silently dropped
             # A node with absorb first takes in what fell due before this event.
-            if self._held and target in inbox:
-                box = inbox[target]
-                if box and box[0][0] <= at:
-                    count += self._absorb(target, box, at, seq)
+            if self._held and target in due and due[target] <= at:
+                count += self._absorb(target, inbox[target], at, seq)
             node = nodes[target]
             try:
                 if kind == "msg":
@@ -392,7 +407,7 @@ class Simulator:
             count += 1
         self.now = t
         for target, box in inbox.items():
-            if box and box[0][0] <= t and target not in crashed:
+            if due[target] <= t and target not in crashed:
                 count += self._absorb(target, box, t, _INF)
         self.processed += count
         return count

@@ -557,6 +557,14 @@ _steps = st.lists(st.one_of(
 ), min_size=1, max_size=30)
 
 
+def assert_inboxes_consistent(sim):
+    """Each node's earliest due is the least due time in its inbox (inf
+    when empty), and the held count is the inboxes' total length."""
+    for node_id, box in sim._inbox.items():
+        assert sim._due[node_id] == min((at for at, _seq, _msg in box), default=math.inf)
+    assert sim._held == sum(map(len, sim._inbox.values()))
+
+
 class TestLocalDelivery:
     """A local message waits in its receiver's inbox, off the global queue,
     and is absorbed before that node's next later event, before its crash,
@@ -578,6 +586,7 @@ class TestLocalDelivery:
                 else:
                     sim.multicast(src, dsts, msg)
                 ref.send(src, dsts, msg)
+                assert_inboxes_consistent(sim)
                 continue
             if step[0] == "timer":
                 _, node_id, dt, key = step
@@ -594,7 +603,7 @@ class TestLocalDelivery:
             assert sim.rng_net.getstate() == r.rng_net.getstate()
             assert sim.transcript == r.transcript
             assert sim._seq == r._seq
-            assert sim._held == sum(map(len, sim._inbox.values()))
+            assert_inboxes_consistent(sim)
             # The global queue holds the same entries but the local ones.
             assert sorted(sim._queue) == sorted(
                 e for e in r._queue if not (e[2] == "msg" and isinstance(e[4][1], LocalMessage)))
@@ -619,6 +628,46 @@ class TestLocalDelivery:
         assert sorted(msg.tag for _kind, msg in sim.nodes["p2"].seen) == list(range(5))
         assert sim.processed == ref.sim.processed
         assert len(sim.nodes["p1"].seen) < 5
+
+    def test_a_long_inbox_drained_in_slices(self):
+        # p1 is sent 240 deliveries by three senders: r1's are held by the
+        # delay behaviour and p3's cross a zone, so entries are appended out
+        # of due order. p1's own timers drain it inside a slice, it is down
+        # from 300 ms to 420 ms, and the run advances in 100 equal slices,
+        # as the benchmark's untraced samples do.
+        faults = [FaultEntry(0.0, "r1", "byzantine", behavior="delay"),
+                  FaultEntry(300.0, "p1", "crash"), FaultEntry(420.0, "p1", "recover")]
+        sim = local_sim(11, False, faults)
+        ref = ReferenceLoop(local_sim(11, False, faults))
+        unsorted = longest = 0
+        for k in range(100):
+            if k < 40:
+                for i in range(2):
+                    for j, src in enumerate(("r1", "p3", "p2")):
+                        msg = Pooled(6 * k + 3 * i + j)  # each tag once
+                        if src == "p2":
+                            sim.multicast(src, ["p1"], msg)
+                        else:
+                            sim.send(src, "p1", msg)
+                        ref.send(src, ["p1"], msg)
+                sim.set_timer("p1", sim.now + 3.0 + k % 11, k)
+                ref.sim.set_timer("p1", sim.now + 3.0 + k % 11, k)
+            box = sim._inbox["p1"]
+            unsorted += box != sorted(box)
+            longest = max(longest, len(box))
+            assert_inboxes_consistent(sim)
+            t = 5_000.0 * (k + 1) / 100
+            sim.run_until(t)
+            ref.run_until(t)
+            assert sim.nodes["p1"].seen == ref.sim.nodes["p1"].seen
+            assert sim.processed == ref.sim.processed
+            assert sim.rng_net.getstate() == ref.sim.rng_net.getstate()
+            assert sim._seq == ref.sim._seq
+            assert_inboxes_consistent(sim)
+        absorbed = sum(1 for e in sim.nodes["p1"].seen if e[0] == "absorb")
+        assert sim._inbox["p1"] == [] and sim._held == 0
+        assert unsorted > 0 and longest >= 20
+        assert 200 <= absorbed < 240  # the crash dropped some
 
     def test_delivery_due_at_the_bound_is_absorbed_by_it(self):
         sim = local_sim(1, False, [])
